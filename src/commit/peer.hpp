@@ -62,6 +62,7 @@ struct PeerStats {
   std::uint64_t commits_sent = 0;
   std::uint64_t committed = 0;
   std::uint64_t aborted = 0;
+  friend bool operator==(const PeerStats&, const PeerStats&) = default;
 };
 
 class CommitPeer {

@@ -134,6 +134,7 @@ void ChordNode::check_predecessor() {
 
 NodeId ChordRing::add_node(const NodeId& id) {
   assert(!nodes_.contains(id) && "duplicate node id");
+  ++version_;
   const NodeId bootstrap = nodes_.empty() ? id : nodes_.begin()->first;
   auto node = std::make_unique<ChordNode>(id, *this);
   ChordNode* raw = node.get();
@@ -160,6 +161,7 @@ void ChordRing::build(std::size_t n, std::size_t stabilization_rounds) {
 void ChordRing::leave(const NodeId& id) {
   const auto it = nodes_.find(id);
   if (it == nodes_.end()) return;
+  ++version_;
   ChordNode& node = *it->second;
   // Graceful handover: link predecessor and successor directly.
   const NodeId succ = node.first_live_successor();
@@ -176,7 +178,9 @@ void ChordRing::leave(const NodeId& id) {
   nodes_.erase(it);
 }
 
-void ChordRing::fail(const NodeId& id) { nodes_.erase(id); }
+void ChordRing::fail(const NodeId& id) {
+  if (nodes_.erase(id) != 0) ++version_;
+}
 
 ChordNode* ChordRing::node(const NodeId& id) {
   const auto it = nodes_.find(id);
@@ -196,6 +200,7 @@ std::vector<NodeId> ChordRing::node_ids() const {
 }
 
 void ChordRing::maintenance_round() {
+  ++version_;
   std::vector<NodeId> order = node_ids();
   for (std::size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[rng_.below(i)]);

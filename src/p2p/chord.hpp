@@ -112,12 +112,24 @@ class ChordRing {
   void run_maintenance(std::size_t rounds);
 
   /// Route a lookup from an arbitrary live node. Returns the responsible
-  /// node id; hops counts visited nodes.
+  /// node id; hops counts visited nodes. Consumes no randomness: the answer
+  /// is a pure function of the ring state, so it holds until version()
+  /// changes.
   [[nodiscard]] NodeId lookup(const NodeId& key,
                               std::size_t* hops = nullptr) const;
 
+  /// Ring-state version: bumped by every mutator (add_node, leave, fail,
+  /// maintenance_round; build and run_maintenance go through them). Node
+  /// maintenance runs only inside maintenance_round, so two lookups of one
+  /// key at the same version return the same node. Callers memoise lookup
+  /// results against it.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
   /// Attach a metrics registry: every lookup() feeds the chord.route_hops
-  /// histogram. nullptr (default) disables.
+  /// histogram. Callers that memoise results against version()
+  /// (AsaCluster's peer sets) call lookup() only on a memo miss, so the
+  /// histogram counts real ring walks, not answers served from a memo.
+  /// nullptr (default) disables.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
   /// Ground truth: the live node owning `key` by brute-force scan
@@ -128,6 +140,7 @@ class ChordRing {
   std::map<NodeId, std::unique_ptr<ChordNode>> nodes_;
   sim::Rng rng_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace asa_repro::p2p

@@ -105,6 +105,7 @@ struct NetworkStats {
   std::uint64_t partitioned = 0;
   std::uint64_t to_dead_node = 0;
   std::uint64_t burst_dropped = 0;  // Subset of dropped: GE bad state.
+  friend bool operator==(const NetworkStats&, const NetworkStats&) = default;
 };
 
 class Network {

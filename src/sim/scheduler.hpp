@@ -26,6 +26,8 @@ struct SchedulerStats {
   std::uint64_t cancelled = 0;        // cancel() calls registered.
   std::uint64_t discarded = 0;        // Cancelled events skipped at fire.
   std::size_t max_queue_depth = 0;    // Peak pending-event count.
+  friend bool operator==(const SchedulerStats&,
+                         const SchedulerStats&) = default;
 };
 
 /// Discrete-event scheduler. Not thread-safe: the simulation is

@@ -61,7 +61,7 @@ void AsaCluster::rebuild_host(std::size_t index,
       [this](std::uint64_t guid_key) -> std::vector<sim::NodeAddr> {
         const auto it = guid_registry_.find(guid_key);
         if (it == guid_registry_.end()) return {};
-        return peer_set(it->second);
+        return resolve(it->second);
       });
   if (config_.abort_scan_interval > 0) {
     hosts_[index]->peer().enable_abort(config_.abort_scan_interval,
@@ -90,16 +90,31 @@ sim::NodeAddr AsaCluster::addr_for_key(const p2p::NodeId& key) {
 }
 
 std::vector<sim::NodeAddr> AsaCluster::peer_set(const Guid& guid) {
-  guid_registry_.emplace(guid.to_uint64(), guid);
-  std::vector<sim::NodeAddr> addrs;
+  return resolve(
+      guid_registry_
+          .try_emplace(guid.to_uint64(), GuidEntry{guid, kUnresolved, {}})
+          .first->second);
+}
+
+const std::vector<sim::NodeAddr>& AsaCluster::resolve(GuidEntry& entry) {
+  if (entry.ring_version == ring_.version()) return entry.peers;
+  // Miss: the ring changed (or the memo was dropped) since the last
+  // resolution. The version is stamped only once every lookup succeeded.
+  entry.peers.clear();
   for (const p2p::NodeId& key :
-       replica_keys(guid.as_key(), config_.replication_factor)) {
+       replica_keys(entry.guid.as_key(), config_.replication_factor)) {
     const sim::NodeAddr addr = addr_for_key(key);
-    if (std::find(addrs.begin(), addrs.end(), addr) == addrs.end()) {
-      addrs.push_back(addr);
+    if (std::find(entry.peers.begin(), entry.peers.end(), addr) ==
+        entry.peers.end()) {
+      entry.peers.push_back(addr);
     }
   }
-  return addrs;
+  entry.ring_version = ring_.version();
+  return entry.peers;
+}
+
+void AsaCluster::forget_peer_sets() {
+  for (auto& [key, entry] : guid_registry_) entry.ring_version = kUnresolved;
 }
 
 DataStoreClient& AsaCluster::data_store() {
@@ -266,7 +281,7 @@ void AsaCluster::snapshot_metrics() {
 std::vector<Guid> AsaCluster::known_guids() const {
   std::vector<Guid> guids;
   guids.reserve(guid_registry_.size());
-  for (const auto& [key, guid] : guid_registry_) guids.push_back(guid);
+  for (const auto& [key, entry] : guid_registry_) guids.push_back(entry.guid);
   return guids;
 }
 
@@ -296,6 +311,7 @@ void AsaCluster::crash_node(std::size_t index) {
   const p2p::NodeId& id = node_ids_[index];
   if (ring_.alive(id)) ring_.fail(id);
   host_by_id_.erase(id);
+  forget_peer_sets();
   ring_.run_maintenance(8);
   if (config_.durability) {
     // Survivors journal the observed membership change. These records are
@@ -339,6 +355,7 @@ std::size_t AsaCluster::restart_node(std::size_t index) {
   const p2p::NodeId& id = node_ids_[index];
   if (!ring_.alive(id)) ring_.add_node(id);
   host_by_id_[id] = index;
+  forget_peer_sets();
   ring_.run_maintenance(8);
   if (config_.durability) {
     for (std::size_t i = 0; i < hosts_.size(); ++i) {
@@ -352,10 +369,10 @@ std::size_t AsaCluster::restart_node(std::size_t index) {
   // recovered node reconciles the delta it missed while down.
   std::size_t adopted = 0;
   std::size_t reconciled = 0;
-  for (const auto& [key, guid] : guid_registry_) {
-    adopted += migrate_version_history(guid);
+  for (const auto& [key, entry] : guid_registry_) {
+    adopted += migrate_version_history(entry.guid);
     if (config_.durability) {
-      const auto* donor = find_donor(guid);
+      const auto* donor = find_donor(entry.guid);
       if (donor != nullptr) {
         reconciled += hosts_[index]->peer().reconcile_history(key, *donor);
       }
@@ -440,6 +457,7 @@ std::size_t AsaCluster::add_node() {
   graceful_leave_.push_back(false);
   joined_epoch_.push_back(membership_epoch_);
   host_by_id_.emplace(id, index);
+  forget_peer_sets();
   rebuild_host(index, commit::Behaviour::kHonest);
   ring_.add_node(id);
   ring_.run_maintenance(8);
@@ -471,7 +489,7 @@ bool AsaCluster::remove_node(std::size_t index, bool graceful,
                         std::vector<commit::CommitPeer::CommittedEntry>>>
       leaving;
   if (graceful && handoff) {
-    for (const auto& [key, guid] : guid_registry_) {
+    for (const auto& [key, entry] : guid_registry_) {
       const auto& history = hosts_[index]->peer().history(key);
       if (!history.empty()) leaving.emplace_back(key, history);
     }
@@ -489,6 +507,7 @@ bool AsaCluster::remove_node(std::size_t index, bool graceful,
     }
   }
   host_by_id_.erase(id);
+  forget_peer_sets();
   ring_.run_maintenance(8);
   if (config_.durability) {
     for (std::size_t i = 0; i < hosts_.size(); ++i) {
@@ -503,8 +522,7 @@ bool AsaCluster::remove_node(std::size_t index, bool graceful,
     // verbatim — including commits only the leaver acknowledged), then
     // let the standard migration/repair paths settle the rest.
     for (auto& [key, entries] : leaving) {
-      const Guid& guid = guid_registry_.at(key);
-      for (sim::NodeAddr addr : peer_set(guid)) {
+      for (sim::NodeAddr addr : peer_set(guid_registry_.at(key).guid)) {
         commit::CommitPeer& peer = hosts_[addr]->peer();
         if (peer.history(key).empty()) {
           (void)peer.import_history(key, entries);

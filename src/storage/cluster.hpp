@@ -101,7 +101,17 @@ class AsaCluster {
 
   /// Network addresses of the peer set for a GUID (one per replica key; a
   /// small ring may repeat addresses — deduplicated, preserving order).
+  /// Registers the GUID. The set is a function of the ring (paper section
+  /// 2.2: members adjust their views "as the topology of the P2P network
+  /// changes"), so it is memoised per GUID against ring().version() and the
+  /// r Chord lookups run again only after the ring has changed.
   [[nodiscard]] std::vector<sim::NodeAddr> peer_set(const Guid& guid);
+
+  /// Drop every memoised peer set; the next resolution of each GUID walks
+  /// the ring again. Answers are identical either way, only the cost
+  /// differs. The membership methods call it next to their edits of the
+  /// ring-id -> host map, the memo's one input besides the ring itself.
+  void forget_peer_sets();
 
   /// Client services (constructed lazily, one each).
   [[nodiscard]] DataStoreClient& data_store();
@@ -273,6 +283,22 @@ class AsaCluster {
   /// over-time samples, epoch gauge, trace/flight events.
   void note_churn(const char* kind, std::size_t index);
 
+  static constexpr std::uint64_t kUnresolved = ~std::uint64_t{0};
+
+  /// A GUID a client has touched, with its peer set as resolved at ring
+  /// version `ring_version` (kUnresolved: never, or since forgotten).
+  /// Entries are keyed by the GUID's low 64 bits, the only part commit
+  /// frames carry; the first GUID registered under a key owns the entry.
+  struct GuidEntry {
+    Guid guid;
+    std::uint64_t ring_version = kUnresolved;
+    std::vector<sim::NodeAddr> peers;
+  };
+
+  /// The entry's peer set, re-resolved through the ring only when the ring
+  /// version moved since it was last computed.
+  const std::vector<sim::NodeAddr>& resolve(GuidEntry& entry);
+
   p2p::ChordRing ring_;
   commit::MachineCache machines_;
   std::vector<std::unique_ptr<NodeHost>> hosts_;
@@ -283,7 +309,7 @@ class AsaCluster {
   std::uint64_t membership_epoch_ = 0;
   std::size_t spawn_counter_ = 0;  // Next "node:<i>" identity to mint.
   std::map<p2p::NodeId, std::size_t> host_by_id_;
-  std::map<std::uint64_t, Guid> guid_registry_;  // Low-64 -> full GUID.
+  std::map<std::uint64_t, GuidEntry> guid_registry_;  // Keyed by low 64 bits.
   std::vector<std::unique_ptr<durable::MemMedium>> media_;
   std::vector<std::unique_ptr<durable::DurableLog>> logs_;
   std::vector<AckLedger> acked_;

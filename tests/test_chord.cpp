@@ -30,6 +30,33 @@ TEST(Chord, TwoNodesSplitTheRing) {
   }
 }
 
+TEST(Chord, VersionMovesWithEveryMutationAndOnlyThen) {
+  ChordRing ring;
+  ring.build(12);
+  const std::vector<NodeId> ids = ring.node_ids();
+  std::uint64_t last = ring.version();
+  EXPECT_GT(last, 0u);
+  const auto moved = [&] {
+    const bool changed = ring.version() != last;
+    last = ring.version();
+    return changed;
+  };
+  (void)ring.lookup(key_of(1));
+  (void)ring.true_successor(key_of(1));
+  EXPECT_FALSE(moved()) << "lookups are reads";
+  ring.add_node(NodeId::hash_of("late joiner"));
+  EXPECT_TRUE(moved()) << "add_node";
+  ring.maintenance_round();
+  EXPECT_TRUE(moved()) << "maintenance_round";
+  ring.leave(ids[3]);
+  EXPECT_TRUE(moved()) << "leave";
+  ring.fail(ids[5]);
+  EXPECT_TRUE(moved()) << "fail";
+  ring.leave(ids[3]);
+  ring.fail(ids[5]);
+  EXPECT_FALSE(moved()) << "leaving or failing an absent node is a no-op";
+}
+
 class ChordLookup : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ChordLookup, RoutedLookupMatchesBruteForce) {

@@ -583,5 +583,181 @@ TEST(ClusterChurn, RemoveNodeGuardsInvalidAndDeparted) {
   EXPECT_TRUE(cluster.departed(2));
 }
 
+// ---- Peer-set memo: resolved once per ring version. ----
+
+/// The peer set recomputed from scratch: one Chord walk per replica key.
+std::vector<sim::NodeAddr> fresh_peer_set(AsaCluster& cluster,
+                                          const Guid& guid) {
+  std::vector<sim::NodeAddr> addrs;
+  for (const p2p::NodeId& key :
+       replica_keys(guid.as_key(), cluster.config().replication_factor)) {
+    const sim::NodeAddr addr = cluster.addr_for_key(key);
+    if (std::find(addrs.begin(), addrs.end(), addr) == addrs.end()) {
+      addrs.push_back(addr);
+    }
+  }
+  return addrs;
+}
+
+std::vector<Guid> memo_guids(int count) {
+  std::vector<Guid> guids;
+  for (int g = 0; g < count; ++g) {
+    guids.push_back(Guid::named("memo:" + std::to_string(g)));
+  }
+  return guids;
+}
+
+TEST(ClusterPeerSetMemo, MatchesFreshLookupsThroughRandomMembershipChanges) {
+  ClusterConfig config = small_cluster(71);
+  config.nodes = 16;
+  AsaCluster cluster(config);
+  const std::vector<Guid> guids = memo_guids(64);
+  // Memoise every GUID, then compare each memo against a fresh walk.
+  const auto stale = [&] {
+    std::size_t mismatches = 0;
+    for (const Guid& guid : guids) {
+      if (cluster.peer_set(guid) != fresh_peer_set(cluster, guid)) {
+        ++mismatches;
+      }
+    }
+    return mismatches;
+  };
+  ASSERT_EQ(stale(), 0u);
+
+  sim::Rng rng(71);
+  std::size_t restarts = 0, crashes = 0, joins = 0, leaves = 0;
+  for (int step = 0; step < 48; ++step) {
+    std::vector<std::size_t> live, down;
+    for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+      if (cluster.departed(i)) continue;
+      (cluster.crashed(i) ? down : live).push_back(i);
+    }
+    const std::uint64_t op = rng.below(5);
+    std::string what;
+    if (op == 4 && !down.empty()) {
+      const std::size_t node = down[rng.below(down.size())];
+      (void)cluster.restart_node(node);
+      what = "restart " + std::to_string(node);
+      ++restarts;
+    } else if (op >= 1 && op <= 3 && live.size() > 8) {
+      const std::size_t node = live[rng.below(live.size())];
+      if (op == 3) {
+        cluster.crash_node(node);
+        what = "crash " + std::to_string(node);
+        ++crashes;
+      } else {
+        ASSERT_TRUE(cluster.remove_node(node, /*graceful=*/op == 1));
+        what = (op == 1 ? "leave " : "depart ") + std::to_string(node);
+        ++leaves;
+      }
+    } else {
+      what = "join " + std::to_string(cluster.add_node());
+      ++joins;
+    }
+    ASSERT_EQ(stale(), 0u) << "after step " << step << " (" << what << ")";
+  }
+  // The interleaving really mixed every kind of membership change.
+  EXPECT_GT(restarts, 0u);
+  EXPECT_GT(crashes, 0u);
+  EXPECT_GT(joins, 0u);
+  EXPECT_GT(leaves, 0u);
+}
+
+TEST(ClusterPeerSetMemo, FaultFreeRunWalksEachReplicaKeyOncePerRingVersion) {
+  ClusterConfig config = small_cluster(73);
+  config.nodes = 16;
+  config.metrics = true;
+  AsaCluster cluster(config);
+  const std::vector<Guid> guids = memo_guids(64);
+  const std::uint64_t version = cluster.ring().version();
+
+  int committed = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const Guid& guid : guids) {
+      cluster.version_history().append(
+          guid, Pid::of(block_from(std::to_string(round))),
+          [&](const commit::CommitResult& r) { committed += r.committed; });
+    }
+    cluster.run();
+  }
+  ASSERT_EQ(committed, 3 * 64);
+  ASSERT_EQ(cluster.ring().version(), version);  // No ring change.
+
+  // Every vote, commit and endpoint attempt resolved a peer set; only the
+  // first resolution of each GUID walked the ring.
+  const std::uint64_t walks =
+      cluster.metrics()
+          .histogram("chord.route_hops", {}, obs::small_count_buckets())
+          .count();
+  EXPECT_GT(walks, 0u);
+  EXPECT_LE(walks, guids.size() * config.replication_factor);
+}
+
+TEST(ClusterPeerSetMemo, DroppingTheMemoEveryWindowChangesNothing) {
+  struct Outcome {
+    sim::NetworkStats net;
+    sim::SchedulerStats sched;
+    std::vector<commit::PeerStats> peers;
+    std::vector<std::vector<commit::CommitPeer::CommittedEntry>> histories;
+    int committed = 0;
+    std::uint64_t walks = 0;
+  };
+  const std::vector<Guid> guids = memo_guids(24);
+  const auto run = [&](bool forget_every_window) {
+    ClusterConfig config = small_cluster(79);
+    config.nodes = 16;
+    config.drop_probability = 0.02;
+    config.metrics = true;
+    AsaCluster cluster(config);
+    Outcome out;
+    const auto victim =
+        static_cast<std::size_t>(cluster.peer_set(guids[0]).front());
+    for (int window = 0; window < 12; ++window) {
+      for (std::size_t g = window % 2; g < guids.size(); g += 2) {
+        cluster.version_history().append(
+            guids[g],
+            Pid::of(block_from("w" + std::to_string(window) + " g" +
+                               std::to_string(g))),
+            [&](const commit::CommitResult& r) {
+              out.committed += r.committed;
+            });
+      }
+      // Ring changes between windows: the memo must follow them.
+      if (window == 3) cluster.crash_node(victim);
+      if (window == 6) (void)cluster.restart_node(victim);
+      if (window == 8) (void)cluster.add_node();
+      if (window == 10) (void)cluster.remove_node(2, /*graceful=*/true);
+      cluster.run_for(20'000);
+      if (forget_every_window) cluster.forget_peer_sets();
+    }
+    cluster.run();
+    out.net = cluster.network().stats();
+    out.sched = cluster.scheduler().stats();
+    for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+      out.peers.push_back(cluster.host(i).peer().stats());
+      for (const Guid& guid : guids) {
+        out.histories.push_back(
+            cluster.host(i).peer().history(guid.to_uint64()));
+      }
+    }
+    out.walks = cluster.metrics()
+                    .histogram("chord.route_hops", {},
+                               obs::small_count_buckets())
+                    .count();
+    return out;
+  };
+
+  const Outcome memo = run(false);
+  const Outcome forgetful = run(true);
+  EXPECT_GT(memo.committed, 0);
+  EXPECT_EQ(memo.committed, forgetful.committed);
+  EXPECT_EQ(memo.net, forgetful.net);
+  EXPECT_EQ(memo.sched, forgetful.sched);
+  EXPECT_EQ(memo.peers, forgetful.peers);
+  EXPECT_EQ(memo.histories, forgetful.histories);
+  // Same behaviour, different cost: the memo saved ring walks.
+  EXPECT_LT(memo.walks, forgetful.walks);
+}
+
 }  // namespace
 }  // namespace asa_repro::storage

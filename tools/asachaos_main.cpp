@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_args.hpp"
 #include "obs/postmortem.hpp"
 #include "storage/chaos.hpp"
 
@@ -92,7 +93,8 @@ void usage() {
       "                     asa-postmortem/1 bundle (flight-recorder tails,\n"
       "                     metrics, spans, seed, shrunk fault plan) to\n"
       "                     D/postmortem-seed<N>.json; same seed -> byte-\n"
-      "                     identical bundle\n"
+      "                     identical bundle. D must exist: a bundle that\n"
+      "                     cannot be written exits 2\n"
       "  --verbose          per-seed progress lines\n";
 }
 
@@ -144,18 +146,22 @@ std::string build_postmortem(const ChaosConfig& config,
                                     pm_spans);
 }
 
-/// Write the bundle for `config.seed` into `dir`; returns the path ("" on
-/// I/O failure).
-std::string write_postmortem(const std::string& dir,
-                             const ChaosConfig& config,
-                             const sim::FaultPlan& plan,
-                             const sim::FaultPlan& shrunk) {
+/// Write the bundle for `config.seed` into `dir` and report where it went.
+/// Returns false (with a message on stderr) when the bundle cannot be
+/// written, e.g. because `dir` does not exist.
+bool write_postmortem(const std::string& dir, const ChaosConfig& config,
+                      const sim::FaultPlan& plan,
+                      const sim::FaultPlan& shrunk) {
   const std::string path =
       dir + "/postmortem-seed" + std::to_string(config.seed) + ".json";
   std::ofstream out(path);
-  if (!out) return std::string();
-  out << build_postmortem(config, plan, shrunk);
-  return path;
+  if (out) out << build_postmortem(config, plan, shrunk);
+  if (!out) {
+    std::cerr << "asachaos: cannot write postmortem bundle " << path << "\n";
+    return false;
+  }
+  std::cout << "  postmortem bundle " << path << "\n";
+  return true;
 }
 
 int run_replay(const std::string& path) {
@@ -212,28 +218,28 @@ int main(int argc, char** argv) {
         usage();
         return 0;
       } else if (arg == "--seeds") {
-        seeds = std::stoull(next());
+        seeds = cli::unsigned_arg<std::uint64_t>(arg, next());
       } else if (arg == "--seed0") {
-        seed0 = std::stoull(next());
+        seed0 = cli::unsigned_arg<std::uint64_t>(arg, next());
       } else if (arg == "--nodes") {
-        config.nodes = std::stoul(next());
+        config.nodes = cli::unsigned_arg<std::size_t>(arg, next());
       } else if (arg == "--replication") {
-        config.replication = static_cast<std::uint32_t>(std::stoul(next()));
+        config.replication = cli::unsigned_arg<std::uint32_t>(arg, next());
       } else if (arg == "--updates") {
-        config.updates = std::stoi(next());
+        config.updates = cli::unsigned_arg<int>(arg, next());
       } else if (arg == "--guids") {
-        config.guids = std::stoi(next());
+        config.guids = cli::unsigned_arg<int>(arg, next());
       } else if (arg == "--blocks") {
-        config.blocks = std::stoi(next());
+        config.blocks = cli::unsigned_arg<int>(arg, next());
       } else if (arg == "--burst") {
-        config.burst = std::stoi(next());
+        config.burst = cli::unsigned_arg<int>(arg, next());
         burst_set = true;
       } else if (arg == "--max-events") {
-        config.max_events = std::stoul(next());
+        config.max_events = cli::unsigned_arg<std::size_t>(arg, next());
       } else if (arg == "--faults") {
-        config.fault_budget = static_cast<std::uint32_t>(std::stoul(next()));
+        config.fault_budget = cli::unsigned_arg<std::uint32_t>(arg, next());
       } else if (arg == "--equivocators") {
-        config.equivocators = static_cast<std::uint32_t>(std::stoul(next()));
+        config.equivocators = cli::unsigned_arg<std::uint32_t>(arg, next());
       } else if (arg == "--expect-violation") {
         expect_violation = true;
       } else if (arg == "--no-durability") {
@@ -245,11 +251,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--wan") {
         config.wan = true;
       } else if (arg == "--writers") {
-        config.writers = std::stoi(next());
+        config.writers = cli::unsigned_arg<int>(arg, next());
       } else if (arg == "--zipf") {
-        config.zipf = std::stoi(next()) / 100.0;
+        config.zipf = cli::unsigned_arg<int>(arg, next()) / 100.0;
       } else if (arg == "--reads") {
-        config.read_fraction = std::stoi(next()) / 100.0;
+        config.read_fraction = cli::unsigned_arg<int>(arg, next()) / 100.0;
       } else if (arg == "--open-loop") {
         config.open_loop = true;
       } else if (arg == "--churn-smoke") {
@@ -257,7 +263,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--no-handoff") {
         no_handoff = true;
       } else if (arg == "--soak") {
-        soak_seconds = std::stoull(next());
+        soak_seconds = cli::unsigned_arg<std::uint64_t>(arg, next());
       } else if (arg == "--replay") {
         replay_path = next();
       } else if (arg == "--out") {
@@ -277,8 +283,8 @@ int main(int argc, char** argv) {
         usage();
         return 2;
       }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << arg << "\n";
+    } catch (const cli::BadArgument& e) {
+      std::cerr << "asachaos: " << e.what() << "\n";
       return 2;
     }
   }
@@ -345,7 +351,11 @@ int main(int argc, char** argv) {
           {"windows", std::to_string(soak.windows)},
       };
       std::ofstream out(metrics_out);
-      if (out) out << obs::write_metrics_json(soak_metrics, meta);
+      if (!out) {
+        std::cerr << "cannot write " << metrics_out << "\n";
+        return 2;
+      }
+      out << obs::write_metrics_json(soak_metrics, meta);
     }
     std::cout << "soak summary: " << soak.windows << " windows, "
               << soak.violations.size() << " violation(s), "
@@ -377,6 +387,7 @@ int main(int argc, char** argv) {
   std::uint64_t total_committed = 0;
   std::uint64_t total_fault_events = 0;
   bool reproduced = false;
+  bool artefact_failed = false;  // A replay file or bundle was not written.
   for (std::uint64_t s = 0; s < seeds; ++s) {
     ChaosConfig seed_config = config;
     seed_config.seed = seed0 + s;
@@ -390,11 +401,8 @@ int main(int argc, char** argv) {
       std::cerr << "seed " << seed_config.seed << " crashed: " << e.what()
                 << "\n";
       if (!postmortem_dir.empty()) {
-        const std::string pm_path = write_postmortem(
-            postmortem_dir, seed_config, plan, sim::FaultPlan());
-        if (!pm_path.empty()) {
-          std::cout << "  postmortem bundle " << pm_path << "\n";
-        }
+        (void)write_postmortem(postmortem_dir, seed_config, plan,
+                               sim::FaultPlan());
       }
       return 3;
     }
@@ -428,6 +436,10 @@ int main(int argc, char** argv) {
     std::ofstream out(path);
     out << replay;
     out.close();
+    if (!out) {
+      std::cerr << "asachaos: cannot write replay file " << path << "\n";
+      artefact_failed = true;
+    }
 
     // The replay file must reproduce the violation byte-for-byte.
     const auto decoded = decode_replay(replay);
@@ -438,15 +450,9 @@ int main(int argc, char** argv) {
               << (replay_violates ? " reproduces the violation\n"
                                   : " FAILED to reproduce\n");
     if (replay_violates) reproduced = true;
-    if (!postmortem_dir.empty()) {
-      const std::string pm_path =
-          write_postmortem(postmortem_dir, seed_config, plan, minimal);
-      if (pm_path.empty()) {
-        std::cerr << "  cannot write postmortem bundle in " << postmortem_dir
-                  << "\n";
-      } else {
-        std::cout << "  postmortem bundle " << pm_path << "\n";
-      }
+    if (!postmortem_dir.empty() &&
+        !write_postmortem(postmortem_dir, seed_config, plan, minimal)) {
+      artefact_failed = true;
     }
     if (expect_violation) break;  // One shrunk reproducer is the goal.
   }
@@ -504,6 +510,9 @@ int main(int argc, char** argv) {
               << campaign_spans.spans().size() << " spans)\n";
   }
 
+  // An artefact the caller asked for and did not get is an error, whatever
+  // the campaign found.
+  if (artefact_failed) return 2;
   if (expect_violation) {
     if (violating_seeds > 0 && reproduced) {
       std::cout << "expected violation found, shrunk and reproduced\n";

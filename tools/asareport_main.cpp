@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 
@@ -122,9 +123,9 @@ int main(int argc, char** argv) {
       } else if (arg == "--bench-compare") {
         bench_baseline_path = next();
       } else if (arg == "--tolerance") {
-        tolerance = std::stod(next());
+        tolerance = cli::double_arg(arg, next());
       } else if (arg == "--top") {
-        options.top_k = std::stoul(next());
+        options.top_k = cli::unsigned_arg<std::size_t>(arg, next());
       } else if (arg == "--critical-path") {
         critical_path = true;
       } else if (arg == "--validate") {
@@ -134,8 +135,8 @@ int main(int argc, char** argv) {
         usage();
         return 2;
       }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << arg << "\n";
+    } catch (const cli::BadArgument& e) {
+      std::cerr << "asareport: " << e.what() << "\n";
       return 2;
     }
   }

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "commit/replay.hpp"
 #include "obs/metrics.hpp"
 #include "sim/workload.hpp"
@@ -98,16 +99,12 @@ std::optional<LinkSpec> parse_link(const std::string& spec) {
   if (first == std::string::npos) return std::nullopt;
   const std::size_t second = spec.find(':', first + 1);
   if (second == std::string::npos) return std::nullopt;
-  try {
-    LinkSpec out;
-    out.a = std::stoul(spec.substr(0, first));
-    out.b = std::stoul(spec.substr(first + 1, second - first - 1));
-    out.klass = spec.substr(second + 1);
-    if (!sim::link_profile(out.klass).has_value()) return std::nullopt;
-    return out;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  const auto a = cli::parse_unsigned<std::size_t>(spec.substr(0, first));
+  const auto b = cli::parse_unsigned<std::size_t>(
+      spec.substr(first + 1, second - first - 1));
+  std::string klass = spec.substr(second + 1);
+  if (!a || !b || !sim::link_profile(klass).has_value()) return std::nullopt;
+  return LinkSpec{*a, *b, std::move(klass)};
 }
 
 struct ChurnSpec {
@@ -121,15 +118,10 @@ std::optional<ChurnSpec> parse_churn(ChurnSpec::Kind kind,
                                      const std::string& spec) {
   const std::size_t colon = spec.find(':');
   if (colon == std::string::npos) return std::nullopt;
-  try {
-    ChurnSpec out;
-    out.kind = kind;
-    out.node = std::stoul(spec.substr(0, colon));
-    out.at = std::stoull(spec.substr(colon + 1));
-    return out;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  const auto node = cli::parse_unsigned<std::size_t>(spec.substr(0, colon));
+  const auto at = cli::parse_unsigned<sim::Time>(spec.substr(colon + 1));
+  if (!node || !at) return std::nullopt;
+  return ChurnSpec{kind, *node, *at};
 }
 
 // "A:B" or "A:B:heal_at" (times in simulated microseconds).
@@ -137,24 +129,19 @@ std::optional<PartitionSpec> parse_partition(const std::string& spec) {
   const std::size_t first = spec.find(':');
   if (first == std::string::npos) return std::nullopt;
   const std::size_t second = spec.find(':', first + 1);
-  try {
-    PartitionSpec out;
-    out.a = std::stoul(spec.substr(0, first));
-    out.b = std::stoul(spec.substr(
-        first + 1,
-        second == std::string::npos ? std::string::npos : second - first - 1));
-    if (second != std::string::npos) {
-      out.heal_at = std::stoull(spec.substr(second + 1));
-    }
-    return out;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  const auto a = cli::parse_unsigned<std::size_t>(spec.substr(0, first));
+  const auto b = cli::parse_unsigned<std::size_t>(spec.substr(
+      first + 1,
+      second == std::string::npos ? std::string::npos : second - first - 1));
+  const auto heal_at = second == std::string::npos
+                           ? std::optional<sim::Time>(0)
+                           : cli::parse_unsigned<sim::Time>(
+                                 spec.substr(second + 1));
+  if (!a || !b || !heal_at) return std::nullopt;
+  return PartitionSpec{*a, *b, *heal_at};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int asasim_main(int argc, char** argv) {
   ClusterConfig config;
   config.nodes = 16;
   config.replication_factor = 4;
@@ -188,22 +175,21 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     } else if (arg == "--nodes") {
-      config.nodes = std::stoul(next());
+      config.nodes = cli::unsigned_arg<std::size_t>(arg, next());
     } else if (arg == "--replication") {
-      config.replication_factor =
-          static_cast<std::uint32_t>(std::stoul(next()));
+      config.replication_factor = cli::unsigned_arg<std::uint32_t>(arg, next());
     } else if (arg == "--clients") {
-      clients = std::stoi(next());
+      clients = cli::unsigned_arg<int>(arg, next());
     } else if (arg == "--updates") {
-      updates = std::stoi(next());
+      updates = cli::unsigned_arg<int>(arg, next());
     } else if (arg == "--guids") {
-      guids = std::stoi(next());
+      guids = cli::unsigned_arg<int>(arg, next());
     } else if (arg == "--drop") {
-      config.drop_probability = std::stod(next());
+      config.drop_probability = cli::double_arg(arg, next());
     } else if (arg == "--duplicate") {
-      duplicate_probability = std::stod(next());
+      duplicate_probability = cli::double_arg(arg, next());
     } else if (arg == "--seed") {
-      config.seed = std::stoull(next());
+      config.seed = cli::unsigned_arg<std::uint64_t>(arg, next());
     } else if (arg == "--trace") {
       dump_trace = true;
       config.tracing = true;
@@ -217,7 +203,7 @@ int main(int argc, char** argv) {
       spans_out = next();
       config.spans = true;
     } else if (arg == "--flight") {
-      config.flight_capacity = std::stoul(next());
+      config.flight_capacity = cli::unsigned_arg<std::size_t>(arg, next());
     } else if (arg == "--byzantine") {
       const std::string spec = next();
       const std::size_t colon = spec.find(':');
@@ -229,7 +215,8 @@ int main(int argc, char** argv) {
       byz_kind = *kind;
       byz_count = colon == std::string::npos
                       ? 1
-                      : std::stoul(spec.substr(colon + 1));
+                      : cli::unsigned_arg<std::size_t>(
+                            arg, spec.substr(colon + 1));
     } else if (arg == "--partition") {
       const std::string spec = next();
       const auto parsed = parse_partition(spec);
@@ -248,7 +235,7 @@ int main(int argc, char** argv) {
       }
       links.push_back(*parsed);
     } else if (arg == "--join") {
-      joins.push_back(std::stoull(next()));
+      joins.push_back(cli::unsigned_arg<sim::Time>(arg, next()));
     } else if (arg == "--leave" || arg == "--depart") {
       const bool leave = arg == "--leave";
       const std::string spec = next();
@@ -261,11 +248,11 @@ int main(int argc, char** argv) {
       }
       churn.push_back(*parsed);
     } else if (arg == "--writers") {
-      writers = std::stoi(next());
+      writers = cli::unsigned_arg<int>(arg, next());
     } else if (arg == "--zipf") {
-      zipf = std::stoi(next()) / 100.0;
+      zipf = cli::unsigned_arg<int>(arg, next()) / 100.0;
     } else if (arg == "--reads") {
-      read_fraction = std::stoi(next()) / 100.0;
+      read_fraction = cli::unsigned_arg<int>(arg, next()) / 100.0;
     } else if (arg == "--open-loop") {
       open_loop = true;
     } else if (arg == "--replay") {
@@ -275,6 +262,10 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
+  }
+  if (clients == 0 || guids == 0) {
+    std::cerr << "asasim: --clients and --guids must be positive\n";
+    return 2;
   }
 
   if (!replay_path.empty()) {
@@ -574,4 +565,15 @@ int main(int argc, char** argv) {
     }
   }
   return failed == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return asasim_main(argc, argv);
+  } catch (const cli::BadArgument& e) {
+    std::cerr << "asasim: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -35,6 +35,7 @@
 #include "check/composition.hpp"
 #include "check/findings.hpp"
 #include "check/mutate.hpp"
+#include "cli_args.hpp"
 #include "commit/commit_model.hpp"
 #include "core/abstract_model.hpp"
 #include "core/render/dot_renderer.hpp"
@@ -84,19 +85,7 @@ void usage() {
       "                   asa-replay/1 plan for `asasim --replay`\n";
 }
 
-/// Strict base-10 uint32 parse: rejects empty strings, signs, leading
-/// whitespace, trailing garbage and values that do not fit. (std::stoul
-/// accepts "4x" and silently wraps "-1" — both have bitten --family.)
-std::optional<std::uint32_t> parse_u32(const std::string& text) {
-  if (text.empty() || text.size() > 10) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char ch : text) {
-    if (ch < '0' || ch > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (value > 0xFFFF'FFFFull) return std::nullopt;
-  return static_cast<std::uint32_t>(value);
-}
+using cli::parse_u32;
 
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);

@@ -22,6 +22,7 @@
 
 #include <memory>
 
+#include "cli_args.hpp"
 #include "obs/metrics.hpp"
 
 #include "check/structural.hpp"
@@ -77,9 +78,7 @@ void usage() {
       "                               vary run to run, unlike sim metrics\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int fsmgen_main(int argc, char** argv) {
   std::uint32_t r = 4;
   std::uint32_t max_tasks = 4;
   std::string model_name = "commit";
@@ -106,11 +105,11 @@ int main(int argc, char** argv) {
     } else if (arg == "-r" || arg == "--replication-factor") {
       const auto v = next();
       if (!v) { usage(); return 2; }
-      r = static_cast<std::uint32_t>(std::stoul(*v));
+      r = cli::unsigned_arg<std::uint32_t>(arg, *v);
     } else if (arg == "-n" || arg == "--max-tasks") {
       const auto v = next();
       if (!v) { usage(); return 2; }
-      max_tasks = static_cast<std::uint32_t>(std::stoul(*v));
+      max_tasks = cli::unsigned_arg<std::uint32_t>(arg, *v);
     } else if (arg == "--model") {
       const auto v = next();
       if (!v) { usage(); return 2; }
@@ -142,7 +141,7 @@ int main(int argc, char** argv) {
     } else if (arg == "-j" || arg == "--jobs") {
       const auto v = next();
       if (!v) { usage(); return 2; }
-      options.jobs = static_cast<unsigned>(std::stoul(*v));
+      options.jobs = cli::unsigned_arg<unsigned>(arg, *v);
     } else if (arg == "--cache") {
       const auto v = next();
       if (!v) { usage(); return 2; }
@@ -354,4 +353,15 @@ int main(int argc, char** argv) {
     out << output;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return fsmgen_main(argc, argv);
+  } catch (const cli::BadArgument& e) {
+    std::cerr << "fsmgen: " << e.what() << "\n";
+    return 2;
+  }
 }
