@@ -1,99 +1,36 @@
-// Pluggable machine execution for the protocol runtime (paper section 4.3,
-// "incorporation of generated code").
+// Interpreted execution of one commit-FSM instance.
 //
-// A peer-set member needs only two things from a machine instance: the
-// actions a delivered message triggers, and whether the update has
-// finished. CommitFsmDriver is that interface; the runtime accepts a
-// factory so deployments choose how the machine executes:
-//
-//  * InterpreterDriver — table-driven over the shared generated
-//    StateMachine (the library default),
-//  * generated source compiled into the binary (the paper's deployment;
-//    see make_generated_r4_driver_factory in generated_driver.hpp),
-//  * or a dynamically loaded shared object (GeneratedApiDriver).
-//
-// The test suite runs the same protocol scenarios under different drivers
-// and requires identical outcomes.
+// The runtime no longer executes through this class: CommitPeer steps the
+// compiled dense table (core/compiled_machine.hpp). InterpreterDriver stays
+// only because the end-to-end benchmark's FSM probe constructs it; once
+// that probe times fsm::CompiledInstance instead, this header can go.
+// fsm::FsmInstance remains the interpreter oracle the backends are checked
+// against.
 #pragma once
 
-#include <functional>
-#include <memory>
-
-#include "core/generated_api.hpp"
 #include "core/interpreter.hpp"
 #include "core/state_machine.hpp"
 
 namespace asa_repro::commit {
 
-/// One executing machine instance, however it is implemented.
-class CommitFsmDriver {
- public:
-  virtual ~CommitFsmDriver() = default;
-
-  /// Deliver a message; returns the actions to perform, in order.
-  /// Inapplicable messages return no actions.
-  virtual fsm::ActionList deliver(fsm::MessageId message) = 0;
-
-  /// True once the update has committed locally.
-  [[nodiscard]] virtual bool finished() const = 0;
-};
-
-/// Creates a fresh driver per protocol instance.
-using DriverFactory = std::function<std::unique_ptr<CommitFsmDriver>()>;
-
 /// Table-driven execution over a shared immutable machine.
-class InterpreterDriver final : public CommitFsmDriver {
+class InterpreterDriver {
  public:
   explicit InterpreterDriver(const fsm::StateMachine& machine)
       : instance_(machine) {}
 
-  fsm::ActionList deliver(fsm::MessageId message) override {
+  /// Deliver a message; returns the actions to perform, in order.
+  /// Inapplicable messages return no actions.
+  fsm::ActionList deliver(fsm::MessageId message) {
     const fsm::Transition* t = instance_.deliver(message);
     return t == nullptr ? fsm::ActionList{} : t->actions;
   }
-  [[nodiscard]] bool finished() const override {
-    return instance_.finished();
-  }
+
+  /// True once the update has committed locally.
+  [[nodiscard]] bool finished() const { return instance_.finished(); }
 
  private:
   fsm::FsmInstance instance_;
-};
-
-/// Factory for interpreter drivers; `machine` must outlive every driver.
-[[nodiscard]] inline DriverFactory make_interpreter_driver_factory(
-    const fsm::StateMachine& machine) {
-  return [&machine] {
-    return std::make_unique<InterpreterDriver>(machine);
-  };
-}
-
-/// Execution through the GeneratedFsmApi ABI — machines created by a
-/// factory function from a dynamically loaded shared object (section 4.3's
-/// compile/load/bind pipeline). The driver owns the machine instance; the
-/// shared object itself must outlive the drivers.
-class GeneratedApiDriver final : public CommitFsmDriver {
- public:
-  explicit GeneratedApiDriver(std::unique_ptr<fsm::GeneratedFsmApi> machine)
-      : machine_(std::move(machine)) {
-    machine_->set_action_sink(
-        [](void* ctx, const char* action) {
-          static_cast<fsm::ActionList*>(ctx)->emplace_back(action);
-        },
-        &actions_);
-  }
-
-  fsm::ActionList deliver(fsm::MessageId message) override {
-    actions_.clear();
-    machine_->receive(message);
-    return std::move(actions_);
-  }
-  [[nodiscard]] bool finished() const override {
-    return machine_->finished();
-  }
-
- private:
-  std::unique_ptr<fsm::GeneratedFsmApi> machine_;
-  fsm::ActionList actions_;
 };
 
 }  // namespace asa_repro::commit

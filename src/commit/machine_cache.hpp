@@ -1,18 +1,15 @@
 // Generation-policy support (paper section 4.2) for the commit protocol.
 //
 // One immutable StateMachine per replication factor, generated on first use
-// and shared by every peer instance thereafter. Since PR 1 this is a thin
-// model-specific wrapper over the generic fsm::MachineCache, which adds the
-// (model id, parameter, code version) key and optional on-disk persistence
-// of the XML artefact; constructing with a directory makes repeated
-// deployments of the same family member O(1) across processes.
+// and shared by every peer thereafter: a memory-only, model-specific wrapper
+// over the generic fsm::MachineCache. On-disk persistence with structural
+// validation of cached entries is done on fsm::MachineCache directly
+// (fsmgen --cache installs check::structural_validator() itself), so
+// src/commit stays below src/check in the layer order.
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
-#include <utility>
 
-#include "check/structural.hpp"
 #include "commit/commit_model.hpp"
 #include "core/machine_cache.hpp"
 
@@ -22,16 +19,6 @@ class MachineCache {
  public:
   /// Memory-only cache (one generation per factor per process).
   MachineCache() = default;
-
-  /// Cache persisted under `directory`; see fsm::MachineCache. Disk entries
-  /// are structurally linted on load (check/structural.hpp): a cached XML
-  /// artefact that parses but fails the lints — e.g. hand-edited into an
-  /// unreachable-state or nondeterministic shape — is discarded and the
-  /// machine regenerated, exactly like a parse failure.
-  explicit MachineCache(std::filesystem::path directory)
-      : cache_(std::move(directory)) {
-    cache_.set_validator(check::structural_validator());
-  }
 
   /// The merged commit FSM for replication factor `r`, generating it on
   /// first request (with `jobs` generation lanes; 1 = serial, 0 = hardware

@@ -12,6 +12,20 @@ const std::vector<CommitPeer::CommittedEntry> kEmptyHistory;
 
 }  // namespace
 
+std::vector<CommitPeer::Action> CommitPeer::translate_actions(
+    const fsm::CompiledMachine& machine) {
+  std::vector<Action> kinds;
+  kinds.reserve(machine.action_names().size());
+  for (const std::string& name : machine.action_names()) {
+    kinds.push_back(name == kActionVote      ? Action::kVote
+                    : name == kActionCommit  ? Action::kCommit
+                    : name == kActionFree    ? Action::kFree
+                    : name == kActionNotFree ? Action::kNotFree
+                                             : Action::kNone);
+  }
+  return kinds;
+}
+
 CommitPeer::CommitPeer(sim::Network& network, sim::NodeAddr self,
                        std::vector<sim::NodeAddr> peers,
                        const fsm::StateMachine& machine, Behaviour behaviour,
@@ -19,8 +33,8 @@ CommitPeer::CommitPeer(sim::Network& network, sim::NodeAddr self,
     : network_(network),
       self_(self),
       peers_(std::move(peers)),
-      machine_(machine),
-      driver_factory_(make_interpreter_driver_factory(machine)),
+      compiled_(fsm::CompiledMachine::compile(machine)),
+      actions_(translate_actions(compiled_)),
       behaviour_(behaviour),
       trace_(trace) {
   if (attach_to_network) {
@@ -87,7 +101,7 @@ std::size_t CommitPeer::live_instances(std::uint64_t guid) const {
   if (it == guids_.end()) return 0;
   std::size_t n = 0;
   for (const auto& [uid, inst] : it->second.instances) {
-    if (!inst.fsm->finished()) ++n;
+    if (!inst.fsm.finished()) ++n;
   }
   return n;
 }
@@ -104,7 +118,7 @@ std::size_t CommitPeer::collect_finished() {
       Instance& inst = it->second;
       // Only fully processed instances are collectable: finished, recorded,
       // and with no completion notification still owed to a client.
-      if (inst.fsm->finished() && inst.recorded &&
+      if (inst.fsm.finished() && inst.recorded &&
           !inst.client.has_value()) {
         ctx.settled.insert(it->first);
         it = ctx.instances.erase(it);
@@ -159,15 +173,15 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
     return inst;
   }
   auto [pos, inserted] = ctx.instances.emplace(
-      update_id, Instance{driver_factory_(), msg.request_id, msg.payload,
-                          {}, {}, std::nullopt,
-                          network_.scheduler().now(), false});
+      update_id,
+      Instance{fsm::CompiledInstance(compiled_), msg.request_id, msg.payload,
+               {}, {}, std::nullopt, network_.scheduler().now(), false});
   Instance& inst = pos->second;
   // The abstract model's start state assumes the node is free; if another
   // update already holds the node lock for this GUID, lock the new machine
   // immediately (this is how could_choose is initialised in deployment).
   if (ctx.chosen_update.has_value() && *ctx.chosen_update != update_id) {
-    (void)inst.fsm->deliver(kNotFree);
+    (void)inst.fsm.deliver(kNotFree);
   }
   if (trace_ != nullptr) {
     trace_->record(network_.scheduler().now(), self_, "instance",
@@ -270,8 +284,7 @@ void CommitPeer::run_queue(GuidContext& ctx, std::uint64_t guid) {
     local_queue_.pop_front();
     const auto it = ctx.instances.find(update_id);
     if (it == ctx.instances.end()) continue;
-    const fsm::ActionList actions = it->second.fsm->deliver(message);
-    execute_actions(ctx, guid, update_id, actions);
+    execute_actions(ctx, guid, update_id, it->second.fsm.deliver(message));
     check_finished(ctx, guid, update_id);
   }
   draining_ = false;
@@ -299,14 +312,16 @@ void CommitPeer::broadcast(const WireMessage& msg) {
 
 void CommitPeer::execute_actions(GuidContext& ctx, std::uint64_t guid,
                                  std::uint64_t update_id,
-                                 const fsm::ActionList& actions) {
+                                 fsm::CompiledInstance::Delivery delivery) {
   Instance& inst = ctx.instances.at(update_id);
-  for (const std::string& action : actions) {
-    if (action == kActionVote) {
+  // The ids point into compiled_'s arena, which no action below touches.
+  for (std::uint32_t i = 0; i < delivery.count; ++i) {
+    const Action action = actions_[delivery.ids[i]];
+    if (action == Action::kVote) {
       ++stats_.votes_sent;
       broadcast({WireMessage::Kind::kVote, guid, update_id, inst.request_id,
                  inst.payload});
-    } else if (action == kActionCommit) {
+    } else if (action == Action::kCommit) {
       ++stats_.commits_sent;
       // Phase boundary: the vote collected enough siblings to choose this
       // update; everything from here to the recorded commit is the quorum
@@ -324,14 +339,14 @@ void CommitPeer::execute_actions(GuidContext& ctx, std::uint64_t guid,
       }
       broadcast({WireMessage::Kind::kCommit, guid, update_id,
                  inst.request_id, inst.payload});
-    } else if (action == kActionNotFree) {
+    } else if (action == Action::kNotFree) {
       ctx.chosen_update = update_id;
       // not_free never triggers further actions, so queued delivery is safe.
       for (auto& [uid, sibling] : ctx.instances) {
-        if (uid == update_id || sibling.fsm->finished()) continue;
+        if (uid == update_id || sibling.fsm.finished()) continue;
         local_queue_.emplace_back(uid, kNotFree);
       }
-    } else if (action == kActionFree) {
+    } else if (action == Action::kFree) {
       if (ctx.chosen_update == update_id) ctx.chosen_update.reset();
       free_siblings(ctx, guid, update_id);
     }
@@ -348,14 +363,13 @@ void CommitPeer::free_siblings(GuidContext& ctx, std::uint64_t guid,
   std::vector<std::uint64_t> uids;
   uids.reserve(ctx.instances.size());
   for (const auto& [uid, sibling] : ctx.instances) {
-    if (uid != source && !sibling.fsm->finished()) uids.push_back(uid);
+    if (uid != source && !sibling.fsm.finished()) uids.push_back(uid);
   }
   for (const std::uint64_t uid : uids) {
     if (ctx.chosen_update.has_value()) break;  // Lock retaken.
     const auto it = ctx.instances.find(uid);
-    if (it == ctx.instances.end() || it->second.fsm->finished()) continue;
-    const fsm::ActionList actions = it->second.fsm->deliver(kFree);
-    execute_actions(ctx, guid, uid, actions);
+    if (it == ctx.instances.end() || it->second.fsm.finished()) continue;
+    execute_actions(ctx, guid, uid, it->second.fsm.deliver(kFree));
     check_finished(ctx, guid, uid);
   }
 }
@@ -365,7 +379,7 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
   const auto it = ctx.instances.find(update_id);
   if (it == ctx.instances.end()) return;
   Instance& inst = it->second;
-  if (!inst.fsm->finished()) return;
+  if (!inst.fsm.finished()) return;
   if (!inst.recorded) {
     if (commit_sink_ &&
         !commit_sink_(guid,
@@ -482,7 +496,7 @@ void CommitPeer::abort_scan(sim::Time max_age) {
     for (auto it = ctx.instances.begin(); it != ctx.instances.end();) {
       Instance& inst = it->second;
       const bool stalled =
-          !inst.fsm->finished() && now - inst.created > max_age;
+          !inst.fsm.finished() && now - inst.created > max_age;
       if (!stalled) {
         ++it;
         continue;
@@ -524,7 +538,7 @@ void CommitPeer::abort_scan(sim::Time max_age) {
   bool any_live = false;
   for (const auto& [guid, ctx] : guids_) {
     for (const auto& [uid, inst] : ctx.instances) {
-      if (!inst.fsm->finished()) {
+      if (!inst.fsm.finished()) {
         any_live = true;
         break;
       }

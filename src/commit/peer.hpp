@@ -1,9 +1,13 @@
 // A peer-set member executing the commit protocol (paper section 2.2).
 //
-// Each member hosts one machine instance per ongoing update per GUID,
-// executed through a pluggable driver (interpreted over the shared
-// generated StateMachine by default; statically compiled or dynamically
-// loaded generated code via set_driver_factory — paper section 4.3). The
+// Each member hosts one machine instance per ongoing update per GUID. The
+// peer compiles the generated StateMachine once into the dense dispatch
+// table (core/compiled_machine.hpp) and every instance steps that table by
+// value: one indexed load per delivered message, no virtual call and no
+// allocation. The paper's other deployment forms (section 4.2-4.3: the
+// interpreter, checked-in generated code, code compiled and loaded at run
+// time) are artefacts the test suite proves equivalent to the generated
+// machine, not alternatives the runtime switches between. The
 // free/not_free messages of the abstract model are node-internal: when one
 // instance chooses its update it locks the node (not_free delivered to its
 // siblings); when the chosen update finishes it frees the node again.
@@ -22,8 +26,9 @@
 #include <set>
 #include <vector>
 
-#include "commit/driver.hpp"
 #include "commit/messages.hpp"
+#include "core/compiled_machine.hpp"
+#include "core/state_machine.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -74,10 +79,11 @@ class CommitPeer {
       std::function<std::vector<sim::NodeAddr>(std::uint64_t guid)>;
 
   /// `machine` must be the merged commit FSM for the peer set's replication
-  /// factor and must outlive the peer. `peers` lists every member of the
-  /// peer set including this one. With `attach_to_network` false the peer
-  /// does not claim the network address; a host must feed it frames through
-  /// handle_frame() (used when commit and storage traffic share one node).
+  /// factor; the peer compiles its own copy, so `machine` need not outlive
+  /// the peer. `peers` lists every member of the peer set including this
+  /// one. With `attach_to_network` false the peer does not claim the
+  /// network address; a host must feed it frames through handle_frame()
+  /// (used when commit and storage traffic share one node).
   CommitPeer(sim::Network& network, sim::NodeAddr self,
              std::vector<sim::NodeAddr> peers,
              const fsm::StateMachine& machine,
@@ -112,14 +118,6 @@ class CommitPeer {
   /// hardened). Only the composition replay harness uses non-default
   /// values, to mirror mutations the model checker injects.
   void set_hardening(PeerHardening hardening) { hardening_ = hardening; }
-
-  /// Replace how machine instances execute (paper section 4.3): by default
-  /// new instances interpret the shared generated StateMachine; a custom
-  /// factory can supply statically compiled generated code or dynamically
-  /// loaded machines instead. Affects instances created afterwards.
-  void set_driver_factory(DriverFactory factory) {
-    driver_factory_ = std::move(factory);
-  }
 
   CommitPeer(const CommitPeer&) = delete;
   CommitPeer& operator=(const CommitPeer&) = delete;
@@ -206,8 +204,15 @@ class CommitPeer {
   void enable_abort(sim::Time scan_interval, sim::Time max_age);
 
  private:
+  /// What one compiled action id does at this peer.
+  enum class Action : std::uint8_t { kNone, kVote, kCommit, kFree, kNotFree };
+  /// Action kind per compiled action id, by name; a name outside the four
+  /// the peer knows is a no-op.
+  static std::vector<Action> translate_actions(
+      const fsm::CompiledMachine& machine);
+
   struct Instance {
-    std::unique_ptr<CommitFsmDriver> fsm;
+    fsm::CompiledInstance fsm;
     std::uint64_t request_id = 0;
     std::uint64_t payload = 0;
     std::set<sim::NodeAddr> voters;      // Distinct vote senders.
@@ -239,7 +244,7 @@ class CommitPeer {
   void run_queue(GuidContext& ctx, std::uint64_t guid);
   void execute_actions(GuidContext& ctx, std::uint64_t guid,
                        std::uint64_t update_id,
-                       const fsm::ActionList& actions);
+                       fsm::CompiledInstance::Delivery delivery);
   /// Offer a freed node lock to pending siblings, one at a time, stopping
   /// as soon as one of them chooses (retakes the lock).
   void free_siblings(GuidContext& ctx, std::uint64_t guid,
@@ -259,8 +264,8 @@ class CommitPeer {
   sim::NodeAddr self_;
   std::vector<sim::NodeAddr> peers_;  // Including self_.
   PeerResolver resolver_;
-  const fsm::StateMachine& machine_;
-  DriverFactory driver_factory_;
+  fsm::CompiledMachine compiled_;  // The commit FSM, compiled once.
+  std::vector<Action> actions_;    // Per compiled action id.
   Behaviour behaviour_;
   PeerHardening hardening_;
   sim::Trace* trace_;

@@ -5,9 +5,10 @@
 // interpreted directly from its in-memory representation. FsmInstance is
 // the interpreter: it tracks a current state and, on each delivered
 // message, performs the transition and reports the actions to execute.
-// The protocol runtime in src/commit/ hosts one FsmInstance per ongoing
-// update, exactly as the paper describes ("each peer set member maintains a
-// separate FSM instance for every ongoing update").
+// FsmInstance is the reference semantics the other backends are certified
+// against; the protocol runtime in src/commit/ steps the equivalent
+// compiled table (core/compiled_machine.hpp) instead, one instance per
+// ongoing update as the paper describes.
 #pragma once
 
 #include <cassert>

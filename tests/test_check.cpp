@@ -439,8 +439,13 @@ TEST(MachineCacheValidation, RejectsParseableButBrokenCacheEntry) {
   std::ofstream(dir / fsm::MachineCache::file_name("commit", 4))
       << fsm::XmlRenderer().render(corrupted);
 
-  commit::MachineCache cache(dir);
-  const fsm::StateMachine& machine = cache.machine_for(4);
+  // fsmgen --cache's set-up: a disk cache linted by the structural checks.
+  const auto generate = [] {
+    return commit::CommitModel(4).generate_state_machine();
+  };
+  fsm::MachineCache cache(dir);
+  cache.set_validator(check::structural_validator());
+  const fsm::StateMachine& machine = cache.machine_for("commit", 4, generate);
   EXPECT_EQ(cache.stats().validation_rejects, 1u);
   EXPECT_EQ(cache.stats().disk_hits, 0u);
   EXPECT_FALSE(machine.state_id("ORPHAN").has_value());
@@ -450,8 +455,9 @@ TEST(MachineCacheValidation, RejectsParseableButBrokenCacheEntry) {
 
   // The rejected entry was overwritten with a healthy regeneration: a
   // fresh cache instance now gets a clean disk hit.
-  commit::MachineCache healed(dir);
-  (void)healed.machine_for(4);
+  fsm::MachineCache healed(dir);
+  healed.set_validator(check::structural_validator());
+  (void)healed.machine_for("commit", 4, generate);
   EXPECT_EQ(healed.stats().disk_hits, 1u);
   EXPECT_EQ(healed.stats().validation_rejects, 0u);
   std::filesystem::remove_all(dir);

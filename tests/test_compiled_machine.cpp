@@ -132,7 +132,7 @@ TEST(CompiledMachine, MaxEventIdOnlyTransitions) {
 // ---- Family members, including the EFSM-expanded r=16 machine. ----
 
 TEST(CompiledMachine, MatchesInterpreterOnCommitFamily) {
-  for (const std::uint32_t r : {4u, 7u}) {
+  for (const std::uint32_t r : {4u, 7u, 13u}) {
     expect_matches_interpreter(commit_machine(r), 1234 + r, 20, 200);
   }
 }
@@ -145,7 +145,7 @@ TEST(CompiledMachine, MatchesInterpreterOnExpandedEfsmR16) {
 }
 
 TEST(CompiledMachine, RoundTripIsTraceEquivalent) {
-  for (const std::uint32_t r : {4u, 7u, 10u}) {
+  for (const std::uint32_t r : {4u, 7u, 10u, 13u}) {
     const StateMachine machine = commit_machine(r);
     const StateMachine rebuilt =
         CompiledMachine::compile(machine).to_state_machine();

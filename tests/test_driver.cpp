@@ -1,157 +1,13 @@
-// Deployment-mode differential testing (paper sections 4.2-4.3): the same
-// protocol scenario executed with interpreted machines and with statically
-// compiled generated code must produce byte-identical outcomes — histories,
-// stats, and message counts — because the simulation is deterministic and
-// the two machine implementations are behaviourally equal.
+// InterpreterDriver: interpreted execution of one commit-FSM instance,
+// kept for the end-to-end benchmark's FSM probe.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "commit/commit_model.hpp"
-#include "commit/endpoint.hpp"
-#include "commit/generated_driver.hpp"
+#include "commit/driver.hpp"
 #include "commit/machine_cache.hpp"
-#include "commit/peer.hpp"
-#include "core/dynamic_loader.hpp"
-#include "core/render/code_renderer.hpp"
 
 namespace asa_repro::commit {
 namespace {
-
-constexpr std::uint64_t kGuid = 42;
-
-struct Outcome {
-  std::vector<std::vector<std::uint64_t>> histories;  // Per peer.
-  std::uint64_t network_frames = 0;
-  std::uint64_t total_votes_sent = 0;
-  int committed = 0;
-
-  friend bool operator==(const Outcome&, const Outcome&) = default;
-};
-
-Outcome run_scenario(bool use_generated_driver, std::uint64_t seed,
-                     int clients) {
-  static MachineCache cache;
-  const fsm::StateMachine& machine = cache.machine_for(4);
-  sim::Scheduler sched;
-  sim::Network network(sched, sim::Rng(seed), sim::LatencyModel{500, 5'000});
-
-  std::vector<sim::NodeAddr> addrs{0, 1, 2, 3};
-  std::vector<std::unique_ptr<CommitPeer>> peers;
-  for (sim::NodeAddr a : addrs) {
-    peers.push_back(
-        std::make_unique<CommitPeer>(network, a, addrs, machine));
-    if (use_generated_driver) {
-      peers.back()->set_driver_factory(make_generated_r4_driver_factory());
-    }
-    peers.back()->enable_abort(50'000, 60'000);
-  }
-
-  RetryPolicy policy;
-  policy.base_timeout = 70'000;
-  policy.max_attempts = 20;
-  Outcome outcome;
-  std::vector<std::unique_ptr<CommitEndpoint>> endpoints;
-  for (int c = 0; c < clients; ++c) {
-    endpoints.push_back(std::make_unique<CommitEndpoint>(
-        network, static_cast<sim::NodeAddr>(100 + c), addrs, 1, policy,
-        sim::Rng(seed * 31 + c)));
-    endpoints.back()->submit(kGuid, 7'000 + c,
-                             [&outcome](const CommitResult& r) {
-                               outcome.committed += r.committed ? 1 : 0;
-                             });
-  }
-  sched.run();
-
-  for (const auto& p : peers) {
-    std::vector<std::uint64_t> h;
-    for (const auto& e : p->history(kGuid)) h.push_back(e.update_id);
-    outcome.histories.push_back(std::move(h));
-    outcome.total_votes_sent += p->stats().votes_sent;
-  }
-  outcome.network_frames = network.stats().sent;
-  return outcome;
-}
-
-class DriverDifferential : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DriverDifferential, InterpreterAndGeneratedCodeAgreeExactly) {
-  const std::uint64_t seed = GetParam();
-  for (int clients : {1, 3}) {
-    const Outcome interpreted = run_scenario(false, seed, clients);
-    const Outcome generated = run_scenario(true, seed, clients);
-    EXPECT_EQ(interpreted.committed, clients);
-    EXPECT_TRUE(interpreted == generated)
-        << "seed " << seed << ", " << clients << " client(s): deployment "
-        << "modes diverged (frames " << interpreted.network_frames << " vs "
-        << generated.network_frames << ")";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DriverDifferential,
-                         ::testing::Values(1u, 2u, 3u, 5u, 8u));
-
-TEST(GeneratedR4Driver, StandaloneCommitPath) {
-  GeneratedR4Driver driver;
-  EXPECT_FALSE(driver.finished());
-  EXPECT_EQ(driver.deliver(kUpdate),
-            (fsm::ActionList{"vote", "not_free"}));
-  EXPECT_TRUE(driver.deliver(kVote).empty());
-  EXPECT_EQ(driver.deliver(kVote), (fsm::ActionList{"commit"}));
-  EXPECT_TRUE(driver.deliver(kCommit).empty());
-  EXPECT_EQ(driver.deliver(kCommit), (fsm::ActionList{"free"}));
-  EXPECT_TRUE(driver.finished());
-  // Absorbing afterwards.
-  EXPECT_TRUE(driver.deliver(kVote).empty());
-}
-
-TEST(DynamicallyLoadedDriver, PeerRunsDlopenedMachine) {
-  // The full section 4.3 loop inside the runtime: render source for r=4,
-  // compile it to a shared object, and give the peer set a driver factory
-  // that instantiates machines from the loaded factory symbol. A commit
-  // must run end to end.
-  const fsm::StateMachine machine =
-      commit::CommitModel(4).generate_state_machine();
-  fsm::CodeGenOptions options;
-  options.class_name = "DynCommit";
-  options.base_class = "asa_repro::fsm::DynamicFsmBase";
-  options.action_style = fsm::CodeGenOptions::ActionStyle::kSink;
-  options.implement_api = true;
-  options.emit_factory = true;
-  options.includes = {"core/generated_api.hpp"};
-  const std::string source = fsm::CodeRenderer(options).render(machine);
-
-  fsm::DynamicCompiler::Options copts;
-  copts.include_dir = ASA_SRC_DIR;
-  auto compiler = std::make_shared<fsm::DynamicCompiler>(copts);
-  if (!compiler->available()) GTEST_SKIP() << "no compiler on host";
-  auto loaded = std::make_shared<fsm::DynamicCompiler::Result>(
-      compiler->compile_and_load(source));
-  ASSERT_TRUE(loaded->fsm.has_value()) << loaded->error;
-
-  sim::Scheduler sched;
-  sim::Network network(sched, sim::Rng(6), sim::LatencyModel{500, 2'000});
-  std::vector<sim::NodeAddr> addrs{0, 1, 2, 3};
-  std::vector<std::unique_ptr<CommitPeer>> peers;
-  for (sim::NodeAddr a : addrs) {
-    peers.push_back(std::make_unique<CommitPeer>(network, a, addrs, machine));
-    // One compiled shared object serves the whole peer set; each protocol
-    // instance gets its own machine minted from the loaded factory.
-    peers.back()->set_driver_factory([loaded] {
-      return std::make_unique<GeneratedApiDriver>(
-          loaded->fsm->create_instance());
-    });
-  }
-
-  // One update through the dlopen-driven peer set.
-  const WireMessage update{WireMessage::Kind::kUpdate, 3, 500, 500, 42};
-  for (sim::NodeAddr a : addrs) network.send(99, a, update.serialize());
-  sched.run();
-  for (const auto& p : peers) {
-    ASSERT_EQ(p->history(3).size(), 1u);
-    EXPECT_EQ(p->history(3)[0].payload, 42u);
-  }
-}
 
 TEST(InterpreterDriverTest, MatchesMachineSemantics) {
   MachineCache cache;

@@ -1,7 +1,8 @@
 // The checked-in generated implementation (commit_fsm_r4.hpp), the paper's
 // "generate once during development, copy into the code-base" deployment
 // (section 4.2): it must (a) be byte-identical to what the generator emits
-// today, and (b) behave exactly like the interpreted machine.
+// today, and (b) behave exactly like the interpreted machine and the
+// compiled table the runtime steps.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -9,6 +10,7 @@
 
 #include "commit/commit_model.hpp"
 #include "commit/generated/commit_fsm_r4.hpp"
+#include "core/compiled_machine.hpp"
 #include "core/interpreter.hpp"
 #include "core/render/code_renderer.hpp"
 #include "sim/rng.hpp"
@@ -86,22 +88,36 @@ TEST(GeneratedArtifact, ResetReturnsToStart) {
 }
 
 TEST(GeneratedArtifact, MatchesInterpreterOnRandomWalks) {
+  // Three-way: the checked-in class, the interpreter oracle, and the
+  // compiled table the runtime's peers actually step.
   commit::CommitModel model(4);
   const fsm::StateMachine machine = model.generate_state_machine();
+  const fsm::CompiledMachine table = fsm::CompiledMachine::compile(machine);
   sim::Rng rng(2026);
   for (int walk = 0; walk < 200; ++walk) {
-    RecordingFsm compiled;
+    RecordingFsm artefact;
     fsm::FsmInstance interp(machine);
+    fsm::CompiledInstance runtime(table);
     for (int step = 0; step < 150; ++step) {
       const auto m = static_cast<fsm::MessageId>(rng.below(5));
-      compiled.actions.clear();
-      compiled.receive(m);
+      artefact.actions.clear();
+      artefact.receive(m);
       const fsm::Transition* t = interp.deliver(m);
       const std::vector<std::string> expected =
           t == nullptr ? std::vector<std::string>{} : t->actions;
-      ASSERT_EQ(compiled.actions, expected) << "walk " << walk;
-      ASSERT_STREQ(compiled.state_name(), interp.state_name().c_str());
-      ASSERT_EQ(compiled.finished(), interp.finished());
+      ASSERT_EQ(artefact.actions, expected) << "walk " << walk;
+      ASSERT_STREQ(artefact.state_name(), interp.state_name().c_str());
+      ASSERT_EQ(artefact.finished(), interp.finished());
+
+      const fsm::CompiledInstance::Delivery d = runtime.deliver(m);
+      std::vector<std::string> stepped;
+      for (std::uint32_t i = 0; i < d.count; ++i) {
+        stepped.push_back(table.action_names()[d.ids[i]]);
+      }
+      ASSERT_EQ(stepped, expected) << "walk " << walk;
+      ASSERT_EQ(d.applicable, t != nullptr) << "walk " << walk;
+      ASSERT_EQ(runtime.state_name(), interp.state_name());
+      ASSERT_EQ(runtime.finished(), interp.finished());
       if (interp.finished()) break;
     }
   }

@@ -38,6 +38,13 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
+// The nothrow form too (std::stable_sort's temporary buffer uses it): its
+// blocks are freed through the replaced operator delete below, so leaving
+// it to the runtime would pair a sanitizer allocation with std::free.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size);
+}
 // GCC pairs delete-expressions with the std::free inlined from these
 // operators and flags a new/free mismatch; the replacement operator new
 // above allocates with std::malloc, so the pairing is in fact matched.
@@ -47,6 +54,9 @@ void* operator new(std::size_t size) {
 #endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif

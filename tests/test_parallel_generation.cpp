@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "commit/commit_model.hpp"
-#include "commit/machine_cache.hpp"
 #include "core/abstract_model.hpp"
 #include "core/analysis.hpp"
 #include "core/equivalence.hpp"
@@ -303,21 +302,6 @@ TEST(MachineCacheTest, CodeVersionInvalidatesStaleEntries) {
   EXPECT_EQ(generations, 1);
   EXPECT_EQ(cache.stats().disk_hits, 0u);
   EXPECT_TRUE(std::filesystem::exists(dir / current));
-}
-
-TEST(MachineCacheTest, CommitWrapperPersistsAcrossInstances) {
-  const std::filesystem::path dir = fresh_cache_dir("asa_cache_commit");
-  fsm::StateMachine generated;
-  {
-    commit::MachineCache cache(dir);
-    generated = cache.machine_for(4, /*jobs=*/8);
-    EXPECT_TRUE(cache.contains(4));
-    EXPECT_EQ(cache.size(), 1u);
-  }
-  commit::MachineCache cache(dir);
-  const fsm::StateMachine& reloaded = cache.machine_for(4);
-  EXPECT_EQ(cache.stats().disk_hits, 1u);
-  expect_identical(generated, reloaded, "commit wrapper round trip");
 }
 
 }  // namespace

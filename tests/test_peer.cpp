@@ -1,10 +1,12 @@
 // Peer-set member corner cases driven with hand-crafted frames: node-lock
 // serialisation (free/not_free), abort and recovery, history import, and
-// Byzantine behaviour mechanics.
+// Byzantine behaviour mechanics; plus contending clients driven through a
+// whole peer set by real endpoints.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "commit/endpoint.hpp"
 #include "commit/machine_cache.hpp"
 #include "commit/peer.hpp"
 
@@ -215,6 +217,55 @@ TEST(Peer, HistoryForUnknownGuidIsEmpty) {
   EXPECT_TRUE(h.peer->history(999).empty());
   EXPECT_EQ(h.peer->live_instances(999), 0u);
 }
+
+// ---- Contending clients through the whole peer set ----
+
+/// Four peers with stall aborts on, and `clients` endpoints each racing
+/// one update for the same GUID. Returns the committed clients; every
+/// peer's history must be the same.
+int run_contention(std::uint64_t seed, int clients) {
+  MachineCache cache;
+  const fsm::StateMachine& machine = cache.machine_for(4);
+  sim::Scheduler sched;
+  sim::Network network(sched, sim::Rng(seed), sim::LatencyModel{500, 5'000});
+  const std::vector<sim::NodeAddr> addrs{0, 1, 2, 3};
+  std::vector<std::unique_ptr<CommitPeer>> peers;
+  for (const sim::NodeAddr a : addrs) {
+    peers.push_back(std::make_unique<CommitPeer>(network, a, addrs, machine));
+    peers.back()->enable_abort(50'000, 60'000);
+  }
+
+  RetryPolicy policy;
+  policy.base_timeout = 70'000;
+  policy.max_attempts = 20;
+  int committed = 0;
+  std::vector<std::unique_ptr<CommitEndpoint>> endpoints;
+  for (int c = 0; c < clients; ++c) {
+    endpoints.push_back(std::make_unique<CommitEndpoint>(
+        network, static_cast<sim::NodeAddr>(100 + c), addrs, 1, policy,
+        sim::Rng(seed * 31 + c)));
+    endpoints.back()->submit(kGuid, 7'000 + c, [&](const CommitResult& r) {
+      committed += r.committed ? 1 : 0;
+    });
+  }
+  sched.run();
+  for (const auto& p : peers) {
+    EXPECT_EQ(p->history(kGuid), peers.front()->history(kGuid));
+  }
+  return committed;
+}
+
+class PeerContention : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PeerContention, EveryClientCommits) {
+  for (const int clients : {1, 3}) {
+    EXPECT_EQ(run_contention(GetParam(), clients), clients)
+        << clients << " client(s)";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PeerContention,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u));
 
 }  // namespace
 }  // namespace asa_repro::commit

@@ -23,6 +23,7 @@
 #include "cli_args.hpp"
 #include "obs/postmortem.hpp"
 #include "storage/chaos.hpp"
+#include "write_file.hpp"
 
 using namespace asa_repro;
 using namespace asa_repro::storage;
@@ -154,10 +155,7 @@ bool write_postmortem(const std::string& dir, const ChaosConfig& config,
                       const sim::FaultPlan& shrunk) {
   const std::string path =
       dir + "/postmortem-seed" + std::to_string(config.seed) + ".json";
-  std::ofstream out(path);
-  if (out) out << build_postmortem(config, plan, shrunk);
-  if (!out) {
-    std::cerr << "asachaos: cannot write postmortem bundle " << path << "\n";
+  if (!cli::write_file(path, build_postmortem(config, plan, shrunk))) {
     return false;
   }
   std::cout << "  postmortem bundle " << path << "\n";
@@ -350,12 +348,10 @@ int main(int argc, char** argv) {
           {"seed0", std::to_string(seed0)},
           {"windows", std::to_string(soak.windows)},
       };
-      std::ofstream out(metrics_out);
-      if (!out) {
-        std::cerr << "cannot write " << metrics_out << "\n";
+      if (!cli::write_file(metrics_out,
+                           obs::write_metrics_json(soak_metrics, meta))) {
         return 2;
       }
-      out << obs::write_metrics_json(soak_metrics, meta);
     }
     std::cout << "soak summary: " << soak.windows << " windows, "
               << soak.violations.size() << " violation(s), "
@@ -433,13 +429,7 @@ int main(int argc, char** argv) {
     const std::string path =
         out_dir + "/chaos-seed" + std::to_string(seed_config.seed) +
         ".replay";
-    std::ofstream out(path);
-    out << replay;
-    out.close();
-    if (!out) {
-      std::cerr << "asachaos: cannot write replay file " << path << "\n";
-      artefact_failed = true;
-    }
+    if (!cli::write_file(path, replay)) artefact_failed = true;
 
     // The replay file must reproduce the violation byte-for-byte.
     const auto decoded = decode_replay(replay);
@@ -472,23 +462,18 @@ int main(int argc, char** argv) {
         {"replication", std::to_string(config.replication)},
         {"violating_seeds", std::to_string(violating_seeds)},
     };
-    std::ofstream out(metrics_out);
-    if (!out) {
-      std::cerr << "cannot write " << metrics_out << "\n";
+    if (!cli::write_file(metrics_out,
+                         obs::write_metrics_json(campaign_metrics, meta))) {
       return 2;
     }
-    out << obs::write_metrics_json(campaign_metrics, meta);
     std::cout << "metrics written to " << metrics_out << "\n";
   }
   if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::cerr << "cannot write " << trace_out << "\n";
-      return 2;
-    }
+    std::ostringstream out;
     out << "{\"schema\":\"asa-trace/1\",\"tool\":\"asachaos\",\"seed0\":"
         << seed0 << ",\"seeds\":" << seeds << "}\n";
     campaign_trace.dump_jsonl(out);
+    if (!cli::write_file(trace_out, out.str())) return 2;
     std::cout << "trace written to " << trace_out << " ("
               << campaign_trace.events().size() << " events)\n";
   }
@@ -500,12 +485,10 @@ int main(int argc, char** argv) {
         {"nodes", std::to_string(config.nodes)},
         {"replication", std::to_string(config.replication)},
     };
-    std::ofstream out(spans_out);
-    if (!out) {
-      std::cerr << "cannot write " << spans_out << "\n";
+    if (!cli::write_file(spans_out,
+                         obs::write_spans_json(campaign_spans, meta))) {
       return 2;
     }
-    out << obs::write_spans_json(campaign_spans, meta);
     std::cout << "spans written to " << spans_out << " ("
               << campaign_spans.spans().size() << " spans)\n";
   }

@@ -15,6 +15,7 @@
 #include <iostream>
 #include <iterator>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "sim/workload.hpp"
 #include "storage/cluster.hpp"
+#include "write_file.hpp"
 
 using namespace asa_repro;
 using namespace asa_repro::storage;
@@ -511,23 +513,18 @@ int asasim_main(int argc, char** argv) {
         {"updates", std::to_string(updates)},
         {"guids", std::to_string(guids)},
     };
-    std::ofstream out(metrics_out);
-    if (!out) {
-      std::cerr << "cannot write " << metrics_out << "\n";
+    if (!cli::write_file(metrics_out,
+                         obs::write_metrics_json(cluster.metrics(), meta))) {
       return 2;
     }
-    out << obs::write_metrics_json(cluster.metrics(), meta);
     std::cout << "metrics written to " << metrics_out << "\n";
   }
   if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::cerr << "cannot write " << trace_out << "\n";
-      return 2;
-    }
+    std::ostringstream out;
     out << "{\"schema\":\"asa-trace/1\",\"tool\":\"asasim\",\"seed\":"
         << config.seed << "}\n";
     cluster.trace().dump_jsonl(out);
+    if (!cli::write_file(trace_out, out.str())) return 2;
     std::cout << "trace written to " << trace_out << " ("
               << cluster.trace().events().size() << " events)\n";
   }
@@ -540,12 +537,10 @@ int asasim_main(int argc, char** argv) {
         {"updates", std::to_string(updates)},
         {"guids", std::to_string(guids)},
     };
-    std::ofstream out(spans_out);
-    if (!out) {
-      std::cerr << "cannot write " << spans_out << "\n";
+    if (!cli::write_file(spans_out,
+                         obs::write_spans_json(cluster.spans(), meta))) {
       return 2;
     }
-    out << obs::write_spans_json(cluster.spans(), meta);
     std::cout << "spans written to " << spans_out << " ("
               << cluster.spans().spans().size() << " spans)\n";
   }

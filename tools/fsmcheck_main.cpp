@@ -25,7 +25,6 @@
 //   fsmcheck --protocol -r 4 --mutation comp.dup_vote --replay-out plan.txt
 //   fsmcheck --protocol --mutate
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -40,6 +39,7 @@
 #include "core/abstract_model.hpp"
 #include "core/render/dot_renderer.hpp"
 #include "core/render/mermaid_renderer.hpp"
+#include "write_file.hpp"
 
 using namespace asa_repro;
 
@@ -86,16 +86,7 @@ void usage() {
 }
 
 using cli::parse_u32;
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "fsmcheck: cannot write " << path << "\n";
-    return false;
-  }
-  out << content;
-  return true;
-}
+using cli::write_file;
 
 /// Render the machine named by the first finding that carries diagram
 /// hooks, with its flagged states/transitions emphasised.

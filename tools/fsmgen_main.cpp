@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -23,6 +22,7 @@
 #include <memory>
 
 #include "cli_args.hpp"
+#include "write_file.hpp"
 #include "obs/metrics.hpp"
 
 #include "check/structural.hpp"
@@ -334,23 +334,16 @@ int fsmgen_main(int argc, char** argv) {
                                       : "miss"},
         {"clock", "wall"},
     };
-    std::ofstream profile_out(profile_path);
-    if (!profile_out) {
-      std::cerr << "cannot write " << profile_path << "\n";
-      return 1;
+    if (!cli::write_file(profile_path,
+                         obs::write_metrics_json(profile, meta))) {
+      return 2;
     }
-    profile_out << obs::write_metrics_json(profile, meta);
   }
 
   if (out_path.empty()) {
     std::cout << output;
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "cannot write " << out_path << "\n";
-      return 1;
-    }
-    out << output;
+  } else if (!cli::write_file(out_path, output)) {
+    return 2;
   }
   return 0;
 }
