@@ -60,6 +60,7 @@ bool CommitPeer::import_history(std::uint64_t guid,
   // them is absorbed rather than re-run.
   for (const CommittedEntry& e : ctx.committed) {
     ctx.instances.erase(e.update_id);
+    ctx.settled.emplace(e.update_id, 0);
   }
   if (import_sink_) import_sink_(guid, ctx.committed);
   return true;
@@ -89,7 +90,7 @@ std::size_t CommitPeer::reconcile_history(
   ctx.committed = std::move(merged);
   for (const CommittedEntry& e : ctx.committed) {
     ctx.instances.erase(e.update_id);
-    ctx.settled.insert(e.update_id);
+    ctx.settled.emplace(e.update_id, 0);
   }
   if (import_sink_) import_sink_(guid, ctx.committed);
   // A pure reorder adopts no new entries but still rewrote the history.
@@ -109,26 +110,6 @@ std::size_t CommitPeer::live_instances(std::uint64_t guid) const {
 std::size_t CommitPeer::resident_instances(std::uint64_t guid) const {
   const auto it = guids_.find(guid);
   return it == guids_.end() ? 0 : it->second.instances.size();
-}
-
-std::size_t CommitPeer::collect_finished() {
-  std::size_t released = 0;
-  for (auto& [guid, ctx] : guids_) {
-    for (auto it = ctx.instances.begin(); it != ctx.instances.end();) {
-      Instance& inst = it->second;
-      // Only fully processed instances are collectable: finished, recorded,
-      // and with no completion notification still owed to a client.
-      if (inst.fsm.finished() && inst.recorded &&
-          !inst.client.has_value()) {
-        ctx.settled.insert(it->first);
-        it = ctx.instances.erase(it);
-        ++released;
-      } else {
-        ++it;
-      }
-    }
-  }
-  return released;
 }
 
 void CommitPeer::handle(sim::NodeAddr from, const std::string& data) {
@@ -175,7 +156,7 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
   auto [pos, inserted] = ctx.instances.emplace(
       update_id,
       Instance{fsm::CompiledInstance(compiled_), msg.request_id, msg.payload,
-               {}, {}, std::nullopt, network_.scheduler().now(), false});
+               {}, {}, std::nullopt, network_.scheduler().now()});
   Instance& inst = pos->second;
   // The abstract model's start state assumes the node is free; if another
   // update already holds the node lock for this GUID, lock the new machine
@@ -210,39 +191,50 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
 }
 
 void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
-  GuidContext& ctx = guids_[msg.guid];
-  if (ctx.settled.contains(msg.update_id)) {
-    // Late traffic for a garbage-collected update: absorb it; re-confirm a
-    // resent update request (the original notification may have been lost).
-    if (msg.kind == WireMessage::Kind::kUpdate) {
-      network_.send(self_, from,
-                    WireMessage{WireMessage::Kind::kCommitted, msg.guid,
-                                msg.update_id, msg.request_id, msg.payload}
-                        .serialize());
-    }
-    return;
+  const char* kind = nullptr;
+  switch (msg.kind) {
+    case WireMessage::Kind::kUpdate:
+      ++stats_.updates_received;
+      kind = "update";
+      break;
+    case WireMessage::Kind::kVote:
+      ++stats_.votes_received;
+      kind = "vote";
+      break;
+    case WireMessage::Kind::kCommit:
+      ++stats_.commits_received;
+      kind = "commit";
+      break;
+    case WireMessage::Kind::kCommitted:
+      return;  // Peers ignore client notifications.
   }
-  if (trace_ != nullptr && msg.kind != WireMessage::Kind::kCommitted) {
-    const char* kind = msg.kind == WireMessage::Kind::kUpdate ? "update"
-                       : msg.kind == WireMessage::Kind::kVote ? "vote"
-                                                              : "commit";
+  if (trace_ != nullptr) {
     trace_->record(network_.scheduler().now(), self_, "recv",
                    std::string(kind) + " from=" + std::to_string(from) +
                        " update=" + std::to_string(msg.update_id));
   }
+  GuidContext& ctx = guids_[msg.guid];
+  if (const auto settled = ctx.settled.find(msg.update_id);
+      settled != ctx.settled.end()) {
+    // Late traffic for a settled update: absorb it; re-acknowledge a resent
+    // update request (the original notification may have been lost).
+    if (msg.kind == WireMessage::Kind::kUpdate) {
+      acknowledge(msg.guid, {msg.update_id, msg.request_id, msg.payload},
+                  settled->second, from);
+    }
+    return;
+  }
   switch (msg.kind) {
     case WireMessage::Kind::kUpdate: {
-      ++stats_.updates_received;
       Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
       inst.client = from;
       deliver(ctx, msg.guid, msg.update_id, kUpdate);
-      // A resent update for an already-finished attempt still deserves a
-      // completion notification (the original may have been lost).
+      // A vetoed attempt (finished, still resident) is offered to the
+      // commit sink once more.
       check_finished(ctx, msg.guid, msg.update_id);
       break;
     }
     case WireMessage::Kind::kVote: {
-      ++stats_.votes_received;
       Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
       if ((hardening_.drop_self && from == self_) ||
           (!inst.voters.insert(from).second && hardening_.dedup_protocol)) {
@@ -253,7 +245,6 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
       break;
     }
     case WireMessage::Kind::kCommit: {
-      ++stats_.commits_received;
       Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
       if ((hardening_.drop_self && from == self_) ||
           (!inst.committers.insert(from).second &&
@@ -265,7 +256,7 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
       break;
     }
     case WireMessage::Kind::kCommitted:
-      break;  // Peers ignore client notifications.
+      break;
   }
 }
 
@@ -347,6 +338,9 @@ void CommitPeer::execute_actions(GuidContext& ctx, std::uint64_t guid,
         local_queue_.emplace_back(uid, kNotFree);
       }
     } else if (action == Action::kFree) {
+      // free is the last action of the finishing transition. A sibling
+      // that finishes in free_siblings is released, but this instance is
+      // already finished, so it is never one of them: `inst` stays valid.
       if (ctx.chosen_update == update_id) ctx.chosen_update.reset();
       free_siblings(ctx, guid, update_id);
     }
@@ -380,93 +374,97 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
   if (it == ctx.instances.end()) return;
   Instance& inst = it->second;
   if (!inst.fsm.finished()) return;
-  if (!inst.recorded) {
-    if (commit_sink_ &&
-        !commit_sink_(guid,
-                      {update_id, inst.request_id, inst.payload})) {
-      // Write-ahead append failed (stalled or full disk): neither record
-      // nor acknowledge. The FSM's free action already ran, but release
-      // the lock defensively too — a bad disk must not deadlock the GUID
-      // lane. The instance stays finished-unrecorded; the client's resent
-      // update retries the sink once the disk heals. The quorum span stays
-      // open — the commit is not over until the retry lands.
-      if (spans_ != nullptr) {
-        spans_->point("journal-append", inst.quorum_span, self_,
-                      std::to_string(guid), inst.request_id, update_id,
-                      network_.scheduler().now(), false, "vetoed");
-      }
-      if (flight_ != nullptr) {
-        flight_->record(network_.scheduler().now(), self_, "commit.veto",
-                        "guid=" + std::to_string(guid) +
-                            " update=" + std::to_string(update_id) +
-                            " request=" + std::to_string(inst.request_id));
-      }
-      if (ctx.chosen_update == update_id) {
-        ctx.chosen_update.reset();
-        free_siblings(ctx, guid, update_id);
-      }
-      return;
-    }
-    inst.recorded = true;
-    ++stats_.committed;
-    ctx.committed.push_back({update_id, inst.request_id, inst.payload});
-    const sim::Time latency = network_.scheduler().now() - inst.created;
-    if (trace_ != nullptr) {
-      trace_->record(network_.scheduler().now(), self_, "commit",
-                     "guid=" + std::to_string(guid) +
-                         " update=" + std::to_string(update_id) +
-                         " latency=" + std::to_string(latency));
-    }
-    if (metrics_ != nullptr) {
-      metrics_
-          ->histogram("commit.instance_latency_us",
-                      {{"node", std::to_string(self_)}},
-                      obs::latency_buckets_us())
-          .observe(latency);
-    }
+  if (commit_sink_ &&
+      !commit_sink_(guid, {update_id, inst.request_id, inst.payload})) {
+    // Write-ahead append failed (stalled or full disk): neither record nor
+    // acknowledge. The FSM's free action already ran, but release the lock
+    // defensively too — a bad disk must not deadlock the GUID lane. The
+    // instance stays resident, finished but unrecorded; the client's resent
+    // update retries the sink once the disk heals. The quorum span stays
+    // open — the commit is not over until the retry lands.
     if (spans_ != nullptr) {
-      const sim::Time now = network_.scheduler().now();
-      // An instance can finish without ever broadcasting its own commit
-      // (it adopted the siblings' quorum); close whatever is still open.
-      if (spans_->is_open(inst.vote_span)) {
-        spans_->close(inst.vote_span, now, true);
-      }
-      if (commit_sink_) {
-        spans_->point("journal-append", inst.quorum_span, self_,
-                      std::to_string(guid), inst.request_id, update_id,
-                      now, true);
-      }
-      if (spans_->is_open(inst.quorum_span)) {
-        spans_->close(inst.quorum_span, now, true);
-      }
+      spans_->point("journal-append", inst.quorum_span, self_,
+                    std::to_string(guid), inst.request_id, update_id,
+                    network_.scheduler().now(), false, "vetoed");
     }
     if (flight_ != nullptr) {
-      flight_->record(network_.scheduler().now(), self_, "commit.record",
+      flight_->record(network_.scheduler().now(), self_, "commit.veto",
                       "guid=" + std::to_string(guid) +
                           " update=" + std::to_string(update_id) +
-                          " request=" + std::to_string(inst.request_id) +
-                          " latency=" + std::to_string(latency));
+                          " request=" + std::to_string(inst.request_id));
     }
-    // Defensive: a finished update must release the node lock even if the
-    // free action was not part of the final transition (it is whenever the
-    // update was locally chosen).
-    if (ctx.chosen_update == update_id) ctx.chosen_update.reset();
+    if (ctx.chosen_update == update_id) {
+      ctx.chosen_update.reset();
+      free_siblings(ctx, guid, update_id);
+    }
+    return;
   }
-  if (inst.recorded && inst.client.has_value()) {
-    if (ack_sink_) {
-      ack_sink_(guid, {update_id, inst.request_id, inst.payload});
-    }
-    if (spans_ != nullptr) {
-      spans_->point("ack-sent", inst.quorum_span, self_,
-                    std::to_string(guid), inst.request_id, update_id,
-                    network_.scheduler().now(), true);
-    }
-    network_.send(self_, *inst.client,
-                  WireMessage{WireMessage::Kind::kCommitted, guid, update_id,
-                              inst.request_id, inst.payload}
-                      .serialize());
-    inst.client.reset();  // Notify once per received update request.
+  ++stats_.committed;
+  ctx.committed.push_back({update_id, inst.request_id, inst.payload});
+  const sim::Time latency = network_.scheduler().now() - inst.created;
+  if (trace_ != nullptr) {
+    trace_->record(network_.scheduler().now(), self_, "commit",
+                   "guid=" + std::to_string(guid) +
+                       " update=" + std::to_string(update_id) +
+                       " latency=" + std::to_string(latency));
   }
+  if (metrics_ != nullptr) {
+    metrics_
+        ->histogram("commit.instance_latency_us",
+                    {{"node", std::to_string(self_)}},
+                    obs::latency_buckets_us())
+        .observe(latency);
+  }
+  if (spans_ != nullptr) {
+    const sim::Time now = network_.scheduler().now();
+    // An instance can finish without ever broadcasting its own commit (it
+    // adopted the siblings' quorum); close whatever is still open.
+    if (spans_->is_open(inst.vote_span)) {
+      spans_->close(inst.vote_span, now, true);
+    }
+    if (commit_sink_) {
+      spans_->point("journal-append", inst.quorum_span, self_,
+                    std::to_string(guid), inst.request_id, update_id, now,
+                    true);
+    }
+    if (spans_->is_open(inst.quorum_span)) {
+      spans_->close(inst.quorum_span, now, true);
+    }
+  }
+  if (flight_ != nullptr) {
+    flight_->record(network_.scheduler().now(), self_, "commit.record",
+                    "guid=" + std::to_string(guid) +
+                        " update=" + std::to_string(update_id) +
+                        " request=" + std::to_string(inst.request_id) +
+                        " latency=" + std::to_string(latency));
+  }
+  // Defensive: a finished update must release the node lock even if the
+  // free action was not part of the final transition (it is whenever the
+  // update was locally chosen).
+  if (ctx.chosen_update == update_id) ctx.chosen_update.reset();
+  if (inst.client.has_value()) {
+    acknowledge(guid, {update_id, inst.request_id, inst.payload},
+                inst.quorum_span, *inst.client);
+  }
+  // Recorded and acknowledged: the instance is settled. Release it; its
+  // settled entry absorbs late traffic and re-acknowledges resent updates.
+  ctx.settled.emplace(update_id, inst.quorum_span);
+  ctx.instances.erase(it);
+}
+
+void CommitPeer::acknowledge(std::uint64_t guid, const CommittedEntry& entry,
+                             std::uint64_t quorum_span,
+                             sim::NodeAddr client) {
+  if (ack_sink_) ack_sink_(guid, entry);
+  if (spans_ != nullptr) {
+    spans_->point("ack-sent", quorum_span, self_, std::to_string(guid),
+                  entry.request_id, entry.update_id,
+                  network_.scheduler().now(), true);
+  }
+  network_.send(self_, client,
+                WireMessage{WireMessage::Kind::kCommitted, guid,
+                            entry.update_id, entry.request_id, entry.payload}
+                    .serialize());
 }
 
 void CommitPeer::enable_abort(sim::Time scan_interval, sim::Time max_age) {
@@ -492,20 +490,25 @@ void CommitPeer::cancel_abort_scan() {
 
 void CommitPeer::abort_scan(sim::Time max_age) {
   const sim::Time now = network_.scheduler().now();
+  std::vector<std::uint64_t> stalled;
   for (auto& [guid, ctx] : guids_) {
-    for (auto it = ctx.instances.begin(); it != ctx.instances.end();) {
-      Instance& inst = it->second;
-      const bool stalled =
-          !inst.fsm.finished() && now - inst.created > max_age;
-      if (!stalled) {
-        ++it;
-        continue;
+    // Collect first, abort by id: aborting a lock holder frees siblings,
+    // and a sibling that finishes is released from ctx.instances at once.
+    stalled.clear();
+    for (const auto& [uid, inst] : ctx.instances) {
+      if (!inst.fsm.finished() && now - inst.created > max_age) {
+        stalled.push_back(uid);
       }
+    }
+    for (const std::uint64_t uid : stalled) {
+      const auto it = ctx.instances.find(uid);
+      if (it == ctx.instances.end() || it->second.fsm.finished()) continue;
+      const Instance& inst = it->second;
       ++stats_.aborted;
       if (trace_ != nullptr) {
         trace_->record(now, self_, "abort",
                        "guid=" + std::to_string(guid) +
-                           " update=" + std::to_string(it->first) +
+                           " update=" + std::to_string(uid) +
                            " age=" + std::to_string(now - inst.created));
       }
       if (metrics_ != nullptr) {
@@ -520,15 +523,14 @@ void CommitPeer::abort_scan(sim::Time max_age) {
       if (flight_ != nullptr) {
         flight_->record(now, self_, "commit.abort",
                         "guid=" + std::to_string(guid) +
-                            " update=" + std::to_string(it->first) +
+                            " update=" + std::to_string(uid) +
                             " request=" + std::to_string(inst.request_id));
       }
-      const bool held_lock = ctx.chosen_update == it->first;
-      const std::uint64_t erased_uid = it->first;
-      it = ctx.instances.erase(it);
+      const bool held_lock = ctx.chosen_update == uid;
+      ctx.instances.erase(it);
       if (held_lock) {
         ctx.chosen_update.reset();
-        free_siblings(ctx, guid, erased_uid);
+        free_siblings(ctx, guid, uid);
         if (!draining_) run_queue(ctx, guid);
       }
     }

@@ -1,6 +1,7 @@
 // A peer-set member executing the commit protocol (paper section 2.2).
 //
-// Each member hosts one machine instance per ongoing update per GUID. The
+// Each member hosts one machine instance per ongoing update per GUID and
+// releases it as soon as the update is recorded and acknowledged. The
 // peer compiles the generated StateMachine once into the dense dispatch
 // table (core/compiled_machine.hpp) and every instance steps that table by
 // value: one indexed load per delivered message, no virtual call and no
@@ -185,15 +186,10 @@ class CommitPeer {
   /// Live (started, unfinished) update attempts for a GUID.
   [[nodiscard]] std::size_t live_instances(std::uint64_t guid) const;
 
-  /// Machine instances currently held in memory for a GUID (live and
-  /// finished-but-not-yet-collected).
+  /// Machine instances currently held in memory for a GUID: the live ones
+  /// plus finished ones whose journal append the commit sink vetoed. An
+  /// instance is released the moment it is recorded and acknowledged.
   [[nodiscard]] std::size_t resident_instances(std::uint64_t guid) const;
-
-  /// Release finished machine instances for every GUID, keeping only the
-  /// committed history and a settled-id set that absorbs late protocol
-  /// traffic. Long-lived peers call this periodically (memory stays
-  /// bounded by the live instance count). Returns instances released.
-  std::size_t collect_finished();
 
   /// Enable periodic abort of stalled instances (liveness extension; see
   /// DESIGN.md): every `scan_interval`, erase unfinished instances older
@@ -219,7 +215,6 @@ class CommitPeer {
     std::set<sim::NodeAddr> committers;  // Distinct commit senders.
     std::optional<sim::NodeAddr> client; // Who to notify on completion.
     sim::Time created = 0;
-    bool recorded = false;               // Appended to committed history.
     std::uint64_t vote_span = 0;    // "vote-collect" span id (0 = none).
     std::uint64_t quorum_span = 0;  // "quorum" span id (0 = none).
   };
@@ -227,9 +222,10 @@ class CommitPeer {
     std::map<std::uint64_t, Instance> instances;  // By update_id.
     std::optional<std::uint64_t> chosen_update;   // Node lock holder.
     std::vector<CommittedEntry> committed;        // Local commit order.
-    std::set<std::uint64_t> settled;  // Finished & garbage-collected ids:
-                                      // late traffic is absorbed, never
-                                      // re-instantiated.
+    // Recorded (or imported) update ids, released from `instances`, each
+    // with its "quorum" span id (0 = none). Late traffic is absorbed, never
+    // re-instantiated; a resent update is re-acknowledged.
+    std::map<std::uint64_t, std::uint64_t> settled;
   };
 
   void handle(sim::NodeAddr from, const std::string& payload);
@@ -250,8 +246,14 @@ class CommitPeer {
   void free_siblings(GuidContext& ctx, std::uint64_t guid,
                      std::uint64_t source);
   void broadcast(const WireMessage& msg);
+  /// Record a finished instance (unless the commit sink vetoes it),
+  /// acknowledge its client and release it into `settled`.
   void check_finished(GuidContext& ctx, std::uint64_t guid,
                       std::uint64_t update_id);
+  /// Send one kCommitted to `client`: the ack sink first, then an
+  /// "ack-sent" span point under `quorum_span`, then the frame.
+  void acknowledge(std::uint64_t guid, const CommittedEntry& entry,
+                   std::uint64_t quorum_span, sim::NodeAddr client);
 
   Instance& instance(GuidContext& ctx, std::uint64_t guid,
                      std::uint64_t update_id, const WireMessage& msg);

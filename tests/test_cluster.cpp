@@ -759,5 +759,54 @@ TEST(ClusterPeerSetMemo, DroppingTheMemoEveryWindowChangesNothing) {
   EXPECT_LT(memo.walks, forgetful.walks);
 }
 
+// ---- Commit instance lifecycle: memory follows live updates. ----
+
+TEST(ClusterInstanceLifecycle, ResidentInstancesFollowLiveUpdates) {
+  ClusterConfig config = small_cluster(83);
+  config.nodes = 64;
+  AsaCluster cluster(config);
+  const std::vector<Guid> guids = memo_guids(32);
+  const auto resident = [&] {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+      for (const Guid& guid : guids) {
+        n += cluster.host(i).peer().resident_instances(guid.to_uint64());
+      }
+    }
+    return n;
+  };
+
+  constexpr int kWindows = 6;
+  int committed = 0;
+  std::vector<std::size_t> peaks;
+  for (int window = 0; window < kWindows; ++window) {
+    for (const Guid& guid : guids) {
+      cluster.version_history().append(
+          guid, Pid::of(block_from("w" + std::to_string(window))),
+          [&](const commit::CommitResult& r) { committed += r.committed; });
+    }
+    // Sample every 500 us of simulated time until the window drains.
+    std::size_t peak = 0;
+    for (sim::Time t = cluster.scheduler().now();
+         cluster.scheduler().pending() > 0;) {
+      t += 500;
+      cluster.scheduler().run_until(t);
+      peak = std::max(peak, resident());
+    }
+    // Quiescent: every instance settled and was released.
+    EXPECT_EQ(resident(), 0u) << "window " << window;
+    peaks.push_back(peak);
+  }
+  EXPECT_EQ(committed, kWindows * static_cast<int>(guids.size()));
+  // One update per GUID is in flight at a time, on at most r peers; the
+  // peak is bounded by that, not by the updates committed so far.
+  for (int window = 0; window < kWindows; ++window) {
+    EXPECT_GT(peaks[window], 0u) << "window " << window;
+    EXPECT_LE(peaks[window], guids.size() * config.replication_factor)
+        << "window " << window;
+    EXPECT_LE(peaks[window], peaks[0]) << "window " << window;
+  }
+}
+
 }  // namespace
 }  // namespace asa_repro::storage

@@ -1,14 +1,17 @@
 // Peer-set member corner cases driven with hand-crafted frames: node-lock
-// serialisation (free/not_free), abort and recovery, history import, and
-// Byzantine behaviour mechanics; plus contending clients driven through a
-// whole peer set by real endpoints.
+// serialisation (free/not_free), abort and recovery, history import,
+// instance release and acknowledgement, and Byzantine behaviour mechanics;
+// plus contending clients driven through a whole peer set by real
+// endpoints.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "commit/commit_model.hpp"
 #include "commit/endpoint.hpp"
 #include "commit/machine_cache.hpp"
 #include "commit/peer.hpp"
+#include "obs/span.hpp"
 
 namespace asa_repro::commit {
 namespace {
@@ -45,6 +48,16 @@ struct PeerHarness {
     // Bounded advance: deliver the frame (100us latency) without firing
     // far-future timers such as abort scans.
     sched.run_until(sched.now() + 1'000);
+  }
+
+  /// Drive `update_id` to completion: the client's request, two peer
+  /// votes (the threshold, with the local vote) and two peer commits.
+  void commit_update(std::uint64_t update_id) {
+    send(100, WireMessage::Kind::kUpdate, update_id);
+    send(1, WireMessage::Kind::kVote, update_id);
+    send(2, WireMessage::Kind::kVote, update_id);
+    send(1, WireMessage::Kind::kCommit, update_id);
+    send(2, WireMessage::Kind::kCommit, update_id);
   }
 
   std::size_t votes_sent_for(std::uint64_t update_id) const {
@@ -178,38 +191,192 @@ TEST(Peer, WithholderOnlyReachesLowerHalf) {
   EXPECT_TRUE(h.outgoing[3].empty());
 }
 
-TEST(Peer, CollectFinishedReleasesMemoryAndAbsorbsLateTraffic) {
+TEST(Peer, SettledInstanceIsReleasedAtOnce) {
   PeerHarness h;
-  // Commit update 1 end to end.
-  h.send(100, WireMessage::Kind::kUpdate, 1);
-  h.send(1, WireMessage::Kind::kVote, 1);
-  h.send(2, WireMessage::Kind::kVote, 1);
-  h.send(1, WireMessage::Kind::kCommit, 1);
-  h.send(2, WireMessage::Kind::kCommit, 1);
+  h.commit_update(1);
   ASSERT_EQ(h.peer->history(kGuid).size(), 1u);
-  EXPECT_EQ(h.peer->resident_instances(kGuid), 1u);
-
-  EXPECT_EQ(h.peer->collect_finished(), 1u);
   EXPECT_EQ(h.peer->resident_instances(kGuid), 0u);
 
-  // A straggler vote for the settled update must not resurrect it.
+  // A straggler vote for the settled update is counted and absorbed: it
+  // does not resurrect the instance or draw a second vote.
+  const PeerStats before = h.peer->stats();
   h.send(3, WireMessage::Kind::kVote, 1);
   EXPECT_EQ(h.peer->resident_instances(kGuid), 0u);
+  EXPECT_EQ(h.peer->stats().votes_received, before.votes_received + 1);
+  EXPECT_EQ(h.peer->stats().votes_sent, before.votes_sent);
   // A resent update request is re-confirmed from the settled record.
-  const std::size_t before = h.client_inbox.size();
+  const std::size_t inbox = h.client_inbox.size();
   h.send(100, WireMessage::Kind::kUpdate, 1);
-  ASSERT_EQ(h.client_inbox.size(), before + 1);
+  ASSERT_EQ(h.client_inbox.size(), inbox + 1);
   EXPECT_EQ(h.client_inbox.back().kind, WireMessage::Kind::kCommitted);
   EXPECT_EQ(h.peer->resident_instances(kGuid), 0u);
-  // History is untouched.
   EXPECT_EQ(h.peer->history(kGuid).size(), 1u);
 }
 
-TEST(Peer, CollectFinishedSkipsLiveInstances) {
+TEST(Peer, LiveInstanceStaysResident) {
   PeerHarness h;
   h.send(100, WireMessage::Kind::kUpdate, 1);  // In progress.
-  EXPECT_EQ(h.peer->collect_finished(), 0u);
+  h.send(1, WireMessage::Kind::kVote, 1);
+  EXPECT_EQ(h.peer->live_instances(kGuid), 1u);
   EXPECT_EQ(h.peer->resident_instances(kGuid), 1u);
+}
+
+TEST(Peer, VetoedInstanceStaysResidentUntilTheRetryRecordsIt) {
+  PeerHarness h;
+  bool disk_ok = false;
+  h.peer->set_commit_sink(
+      [&](std::uint64_t, const CommitPeer::CommittedEntry&) {
+        return disk_ok;
+      });
+  h.commit_update(1);
+  // Finished but unrecorded: kept for the retry, not acknowledged.
+  EXPECT_TRUE(h.peer->history(kGuid).empty());
+  EXPECT_EQ(h.peer->live_instances(kGuid), 0u);
+  EXPECT_EQ(h.peer->resident_instances(kGuid), 1u);
+  EXPECT_TRUE(h.client_inbox.empty());
+
+  disk_ok = true;
+  h.send(100, WireMessage::Kind::kUpdate, 1);  // The client's retry.
+  EXPECT_EQ(h.peer->history(kGuid).size(), 1u);
+  EXPECT_EQ(h.peer->resident_instances(kGuid), 0u);
+  ASSERT_EQ(h.client_inbox.size(), 1u);
+  EXPECT_EQ(h.client_inbox[0].kind, WireMessage::Kind::kCommitted);
+}
+
+TEST(Peer, ImportedHistoryAbsorbsLateTraffic) {
+  PeerHarness h;
+  ASSERT_TRUE(h.peer->import_history(kGuid, {{1, 1, 10}}));
+  for (const sim::NodeAddr from : {1u, 2u, 3u}) {
+    h.send(from, WireMessage::Kind::kVote, 1);
+  }
+  h.send(1, WireMessage::Kind::kCommit, 1);
+  h.send(2, WireMessage::Kind::kCommit, 1);
+  // The imported update is settled: nothing re-runs, nothing is recorded
+  // twice, nothing is sent.
+  EXPECT_EQ(h.peer->history(kGuid).size(), 1u);
+  EXPECT_EQ(h.peer->stats().votes_sent, 0u);
+  EXPECT_EQ(h.peer->stats().commits_sent, 0u);
+  EXPECT_TRUE(h.outgoing.empty());
+  EXPECT_EQ(h.peer->resident_instances(kGuid), 0u);
+}
+
+// ---- One acknowledgement path for live and settled updates ----
+
+TEST(PeerAck, ResentUpdateAfterSettleFiresTheAckSinkAgain) {
+  PeerHarness h;
+  std::vector<CommitPeer::CommittedEntry> acked;
+  h.peer->set_ack_sink(
+      [&](std::uint64_t guid, const CommitPeer::CommittedEntry& e) {
+        EXPECT_EQ(guid, kGuid);
+        acked.push_back(e);
+      });
+  h.commit_update(1);
+  ASSERT_EQ(acked.size(), 1u);
+  h.send(100, WireMessage::Kind::kUpdate, 1);
+  ASSERT_EQ(acked.size(), 2u);
+  EXPECT_EQ(acked[1], acked[0]);
+  EXPECT_EQ(acked[1], (CommitPeer::CommittedEntry{1, 1, 10}));
+  ASSERT_EQ(h.client_inbox.size(), 2u);
+  EXPECT_EQ(h.client_inbox[1].kind, WireMessage::Kind::kCommitted);
+  EXPECT_EQ(h.client_inbox[1].update_id, 1u);
+  EXPECT_EQ(h.client_inbox[1].request_id, 1u);
+  EXPECT_EQ(h.client_inbox[1].payload, 10u);
+}
+
+TEST(PeerAck, ResentUpdateAfterSettleEmitsAckSentUnderTheQuorumSpan) {
+  PeerHarness h;
+  obs::SpanRecorder spans;
+  h.peer->set_spans(&spans);
+  h.commit_update(1);
+  h.send(100, WireMessage::Kind::kUpdate, 1);
+
+  std::uint64_t quorum = 0;
+  std::vector<std::uint64_t> ack_parents;
+  for (const obs::SpanRecord& span : spans.spans()) {
+    if (span.update_id != 1) continue;
+    if (span.name == "quorum") quorum = span.id;
+    if (span.name == "ack-sent") ack_parents.push_back(span.parent);
+  }
+  ASSERT_NE(quorum, 0u);
+  EXPECT_EQ(ack_parents, (std::vector<std::uint64_t>{quorum, quorum}));
+}
+
+TEST(PeerAck, ReconcileSettledUpdateIsAcknowledgedThroughTheLedger) {
+  // The restart path: a recovering node adopts the agreed history, then a
+  // client's resent update for one of its entries arrives.
+  PeerHarness h;
+  std::vector<CommitPeer::CommittedEntry> acked;
+  h.peer->set_ack_sink(
+      [&](std::uint64_t, const CommitPeer::CommittedEntry& e) {
+        acked.push_back(e);
+      });
+  obs::SpanRecorder spans;
+  h.peer->set_spans(&spans);
+  ASSERT_EQ(h.peer->reconcile_history(kGuid, {{1, 1, 10}}), 1u);
+
+  h.send(100, WireMessage::Kind::kUpdate, 1);
+  EXPECT_EQ(acked, (std::vector<CommitPeer::CommittedEntry>{{1, 1, 10}}));
+  ASSERT_EQ(h.client_inbox.size(), 1u);
+  EXPECT_EQ(h.client_inbox[0].kind, WireMessage::Kind::kCommitted);
+  ASSERT_EQ(spans.spans().size(), 1u);
+  EXPECT_EQ(spans.spans()[0].name, "ack-sent");
+  EXPECT_EQ(spans.spans()[0].parent, 0u);  // No local quorum span.
+  EXPECT_TRUE(h.outgoing.empty());
+  EXPECT_EQ(h.peer->resident_instances(kGuid), 0u);
+}
+
+// ---- Abort scan against eager release ----
+
+/// A machine whose locked instance finishes on `free`: it lets the abort
+/// scan's lock release complete, record and release a sibling in the
+/// middle of the scan. start --update--> chosen [vote, not_free] stalls;
+/// start --not_free--> locked; locked --free--> done.
+fsm::StateMachine finishes_on_free_machine() {
+  std::vector<std::string> messages(kMessageNames,
+                                    kMessageNames + kMessageCount);
+  std::vector<fsm::State> states(4);
+  states[0].name = "start";
+  states[0].transitions = {{kUpdate, {kActionVote, kActionNotFree}, 1, {}},
+                           {kNotFree, {}, 2, {}}};
+  states[1].name = "chosen";
+  states[2].name = "locked";
+  states[2].transitions = {{kUpdate, {}, 2, {}}, {kFree, {}, 3, {}}};
+  states[3].name = "done";
+  states[3].is_final = true;
+  return fsm::StateMachine(std::move(messages), std::move(states), 0, 3);
+}
+
+TEST(PeerAbort, ScanSurvivesASiblingReleasedByTheFreedLock) {
+  const fsm::StateMachine machine = finishes_on_free_machine();
+  sim::Scheduler sched;
+  sim::Network network(sched, sim::Rng(1), sim::LatencyModel{100, 100});
+  const std::vector<sim::NodeAddr> addrs{0, 1, 2, 3};
+  CommitPeer peer(network, 0, addrs, machine);
+  std::vector<WireMessage> client_inbox;
+  network.attach(100, [&](sim::NodeAddr, const std::string& data) {
+    if (const auto msg = WireMessage::parse(data)) client_inbox.push_back(*msg);
+  });
+  peer.enable_abort(5'000, 8'000);
+  // Update 1 chooses and holds the lock; updates 2 and 3 are locked out.
+  for (const std::uint64_t id : {1u, 2u, 3u}) {
+    network.send(100, 0,
+                 WireMessage{WireMessage::Kind::kUpdate, kGuid, id, id,
+                             id * 10}
+                     .serialize());
+  }
+  sched.run_until(1'000);
+  ASSERT_EQ(peer.live_instances(kGuid), 3u);
+
+  // All three are stalled by the 10 ms scan. Aborting lock holder 1 frees
+  // updates 2 and 3 (neither retakes the lock), which finish, record and
+  // are released before the scan reaches them.
+  sched.run_until(12'000);
+  EXPECT_EQ(peer.stats().aborted, 1u);
+  EXPECT_EQ(peer.resident_instances(kGuid), 0u);
+  ASSERT_EQ(peer.history(kGuid).size(), 2u);
+  EXPECT_EQ(peer.history(kGuid)[0].update_id, 2u);
+  EXPECT_EQ(peer.history(kGuid)[1].update_id, 3u);
+  EXPECT_EQ(client_inbox.size(), 2u);
 }
 
 TEST(Peer, HistoryForUnknownGuidIsEmpty) {

@@ -484,15 +484,6 @@ int asasim_main(int argc, char** argv) {
   std::cout << "protocol: " << votes << " votes sent, " << commits
             << " commits sent, " << aborts << " instance aborts\n";
 
-  // Long-lived peers collect finished machine instances (memory stays
-  // bounded by the live count).
-  std::size_t collected = 0;
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    collected += cluster.host(i).peer().collect_finished();
-  }
-  std::cout << "gc: " << collected << " finished machine instances "
-            << "collected\n";
-
   if (dump_trace) {
     std::cout << "\ncommit/abort trace:\n";
     for (const auto& e : cluster.trace().events()) {
