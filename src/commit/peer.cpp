@@ -12,6 +12,21 @@ const std::vector<CommitPeer::CommittedEntry> kEmptyHistory;
 
 }  // namespace
 
+bool CommitPeer::SenderSet::insert(sim::NodeAddr sender) {
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    if (inline_[i] == sender) return false;
+  }
+  for (const sim::NodeAddr known : overflow_) {
+    if (known == sender) return false;
+  }
+  if (size_ < kInline) {
+    inline_[size_++] = sender;
+  } else {
+    overflow_.push_back(sender);
+  }
+  return true;
+}
+
 std::vector<CommitPeer::Action> CommitPeer::translate_actions(
     const fsm::CompiledMachine& machine) {
   std::vector<Action> kinds;
@@ -237,7 +252,7 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
     case WireMessage::Kind::kVote: {
       Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
       if ((hardening_.drop_self && from == self_) ||
-          (!inst.voters.insert(from).second && hardening_.dedup_protocol)) {
+          (!inst.voters.insert(from) && hardening_.dedup_protocol)) {
         ++stats_.duplicates_dropped;  // One vote per member per update.
         break;
       }
@@ -247,8 +262,7 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
     case WireMessage::Kind::kCommit: {
       Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
       if ((hardening_.drop_self && from == self_) ||
-          (!inst.committers.insert(from).second &&
-           hardening_.dedup_protocol)) {
+          (!inst.committers.insert(from) && hardening_.dedup_protocol)) {
         ++stats_.duplicates_dropped;
         break;
       }
@@ -270,25 +284,31 @@ void CommitPeer::run_queue(GuidContext& ctx, std::uint64_t guid) {
   // All entries queued while draining refer to sibling instances of the
   // same GUID: internal free/not_free fan-out never crosses GUIDs.
   draining_ = true;
-  while (!local_queue_.empty()) {
-    const auto [update_id, message] = local_queue_.front();
-    local_queue_.pop_front();
+  while (queue_head_ < local_queue_.size()) {
+    const auto [update_id, message] = local_queue_[queue_head_++];
     const auto it = ctx.instances.find(update_id);
     if (it == ctx.instances.end()) continue;
     execute_actions(ctx, guid, update_id, it->second.fsm.deliver(message));
     check_finished(ctx, guid, update_id);
   }
+  local_queue_.clear();
+  queue_head_ = 0;
   draining_ = false;
 }
 
 void CommitPeer::broadcast(const WireMessage& msg) {
-  const std::vector<sim::NodeAddr> resolved =
+  const std::vector<sim::NodeAddr>& resolved =
       resolver_ ? resolver_(msg.guid) : peers_;
+  const bool withhold = behaviour_ == Behaviour::kWithholder &&
+                        (msg.kind == WireMessage::Kind::kVote ||
+                         msg.kind == WireMessage::Kind::kCommit);
+  // One frame for the whole fan-out: every recipient but the last gets a
+  // copy, the last takes the frame itself.
+  std::string frame = msg.serialize();
+  std::optional<sim::NodeAddr> previous;
   for (sim::NodeAddr peer : resolved) {
     if (peer == self_) continue;
-    if (behaviour_ == Behaviour::kWithholder &&
-        (msg.kind == WireMessage::Kind::kVote ||
-         msg.kind == WireMessage::Kind::kCommit)) {
+    if (withhold) {
       // Send protocol messages only to the lower half of the peer set,
       // giving different members inconsistent views.
       std::size_t rank = 0;
@@ -297,8 +317,10 @@ void CommitPeer::broadcast(const WireMessage& msg) {
       }
       if (rank >= resolved.size() / 2) continue;
     }
-    network_.send(self_, peer, msg.serialize());
+    if (previous.has_value()) network_.send(self_, *previous, frame);
+    previous = peer;
   }
+  if (previous.has_value()) network_.send(self_, *previous, std::move(frame));
 }
 
 void CommitPeer::execute_actions(GuidContext& ctx, std::uint64_t guid,

@@ -19,12 +19,14 @@
 // but does not test.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "commit/messages.hpp"
@@ -75,9 +77,10 @@ class CommitPeer {
  public:
   /// Maps a GUID to its peer set (paper: peer sets are located per GUID via
   /// the P2P layer, so they differ between GUIDs). When unset, the fixed
-  /// `peers` list from the constructor serves every GUID.
-  using PeerResolver =
-      std::function<std::vector<sim::NodeAddr>(std::uint64_t guid)>;
+  /// `peers` list from the constructor serves every GUID. The returned
+  /// set is read by reference and must stay valid until the next call.
+  using PeerResolver = std::function<const std::vector<sim::NodeAddr>&(
+      std::uint64_t guid)>;
 
   /// `machine` must be the merged commit FSM for the peer set's replication
   /// factor; the peer compiles its own copy, so `machine` need not outlive
@@ -96,8 +99,23 @@ class CommitPeer {
     handle(from, data);
   }
 
-  void set_peer_resolver(PeerResolver resolver) {
-    resolver_ = std::move(resolver);
+  /// Install the peer-set resolver. A callable that returns its set by
+  /// value is adapted: the peer keeps its latest answer, so a broadcast
+  /// still reads the set by reference.
+  template <class Resolver>
+  void set_peer_resolver(Resolver resolver) {
+    using Result = std::invoke_result_t<Resolver&, std::uint64_t>;
+    if constexpr (std::is_lvalue_reference_v<Result>) {
+      resolver_ = std::move(resolver);
+    } else {
+      resolver_ = [resolve = std::move(resolver),
+                   latest = std::vector<sim::NodeAddr>{}](
+                      std::uint64_t guid) mutable
+          -> const std::vector<sim::NodeAddr>& {
+        latest = resolve(guid);
+        return latest;
+      };
+    }
   }
 
   /// Attach a metrics registry: instance lifecycle counters, commit-latency
@@ -207,12 +225,28 @@ class CommitPeer {
   static std::vector<Action> translate_actions(
       const fsm::CompiledMachine& machine);
 
+  /// Distinct senders of one protocol message kind for one update. A peer
+  /// set has at most r - 1 other members, so up to r = 13 every sender is
+  /// held inline; more (a wider set, members changing mid-update) spill
+  /// into `overflow_`.
+  class SenderSet {
+   public:
+    /// Add `sender`; false when it was already present.
+    bool insert(sim::NodeAddr sender);
+
+   private:
+    static constexpr std::uint32_t kInline = 12;
+    std::array<sim::NodeAddr, kInline> inline_{};
+    std::uint32_t size_ = 0;  // Inline entries in use.
+    std::vector<sim::NodeAddr> overflow_;
+  };
+
   struct Instance {
     fsm::CompiledInstance fsm;
     std::uint64_t request_id = 0;
     std::uint64_t payload = 0;
-    std::set<sim::NodeAddr> voters;      // Distinct vote senders.
-    std::set<sim::NodeAddr> committers;  // Distinct commit senders.
+    SenderSet voters;      // Distinct vote senders.
+    SenderSet committers;  // Distinct commit senders.
     std::optional<sim::NodeAddr> client; // Who to notify on completion.
     sim::Time created = 0;
     std::uint64_t vote_span = 0;    // "vote-collect" span id (0 = none).
@@ -224,8 +258,9 @@ class CommitPeer {
     std::vector<CommittedEntry> committed;        // Local commit order.
     // Recorded (or imported) update ids, released from `instances`, each
     // with its "quorum" span id (0 = none). Late traffic is absorbed, never
-    // re-instantiated; a resent update is re-acknowledged.
-    std::map<std::uint64_t, std::uint64_t> settled;
+    // re-instantiated; a resent update is re-acknowledged. Only ever found
+    // and inserted, never iterated, so hash order cannot leak into events.
+    std::unordered_map<std::uint64_t, std::uint64_t> settled;
   };
 
   void handle(sim::NodeAddr from, const std::string& payload);
@@ -279,7 +314,9 @@ class CommitPeer {
   ImportSink import_sink_;
   PeerStats stats_;
   std::map<std::uint64_t, GuidContext> guids_;
-  std::deque<std::pair<std::uint64_t, fsm::MessageId>> local_queue_;
+  // Internal free/not_free deliveries, drained FIFO from `queue_head_`.
+  std::vector<std::pair<std::uint64_t, fsm::MessageId>> local_queue_;
+  std::size_t queue_head_ = 0;
   bool draining_ = false;
   std::set<UpdateKey> equivocated_;  // Equivocator: one blast per update.
   sim::Time abort_interval_ = 0;

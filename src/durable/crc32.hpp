@@ -2,8 +2,9 @@
 //
 // Every journal frame carries two checksums (header and payload) so that
 // recovery can distinguish a torn tail (truncate) from an isolated bit-rot
-// hit (skip one record) — see journal.hpp. Table-driven, byte at a time;
-// the journal write path is not a throughput hot path.
+// hit (skip one record) — see journal.hpp. Slicing-by-8: eight table
+// lookups per eight input bytes, with a bytewise tail. Journal frames and
+// snapshot re-encoding put it on the commit path.
 #pragma once
 
 #include <cstdint>

@@ -61,16 +61,24 @@ Network::Network(Scheduler& sched, Rng rng, LatencyModel latency)
 }
 
 Network::LinkState& Network::link(NodeAddr from, NodeAddr to) {
-  const auto key = std::make_pair(from, to);
+  const std::uint64_t key = link_key(from, to);
   const auto it = links_.find(key);
   if (it != links_.end()) return it->second;
-  // Stream key: the directed pair packed into one word. NodeAddr is 32-bit,
-  // so the packing is collision-free and direction-sensitive.
-  const std::uint64_t stream =
-      (static_cast<std::uint64_t>(from) << 32) | to;
+  // The table key doubles as the RNG stream key.
   LinkState state;
-  state.rng = Rng::substream(link_seed_base_, stream);
+  state.rng = Rng::substream(link_seed_base_, key);
   return links_.emplace(key, std::move(state)).first->second;
+}
+
+const Network::LinkState* Network::find_link(NodeAddr from,
+                                             NodeAddr to) const {
+  const auto it = links_.find(link_key(from, to));
+  return it == links_.end() ? nullptr : &it->second;
+}
+
+void Network::heal(NodeAddr a, NodeAddr b) {
+  const auto it = links_.find(link_key(a, b));
+  if (it != links_.end()) it->second.partitioned = false;
 }
 
 void Network::set_link_profile(NodeAddr from, NodeAddr to,
@@ -88,28 +96,28 @@ void Network::set_link_profile(NodeAddr from, NodeAddr to,
 }
 
 void Network::clear_link_profile(NodeAddr from, NodeAddr to) {
-  const auto it = links_.find({from, to});
+  const auto it = links_.find(link_key(from, to));
   if (it == links_.end()) return;
   it->second.profile.reset();
   it->second.bad = false;
 }
 
 const std::string& Network::link_class(NodeAddr from, NodeAddr to) const {
-  const auto it = links_.find({from, to});
-  if (it == links_.end() || !it->second.profile.has_value()) {
-    return kDefaultClass;
-  }
-  return it->second.profile->name;
+  const LinkState* state = find_link(from, to);
+  if (state == nullptr || !state->profile.has_value()) return kDefaultClass;
+  return state->profile->name;
 }
 
 bool Network::link_in_bad_state(NodeAddr from, NodeAddr to) const {
-  const auto it = links_.find({from, to});
-  return it != links_.end() && it->second.bad;
+  const LinkState* state = find_link(from, to);
+  return state != nullptr && state->bad;
 }
 
-void Network::deliver_copy(NodeAddr from, NodeAddr to,
-                           const std::string& payload, std::uint64_t id,
-                           Time sent_at) {
+void Network::deliver_copy(const Delivery& copy) {
+  if (observer_) observer_(copy);
+  const NodeAddr from = copy.from;
+  const NodeAddr to = copy.to;
+  const std::uint64_t id = copy.message_id;
   const auto it = handlers_.find(to);
   if (it == handlers_.end()) {
     ++stats_.to_dead_node;
@@ -123,7 +131,7 @@ void Network::deliver_copy(NodeAddr from, NodeAddr to,
     return;
   }
   ++stats_.delivered;
-  const Time latency = sched_.now() - sent_at;
+  const Time latency = sched_.now() - copy.sent_at;
   if (trace_ != nullptr) {
     trace_->record(sched_.now(), to, "net.deliver",
                    route_detail(id, from, to) +
@@ -145,7 +153,7 @@ void Network::deliver_copy(NodeAddr from, NodeAddr to,
                     obs::latency_buckets_us())
         .observe(latency);
   }
-  it->second(from, payload);
+  it->second(from, copy.payload);
 }
 
 std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
@@ -160,7 +168,8 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
     flight_->record(sched_.now(), from, "net.send",
                     route_detail(id, from, to));
   }
-  if (partitions_.contains({from, to})) {
+  LinkState& ls = link(from, to);
+  if (ls.partitioned) {
     ++stats_.partitioned;
     if (trace_ != nullptr) {
       trace_->record(sched_.now(), from, "net.part", route_detail(id, from, to));
@@ -171,7 +180,6 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
     }
     return id;
   }
-  LinkState& ls = link(from, to);
   // Gilbert–Elliott step: transition first, then lose with the (possibly
   // new) state's probability — a burst begins with the message that
   // triggered the good->bad flip.
@@ -213,48 +221,49 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
     }
   }
   const Time sent_at = sched_.now();
-  if (manual_mode_) {
-    for (int copy = 0; copy < copies; ++copy) {
-      pending_.push_back({from, to, payload, id, sent_at});
-    }
-    return id;
-  }
   const LatencyModel& latency =
       ls.profile.has_value() ? ls.profile->latency : latency_;
   const Time jitter = ls.profile.has_value() ? ls.profile->jitter : 0;
   for (int copy = 0; copy < copies; ++copy) {
+    // The last copy takes the payload; only a duplicate's first copy
+    // copies it.
+    Delivery record{this, from, to, id, sent_at,
+                    copy + 1 == copies ? std::move(payload) : payload};
+    if (manual_mode_) {
+      // The explorer is the scheduler: no latency is drawn.
+      pending_.push_back(std::move(record));
+      continue;
+    }
     Time delay =
         latency.min_latency == latency.max_latency
             ? latency.min_latency
             : latency.min_latency +
                   ls.rng.below(latency.max_latency - latency.min_latency + 1);
     if (jitter > 0) delay += ls.rng.below(jitter + 1);
-    sched_.schedule_after(delay, [this, from, to, payload, id, sent_at] {
-      deliver_copy(from, to, payload, id, sent_at);
-    });
+    sched_.schedule_delivery(sent_at + delay, std::move(record));
   }
   return id;
 }
 
 void Network::deliver_pending(std::size_t index) {
   check_pending_index(index);
-  PendingMessage msg = std::move(pending_[index]);
+  const Delivery copy = std::move(pending_[index]);
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
-  deliver_copy(msg.from, msg.to, msg.payload, msg.id, msg.sent_at);
+  deliver_copy(copy);
 }
 
 void Network::drop_pending(std::size_t index) {
   check_pending_index(index);
-  const PendingMessage msg = std::move(pending_[index]);
+  const Delivery copy = std::move(pending_[index]);
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
   ++stats_.dropped;
   if (trace_ != nullptr) {
-    trace_->record(sched_.now(), msg.from, "net.drop",
-                   route_detail(msg.id, msg.from, msg.to));
+    trace_->record(sched_.now(), copy.from, "net.drop",
+                   route_detail(copy.message_id, copy.from, copy.to));
   }
   if (flight_ != nullptr) {
-    flight_->record(sched_.now(), msg.from, "net.drop",
-                    route_detail(msg.id, msg.from, msg.to));
+    flight_->record(sched_.now(), copy.from, "net.drop",
+                    route_detail(copy.message_id, copy.from, copy.to));
   }
 }
 

@@ -35,13 +35,18 @@
 // per-link histograms. Both hooks default to off and cost one pointer test
 // per message when off; ids are always assigned (one increment) so replay
 // tooling can correlate runs.
+//
+// Message path: a send allocates nothing of its own. Each copy becomes a
+// typed Delivery record scheduled on the scheduler (no closure); the
+// payload string is moved into the last copy's record, and only a
+// --duplicate second copy is a copy. Links live in one hash table keyed by
+// the packed (from << 32) | to word, which also seeds the link's RNG
+// substream and holds its partition flag, so a send does one lookup.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -54,9 +59,6 @@
 #include "sim/trace.hpp"
 
 namespace asa_repro::sim {
-
-/// Network-level node address.
-using NodeAddr = std::uint32_t;
 
 /// Latency model: uniform in [min_latency, max_latency].
 struct LatencyModel {
@@ -168,11 +170,19 @@ class Network {
   /// nullptr (default) disables.
   void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
 
+  /// Observe every message copy as it comes up for delivery, before the
+  /// receiver's handler (or the dead-node sink) sees it. Tests use it to
+  /// pin the delivery sequence. Empty (default) disables.
+  using DeliveryObserver = std::function<void(const Delivery&)>;
+  void set_delivery_observer(DeliveryObserver observer) {
+    observer_ = std::move(observer);
+  }
+
   /// Sever the directed link a->b (messages silently lost).
-  void partition(NodeAddr a, NodeAddr b) { partitions_.insert({a, b}); }
+  void partition(NodeAddr a, NodeAddr b) { link(a, b).partitioned = true; }
 
   /// Restore the directed link a->b.
-  void heal(NodeAddr a, NodeAddr b) { partitions_.erase({a, b}); }
+  void heal(NodeAddr a, NodeAddr b);
 
   /// Sever both directions between a and b.
   void partition_bidirectional(NodeAddr a, NodeAddr b) {
@@ -234,21 +244,24 @@ class Network {
   [[nodiscard]] std::uint64_t next_message_id() const { return next_msg_id_; }
 
  private:
-  struct PendingMessage {
-    NodeAddr from;
-    NodeAddr to;
-    std::string payload;
-    std::uint64_t id;
-    Time sent_at;
-  };
+  friend class Scheduler;  // Hands fired Delivery records to deliver_copy.
 
   /// Per-directed-link state: an independent RNG substream plus the
-  /// Gilbert–Elliott loss state and the (optional) installed profile.
+  /// Gilbert–Elliott loss state, the partition flag and the (optional)
+  /// installed profile.
   struct LinkState {
     Rng rng;
     bool bad = false;
+    bool partitioned = false;
     std::optional<LinkProfile> profile;
   };
+
+  /// The flat link table's key: the directed pair packed into one word.
+  /// NodeAddr is 32-bit, so the packing is collision-free and
+  /// direction-sensitive.
+  static std::uint64_t link_key(NodeAddr from, NodeAddr to) {
+    return (static_cast<std::uint64_t>(from) << 32) | to;
+  }
 
   void check_pending_index(std::size_t index) const {
     if (index >= pending_.size()) {
@@ -261,11 +274,12 @@ class Network {
   /// The link's state, created on first use with a seed split from the
   /// network seed and the (from, to) pair — creation order is irrelevant.
   LinkState& link(NodeAddr from, NodeAddr to);
+  /// The link's state if it exists (lookups that must not create it).
+  [[nodiscard]] const LinkState* find_link(NodeAddr from, NodeAddr to) const;
 
   /// Terminal step of one message copy: account, trace and hand to the
   /// receiver's handler (or the dead-node sink).
-  void deliver_copy(NodeAddr from, NodeAddr to, const std::string& payload,
-                    std::uint64_t id, Time sent_at);
+  void deliver_copy(const Delivery& copy);
 
   Scheduler& sched_;
   std::uint64_t link_seed_base_;
@@ -273,14 +287,14 @@ class Network {
   double drop_probability_ = 0.0;
   double duplicate_probability_ = 0.0;
   bool manual_mode_ = false;
-  std::vector<PendingMessage> pending_;
+  std::vector<Delivery> pending_;
   std::unordered_map<NodeAddr, Handler> handlers_;
-  std::set<std::pair<NodeAddr, NodeAddr>> partitions_;
-  std::map<std::pair<NodeAddr, NodeAddr>, LinkState> links_;
+  std::unordered_map<std::uint64_t, LinkState> links_;  // By link_key().
   NetworkStats stats_;
   Trace* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
+  DeliveryObserver observer_;
   std::uint64_t next_msg_id_ = 1;
 };
 

@@ -58,9 +58,10 @@ void AsaCluster::rebuild_host(std::size_t index,
   if (config_.spans) hosts_[index]->peer().set_spans(&span_recorder_);
   if (flight_.enabled()) hosts_[index]->peer().set_flight(&flight_);
   hosts_[index]->peer().set_peer_resolver(
-      [this](std::uint64_t guid_key) -> std::vector<sim::NodeAddr> {
+      [this](std::uint64_t guid_key) -> const std::vector<sim::NodeAddr>& {
+        static const std::vector<sim::NodeAddr> kUnknownGuid;
         const auto it = guid_registry_.find(guid_key);
-        if (it == guid_registry_.end()) return {};
+        if (it == guid_registry_.end()) return kUnknownGuid;
         return resolve(it->second);
       });
   if (config_.abort_scan_interval > 0) {

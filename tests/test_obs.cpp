@@ -1,8 +1,9 @@
 // Observability layer: metrics registry semantics, JSON schema round-trip,
 // causal trace <-> NetworkStats reconciliation, JSONL escaping, flight
 // recorder rings, commit-path spans and critical-path attribution,
-// post-mortem bundles, the bench trend gate, and the end-to-end
-// determinism contract (identical seed => byte-identical exports).
+// post-mortem bundles, the bench trend gate, the end-to-end determinism
+// contract (identical seed => byte-identical exports), and the network's
+// per-message allocation budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "obs/postmortem.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
+#include "commit/messages.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
@@ -28,7 +30,8 @@
 #include "storage/cluster.hpp"
 
 // Global allocation counter backing the disabled-mode zero-allocation
-// test (this test binary only; new[] forwards here by default).
+// test and the network allocation budget (this test binary only; new[]
+// forwards here by default).
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
@@ -729,6 +732,49 @@ TEST(Postmortem, ValidatorRejectsBrokenEmbeddedDocuments) {
   const auto error = obs::validate_postmortem_json(*bad);
   ASSERT_TRUE(error.has_value());
   EXPECT_NE(error->find("embedded metrics"), std::string::npos);
+}
+
+// ---- Allocation budget of the message path. ----
+
+TEST(AllocationBudget, WarmNetworkAllocatesOnlyTheFramePerMessage) {
+  // From serialize to the handler a message costs one allocation: the
+  // 33-byte frame itself (past the small-string buffer). The send, the
+  // link lookup, the scheduled delivery record, the queue and the handler
+  // call all reuse storage that warm-up sized.
+  sim::Scheduler sched;
+  sim::Network net(sched, sim::Rng(3));
+  constexpr sim::NodeAddr kNodes = 8;
+  std::uint64_t bytes = 0;
+  for (sim::NodeAddr a = 0; a < kNodes; ++a) {
+    net.attach(a, [&bytes](sim::NodeAddr, const std::string& payload) {
+      bytes += payload.size();
+    });
+  }
+  // Each cycle keeps every ordered pair's message in flight at once, then
+  // drains them, so the queue holds kNodes * (kNodes - 1) deliveries.
+  std::uint64_t sent = 0;
+  const auto cycle = [&](std::uint64_t round) {
+    for (sim::NodeAddr from = 0; from < kNodes; ++from) {
+      for (sim::NodeAddr to = 0; to < kNodes; ++to) {
+        if (from == to) continue;
+        const commit::WireMessage msg{commit::WireMessage::Kind::kVote,
+                                      from, round, to, sent};
+        net.send(from, to, msg.serialize());
+        ++sent;
+      }
+    }
+    sched.run();
+  };
+  for (std::uint64_t round = 0; round < 20; ++round) cycle(round);
+  const std::uint64_t warm_sent = sent;
+  const std::uint64_t before = g_allocations.load();
+  for (std::uint64_t round = 20; round < 220; ++round) cycle(round);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  const std::uint64_t messages = sent - warm_sent;
+  EXPECT_EQ(messages, 200u * kNodes * (kNodes - 1));
+  EXPECT_LE(allocations, messages);
+  EXPECT_EQ(net.stats().delivered, sent);
+  EXPECT_EQ(bytes, sent * 33);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // endpoints.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "commit/commit_model.hpp"
 #include "commit/endpoint.hpp"
@@ -383,6 +385,52 @@ TEST(Peer, HistoryForUnknownGuidIsEmpty) {
   PeerHarness h;
   EXPECT_TRUE(h.peer->history(999).empty());
   EXPECT_EQ(h.peer->live_instances(999), 0u);
+}
+
+TEST(Peer, DedupHoldsPastTheInlineSenderCapacity) {
+  // Sixteen distinct voters (a wide set, or members changing mid-update)
+  // overflow the inline sender slots; a repeat is still one vote.
+  PeerHarness h;
+  h.send(100, WireMessage::Kind::kUpdate, 1);
+  for (sim::NodeAddr voter = 1; voter <= 16; ++voter) {
+    h.send(voter, WireMessage::Kind::kVote, 1);
+  }
+  EXPECT_EQ(h.peer->stats().duplicates_dropped, 0u);
+  h.send(1, WireMessage::Kind::kVote, 1);   // Held inline.
+  h.send(16, WireMessage::Kind::kVote, 1);  // Held in the overflow.
+  EXPECT_EQ(h.peer->stats().duplicates_dropped, 2u);
+  EXPECT_EQ(h.peer->stats().votes_received, 18u);
+}
+
+/// Votes the harness peer broadcasts for one update of `guid`, by
+/// recipient, after installing `resolver`.
+template <class Resolver>
+std::map<sim::NodeAddr, std::size_t> votes_by_recipient(std::uint64_t guid,
+                                                        Resolver resolver) {
+  PeerHarness h;
+  h.peer->set_peer_resolver(std::move(resolver));
+  h.network.send(100, 0,
+                 WireMessage{WireMessage::Kind::kUpdate, guid, 1, 1, 10}
+                     .serialize());
+  h.sched.run_until(h.sched.now() + 1'000);
+  std::map<sim::NodeAddr, std::size_t> votes;
+  for (const auto& [addr, msgs] : h.outgoing) votes[addr] = msgs.size();
+  return votes;
+}
+
+TEST(Peer, ResolverBySetReferenceOrByValueReachesTheGuidsSet) {
+  const std::map<std::uint64_t, std::vector<sim::NodeAddr>> sets = {
+      {5, {0, 1, 2}}, {6, {3, 0, 2}}};
+  const auto by_reference =
+      [&sets](std::uint64_t guid) -> const std::vector<sim::NodeAddr>& {
+    return sets.at(guid);
+  };
+  const auto by_value = [&sets](std::uint64_t guid) { return sets.at(guid); };
+  using Votes = std::map<sim::NodeAddr, std::size_t>;
+  EXPECT_EQ(votes_by_recipient(5, by_reference), (Votes{{1, 1}, {2, 1}}));
+  EXPECT_EQ(votes_by_recipient(6, by_reference), (Votes{{2, 1}, {3, 1}}));
+  EXPECT_EQ(votes_by_recipient(5, by_value), (Votes{{1, 1}, {2, 1}}));
+  EXPECT_EQ(votes_by_recipient(6, by_value), (Votes{{2, 1}, {3, 1}}));
 }
 
 // ---- Contending clients through the whole peer set ----
