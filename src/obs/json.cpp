@@ -285,14 +285,6 @@ struct Parser {
 
 }  // namespace
 
-std::optional<JsonValue> parse_json_prefix(const std::string& text,
-                                           std::size_t& pos) {
-  Parser p{text, pos};
-  auto value = p.parse_value();
-  if (value.has_value()) pos = p.pos;
-  return value;
-}
-
 std::optional<JsonValue> parse_json(const std::string& text) {
   Parser p{text};
   auto value = p.parse_value();

@@ -101,12 +101,8 @@ class JsonValue {
 };
 
 /// Parse one JSON document. Returns nullopt on any syntax error (trailing
-/// garbage after the document is also an error).
+/// garbage after the document is also an error). JSONL readers split the
+/// stream into lines and parse each one with this.
 [[nodiscard]] std::optional<JsonValue> parse_json(const std::string& text);
-
-/// Parse a prefix of `text` starting at `pos`; on success advances `pos`
-/// past the value (used for JSONL streams). Leading whitespace is skipped.
-[[nodiscard]] std::optional<JsonValue> parse_json_prefix(
-    const std::string& text, std::size_t& pos);
 
 }  // namespace asa_repro::obs

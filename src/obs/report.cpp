@@ -7,86 +7,11 @@
 #include <set>
 #include <sstream>
 
+#include "obs/span.hpp"
+
 namespace asa_repro::obs {
 
 namespace {
-
-std::optional<std::string> check_series_array(const JsonValue* arr,
-                                              const char* section,
-                                              bool histogram) {
-  if (arr == nullptr || !arr->is_array()) {
-    return std::string(section) + " section missing or not an array";
-  }
-  for (const JsonValue& entry : arr->items()) {
-    if (!entry.is_object()) {
-      return std::string(section) + " entry is not an object";
-    }
-    const JsonValue* name = entry.find("name");
-    if (name == nullptr || !name->is_string()) {
-      return std::string(section) + " entry without a string name";
-    }
-    const JsonValue* labels = entry.find("labels");
-    if (labels == nullptr || !labels->is_object()) {
-      return std::string(section) + " entry " + name->as_string() +
-             " without a labels object";
-    }
-    for (const auto& [k, v] : labels->members()) {
-      if (!v.is_string()) {
-        return std::string(section) + " entry " + name->as_string() +
-               " label " + k + " is not a string";
-      }
-    }
-    if (!histogram) {
-      const JsonValue* value = entry.find("value");
-      if (value == nullptr || !value->is_number()) {
-        return std::string(section) + " entry " + name->as_string() +
-               " without a numeric value";
-      }
-      continue;
-    }
-    for (const char* field : {"count", "sum", "min", "max"}) {
-      const JsonValue* v = entry.find(field);
-      if (v == nullptr || !v->is_number()) {
-        return std::string("histogram ") + name->as_string() +
-               " without numeric " + field;
-      }
-    }
-    const JsonValue* buckets = entry.find("buckets");
-    if (buckets == nullptr || !buckets->is_array() ||
-        buckets->items().empty()) {
-      return std::string("histogram ") + name->as_string() +
-             " without a buckets array";
-    }
-    std::uint64_t total = 0;
-    for (const JsonValue& bucket : buckets->items()) {
-      if (!bucket.is_object()) {
-        return std::string("histogram ") + name->as_string() +
-               " bucket is not an object";
-      }
-      const JsonValue* le = bucket.find("le");
-      const JsonValue* count = bucket.find("count");
-      if (le == nullptr || (!le->is_number() && !le->is_string())) {
-        return std::string("histogram ") + name->as_string() +
-               " bucket without le";
-      }
-      if (count == nullptr || !count->is_number()) {
-        return std::string("histogram ") + name->as_string() +
-               " bucket without a numeric count";
-      }
-      total += static_cast<std::uint64_t>(count->as_int());
-    }
-    const JsonValue* last_le = buckets->items().back().find("le");
-    if (!last_le->is_string() || last_le->as_string() != "inf") {
-      return std::string("histogram ") + name->as_string() +
-             " last bucket is not the inf overflow";
-    }
-    if (total != static_cast<std::uint64_t>(entry.find("count")->as_int())) {
-      return std::string("histogram ") + name->as_string() +
-             " bucket counts do not sum to count";
-    }
-  }
-  return std::nullopt;
-}
 
 std::string format_labels(const JsonValue& labels) {
   std::string out;
@@ -120,308 +45,334 @@ std::uint64_t bucket_quantile(const JsonValue& entry, double q) {
   return static_cast<std::uint64_t>(entry.find("max")->as_int());
 }
 
+void render_meta(std::ostringstream& out, const JsonValue& doc) {
+  for (const auto& [k, v] : doc.find("meta")->members()) {
+    out << "  " << k << ": " << (v.is_string() ? v.as_string() : v.dump())
+        << "\n";
+  }
+}
+
 std::string us_to_string(std::uint64_t us) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.2f", static_cast<double>(us) / 1000.0);
   return buf;
 }
 
+// ---- Rules: what a field list cannot say. They run after the shape walk
+// passed, so every field they read is present and of its kind. ----
+
+std::string indexed(const std::string& array, std::size_t i) {
+  return array + "[" + std::to_string(i) + "]";
+}
+
+std::optional<std::string> metrics_rule(const JsonValue& doc) {
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    const std::vector<JsonValue>& series = doc.find(section)->items();
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      const std::string where = indexed(section, i);
+      const std::string& name = series[i].find("name")->as_string();
+      // The workload/churn report joins on these labels: without them
+      // per-writer and per-class aggregates would silently collapse.
+      const char* label = name.starts_with("workload.") ? "writer"
+                          : name == "net.class_latency_us" ? "class"
+                                                           : nullptr;
+      if (label != nullptr &&
+          series[i].find("labels")->find(label) == nullptr) {
+        return where + ".labels: " + name + " without a " + label + " label";
+      }
+      if (std::string_view(section) != "histograms") continue;
+      const std::vector<JsonValue>& buckets =
+          series[i].find("buckets")->items();
+      if (buckets.empty() || !buckets.back().find("le")->is_string()) {
+        return where + ".buckets: " + name + " does not end with le:\"inf\"";
+      }
+      // Counts are non-negative, so stopping once the sum passes the total
+      // also keeps it from wrapping.
+      const auto count =
+          static_cast<std::uint64_t>(series[i].find("count")->as_int());
+      std::uint64_t total = 0;
+      for (std::size_t b = 0; b < buckets.size() && total <= count; ++b) {
+        total += static_cast<std::uint64_t>(buckets[b].find("count")->as_int());
+      }
+      if (total != count) {
+        return where + ".buckets: " + name + " counts do not sum to count";
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> findings_rule(const JsonValue& doc) {
+  const std::size_t listed = doc.find("findings")->items().size();
+  if (doc.find("summary")->find("findings")->as_int() !=
+      static_cast<std::int64_t>(listed)) {
+    return "summary.findings: does not match the findings array";
+  }
+  // The label keeps wall-clock timings out of byte-identity comparisons.
+  const JsonValue* timings = doc.find("timings");
+  const std::size_t n = timings == nullptr ? 0 : timings->items().size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (timings->items()[i].find("clock")->as_string() != "wall") {
+      return indexed("timings", i) + ".clock: must be \"wall\"";
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> spans_rule(const JsonValue& doc) {
+  const std::vector<JsonValue>& spans = doc.find("spans")->items();
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const auto field = [&](const char* key) {
+      return static_cast<std::uint64_t>(spans[i].find(key)->as_int());
+    };
+    const char* problem =
+        field("id") != i + 1          ? ".id: not contiguous from 1"
+        : field("parent") > i         ? ".parent: does not precede the span"
+        : field("end") < field("start") ? ".end: before the start"
+                                        : nullptr;
+    if (problem != nullptr) return indexed("spans", i) + problem;
+  }
+  return std::nullopt;
+}
+
+// ---- The schema table: one Shape per document and nested object. ----
+
+using K = FieldKind;
+
+constexpr FieldSpec kSeriesFields[] = {
+    {"name", K::kString}, {"labels", K::kLabels}, {"value", K::kNumber}};
+constexpr Shape kSeries{kSeriesFields};
+constexpr FieldSpec kBucketFields[] = {{"le", K::kBound},
+                                       {"count", K::kCount}};
+constexpr Shape kBucket{kBucketFields};
+constexpr FieldSpec kHistogramFields[] = {
+    {"name", K::kString}, {"labels", K::kLabels}, {"count", K::kCount},
+    {"sum", K::kCount},   {"min", K::kCount},     {"max", K::kCount},
+    {"buckets", K::kArray, false, &kBucket}};
+constexpr Shape kHistogram{kHistogramFields};
+constexpr FieldSpec kMetricsFields[] = {
+    {"meta", K::kObject},
+    {"counters", K::kArray, false, &kSeries},
+    {"gauges", K::kArray, false, &kSeries},
+    {"histograms", K::kArray, false, &kHistogram}};
+constexpr Shape kMetrics{kMetricsFields};
+
+constexpr FieldSpec kSummaryFields[] = {{"checks_run", K::kCount},
+                                        {"findings", K::kCount}};
+constexpr Shape kSummary{kSummaryFields};
+constexpr FieldSpec kFindingFields[] = {
+    {"check", K::kString},      {"machine", K::kString},
+    {"location", K::kString},   {"message", K::kString},
+    {"trace", K::kStringArray}, {"schedule", K::kStringArray, true}};
+constexpr Shape kFinding{kFindingFields};
+constexpr FieldSpec kTimingFields[] = {
+    {"group", K::kString}, {"ms", K::kNumber}, {"clock", K::kString}};
+constexpr Shape kTiming{kTimingFields};
+constexpr FieldSpec kFindingsFields[] = {
+    {"meta", K::kObject},
+    {"summary", K::kObject, false, &kSummary},
+    {"findings", K::kArray, false, &kFinding},
+    {"timings", K::kArray, true, &kTiming}};
+constexpr Shape kFindings{kFindingsFields};
+
+constexpr FieldSpec kSpanFields[] = {
+    {"id", K::kCount},     {"parent", K::kCount}, {"name", K::kString},
+    {"node", K::kCount},   {"guid", K::kString},  {"request", K::kCount},
+    {"update", K::kCount}, {"start", K::kCount},  {"end", K::kCount},
+    {"ok", K::kBool},      {"closed", K::kBool},  {"detail", K::kString}};
+constexpr Shape kSpan{kSpanFields};
+constexpr FieldSpec kSpansFields[] = {{"meta", K::kObject},
+                                      {"spans", K::kArray, false, &kSpan}};
+constexpr Shape kSpans{kSpansFields};
+
+constexpr FieldSpec kViolationFields[] = {{"invariant", K::kString},
+                                          {"detail", K::kString}};
+constexpr Shape kViolation{kViolationFields};
+constexpr FieldSpec kFlightEventFields[] = {
+    {"t", K::kCount}, {"seq", K::kCount}, {"cat", K::kString},
+    {"detail", K::kString}};
+constexpr Shape kFlightEvent{kFlightEventFields};
+constexpr FieldSpec kPostmortemFields[] = {
+    {"meta", K::kObject},
+    {"violations", K::kArray, false, &kViolation},
+    {"plan", K::kStringArray},
+    {"shrunk_plan", K::kStringArray},
+    {"flight", K::kLanes, false, &kFlightEvent},
+    {"metrics", K::kDocument, false, nullptr, "asa-metrics/1"},
+    {"spans", K::kDocument, false, nullptr, "asa-span/1"}};
+constexpr Shape kPostmortem{kPostmortemFields};
+
+constexpr FieldSpec kTraceHeaderFields[] = {{"tool", K::kString, true}};
+constexpr Shape kTraceHeader{kTraceHeaderFields};
+constexpr FieldSpec kTraceEventFields[] = {
+    {"t", K::kCount}, {"node", K::kCount}, {"cat", K::kString},
+    {"detail", K::kString}};
+constexpr Shape kTraceEvent{kTraceEventFields};
+
+// Every document leads with the member that selects its row.
+constexpr FieldSpec kDocumentFields[] = {{"schema", K::kString}};
+constexpr Shape kDocument{kDocumentFields};
+
+constexpr DocumentSchema kSchemas[] = {
+    {"asa-metrics/1", &kMetrics, nullptr, metrics_rule},
+    {"asa-findings/1", &kFindings, nullptr, findings_rule},
+    {"asa-span/1", &kSpans, nullptr, spans_rule},
+    {"asa-postmortem/1", &kPostmortem, nullptr, nullptr},
+    {"asa-trace/1", &kTraceHeader, &kTraceEvent, nullptr}};
+
+// ---- The walker. Every message starts with the path of the field. ----
+
+std::string at(const std::string& path, const std::string& field) {
+  return path.empty() ? field : path + "." + field;
+}
+
+/// nullptr when `v` is of `kind`, else what the kind expects.
+const char* mismatch(const JsonValue& v, FieldKind kind) {
+  switch (kind) {
+    case K::kString: return v.is_string() ? nullptr : "a string";
+    case K::kNumber: return v.is_number() ? nullptr : "a number";
+    case K::kCount:
+      return v.kind() == JsonValue::Kind::kInt && v.as_int() >= 0
+                 ? nullptr
+                 : "a non-negative integer";
+    case K::kBool:
+      return v.kind() == JsonValue::Kind::kBool ? nullptr : "true or false";
+    case K::kBound:
+      return v.is_number() || (v.is_string() && v.as_string() == "inf")
+                 ? nullptr
+                 : "a number or \"inf\"";
+    case K::kStringArray:
+    case K::kArray: return v.is_array() ? nullptr : "an array";
+    default: return v.is_object() ? nullptr : "an object";
+  }
+}
+
+std::optional<std::string> check_field(const JsonValue& v,
+                                       const FieldSpec& field,
+                                       const std::string& path);
+
+std::optional<std::string> check_shape(const JsonValue& value,
+                                       const Shape& shape,
+                                       const std::string& path) {
+  if (!value.is_object()) return "expected a JSON object";
+  for (const FieldSpec& field : shape.fields) {
+    const JsonValue* v = value.find(field.name);
+    if (v == nullptr && !field.optional) {
+      return at(path, field.name) + ": missing";
+    }
+    if (v == nullptr) continue;
+    if (auto err = check_field(*v, field, at(path, field.name))) return err;
+  }
+  return std::nullopt;
+}
+
+/// `expected` is the row an embedded document or a stream header must
+/// match; nullptr accepts any document row.
+std::optional<std::string> check_document(const JsonValue& doc,
+                                          const DocumentSchema* expected,
+                                          const std::string& path) {
+  if (auto err = check_shape(doc, kDocument, path)) return err;
+  const std::string& name = doc.find("schema")->as_string();
+  const DocumentSchema* row = find_schema(name);
+  if (expected != nullptr && row != expected) {
+    return at(path, "schema") + ": expected " + expected->name + ", got " +
+           name;
+  }
+  // A JSONL stream's header line is not a document on its own.
+  if (row == nullptr || (expected == nullptr && row->lines != nullptr)) {
+    return at(path, "schema") + ": unknown schema " + name;
+  }
+  if (auto err = check_shape(doc, *row->shape, path)) return err;
+  std::optional<std::string> err =
+      row->rule != nullptr ? row->rule(doc) : std::nullopt;
+  return err.has_value() ? at(path, *err) : err;
+}
+
+std::optional<std::string> check_field(const JsonValue& v,
+                                       const FieldSpec& field,
+                                       const std::string& path) {
+  if (const char* expected = mismatch(v, field.kind)) {
+    return path + ": expected " + expected;
+  }
+  // Containers check each member or item as an element field: labels and
+  // string arrays hold strings, arrays hold shapes, lanes hold arrays.
+  const FieldSpec element{field.name,
+                          field.kind == K::kLanes ? K::kArray
+                          : field.shape != nullptr ? K::kObject
+                                                   : K::kString,
+                          false, field.shape};
+  switch (field.kind) {
+    case K::kObject:
+      if (field.shape == nullptr) return std::nullopt;
+      return check_shape(v, *field.shape, path);
+    case K::kDocument:
+      return check_document(v, find_schema(field.document), path);
+    case K::kLabels:
+    case K::kLanes:
+      for (const auto& [key, member] : v.members()) {
+        if (auto err = check_field(member, element, at(path, key))) return err;
+      }
+      return std::nullopt;
+    case K::kStringArray:
+    case K::kArray:
+      for (std::size_t i = 0; i < v.items().size(); ++i) {
+        if (auto err = check_field(v.items()[i], element, indexed(path, i))) {
+          return err;
+        }
+      }
+      return std::nullopt;
+    default:
+      return std::nullopt;
+  }
+}
+
 }  // namespace
 
-std::optional<std::string> validate_metrics_json(const JsonValue& root) {
-  if (!root.is_object()) return "document is not a JSON object";
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    return "missing schema field";
+const DocumentSchema* find_schema(std::string_view name) {
+  for (const DocumentSchema& row : kSchemas) {
+    if (name == row.name) return &row;
   }
-  if (schema->as_string() != "asa-metrics/1") {
-    return "unsupported schema " + schema->as_string();
-  }
-  const JsonValue* meta = root.find("meta");
-  if (meta == nullptr || !meta->is_object()) {
-    return "missing meta object";
-  }
-  if (auto err = check_series_array(root.find("counters"), "counters", false);
-      err.has_value()) {
-    return err;
-  }
-  if (auto err = check_series_array(root.find("gauges"), "gauges", false);
-      err.has_value()) {
-    return err;
-  }
-  if (auto err =
-          check_series_array(root.find("histograms"), "histograms", true);
-      err.has_value()) {
-    return err;
-  }
-  // Metric-name contracts: series the workload/churn report section joins
-  // on must carry their identifying labels, or per-writer and per-class
-  // aggregation would silently collapse.
-  for (const JsonValue& entry : root.find("counters")->items()) {
-    const std::string& name = entry.find("name")->as_string();
-    if ((name == "workload.commits" || name == "workload.reads") &&
-        entry.find("labels")->find("writer") == nullptr) {
-      return name + " series without a writer label";
-    }
-  }
-  for (const JsonValue& entry : root.find("histograms")->items()) {
-    if (entry.find("name")->as_string() == "net.class_latency_us" &&
-        entry.find("labels")->find("class") == nullptr) {
-      return "net.class_latency_us series without a class label";
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> validate_findings_json(const JsonValue& root) {
-  if (!root.is_object()) return "document is not a JSON object";
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    return "missing schema field";
-  }
-  if (schema->as_string() != "asa-findings/1") {
-    return "unsupported schema " + schema->as_string();
-  }
-  const JsonValue* meta = root.find("meta");
-  if (meta == nullptr || !meta->is_object()) {
-    return "missing meta object";
-  }
-  const JsonValue* summary = root.find("summary");
-  if (summary == nullptr || !summary->is_object()) {
-    return "missing summary object";
-  }
-  for (const char* field : {"checks_run", "findings"}) {
-    const JsonValue* v = summary->find(field);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("summary without numeric ") + field;
-    }
-  }
-  const JsonValue* findings = root.find("findings");
-  if (findings == nullptr || !findings->is_array()) {
-    return "missing findings array";
-  }
-  for (const JsonValue& entry : findings->items()) {
-    if (!entry.is_object()) return "findings entry is not an object";
-    for (const char* field : {"check", "machine", "location", "message"}) {
-      const JsonValue* v = entry.find(field);
-      if (v == nullptr || !v->is_string()) {
-        return std::string("finding without string ") + field;
-      }
-    }
-    const JsonValue* trace = entry.find("trace");
-    if (trace == nullptr || !trace->is_array()) {
-      return "finding " + entry.find("check")->as_string() +
-             " without a trace array";
-    }
-    for (const JsonValue& m : trace->items()) {
-      if (!m.is_string()) {
-        return "finding " + entry.find("check")->as_string() +
-               " trace entry is not a string";
-      }
-    }
-    // Composition findings may carry a replay schedule (asa-replay/1 step
-    // lines); when present it must be an array of strings.
-    const JsonValue* schedule = entry.find("schedule");
-    if (schedule != nullptr) {
-      if (!schedule->is_array()) {
-        return "finding " + entry.find("check")->as_string() +
-               " schedule is not an array";
-      }
-      for (const JsonValue& s : schedule->items()) {
-        if (!s.is_string()) {
-          return "finding " + entry.find("check")->as_string() +
-                 " schedule entry is not a string";
-        }
-      }
-    }
-  }
-  // Optional per-group wall-clock timings. The clock label is mandatory so
-  // consumers know to exclude the section from byte-identity comparisons.
-  const JsonValue* timings = root.find("timings");
-  if (timings != nullptr) {
-    if (!timings->is_array()) return "timings is not an array";
-    for (const JsonValue& t : timings->items()) {
-      if (!t.is_object()) return "timings entry is not an object";
-      const JsonValue* group = t.find("group");
-      if (group == nullptr || !group->is_string()) {
-        return "timings entry without string group";
-      }
-      const JsonValue* ms = t.find("ms");
-      if (ms == nullptr || !ms->is_number()) {
-        return "timings entry without numeric ms";
-      }
-      const JsonValue* clock = t.find("clock");
-      if (clock == nullptr || !clock->is_string() ||
-          clock->as_string() != "wall") {
-        return "timings entry without clock=wall label";
-      }
-    }
-  }
-  if (static_cast<std::uint64_t>(summary->find("findings")->as_int()) !=
-      findings->items().size()) {
-    return "summary finding count does not match the findings array";
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> validate_spans_json(const JsonValue& root) {
-  if (!root.is_object()) return "document is not a JSON object";
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    return "missing schema field";
-  }
-  if (schema->as_string() != "asa-span/1") {
-    return "unsupported schema " + schema->as_string();
-  }
-  const JsonValue* meta = root.find("meta");
-  if (meta == nullptr || !meta->is_object()) {
-    return "missing meta object";
-  }
-  const JsonValue* spans = root.find("spans");
-  if (spans == nullptr || !spans->is_array()) {
-    return "missing spans array";
-  }
-  std::uint64_t expected_id = 1;
-  for (const JsonValue& span : spans->items()) {
-    if (!span.is_object()) return "span entry is not an object";
-    for (const char* field :
-         {"id", "parent", "node", "request", "update", "start", "end"}) {
-      const JsonValue* v = span.find(field);
-      if (v == nullptr || !v->is_number()) {
-        return std::string("span without numeric ") + field;
-      }
-    }
-    for (const char* field : {"name", "guid", "detail"}) {
-      const JsonValue* v = span.find(field);
-      if (v == nullptr || !v->is_string()) {
-        return std::string("span without string ") + field;
-      }
-    }
-    for (const char* field : {"ok", "closed"}) {
-      const JsonValue* v = span.find(field);
-      if (v == nullptr || v->kind() != JsonValue::Kind::kBool) {
-        return std::string("span without boolean ") + field;
-      }
-    }
-    const auto id = static_cast<std::uint64_t>(span.find("id")->as_int());
-    if (id != expected_id) {
-      return "span ids are not contiguous from 1 (saw " +
-             std::to_string(id) + ", expected " +
-             std::to_string(expected_id) + ")";
-    }
-    const auto parent =
-        static_cast<std::uint64_t>(span.find("parent")->as_int());
-    if (parent >= id) {
-      return "span " + std::to_string(id) +
-             " parent does not precede it";
-    }
-    if (static_cast<std::uint64_t>(span.find("end")->as_int()) <
-        static_cast<std::uint64_t>(span.find("start")->as_int())) {
-      return "span " + std::to_string(id) + " ends before it starts";
-    }
-    ++expected_id;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> validate_postmortem_json(const JsonValue& root) {
-  if (!root.is_object()) return "document is not a JSON object";
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    return "missing schema field";
-  }
-  if (schema->as_string() != "asa-postmortem/1") {
-    return "unsupported schema " + schema->as_string();
-  }
-  const JsonValue* meta = root.find("meta");
-  if (meta == nullptr || !meta->is_object()) {
-    return "missing meta object";
-  }
-  const JsonValue* violations = root.find("violations");
-  if (violations == nullptr || !violations->is_array()) {
-    return "missing violations array";
-  }
-  for (const JsonValue& v : violations->items()) {
-    if (!v.is_object()) return "violation entry is not an object";
-    for (const char* field : {"invariant", "detail"}) {
-      const JsonValue* f = v.find(field);
-      if (f == nullptr || !f->is_string()) {
-        return std::string("violation without string ") + field;
-      }
-    }
-  }
-  for (const char* section : {"plan", "shrunk_plan"}) {
-    const JsonValue* plan = root.find(section);
-    if (plan == nullptr || !plan->is_array()) {
-      return std::string("missing ") + section + " array";
-    }
-    for (const JsonValue& line : plan->items()) {
-      if (!line.is_string()) {
-        return std::string(section) + " entry is not a string";
-      }
-    }
-  }
-  const JsonValue* flight = root.find("flight");
-  if (flight == nullptr || !flight->is_object()) {
-    return "missing flight object";
-  }
-  for (const auto& [lane, events] : flight->members()) {
-    if (!events.is_array()) {
-      return "flight lane " + lane + " is not an array";
-    }
-    for (const JsonValue& e : events.items()) {
-      if (!e.is_object()) return "flight lane " + lane + " event is not an object";
-      for (const char* field : {"t", "seq"}) {
-        const JsonValue* f = e.find(field);
-        if (f == nullptr || !f->is_number()) {
-          return "flight lane " + lane + " event without numeric " + field;
-        }
-      }
-      for (const char* field : {"cat", "detail"}) {
-        const JsonValue* f = e.find(field);
-        if (f == nullptr || !f->is_string()) {
-          return "flight lane " + lane + " event without string " + field;
-        }
-      }
-    }
-  }
-  const JsonValue* metrics = root.find("metrics");
-  if (metrics == nullptr) return "missing embedded metrics document";
-  if (auto err = validate_metrics_json(*metrics); err.has_value()) {
-    return "embedded metrics: " + *err;
-  }
-  const JsonValue* spans = root.find("spans");
-  if (spans == nullptr) return "missing embedded spans document";
-  if (auto err = validate_spans_json(*spans); err.has_value()) {
-    return "embedded spans: " + *err;
-  }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::optional<std::string> validate_document_json(const JsonValue& root) {
-  if (!root.is_object()) return "document is not a JSON object";
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    return "missing schema field";
+  return check_document(root, nullptr, "");
+}
+
+std::optional<std::vector<TraceEvent>> parse_trace_jsonl(
+    const std::string& text, std::string* error) {
+  const DocumentSchema& trace = *find_schema("asa-trace/1");
+  std::vector<TraceEvent> events;
+  std::istringstream lines(text);
+  std::string line;
+  for (std::size_t n = 1; std::getline(lines, line); ++n) {
+    if (line.empty()) continue;
+    const std::optional<JsonValue> value = parse_json(line);
+    const bool header = value.has_value() && value->is_object() &&
+                        value->find("schema") != nullptr;
+    const std::optional<std::string> problem =
+        !value.has_value() ? std::optional<std::string>("not valid JSON")
+        : header           ? check_document(*value, &trace, "")
+                           : check_shape(*value, *trace.lines, "");
+    if (problem.has_value()) {
+      if (error != nullptr) {
+        *error = "line " + std::to_string(n) + ": " + *problem;
+      }
+      return std::nullopt;
+    }
+    if (header) continue;
+    events.push_back({static_cast<std::uint64_t>(value->find("t")->as_int()),
+                      static_cast<std::uint32_t>(value->find("node")->as_int()),
+                      value->find("cat")->as_string(),
+                      value->find("detail")->as_string()});
   }
-  const std::string& name = schema->as_string();
-  if (name == "asa-metrics/1") return validate_metrics_json(root);
-  if (name == "asa-findings/1") return validate_findings_json(root);
-  if (name == "asa-span/1") return validate_spans_json(root);
-  if (name == "asa-postmortem/1") return validate_postmortem_json(root);
-  return "unknown schema " + name;
+  return events;
 }
 
 std::string render_findings(const JsonValue& root) {
   std::ostringstream out;
   out << "=== fsmcheck findings ===\n";
-  const JsonValue* meta = root.find("meta");
-  if (meta != nullptr && meta->is_object()) {
-    for (const auto& [k, v] : meta->members()) {
-      out << "  " << k << ": "
-          << (v.is_string() ? v.as_string() : v.dump()) << "\n";
-    }
-  }
+  render_meta(out, root);
   const JsonValue* summary = root.find("summary");
   out << "  checks run: " << summary->find("checks_run")->as_int()
       << ", findings: " << summary->find("findings")->as_int() << "\n";
@@ -446,35 +397,6 @@ std::string render_findings(const JsonValue& root) {
     }
   }
   return out.str();
-}
-
-std::optional<std::vector<ReportTraceEvent>> parse_trace_jsonl(
-    const std::string& text) {
-  std::vector<ReportTraceEvent> events;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    const std::optional<JsonValue> value = parse_json(line);
-    if (!value.has_value() || !value->is_object()) return std::nullopt;
-    if (value->find("schema") != nullptr) continue;  // Header line.
-    const JsonValue* t = value->find("t");
-    const JsonValue* node = value->find("node");
-    const JsonValue* cat = value->find("cat");
-    const JsonValue* detail = value->find("detail");
-    if (t == nullptr || !t->is_number() || node == nullptr ||
-        !node->is_number() || cat == nullptr || !cat->is_string() ||
-        detail == nullptr || !detail->is_string()) {
-      return std::nullopt;
-    }
-    events.push_back({static_cast<std::uint64_t>(t->as_int()),
-                      static_cast<std::uint32_t>(node->as_int()),
-                      cat->as_string(), detail->as_string()});
-  }
-  return events;
 }
 
 std::optional<std::uint64_t> detail_field(const std::string& detail,
@@ -504,42 +426,18 @@ std::optional<std::uint64_t> detail_field(const std::string& detail,
 
 namespace {
 
-/// Parsed asa-span/1 entry, numeric fields only where the critical-path
-/// join needs them.
-struct ParsedSpan {
-  std::uint64_t id = 0;
-  std::uint64_t parent = 0;
-  std::string name;
-  std::uint32_t node = 0;
-  std::string guid;
-  std::uint64_t request = 0;
-  std::uint64_t update = 0;
-  std::uint64_t start = 0;
-  std::uint64_t end = 0;
-  bool ok = false;
-  bool closed = false;
-  std::string detail;
-};
-
-std::vector<ParsedSpan> parse_spans(const JsonValue& spans_doc) {
-  std::vector<ParsedSpan> out;
-  const JsonValue* spans = spans_doc.find("spans");
-  if (spans == nullptr || !spans->is_array()) return out;
-  for (const JsonValue& s : spans->items()) {
-    ParsedSpan p;
-    p.id = static_cast<std::uint64_t>(s.find("id")->as_int());
-    p.parent = static_cast<std::uint64_t>(s.find("parent")->as_int());
-    p.name = s.find("name")->as_string();
-    p.node = static_cast<std::uint32_t>(s.find("node")->as_int());
-    p.guid = s.find("guid")->as_string();
-    p.request = static_cast<std::uint64_t>(s.find("request")->as_int());
-    p.update = static_cast<std::uint64_t>(s.find("update")->as_int());
-    p.start = static_cast<std::uint64_t>(s.find("start")->as_int());
-    p.end = static_cast<std::uint64_t>(s.find("end")->as_int());
-    p.ok = s.find("ok")->as_bool();
-    p.closed = s.find("closed")->as_bool();
-    p.detail = s.find("detail")->as_string();
-    out.push_back(std::move(p));
+std::vector<SpanRecord> read_spans(const JsonValue& spans_doc) {
+  std::vector<SpanRecord> out;
+  for (const JsonValue& s : spans_doc.find("spans")->items()) {
+    const auto count = [&s](const char* key) {
+      return static_cast<std::uint64_t>(s.find(key)->as_int());
+    };
+    out.push_back({count("id"), count("parent"), s.find("name")->as_string(),
+                   static_cast<std::uint32_t>(count("node")),
+                   s.find("guid")->as_string(), count("request"),
+                   count("update"), count("start"), count("end"),
+                   s.find("ok")->as_bool(), s.find("closed")->as_bool(),
+                   s.find("detail")->as_string()});
   }
   return out;
 }
@@ -561,7 +459,7 @@ std::uint64_t sample_quantile(std::vector<std::uint64_t>& v, double q) {
 }  // namespace
 
 std::string render_critical_path(const JsonValue& spans_doc) {
-  const std::vector<ParsedSpan> spans = parse_spans(spans_doc);
+  const std::vector<SpanRecord> spans = read_spans(spans_doc);
 
   // One decomposed commit: every duration in microseconds, phases clamped
   // individually; `attributed` capped at `total`.
@@ -579,16 +477,16 @@ std::string render_critical_path(const JsonValue& spans_doc) {
   std::vector<Decomposed> commits;
   std::size_t open_roots = 0;
   std::size_t journal_appends = 0;
-  for (const ParsedSpan& root : spans) {
+  for (const SpanRecord& root : spans) {
     if (root.name != "commit") continue;
     if (!root.closed || !root.ok) {
       ++open_roots;
       continue;
     }
     // Attempts, in open order (= id order).
-    const ParsedSpan* first_attempt = nullptr;
-    const ParsedSpan* decisive = nullptr;
-    for (const ParsedSpan& a : spans) {
+    const SpanRecord* first_attempt = nullptr;
+    const SpanRecord* decisive = nullptr;
+    for (const SpanRecord& a : spans) {
       if (a.parent != root.id || a.name != "attempt") continue;
       if (first_attempt == nullptr) first_attempt = &a;
       if (a.closed && a.ok) decisive = &a;
@@ -597,7 +495,7 @@ std::string render_critical_path(const JsonValue& spans_doc) {
 
     Decomposed d;
     d.guid = root.guid;
-    d.request = root.request;
+    d.request = root.request_id;
     d.total = sub_clamped(root.end, root.start);
     d.phases[0] = sub_clamped(first_attempt->start, root.start);  // submit
     d.phases[1] = sub_clamped(decisive->start, first_attempt->start);
@@ -606,11 +504,11 @@ std::string render_critical_path(const JsonValue& spans_doc) {
     // recorded by the endpoint in the root span's detail.
     const std::optional<std::uint64_t> decisive_node =
         detail_field(root.detail, "decisive");
-    const ParsedSpan* vote = nullptr;
-    const ParsedSpan* quorum = nullptr;
+    const SpanRecord* vote = nullptr;
+    const SpanRecord* quorum = nullptr;
     if (decisive_node.has_value()) {
-      for (const ParsedSpan& s : spans) {
-        if (s.update != decisive->update || s.node != *decisive_node ||
+      for (const SpanRecord& s : spans) {
+        if (s.update_id != decisive->update_id || s.node != *decisive_node ||
             !s.closed) {
           continue;
         }
@@ -707,13 +605,7 @@ std::string render_critical_path(const JsonValue& spans_doc) {
 std::string render_postmortem(const JsonValue& root) {
   std::ostringstream out;
   out << "=== post-mortem bundle ===\n";
-  const JsonValue* meta = root.find("meta");
-  if (meta != nullptr && meta->is_object()) {
-    for (const auto& [k, v] : meta->members()) {
-      out << "  " << k << ": "
-          << (v.is_string() ? v.as_string() : v.dump()) << "\n";
-    }
-  }
+  render_meta(out, root);
 
   const JsonValue* violations = root.find("violations");
   out << "\n=== violations (" << violations->items().size() << ") ===\n";
@@ -747,16 +639,10 @@ std::string render_postmortem(const JsonValue& root) {
 
   const JsonValue* spans = root.find("spans");
   const JsonValue* metrics = root.find("metrics");
-  const JsonValue* span_arr = spans->find("spans");
-  std::size_t counters = 0;
-  if (const JsonValue* c = metrics->find("counters");
-      c != nullptr && c->is_array()) {
-    counters = c->items().size();
-  }
   out << "\n=== embedded documents ===\n"
-      << "  spans: " << (span_arr != nullptr ? span_arr->items().size() : 0)
-      << " records\n"
-      << "  metrics: " << counters << " counters\n";
+      << "  spans: " << spans->find("spans")->items().size() << " records\n"
+      << "  metrics: " << metrics->find("counters")->items().size()
+      << " counters\n";
   return out.str();
 }
 
@@ -834,42 +720,30 @@ BenchCompareResult compare_bench_metrics(const JsonValue& baseline,
 }
 
 std::string render_report(const JsonValue& metrics,
-                          const std::vector<ReportTraceEvent>& trace,
+                          const std::vector<TraceEvent>& trace,
                           const ReportOptions& options) {
   std::ostringstream out;
   char line[256];
 
   out << "=== run report ===\n";
-  const JsonValue* meta = metrics.find("meta");
-  if (meta != nullptr && meta->is_object()) {
-    for (const auto& [k, v] : meta->members()) {
-      out << "  " << k << ": "
-          << (v.is_string() ? v.as_string() : v.dump()) << "\n";
-    }
-  }
+  render_meta(out, metrics);
 
   // Aggregation integrity: MetricsRegistry::merge counts every histogram
   // series it had to skip over mismatched bucket bounds. Data was lost —
   // say so up front instead of rendering a silently incomplete report.
-  if (const JsonValue* counters = metrics.find("counters");
-      counters != nullptr && counters->is_array()) {
-    for (const JsonValue& c : counters->items()) {
-      const JsonValue* name = c.find("name");
-      const JsonValue* value = c.find("value");
-      if (name != nullptr && name->is_string() &&
-          name->as_string() == "metrics.merge_conflicts" &&
-          value != nullptr && value->as_int() > 0) {
-        out << "  WARNING: " << value->as_int()
-            << " histogram series skipped during merge"
-            << " (mismatched bucket bounds) - aggregates are incomplete\n";
-      }
+  for (const JsonValue& c : metrics.find("counters")->items()) {
+    const std::int64_t conflicts = c.find("value")->as_int();
+    if (c.find("name")->as_string() == "metrics.merge_conflicts" &&
+        conflicts > 0) {
+      out << "  WARNING: " << conflicts
+          << " histogram series skipped during merge"
+          << " (mismatched bucket bounds) - aggregates are incomplete\n";
     }
   }
 
   // ---- Histogram percentile table (times in ms, counts verbatim). ----
   const JsonValue* histograms = metrics.find("histograms");
-  if (histograms != nullptr && histograms->is_array() &&
-      !histograms->items().empty()) {
+  if (!histograms->items().empty()) {
     out << "\n=== latency / distribution percentiles ===\n";
     std::snprintf(line, sizeof line, "%-44s %8s %10s %10s %10s %10s\n",
                   "series", "count", "p50", "p90", "p99", "max");
@@ -899,56 +773,54 @@ std::string render_report(const JsonValue& metrics,
 
   // ---- Per-node breakdown from node-labelled gauges. ----
   const JsonValue* gauges = metrics.find("gauges");
-  if (gauges != nullptr && gauges->is_array()) {
-    // node -> metric name -> value.
-    std::map<std::uint64_t, std::map<std::string, std::int64_t>> per_node;
-    std::set<std::string> metric_names;
-    for (const JsonValue& g : gauges->items()) {
-      const JsonValue* labels = g.find("labels");
-      const JsonValue* node = labels->find("node");
-      if (node == nullptr || !node->is_string()) continue;
-      try {
-        const std::uint64_t n = std::stoull(node->as_string());
-        const std::string& name = g.find("name")->as_string();
-        per_node[n][name] = g.find("value")->as_int();
-        metric_names.insert(name);
-      } catch (const std::exception&) {
-        continue;
-      }
+  // node -> metric name -> value.
+  std::map<std::uint64_t, std::map<std::string, std::int64_t>> per_node;
+  std::set<std::string> metric_names;
+  for (const JsonValue& g : gauges->items()) {
+    const JsonValue* labels = g.find("labels");
+    const JsonValue* node = labels->find("node");
+    if (node == nullptr || !node->is_string()) continue;
+    try {
+      const std::uint64_t n = std::stoull(node->as_string());
+      const std::string& name = g.find("name")->as_string();
+      per_node[n][name] = g.find("value")->as_int();
+      metric_names.insert(name);
+    } catch (const std::exception&) {
+      continue;
     }
-    if (!per_node.empty()) {
-      out << "\n=== per-node breakdown ===\n";
-      std::string header = "node";
-      header.resize(6, ' ');
-      // Strip the common "peer." prefix; column width adapts to the name.
-      std::vector<std::string> columns(metric_names.begin(),
-                                       metric_names.end());
-      std::vector<int> widths;
-      for (const std::string& name : columns) {
-        std::string short_name = name;
-        if (const std::size_t dot = short_name.rfind('.');
-            dot != std::string::npos) {
-          short_name = short_name.substr(dot + 1);
-        }
-        const int width =
-            std::max<int>(14, static_cast<int>(short_name.size()) + 2);
-        widths.push_back(width);
-        std::snprintf(line, sizeof line, "%*s", width, short_name.c_str());
-        header += line;
+  }
+  if (!per_node.empty()) {
+    out << "\n=== per-node breakdown ===\n";
+    std::string header = "node";
+    header.resize(6, ' ');
+    // Strip the common "peer." prefix; column width adapts to the name.
+    std::vector<std::string> columns(metric_names.begin(),
+                                     metric_names.end());
+    std::vector<int> widths;
+    for (const std::string& name : columns) {
+      std::string short_name = name;
+      if (const std::size_t dot = short_name.rfind('.');
+          dot != std::string::npos) {
+        short_name = short_name.substr(dot + 1);
       }
-      out << header << "\n";
-      for (const auto& [node, values] : per_node) {
-        std::string row = std::to_string(node);
-        row.resize(6, ' ');
-        for (std::size_t c = 0; c < columns.size(); ++c) {
-          const auto it = values.find(columns[c]);
-          std::snprintf(line, sizeof line, "%*lld", widths[c],
-                        static_cast<long long>(
-                            it == values.end() ? 0 : it->second));
-          row += line;
-        }
-        out << row << "\n";
+      const int width =
+          std::max<int>(14, static_cast<int>(short_name.size()) + 2);
+      widths.push_back(width);
+      std::snprintf(line, sizeof line, "%*s", width, short_name.c_str());
+      header += line;
+    }
+    out << header << "\n";
+    for (const auto& [node, values] : per_node) {
+      std::string row = std::to_string(node);
+      row.resize(6, ' ');
+      for (std::size_t c = 0; c < columns.size(); ++c) {
+        const auto it = values.find(columns[c]);
+        std::snprintf(line, sizeof line, "%*lld", widths[c],
+                      static_cast<long long>(
+                          it == values.end() ? 0 : it->second));
+        row += line;
       }
+      out << row << "\n";
     }
   }
 
@@ -965,31 +837,27 @@ std::string render_report(const JsonValue& metrics,
     double now_us = 0.0;
     std::int64_t ring_size = -1;
     std::int64_t epoch = -1;
-    if (gauges != nullptr && gauges->is_array()) {
-      for (const JsonValue& g : gauges->items()) {
-        const std::string& name = g.find("name")->as_string();
-        if (!g.find("labels")->members().empty()) continue;
-        if (name == "sim.now_us") now_us = g.find("value")->as_double();
-        if (name == "churn.ring_size") ring_size = g.find("value")->as_int();
-        if (name == "churn.epoch") epoch = g.find("value")->as_int();
-      }
+    for (const JsonValue& g : gauges->items()) {
+      const std::string& name = g.find("name")->as_string();
+      if (!g.find("labels")->members().empty()) continue;
+      if (name == "sim.now_us") now_us = g.find("value")->as_double();
+      if (name == "churn.ring_size") ring_size = g.find("value")->as_int();
+      if (name == "churn.epoch") epoch = g.find("value")->as_int();
     }
     // writer -> (commits, reads).
     std::map<std::string, std::pair<double, double>> per_writer;
     std::map<std::string, double> churn_counts;
-    if (counters != nullptr && counters->is_array()) {
-      for (const JsonValue& c : counters->items()) {
-        const std::string& name = c.find("name")->as_string();
-        if (name == "workload.commits" || name == "workload.reads") {
-          const JsonValue* writer = c.find("labels")->find("writer");
-          auto& slot = per_writer[writer->as_string()];
-          (name == "workload.commits" ? slot.first : slot.second) +=
-              c.find("value")->as_double();
-        }
-        if (name == "churn.joins" || name == "churn.leaves" ||
-            name == "churn.departs") {
-          churn_counts[name] += c.find("value")->as_double();
-        }
+    for (const JsonValue& c : counters->items()) {
+      const std::string& name = c.find("name")->as_string();
+      if (name == "workload.commits" || name == "workload.reads") {
+        const JsonValue* writer = c.find("labels")->find("writer");
+        auto& slot = per_writer[writer->as_string()];
+        (name == "workload.commits" ? slot.first : slot.second) +=
+            c.find("value")->as_double();
+      }
+      if (name == "churn.joins" || name == "churn.leaves" ||
+          name == "churn.departs") {
+        churn_counts[name] += c.find("value")->as_double();
       }
     }
     if (!per_writer.empty() || !churn_counts.empty() || epoch > 0) {
@@ -1027,31 +895,29 @@ std::string render_report(const JsonValue& metrics,
         }
         out << "\n";
       }
-      if (histograms != nullptr && histograms->is_array()) {
-        for (const JsonValue& h : histograms->items()) {
-          const std::string& name = h.find("name")->as_string();
-          if (name == "churn.ring_size_samples") {
-            out << "  ring size over time: min="
-                << h.find("min")->as_int() << " p50="
-                << bucket_quantile(h, 0.50) << " max="
-                << h.find("max")->as_int() << " (" <<
-                h.find("count")->as_int() << " samples)\n";
-          }
-          if (name == "net.class_latency_us") {
-            const JsonValue* klass = h.find("labels")->find("class");
-            std::snprintf(
-                line, sizeof line,
-                "  link class %-8s p50=%sms p99=%sms max=%sms "
-                "(%llu deliveries)\n",
-                klass->as_string().c_str(),
-                us_to_string(bucket_quantile(h, 0.50)).c_str(),
-                us_to_string(bucket_quantile(h, 0.99)).c_str(),
-                us_to_string(
-                    static_cast<std::uint64_t>(h.find("max")->as_int()))
-                    .c_str(),
-                static_cast<unsigned long long>(h.find("count")->as_int()));
-            out << line;
-          }
+      for (const JsonValue& h : histograms->items()) {
+        const std::string& name = h.find("name")->as_string();
+        if (name == "churn.ring_size_samples") {
+          out << "  ring size over time: min="
+              << h.find("min")->as_int() << " p50="
+              << bucket_quantile(h, 0.50) << " max="
+              << h.find("max")->as_int() << " (" <<
+              h.find("count")->as_int() << " samples)\n";
+        }
+        if (name == "net.class_latency_us") {
+          const JsonValue* klass = h.find("labels")->find("class");
+          std::snprintf(
+              line, sizeof line,
+              "  link class %-8s p50=%sms p99=%sms max=%sms "
+              "(%llu deliveries)\n",
+              klass->as_string().c_str(),
+              us_to_string(bucket_quantile(h, 0.50)).c_str(),
+              us_to_string(bucket_quantile(h, 0.99)).c_str(),
+              us_to_string(
+                  static_cast<std::uint64_t>(h.find("max")->as_int()))
+                  .c_str(),
+              static_cast<unsigned long long>(h.find("count")->as_int()));
+          out << line;
         }
       }
     }
@@ -1068,7 +934,7 @@ std::string render_report(const JsonValue& metrics,
     };
     std::vector<SlowCommit> commits;
     std::uint64_t sends = 0, delivers = 0, drops = 0;
-    for (const ReportTraceEvent& e : trace) {
+    for (const TraceEvent& e : trace) {
       if (e.category == "net.send") ++sends;
       if (e.category == "net.deliver") ++delivers;
       if (e.category == "net.drop") ++drops;

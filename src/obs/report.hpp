@@ -4,52 +4,92 @@
 // document (--metrics-out) and an asa-trace/1 JSONL event stream
 // (--trace-out) — and renders the human-facing summary: histogram
 // percentile tables, a per-node protocol breakdown, and the top-k slowest
-// commit instances reconstructed from the causal trace. CI's metrics smoke
-// job uses validate_metrics_json() to reject malformed producers.
+// commit instances reconstructed from the causal trace.
+//
+// Every asa-* format is described once, as a row of one static schema
+// table (a Shape per document, plus one rule function for what a field
+// list cannot say). validate_document_json() and parse_trace_jsonl() both
+// walk that table; CI's metrics smoke job gates producers on the former
+// through asareport --validate.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/trace_event.hpp"
 
 namespace asa_repro::obs {
 
-/// Structural validation of an asa-metrics/1 document. Returns nullopt
-/// when valid, else a description of the first problem found.
-[[nodiscard]] std::optional<std::string> validate_metrics_json(
-    const JsonValue& root);
+/// What one document field holds.
+enum class FieldKind {
+  kString,
+  kNumber,
+  kCount,  // Non-negative integer.
+  kBool,
+  kBound,  // Histogram bucket bound: a number, or "inf".
+  kObject,  // Any object, or one of `shape` when given.
+  kLabels,  // Object of strings.
+  kStringArray,
+  kArray,     // Array of `shape` objects.
+  kLanes,     // Object of arrays of `shape` objects (flight lanes).
+  kDocument,  // Embedded document, checked against its own row.
+};
 
-/// Structural validation of an asa-findings/1 document (emitted by
-/// fsmcheck --json). Returns nullopt when valid, else a description of the
-/// first problem. Validation is structural only: a document with findings
-/// is valid — failing on findings is fsmcheck's exit code's job.
-[[nodiscard]] std::optional<std::string> validate_findings_json(
-    const JsonValue& root);
+struct Shape;
 
-/// Render an asa-findings/1 document for humans: the run summary plus one
-/// line per finding. The document must pass validate_findings_json.
-[[nodiscard]] std::string render_findings(const JsonValue& root);
+struct FieldSpec {
+  const char* name;
+  FieldKind kind;
+  bool optional = false;
+  const Shape* shape = nullptr;    // kObject, kArray, kLanes.
+  const char* document = nullptr;  // kDocument: the embedded schema.
+};
 
-/// Structural validation of an asa-span/1 document (emitted by the tools'
-/// --spans-out). Returns nullopt when valid, else the first problem: ids
-/// must be contiguous from 1 with parents preceding children.
-[[nodiscard]] std::optional<std::string> validate_spans_json(
-    const JsonValue& root);
+/// The fields of one JSON object; members it does not list are ignored.
+struct Shape {
+  std::span<const FieldSpec> fields;
+};
 
-/// Structural validation of an asa-postmortem/1 bundle (emitted by
-/// asachaos --postmortem-dir), including its embedded asa-metrics/1 and
-/// asa-span/1 documents.
-[[nodiscard]] std::optional<std::string> validate_postmortem_json(
-    const JsonValue& root);
+/// One row of the schema table. `rule` checks what a field list cannot
+/// say, after the shape walk passed.
+struct DocumentSchema {
+  const char* name;    // The "schema" member that selects the row.
+  const Shape* shape;  // The document, or a JSONL stream's header line.
+  const Shape* lines;  // JSONL streams: every other line; else nullptr.
+  std::optional<std::string> (*rule)(const JsonValue& doc);
+};
 
-/// Dispatch on the document's "schema" member: asa-metrics/1,
-/// asa-findings/1, asa-span/1 or asa-postmortem/1. An unknown schema
-/// member is an error (asareport --validate exits non-zero on it).
+/// The row for asa-metrics/1, asa-findings/1, asa-span/1, asa-postmortem/1
+/// or asa-trace/1; nullptr for any other name.
+[[nodiscard]] const DocumentSchema* find_schema(std::string_view name);
+
+/// Validate a document against the row its "schema" member names. Returns
+/// nullopt when valid, else the first problem, led by the path of the
+/// field at fault ("histograms[2].buckets[0].count: expected a
+/// non-negative integer"). An unknown schema is an error. A findings
+/// document that lists findings is valid: failing on them is fsmcheck's
+/// job.
 [[nodiscard]] std::optional<std::string> validate_document_json(
     const JsonValue& root);
+
+/// Parse an asa-trace/1 JSONL stream. Blank lines are skipped, a line with
+/// a "schema" member is a header that must name asa-trace/1, and every
+/// other line is an event. A bad line fails the parse; `error`, when
+/// given, says which line and why.
+[[nodiscard]] std::optional<std::vector<TraceEvent>> parse_trace_jsonl(
+    const std::string& text, std::string* error = nullptr);
+
+// The renderers below take documents that passed validate_document_json.
+
+/// Render an asa-findings/1 document for humans: the run summary plus one
+/// line per finding.
+[[nodiscard]] std::string render_findings(const JsonValue& root);
 
 /// Per-commit critical-path attribution from an asa-span/1 document:
 /// joins every committed root span to its decisive attempt and the
@@ -74,20 +114,6 @@ struct BenchCompareResult {
 [[nodiscard]] BenchCompareResult compare_bench_metrics(
     const JsonValue& baseline, const JsonValue& current, double tolerance);
 
-/// One parsed trace event (mirror of sim::TraceEvent, kept decoupled so
-/// report rendering does not pull the simulator in).
-struct ReportTraceEvent {
-  std::uint64_t time = 0;
-  std::uint32_t node = 0;
-  std::string category;
-  std::string detail;
-};
-
-/// Parse an asa-trace/1 JSONL stream. Lines that are blank or carry a
-/// "schema" header are skipped; any other malformed line fails the parse.
-[[nodiscard]] std::optional<std::vector<ReportTraceEvent>> parse_trace_jsonl(
-    const std::string& text);
-
 struct ReportOptions {
   std::size_t top_k = 10;  // Slowest commit instances to list.
 };
@@ -95,7 +121,7 @@ struct ReportOptions {
 /// Render the run summary from a parsed metrics document and (optionally)
 /// trace events. Pure function of its inputs; deterministic.
 [[nodiscard]] std::string render_report(
-    const JsonValue& metrics, const std::vector<ReportTraceEvent>& trace,
+    const JsonValue& metrics, const std::vector<TraceEvent>& trace,
     const ReportOptions& options = {});
 
 /// Pull `key=value` out of a trace detail string ("guid=7 update=12

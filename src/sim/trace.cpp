@@ -21,33 +21,4 @@ void Trace::dump_jsonl(std::ostream& os) const {
   }
 }
 
-std::optional<std::vector<TraceEvent>> Trace::parse_jsonl(
-    const std::string& text) {
-  std::vector<TraceEvent> events;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    const std::optional<obs::JsonValue> value = obs::parse_json(line);
-    if (!value.has_value() || !value->is_object()) return std::nullopt;
-    if (value->find("schema") != nullptr) continue;  // Header line.
-    const obs::JsonValue* t = value->find("t");
-    const obs::JsonValue* node = value->find("node");
-    const obs::JsonValue* cat = value->find("cat");
-    const obs::JsonValue* detail = value->find("detail");
-    if (t == nullptr || !t->is_number() || node == nullptr ||
-        !node->is_number() || cat == nullptr || !cat->is_string() ||
-        detail == nullptr || !detail->is_string()) {
-      return std::nullopt;
-    }
-    events.push_back({static_cast<Time>(t->as_int()),
-                      static_cast<std::uint32_t>(node->as_int()),
-                      cat->as_string(), detail->as_string()});
-  }
-  return events;
-}
-
 }  // namespace asa_repro::sim

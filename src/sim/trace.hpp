@@ -10,30 +10,25 @@
 // categories after every seed).
 //
 // Besides the human-readable dump() the trace serializes to JSONL (one
-// event object per line, schema asa-trace/1) and parses back losslessly,
-// including details containing newlines and quotes — this is the
-// --trace-out format asareport consumes.
+// event object per line, schema asa-trace/1) — the --trace-out format
+// that obs::parse_trace_jsonl reads back losslessly, including details
+// containing newlines and quotes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/trace_event.hpp"
 #include "sim/scheduler.hpp"
 
 namespace asa_repro::sim {
 
-struct TraceEvent {
-  Time time = 0;
-  std::uint32_t node = 0;
-  std::string category;
-  std::string detail;
-};
+using TraceEvent = obs::TraceEvent;
 
 /// Append-only trace sink.
 class Trace {
@@ -104,11 +99,6 @@ class Trace {
   /// escaped (newlines, quotes, control characters survive a round-trip).
   /// Emits no header line; writers prepend the asa-trace/1 header.
   void dump_jsonl(std::ostream& os) const;
-
-  /// Inverse of dump_jsonl. Blank lines and {"schema":...} header lines
-  /// are skipped; any other malformed line fails the whole parse.
-  [[nodiscard]] static std::optional<std::vector<TraceEvent>> parse_jsonl(
-      const std::string& text);
 
  private:
   std::uint32_t intern(const std::string& category) {

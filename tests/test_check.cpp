@@ -21,6 +21,7 @@
 #include "core/render/xml_renderer.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
+#include "schema_sweep.hpp"
 
 namespace asa_repro {
 namespace {
@@ -378,29 +379,53 @@ TEST(FindingsJson, RoundTripsThroughValidator) {
       check::write_findings_json(findings, {{"tool", "test"}}, 7);
   const std::optional<obs::JsonValue> parsed = obs::parse_json(json);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_FALSE(obs::validate_findings_json(*parsed).has_value());
   EXPECT_FALSE(obs::validate_document_json(*parsed).has_value());
   const std::string rendered = obs::render_findings(*parsed);
   EXPECT_NE(rendered.find("structural.sink"), std::string::npos);
   EXPECT_NE(rendered.find("trace: update vote"), std::string::npos);
 }
 
+// Every findings field the schema table lists, plus the summary count and
+// the wall-clock label.
 TEST(FindingsJson, ValidatorRejectsBadDocuments) {
+  check::Finding finding{"comp.weak_quorum", "m", "l", "msg", {"vote"}};
+  finding.schedule = {"deliver 0 1 vote"};
+  const std::string json = check::write_findings_json(
+      {finding}, {{"tool", "test"}}, 3, {{"composition_r4", 12}});
+  EXPECT_EQ(schema_sweep::sweep_document(
+                json, [](const obs::JsonValue& d) {
+                  EXPECT_NE(obs::render_findings(d).find("comp.weak_quorum"),
+                            std::string::npos);
+                }),
+            15u);
+
+  const obs::JsonValue doc = *obs::parse_json(json);
+  EXPECT_EQ(obs::validate_document_json(schema_sweep::edit(
+                doc, {{"summary"}, {"findings"}}, 0,
+                obs::JsonValue(std::uint64_t{2}))),
+            "summary.findings: does not match the findings array");
+  EXPECT_EQ(obs::validate_document_json(schema_sweep::edit(
+                doc, {{"timings"}, {"", 0}, {"clock"}}, 0,
+                obs::JsonValue("sim"))),
+            "timings[0].clock: must be \"wall\"");
+
   // JsonValue::set appends (find returns the first member), so bad
   // documents are built fresh rather than by mutating a good one.
   obs::JsonValue wrong_schema = obs::JsonValue::object();
   wrong_schema.set("schema", obs::JsonValue("asa-findings/2"));
-  EXPECT_TRUE(obs::validate_findings_json(wrong_schema).has_value());
+  EXPECT_EQ(obs::validate_document_json(wrong_schema),
+            "schema: unknown schema asa-findings/2");
 
   obs::JsonValue no_summary = obs::JsonValue::object();
   no_summary.set("schema", obs::JsonValue("asa-findings/1"));
   no_summary.set("meta", obs::JsonValue::object());
   no_summary.set("summary", obs::JsonValue("nope"));
-  EXPECT_TRUE(obs::validate_findings_json(no_summary).has_value());
+  EXPECT_EQ(obs::validate_document_json(no_summary),
+            "summary: expected an object");
 
   obs::JsonValue bad_finding = *obs::parse_json(
       check::write_findings_json({{"c", "m", "l", "msg"}}, {}, 1));
-  EXPECT_FALSE(obs::validate_findings_json(bad_finding).has_value());
+  EXPECT_FALSE(obs::validate_document_json(bad_finding).has_value());
 }
 
 TEST(FindingToString, IncludesTrace) {

@@ -183,7 +183,7 @@ TEST(Composition, FindingsJsonCarriesScheduleAndWallClockTimings) {
       result.checks_run, timings);
   const std::optional<obs::JsonValue> parsed = obs::parse_json(json);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_FALSE(obs::validate_findings_json(*parsed).has_value());
+  EXPECT_FALSE(obs::validate_document_json(*parsed).has_value());
   EXPECT_NE(json.find("\"schedule\""), std::string::npos);
   EXPECT_NE(json.find("\"timings\""), std::string::npos);
   EXPECT_NE(json.find("\"clock\""), std::string::npos);

@@ -1,5 +1,6 @@
-// Observability layer: metrics registry semantics, JSON schema round-trip,
-// causal trace <-> NetworkStats reconciliation, JSONL escaping, flight
+// Observability layer: metrics registry semantics, JSON schema round-trip
+// and the field-drop sweep over the schema table, causal trace <->
+// NetworkStats reconciliation, JSONL escaping, flight
 // recorder rings, commit-path spans and critical-path attribution,
 // post-mortem bundles, the bench trend gate, the end-to-end determinism
 // contract (identical seed => byte-identical exports), and the network's
@@ -23,6 +24,7 @@
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "commit/messages.hpp"
+#include "schema_sweep.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
@@ -152,7 +154,7 @@ TEST(MetricsJson, ExportParsesAndValidates) {
       reg, {{"tool", "test"}, {"seed", "42"}});
   const auto parsed = obs::parse_json(doc);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(obs::validate_metrics_json(*parsed), std::nullopt);
+  EXPECT_EQ(obs::validate_document_json(*parsed), std::nullopt);
 
   const auto* schema = parsed->find("schema");
   ASSERT_NE(schema, nullptr);
@@ -179,17 +181,85 @@ TEST(MetricsJson, ExportParsesAndValidates) {
   EXPECT_EQ(buckets.back().find("le")->as_string(), "inf");
 }
 
+// Every metrics field the schema table lists, plus the cross-field rules.
 TEST(MetricsJson, ValidatorRejectsWrongSchemaAndShape) {
+  obs::MetricsRegistry reg;
+  reg.counter("events", {{"node", "3"}}).inc(12);
+  reg.gauge("depth", {{"node", "3"}}).set(-5);
+  reg.histogram("lat", {{"node", "3"}}, obs::latency_buckets_us())
+      .observe(1234);
+  const std::string doc = obs::write_metrics_json(reg, {{"tool", "test"}});
+  EXPECT_EQ(schema_sweep::sweep_document(
+                doc, [](const obs::JsonValue& d) {
+                  (void)obs::render_report(d, {});
+                }),
+            19u);
+
   const auto bad_schema =
       obs::parse_json(R"({"schema":"nonsense/9","meta":{},"counters":[],)"
                       R"("gauges":[],"histograms":[]})");
   ASSERT_TRUE(bad_schema.has_value());
-  EXPECT_NE(obs::validate_metrics_json(*bad_schema), std::nullopt);
-
+  EXPECT_EQ(obs::validate_document_json(*bad_schema),
+            "schema: unknown schema nonsense/9");
   const auto missing_section =
       obs::parse_json(R"({"schema":"asa-metrics/1","meta":{}})");
   ASSERT_TRUE(missing_section.has_value());
-  EXPECT_NE(obs::validate_metrics_json(*missing_section), std::nullopt);
+  EXPECT_EQ(obs::validate_document_json(*missing_section),
+            "counters: missing");
+}
+
+TEST(MetricsJson, RulesCheckBucketsAndJoinLabels) {
+  // Eight route_hops observations over bounds {1, 2, 4, 8}: five buckets,
+  // the last one le:"inf".
+  obs::MetricsRegistry reg;
+  auto& hops = reg.histogram("chord.route_hops", {}, {1, 2, 4, 8});
+  for (int i = 0; i < 8; ++i) hops.observe(1);
+  const auto doc =
+      obs::parse_json(obs::write_metrics_json(reg, {{"tool", "test"}}));
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_EQ(obs::validate_document_json(*doc), std::nullopt);
+  const auto bucket_count = [](std::size_t b) {
+    return schema_sweep::Path{
+        {"histograms"}, {"", 0}, {"buckets"}, {"", b}, {"count"}};
+  };
+  const auto set = [](const obs::JsonValue& d, const schema_sweep::Path& at,
+                      obs::JsonValue v) {
+    return schema_sweep::edit(d, at, 0, std::move(v));
+  };
+
+  // Counts 9, 0, 0, 0, -1 sum to 8 only once -1 wraps around.
+  obs::JsonValue wrapped =
+      set(*doc, bucket_count(0), obs::JsonValue(std::uint64_t{9}));
+  for (std::size_t b = 1; b < 4; ++b) {
+    wrapped = set(wrapped, bucket_count(b), obs::JsonValue(std::uint64_t{0}));
+  }
+  wrapped = set(wrapped, bucket_count(4), obs::JsonValue(std::int64_t{-1}));
+  EXPECT_EQ(obs::validate_document_json(wrapped),
+            "histograms[0].buckets[4].count: expected a non-negative integer");
+
+  EXPECT_EQ(obs::validate_document_json(
+                set(*doc, bucket_count(0), obs::JsonValue(std::uint64_t{0}))),
+            "histograms[0].buckets: chord.route_hops counts do not sum to "
+            "count");
+  EXPECT_EQ(obs::validate_document_json(set(
+                *doc, {{"histograms"}, {"", 0}, {"buckets"}, {"", 4}, {"le"}},
+                obs::JsonValue(std::uint64_t{16}))),
+            "histograms[0].buckets: chord.route_hops does not end with "
+            "le:\"inf\"");
+
+  // The workload/churn report joins on writer and class labels.
+  obs::MetricsRegistry unlabelled;
+  unlabelled.counter("workload.commits").inc();
+  unlabelled.histogram("net.class_latency_us").observe(5);
+  const auto joins = obs::parse_json(
+      obs::write_metrics_json(unlabelled, {{"tool", "test"}}));
+  ASSERT_TRUE(joins.has_value());
+  EXPECT_EQ(obs::validate_document_json(*joins),
+            "counters[0].labels: workload.commits without a writer label");
+  EXPECT_EQ(
+      obs::validate_document_json(set(*joins, {{"counters"}},
+                                      obs::JsonValue::array())),
+      "histograms[0].labels: net.class_latency_us without a class label");
 }
 
 // ---- Trace JSONL round-trip, including hostile details. ----
@@ -206,7 +276,7 @@ TEST(TraceJsonl, RoundTripPreservesNewlinesQuotesAndControlChars) {
   trace.dump_jsonl(os);
   os << "\n";  // Trailing blank line must be tolerated.
 
-  const auto events = sim::Trace::parse_jsonl(os.str());
+  const auto events = obs::parse_trace_jsonl(os.str());
   ASSERT_TRUE(events.has_value());
   ASSERT_EQ(events->size(), trace.events().size());
   for (std::size_t i = 0; i < events->size(); ++i) {
@@ -215,19 +285,74 @@ TEST(TraceJsonl, RoundTripPreservesNewlinesQuotesAndControlChars) {
     EXPECT_EQ((*events)[i].category, trace.events()[i].category);
     EXPECT_EQ((*events)[i].detail, trace.events()[i].detail);
   }
-
-  // The decoupled report-side parser agrees.
-  const auto report_events = obs::parse_trace_jsonl(os.str());
-  ASSERT_TRUE(report_events.has_value());
-  ASSERT_EQ(report_events->size(), trace.events().size());
-  EXPECT_EQ((*report_events)[1].detail, "line one\nline two\ttabbed");
 }
 
+// Each bad line is reported by number; the event and header shapes are
+// swept field by field.
 TEST(TraceJsonl, MalformedLineFailsTheParse) {
-  EXPECT_FALSE(sim::Trace::parse_jsonl("not json\n").has_value());
+  std::string error;
+  EXPECT_FALSE(obs::parse_trace_jsonl("not json\n", &error).has_value());
+  EXPECT_EQ(error, "line 1: not valid JSON");
+  EXPECT_FALSE(obs::parse_trace_jsonl(
+                   R"({"t":1,"node":0,"cat":"x","detail":""})" "\n\n{oops\n",
+                   &error)
+                   .has_value());
+  EXPECT_EQ(error, "line 3: not valid JSON");
   EXPECT_FALSE(
-      sim::Trace::parse_jsonl(R"({"t":1,"node":0,"cat":"x"})" "\n{oops\n")
+      obs::parse_trace_jsonl(R"({"t":1,"node":0,"cat":"x"})" "\n", &error)
           .has_value());
+  EXPECT_EQ(error, "line 1: detail: missing");
+  EXPECT_FALSE(obs::parse_trace_jsonl("[1,2]\n").has_value());
+
+  sim::Trace trace;
+  trace.record(10, 1, "commit", "guid=7 update=12 latency=3200");
+  std::ostringstream event;
+  trace.dump_jsonl(event);
+  const obs::JsonValue header =
+      *obs::parse_json(R"({"schema":"asa-trace/1","tool":"test","seed":3})");
+  const obs::DocumentSchema& row = *obs::find_schema("asa-trace/1");
+  obs::MetricsRegistry reg;
+  const obs::JsonValue metrics =
+      *obs::parse_json(obs::write_metrics_json(reg, {{"tool", "test"}}));
+  const auto parse_line = [&](const obs::JsonValue& line) {
+    std::string why;
+    return obs::parse_trace_jsonl(line.dump() + "\n" + event.str(), &why)
+               ? std::nullopt
+               : std::optional<std::string>(why);
+  };
+  const auto render = [&](const obs::JsonValue& line) {
+    const auto events =
+        obs::parse_trace_jsonl(line.dump() + "\n" + event.str());
+    ASSERT_TRUE(events.has_value());
+    EXPECT_NE(obs::render_report(metrics, *events).find("slowest commit"),
+              std::string::npos);
+  };
+  EXPECT_EQ(schema_sweep::Sweep(header, parse_line, render).run(*row.shape),
+            1u);
+  EXPECT_EQ(schema_sweep::Sweep(*obs::parse_json(event.str()), parse_line,
+                                render)
+                .run(*row.lines),
+            4u);
+}
+
+// A header line must name asa-trace/1: any other schema is not a trace.
+TEST(TraceJsonl, HeaderMustNameAsaTrace) {
+  std::string error;
+  EXPECT_FALSE(
+      obs::parse_trace_jsonl(R"({"schema":"asa-metrics/1","meta":{}})" "\n",
+                             &error)
+          .has_value());
+  EXPECT_EQ(error,
+            "line 1: schema: expected asa-trace/1, got asa-metrics/1");
+  EXPECT_FALSE(obs::parse_trace_jsonl(R"({"schema":7})" "\n").has_value());
+  const auto events = obs::parse_trace_jsonl(
+      R"({"schema":"asa-trace/1","tool":"asasim","seed":3})" "\n");
+  ASSERT_TRUE(events.has_value());
+  EXPECT_TRUE(events->empty());
+  // A trace header is not a document on its own.
+  EXPECT_EQ(obs::validate_document_json(
+                *obs::parse_json(R"({"schema":"asa-trace/1"})")),
+            "schema: unknown schema asa-trace/1");
 }
 
 TEST(TraceJsonl, DetailFieldExtraction) {
@@ -373,7 +498,7 @@ TEST(MetricsDeterminism, IdenticalSeedProducesByteIdenticalJson) {
   // And the export is substantive, not vacuously equal.
   const auto parsed = obs::parse_json(first);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(obs::validate_metrics_json(*parsed), std::nullopt);
+  EXPECT_EQ(obs::validate_document_json(*parsed), std::nullopt);
   EXPECT_FALSE(parsed->find("histograms")->items().empty());
 }
 
@@ -492,18 +617,26 @@ TEST(SpanRecorder, MergeOffsetsIdsAndParentLinks) {
   EXPECT_EQ(a.spans()[2].start, a.spans()[2].end);
 }
 
-TEST(SpansJson, ExportParsesAndValidates) {
+// Every span field the schema table lists, plus id, parent and interval
+// order.
+TEST(SpansJson, ValidatorRejectsBrokenShape) {
   obs::SpanRecorder rec;
   const std::uint64_t root = rec.open("commit", 0, 1, "g", 1, 0, 10);
+  rec.point("attempt", root, 1, "g", 1, 11, 12, true);
   rec.close(root, 20, true, "decisive=1 attempts=1");
   const std::string doc = obs::write_spans_json(rec, {{"tool", "test"}});
+  EXPECT_EQ(schema_sweep::sweep_document(
+                doc, [](const obs::JsonValue& d) {
+                  (void)obs::render_critical_path(d);
+                }),
+            14u);
   const auto parsed = obs::parse_json(doc);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(obs::validate_spans_json(*parsed), std::nullopt);
-  EXPECT_EQ(obs::validate_document_json(*parsed), std::nullopt);
-}
+  EXPECT_EQ(obs::validate_document_json(
+                schema_sweep::edit(*parsed, {{"spans"}, {"", 1}, {"id"}}, 0,
+                                   obs::JsonValue(std::uint64_t{3}))),
+            "spans[1].id: not contiguous from 1");
 
-TEST(SpansJson, ValidatorRejectsBrokenShape) {
   // parent must reference an earlier id.
   const auto bad_parent = obs::parse_json(
       "{\"schema\":\"asa-span/1\",\"meta\":{},\"spans\":[{\"id\":1,"
@@ -511,7 +644,8 @@ TEST(SpansJson, ValidatorRejectsBrokenShape) {
       "\"update\":0,\"start\":0,\"end\":1,\"ok\":true,\"closed\":true,"
       "\"detail\":\"\"}]}");
   ASSERT_TRUE(bad_parent.has_value());
-  EXPECT_NE(obs::validate_spans_json(*bad_parent), std::nullopt);
+  EXPECT_EQ(obs::validate_document_json(*bad_parent),
+            "spans[0].parent: does not precede the span");
 
   // end must not precede start.
   const auto bad_interval = obs::parse_json(
@@ -520,13 +654,15 @@ TEST(SpansJson, ValidatorRejectsBrokenShape) {
       "\"update\":0,\"start\":5,\"end\":1,\"ok\":true,\"closed\":true,"
       "\"detail\":\"\"}]}");
   ASSERT_TRUE(bad_interval.has_value());
-  EXPECT_NE(obs::validate_spans_json(*bad_interval), std::nullopt);
+  EXPECT_EQ(obs::validate_document_json(*bad_interval),
+            "spans[0].end: before the start");
 
   // spans must be an array.
   const auto bad_spans = obs::parse_json(
       "{\"schema\":\"asa-span/1\",\"meta\":{},\"spans\":{}}");
   ASSERT_TRUE(bad_spans.has_value());
-  EXPECT_NE(obs::validate_spans_json(*bad_spans), std::nullopt);
+  EXPECT_EQ(obs::validate_document_json(*bad_spans),
+            "spans: expected an array");
 }
 
 TEST(DocumentJson, UnknownSchemaIsAnError) {
@@ -712,7 +848,6 @@ TEST(Postmortem, SameSeedProducesByteIdenticalValidBundle) {
 
   const auto doc = obs::parse_json(first);
   ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(obs::validate_postmortem_json(*doc), std::nullopt);
   EXPECT_EQ(obs::validate_document_json(*doc), std::nullopt);
   // The flight tails carry causal ids from the commit path.
   EXPECT_NE(first.find("guid="), std::string::npos);
@@ -722,16 +857,36 @@ TEST(Postmortem, SameSeedProducesByteIdenticalValidBundle) {
   EXPECT_NE(report.find("flight-recorder tails"), std::string::npos);
 }
 
+// Every post-mortem field the schema table lists, the embedded metrics and
+// span documents' fields included.
 TEST(Postmortem, ValidatorRejectsBrokenEmbeddedDocuments) {
+  obs::FlightRecorder flight(4);
+  flight.record(10, 1, "net.send", "id=1 from=1 to=2");
+  obs::MetricsRegistry metrics;
+  metrics.counter("events", {{"node", "1"}}).inc();
+  metrics.gauge("depth", {{"node", "1"}}).set(2);
+  metrics.histogram("lat", {{"node", "1"}}, {10}).observe(3);
+  obs::SpanRecorder spans;
+  spans.point("commit", 0, 1, "g", 1, 1, 5, true);
+  const std::string doc = obs::write_postmortem_json(
+      {{"tool", "test"}, {"seed", "1"}}, {{"agreement", "two values"}},
+      {"crash 1 at 5"}, {"crash 1 at 5"}, flight, metrics, spans);
+  EXPECT_EQ(schema_sweep::sweep_document(
+                doc, [](const obs::JsonValue& d) {
+                  (void)obs::render_postmortem(d);
+                }),
+            46u);
+
   const auto bad = obs::parse_json(
       "{\"schema\":\"asa-postmortem/1\",\"meta\":{},\"violations\":[],"
       "\"plan\":[],\"shrunk_plan\":[],\"flight\":{},"
       "\"metrics\":{\"schema\":\"asa-metrics/1\"},"
       "\"spans\":{\"schema\":\"asa-span/1\",\"meta\":{},\"spans\":[]}}");
   ASSERT_TRUE(bad.has_value());
-  const auto error = obs::validate_postmortem_json(*bad);
-  ASSERT_TRUE(error.has_value());
-  EXPECT_NE(error->find("embedded metrics"), std::string::npos);
+  EXPECT_EQ(obs::validate_document_json(*bad), "metrics.meta: missing");
+  EXPECT_EQ(obs::validate_document_json(schema_sweep::edit(
+                *bad, {{"metrics"}, {"schema"}}, 0, obs::JsonValue("asa-span/1"))),
+            "metrics.schema: expected asa-metrics/1, got asa-span/1");
 }
 
 // ---- Allocation budget of the message path. ----

@@ -13,8 +13,9 @@
 //                     per-node flight-recorder tails, embedded metrics and
 //                     span documents
 //
-// With --validate it only checks the document's structure and exits
-// non-zero on malformed or unknown-schema documents (CI gates on this).
+// With --validate it only checks the documents' and the --trace stream's
+// structure and exits non-zero on malformed or unknown-schema input (CI
+// gates on this).
 // With --bench-compare it gates a fresh bench_execution --json run against
 // a committed baseline (ns/msg per impl, +/- tolerance).
 //
@@ -43,8 +44,8 @@ void usage() {
       "  --metrics FILE   asa-metrics/1, asa-findings/1, asa-span/1 or\n"
       "                   asa-postmortem/1 JSON document\n"
       "  --spans FILE     asa-span/1 JSON document (from --spans-out)\n"
-      "  --trace FILE     asa-trace/1 JSONL event stream (optional,\n"
-      "                   metrics rendering only)\n"
+      "  --trace FILE     asa-trace/1 JSONL event stream (optional;\n"
+      "                   rendered with a metrics document)\n"
       "  --top K          slowest commit instances to list (default 10)\n"
       "  --critical-path  attribute commit latency to protocol phases\n"
       "                   (needs a span document)\n"
@@ -53,8 +54,8 @@ void usage() {
       "                   the BASELINE metrics document: ns/msg per impl\n"
       "                   must stay within the tolerance\n"
       "  --tolerance T    allowed relative ns/msg drift (default 0.20)\n"
-      "  --validate       validate the document(s) and exit; non-zero on\n"
-      "                   malformed or unknown-schema input\n";
+      "  --validate       validate the document(s) and the trace and exit;\n"
+      "                   non-zero on malformed or unknown-schema input\n";
 }
 
 std::optional<std::string> read_file(const std::string& path) {
@@ -87,10 +88,9 @@ std::optional<obs::JsonValue> load_document(const std::string& path) {
   return doc;
 }
 
-std::string schema_of(const obs::JsonValue& doc) {
-  const obs::JsonValue* schema = doc.find("schema");
-  return schema != nullptr && schema->is_string() ? schema->as_string()
-                                                  : std::string();
+/// The schema of a document load_document accepted.
+const std::string& schema_of(const obs::JsonValue& doc) {
+  return doc.find("schema")->as_string();
 }
 
 }  // namespace
@@ -171,12 +171,29 @@ int main(int argc, char** argv) {
   if (!spans_path.empty()) {
     spans = load_document(spans_path);
     if (!spans.has_value()) return 1;
-    if (const std::string schema = schema_of(*spans);
-        schema != "asa-span/1") {
+    if (schema_of(*spans) != "asa-span/1") {
       std::cerr << "asareport: " << spans_path << ": expected asa-span/1, got "
-                << (schema.empty() ? "no schema" : schema) << "\n";
+                << schema_of(*spans) << "\n";
       return 1;
     }
+  }
+
+  std::vector<obs::TraceEvent> trace;
+  if (!trace_path.empty()) {
+    const std::optional<std::string> trace_text = read_file(trace_path);
+    if (!trace_text.has_value()) {
+      std::cerr << "asareport: cannot open " << trace_path << "\n";
+      return 2;
+    }
+    std::string error;
+    std::optional<std::vector<obs::TraceEvent>> parsed =
+        obs::parse_trace_jsonl(*trace_text, &error);
+    if (!parsed.has_value()) {
+      std::cerr << "asareport: " << trace_path
+                << " is not a valid asa-trace/1 stream: " << error << "\n";
+      return 1;
+    }
+    trace = std::move(*parsed);
   }
 
   if (validate_only) {
@@ -187,11 +204,15 @@ int main(int argc, char** argv) {
     if (spans.has_value()) {
       std::cout << spans_path << ": valid asa-span/1 document\n";
     }
+    if (!trace_path.empty()) {
+      std::cout << trace_path << ": valid asa-trace/1 stream ("
+                << trace.size() << " events)\n";
+    }
     return 0;
   }
 
   if (metrics.has_value()) {
-    const std::string schema = schema_of(*metrics);
+    const std::string& schema = schema_of(*metrics);
     if (schema == "asa-findings/1") {
       std::cout << obs::render_findings(*metrics);
     } else if (schema == "asa-postmortem/1") {
@@ -199,22 +220,6 @@ int main(int argc, char** argv) {
     } else if (schema == "asa-span/1") {
       std::cout << obs::render_critical_path(*metrics);
     } else {
-      std::vector<obs::ReportTraceEvent> trace;
-      if (!trace_path.empty()) {
-        const std::optional<std::string> trace_text = read_file(trace_path);
-        if (!trace_text.has_value()) {
-          std::cerr << "asareport: cannot open " << trace_path << "\n";
-          return 2;
-        }
-        std::optional<std::vector<obs::ReportTraceEvent>> parsed =
-            obs::parse_trace_jsonl(*trace_text);
-        if (!parsed.has_value()) {
-          std::cerr << "asareport: " << trace_path
-                    << " is not a valid asa-trace/1 stream\n";
-          return 1;
-        }
-        trace = std::move(*parsed);
-      }
       std::cout << obs::render_report(*metrics, trace, options);
     }
   }
