@@ -84,10 +84,12 @@ int main(int argc, char** argv) {
 
   // Show the commit protocol's internal traffic.
   std::cout << "\ncommit/abort events from the trace:\n";
-  for (const auto& e : cluster.trace().events()) {
-    if (e.category == "commit" || e.category == "abort") {
-      std::cout << "  [" << e.time << "us] node" << e.node << " "
-                << e.category << " " << e.detail << "\n";
+  for (const obs::Event& e : cluster.events().stream()) {
+    if (e.kind == obs::EventKind::kCommit ||
+        e.kind == obs::EventKind::kAbort) {
+      std::cout << "  [" << e.t << "us] node" << e.node << " "
+                << obs::category(obs::View::kTrace, e.kind) << " "
+                << obs::detail(obs::View::kTrace, e) << "\n";
     }
   }
 
@@ -96,7 +98,7 @@ int main(int argc, char** argv) {
     sim::SequenceOptions options;
     options.max_events = 120;
     std::ofstream seq("version_commit_run.mmd");
-    seq << sim::render_sequence_mermaid(cluster.trace(), options);
+    seq << sim::render_sequence_mermaid(cluster.events().stream(), options);
     std::cout << "\nwrote version_commit_run.mmd (sequence diagram of the "
                  "actual run)\n";
   }

@@ -44,14 +44,14 @@ std::vector<CommitPeer::Action> CommitPeer::translate_actions(
 CommitPeer::CommitPeer(sim::Network& network, sim::NodeAddr self,
                        std::vector<sim::NodeAddr> peers,
                        const fsm::StateMachine& machine, Behaviour behaviour,
-                       sim::Trace* trace, bool attach_to_network)
+                       obs::EventRecorder* events, bool attach_to_network)
     : network_(network),
       self_(self),
       peers_(std::move(peers)),
       compiled_(fsm::CompiledMachine::compile(machine)),
       actions_(translate_actions(compiled_)),
       behaviour_(behaviour),
-      trace_(trace) {
+      events_(events) {
   if (attach_to_network) {
     network_.attach(self_,
                     [this](sim::NodeAddr from, const std::string& data) {
@@ -179,11 +179,7 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
   if (ctx.chosen_update.has_value() && *ctx.chosen_update != update_id) {
     (void)inst.fsm.deliver(kNotFree);
   }
-  if (trace_ != nullptr) {
-    trace_->record(network_.scheduler().now(), self_, "instance",
-                   "guid=" + std::to_string(guid) +
-                       " update=" + std::to_string(update_id) + " created");
-  }
+  note(obs::EventKind::kInstance, {guid, update_id, inst.request_id});
   if (metrics_ != nullptr) {
     metrics_
         ->counter("commit.instances_opened",
@@ -195,39 +191,29 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
         spans_->open("vote-collect", 0, self_, std::to_string(guid),
                      inst.request_id, update_id, inst.created);
   }
-  if (flight_ != nullptr) {
-    flight_->record(network_.scheduler().now(), self_, "commit.instance",
-                    "guid=" + std::to_string(guid) +
-                        " update=" + std::to_string(update_id) +
-                        " request=" + std::to_string(inst.request_id));
-  }
   arm_abort_scan();  // Watch the new instance for stalls, if enabled.
   return inst;
 }
 
 void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
-  const char* kind = nullptr;
+  obs::Word kind = obs::Word::kNone;
   switch (msg.kind) {
     case WireMessage::Kind::kUpdate:
       ++stats_.updates_received;
-      kind = "update";
+      kind = obs::Word::kUpdate;
       break;
     case WireMessage::Kind::kVote:
       ++stats_.votes_received;
-      kind = "vote";
+      kind = obs::Word::kVote;
       break;
     case WireMessage::Kind::kCommit:
       ++stats_.commits_received;
-      kind = "commit";
+      kind = obs::Word::kCommit;
       break;
     case WireMessage::Kind::kCommitted:
       return;  // Peers ignore client notifications.
   }
-  if (trace_ != nullptr) {
-    trace_->record(network_.scheduler().now(), self_, "recv",
-                   std::string(kind) + " from=" + std::to_string(from) +
-                       " update=" + std::to_string(msg.update_id));
-  }
+  note(obs::EventKind::kRecv, {from, msg.update_id}, kind);
   GuidContext& ctx = guids_[msg.guid];
   if (const auto settled = ctx.settled.find(msg.update_id);
       settled != ctx.settled.end()) {
@@ -409,12 +395,7 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
                     std::to_string(guid), inst.request_id, update_id,
                     network_.scheduler().now(), false, "vetoed");
     }
-    if (flight_ != nullptr) {
-      flight_->record(network_.scheduler().now(), self_, "commit.veto",
-                      "guid=" + std::to_string(guid) +
-                          " update=" + std::to_string(update_id) +
-                          " request=" + std::to_string(inst.request_id));
-    }
+    note(obs::EventKind::kVeto, {guid, update_id, inst.request_id});
     if (ctx.chosen_update == update_id) {
       ctx.chosen_update.reset();
       free_siblings(ctx, guid, update_id);
@@ -424,12 +405,7 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
   ++stats_.committed;
   ctx.committed.push_back({update_id, inst.request_id, inst.payload});
   const sim::Time latency = network_.scheduler().now() - inst.created;
-  if (trace_ != nullptr) {
-    trace_->record(network_.scheduler().now(), self_, "commit",
-                   "guid=" + std::to_string(guid) +
-                       " update=" + std::to_string(update_id) +
-                       " latency=" + std::to_string(latency));
-  }
+  note(obs::EventKind::kCommit, {guid, update_id, inst.request_id, latency});
   if (metrics_ != nullptr) {
     metrics_
         ->histogram("commit.instance_latency_us",
@@ -452,13 +428,6 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
     if (spans_->is_open(inst.quorum_span)) {
       spans_->close(inst.quorum_span, now, true);
     }
-  }
-  if (flight_ != nullptr) {
-    flight_->record(network_.scheduler().now(), self_, "commit.record",
-                    "guid=" + std::to_string(guid) +
-                        " update=" + std::to_string(update_id) +
-                        " request=" + std::to_string(inst.request_id) +
-                        " latency=" + std::to_string(latency));
   }
   // Defensive: a finished update must release the node lock even if the
   // free action was not part of the final transition (it is whenever the
@@ -527,12 +496,8 @@ void CommitPeer::abort_scan(sim::Time max_age) {
       if (it == ctx.instances.end() || it->second.fsm.finished()) continue;
       const Instance& inst = it->second;
       ++stats_.aborted;
-      if (trace_ != nullptr) {
-        trace_->record(now, self_, "abort",
-                       "guid=" + std::to_string(guid) +
-                           " update=" + std::to_string(uid) +
-                           " age=" + std::to_string(now - inst.created));
-      }
+      note(obs::EventKind::kAbort,
+           {guid, uid, inst.request_id, now - inst.created});
       if (metrics_ != nullptr) {
         metrics_
             ->counter("commit.aborts", {{"guid", std::to_string(guid)}})
@@ -541,12 +506,6 @@ void CommitPeer::abort_scan(sim::Time max_age) {
       if (spans_ != nullptr) {
         spans_->close(inst.vote_span, now, false, "abort");
         spans_->close(inst.quorum_span, now, false, "abort");
-      }
-      if (flight_ != nullptr) {
-        flight_->record(now, self_, "commit.abort",
-                        "guid=" + std::to_string(guid) +
-                            " update=" + std::to_string(uid) +
-                            " request=" + std::to_string(inst.request_id));
       }
       const bool held_lock = ctx.chosen_update == uid;
       ctx.instances.erase(it);

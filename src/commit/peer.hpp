@@ -32,11 +32,10 @@
 #include "commit/messages.hpp"
 #include "core/compiled_machine.hpp"
 #include "core/state_machine.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/network.hpp"
-#include "sim/trace.hpp"
 
 namespace asa_repro::commit {
 
@@ -92,7 +91,8 @@ class CommitPeer {
              std::vector<sim::NodeAddr> peers,
              const fsm::StateMachine& machine,
              Behaviour behaviour = Behaviour::kHonest,
-             sim::Trace* trace = nullptr, bool attach_to_network = true);
+             obs::EventRecorder* events = nullptr,
+             bool attach_to_network = true);
 
   /// Process one raw network frame (for hosts that multiplex the address).
   void handle_frame(sim::NodeAddr from, const std::string& data) {
@@ -127,11 +127,6 @@ class CommitPeer {
   /// with journal-append/ack-sent point children — the peer half of the
   /// commit critical path. nullptr (default) disables.
   void set_spans(obs::SpanRecorder* spans) { spans_ = spans; }
-
-  /// Attach a flight recorder: instance lifecycle events (created,
-  /// recorded, aborted, sink-vetoed) with their guid/update/request causal
-  /// ids land in this node's ring lane. nullptr (default) disables.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
 
   /// Weaken or restore the honest peer's input filtering (default: fully
   /// hardened). Only the composition replay harness uses non-default
@@ -297,6 +292,14 @@ class CommitPeer {
   void arm_abort_scan();
   void cancel_abort_scan();
 
+  /// Record an event of this node at the current time, if recording.
+  void note(obs::EventKind kind, const obs::EventFields& fields,
+            obs::Word word = obs::Word::kNone) {
+    if (events_ != nullptr) {
+      events_->record(kind, network_.scheduler().now(), self_, fields, word);
+    }
+  }
+
   sim::Network& network_;
   sim::NodeAddr self_;
   std::vector<sim::NodeAddr> peers_;  // Including self_.
@@ -305,10 +308,9 @@ class CommitPeer {
   std::vector<Action> actions_;    // Per compiled action id.
   Behaviour behaviour_;
   PeerHardening hardening_;
-  sim::Trace* trace_;
+  obs::EventRecorder* events_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::SpanRecorder* spans_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
   CommitSink commit_sink_;
   AckSink ack_sink_;
   ImportSink import_sink_;

@@ -1,0 +1,192 @@
+#include "obs/event.hpp"
+
+#include <iterator>
+#include <ostream>
+
+namespace asa_repro::obs {
+
+namespace {
+
+/// One view of a kind: its category (nullptr when the view omits the kind)
+/// and its detail template, where {0}..{5} stand for the event's fields
+/// and {w} for its word.
+struct KindView {
+  const char* category;
+  const char* format;
+};
+
+struct KindRow {
+  KindView trace;
+  KindView flight;
+  bool flight_on_cluster_lane = false;  // Else the event's node's lane.
+};
+
+constexpr KindView kOmitted{nullptr, ""};
+constexpr const char* kRoute = "id={0} from={1} to={2}";
+constexpr const char* kDeliver = "id={0} from={1} to={2} latency={3}";
+constexpr const char* kIds = "guid={0} update={1} request={2}";
+constexpr const char* kChurn = "{w} node={0} epoch={1} ring={2}";
+constexpr const char* kRecovery =
+    "replayed={0} entries={1} truncated={2} skipped_crc={3} snapshot={w} "
+    "reconciled={4}";
+
+// Indexed by EventKind. Network kinds carry id, from, to, then size or
+// latency; commit-path kinds guid, update, request, then latency or age;
+// recv carries from, update.
+constexpr KindRow kKinds[] = {
+    {{"net.send", "id={0} from={1} to={2} size={3}"}, {"net.send", kRoute}},
+    {{"net.part", kRoute}, {"net.part", kRoute}},
+    {{"net.drop", kRoute}, {"net.drop", kRoute}},
+    {{"net.dup", kRoute}, {"net.dup", kRoute}},
+    {{"net.dead", kRoute}, {"net.dead", kRoute}},
+    {{"net.deliver", kDeliver}, {"net.deliver", kDeliver}},
+    {{"instance", "guid={0} update={1} created"}, {"commit.instance", kIds}},
+    {{"recv", "{w} from={0} update={1}"}, kOmitted},
+    {{"commit", "guid={0} update={1} latency={3}"},
+     {"commit.record", "guid={0} update={1} request={2} latency={3}"}},
+    {kOmitted, {"commit.veto", kIds}},
+    {{"abort", "guid={0} update={1} age={3}"}, {"commit.abort", kIds}},
+    {kOmitted, {"journal.append", "guid={0} update={1} request={2} {w}"}},
+    {{"recovery", kRecovery}, {"journal.replay", kRecovery}},
+    {{"churn", kChurn}, {"churn", kChurn}, /*flight_on_cluster_lane=*/true},
+    {kOmitted, {"sched.queue_depth", "depth={0}"}, true},
+    {{"campaign", "seed={0}"}, kOmitted},
+};
+
+constexpr const char* kWords[] = {"",     "update", "vote",   "commit",
+                                  "join", "leave",  "depart", "yes",
+                                  "no",   "ok",     "failed"};
+
+static_assert(std::size(kKinds) ==
+              static_cast<std::size_t>(EventKind::kCampaign) + 1);
+static_assert(std::size(kWords) ==
+              static_cast<std::size_t>(Word::kFailed) + 1);
+
+const KindRow& row(EventKind kind) {
+  return kKinds[static_cast<std::size_t>(kind)];
+}
+
+const KindView& view_of(View view, EventKind kind) {
+  return view == View::kTrace ? row(kind).trace : row(kind).flight;
+}
+
+}  // namespace
+
+const char* category(View view, EventKind kind) {
+  return view_of(view, kind).category;
+}
+
+const char* word_name(Word word) {
+  return kWords[static_cast<std::size_t>(word)];
+}
+
+std::string detail(View view, const Event& event) {
+  std::string out;
+  for (const char* p = view_of(view, event.kind).format; *p != '\0'; ++p) {
+    if (*p != '{') {
+      out += *p;
+      continue;
+    }
+    const char slot = p[1];
+    p += 2;  // The loop's increment steps over the closing brace.
+    out += slot == 'w'
+               ? word_name(event.word)
+               : std::to_string(event.fields[static_cast<std::size_t>(
+                     slot - '0')]);
+  }
+  return out;
+}
+
+void write_trace_line(std::ostream& os, const TraceEvent& event) {
+  os << "{\"t\":" << event.time << ",\"node\":" << event.node
+     << ",\"cat\":\"" << json_escape(event.category) << "\",\"detail\":\""
+     << json_escape(event.detail) << "\"}\n";
+}
+
+void EventRecorder::record(EventKind kind, std::uint64_t t,
+                           std::uint32_t node, const EventFields& fields,
+                           Word word) {
+  const Event event{t, node, kind, word, fields};
+  if (tracing_ && row(kind).trace.category != nullptr) {
+    stream_.push_back(event);
+  }
+  if (capacity_ > 0 && row(kind).flight.category != nullptr) {
+    keep_in_flight(event);
+  }
+}
+
+void EventRecorder::keep_in_flight(const Event& event) {
+  Ring& ring =
+      lanes_[row(event.kind).flight_on_cluster_lane ? kClusterLane
+                                                    : event.node];
+  const FlightEntry entry{event, seq_++};
+  ++recorded_;
+  if (ring.slots.size() < capacity_) {
+    ring.slots.push_back(entry);
+    return;
+  }
+  ring.slots[ring.next] = entry;
+  ring.next = (ring.next + 1) % capacity_;
+}
+
+void EventRecorder::write_trace_jsonl(std::ostream& os) const {
+  for (const Event& e : stream_) {
+    write_trace_line(os, {e.t, e.node, category(View::kTrace, e.kind),
+                          detail(View::kTrace, e)});
+  }
+}
+
+std::vector<std::uint32_t> EventRecorder::lanes() const {
+  std::vector<std::uint32_t> out;
+  out.reserve(lanes_.size());
+  for (const auto& [id, ring] : lanes_) out.push_back(id);
+  return out;
+}
+
+std::vector<EventRecorder::FlightEntry> EventRecorder::lane(
+    std::uint32_t id) const {
+  const auto it = lanes_.find(id);
+  if (it == lanes_.end()) return {};
+  const Ring& ring = it->second;
+  // Before the first wrap `next` is 0 and the slots are already oldest
+  // first; afterwards `next` points at the oldest surviving event.
+  std::vector<FlightEntry> out;
+  out.reserve(ring.slots.size());
+  const std::size_t n = ring.slots.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(ring.slots[(ring.next + i) % n]);
+  }
+  return out;
+}
+
+JsonValue EventRecorder::to_json() const {
+  JsonValue root = JsonValue::object();
+  for (const std::uint32_t id : lanes()) {
+    JsonValue events = JsonValue::array();
+    for (const FlightEntry& entry : lane(id)) {
+      JsonValue item = JsonValue::object();
+      item.set("t", JsonValue(entry.event.t));
+      item.set("seq", JsonValue(entry.seq));
+      item.set("cat", JsonValue(category(View::kFlight, entry.event.kind)));
+      item.set("detail", JsonValue(detail(View::kFlight, entry.event)));
+      events.push_back(std::move(item));
+    }
+    root.set(id == kClusterLane ? "cluster" : std::to_string(id),
+             std::move(events));
+  }
+  return root;
+}
+
+void EventRecorder::merge(const EventRecorder& other) {
+  if (tracing_) {
+    stream_.insert(stream_.end(), other.stream_.begin(), other.stream_.end());
+  }
+  if (capacity_ == 0) return;
+  for (const std::uint32_t id : other.lanes()) {
+    for (const FlightEntry& entry : other.lane(id)) {
+      keep_in_flight(entry.event);
+    }
+  }
+}
+
+}  // namespace asa_repro::obs

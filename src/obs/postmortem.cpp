@@ -8,7 +8,7 @@ std::string write_postmortem_json(const Meta& meta,
                                   const PostmortemViolations& violations,
                                   const std::vector<std::string>& plan,
                                   const std::vector<std::string>& shrunk_plan,
-                                  const FlightRecorder& flight,
+                                  const EventRecorder& flight,
                                   const MetricsRegistry& metrics,
                                   const SpanRecorder& spans) {
   JsonValue root = JsonValue::object();

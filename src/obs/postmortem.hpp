@@ -18,7 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -42,7 +42,7 @@ using PostmortemViolations = std::vector<std::pair<std::string, std::string>>;
     const Meta& meta, const PostmortemViolations& violations,
     const std::vector<std::string>& plan,
     const std::vector<std::string>& shrunk_plan,
-    const FlightRecorder& flight, const MetricsRegistry& metrics,
+    const EventRecorder& flight, const MetricsRegistry& metrics,
     const SpanRecorder& spans);
 
 }  // namespace asa_repro::obs

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "obs/event.hpp"
 #include "obs/span.hpp"
 
 namespace asa_repro::obs {
@@ -934,11 +935,14 @@ std::string render_report(const JsonValue& metrics,
     };
     std::vector<SlowCommit> commits;
     std::uint64_t sends = 0, delivers = 0, drops = 0;
+    const auto is = [](const TraceEvent& e, EventKind kind) {
+      return e.category == category(View::kTrace, kind);
+    };
     for (const TraceEvent& e : trace) {
-      if (e.category == "net.send") ++sends;
-      if (e.category == "net.deliver") ++delivers;
-      if (e.category == "net.drop") ++drops;
-      if (e.category != "commit") continue;
+      if (is(e, EventKind::kNetSend)) ++sends;
+      if (is(e, EventKind::kNetDeliver)) ++delivers;
+      if (is(e, EventKind::kNetDrop)) ++drops;
+      if (!is(e, EventKind::kCommit)) continue;
       const auto latency = detail_field(e.detail, "latency");
       if (!latency.has_value()) continue;
       commits.push_back({*latency, e.time, e.node,

@@ -16,7 +16,7 @@
 // endpoint spans to the peer spans of the decisive replica and compute a
 // per-commit critical path (--critical-path).
 //
-// Contract mirrors MetricsRegistry/FlightRecorder: instrumented components
+// Contract mirrors MetricsRegistry/EventRecorder: instrumented components
 // hold a `SpanRecorder*` that is nullptr when disabled (one pointer test);
 // ids are assigned monotonically from 1 in open order, so identical runs
 // export byte-identical asa-span/1 documents.

@@ -1,5 +1,7 @@
-// One asa-trace/1 event, as sim::Trace records it (sim::TraceEvent) and
-// obs::parse_trace_jsonl reads it back.
+// One line of an asa-trace/1 document: the text form that
+// obs::write_trace_line writes and obs::parse_trace_jsonl reads back.
+// Recorders hold typed obs::Event records; this type exists only once an
+// event has been rendered for export, or parsed from a file.
 #pragma once
 
 #include <cstdint>

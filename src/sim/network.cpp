@@ -4,11 +4,6 @@ namespace asa_repro::sim {
 
 namespace {
 
-std::string route_detail(std::uint64_t id, NodeAddr from, NodeAddr to) {
-  return "id=" + std::to_string(id) + " from=" + std::to_string(from) +
-         " to=" + std::to_string(to);
-}
-
 bool valid_probability(double p) { return p >= 0.0 && p <= 1.0; }
 
 const std::string kDefaultClass = "default";
@@ -58,6 +53,13 @@ std::optional<LinkProfile> link_profile(const std::string& name) {
 Network::Network(Scheduler& sched, Rng rng, LatencyModel latency)
     : sched_(sched), link_seed_base_(rng()), latency_(latency) {
   validate(latency_);
+}
+
+double Network::checked_probability(double p) {
+  if (!valid_probability(p)) {
+    throw std::invalid_argument("Network: probability outside [0,1]");
+  }
+  return p;
 }
 
 Network::LinkState& Network::link(NodeAddr from, NodeAddr to) {
@@ -121,27 +123,12 @@ void Network::deliver_copy(const Delivery& copy) {
   const auto it = handlers_.find(to);
   if (it == handlers_.end()) {
     ++stats_.to_dead_node;
-    if (trace_ != nullptr) {
-      trace_->record(sched_.now(), to, "net.dead", route_detail(id, from, to));
-    }
-    if (flight_ != nullptr) {
-      flight_->record(sched_.now(), to, "net.dead",
-                      route_detail(id, from, to));
-    }
+    note(obs::EventKind::kNetDead, to, {id, from, to});
     return;
   }
   ++stats_.delivered;
   const Time latency = sched_.now() - copy.sent_at;
-  if (trace_ != nullptr) {
-    trace_->record(sched_.now(), to, "net.deliver",
-                   route_detail(id, from, to) +
-                       " latency=" + std::to_string(latency));
-  }
-  if (flight_ != nullptr) {
-    flight_->record(sched_.now(), to, "net.deliver",
-                    route_detail(id, from, to) +
-                        " latency=" + std::to_string(latency));
-  }
+  note(obs::EventKind::kNetDeliver, to, {id, from, to, latency});
   if (metrics_ != nullptr) {
     metrics_
         ->histogram("net.latency_us",
@@ -159,25 +146,11 @@ void Network::deliver_copy(const Delivery& copy) {
 std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
   const std::uint64_t id = next_msg_id_++;
   ++stats_.sent;
-  if (trace_ != nullptr) {
-    trace_->record(sched_.now(), from, "net.send",
-                   route_detail(id, from, to) +
-                       " size=" + std::to_string(payload.size()));
-  }
-  if (flight_ != nullptr) {
-    flight_->record(sched_.now(), from, "net.send",
-                    route_detail(id, from, to));
-  }
+  note(obs::EventKind::kNetSend, from, {id, from, to, payload.size()});
   LinkState& ls = link(from, to);
   if (ls.partitioned) {
     ++stats_.partitioned;
-    if (trace_ != nullptr) {
-      trace_->record(sched_.now(), from, "net.part", route_detail(id, from, to));
-    }
-    if (flight_ != nullptr) {
-      flight_->record(sched_.now(), from, "net.part",
-                      route_detail(id, from, to));
-    }
+    note(obs::EventKind::kNetPart, from, {id, from, to});
     return id;
   }
   // Gilbert–Elliott step: transition first, then lose with the (possibly
@@ -199,26 +172,14 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
   if (loss > 0.0 && ls.rng.chance(loss)) {
     ++stats_.dropped;
     if (burst) ++stats_.burst_dropped;
-    if (trace_ != nullptr) {
-      trace_->record(sched_.now(), from, "net.drop", route_detail(id, from, to));
-    }
-    if (flight_ != nullptr) {
-      flight_->record(sched_.now(), from, "net.drop",
-                      route_detail(id, from, to));
-    }
+    note(obs::EventKind::kNetDrop, from, {id, from, to});
     return id;
   }
   int copies = 1;
   if (duplicate_probability_ > 0.0 && ls.rng.chance(duplicate_probability_)) {
     ++stats_.duplicated;
     copies = 2;
-    if (trace_ != nullptr) {
-      trace_->record(sched_.now(), from, "net.dup", route_detail(id, from, to));
-    }
-    if (flight_ != nullptr) {
-      flight_->record(sched_.now(), from, "net.dup",
-                      route_detail(id, from, to));
-    }
+    note(obs::EventKind::kNetDup, from, {id, from, to});
   }
   const Time sent_at = sched_.now();
   const LatencyModel& latency =
@@ -257,14 +218,8 @@ void Network::drop_pending(std::size_t index) {
   const Delivery copy = std::move(pending_[index]);
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
   ++stats_.dropped;
-  if (trace_ != nullptr) {
-    trace_->record(sched_.now(), copy.from, "net.drop",
-                   route_detail(copy.message_id, copy.from, copy.to));
-  }
-  if (flight_ != nullptr) {
-    flight_->record(sched_.now(), copy.from, "net.drop",
-                    route_detail(copy.message_id, copy.from, copy.to));
-  }
+  note(obs::EventKind::kNetDrop, copy.from,
+       {copy.message_id, copy.from, copy.to});
 }
 
 }  // namespace asa_repro::sim

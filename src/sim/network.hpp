@@ -26,11 +26,11 @@
 //
 // Causal message tracing: every send is assigned a monotonically
 // increasing message id, threaded from the send decision (drop, duplicate,
-// partition) through to each delivery. With a trace sink attached the
-// network emits one event per decision — net.send, net.drop, net.part,
-// net.dup, net.deliver, net.dead — so per-message latency, loss and
-// amplification are attributable to individual messages rather than only
-// counted in aggregate, and the JSONL trace reconciles exactly with
+// partition) through to each delivery. With an event recorder attached
+// the network records one typed event per decision — net.send, net.drop,
+// net.part, net.dup, net.deliver, net.dead — so per-message latency, loss
+// and amplification are attributable to individual messages rather than
+// only counted in aggregate, and the JSONL trace reconciles exactly with
 // NetworkStats. With a metrics registry attached, delivery latencies feed
 // per-link histograms. Both hooks default to off and cost one pointer test
 // per message when off; ids are always assigned (one increment) so replay
@@ -52,11 +52,10 @@
 #include <unordered_map>
 #include <utility>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
 
 namespace asa_repro::sim {
 
@@ -132,13 +131,18 @@ class Network {
   }
 
   /// Message loss probability in [0,1], applied per message (independent
-  /// coin flips, on top of any per-link Gilbert–Elliott loss).
-  void set_drop_probability(double p) { drop_probability_ = p; }
+  /// coin flips, on top of any per-link Gilbert–Elliott loss). Throws
+  /// std::invalid_argument outside [0,1].
+  void set_drop_probability(double p) {
+    drop_probability_ = checked_probability(p);
+  }
 
   /// Probability in [0,1] that a message is delivered twice (with an
   /// independently sampled second latency). Networks duplicate; protocol
-  /// layers must deduplicate.
-  void set_duplicate_probability(double p) { duplicate_probability_ = p; }
+  /// layers must deduplicate. Throws std::invalid_argument outside [0,1].
+  void set_duplicate_probability(double p) {
+    duplicate_probability_ = checked_probability(p);
+  }
 
   /// Install a profile on the directed link from->to (asymmetric by
   /// construction: set both directions for a symmetric path). Resets the
@@ -157,18 +161,14 @@ class Network {
   /// the bad (bursty-loss) state.
   [[nodiscard]] bool link_in_bad_state(NodeAddr from, NodeAddr to) const;
 
-  /// Attach a structured-event sink for causal per-message tracing
-  /// (categories net.*). nullptr (default) disables.
-  void set_trace(Trace* trace) { trace_ = trace; }
+  /// Attach an event recorder for causal per-message tracing (kinds
+  /// net.*): send-side fates are recorded under `from`, terminal fates
+  /// under `to`. nullptr (default) disables.
+  void set_recorder(obs::EventRecorder* events) { events_ = events; }
 
   /// Attach a metrics registry for per-link latency histograms. nullptr
   /// (default) disables.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-
-  /// Attach a flight recorder: message fates land in the per-node ring
-  /// lanes (send-side fates under `from`, terminal fates under `to`).
-  /// nullptr (default) disables.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
 
   /// Observe every message copy as it comes up for delivery, before the
   /// receiver's handler (or the dead-node sink) sees it. Tests use it to
@@ -277,7 +277,16 @@ class Network {
   /// The link's state if it exists (lookups that must not create it).
   [[nodiscard]] const LinkState* find_link(NodeAddr from, NodeAddr to) const;
 
-  /// Terminal step of one message copy: account, trace and hand to the
+  /// `p`, or std::invalid_argument when it lies outside [0,1].
+  static double checked_probability(double p);
+
+  /// Record a net.* event at the current time, if recording.
+  void note(obs::EventKind kind, NodeAddr lane,
+            const obs::EventFields& fields) {
+    if (events_ != nullptr) events_->record(kind, sched_.now(), lane, fields);
+  }
+
+  /// Terminal step of one message copy: account, record and hand to the
   /// receiver's handler (or the dead-node sink).
   void deliver_copy(const Delivery& copy);
 
@@ -291,9 +300,8 @@ class Network {
   std::unordered_map<NodeAddr, Handler> handlers_;
   std::unordered_map<std::uint64_t, LinkState> links_;  // By link_key().
   NetworkStats stats_;
-  Trace* trace_ = nullptr;
+  obs::EventRecorder* events_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
   DeliveryObserver observer_;
   std::uint64_t next_msg_id_ = 1;
 };

@@ -1,6 +1,5 @@
 #include "sim/sequence.hpp"
 
-#include <optional>
 #include <set>
 #include <string>
 
@@ -8,56 +7,37 @@ namespace asa_repro::sim {
 
 namespace {
 
-/// Extract the integer value of a "key=<digits>" token, if present.
-std::optional<std::uint64_t> field(const std::string& detail,
-                                   const std::string& key) {
-  const std::string needle = key + "=";
-  const std::size_t pos = detail.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  std::uint64_t value = 0;
-  bool any = false;
-  for (std::size_t i = pos + needle.size(); i < detail.size(); ++i) {
-    const char c = detail[i];
-    if (c < '0' || c > '9') break;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    any = true;
-  }
-  if (!any) return std::nullopt;
-  return value;
-}
+// Field slots of the kinds rendered here (see the kind table).
+constexpr std::size_t kRecvFrom = 0;
+constexpr std::size_t kUpdate = 1;  // Recv, commit and abort alike.
 
-/// The message kind is the first word of the detail ("vote update=3 ...").
-std::string first_word(const std::string& detail) {
-  const std::size_t space = detail.find(' ');
-  return space == std::string::npos ? detail : detail.substr(0, space);
+bool is_note(const obs::Event& e) {
+  return e.kind == obs::EventKind::kCommit || e.kind == obs::EventKind::kAbort;
 }
 
 }  // namespace
 
-std::string render_sequence_mermaid(const Trace& trace,
+std::string render_sequence_mermaid(const std::vector<obs::Event>& events,
                                     const SequenceOptions& options) {
   // Collect the participants first so lifelines appear in node order.
-  std::set<std::uint32_t> participants;
-  for (const TraceEvent& e : trace.events()) {
-    if (e.category == "recv" || e.category == "commit" ||
-        e.category == "abort") {
+  std::set<std::uint64_t> participants;
+  for (const obs::Event& e : events) {
+    if (e.kind == obs::EventKind::kRecv) {
       participants.insert(e.node);
-      if (e.category == "recv") {
-        if (const auto from = field(e.detail, "from"); from.has_value()) {
-          participants.insert(static_cast<std::uint32_t>(*from));
-        }
-      }
+      participants.insert(e.fields[kRecvFrom]);
+    } else if (is_note(e)) {
+      participants.insert(e.node);
     }
   }
 
   std::string out = "sequenceDiagram\n";
-  for (std::uint32_t p : participants) {
+  for (const std::uint64_t p : participants) {
     out += "    participant " + options.participant_prefix +
            std::to_string(p) + "\n";
   }
 
   std::size_t rendered = 0;
-  for (const TraceEvent& e : trace.events()) {
+  for (const obs::Event& e : events) {
     if (options.max_events != 0 && rendered >= options.max_events) {
       out += "    Note over " + options.participant_prefix +
              std::to_string(*participants.begin()) + ": ... (truncated)\n";
@@ -65,26 +45,19 @@ std::string render_sequence_mermaid(const Trace& trace,
     }
     const std::string self =
         options.participant_prefix + std::to_string(e.node);
-    if (e.category == "recv") {
-      const auto from = field(e.detail, "from");
-      if (!from.has_value()) continue;
-      std::string label = first_word(e.detail);
-      if (const auto update = field(e.detail, "update");
-          update.has_value()) {
-        label += " u" + std::to_string(*update);
-      }
-      out += "    " + options.participant_prefix + std::to_string(*from) +
-             "->>" + self + ": " + label + "\n";
-      ++rendered;
-    } else if (e.category == "commit" || e.category == "abort") {
-      std::string label = e.category;
-      if (const auto update = field(e.detail, "update");
-          update.has_value()) {
-        label += " u" + std::to_string(*update);
-      }
-      out += "    Note over " + self + ": " + label + "\n";
-      ++rendered;
+    std::string line;
+    if (e.kind == obs::EventKind::kRecv) {
+      line = options.participant_prefix +
+             std::to_string(e.fields[kRecvFrom]) + "->>" + self + ": " +
+             obs::word_name(e.word);
+    } else if (is_note(e)) {
+      line = "Note over " + self + ": " +
+             obs::category(obs::View::kTrace, e.kind);
+    } else {
+      continue;
     }
+    out += "    " + line + " u" + std::to_string(e.fields[kUpdate]) + "\n";
+    ++rendered;
   }
   return out;
 }

@@ -1,15 +1,16 @@
 // Sequence-diagram rendering of simulation traces.
 //
-// Protocol components record structured trace events ("recv" events carry
-// "from=<node>" in their detail); this renderer turns a trace into a
-// Mermaid sequenceDiagram — a publishable artefact showing an actual
-// protocol run, complementing the static state diagrams. Commit and abort
-// events become notes over the acting node's lifeline.
+// Commit peers record typed events (a recv event carries its sender and
+// update id); this renderer turns a recorder's trace view into a Mermaid
+// sequenceDiagram — a publishable artefact showing an actual protocol run,
+// complementing the static state diagrams. Commit and abort events become
+// notes over the acting node's lifeline.
 #pragma once
 
 #include <string>
+#include <vector>
 
-#include "sim/trace.hpp"
+#include "obs/event.hpp"
 
 namespace asa_repro::sim {
 
@@ -20,10 +21,11 @@ struct SequenceOptions {
   std::string participant_prefix = "node";
 };
 
-/// Render `trace` as a Mermaid sequence diagram. Events of category "recv"
-/// become arrows (sender parsed from a "from=N" token in the detail);
-/// "commit" and "abort" events become notes.
+/// Render `events` as a Mermaid sequence diagram. Recv events become
+/// arrows from their sender, commit and abort events become notes; every
+/// other kind is skipped.
 [[nodiscard]] std::string render_sequence_mermaid(
-    const Trace& trace, const SequenceOptions& options = {});
+    const std::vector<obs::Event>& events,
+    const SequenceOptions& options = {});
 
 }  // namespace asa_repro::sim

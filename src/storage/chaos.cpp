@@ -186,6 +186,19 @@ std::string ChaosConfig::serialize() const {
   return out.str();
 }
 
+std::optional<std::string> ChaosConfig::range_error() const {
+  if (nodes == 0) return "nodes must be at least 1";
+  if (replication < 2) return "replication must be at least 2";
+  if (guids < 1) return "guids must be at least 1";
+  if (burst < 1) return "burst must be at least 1";
+  if (writers < 0) return "writers must not be negative";
+  if (zipf < 0.0) return "zipf must not be negative";
+  if (read_fraction < 0.0 || read_fraction > 1.0) {
+    return "reads must be a percentage in [0,100]";
+  }
+  return std::nullopt;
+}
+
 std::optional<ChaosConfig> ChaosConfig::parse(const std::string& text) {
   ChaosConfig config;
   std::istringstream in(text);
@@ -247,11 +260,7 @@ std::optional<ChaosConfig> ChaosConfig::parse(const std::string& text) {
       return std::nullopt;
     }
   }
-  if (config.nodes == 0 || config.replication < 2 || config.guids < 1 ||
-      config.burst < 1 || config.writers < 0 || config.zipf < 0.0 ||
-      config.read_fraction < 0.0 || config.read_fraction > 1.0) {
-    return std::nullopt;
-  }
+  if (config.range_error().has_value()) return std::nullopt;
   return config;
 }
 
@@ -503,18 +512,19 @@ sim::FaultPlan generate_fault_plan(const ChaosConfig& config,
 // --------------------------------------------------------------- one run
 
 ChaosReport run_plan(const ChaosConfig& config, const sim::FaultPlan& plan,
-                     obs::MetricsRegistry* metrics, sim::Trace* trace,
-                     obs::FlightRecorder* flight, obs::SpanRecorder* spans) {
+                     obs::MetricsRegistry* metrics,
+                     obs::EventRecorder* events, obs::SpanRecorder* spans) {
   ClusterConfig cluster_config;
   cluster_config.nodes = config.nodes;
   cluster_config.replication_factor = config.replication;
   cluster_config.seed = config.seed;
   cluster_config.metrics = metrics != nullptr;
-  cluster_config.tracing = trace != nullptr;
+  cluster_config.tracing = events != nullptr && events->tracing();
   // The flight capacity is a run_plan constant, NOT a ChaosConfig knob:
   // replay headers reject unknown keys, so adding one would invalidate
   // every existing reproducer file.
-  cluster_config.flight_capacity = flight != nullptr ? 256 : 0;
+  cluster_config.flight_capacity =
+      events != nullptr && events->capacity() > 0 ? 256 : 0;
   cluster_config.spans = spans != nullptr;
   // Retries must outlast fault windows (exponential backoff spans the
   // horizon), and peers must abort stalled instances or vote splits under
@@ -818,11 +828,10 @@ ChaosReport run_plan(const ChaosConfig& config, const sim::FaultPlan& plan,
     cluster.snapshot_metrics();
     metrics->merge(cluster.metrics());
   }
-  if (trace != nullptr) {
-    trace->record(0, 0, "campaign", "seed=" + std::to_string(config.seed));
-    trace->append(cluster.trace());
+  if (events != nullptr) {
+    events->record(obs::EventKind::kCampaign, 0, 0, {config.seed});
+    events->merge(cluster.events());
   }
-  if (flight != nullptr) flight->merge(cluster.flight());
   if (spans != nullptr) spans->merge(cluster.spans());
   return report;
 }

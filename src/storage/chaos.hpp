@@ -22,12 +22,11 @@
 #include <utility>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/rng.hpp"
-#include "sim/trace.hpp"
 #include "storage/invariant_checker.hpp"
 
 namespace asa_repro::storage {
@@ -94,6 +93,11 @@ struct ChaosConfig {
     return equivocators == 0 && effective_budget() <= f();
   }
 
+  /// Why this config cannot run (no nodes, r < 2, no GUIDs, burst < 1,
+  /// negative writers or zipf, a read fraction outside [0,1]), or nullopt.
+  /// Both parse() and the asachaos CLI reject such configs.
+  [[nodiscard]] std::optional<std::string> range_error() const;
+
   /// Replay-header form ("key value" lines) and its inverse.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static std::optional<ChaosConfig> parse(
@@ -130,19 +134,17 @@ struct ChaosReport {
 /// Observability out-params (all optional; shrinking and replay pass
 /// none, so reproducers run unobserved and fast): with `metrics` the
 /// run's cluster enables its registry and merges it into `metrics` at the
-/// end (counters/histograms accumulate across seeds); with `trace` the
-/// run's causal message/commit trace is appended to `trace`, prefixed by a
-/// `campaign` marker event carrying the seed. With `flight` the cluster
-/// runs a 256-slot-per-node flight recorder (plus horizon-bounded
-/// queue-depth sampling on the cluster lane) merged into `flight` at the
-/// end; with `spans` the commit-path span timeline is recorded and merged
-/// likewise. None of these affect the event timeline: identical seeds
-/// produce identical runs observed or not.
+/// end (counters/histograms accumulate across seeds). With `events` the
+/// run records the views `events` keeps and merges them into it: the trace
+/// behind a `campaign` marker carrying the seed, and a 256-slot-per-lane
+/// flight view (plus horizon-bounded queue-depth samples on the cluster
+/// lane). With `spans` the span timeline is recorded and merged likewise.
+/// None of these affect the event timeline: identical seeds produce
+/// identical runs observed or not.
 [[nodiscard]] ChaosReport run_plan(const ChaosConfig& config,
                                    const sim::FaultPlan& plan,
                                    obs::MetricsRegistry* metrics = nullptr,
-                                   sim::Trace* trace = nullptr,
-                                   obs::FlightRecorder* flight = nullptr,
+                                   obs::EventRecorder* events = nullptr,
                                    obs::SpanRecorder* spans = nullptr);
 
 /// Delta-debug a violating plan to a locally minimal reproducer: greedily

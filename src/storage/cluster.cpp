@@ -10,17 +10,15 @@ AsaCluster::AsaCluster(ClusterConfig config)
       rng_(config.seed),
       network_(scheduler_, sim::Rng(config.seed ^ 0x6E6574ull),
                config.latency),
-      trace_(config.tracing),
+      events_(config.tracing, config.flight_capacity),
       metrics_(config.metrics),
-      flight_(config.flight_capacity),
       ring_(sim::Rng(config.seed ^ 0x72696E67ull)) {
   network_.set_drop_probability(config_.drop_probability);
-  if (config_.tracing) network_.set_trace(&trace_);
+  if (events_.enabled()) network_.set_recorder(&events_);
   if (config_.metrics) {
     network_.set_metrics(&metrics_);
     ring_.set_metrics(&metrics_);
   }
-  if (flight_.enabled()) network_.set_flight(&flight_);
 
   // Build the Chord ring and one host per node; host index == NodeAddr.
   ring_.build(config_.nodes);
@@ -53,10 +51,9 @@ void AsaCluster::rebuild_host(std::size_t index,
       machines_.machine_for(config_.replication_factor);
   hosts_[index] = std::make_unique<NodeHost>(
       network_, static_cast<sim::NodeAddr>(index), machine, behaviour,
-      config_.tracing ? &trace_ : nullptr);
+      events_.enabled() ? &events_ : nullptr);
   if (config_.metrics) hosts_[index]->peer().set_metrics(&metrics_);
   if (config_.spans) hosts_[index]->peer().set_spans(&span_recorder_);
-  if (flight_.enabled()) hosts_[index]->peer().set_flight(&flight_);
   hosts_[index]->peer().set_peer_resolver(
       [this](std::uint64_t guid_key) -> const std::vector<sim::NodeAddr>& {
         static const std::vector<sim::NodeAddr> kUnknownGuid;
@@ -77,8 +74,7 @@ void AsaCluster::rebuild_host(std::size_t index,
         [this, index](std::uint64_t guid,
                       const commit::CommitPeer::CommittedEntry& e) {
           acked_[index][guid][e.request_id] = e.payload;
-        },
-        flight_.enabled() ? &flight_ : nullptr);
+        });
   }
 }
 
@@ -210,14 +206,14 @@ std::size_t AsaCluster::migrate_version_history(const Guid& guid) {
 }
 
 void AsaCluster::schedule_flight_sampling(sim::Time until, sim::Time every) {
-  if (!flight_.enabled() || every == 0) return;
+  if (events_.capacity() == 0 || every == 0) return;
   // A fixed fan of one-shot events (not a self-rescheduling chain) so the
   // scheduler still quiesces once real traffic drains.
   for (sim::Time at = scheduler_.now(); at <= until; at += every) {
     scheduler_.schedule_at(at, [this] {
-      flight_.record(scheduler_.now(), obs::FlightRecorder::kClusterLane,
-                     "sched.queue_depth",
-                     "depth=" + std::to_string(scheduler_.pending()));
+      events_.record(obs::EventKind::kQueueDepth, scheduler_.now(),
+                     obs::EventRecorder::kClusterLane,
+                     {scheduler_.pending()});
     });
   }
 }
@@ -392,19 +388,11 @@ std::size_t AsaCluster::restart_node(std::size_t index) {
         metrics_.counter("recovery.snapshots_loaded").inc();
       }
     }
-    const std::string recovery_detail =
-        "replayed=" + std::to_string(stats.replayed_records) +
-        " entries=" + std::to_string(stats.entries_recovered) +
-        " truncated=" + std::to_string(stats.truncated_bytes) +
-        " skipped_crc=" + std::to_string(stats.skipped_crc) +
-        " snapshot=" + (stats.snapshot_loaded ? "yes" : "no") +
-        " reconciled=" + std::to_string(reconciled);
-    if (config_.tracing) {
-      trace_.record(scheduler_.now(), static_cast<sim::NodeAddr>(index),
-                    "recovery", recovery_detail);
-    }
-    flight_.record(scheduler_.now(), static_cast<std::uint32_t>(index),
-                   "journal.replay", recovery_detail);
+    events_.record(obs::EventKind::kRecovery, scheduler_.now(),
+                   static_cast<std::uint32_t>(index),
+                   {stats.replayed_records, stats.entries_recovered,
+                    stats.truncated_bytes, stats.skipped_crc, reconciled},
+                   stats.snapshot_loaded ? obs::Word::kYes : obs::Word::kNo);
   }
 
   // Regenerate this node's missing block replicas from intact copies.
@@ -412,9 +400,9 @@ std::size_t AsaCluster::restart_node(std::size_t index) {
   return recovered + adopted + reconciled;
 }
 
-void AsaCluster::note_churn(const char* kind, std::size_t index) {
+void AsaCluster::note_churn(obs::Word kind, std::size_t index) {
   if (config_.metrics) {
-    metrics_.counter("churn." + std::string(kind) + "s").inc();
+    metrics_.counter("churn." + std::string(obs::word_name(kind)) + "s").inc();
     metrics_.gauge("churn.ring_size")
         .set(static_cast<std::int64_t>(ring_.size()));
     metrics_.gauge("churn.epoch")
@@ -425,16 +413,9 @@ void AsaCluster::note_churn(const char* kind, std::size_t index) {
         .histogram("churn.ring_size_samples", {}, obs::small_count_buckets())
         .observe(ring_.size());
   }
-  const std::string detail = std::string(kind) +
-                             " node=" + std::to_string(index) +
-                             " epoch=" + std::to_string(membership_epoch_) +
-                             " ring=" + std::to_string(ring_.size());
-  if (config_.tracing) {
-    trace_.record(scheduler_.now(), static_cast<sim::NodeAddr>(index),
-                  "churn", detail);
-  }
-  flight_.record(scheduler_.now(), obs::FlightRecorder::kClusterLane,
-                 "churn", detail);
+  events_.record(obs::EventKind::kChurn, scheduler_.now(),
+                 static_cast<std::uint32_t>(index),
+                 {index, membership_epoch_, ring_.size()}, kind);
 }
 
 std::size_t AsaCluster::add_node() {
@@ -475,7 +456,7 @@ std::size_t AsaCluster::add_node() {
     (void)migrate_version_history(guid);
   }
   if (maintainer_) maintainer_->scan();
-  note_churn("join", index);
+  note_churn(obs::Word::kJoin, index);
   return index;
 }
 
@@ -535,7 +516,7 @@ bool AsaCluster::remove_node(std::size_t index, bool graceful,
     }
     if (maintainer_) maintainer_->scan();
   }
-  note_churn(graceful ? "leave" : "depart", index);
+  note_churn(graceful ? obs::Word::kLeave : obs::Word::kDepart, index);
   return true;
 }
 

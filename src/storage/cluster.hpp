@@ -19,12 +19,11 @@
 #include "commit/machine_cache.hpp"
 #include "durable/durable_log.hpp"
 #include "durable/storage_medium.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "p2p/chord.hpp"
 #include "sim/network.hpp"
-#include "sim/trace.hpp"
 #include "storage/data_store.hpp"
 #include "storage/maintenance.hpp"
 #include "storage/node_host.hpp"
@@ -82,9 +81,12 @@ class AsaCluster {
 
   [[nodiscard]] sim::Scheduler& scheduler() { return scheduler_; }
   [[nodiscard]] sim::Network& network() { return network_; }
-  [[nodiscard]] sim::Trace& trace() { return trace_; }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] obs::FlightRecorder& flight() { return flight_; }
+  /// The event recorder: its trace view keeps every event when `tracing`
+  /// is on, its flight view the last `flight_capacity` per lane.
+  [[nodiscard]] obs::EventRecorder& events() { return events_; }
+  /// The same recorder, named for its flight view (to_json()).
+  [[nodiscard]] obs::EventRecorder& flight() { return events_; }
   [[nodiscard]] obs::SpanRecorder& spans() { return span_recorder_; }
   [[nodiscard]] p2p::ChordRing& ring() { return ring_; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
@@ -262,9 +264,8 @@ class AsaCluster {
   sim::Scheduler scheduler_;
   sim::Rng rng_;
   sim::Network network_;
-  sim::Trace trace_;
+  obs::EventRecorder events_;
   obs::MetricsRegistry metrics_;
-  obs::FlightRecorder flight_;
   obs::SpanRecorder span_recorder_;
   /// Build a fresh host at `index`'s address with the given behaviour and
   /// wire its peer resolver (shared by construction, fault flips, restart).
@@ -281,7 +282,7 @@ class AsaCluster {
 
   /// Record a membership change: churn counters, ring-size gauge and
   /// over-time samples, epoch gauge, trace/flight events.
-  void note_churn(const char* kind, std::size_t index);
+  void note_churn(obs::Word kind, std::size_t index);
 
   static constexpr std::uint64_t kUnresolved = ~std::uint64_t{0};
 

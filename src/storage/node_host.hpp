@@ -14,7 +14,7 @@
 
 #include "commit/peer.hpp"
 #include "durable/durable_log.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/event.hpp"
 #include "storage/storage_node.hpp"
 
 namespace asa_repro::storage {
@@ -24,10 +24,11 @@ class NodeHost {
   NodeHost(sim::Network& network, sim::NodeAddr addr,
            const fsm::StateMachine& machine,
            commit::Behaviour behaviour = commit::Behaviour::kHonest,
-           sim::Trace* trace = nullptr)
+           obs::EventRecorder* events = nullptr)
       : network_(network),
         addr_(addr),
-        peer_(network, addr, {}, machine, behaviour, trace,
+        events_(events),
+        peer_(network, addr, {}, machine, behaviour, events,
               /*attach_to_network=*/false) {
     network_.attach(addr_,
                     [this](sim::NodeAddr from, const std::string& data) {
@@ -47,27 +48,24 @@ class NodeHost {
   /// Wire the peer's durability sinks to `log` (write-ahead discipline:
   /// a commit is journaled before it is recorded or acknowledged) and
   /// report every acknowledgement to `on_acked` (the cluster's durable-ack
-  /// ledger). `log` must outlive this host. With `flight` non-null every
-  /// journal append lands (with its outcome and causal ids) in this node's
-  /// flight-recorder lane — the durable layer itself stays obs-free.
+  /// ledger). `log` must outlive this host. With an event recorder every
+  /// journal append is recorded with its outcome and causal ids — the
+  /// durable layer itself stays obs-free.
   void enable_durability(
       durable::DurableLog& log,
       std::function<void(std::uint64_t guid,
                          const commit::CommitPeer::CommittedEntry&)>
-          on_acked,
-      obs::FlightRecorder* flight = nullptr) {
+          on_acked) {
     peer_.set_commit_sink(
-        [this, &log, flight](std::uint64_t guid,
-                             const commit::CommitPeer::CommittedEntry& e) {
+        [this, &log](std::uint64_t guid,
+                     const commit::CommitPeer::CommittedEntry& e) {
           const bool ok =
               log.record_commit(guid, e.update_id, e.request_id, e.payload);
-          if (flight != nullptr) {
-            flight->record(network_.scheduler().now(), addr_,
-                           "journal.append",
-                           "guid=" + std::to_string(guid) +
-                               " update=" + std::to_string(e.update_id) +
-                               " request=" + std::to_string(e.request_id) +
-                               (ok ? " ok" : " failed"));
+          if (events_ != nullptr) {
+            events_->record(obs::EventKind::kJournalAppend,
+                            network_.scheduler().now(), addr_,
+                            {guid, e.update_id, e.request_id},
+                            ok ? obs::Word::kOk : obs::Word::kFailed);
           }
           return ok;
         });
@@ -153,6 +151,7 @@ class NodeHost {
 
   sim::Network& network_;
   sim::NodeAddr addr_;
+  obs::EventRecorder* events_;
   StorageNode store_;
   commit::CommitPeer peer_;
 };

@@ -67,7 +67,7 @@ struct Harness {
   const fsm::StateMachine& machine;
   sim::Scheduler sched;
   sim::Network network;
-  sim::Trace trace;
+  obs::EventRecorder trace{/*tracing=*/true, /*flight_capacity=*/0};
   std::uint32_t f;
   std::vector<sim::NodeAddr> peer_addrs;
   std::vector<std::unique_ptr<CommitPeer>> peers;

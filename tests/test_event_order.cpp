@@ -10,11 +10,18 @@
 // before its scheduler held typed delivery events, so a change to the
 // scheduler, the network or the commit runtime that moves one event, one
 // RNG draw or one byte fails here.
+//
+// GoldenExports pins what the observability exports make of one chaos
+// run that reaches every event kind.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
+#include <sstream>
+
+#include "obs/event.hpp"
+#include "storage/chaos.hpp"
 #include "storage/cluster.hpp"
 
 namespace asa_repro::storage {
@@ -135,6 +142,78 @@ TEST(GoldenEventOrder, LossAndDuplicationWithReadsAndStores) {
   // no-op and counts nothing.
   expect_stats(fp, {1332, 1324, 73, 65, 0, 0, 0},
                {1417, 1364, 53, 53, 223});
+}
+
+// Every observability event kind, exported through both views: one chaos
+// run over a hand-written fault plan with drop, duplicate and partition
+// windows, a crash and a durable restart, a disk stall while commits are
+// running, and a join, a leave and a depart. The asa-trace/1 JSONL and the
+// flight JSON are pinned to hashes captured when the trace and the flight
+// recorder still built their detail strings at each emission site, so a
+// change to any category, field, lane or event order fails here.
+struct Exports {
+  std::string trace;
+  std::string flight;
+};
+
+Exports run_exports() {
+  ChaosConfig config;
+  config.nodes = 12;
+  config.replication = 4;
+  config.seed = 21;
+  config.updates = 12;
+  config.guids = 2;
+  config.blocks = 1;
+  config.horizon = 1'500'000;
+  using Kind = sim::FaultEvent::Kind;
+  sim::FaultPlan plan;
+  plan.add({.at = 40'000, .kind = Kind::kDropRate, .rate = 0.1});
+  plan.add({.at = 90'000, .kind = Kind::kCrash, .node = 3});
+  plan.add({.at = 120'000, .kind = Kind::kDropRate, .rate = 0.0});
+  plan.add({.at = 150'000, .kind = Kind::kDupRate, .rate = 0.2});
+  plan.add({.at = 200'000, .kind = Kind::kPartition, .node = 1, .peer = 11});
+  plan.add({.at = 255'000, .kind = Kind::kDiskStall, .node = 11});
+  plan.add({.at = 260'000, .kind = Kind::kDupRate, .rate = 0.0});
+  plan.add({.at = 300'000, .kind = Kind::kRestart, .node = 3});
+  plan.add({.at = 330'000, .kind = Kind::kHeal, .node = 1, .peer = 11});
+  plan.add({.at = 400'000, .kind = Kind::kJoin, .node = 12});
+  plan.add({.at = 420'000, .kind = Kind::kDiskOk, .node = 11});
+  plan.add({.at = 450'000, .kind = Kind::kLeave, .node = 5});
+  plan.add({.at = 500'000, .kind = Kind::kDepart, .node = 7});
+
+  obs::EventRecorder events(/*tracing=*/true, /*flight_capacity=*/64);
+  (void)run_plan(config, plan, nullptr, &events, nullptr);
+  std::ostringstream jsonl;
+  events.write_trace_jsonl(jsonl);
+  return {jsonl.str(), events.to_json().dump()};
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+TEST(GoldenExports, TraceAndFlightViewsOfEveryKind) {
+  const Exports exports = run_exports();
+  for (const char* category :
+       {"instance", "commit.instance", "commit", "commit.record", "abort",
+        "commit.abort", "net.send", "recovery", "journal.replay", "churn",
+        "recv", "campaign", "commit.veto", "journal.append",
+        "sched.queue_depth", "net.part", "net.drop", "net.dup", "net.dead",
+        "net.deliver"}) {
+    const std::string key = "\"cat\":\"" + std::string(category) + "\"";
+    EXPECT_TRUE(exports.trace.find(key) != std::string::npos ||
+                exports.flight.find(key) != std::string::npos)
+        << category;
+  }
+  EXPECT_EQ(exports.trace.size(), 117145u);
+  EXPECT_EQ(fnv1a(exports.trace), 8551398378880968903ull);
+  EXPECT_EQ(exports.flight.size(), 52063u);
+  EXPECT_EQ(fnv1a(exports.flight), 3670464484329650996ull);
 }
 
 }  // namespace

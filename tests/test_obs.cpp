@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/event.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
@@ -27,7 +27,6 @@
 #include "schema_sweep.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
 #include "storage/chaos.hpp"
 #include "storage/cluster.hpp"
 
@@ -265,25 +264,26 @@ TEST(MetricsJson, RulesCheckBucketsAndJoinLabels) {
 // ---- Trace JSONL round-trip, including hostile details. ----
 
 TEST(TraceJsonl, RoundTripPreservesNewlinesQuotesAndControlChars) {
-  sim::Trace trace;
-  trace.record(10, 1, "cat.a", "plain detail");
-  trace.record(20, 2, "cat.b", "line one\nline two\ttabbed");
-  trace.record(30, 3, "cat.a", R"(quotes " and \ backslash)");
-  trace.record(40, 4, "cat\"c", std::string("nul \x01 ctrl"));
+  const std::vector<obs::TraceEvent> written = {
+      {10, 1, "cat.a", "plain detail"},
+      {20, 2, "cat.b", "line one\nline two\ttabbed"},
+      {30, 3, "cat.a", R"(quotes " and \ backslash)"},
+      {40, 4, "cat\"c", std::string("nul \x01 ctrl")},
+  };
 
   std::ostringstream os;
   os << R"({"schema":"asa-trace/1","tool":"test"})" << "\n";
-  trace.dump_jsonl(os);
+  for (const obs::TraceEvent& e : written) obs::write_trace_line(os, e);
   os << "\n";  // Trailing blank line must be tolerated.
 
   const auto events = obs::parse_trace_jsonl(os.str());
   ASSERT_TRUE(events.has_value());
-  ASSERT_EQ(events->size(), trace.events().size());
+  ASSERT_EQ(events->size(), written.size());
   for (std::size_t i = 0; i < events->size(); ++i) {
-    EXPECT_EQ((*events)[i].time, trace.events()[i].time);
-    EXPECT_EQ((*events)[i].node, trace.events()[i].node);
-    EXPECT_EQ((*events)[i].category, trace.events()[i].category);
-    EXPECT_EQ((*events)[i].detail, trace.events()[i].detail);
+    EXPECT_EQ((*events)[i].time, written[i].time);
+    EXPECT_EQ((*events)[i].node, written[i].node);
+    EXPECT_EQ((*events)[i].category, written[i].category);
+    EXPECT_EQ((*events)[i].detail, written[i].detail);
   }
 }
 
@@ -304,10 +304,13 @@ TEST(TraceJsonl, MalformedLineFailsTheParse) {
   EXPECT_EQ(error, "line 1: detail: missing");
   EXPECT_FALSE(obs::parse_trace_jsonl("[1,2]\n").has_value());
 
-  sim::Trace trace;
-  trace.record(10, 1, "commit", "guid=7 update=12 latency=3200");
+  obs::EventRecorder trace(/*tracing=*/true, /*flight_capacity=*/0);
+  trace.record(obs::EventKind::kCommit, 10, 1, {7, 12, 0, 3200});
   std::ostringstream event;
-  trace.dump_jsonl(event);
+  trace.write_trace_jsonl(event);
+  ASSERT_EQ(event.str(), R"({"t":10,"node":1,"cat":"commit",)"
+                        R"("detail":"guid=7 update=12 latency=3200"})"
+                        "\n");
   const obs::JsonValue header =
       *obs::parse_json(R"({"schema":"asa-trace/1","tool":"test","seed":3})");
   const obs::DocumentSchema& row = *obs::find_schema("asa-trace/1");
@@ -364,23 +367,26 @@ TEST(TraceJsonl, DetailFieldExtraction) {
 
 // ---- Causal trace <-> NetworkStats reconciliation under forced faults. ----
 
-// Collect the id= field of every event in a category.
-std::vector<std::uint64_t> ids_in(const sim::Trace& trace,
-                                  const std::string& category) {
+// The message id (field 0) of every traced event of one kind, read back
+// from its rendered id= field.
+std::vector<std::uint64_t> ids_in(const obs::EventRecorder& trace,
+                                  obs::EventKind kind) {
   std::vector<std::uint64_t> ids;
-  trace.for_each_in_category(category, [&](const sim::TraceEvent& e) {
-    const auto id = obs::detail_field(e.detail, "id");
-    EXPECT_TRUE(id.has_value()) << category << ": " << e.detail;
+  for (const obs::Event& e : trace.stream()) {
+    if (e.kind != kind) continue;
+    const std::string detail = obs::detail(obs::View::kTrace, e);
+    const auto id = obs::detail_field(detail, "id");
+    EXPECT_TRUE(id.has_value()) << detail;
     if (id.has_value()) ids.push_back(*id);
-  });
+  }
   return ids;
 }
 
 TEST(NetworkCausalTrace, StatsReconcileUnderDropDuplicateAndPartition) {
   sim::Scheduler sched;
   sim::Network net(sched, sim::Rng(7));
-  sim::Trace trace;
-  net.set_trace(&trace);
+  obs::EventRecorder trace(/*tracing=*/true, /*flight_capacity=*/0);
+  net.set_recorder(&trace);
   net.attach(0, [](sim::NodeAddr, const std::string&) {});
   net.attach(1, [](sim::NodeAddr, const std::string&) {});
 
@@ -409,15 +415,16 @@ TEST(NetworkCausalTrace, StatsReconcileUnderDropDuplicateAndPartition) {
   EXPECT_EQ(stats.delivered, 8u);  // 4 sends x 2 copies.
 
   // Every aggregate count reconciles with per-message trace events.
-  EXPECT_EQ(trace.count("net.send"), stats.sent);
-  EXPECT_EQ(trace.count("net.drop"), stats.dropped);
-  EXPECT_EQ(trace.count("net.dup"), stats.duplicated);
-  EXPECT_EQ(trace.count("net.part"), stats.partitioned);
-  EXPECT_EQ(trace.count("net.dead"), stats.to_dead_node);
-  EXPECT_EQ(trace.count("net.deliver"), stats.delivered);
+  using obs::EventKind;
+  EXPECT_EQ(ids_in(trace, EventKind::kNetSend).size(), stats.sent);
+  EXPECT_EQ(ids_in(trace, EventKind::kNetDrop).size(), stats.dropped);
+  EXPECT_EQ(ids_in(trace, EventKind::kNetDup).size(), stats.duplicated);
+  EXPECT_EQ(ids_in(trace, EventKind::kNetPart).size(), stats.partitioned);
+  EXPECT_EQ(ids_in(trace, EventKind::kNetDead).size(), stats.to_dead_node);
+  EXPECT_EQ(ids_in(trace, EventKind::kNetDeliver).size(), stats.delivered);
 
   // Send ids are unique and monotonically increasing from 1.
-  const auto send_ids = ids_in(trace, "net.send");
+  const auto send_ids = ids_in(trace, EventKind::kNetSend);
   ASSERT_EQ(send_ids.size(), 13u);
   for (std::size_t i = 0; i < send_ids.size(); ++i) {
     EXPECT_EQ(send_ids[i], i + 1);
@@ -428,26 +435,29 @@ TEST(NetworkCausalTrace, StatsReconcileUnderDropDuplicateAndPartition) {
   // sends: each id is dropped, partitioned, or delivered (1 or 2 copies).
   const std::set<std::uint64_t> sent_set(send_ids.begin(), send_ids.end());
   std::set<std::uint64_t> terminal;
-  for (const char* cat : {"net.drop", "net.part", "net.deliver", "net.dead"}) {
-    for (const std::uint64_t id : ids_in(trace, cat)) {
-      EXPECT_TRUE(sent_set.contains(id)) << cat << " id " << id;
+  for (const EventKind kind : {EventKind::kNetDrop, EventKind::kNetPart,
+                               EventKind::kNetDeliver, EventKind::kNetDead}) {
+    for (const std::uint64_t id : ids_in(trace, kind)) {
+      EXPECT_TRUE(sent_set.contains(id))
+          << obs::category(obs::View::kTrace, kind) << " id " << id;
       terminal.insert(id);
     }
   }
   EXPECT_EQ(terminal, sent_set);
 
   // Duplicated ids show up exactly twice in net.deliver.
-  const auto deliver_ids = ids_in(trace, "net.deliver");
-  for (const std::uint64_t id : ids_in(trace, "net.dup")) {
+  const auto deliver_ids = ids_in(trace, EventKind::kNetDeliver);
+  for (const std::uint64_t id : ids_in(trace, EventKind::kNetDup)) {
     EXPECT_EQ(std::count(deliver_ids.begin(), deliver_ids.end(), id), 2)
         << "dup id " << id;
   }
 
   // Delivery events carry the sampled latency.
-  trace.for_each_in_category("net.deliver", [&](const sim::TraceEvent& e) {
-    EXPECT_TRUE(obs::detail_field(e.detail, "latency").has_value())
-        << e.detail;
-  });
+  for (const obs::Event& e : trace.stream()) {
+    if (e.kind != EventKind::kNetDeliver) continue;
+    const std::string detail = obs::detail(obs::View::kTrace, e);
+    EXPECT_TRUE(obs::detail_field(detail, "latency").has_value()) << detail;
+  }
 }
 
 TEST(NetworkCausalTrace, IdsAssignedEvenWithTracingOff) {
@@ -506,23 +516,23 @@ TEST(MetricsDeterminism, DifferentSeedsDiverge) {
   EXPECT_NE(run_cluster_and_export(11), run_cluster_and_export(12));
 }
 
-// ---- Flight recorder: ring semantics, wraparound, merge, JSON. ----
+// ---- Flight view: ring semantics, wraparound, merge, JSON. ----
 
 TEST(FlightRecorder, DropOldestWraparoundKeepsOrderAndSeq) {
-  obs::FlightRecorder flight(3);
+  obs::EventRecorder flight(/*tracing=*/false, /*flight_capacity=*/3);
   EXPECT_TRUE(flight.enabled());
-  for (int i = 0; i < 5; ++i) {
-    flight.record(static_cast<std::uint64_t>(100 + i), 1, "cat",
-                  "i=" + std::to_string(i));
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    flight.record(obs::EventKind::kNetSend, 100 + i, 1, {i, 1, 2});
   }
-  flight.record(200, 2, "other", "x");
+  flight.record(obs::EventKind::kNetDrop, 200, 2, {9, 2, 1});
   EXPECT_EQ(flight.total_recorded(), 6u);
+  EXPECT_TRUE(flight.stream().empty());  // No trace view.
 
   const auto lane1 = flight.lane(1);
   ASSERT_EQ(lane1.size(), 3u);  // The two oldest events were evicted.
-  EXPECT_EQ(lane1[0].detail, "i=2");
-  EXPECT_EQ(lane1[1].detail, "i=3");
-  EXPECT_EQ(lane1[2].detail, "i=4");
+  EXPECT_EQ(lane1[0].event.fields[0], 2u);
+  EXPECT_EQ(lane1[1].event.fields[0], 3u);
+  EXPECT_EQ(lane1[2].event.fields[0], 4u);
   EXPECT_LT(lane1[0].seq, lane1[1].seq);
   EXPECT_LT(lane1[1].seq, lane1[2].seq);
   // The global sequence preserves cross-lane order.
@@ -533,44 +543,55 @@ TEST(FlightRecorder, DropOldestWraparoundKeepsOrderAndSeq) {
 }
 
 TEST(FlightRecorder, DisabledRecorderDropsEverything) {
-  obs::FlightRecorder off(0);
+  obs::EventRecorder off(/*tracing=*/false, /*flight_capacity=*/0);
   EXPECT_FALSE(off.enabled());
-  off.record(1, 1, "cat", "detail");
+  off.record(obs::EventKind::kNetSend, 1, 1, {1, 1, 2});
   EXPECT_EQ(off.total_recorded(), 0u);
   EXPECT_TRUE(off.lanes().empty());
   EXPECT_TRUE(off.lane(1).empty());
+  EXPECT_TRUE(off.stream().empty());
 }
 
 TEST(FlightRecorder, DisabledComponentPathAllocatesNothing) {
-  // Components guard every event behind one pointer test; with a null
-  // recorder the detail string is never even built, so the instrumented
-  // hot path performs zero allocations.
-  obs::FlightRecorder* flight = nullptr;
+  // Recording formats nothing: a recorder with both views off, and a warm
+  // flight view whose ring has wrapped, take an event without allocating.
+  obs::EventRecorder off(/*tracing=*/false, /*flight_capacity=*/0);
+  obs::EventRecorder flight(/*tracing=*/false, /*flight_capacity=*/16);
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    flight.record(obs::EventKind::kNetSend, i, 1, {i, 0, 1, 33});
+  }
   const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 1000; ++i) {
-    if (flight != nullptr) {
-      flight->record(static_cast<std::uint64_t>(i), 1, "net.send",
-                     "id=" + std::to_string(i) + " from=0 to=1");
-    }
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    off.record(obs::EventKind::kNetSend, i, 1, {i, 0, 1, 33});
+    flight.record(obs::EventKind::kNetSend, i, 1, {i, 0, 1, 33});
+    flight.record(obs::EventKind::kCommit, i, 1, {7, i, i, 250});
   }
   EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(flight.total_recorded(), 2016u);
 }
 
 TEST(FlightRecorder, MergeRerecordsPreservingTimeAndJsonNamesClusterLane) {
-  obs::FlightRecorder a(2);
-  obs::FlightRecorder b(2);
-  a.record(10, 1, "a", "1");
-  b.record(5, 1, "b", "1");
-  b.record(6, obs::FlightRecorder::kClusterLane, "b", "2");
+  obs::EventRecorder a(/*tracing=*/false, /*flight_capacity=*/2);
+  obs::EventRecorder b(/*tracing=*/false, /*flight_capacity=*/2);
+  a.record(obs::EventKind::kNetSend, 10, 1, {1, 1, 2});
+  b.record(obs::EventKind::kNetSend, 5, 1, {1, 1, 2});
+  b.record(obs::EventKind::kQueueDepth, 6, obs::EventRecorder::kClusterLane,
+           {2});
   a.merge(b);
   const auto lane1 = a.lane(1);
   ASSERT_EQ(lane1.size(), 2u);
-  EXPECT_EQ(lane1[0].t, 10u);  // Merge appends: original time, new seq.
-  EXPECT_EQ(lane1[1].t, 5u);
+  EXPECT_EQ(lane1[0].event.t, 10u);  // Merge appends: original time, new seq.
+  EXPECT_EQ(lane1[1].event.t, 5u);
   EXPECT_LT(lane1[0].seq, lane1[1].seq);
   const obs::JsonValue json = a.to_json();
   EXPECT_NE(json.find("1"), nullptr);
   EXPECT_NE(json.find("cluster"), nullptr);
+  EXPECT_EQ(json.dump(),
+            R"({"1":[{"t":10,"seq":0,"cat":"net.send",)"
+            R"("detail":"id=1 from=1 to=2"},)"
+            R"({"t":5,"seq":1,"cat":"net.send","detail":"id=1 from=1 to=2"}],)"
+            R"("cluster":[{"t":6,"seq":2,"cat":"sched.queue_depth",)"
+            R"("detail":"depth=2"}]})");
 }
 
 // ---- Span recorder: retry lifecycle, nesting, merge, JSON. ----
@@ -831,10 +852,10 @@ TEST(Postmortem, SameSeedProducesByteIdenticalValidBundle) {
   config.blocks = 1;
   const auto build = [&config]() {
     obs::MetricsRegistry metrics(true);
-    obs::FlightRecorder flight(64);
+    obs::EventRecorder flight(/*tracing=*/false, /*flight_capacity=*/64);
     obs::SpanRecorder spans;
     const storage::ChaosReport report = storage::run_plan(
-        config, sim::FaultPlan(), &metrics, nullptr, &flight, &spans);
+        config, sim::FaultPlan(), &metrics, &flight, &spans);
     obs::PostmortemViolations violations;
     for (const storage::Violation& v : report.violations) {
       violations.emplace_back(v.invariant, v.detail);
@@ -860,8 +881,8 @@ TEST(Postmortem, SameSeedProducesByteIdenticalValidBundle) {
 // Every post-mortem field the schema table lists, the embedded metrics and
 // span documents' fields included.
 TEST(Postmortem, ValidatorRejectsBrokenEmbeddedDocuments) {
-  obs::FlightRecorder flight(4);
-  flight.record(10, 1, "net.send", "id=1 from=1 to=2");
+  obs::EventRecorder flight(/*tracing=*/false, /*flight_capacity=*/4);
+  flight.record(obs::EventKind::kNetSend, 10, 1, {1, 1, 2});
   obs::MetricsRegistry metrics;
   metrics.counter("events", {{"node", "1"}}).inc();
   metrics.gauge("depth", {{"node", "1"}}).set(2);
@@ -895,41 +916,52 @@ TEST(AllocationBudget, WarmNetworkAllocatesOnlyTheFramePerMessage) {
   // From serialize to the handler a message costs one allocation: the
   // 33-byte frame itself (past the small-string buffer). The send, the
   // link lookup, the scheduled delivery record, the queue and the handler
-  // call all reuse storage that warm-up sized.
-  sim::Scheduler sched;
-  sim::Network net(sched, sim::Rng(3));
-  constexpr sim::NodeAddr kNodes = 8;
-  std::uint64_t bytes = 0;
-  for (sim::NodeAddr a = 0; a < kNodes; ++a) {
-    net.attach(a, [&bytes](sim::NodeAddr, const std::string& payload) {
-      bytes += payload.size();
-    });
-  }
-  // Each cycle keeps every ordered pair's message in flight at once, then
-  // drains them, so the queue holds kNodes * (kNodes - 1) deliveries.
-  std::uint64_t sent = 0;
-  const auto cycle = [&](std::uint64_t round) {
-    for (sim::NodeAddr from = 0; from < kNodes; ++from) {
-      for (sim::NodeAddr to = 0; to < kNodes; ++to) {
-        if (from == to) continue;
-        const commit::WireMessage msg{commit::WireMessage::Kind::kVote,
-                                      from, round, to, sent};
-        net.send(from, to, msg.serialize());
-        ++sent;
-      }
+  // call all reuse storage that warm-up sized. The second input attaches
+  // a 256-slot flight recorder, whose typed events fill rings that
+  // warm-up already wrapped, so it must stay within the same budget.
+  for (const std::size_t flight_capacity :
+       {std::size_t{0}, std::size_t{256}}) {
+    SCOPED_TRACE("flight capacity " + std::to_string(flight_capacity));
+    sim::Scheduler sched;
+    sim::Network net(sched, sim::Rng(3));
+    obs::EventRecorder flight(/*tracing=*/false, flight_capacity);
+    if (flight.enabled()) net.set_recorder(&flight);
+    constexpr sim::NodeAddr kNodes = 8;
+    std::uint64_t bytes = 0;
+    for (sim::NodeAddr a = 0; a < kNodes; ++a) {
+      net.attach(a, [&bytes](sim::NodeAddr, const std::string& payload) {
+        bytes += payload.size();
+      });
     }
-    sched.run();
-  };
-  for (std::uint64_t round = 0; round < 20; ++round) cycle(round);
-  const std::uint64_t warm_sent = sent;
-  const std::uint64_t before = g_allocations.load();
-  for (std::uint64_t round = 20; round < 220; ++round) cycle(round);
-  const std::uint64_t allocations = g_allocations.load() - before;
-  const std::uint64_t messages = sent - warm_sent;
-  EXPECT_EQ(messages, 200u * kNodes * (kNodes - 1));
-  EXPECT_LE(allocations, messages);
-  EXPECT_EQ(net.stats().delivered, sent);
-  EXPECT_EQ(bytes, sent * 33);
+    // Each cycle keeps every ordered pair's message in flight at once,
+    // then drains them, so the queue holds kNodes * (kNodes - 1)
+    // deliveries.
+    std::uint64_t sent = 0;
+    const auto cycle = [&](std::uint64_t round) {
+      for (sim::NodeAddr from = 0; from < kNodes; ++from) {
+        for (sim::NodeAddr to = 0; to < kNodes; ++to) {
+          if (from == to) continue;
+          const commit::WireMessage msg{commit::WireMessage::Kind::kVote,
+                                        from, round, to, sent};
+          net.send(from, to, msg.serialize());
+          ++sent;
+        }
+      }
+      sched.run();
+    };
+    // 20 rounds record 14 events per node lane each: 280 > 256 slots.
+    for (std::uint64_t round = 0; round < 20; ++round) cycle(round);
+    const std::uint64_t warm_sent = sent;
+    const std::uint64_t before = g_allocations.load();
+    for (std::uint64_t round = 20; round < 220; ++round) cycle(round);
+    const std::uint64_t allocations = g_allocations.load() - before;
+    const std::uint64_t messages = sent - warm_sent;
+    EXPECT_EQ(messages, 200u * kNodes * (kNodes - 1));
+    EXPECT_LE(allocations, messages);
+    EXPECT_EQ(net.stats().delivered, sent);
+    EXPECT_EQ(bytes, sent * 33);
+    EXPECT_EQ(flight.total_recorded(), flight_capacity == 0 ? 0 : 2 * sent);
+  }
 }
 
 }  // namespace

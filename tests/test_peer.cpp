@@ -78,7 +78,7 @@ struct PeerHarness {
   const fsm::StateMachine& machine;
   sim::Scheduler sched;
   sim::Network network;
-  sim::Trace trace;
+  obs::EventRecorder trace{/*tracing=*/true, /*flight_capacity=*/0};
   std::unique_ptr<CommitPeer> peer;
   std::map<sim::NodeAddr, std::vector<WireMessage>> outgoing;
   std::vector<WireMessage> client_inbox;

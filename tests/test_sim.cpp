@@ -10,11 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "obs/event.hpp"
 #include "sim/network.hpp"
 #include "sim/sequence.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
 
 namespace asa_repro::sim {
 namespace {
@@ -224,6 +224,25 @@ TEST_F(NetworkTest, DropProbabilityLosesRoughlyThatFraction) {
   EXPECT_EQ(network_.stats().dropped + network_.stats().delivered, 1000u);
 }
 
+// The network-wide loss and duplication rates share set_link_profile's
+// range check: a rate outside [0,1] is refused and the old rate stays.
+TEST_F(NetworkTest, ProbabilitySettersRejectValuesOutsideUnitInterval) {
+  for (const double bad : {-1.0, -0.01, 1.5, 2.0}) {
+    EXPECT_THROW(network_.set_drop_probability(bad), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(network_.set_duplicate_probability(bad),
+                 std::invalid_argument)
+        << bad;
+  }
+  network_.set_drop_probability(0.0);
+  network_.set_duplicate_probability(1.0);
+  int received = 0;
+  network_.attach(2, [&](NodeAddr, const std::string&) { ++received; });
+  network_.send(1, 2, "x");
+  sched_.run();
+  EXPECT_EQ(received, 2);
+}
+
 TEST_F(NetworkTest, DuplicationDeliversTwice) {
   int received = 0;
   network_.attach(2, [&](NodeAddr, const std::string&) { ++received; });
@@ -271,34 +290,47 @@ TEST_F(NetworkTest, ReorderingIsPossible) {
   EXPECT_FALSE(std::is_sorted(arrivals.begin(), arrivals.end()));
 }
 
-// ---- Trace. ----
+// ---- Trace view and sequence diagrams. ----
+
+using obs::EventKind;
+using obs::EventRecorder;
+using obs::View;
+using obs::Word;
 
 TEST(Trace, RecordsAndCounts) {
-  Trace trace;
-  trace.record(10, 1, "commit", "guid=5");
-  trace.record(20, 2, "abort", "guid=5");
-  trace.record(30, 1, "commit", "guid=6");
-  EXPECT_EQ(trace.events().size(), 3u);
-  EXPECT_EQ(trace.count("commit"), 2u);
-  EXPECT_EQ(trace.count("abort"), 1u);
-  const auto node1 = trace.filter(
-      [](const TraceEvent& e) { return e.node == 1; });
-  EXPECT_EQ(node1.size(), 2u);
+  EventRecorder events(/*tracing=*/true, /*flight_capacity=*/0);
+  events.record(EventKind::kCommit, 10, 1, {5});
+  events.record(EventKind::kAbort, 20, 2, {5});
+  events.record(EventKind::kCommit, 30, 1, {6});
+  events.record(EventKind::kVeto, 40, 1, {6});  // No trace rendering.
+  const auto& stream = events.stream();
+  ASSERT_EQ(stream.size(), 3u);
+  const auto count = [&](auto pred) {
+    return std::count_if(stream.begin(), stream.end(), pred);
+  };
+  EXPECT_EQ(count([](const obs::Event& e) {
+              return e.kind == EventKind::kCommit;
+            }),
+            2);
+  EXPECT_EQ(count([](const obs::Event& e) { return e.node == 1; }), 2);
+  EXPECT_EQ(stream[1].fields[0], 5u);
+  EXPECT_EQ(events.total_recorded(), 0u);  // No flight view.
 }
 
 TEST(Trace, DisabledTraceRecordsNothing) {
-  Trace trace(false);
-  trace.record(1, 1, "x", "y");
-  EXPECT_TRUE(trace.events().empty());
+  EventRecorder events(/*tracing=*/false, /*flight_capacity=*/4);
+  events.record(EventKind::kCommit, 1, 1, {1, 2});
+  EXPECT_TRUE(events.stream().empty());
+  EXPECT_EQ(events.total_recorded(), 1u);  // The flight view still has it.
 }
 
 TEST(Sequence, RendersArrowsAndNotes) {
-  Trace trace;
-  trace.record(10, 1, "recv", "vote from=2 update=7");
-  trace.record(20, 1, "recv", "commit from=3 update=7");
-  trace.record(30, 1, "commit", "guid=5 update=7");
-  trace.record(40, 2, "abort", "guid=5 update=9");
-  const std::string mermaid = render_sequence_mermaid(trace);
+  EventRecorder events(true, 0);
+  events.record(EventKind::kRecv, 10, 1, {2, 7}, Word::kVote);
+  events.record(EventKind::kRecv, 20, 1, {3, 7}, Word::kCommit);
+  events.record(EventKind::kCommit, 30, 1, {5, 7});
+  events.record(EventKind::kAbort, 40, 2, {5, 9});
+  const std::string mermaid = render_sequence_mermaid(events.stream());
   EXPECT_EQ(mermaid.find("sequenceDiagram"), 0u);
   EXPECT_NE(mermaid.find("participant node1"), std::string::npos);
   EXPECT_NE(mermaid.find("participant node3"), std::string::npos);
@@ -309,13 +341,15 @@ TEST(Sequence, RendersArrowsAndNotes) {
 }
 
 TEST(Sequence, TruncatesAtMaxEvents) {
-  Trace trace;
+  EventRecorder events(true, 0);
   for (int i = 0; i < 10; ++i) {
-    trace.record(i, 0, "recv", "vote from=1 update=1");
+    events.record(EventKind::kRecv, static_cast<Time>(i), 0, {1, 1},
+                  Word::kVote);
   }
   SequenceOptions options;
   options.max_events = 3;
-  const std::string mermaid = render_sequence_mermaid(trace, options);
+  const std::string mermaid =
+      render_sequence_mermaid(events.stream(), options);
   EXPECT_NE(mermaid.find("(truncated)"), std::string::npos);
   std::size_t arrows = 0;
   for (std::size_t pos = 0;
@@ -325,20 +359,37 @@ TEST(Sequence, TruncatesAtMaxEvents) {
   EXPECT_EQ(arrows, 3u);
 }
 
+// Kinds the diagram does not draw (instance creation, message fates) are
+// skipped, participants included.
 TEST(Sequence, IgnoresUnparseableEvents) {
-  Trace trace;
-  trace.record(1, 0, "recv", "garbage with no fields");
-  trace.record(2, 0, "instance", "guid=1 update=2 created");
-  const std::string mermaid = render_sequence_mermaid(trace);
-  EXPECT_EQ(mermaid.find("->>"), std::string::npos);
+  EventRecorder events(true, 0);
+  events.record(EventKind::kInstance, 1, 0, {1, 2});
+  events.record(EventKind::kNetSend, 2, 0, {1, 0, 4, 33});
+  const std::string mermaid = render_sequence_mermaid(events.stream());
+  EXPECT_EQ(mermaid, "sequenceDiagram\n");
 }
 
+// Each view renders its own category and fields from the one record.
 TEST(Trace, DumpFormatsLines) {
-  Trace trace;
-  trace.record(10, 3, "commit", "guid=9");
+  const obs::Event commit{10, 3, EventKind::kCommit, Word::kNone,
+                          {9, 4, 5, 7}};
+  EXPECT_STREQ(obs::category(View::kTrace, commit.kind), "commit");
+  EXPECT_EQ(obs::detail(View::kTrace, commit), "guid=9 update=4 latency=7");
+  EXPECT_STREQ(obs::category(View::kFlight, commit.kind), "commit.record");
+  EXPECT_EQ(obs::detail(View::kFlight, commit),
+            "guid=9 update=4 request=5 latency=7");
+  EXPECT_EQ(obs::category(View::kFlight, EventKind::kRecv), nullptr);
+  const obs::Event recovery{0, 1, EventKind::kRecovery, Word::kYes,
+                            {2, 3, 0, 1, 4}};
+  EXPECT_EQ(obs::detail(View::kFlight, recovery),
+            "replayed=2 entries=3 truncated=0 skipped_crc=1 snapshot=yes "
+            "reconciled=4");
   std::ostringstream out;
-  trace.dump(out);
-  EXPECT_EQ(out.str(), "[10us] node 3 commit: guid=9\n");
+  obs::write_trace_line(out, {commit.t, commit.node, "commit",
+                              obs::detail(View::kTrace, commit)});
+  EXPECT_EQ(out.str(),
+            "{\"t\":10,\"node\":3,\"cat\":\"commit\",\"detail\":"
+            "\"guid=9 update=4 latency=7\"}\n");
 }
 
 TEST(Scheduler, CancelledIdDoesNotAffectLaterEvents) {

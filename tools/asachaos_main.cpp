@@ -116,7 +116,7 @@ std::string build_postmortem(const ChaosConfig& config,
                              const sim::FaultPlan& plan,
                              const sim::FaultPlan& shrunk) {
   obs::MetricsRegistry pm_metrics(true);
-  obs::FlightRecorder pm_flight(256);
+  obs::EventRecorder pm_flight(/*tracing=*/false, /*flight_capacity=*/256);
   obs::SpanRecorder pm_spans;
   obs::PostmortemViolations violations;
   std::vector<std::string> plan_lines;
@@ -129,7 +129,7 @@ std::string build_postmortem(const ChaosConfig& config,
   }
   try {
     const ChaosReport report =
-        run_plan(config, plan, &pm_metrics, nullptr, &pm_flight, &pm_spans);
+        run_plan(config, plan, &pm_metrics, &pm_flight, &pm_spans);
     for (const Violation& v : report.violations) {
       violations.emplace_back(v.invariant, v.detail);
     }
@@ -287,6 +287,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (const auto why = config.range_error(); why.has_value()) {
+    std::cerr << "asachaos: " << *why << "\n";
+    return 2;
+  }
+
   if (!replay_path.empty()) return run_replay(replay_path);
 
   if (durability_smoke) {
@@ -371,11 +376,12 @@ int main(int argc, char** argv) {
   // and histogram buckets add), per-seed traces concatenate behind a
   // campaign seed marker. Both stay disabled (and free) unless requested.
   obs::MetricsRegistry campaign_metrics(!metrics_out.empty());
-  sim::Trace campaign_trace(!trace_out.empty());
+  obs::EventRecorder campaign_trace(/*tracing=*/true, /*flight_capacity=*/0);
   obs::SpanRecorder campaign_spans;
   obs::MetricsRegistry* metrics_sink =
       metrics_out.empty() ? nullptr : &campaign_metrics;
-  sim::Trace* trace_sink = trace_out.empty() ? nullptr : &campaign_trace;
+  obs::EventRecorder* trace_sink =
+      trace_out.empty() ? nullptr : &campaign_trace;
   obs::SpanRecorder* spans_sink = spans_out.empty() ? nullptr : &campaign_spans;
 
   std::uint64_t violating_seeds = 0;
@@ -392,7 +398,7 @@ int main(int argc, char** argv) {
     ChaosReport report;
     try {
       report = run_plan(seed_config, plan, metrics_sink, trace_sink,
-                        /*flight=*/nullptr, spans_sink);
+                        spans_sink);
     } catch (const std::exception& e) {
       std::cerr << "seed " << seed_config.seed << " crashed: " << e.what()
                 << "\n";
@@ -472,10 +478,10 @@ int main(int argc, char** argv) {
     std::ostringstream out;
     out << "{\"schema\":\"asa-trace/1\",\"tool\":\"asachaos\",\"seed0\":"
         << seed0 << ",\"seeds\":" << seeds << "}\n";
-    campaign_trace.dump_jsonl(out);
+    campaign_trace.write_trace_jsonl(out);
     if (!cli::write_file(trace_out, out.str())) return 2;
     std::cout << "trace written to " << trace_out << " ("
-              << campaign_trace.events().size() << " events)\n";
+              << campaign_trace.stream().size() << " events)\n";
   }
   if (!spans_out.empty()) {
     const obs::Meta meta{

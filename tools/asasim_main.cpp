@@ -21,6 +21,7 @@
 
 #include "cli_args.hpp"
 #include "commit/replay.hpp"
+#include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "sim/workload.hpp"
 #include "storage/cluster.hpp"
@@ -269,6 +270,21 @@ int asasim_main(int argc, char** argv) {
     std::cerr << "asasim: --clients and --guids must be positive\n";
     return 2;
   }
+  if (config.nodes == 0 || config.replication_factor < 2) {
+    std::cerr << "asasim: --nodes must be at least 1 and --replication at "
+                 "least 2\n";
+    return 2;
+  }
+  for (const double p : {config.drop_probability, duplicate_probability}) {
+    if (p < 0.0 || p > 1.0) {
+      std::cerr << "asasim: --drop and --duplicate must lie in [0,1]\n";
+      return 2;
+    }
+  }
+  if (read_fraction > 1.0) {
+    std::cerr << "asasim: --reads must be a percentage in [0,100]\n";
+    return 2;
+  }
 
   if (!replay_path.empty()) {
     std::ifstream in(replay_path);
@@ -486,10 +502,12 @@ int asasim_main(int argc, char** argv) {
 
   if (dump_trace) {
     std::cout << "\ncommit/abort trace:\n";
-    for (const auto& e : cluster.trace().events()) {
-      if (e.category == "commit" || e.category == "abort") {
-        std::cout << "  [" << e.time << "us] node" << e.node << " "
-                  << e.category << " " << e.detail << "\n";
+    for (const obs::Event& e : cluster.events().stream()) {
+      if (e.kind == obs::EventKind::kCommit ||
+          e.kind == obs::EventKind::kAbort) {
+        std::cout << "  [" << e.t << "us] node" << e.node << " "
+                  << obs::category(obs::View::kTrace, e.kind) << " "
+                  << obs::detail(obs::View::kTrace, e) << "\n";
       }
     }
   }
@@ -514,10 +532,10 @@ int asasim_main(int argc, char** argv) {
     std::ostringstream out;
     out << "{\"schema\":\"asa-trace/1\",\"tool\":\"asasim\",\"seed\":"
         << config.seed << "}\n";
-    cluster.trace().dump_jsonl(out);
+    cluster.events().write_trace_jsonl(out);
     if (!cli::write_file(trace_out, out.str())) return 2;
     std::cout << "trace written to " << trace_out << " ("
-              << cluster.trace().events().size() << " events)\n";
+              << cluster.events().stream().size() << " events)\n";
   }
   if (!spans_out.empty()) {
     const obs::Meta meta{
@@ -535,18 +553,21 @@ int asasim_main(int argc, char** argv) {
     std::cout << "spans written to " << spans_out << " ("
               << cluster.spans().spans().size() << " spans)\n";
   }
-  if (cluster.flight().enabled()) {
-    std::cout << "\nflight recorder (" << cluster.flight().total_recorded()
-              << " events recorded, last " << cluster.flight().capacity()
+  const obs::EventRecorder& flight = cluster.events();
+  if (flight.capacity() > 0) {
+    std::cout << "\nflight recorder (" << flight.total_recorded()
+              << " events recorded, last " << flight.capacity()
               << " per node kept):\n";
-    for (const std::uint32_t lane : cluster.flight().lanes()) {
-      const auto events = cluster.flight().lane(lane);
-      std::cout << "  node" << lane << ": " << events.size()
+    for (const std::uint32_t lane : flight.lanes()) {
+      const auto entries = flight.lane(lane);
+      std::cout << "  node" << lane << ": " << entries.size()
                 << " event(s), tail:\n";
-      const std::size_t first = events.size() > 3 ? events.size() - 3 : 0;
-      for (std::size_t i = first; i < events.size(); ++i) {
-        std::cout << "    [" << events[i].t << "us] " << events[i].category
-                  << " " << events[i].detail << "\n";
+      const std::size_t first = entries.size() > 3 ? entries.size() - 3 : 0;
+      for (std::size_t i = first; i < entries.size(); ++i) {
+        const obs::Event& e = entries[i].event;
+        std::cout << "    [" << e.t << "us] "
+                  << obs::category(obs::View::kFlight, e.kind) << " "
+                  << obs::detail(obs::View::kFlight, e) << "\n";
       }
     }
   }
