@@ -176,14 +176,15 @@ void CommitEndpoint::handle(sim::NodeAddr from, const std::string& data) {
   result.attempts = p.attempt;
   result.latency = network_.scheduler().now() - p.submitted_at;
   if (metrics_ != nullptr) {
-    const obs::Labels node{{"node", std::to_string(self_)}};
-    metrics_
-        ->histogram("endpoint.commit_latency_us", node,
-                    obs::latency_buckets_us())
-        .observe(result.latency);
-    metrics_
-        ->histogram("endpoint.attempts", node, obs::small_count_buckets())
-        .observe(result.attempts);
+    if (commit_latency_ == nullptr) {
+      const obs::Labels node{{"node", std::to_string(self_)}};
+      commit_latency_ = &metrics_->histogram(
+          "endpoint.commit_latency_us", node, obs::latency_buckets_us());
+      attempts_ = &metrics_->histogram("endpoint.attempts", node,
+                                       obs::small_count_buckets());
+    }
+    commit_latency_->observe(result.latency);
+    attempts_->observe(result.attempts);
   }
   Callback cb = std::move(p.callback);
   pending_.erase(it);

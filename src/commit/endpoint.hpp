@@ -94,8 +94,14 @@ class CommitEndpoint {
   [[nodiscard]] std::uint32_t quorum() const { return quorum_; }
 
   /// Attach a metrics registry: end-to-end commit latency and per-request
-  /// attempt histograms, per-GUID retry counters. nullptr disables.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// attempt histograms, per-GUID retry counters. nullptr disables. The
+  /// two histograms are resolved on the first commit and kept; attaching
+  /// a registry drops them.
+  void set_metrics(obs::MetricsRegistry* metrics) {
+    metrics_ = metrics;
+    commit_latency_ = nullptr;
+    attempts_ = nullptr;
+  }
 
   /// Attach a span recorder: every submitted update opens a root "commit"
   /// span with one "attempt" child per protocol attempt; the decisive
@@ -139,6 +145,8 @@ class CommitEndpoint {
   RetryPolicy policy_;
   sim::Rng rng_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Histogram* commit_latency_ = nullptr;  // endpoint.commit_latency_us.
+  obs::Histogram* attempts_ = nullptr;        // endpoint.attempts.
   obs::SpanRecorder* spans_ = nullptr;
   EndpointStats stats_;
   std::map<std::uint64_t, Pending> pending_;  // By request id.

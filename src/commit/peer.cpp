@@ -181,10 +181,11 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
   }
   note(obs::EventKind::kInstance, {guid, update_id, inst.request_id});
   if (metrics_ != nullptr) {
-    metrics_
-        ->counter("commit.instances_opened",
-                  {{"node", std::to_string(self_)}})
-        .inc();
+    if (instances_opened_ == nullptr) {
+      instances_opened_ = &metrics_->counter(
+          "commit.instances_opened", {{"node", std::to_string(self_)}});
+    }
+    instances_opened_->inc();
   }
   if (spans_ != nullptr) {
     inst.vote_span =
@@ -407,11 +408,12 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
   const sim::Time latency = network_.scheduler().now() - inst.created;
   note(obs::EventKind::kCommit, {guid, update_id, inst.request_id, latency});
   if (metrics_ != nullptr) {
-    metrics_
-        ->histogram("commit.instance_latency_us",
-                    {{"node", std::to_string(self_)}},
-                    obs::latency_buckets_us())
-        .observe(latency);
+    if (instance_latency_ == nullptr) {
+      instance_latency_ = &metrics_->histogram(
+          "commit.instance_latency_us", {{"node", std::to_string(self_)}},
+          obs::latency_buckets_us());
+    }
+    instance_latency_->observe(latency);
   }
   if (spans_ != nullptr) {
     const sim::Time now = network_.scheduler().now();

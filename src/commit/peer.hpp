@@ -120,7 +120,13 @@ class CommitPeer {
 
   /// Attach a metrics registry: instance lifecycle counters, commit-latency
   /// histograms and per-GUID abort counters. nullptr (default) disables.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// The per-node counter and histogram are resolved on their first
+  /// observation and kept; attaching a registry drops them.
+  void set_metrics(obs::MetricsRegistry* metrics) {
+    metrics_ = metrics;
+    instances_opened_ = nullptr;
+    instance_latency_ = nullptr;
+  }
 
   /// Attach a span recorder: each machine instance opens a "vote-collect"
   /// span on creation and a "quorum" span once it broadcasts its commit,
@@ -310,6 +316,8 @@ class CommitPeer {
   PeerHardening hardening_;
   obs::EventRecorder* events_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Counter* instances_opened_ = nullptr;    // commit.instances_opened.
+  obs::Histogram* instance_latency_ = nullptr;  // commit.instance_latency_us.
   obs::SpanRecorder* spans_ = nullptr;
   CommitSink commit_sink_;
   AckSink ack_sink_;

@@ -1,5 +1,6 @@
 #include "obs/event.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <ostream>
 
@@ -98,9 +99,16 @@ std::string detail(View view, const Event& event) {
 }
 
 void write_trace_line(std::ostream& os, const TraceEvent& event) {
-  os << "{\"t\":" << event.time << ",\"node\":" << event.node
-     << ",\"cat\":\"" << json_escape(event.category) << "\",\"detail\":\""
-     << json_escape(event.detail) << "\"}\n";
+  std::string line;
+  JsonWriter(line)
+      .begin_object()
+      .member("t", event.time)
+      .member("node", std::uint64_t{event.node})
+      .member("cat", event.category)
+      .member("detail", event.detail)
+      .end_object();
+  line += '\n';
+  os << line;
 }
 
 void EventRecorder::record(EventKind kind, std::uint64_t t,
@@ -126,7 +134,7 @@ void EventRecorder::keep_in_flight(const Event& event) {
     return;
   }
   ring.slots[ring.next] = entry;
-  ring.next = (ring.next + 1) % capacity_;
+  if (++ring.next == capacity_) ring.next = 0;
 }
 
 void EventRecorder::write_trace_jsonl(std::ostream& os) const {
@@ -140,6 +148,7 @@ std::vector<std::uint32_t> EventRecorder::lanes() const {
   std::vector<std::uint32_t> out;
   out.reserve(lanes_.size());
   for (const auto& [id, ring] : lanes_) out.push_back(id);
+  std::sort(out.begin(), out.end());
   return out;
 }
 

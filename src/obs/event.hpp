@@ -21,8 +21,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -129,7 +129,10 @@ class EventRecorder {
   std::vector<Event> stream_;
   std::uint64_t seq_ = 0;
   std::uint64_t recorded_ = 0;
-  std::map<std::uint32_t, Ring> lanes_;
+  // Hashed: a record does one lookup however many lanes there are (one per
+  // node, and client endpoints sit at wide address strides). lanes()
+  // sorts the keys for every ordered read.
+  std::unordered_map<std::uint32_t, Ring> lanes_;
 };
 
 }  // namespace asa_repro::obs

@@ -2,15 +2,20 @@
 
 #include <cctype>
 #include <charconv>
-#include <cmath>
-#include <cstdio>
 
 namespace asa_repro::obs {
 
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
-  for (const char c : raw) {
+namespace {
+
+/// Append `raw` to `out` in JSON-escaped form. The one escaping rule.
+void append_escaped(std::string& out, std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // Start of the pending unescaped run.
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(raw, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -19,18 +24,127 @@ std::string json_escape(const std::string& raw) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(code, sizeof code);
+      }
     }
   }
-  return out;
+  out.append(raw, run);
+}
+
+}  // namespace
+
+void JsonWriter::newline(int depth) {
+  out_ += '\n';
+  out_.append(
+      static_cast<std::size_t>(indent_) * static_cast<std::size_t>(depth),
+      ' ');
+}
+
+void JsonWriter::next_item() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (depth_ == 0) return;  // The document's root value.
+  if (!empty_) out_ += ',';
+  empty_ = false;
+  if (indent_ >= 0) newline(depth_);
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  next_item();
+  out_ += bracket;
+  ++depth_;
+  empty_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  --depth_;
+  if (!empty_ && indent_ >= 0) newline(depth_);
+  out_ += bracket;
+  // The enclosing container now holds this one.
+  empty_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  next_item();
+  out_ += '"';
+  append_escaped(out_, k);
+  out_ += indent_ >= 0 ? "\": " : "\":";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::null() {
+  next_item();
+  out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool b) {
+  next_item();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::int64_t i) {
+  next_item();
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, i);
+  out_.append(buf, end);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::uint64_t u) {
+  // Same as JsonValue(std::uint64_t): the schemas' integers are signed.
+  return value(static_cast<std::int64_t>(u));
+}
+
+JsonWriter& JsonWriter::value(double d) {
+  next_item();
+  // Shortest round-trippable form, locale-independent.
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, d);
+  if (ec == std::errc()) {
+    out_.append(buf, end);
+  } else {
+    out_ += '0';
+  }
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  next_item();
+  out_ += '"';
+  append_escaped(out_, s);
+  out_ += '"';
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(const JsonValue& v) {
+  switch (v.kind()) {
+    case JsonValue::Kind::kNull: return null();
+    case JsonValue::Kind::kBool: return value(v.as_bool());
+    case JsonValue::Kind::kInt: return value(v.as_int());
+    case JsonValue::Kind::kDouble: return value(v.as_double());
+    case JsonValue::Kind::kString: return value(std::string_view(v.as_string()));
+    case JsonValue::Kind::kArray:
+      begin_array();
+      for (const JsonValue& item : v.items()) value(item);
+      return end_array();
+    case JsonValue::Kind::kObject:
+      begin_object();
+      for (const auto& [k, member] : v.members()) {
+        key(k);
+        value(member);
+      }
+      return end_object();
+  }
+  return *this;
 }
 
 const JsonValue* JsonValue::find(const std::string& key) const {
@@ -40,80 +154,9 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
-void JsonValue::dump_to(std::string& out, int indent, int depth) const {
-  const std::string pad =
-      indent < 0 ? std::string()
-                 : "\n" + std::string(static_cast<std::size_t>(indent) *
-                                          (static_cast<std::size_t>(depth) + 1),
-                                      ' ');
-  const std::string close_pad =
-      indent < 0 ? std::string()
-                 : "\n" + std::string(static_cast<std::size_t>(indent) *
-                                          static_cast<std::size_t>(depth),
-                                      ' ');
-  switch (kind_) {
-    case Kind::kNull:
-      out += "null";
-      break;
-    case Kind::kBool:
-      out += bool_ ? "true" : "false";
-      break;
-    case Kind::kInt:
-      out += std::to_string(int_);
-      break;
-    case Kind::kDouble: {
-      // Shortest round-trippable form, locale-independent.
-      char buf[32];
-      const auto [end, ec] =
-          std::to_chars(buf, buf + sizeof buf, double_);
-      if (ec == std::errc()) {
-        out.append(buf, end);
-      } else {
-        out += "0";
-      }
-      break;
-    }
-    case Kind::kString:
-      out += '"';
-      out += json_escape(string_);
-      out += '"';
-      break;
-    case Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const JsonValue& item : items_) {
-        if (!first) out += ',';
-        first = false;
-        out += pad;
-        item.dump_to(out, indent, depth + 1);
-      }
-      if (!items_.empty()) out += close_pad;
-      out += ']';
-      break;
-    }
-    case Kind::kObject: {
-      out += '{';
-      bool first = true;
-      for (const auto& [key, value] : members_) {
-        if (!first) out += ',';
-        first = false;
-        out += pad;
-        out += '"';
-        out += json_escape(key);
-        out += "\":";
-        if (indent >= 0) out += ' ';
-        value.dump_to(out, indent, depth + 1);
-      }
-      if (!members_.empty()) out += close_pad;
-      out += '}';
-      break;
-    }
-  }
-}
-
 std::string JsonValue::dump(int indent) const {
   std::string out;
-  dump_to(out, indent, 0);
+  JsonWriter(out, indent).value(*this);
   return out;
 }
 

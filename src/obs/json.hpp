@@ -1,16 +1,16 @@
 // Minimal JSON support for the observability layer.
 //
-// The metrics exporter and the asareport tool need exactly two things: a
-// deterministic way to WRITE the versioned metrics/trace files, and a way
-// to READ them back (report rendering, schema validation, round-trip
-// tests). Both sides are implemented here against a small JsonValue tree —
-// no external dependency, no feature beyond what the asa-metrics/1 and
-// asa-trace/1 schemas use (objects, arrays, strings, integers, doubles,
-// booleans, null).
+// Every asa-* document and trace line is WRITTEN through one streaming
+// serialiser, JsonWriter, which appends to a string with no document tree
+// in between, and READ back (report rendering, schema validation,
+// round-trip tests) into a small JsonValue tree. JsonValue::dump is a walk
+// of the tree into the same writer, so there is one formatting path. No external dependency,
+// no feature beyond what the asa-* schemas use (objects, arrays, strings,
+// integers, doubles, booleans, null).
 //
-// Writing is deterministic by construction: objects serialize members in
-// insertion order, and every producer in this repo inserts keys in a fixed
-// order, so identical runs yield byte-identical files.
+// Writing is deterministic by construction: members come out in the order
+// the producer writes them, and every producer in this repo writes keys in
+// a fixed order, so identical runs yield byte-identical files.
 #pragma once
 
 #include <cstdint>
@@ -18,14 +18,66 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace asa_repro::obs {
 
-/// JSON string escaping (quotes, backslash, control characters including
-/// newlines — trace details embed arbitrary text).
-[[nodiscard]] std::string json_escape(const std::string& raw);
+class JsonValue;
+
+/// Streaming serialiser: appends one JSON document to `out` as the producer
+/// walks its own data. Compact (no whitespace) when `indent` < 0; otherwise
+/// every member and item starts on a new line indented by `indent` spaces
+/// per open container, a key is followed by ": ", and an empty container
+/// stays "{}" / "[]". Keys and strings are escaped: quotes, backslash and
+/// control characters (trace details embed arbitrary text) as \n, \t, ...
+/// or \u00XX. The caller keeps the nesting balanced: key() only inside an
+/// object, each followed by one value.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out, int indent = -1)
+      : out_(out), indent_(indent) {}
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
+  JsonWriter& begin_object() { return open('{'); }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array() { return open('['); }
+  JsonWriter& end_array() { return close(']'); }
+
+  JsonWriter& key(std::string_view k);
+
+  JsonWriter& null();
+  JsonWriter& value(bool b);
+  JsonWriter& value(std::int64_t i);
+  JsonWriter& value(std::uint64_t u);
+  JsonWriter& value(double d);
+  JsonWriter& value(std::string_view s);
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+  /// A whole tree, written as if its nodes had been passed one by one.
+  JsonWriter& value(const JsonValue& v);
+
+  /// `key(k)` then `value(v)`.
+  template <typename T>
+  JsonWriter& member(std::string_view k, const T& v) {
+    key(k);
+    return value(v);
+  }
+
+ private:
+  /// Separator and line break before a value (nothing after a key).
+  void next_item();
+  void newline(int depth);
+  JsonWriter& open(char bracket);
+  JsonWriter& close(char bracket);
+
+  std::string& out_;
+  int indent_;
+  int depth_ = 0;           // Open containers.
+  bool empty_ = true;       // The innermost container has no items yet.
+  bool after_key_ = false;  // The next value completes a member.
+};
 
 class JsonValue {
  public:
@@ -84,13 +136,12 @@ class JsonValue {
     members_.emplace_back(std::move(key), std::move(v));
   }
 
-  /// Serialize. Compact (no whitespace) unless `indent` >= 0, in which case
-  /// nested values are indented by that many extra spaces per level.
+  /// Serialize through JsonWriter. Compact (no whitespace) unless
+  /// `indent` >= 0, in which case nested values are indented by that many
+  /// extra spaces per level.
   [[nodiscard]] std::string dump(int indent = -1) const;
 
  private:
-  void dump_to(std::string& out, int indent, int depth) const;
-
   Kind kind_;
   bool bool_ = false;
   std::int64_t int_ = 0;

@@ -134,78 +134,82 @@ void MetricsRegistry::for_each_histogram(
 
 namespace {
 
-JsonValue labels_object(const Labels& labels) {
-  JsonValue obj = JsonValue::object();
-  for (const auto& [k, v] : labels) obj.set(k, JsonValue(v));
-  return obj;
+void write_labels(JsonWriter& out, const Labels& labels) {
+  out.begin_object();
+  for (const auto& [k, v] : labels) out.member(k, v);
+  out.end_object();
+}
+
+void write_series(JsonWriter& out, const MetricsRegistry::Series& s) {
+  out.member("name", s.name).key("labels");
+  write_labels(out, s.labels);
 }
 
 }  // namespace
 
-JsonValue metrics_json(const MetricsRegistry& registry, const Meta& meta) {
-  JsonValue root = JsonValue::object();
-  root.set("schema", JsonValue("asa-metrics/1"));
+void write_meta(JsonWriter& out, const Meta& meta) {
+  out.key("meta");
+  write_labels(out, meta);
+}
 
-  JsonValue meta_obj = JsonValue::object();
-  for (const auto& [k, v] : meta) meta_obj.set(k, JsonValue(v));
-  root.set("meta", std::move(meta_obj));
+void write_metrics_json(JsonWriter& out, const MetricsRegistry& registry,
+                        const Meta& meta) {
+  out.begin_object().member("schema", "asa-metrics/1");
+  write_meta(out, meta);
 
-  JsonValue counters = JsonValue::array();
+  out.key("counters").begin_array();
   registry.for_each_counter([&](const MetricsRegistry::Series& s,
                                 const Counter& c) {
-    JsonValue entry = JsonValue::object();
-    entry.set("name", JsonValue(s.name));
-    entry.set("labels", labels_object(s.labels));
-    entry.set("value", JsonValue(c.value()));
-    counters.push_back(std::move(entry));
+    out.begin_object();
+    write_series(out, s);
+    out.member("value", c.value()).end_object();
   });
-  root.set("counters", std::move(counters));
+  out.end_array();
 
-  JsonValue gauges = JsonValue::array();
+  out.key("gauges").begin_array();
   registry.for_each_gauge([&](const MetricsRegistry::Series& s,
                               const Gauge& g) {
-    JsonValue entry = JsonValue::object();
-    entry.set("name", JsonValue(s.name));
-    entry.set("labels", labels_object(s.labels));
-    entry.set("value", JsonValue(std::int64_t{g.value()}));
-    gauges.push_back(std::move(entry));
+    out.begin_object();
+    write_series(out, s);
+    out.member("value", g.value()).end_object();
   });
-  root.set("gauges", std::move(gauges));
+  out.end_array();
 
-  JsonValue histograms = JsonValue::array();
+  out.key("histograms").begin_array();
   registry.for_each_histogram([&](const MetricsRegistry::Series& s,
                                   const Histogram& h) {
-    JsonValue entry = JsonValue::object();
-    entry.set("name", JsonValue(s.name));
-    entry.set("labels", labels_object(s.labels));
-    entry.set("count", JsonValue(h.count()));
-    entry.set("sum", JsonValue(h.sum()));
-    entry.set("min", JsonValue(h.min()));
-    entry.set("max", JsonValue(h.max()));
-    JsonValue buckets = JsonValue::array();
+    out.begin_object();
+    write_series(out, s);
+    out.member("count", h.count())
+        .member("sum", h.sum())
+        .member("min", h.min())
+        .member("max", h.max());
+    out.key("buckets").begin_array();
     const auto& bounds = h.bounds();
     const auto& counts = h.bucket_counts();
     for (std::size_t i = 0; i < counts.size(); ++i) {
-      JsonValue bucket = JsonValue::object();
+      out.begin_object();
       if (i < bounds.size()) {
-        bucket.set("le", JsonValue(bounds[i]));
+        out.member("le", bounds[i]);
       } else {
-        bucket.set("le", JsonValue("inf"));
+        out.member("le", "inf");
       }
-      bucket.set("count", JsonValue(counts[i]));
-      buckets.push_back(std::move(bucket));
+      out.member("count", counts[i]).end_object();
     }
-    entry.set("buckets", std::move(buckets));
-    histograms.push_back(std::move(entry));
+    out.end_array().end_object();
   });
-  root.set("histograms", std::move(histograms));
+  out.end_array();
 
-  return root;
+  out.end_object();
 }
 
 std::string write_metrics_json(const MetricsRegistry& registry,
                                const Meta& meta) {
-  return metrics_json(registry, meta).dump(1) + "\n";
+  std::string doc;
+  JsonWriter out(doc, 1);
+  write_metrics_json(out, registry, meta);
+  doc += '\n';
+  return doc;
 }
 
 }  // namespace asa_repro::obs

@@ -15,9 +15,18 @@
 //      when observability is disabled, so the instrumented hot paths cost
 //      one pointer test. A disabled registry additionally routes every
 //      instrument to a scratch slot (belt and braces for shared handles).
-//   3. Cheap when on: callers may cache the returned Counter*/Histogram*
-//      across events — instruments are never invalidated once created
-//      (node-based map, values behind unique_ptr-free stable addresses).
+//   3. Hot sites hold resolved handles: find-or-create walks a
+//      std::map keyed by (name, sorted labels), so an instrumented site
+//      that fires per message or per commit resolves its instrument on
+//      its first observation and keeps the Counter*/Histogram*. Instruments
+//      are never invalidated once created (node-based map), so a handle
+//      stays valid for the registry's lifetime; a component drops its
+//      handles whenever set_metrics attaches a different registry. Cold
+//      paths (snapshot mirroring, per-GUID counters, churn) use the
+//      string API directly.
+//
+// Export streams through obs::JsonWriter (write_metrics_json); there is no
+// intermediate document tree.
 #pragma once
 
 #include <cstddef>
@@ -110,7 +119,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Find-or-create. References remain valid for the registry's lifetime.
@@ -133,8 +141,8 @@ class MetricsRegistry {
 
   /// Deterministic walk in (name, labels) order.
   struct Series {
-    std::string name;
-    Labels labels;
+    const std::string& name;
+    const Labels& labels;
   };
   void for_each_counter(
       const std::function<void(const Series&, const Counter&)>& fn) const;
@@ -166,6 +174,11 @@ class MetricsRegistry {
 /// producers must not put wall-clock time here (determinism contract).
 using Meta = std::vector<std::pair<std::string, std::string>>;
 
+class JsonWriter;
+
+/// Write `meta` as the document's "meta" member.
+void write_meta(JsonWriter& out, const Meta& meta);
+
 /// Render the registry as one asa-metrics/1 JSON document:
 ///   {"schema":"asa-metrics/1","meta":{...},
 ///    "counters":[{"name","labels","value"}...],
@@ -173,11 +186,11 @@ using Meta = std::vector<std::pair<std::string, std::string>>;
 ///    "histograms":[{"name","labels","count","sum","min","max",
 ///                   "buckets":[{"le",count}...,{"le":"inf",count}]}...]}
 /// Series appear in registry (map) order; byte-identical across identical
-/// runs. metrics_json returns the document tree (post-mortem bundles embed
-/// it); write_metrics_json is the dump-to-string form every tool writes.
-class JsonValue;
-[[nodiscard]] JsonValue metrics_json(const MetricsRegistry& registry,
-                                     const Meta& meta);
+/// runs. The writer form streams the document as the next value of `out`
+/// (post-mortem bundles embed it); the string form is the indent-1 file
+/// every tool writes, newline-terminated.
+void write_metrics_json(JsonWriter& out, const MetricsRegistry& registry,
+                        const Meta& meta);
 [[nodiscard]] std::string write_metrics_json(const MetricsRegistry& registry,
                                              const Meta& meta);
 

@@ -1,6 +1,6 @@
 #include "obs/postmortem.hpp"
 
-#include <utility>
+#include "obs/json.hpp"
 
 namespace asa_repro::obs {
 
@@ -11,40 +11,39 @@ std::string write_postmortem_json(const Meta& meta,
                                   const EventRecorder& flight,
                                   const MetricsRegistry& metrics,
                                   const SpanRecorder& spans) {
-  JsonValue root = JsonValue::object();
-  root.set("schema", JsonValue("asa-postmortem/1"));
+  std::string doc;
+  JsonWriter out(doc, 1);
+  out.begin_object().member("schema", "asa-postmortem/1");
+  write_meta(out, meta);
 
-  JsonValue meta_obj = JsonValue::object();
-  for (const auto& [k, v] : meta) meta_obj.set(k, JsonValue(v));
-  root.set("meta", std::move(meta_obj));
-
-  JsonValue violations_arr = JsonValue::array();
+  out.key("violations").begin_array();
   for (const auto& [invariant, detail] : violations) {
-    JsonValue entry = JsonValue::object();
-    entry.set("invariant", JsonValue(invariant));
-    entry.set("detail", JsonValue(detail));
-    violations_arr.push_back(std::move(entry));
+    out.begin_object()
+        .member("invariant", invariant)
+        .member("detail", detail)
+        .end_object();
   }
-  root.set("violations", std::move(violations_arr));
+  out.end_array();
 
-  JsonValue plan_arr = JsonValue::array();
-  for (const std::string& line : plan) plan_arr.push_back(JsonValue(line));
-  root.set("plan", std::move(plan_arr));
+  out.key("plan").begin_array();
+  for (const std::string& line : plan) out.value(line);
+  out.end_array();
+  out.key("shrunk_plan").begin_array();
+  for (const std::string& line : shrunk_plan) out.value(line);
+  out.end_array();
 
-  JsonValue shrunk_arr = JsonValue::array();
-  for (const std::string& line : shrunk_plan) {
-    shrunk_arr.push_back(JsonValue(line));
-  }
-  root.set("shrunk_plan", std::move(shrunk_arr));
-
-  root.set("flight", flight.to_json());
+  out.member("flight", flight.to_json());
   // The embedded documents keep their own schema members so a consumer
   // can slice them out and feed them to any asa-metrics/1 or asa-span/1
   // reader unchanged.
-  root.set("metrics", metrics_json(metrics, meta));
-  root.set("spans", spans_json(spans, meta));
+  out.key("metrics");
+  write_metrics_json(out, metrics, meta);
+  out.key("spans");
+  write_spans_json(out, spans, meta);
 
-  return root.dump(1) + "\n";
+  out.end_object();
+  doc += '\n';
+  return doc;
 }
 
 }  // namespace asa_repro::obs

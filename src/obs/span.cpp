@@ -59,37 +59,36 @@ void SpanRecorder::merge(const SpanRecorder& other) {
   }
 }
 
-JsonValue spans_json(const SpanRecorder& recorder, const Meta& meta) {
-  JsonValue root = JsonValue::object();
-  root.set("schema", JsonValue("asa-span/1"));
-
-  JsonValue meta_obj = JsonValue::object();
-  for (const auto& [k, v] : meta) meta_obj.set(k, JsonValue(v));
-  root.set("meta", std::move(meta_obj));
-
-  JsonValue spans = JsonValue::array();
+void write_spans_json(JsonWriter& out, const SpanRecorder& recorder,
+                      const Meta& meta) {
+  out.begin_object().member("schema", "asa-span/1");
+  write_meta(out, meta);
+  out.key("spans").begin_array();
   for (const SpanRecord& span : recorder.spans()) {
-    JsonValue entry = JsonValue::object();
-    entry.set("id", JsonValue(span.id));
-    entry.set("parent", JsonValue(span.parent));
-    entry.set("name", JsonValue(span.name));
-    entry.set("node", JsonValue(std::uint64_t{span.node}));
-    entry.set("guid", JsonValue(span.guid));
-    entry.set("request", JsonValue(span.request_id));
-    entry.set("update", JsonValue(span.update_id));
-    entry.set("start", JsonValue(span.start));
-    entry.set("end", JsonValue(span.end));
-    entry.set("ok", JsonValue(span.ok));
-    entry.set("closed", JsonValue(span.closed));
-    entry.set("detail", JsonValue(span.detail));
-    spans.push_back(std::move(entry));
+    out.begin_object()
+        .member("id", span.id)
+        .member("parent", span.parent)
+        .member("name", span.name)
+        .member("node", std::uint64_t{span.node})
+        .member("guid", span.guid)
+        .member("request", span.request_id)
+        .member("update", span.update_id)
+        .member("start", span.start)
+        .member("end", span.end)
+        .member("ok", span.ok)
+        .member("closed", span.closed)
+        .member("detail", span.detail)
+        .end_object();
   }
-  root.set("spans", std::move(spans));
-  return root;
+  out.end_array().end_object();
 }
 
 std::string write_spans_json(const SpanRecorder& recorder, const Meta& meta) {
-  return spans_json(recorder, meta).dump(1) + "\n";
+  std::string doc;
+  JsonWriter out(doc, 1);
+  write_spans_json(out, recorder, meta);
+  doc += '\n';
+  return doc;
 }
 
 }  // namespace asa_repro::obs

@@ -89,9 +89,11 @@ class SpanRecorder {
 ///   {"schema":"asa-span/1","meta":{...},
 ///    "spans":[{"id","parent","name","node","guid","request","update",
 ///              "start","end","ok","closed","detail"}...]}
-/// Spans appear in id order; byte-identical across identical runs.
-[[nodiscard]] JsonValue spans_json(const SpanRecorder& recorder,
-                                   const Meta& meta);
+/// Spans appear in id order; byte-identical across identical runs. The
+/// writer form streams the document as the next value of `out`; the string
+/// form is the indent-1 file, newline-terminated.
+void write_spans_json(JsonWriter& out, const SpanRecorder& recorder,
+                      const Meta& meta);
 [[nodiscard]] std::string write_spans_json(const SpanRecorder& recorder,
                                            const Meta& meta);
 

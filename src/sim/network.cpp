@@ -95,6 +95,7 @@ void Network::set_link_profile(NodeAddr from, NodeAddr to,
   LinkState& state = link(from, to);
   state.profile = std::move(profile);
   state.bad = false;
+  state.class_latency = nullptr;
 }
 
 void Network::clear_link_profile(NodeAddr from, NodeAddr to) {
@@ -102,6 +103,15 @@ void Network::clear_link_profile(NodeAddr from, NodeAddr to) {
   if (it == links_.end()) return;
   it->second.profile.reset();
   it->second.bad = false;
+  it->second.class_latency = nullptr;
+}
+
+void Network::set_metrics(obs::MetricsRegistry* metrics) {
+  metrics_ = metrics;
+  for (auto& [key, state] : links_) {
+    state.latency = nullptr;
+    state.class_latency = nullptr;
+  }
 }
 
 const std::string& Network::link_class(NodeAddr from, NodeAddr to) const {
@@ -129,18 +139,26 @@ void Network::deliver_copy(const Delivery& copy) {
   ++stats_.delivered;
   const Time latency = sched_.now() - copy.sent_at;
   note(obs::EventKind::kNetDeliver, to, {id, from, to, latency});
-  if (metrics_ != nullptr) {
-    metrics_
-        ->histogram("net.latency_us",
-                    {{"link", std::to_string(from) + "->" + std::to_string(to)}},
-                    obs::latency_buckets_us())
-        .observe(latency);
-    metrics_
-        ->histogram("net.class_latency_us", {{"class", link_class(from, to)}},
-                    obs::latency_buckets_us())
-        .observe(latency);
-  }
+  if (metrics_ != nullptr) observe_latency(from, to, latency);
   it->second(from, copy.payload);
+}
+
+void Network::observe_latency(NodeAddr from, NodeAddr to, Time latency) {
+  LinkState& ls = link(from, to);
+  if (ls.latency == nullptr) {
+    ls.latency = &metrics_->histogram(
+        "net.latency_us",
+        {{"link", std::to_string(from) + "->" + std::to_string(to)}},
+        obs::latency_buckets_us());
+  }
+  if (ls.class_latency == nullptr) {
+    ls.class_latency = &metrics_->histogram(
+        "net.class_latency_us",
+        {{"class", ls.profile.has_value() ? ls.profile->name : kDefaultClass}},
+        obs::latency_buckets_us());
+  }
+  ls.latency->observe(latency);
+  ls.class_latency->observe(latency);
 }
 
 std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {

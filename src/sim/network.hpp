@@ -32,9 +32,10 @@
 // and amplification are attributable to individual messages rather than
 // only counted in aggregate, and the JSONL trace reconciles exactly with
 // NetworkStats. With a metrics registry attached, delivery latencies feed
-// per-link histograms. Both hooks default to off and cost one pointer test
-// per message when off; ids are always assigned (one increment) so replay
-// tooling can correlate runs.
+// per-link and per-class histograms, whose handles the link table holds.
+// Both hooks default to off and cost one pointer test per message when
+// off; ids are always assigned (one increment) so replay tooling can
+// correlate runs.
 //
 // Message path: a send allocates nothing of its own. Each copy becomes a
 // typed Delivery record scheduled on the scheduler (no closure); the
@@ -167,8 +168,9 @@ class Network {
   void set_recorder(obs::EventRecorder* events) { events_ = events; }
 
   /// Attach a metrics registry for per-link latency histograms. nullptr
-  /// (default) disables.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// (default) disables. Each link resolves its two series on its first
+  /// delivery and keeps the handles; attaching a registry drops them all.
+  void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Observe every message copy as it comes up for delivery, before the
   /// receiver's handler (or the dead-node sink) sees it. Tests use it to
@@ -247,13 +249,18 @@ class Network {
   friend class Scheduler;  // Hands fired Delivery records to deliver_copy.
 
   /// Per-directed-link state: an independent RNG substream plus the
-  /// Gilbert–Elliott loss state, the partition flag and the (optional)
-  /// installed profile.
+  /// Gilbert–Elliott loss state, the partition flag, the (optional)
+  /// installed profile and the link's resolved latency series: its
+  /// net.latency_us{link} and its class's net.class_latency_us{class},
+  /// nullptr until the first delivery with a registry attached. A profile
+  /// change drops the class handle, since it may change the class.
   struct LinkState {
     Rng rng;
     bool bad = false;
     bool partitioned = false;
     std::optional<LinkProfile> profile;
+    obs::Histogram* latency = nullptr;
+    obs::Histogram* class_latency = nullptr;
   };
 
   /// The flat link table's key: the directed pair packed into one word.
@@ -289,6 +296,8 @@ class Network {
   /// Terminal step of one message copy: account, record and hand to the
   /// receiver's handler (or the dead-node sink).
   void deliver_copy(const Delivery& copy);
+  /// Feed a delivered copy's latency to its link's two histograms.
+  void observe_latency(NodeAddr from, NodeAddr to, Time latency);
 
   Scheduler& sched_;
   std::uint64_t link_seed_base_;

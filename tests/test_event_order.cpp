@@ -12,7 +12,8 @@
 // RNG draw or one byte fails here.
 //
 // GoldenExports pins what the observability exports make of one chaos
-// run that reaches every event kind.
+// run that reaches every event kind: the trace and flight views, the
+// metrics and span documents, and a post-mortem bundle over all of them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,9 @@
 #include <sstream>
 
 #include "obs/event.hpp"
+#include "obs/metrics.hpp"
+#include "obs/postmortem.hpp"
+#include "obs/span.hpp"
 #include "storage/chaos.hpp"
 #include "storage/cluster.hpp"
 
@@ -150,10 +154,17 @@ TEST(GoldenEventOrder, LossAndDuplicationWithReadsAndStores) {
 // running, and a join, a leave and a depart. The asa-trace/1 JSONL and the
 // flight JSON are pinned to hashes captured when the trace and the flight
 // recorder still built their detail strings at each emission site, so a
-// change to any category, field, lane or event order fails here.
+// change to any category, field, lane or event order fails here. The
+// asa-metrics/1, asa-span/1 and asa-postmortem/1 documents of the same run
+// are pinned to hashes captured when each export still built a JsonValue
+// tree and dumped it, so the streaming writer must match them byte for
+// byte.
 struct Exports {
   std::string trace;
   std::string flight;
+  std::string metrics;
+  std::string spans;
+  std::string postmortem;
 };
 
 Exports run_exports() {
@@ -182,10 +193,20 @@ Exports run_exports() {
   plan.add({.at = 500'000, .kind = Kind::kDepart, .node = 7});
 
   obs::EventRecorder events(/*tracing=*/true, /*flight_capacity=*/64);
-  (void)run_plan(config, plan, nullptr, &events, nullptr);
+  obs::MetricsRegistry metrics;
+  obs::SpanRecorder spans;
+  (void)run_plan(config, plan, &metrics, &events, &spans);
   std::ostringstream jsonl;
   events.write_trace_jsonl(jsonl);
-  return {jsonl.str(), events.to_json().dump()};
+  const obs::Meta meta{{"tool", "golden"}, {"seed", "21"}};
+  return {jsonl.str(),
+          events.to_json().dump(),
+          obs::write_metrics_json(metrics, meta),
+          obs::write_spans_json(spans, meta),
+          obs::write_postmortem_json(
+              meta, {{"agreement", "guid 1: \"split\"\tdecision"}},
+              {"at=90000 crash node=3", "at=300000 restart node=3"},
+              {"at=90000 crash node=3"}, events, metrics, spans)};
 }
 
 std::uint64_t fnv1a(const std::string& bytes) {
@@ -214,6 +235,24 @@ TEST(GoldenExports, TraceAndFlightViewsOfEveryKind) {
   EXPECT_EQ(fnv1a(exports.trace), 8551398378880968903ull);
   EXPECT_EQ(exports.flight.size(), 52063u);
   EXPECT_EQ(fnv1a(exports.flight), 3670464484329650996ull);
+}
+
+TEST(GoldenExports, MetricsSpansAndPostmortemDocuments) {
+  const Exports exports = run_exports();
+  for (const char* series :
+       {"net.latency_us", "net.class_latency_us", "endpoint.commit_latency_us",
+        "endpoint.attempts", "commit.instances_opened",
+        "commit.instance_latency_us"}) {
+    EXPECT_NE(exports.metrics.find("\"" + std::string(series) + "\""),
+              std::string::npos)
+        << series;
+  }
+  EXPECT_EQ(exports.metrics.size(), 82792u);
+  EXPECT_EQ(fnv1a(exports.metrics), 14997975857435062192ull);
+  EXPECT_EQ(exports.spans.size(), 58135u);
+  EXPECT_EQ(fnv1a(exports.spans), 12647540320419785271ull);
+  EXPECT_EQ(exports.postmortem.size(), 222633u);
+  EXPECT_EQ(fnv1a(exports.postmortem), 17879298427445025715ull);
 }
 
 }  // namespace

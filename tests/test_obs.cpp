@@ -1,4 +1,5 @@
-// Observability layer: metrics registry semantics, JSON schema round-trip
+// Observability layer: metrics registry semantics, the JSON serialiser's
+// pinned format, JSON schema round-trip
 // and the field-drop sweep over the schema table, causal trace <->
 // NetworkStats reconciliation, JSONL escaping, flight
 // recorder rings, commit-path spans and critical-path attribution,
@@ -10,6 +11,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <new>
 #include <optional>
 #include <set>
@@ -23,7 +27,10 @@
 #include "obs/postmortem.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
+#include "commit/endpoint.hpp"
+#include "commit/machine_cache.hpp"
 #include "commit/messages.hpp"
+#include "commit/peer.hpp"
 #include "schema_sweep.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -142,6 +149,213 @@ TEST(MetricsRegistry, MergeAddsCountersAndHistogramsAdoptsGauges) {
 }
 
 // ---- asa-metrics/1 JSON: write, parse back, validate. ----
+
+// The serialiser's format, pinned to what JsonValue::dump wrote when it
+// formatted the tree itself: empty containers, three levels of nesting,
+// every escape, the int64 extremes and shortest-form doubles.
+std::vector<obs::JsonValue> serialiser_trees() {
+  using obs::JsonValue;
+  std::vector<JsonValue> trees;
+  trees.push_back(JsonValue::object());
+  trees.push_back(JsonValue::array());
+
+  JsonValue root = JsonValue::object();
+  root.set("text", JsonValue(std::string("q\"b\\s\nl\x01-\x1f.\t\r\b\f")));
+  root.set("k\"ey\n", JsonValue("plain"));
+  JsonValue ints = JsonValue::array();
+  ints.push_back(JsonValue(std::numeric_limits<std::int64_t>::min()));
+  ints.push_back(JsonValue(std::numeric_limits<std::int64_t>::max()));
+  ints.push_back(JsonValue(std::int64_t{0}));
+  ints.push_back(JsonValue(std::int64_t{-1}));
+  root.set("ints", std::move(ints));
+  JsonValue doubles = JsonValue::array();
+  for (const double d : {0.5, -2.25, 1e300, 3.0, 0.1}) {
+    doubles.push_back(JsonValue(d));
+  }
+  root.set("doubles", std::move(doubles));
+  JsonValue leaf = JsonValue::object();
+  leaf.set("null", JsonValue());
+  leaf.set("yes", JsonValue(true));
+  leaf.set("no", JsonValue(false));
+  JsonValue inner = JsonValue::array();
+  inner.push_back(JsonValue::object());
+  inner.push_back(JsonValue::array());
+  inner.push_back(std::move(leaf));
+  JsonValue mid = JsonValue::object();
+  mid.set("b", std::move(inner));
+  JsonValue nest = JsonValue::object();
+  nest.set("a", std::move(mid));
+  root.set("nest", std::move(nest));
+  root.set("empty", JsonValue::object());
+  trees.push_back(std::move(root));
+  return trees;
+}
+
+constexpr const char* kSerialised[] = {
+    // dump(-1)
+    "{\"text\":\"q\\\"b\\\\s\\nl\\u0001-\\u001f.\\t\\r\\b\\f\","
+    "\"k\\\"ey\\n\":\"plain\",\"ints\":[-9223372036854775808,"
+    "9223372036854775807,0,-1],\"doubles\":[0.5,"
+    "-2.25,1e+300,3,0.1],\"nest\":{\"a\":{\"b\":[{},"
+    "[],{\"null\":null,\"yes\":true,\"no\":false}]}},"
+    "\"empty\":{}}",
+    // dump(0)
+    "{\n"
+    "\"text\": \"q\\\"b\\\\s\\nl\\u0001-\\u001f.\\t\\r\\b\\f\",\n"
+    "\"k\\\"ey\\n\": \"plain\",\n"
+    "\"ints\": [\n"
+    "-9223372036854775808,\n"
+    "9223372036854775807,\n"
+    "0,\n"
+    "-1\n"
+    "],\n"
+    "\"doubles\": [\n"
+    "0.5,\n"
+    "-2.25,\n"
+    "1e+300,\n"
+    "3,\n"
+    "0.1\n"
+    "],\n"
+    "\"nest\": {\n"
+    "\"a\": {\n"
+    "\"b\": [\n"
+    "{},\n"
+    "[],\n"
+    "{\n"
+    "\"null\": null,\n"
+    "\"yes\": true,\n"
+    "\"no\": false\n"
+    "}\n"
+    "]\n"
+    "}\n"
+    "},\n"
+    "\"empty\": {}\n"
+    "}",
+    // dump(1)
+    "{\n"
+    " \"text\": \"q\\\"b\\\\s\\nl\\u0001-\\u001f.\\t\\r\\b\\f\",\n"
+    " \"k\\\"ey\\n\": \"plain\",\n"
+    " \"ints\": [\n"
+    "  -9223372036854775808,\n"
+    "  9223372036854775807,\n"
+    "  0,\n"
+    "  -1\n"
+    " ],\n"
+    " \"doubles\": [\n"
+    "  0.5,\n"
+    "  -2.25,\n"
+    "  1e+300,\n"
+    "  3,\n"
+    "  0.1\n"
+    " ],\n"
+    " \"nest\": {\n"
+    "  \"a\": {\n"
+    "   \"b\": [\n"
+    "    {},\n"
+    "    [],\n"
+    "    {\n"
+    "     \"null\": null,\n"
+    "     \"yes\": true,\n"
+    "     \"no\": false\n"
+    "    }\n"
+    "   ]\n"
+    "  }\n"
+    " },\n"
+    " \"empty\": {}\n"
+    "}",
+    // dump(2)
+    "{\n"
+    "  \"text\": \"q\\\"b\\\\s\\nl\\u0001-\\u001f.\\t\\r\\b\\f\",\n"
+    "  \"k\\\"ey\\n\": \"plain\",\n"
+    "  \"ints\": [\n"
+    "    -9223372036854775808,\n"
+    "    9223372036854775807,\n"
+    "    0,\n"
+    "    -1\n"
+    "  ],\n"
+    "  \"doubles\": [\n"
+    "    0.5,\n"
+    "    -2.25,\n"
+    "    1e+300,\n"
+    "    3,\n"
+    "    0.1\n"
+    "  ],\n"
+    "  \"nest\": {\n"
+    "    \"a\": {\n"
+    "      \"b\": [\n"
+    "        {},\n"
+    "        [],\n"
+    "        {\n"
+    "          \"null\": null,\n"
+    "          \"yes\": true,\n"
+    "          \"no\": false\n"
+    "        }\n"
+    "      ]\n"
+    "    }\n"
+    "  },\n"
+    "  \"empty\": {}\n"
+    "}",
+};
+
+TEST(JsonSerialiser, DumpMatchesPinnedTextAtEveryIndent) {
+  const std::vector<obs::JsonValue> trees = serialiser_trees();
+  const int indents[] = {-1, 0, 1, 2};
+  for (std::size_t i = 0; i < std::size(indents); ++i) {
+    const int indent = indents[i];
+    SCOPED_TRACE("indent " + std::to_string(indent));
+    EXPECT_EQ(trees[0].dump(indent), "{}");
+    EXPECT_EQ(trees[1].dump(indent), "[]");
+    const std::string text = trees[2].dump(indent);
+    EXPECT_EQ(text, kSerialised[i]);
+    for (const obs::JsonValue& tree : trees) {
+      const std::string dumped = tree.dump(indent);
+      const std::optional<obs::JsonValue> back = obs::parse_json(dumped);
+      ASSERT_TRUE(back.has_value()) << dumped;
+      EXPECT_EQ(back->dump(indent), dumped);
+    }
+  }
+}
+
+TEST(JsonSerialiser, WriterCallsRenderLikeTheTree) {
+  const std::vector<obs::JsonValue> trees = serialiser_trees();
+  for (const int indent : {-1, 0, 1, 2}) {
+    SCOPED_TRACE("indent " + std::to_string(indent));
+    std::string empty_object;
+    obs::JsonWriter(empty_object, indent).begin_object().end_object();
+    EXPECT_EQ(empty_object, trees[0].dump(indent));
+    std::string empty_array;
+    obs::JsonWriter(empty_array, indent).begin_array().end_array();
+    EXPECT_EQ(empty_array, trees[1].dump(indent));
+
+    std::string text;
+    obs::JsonWriter out(text, indent);
+    out.begin_object()
+        .member("text", "q\"b\\s\nl\x01-\x1f.\t\r\b\f")
+        .member("k\"ey\n", "plain");
+    out.key("ints")
+        .begin_array()
+        .value(std::numeric_limits<std::int64_t>::min())
+        .value(std::numeric_limits<std::int64_t>::max())
+        .value(std::int64_t{0})
+        .value(std::int64_t{-1})
+        .end_array();
+    out.key("doubles").begin_array();
+    for (const double d : {0.5, -2.25, 1e300, 3.0, 0.1}) out.value(d);
+    out.end_array();
+    out.key("nest").begin_object().key("a").begin_object().key("b");
+    out.begin_array().begin_object().end_object().begin_array().end_array();
+    out.begin_object()
+        .key("null")
+        .null()
+        .member("yes", true)
+        .member("no", false)
+        .end_object();
+    out.end_array().end_object().end_object();
+    out.key("empty").begin_object().end_object();
+    out.end_object();
+    EXPECT_EQ(text, trees[2].dump(indent));
+  }
+}
 
 TEST(MetricsJson, ExportParsesAndValidates) {
   obs::MetricsRegistry reg;
@@ -912,20 +1126,51 @@ TEST(Postmortem, ValidatorRejectsBrokenEmbeddedDocuments) {
 
 // ---- Allocation budget of the message path. ----
 
+/// Total observations of every `name` series in `registry`.
+std::uint64_t histogram_total(const obs::MetricsRegistry& registry,
+                              const std::string& name) {
+  std::uint64_t total = 0;
+  registry.for_each_histogram(
+      [&](const obs::MetricsRegistry::Series& s, const obs::Histogram& h) {
+        if (s.name == name) total += h.count();
+      });
+  return total;
+}
+
+/// Sum of every `name` counter series in `registry`.
+std::uint64_t counter_total(const obs::MetricsRegistry& registry,
+                            const std::string& name) {
+  std::uint64_t total = 0;
+  registry.for_each_counter(
+      [&](const obs::MetricsRegistry::Series& s, const obs::Counter& c) {
+        if (s.name == name) total += c.value();
+      });
+  return total;
+}
+
 TEST(AllocationBudget, WarmNetworkAllocatesOnlyTheFramePerMessage) {
   // From serialize to the handler a message costs one allocation: the
   // 33-byte frame itself (past the small-string buffer). The send, the
   // link lookup, the scheduled delivery record, the queue and the handler
   // call all reuse storage that warm-up sized. The second input attaches
   // a 256-slot flight recorder, whose typed events fill rings that
-  // warm-up already wrapped, so it must stay within the same budget.
-  for (const std::size_t flight_capacity :
-       {std::size_t{0}, std::size_t{256}}) {
-    SCOPED_TRACE("flight capacity " + std::to_string(flight_capacity));
+  // warm-up already wrapped, and the third a metrics registry, whose
+  // per-link latency series warm-up resolved into the link table; both
+  // must stay within the same budget.
+  struct Input {
+    std::size_t flight_capacity;
+    bool metrics;
+  };
+  for (const Input input : {Input{0, false}, Input{256, false},
+                            Input{0, true}}) {
+    SCOPED_TRACE("flight capacity " + std::to_string(input.flight_capacity) +
+                 (input.metrics ? ", metrics" : ""));
     sim::Scheduler sched;
     sim::Network net(sched, sim::Rng(3));
-    obs::EventRecorder flight(/*tracing=*/false, flight_capacity);
+    obs::EventRecorder flight(/*tracing=*/false, input.flight_capacity);
     if (flight.enabled()) net.set_recorder(&flight);
+    obs::MetricsRegistry metrics;
+    if (input.metrics) net.set_metrics(&metrics);
     constexpr sim::NodeAddr kNodes = 8;
     std::uint64_t bytes = 0;
     for (sim::NodeAddr a = 0; a < kNodes; ++a) {
@@ -960,8 +1205,113 @@ TEST(AllocationBudget, WarmNetworkAllocatesOnlyTheFramePerMessage) {
     EXPECT_LE(allocations, messages);
     EXPECT_EQ(net.stats().delivered, sent);
     EXPECT_EQ(bytes, sent * 33);
-    EXPECT_EQ(flight.total_recorded(), flight_capacity == 0 ? 0 : 2 * sent);
+    EXPECT_EQ(flight.total_recorded(),
+              input.flight_capacity == 0 ? 0 : 2 * sent);
+    EXPECT_EQ(histogram_total(metrics, "net.latency_us"),
+              input.metrics ? sent : 0);
+    EXPECT_EQ(histogram_total(metrics, "net.class_latency_us"),
+              input.metrics ? sent : 0);
   }
+}
+
+// Hot sites keep resolved metric handles; these pin the moments a handle
+// must be dropped. A link's class series follows its profile, whether the
+// profile changes between deliveries or while a message is in flight
+// (the class is the one the link has when the copy is delivered).
+TEST(MetricHandles, ClassSeriesFollowsTheLinkProfile) {
+  sim::Scheduler sched;
+  sim::Network net(sched, sim::Rng(5));
+  obs::MetricsRegistry metrics;
+  net.set_metrics(&metrics);
+  for (const sim::NodeAddr a : {0u, 1u}) {
+    net.attach(a, [](sim::NodeAddr, const std::string&) {});
+  }
+  const auto send = [&](int n) {
+    for (int i = 0; i < n; ++i) net.send(0, 1, "frame");
+    sched.run();
+  };
+  send(3);
+  net.set_link_profile(0, 1, *sim::link_profile("lan"));
+  send(4);
+  sim::LinkProfile slow;
+  slow.name = "slow";
+  slow.latency = {9'000, 9'000};
+  net.set_link_profile(0, 1, slow);
+  send(2);
+  net.send(0, 1, "in flight");
+  net.clear_link_profile(0, 1);
+  send(5);
+  const auto count = [&](const char* cls) {
+    return metrics
+        .histogram("net.class_latency_us", {{"class", cls}},
+                   obs::latency_buckets_us())
+        .count();
+  };
+  EXPECT_EQ(count("default"), 9u);
+  EXPECT_EQ(count("lan"), 4u);
+  EXPECT_EQ(count("slow"), 2u);
+  EXPECT_EQ(metrics.histogram("net.latency_us", {{"link", "0->1"}}).count(),
+            15u);
+  EXPECT_EQ(histogram_total(metrics, "net.class_latency_us"), 15u);
+}
+
+// After set_metrics attaches a second registry, the network, the peers and
+// the endpoint observe only into it: nothing they resolved against the
+// first registry is used again.
+TEST(MetricHandles, SetMetricsMovesEveryHotSiteToTheNewRegistry) {
+  commit::MachineCache cache;
+  const fsm::StateMachine& machine = cache.machine_for(4);
+  sim::Scheduler sched;
+  sim::Network net(sched, sim::Rng(7));
+  const std::vector<sim::NodeAddr> addrs{0, 1, 2, 3};
+  std::vector<std::unique_ptr<commit::CommitPeer>> peers;
+  for (const sim::NodeAddr a : addrs) {
+    peers.push_back(
+        std::make_unique<commit::CommitPeer>(net, a, addrs, machine));
+  }
+  commit::CommitEndpoint endpoint(net, 100, addrs, 1, {}, sim::Rng(11));
+  const auto attach = [&](obs::MetricsRegistry* metrics) {
+    net.set_metrics(metrics);
+    for (const auto& peer : peers) peer->set_metrics(metrics);
+    endpoint.set_metrics(metrics);
+  };
+  sim::Time deadline = 0;
+  const auto commit_one = [&](std::uint64_t payload) {
+    bool committed = false;
+    endpoint.submit(77, payload, [&](const commit::CommitResult& r) {
+      committed = r.committed;
+    });
+    deadline += 1'000'000;
+    sched.run_until(deadline);
+    EXPECT_TRUE(committed);
+  };
+  const auto totals = [](const obs::MetricsRegistry& metrics) {
+    return std::vector<std::uint64_t>{
+        histogram_total(metrics, "net.latency_us"),
+        histogram_total(metrics, "net.class_latency_us"),
+        histogram_total(metrics, "endpoint.commit_latency_us"),
+        histogram_total(metrics, "endpoint.attempts"),
+        counter_total(metrics, "commit.instances_opened"),
+        histogram_total(metrics, "commit.instance_latency_us")};
+  };
+
+  obs::MetricsRegistry first;
+  attach(&first);
+  commit_one(1);
+  const std::uint64_t first_deliveries = net.stats().delivered;
+  const std::vector<std::uint64_t> first_totals = totals(first);
+  EXPECT_EQ(first_totals,
+            (std::vector<std::uint64_t>{first_deliveries, first_deliveries,
+                                        1, 1, 4, 4}));
+
+  obs::MetricsRegistry second;
+  attach(&second);
+  commit_one(2);
+  commit_one(3);
+  const std::uint64_t later = net.stats().delivered - first_deliveries;
+  EXPECT_EQ(totals(first), first_totals);
+  EXPECT_EQ(totals(second),
+            (std::vector<std::uint64_t>{later, later, 2, 2, 8, 8}));
 }
 
 }  // namespace

@@ -475,11 +475,14 @@ int main(int argc, char** argv) {
     std::cout << "metrics written to " << metrics_out << "\n";
   }
   if (!trace_out.empty()) {
-    std::ostringstream out;
-    out << "{\"schema\":\"asa-trace/1\",\"tool\":\"asachaos\",\"seed0\":"
-        << seed0 << ",\"seeds\":" << seeds << "}\n";
-    campaign_trace.write_trace_jsonl(out);
-    if (!cli::write_file(trace_out, out.str())) return 2;
+    if (!cli::write_file_with(trace_out, [&](std::ostream& out) {
+          out << "{\"schema\":\"asa-trace/1\",\"tool\":\"asachaos\","
+                 "\"seed0\":"
+              << seed0 << ",\"seeds\":" << seeds << "}\n";
+          campaign_trace.write_trace_jsonl(out);
+        })) {
+      return 2;
+    }
     std::cout << "trace written to " << trace_out << " ("
               << campaign_trace.stream().size() << " events)\n";
   }

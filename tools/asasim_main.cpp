@@ -15,7 +15,6 @@
 #include <iostream>
 #include <iterator>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -529,11 +528,14 @@ int asasim_main(int argc, char** argv) {
     std::cout << "metrics written to " << metrics_out << "\n";
   }
   if (!trace_out.empty()) {
-    std::ostringstream out;
-    out << "{\"schema\":\"asa-trace/1\",\"tool\":\"asasim\",\"seed\":"
-        << config.seed << "}\n";
-    cluster.events().write_trace_jsonl(out);
-    if (!cli::write_file(trace_out, out.str())) return 2;
+    if (!cli::write_file_with(trace_out, [&](std::ostream& out) {
+          out << "{\"schema\":\"asa-trace/1\",\"tool\":\"asasim\","
+                 "\"seed\":"
+              << config.seed << "}\n";
+          cluster.events().write_trace_jsonl(out);
+        })) {
+      return 2;
+    }
     std::cout << "trace written to " << trace_out << " ("
               << cluster.events().stream().size() << " events)\n";
   }
