@@ -24,11 +24,24 @@
 // update id per GUID — a journal that survived a failed post-snapshot
 // truncate replays over the snapshot without double-applying.
 //
-// Snapshots: every `snapshot_every` commit records the full per-GUID
-// image is atomically written to the snapshot file (as kImport frames)
-// and the journal truncated to zero. A failed snapshot write keeps the
-// journal; a corrupt snapshot at recovery is flagged and its intact
-// frames still applied.
+// Snapshots: the full per-GUID image is atomically written to the
+// snapshot file (as kImport frames) and the journal truncated to zero
+// once both (a) `snapshot_every` commit records have been journaled since
+// the last snapshot and (b) the journal has grown to at least the size of
+// the last snapshot written (or loaded by recover()). Rule (b) makes the
+// schedule geometric: each rewrite is paid for by at least as many
+// journal bytes, so total snapshot bytes stay within twice the journal
+// bytes and a commit costs O(1) amortised however long the history, while
+// a recovery replays at most about one image's worth of journal. The
+// journal since the last snapshot is the increment — there is no
+// checkpoint chain. A failed snapshot write keeps the journal; a corrupt
+// snapshot at recovery is flagged and its intact frames still applied.
+//
+// Persistent vs transient state: the image is what snapshots and the
+// journal carry. The (guid, update id) dedup table beside it is
+// transient — never written, rebuilt by recover() and record_import —
+// so the record path is one flat probe plus one append into buffers the
+// log reuses.
 //
 // Sync watermark: commit records are acknowledged, so they are "synced" —
 // the watermark advances past them and a partial flush (kFlushDrop chaos
@@ -40,7 +53,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -54,6 +66,8 @@ struct Entry {
   std::uint64_t update_id;
   std::uint64_t request_id;
   std::uint64_t payload;
+
+  friend bool operator==(const Entry&, const Entry&) = default;
 };
 
 using GuidHistories = std::map<std::uint64_t, std::vector<Entry>>;
@@ -116,7 +130,8 @@ class DurableLog {
 
   /// Drop up to `max_records` whole records from the unsynced tail
   /// (partial flush / page-cache loss). Never cuts acknowledged commit
-  /// records. Returns records dropped.
+  /// records. Returns records dropped: 0 when the medium refuses the
+  /// truncate (stalled), and those records stay droppable later.
   std::size_t drop_unsynced_tail(std::size_t max_records);
 
   /// The journaled per-GUID history image (what replay reconstructed
@@ -135,8 +150,41 @@ class DurableLog {
   }
 
  private:
+  /// The set of (guid, update id) pairs in the image: an open-addressing
+  /// table with linear probing and backward-shift deletion, so a lookup
+  /// is one probe sequence over one flat array and a warm insert
+  /// allocates nothing.
+  class SeenTable {
+   public:
+    /// The slot holding (guid, update_id), or the empty slot where it
+    /// would go. Valid until the next insert or erase.
+    [[nodiscard]] std::size_t find(std::uint64_t guid,
+                                   std::uint64_t update_id) const;
+    [[nodiscard]] bool occupied(std::size_t slot) const {
+      return slot < slots_.size() && slots_[slot].used;
+    }
+    /// Fill `slot` (an empty slot returned by find for this key).
+    void fill(std::size_t slot, std::uint64_t guid, std::uint64_t update_id);
+    void insert(std::uint64_t guid, std::uint64_t update_id);
+    void erase(std::uint64_t guid, std::uint64_t update_id);
+    void clear();
+
+   private:
+    struct Slot {
+      std::uint64_t guid = 0;
+      std::uint64_t update_id = 0;
+      bool used = false;
+    };
+    void grow();
+
+    std::vector<Slot> slots_;  // Size is zero or a power of two.
+    std::size_t size_ = 0;
+  };
+
   /// Repair any torn tail, then append one frame. Updates valid_size_.
   bool append_frame(const std::string& frame);
+  /// Replace `guid`'s image (and its dedup entries) with `entries`.
+  void replace_history(std::uint64_t guid, std::vector<Entry> entries);
   void apply_commit(std::string_view payload);
   void apply_import(std::string_view payload);
   void maybe_snapshot();
@@ -146,14 +194,16 @@ class DurableLog {
   std::string snapshot_file_;
   std::size_t snapshot_every_;
 
-  GuidHistories image_;
-  std::map<std::uint64_t, std::set<std::uint64_t>> seen_;  // update ids.
+  GuidHistories image_;  // Ordered: restart imports histories in key order.
+  SeenTable seen_;
+  std::string frame_;  // Reused encode buffer for one journal record.
 
   std::size_t valid_size_ = 0;        // Well-framed journal prefix length.
   std::size_t synced_watermark_ = 0;  // Journal size after last commit.
   std::vector<std::pair<std::size_t, std::size_t>>
       tail_records_;  // (offset, size) of records past the watermark.
   std::size_t commits_since_snapshot_ = 0;
+  std::size_t last_snapshot_size_ = 0;  // Written or loaded by recover().
   WriterStats writer_;
 };
 

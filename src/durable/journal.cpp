@@ -4,16 +4,28 @@
 
 namespace asa_repro::durable {
 
-void put_u32(std::string& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFFu));
+namespace {
+
+/// Store `value` little-endian into `out[0, N)`.
+template <std::size_t N, typename T>
+void store_le(char* out, T value) {
+  for (std::size_t i = 0; i < N; ++i) {
+    out[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
   }
 }
 
+}  // namespace
+
+void put_u32(std::string& out, std::uint32_t value) {
+  char word[4];
+  store_le<4>(word, value);
+  out.append(word, sizeof word);
+}
+
 void put_u64(std::string& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFFu));
-  }
+  char word[8];
+  store_le<8>(word, value);
+  out.append(word, sizeof word);
 }
 
 std::uint32_t get_u32(std::string_view bytes, std::size_t offset) {
@@ -39,13 +51,27 @@ std::uint64_t get_u64(std::string_view bytes, std::size_t offset) {
 std::string encode_frame(RecordType type, std::string_view payload) {
   std::string frame;
   frame.reserve(kFrameHeaderSize + payload.size());
-  frame.push_back(kJournalMagic);
-  frame.push_back(static_cast<char>(type));
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload));
-  put_u32(frame, crc32(std::string_view(frame.data(), 10)));
+  const std::size_t start = begin_frame(frame);
   frame.append(payload);
+  end_frame(frame, start, type);
   return frame;
+}
+
+std::size_t begin_frame(std::string& out) {
+  const std::size_t start = out.size();
+  out.append(kFrameHeaderSize, '\0');
+  return start;
+}
+
+void end_frame(std::string& out, std::size_t frame_start, RecordType type) {
+  char* header = out.data() + frame_start;
+  const std::string_view payload(header + kFrameHeaderSize,
+                                 out.size() - frame_start - kFrameHeaderSize);
+  header[0] = kJournalMagic;
+  header[1] = static_cast<char>(type);
+  store_le<4>(header + 2, static_cast<std::uint32_t>(payload.size()));
+  store_le<4>(header + 6, crc32(payload));
+  store_le<4>(header + 10, crc32(std::string_view(header, 10)));
 }
 
 ScanResult scan_journal(std::string_view bytes) {

@@ -64,6 +64,13 @@ struct ScanResult {
 [[nodiscard]] std::string encode_frame(RecordType type,
                                        std::string_view payload);
 
+/// Encode a frame in place at the end of `out`, with no intermediate
+/// payload string: begin_frame reserves the header and returns the
+/// frame's offset, the caller appends the payload (put_u64/put_u32), and
+/// end_frame fills the header in from the bytes written since.
+[[nodiscard]] std::size_t begin_frame(std::string& out);
+void end_frame(std::string& out, std::size_t frame_start, RecordType type);
+
 /// Scan `bytes` front to back applying the torn-tail / CRC-skip rules
 /// documented above. Never throws; a scan of garbage yields zero records
 /// and truncated_bytes == bytes.size().

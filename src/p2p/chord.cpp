@@ -139,6 +139,7 @@ NodeId ChordRing::add_node(const NodeId& id) {
   auto node = std::make_unique<ChordNode>(id, *this);
   ChordNode* raw = node.get();
   nodes_.emplace(id, std::move(node));
+  by_id_.emplace(id, raw);
   raw->join(bootstrap);
   return id;
 }
@@ -175,21 +176,23 @@ void ChordRing::leave(const NodeId& id) {
     plist.erase(std::remove(plist.begin(), plist.end(), id), plist.end());
     plist.insert(plist.begin(), succ);
   }
+  by_id_.erase(id);
   nodes_.erase(it);
 }
 
 void ChordRing::fail(const NodeId& id) {
+  by_id_.erase(id);
   if (nodes_.erase(id) != 0) ++version_;
 }
 
 ChordNode* ChordRing::node(const NodeId& id) {
-  const auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  const auto it = by_id_.find(id);
+  return it == by_id_.end() ? nullptr : it->second;
 }
 
 const ChordNode* ChordRing::node(const NodeId& id) const {
-  const auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  const auto it = by_id_.find(id);
+  return it == by_id_.end() ? nullptr : it->second;
 }
 
 std::vector<NodeId> ChordRing::node_ids() const {

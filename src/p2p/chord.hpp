@@ -14,9 +14,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -97,7 +99,7 @@ class ChordRing {
   void fail(const NodeId& id);
 
   [[nodiscard]] bool alive(const NodeId& id) const {
-    return nodes_.contains(id);
+    return by_id_.contains(id);
   }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] ChordNode* node(const NodeId& id);
@@ -137,7 +139,24 @@ class ChordRing {
   [[nodiscard]] NodeId true_successor(const NodeId& key) const;
 
  private:
-  std::map<NodeId, std::unique_ptr<ChordNode>> nodes_;
+  /// Folds all 20 id bytes, so ids that differ only in their low bytes
+  /// (tests build such ids) still spread over the buckets.
+  struct IdHash {
+    std::size_t operator()(const NodeId& id) const {
+      std::uint64_t hi = 0, mid = 0;
+      std::uint32_t lo = 0;
+      std::memcpy(&hi, id.bytes().data(), sizeof hi);
+      std::memcpy(&mid, id.bytes().data() + 8, sizeof mid);
+      std::memcpy(&lo, id.bytes().data() + 16, sizeof lo);
+      return static_cast<std::size_t>(
+          (hi ^ (mid * 0x9E3779B97F4A7C15ull) ^ lo) * 0xBF58476D1CE4E5B9ull);
+    }
+  };
+
+  std::map<NodeId, std::unique_ptr<ChordNode>> nodes_;  // Ring order.
+  /// The same nodes by id: alive() and node() run on every routing hop
+  /// and every maintenance step, so they skip the ordered tree walk.
+  std::unordered_map<NodeId, ChordNode*, IdHash> by_id_;
   sim::Rng rng_;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::uint64_t version_ = 0;

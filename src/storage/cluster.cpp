@@ -73,7 +73,7 @@ void AsaCluster::rebuild_host(std::size_t index,
         *logs_[index],
         [this, index](std::uint64_t guid,
                       const commit::CommitPeer::CommittedEntry& e) {
-          acked_[index][guid][e.request_id] = e.payload;
+          acked_[index].push_back({guid, e.request_id, e.payload});
         });
   }
 }

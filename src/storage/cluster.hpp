@@ -56,8 +56,9 @@ struct ClusterConfig {
   /// bootstrap. Journaling is synchronous (no scheduler events), so the
   /// event timeline is identical with the flag on or off.
   bool durability = true;
-  /// Snapshot a node's journal into its snapshot file every this many
-  /// commit records (0 disables snapshots).
+  /// Minimum cadence of a node's snapshots, in commit records (0 disables
+  /// snapshots). A snapshot also waits for the journal to reach the last
+  /// snapshot's size (see durable_log.hpp).
   std::size_t snapshot_every = 64;
   /// Per-node capacity of the flight recorder (recent structured events:
   /// message fates, commit-instance phases, journal appends/replays,
@@ -201,13 +202,20 @@ class AsaCluster {
 
   // ---- Durability (see src/durable/). ----
 
-  /// Acknowledged commits per node: guid key -> request id -> payload.
-  /// Populated by the ack sink at the moment a node sends a kCommitted
+  /// One kCommitted acknowledgement a node sent.
+  struct AckRecord {
+    std::uint64_t guid;
+    std::uint64_t request_id;
+    std::uint64_t payload;
+  };
+  /// Acknowledged commits per node, one record per acknowledgement in the
+  /// order they were sent (a resent update acknowledged again appends
+  /// again; for a (guid, request id) the last record wins). Appended by
+  /// the ack sink at the moment a node sends a kCommitted
   /// acknowledgement, and deliberately kept OUTSIDE the node (it survives
   /// crashes): it is the ground truth the durable-ack invariant checks
   /// recovered nodes against.
-  using AckLedger =
-      std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>>;
+  using AckLedger = std::vector<AckRecord>;
 
   /// The node's simulated disk. Persists across crash/restart; the chaos
   /// engine injects torn writes, stalls, capacity limits and bit-rot here.

@@ -1,6 +1,9 @@
 #include "storage/invariant_checker.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
+#include <tuple>
 
 namespace asa_repro::storage {
 
@@ -21,6 +24,40 @@ std::vector<std::uint64_t> dedup_payloads(
 
 std::string guid_tag(const Guid& guid) {
   return guid.to_hex().substr(0, 10);
+}
+
+using AckRun = std::span<const std::uint32_t>;
+
+/// The run of `index` (a node's ledger ordered by guid, request id,
+/// position) holding `guid`'s acknowledgements.
+AckRun ack_run(const AsaCluster::AckLedger& ledger,
+               const std::vector<std::uint32_t>& index, std::uint64_t guid) {
+  const auto guid_of = [&ledger](std::uint32_t pos) {
+    return ledger[pos].guid;
+  };
+  const auto first = std::partition_point(
+      index.begin(), index.end(),
+      [&](std::uint32_t pos) { return guid_of(pos) < guid; });
+  const auto last = std::partition_point(
+      first, index.end(),
+      [&](std::uint32_t pos) { return guid_of(pos) == guid; });
+  return {first, last};
+}
+
+/// Call `visit(request_id, payload)` once per request acknowledged in
+/// `run`, in request id order, with the payload of the request's last
+/// acknowledgement (a resent update acknowledged again overrides).
+template <typename Visit>
+void for_each_ack(const AsaCluster::AckLedger& ledger, AckRun run,
+                  Visit visit) {
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    const AsaCluster::AckRecord& record = ledger[run[i]];
+    if (i + 1 < run.size() &&
+        ledger[run[i + 1]].request_id == record.request_id) {
+      continue;
+    }
+    visit(record.request_id, record.payload);
+  }
 }
 
 }  // namespace
@@ -48,14 +85,30 @@ std::vector<sim::NodeAddr> InvariantChecker::honest_members(
 }
 
 std::vector<Violation> InvariantChecker::check(bool check_order) const {
+  std::vector<LedgerIndex> ledgers;
+  if (cluster_.config().durability) {
+    ledgers.resize(cluster_.node_count());
+    for (std::size_t node = 0; node < ledgers.size(); ++node) {
+      const AsaCluster::AckLedger& ledger = cluster_.acked_commits(node);
+      LedgerIndex& index = ledgers[node];
+      index.resize(ledger.size());
+      std::iota(index.begin(), index.end(), std::uint32_t{0});
+      std::sort(index.begin(), index.end(),
+                [&ledger](std::uint32_t a, std::uint32_t b) {
+                  return std::tie(ledger[a].guid, ledger[a].request_id, a) <
+                         std::tie(ledger[b].guid, ledger[b].request_id, b);
+                });
+    }
+  }
   std::vector<Violation> violations;
   for (const Guid& guid : cluster_.known_guids()) {
-    check_guid(guid, check_order, violations);
+    check_guid(guid, check_order, ledgers, violations);
   }
   return violations;
 }
 
 void InvariantChecker::check_guid(const Guid& guid, bool check_order,
+                                  const std::vector<LedgerIndex>& ledgers,
                                   std::vector<Violation>& out) const {
   const std::uint64_t key = guid.to_uint64();
   const std::vector<sim::NodeAddr> honest = honest_members(guid);
@@ -105,32 +158,36 @@ void InvariantChecker::check_guid(const Guid& guid, bool check_order,
   // the crashes it audits.
   if (cluster_.config().durability) {
     for (sim::NodeAddr addr : honest) {
-      const auto& ledger =
-          cluster_.acked_commits(static_cast<std::size_t>(addr));
-      const auto lit = ledger.find(key);
-      if (lit == ledger.end()) continue;
+      const auto node = static_cast<std::size_t>(addr);
+      const AsaCluster::AckLedger& ledger = cluster_.acked_commits(node);
+      const AckRun run = ack_run(ledger, ledgers[node], key);
+      if (run.empty()) continue;
       std::map<std::uint64_t, std::uint64_t> by_request;
       for (const auto& e : cluster_.host(addr).peer().history(key)) {
         by_request.emplace(e.request_id, e.payload);
       }
-      for (const auto& [request_id, payload] : lit->second) {
-        const auto hit = by_request.find(request_id);
-        if (hit == by_request.end()) {
-          out.push_back({"durable-ack",
-                         "guid " + guid_tag(guid) + " node " +
-                             std::to_string(addr) +
-                             " acknowledged request " +
-                             std::to_string(request_id) +
-                             " but no longer has it (lost on recovery?)"});
-        } else if (hit->second != payload) {
-          out.push_back({"durable-ack",
-                         "guid " + guid_tag(guid) + " node " +
-                             std::to_string(addr) + " acknowledged request " +
-                             std::to_string(request_id) + " with payload " +
-                             std::to_string(payload) + " but now has " +
-                             std::to_string(hit->second)});
-        }
-      }
+      for_each_ack(
+          ledger, run,
+          [&](std::uint64_t request_id, std::uint64_t payload) {
+            const auto hit = by_request.find(request_id);
+            if (hit == by_request.end()) {
+              out.push_back({"durable-ack",
+                             "guid " + guid_tag(guid) + " node " +
+                                 std::to_string(addr) +
+                                 " acknowledged request " +
+                                 std::to_string(request_id) +
+                                 " but no longer has it (lost on recovery?)"});
+            } else if (hit->second != payload) {
+              out.push_back({"durable-ack",
+                             "guid " + guid_tag(guid) + " node " +
+                                 std::to_string(addr) +
+                                 " acknowledged request " +
+                                 std::to_string(request_id) +
+                                 " with payload " + std::to_string(payload) +
+                                 " but now has " +
+                                 std::to_string(hit->second)});
+            }
+          });
     }
   }
 
@@ -150,20 +207,19 @@ void InvariantChecker::check_guid(const Guid& guid, bool check_order,
           !cluster_.departed_gracefully(index)) {
         continue;
       }
-      const auto& ledger = cluster_.acked_commits(index);
-      const auto lit = ledger.find(key);
-      if (lit == ledger.end()) continue;
-      for (const auto& [request_id, payload] : lit->second) {
-        if (!surviving_requests.contains(request_id)) {
-          out.push_back(
-              {"handoff-ack",
-               "guid " + guid_tag(guid) + " request " +
-                   std::to_string(request_id) + " was acknowledged by " +
-                   "gracefully-departed node " + std::to_string(index) +
-                   " but no live honest member still holds it (handoff "
-                   "lost it)"});
-        }
-      }
+      const AsaCluster::AckLedger& ledger = cluster_.acked_commits(index);
+      for_each_ack(
+          ledger, ack_run(ledger, ledgers[index], key),
+          [&](std::uint64_t request_id, std::uint64_t) {
+            if (surviving_requests.contains(request_id)) return;
+            out.push_back(
+                {"handoff-ack",
+                 "guid " + guid_tag(guid) + " request " +
+                     std::to_string(request_id) + " was acknowledged by " +
+                     "gracefully-departed node " + std::to_string(index) +
+                     " but no live honest member still holds it (handoff "
+                     "lost it)"});
+          });
     }
   }
 

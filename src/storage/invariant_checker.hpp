@@ -28,7 +28,9 @@
 //    journal and its reconciliation delta, so this is exactly the
 //    crash-consistency guarantee of the write-ahead discipline. Compared
 //    by request id: a retried request re-commits under a fresh update id,
-//    and either attempt discharges the acknowledgement;
+//    and either attempt discharges the acknowledgement. A request acked
+//    more than once (a resent update) is one obligation, held to its
+//    last acknowledged payload;
 //  * handoff acks — every commit a gracefully-departed member ever
 //    acknowledged must still be held by at least one live honest member
 //    of the GUID's current peer set: the graceful-leave key-range handoff
@@ -91,7 +93,13 @@ class InvariantChecker {
       const Guid& guid) const;
 
  private:
+  /// Positions into one node's ack ledger, ordered by (guid, request id,
+  /// position): a GUID's records form one run, and the last record of a
+  /// request's run is the one that wins. Built once per check().
+  using LedgerIndex = std::vector<std::uint32_t>;
+
   void check_guid(const Guid& guid, bool check_order,
+                  const std::vector<LedgerIndex>& ledgers,
                   std::vector<Violation>& out) const;
 
   AsaCluster& cluster_;
