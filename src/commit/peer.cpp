@@ -66,21 +66,6 @@ const std::vector<CommitPeer::CommittedEntry>& CommitPeer::history(
   return it == guids_.end() ? kEmptyHistory : it->second.committed;
 }
 
-bool CommitPeer::import_history(std::uint64_t guid,
-                                std::vector<CommittedEntry> entries) {
-  GuidContext& ctx = guids_[guid];
-  if (!ctx.committed.empty()) return false;
-  ctx.committed = std::move(entries);
-  // The imported updates are settled; make sure late protocol traffic for
-  // them is absorbed rather than re-run.
-  for (const CommittedEntry& e : ctx.committed) {
-    ctx.instances.erase(e.update_id);
-    ctx.settled.emplace(e.update_id, 0);
-  }
-  if (import_sink_) import_sink_(guid, ctx.committed);
-  return true;
-}
-
 std::size_t CommitPeer::reconcile_history(
     std::uint64_t guid, const std::vector<CommittedEntry>& donor) {
   GuidContext& ctx = guids_[guid];
@@ -107,7 +92,9 @@ std::size_t CommitPeer::reconcile_history(
     ctx.instances.erase(e.update_id);
     ctx.settled.emplace(e.update_id, 0);
   }
-  if (import_sink_) import_sink_(guid, ctx.committed);
+  // Journal last: `donor` may be the journal's own image of this GUID
+  // (restart replays it into the peer), which record_import replaces.
+  if (journal_ != nullptr) (void)journal_->record_import(guid, ctx.committed);
   // A pure reorder adopts no new entries but still rewrote the history.
   return adopted > 0 ? adopted : 1;
 }
@@ -232,7 +219,7 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
       inst.client = from;
       deliver(ctx, msg.guid, msg.update_id, kUpdate);
       // A vetoed attempt (finished, still resident) is offered to the
-      // commit sink once more.
+      // journal once more.
       check_finished(ctx, msg.guid, msg.update_id);
       break;
     }
@@ -383,25 +370,31 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
   if (it == ctx.instances.end()) return;
   Instance& inst = it->second;
   if (!inst.fsm.finished()) return;
-  if (commit_sink_ &&
-      !commit_sink_(guid, {update_id, inst.request_id, inst.payload})) {
-    // Write-ahead append failed (stalled or full disk): neither record nor
-    // acknowledge. The FSM's free action already ran, but release the lock
-    // defensively too — a bad disk must not deadlock the GUID lane. The
-    // instance stays resident, finished but unrecorded; the client's resent
-    // update retries the sink once the disk heals. The quorum span stays
-    // open — the commit is not over until the retry lands.
-    if (spans_ != nullptr) {
-      spans_->point("journal-append", inst.quorum_span, self_,
-                    std::to_string(guid), inst.request_id, update_id,
-                    network_.scheduler().now(), false, "vetoed");
+  // Write-ahead: the commit reaches the journal before the history. A
+  // refused append (stalled or full disk) neither records nor
+  // acknowledges. The FSM's free action already ran, but the lock is
+  // released defensively too — a bad disk must not deadlock the GUID lane.
+  // The instance stays resident, finished but unrecorded; the client's
+  // resent update retries the append once the disk heals. The quorum span
+  // stays open — the commit is not over until the retry lands.
+  if (journal_ != nullptr) {
+    const bool ok = journal_->record_commit(guid, update_id, inst.request_id,
+                                            inst.payload);
+    note(obs::EventKind::kJournalAppend, {guid, update_id, inst.request_id},
+         ok ? obs::Word::kOk : obs::Word::kFailed);
+    if (!ok) {
+      if (spans_ != nullptr) {
+        spans_->point("journal-append", inst.quorum_span, self_,
+                      std::to_string(guid), inst.request_id, update_id,
+                      network_.scheduler().now(), false, "vetoed");
+      }
+      note(obs::EventKind::kVeto, {guid, update_id, inst.request_id});
+      if (ctx.chosen_update == update_id) {
+        ctx.chosen_update.reset();
+        free_siblings(ctx, guid, update_id);
+      }
+      return;
     }
-    note(obs::EventKind::kVeto, {guid, update_id, inst.request_id});
-    if (ctx.chosen_update == update_id) {
-      ctx.chosen_update.reset();
-      free_siblings(ctx, guid, update_id);
-    }
-    return;
   }
   ++stats_.committed;
   ctx.committed.push_back({update_id, inst.request_id, inst.payload});
@@ -422,7 +415,7 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
     if (spans_->is_open(inst.vote_span)) {
       spans_->close(inst.vote_span, now, true);
     }
-    if (commit_sink_) {
+    if (journal_ != nullptr) {
       spans_->point("journal-append", inst.quorum_span, self_,
                     std::to_string(guid), inst.request_id, update_id, now,
                     true);

@@ -32,6 +32,7 @@
 #include "commit/messages.hpp"
 #include "core/compiled_machine.hpp"
 #include "core/state_machine.hpp"
+#include "durable/durable_log.hpp"
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -150,55 +151,35 @@ class CommitPeer {
   [[nodiscard]] Behaviour behaviour() const { return behaviour_; }
   [[nodiscard]] const PeerStats& stats() const { return stats_; }
 
-  /// Committed update order for a GUID, in local commit order. Entries are
-  /// (update_id, request_id, payload).
-  struct CommittedEntry {
-    std::uint64_t update_id;
-    std::uint64_t request_id;
-    std::uint64_t payload;
-    friend bool operator==(const CommittedEntry&,
-                           const CommittedEntry&) = default;
-  };
+  /// (update_id, request_id, payload): the journal's entry type.
+  using CommittedEntry = durable::Entry;
 
-  /// Write-ahead sink, consulted BEFORE a finished commit is appended to
-  /// the local history. A false return vetoes the commit: nothing is
-  /// recorded and no kCommitted acknowledgement is sent — the client's
-  /// retry of the same request drives a fresh attempt. This is the hook
-  /// the durability subsystem uses to journal every commit before any
-  /// client can observe it.
-  using CommitSink =
-      std::function<bool(std::uint64_t guid, const CommittedEntry& entry)>;
-  void set_commit_sink(CommitSink sink) { commit_sink_ = std::move(sink); }
+  /// Attach the node's write-ahead journal (must outlive the peer). A
+  /// finished commit is appended (and a journal-append event recorded)
+  /// BEFORE it joins the history; a refused append vetoes it — nothing
+  /// recorded, no kCommitted sent, the client's retry drives a fresh
+  /// attempt. Each reconcile_history journals the adopted history.
+  void set_journal(durable::DurableLog* journal) { journal_ = journal; }
 
   /// Called immediately before each kCommitted acknowledgement leaves for
   /// a client (the durable-ack ledger hook). Only ever fires for commits
-  /// the commit sink accepted.
+  /// the journal accepted.
   using AckSink =
       std::function<void(std::uint64_t guid, const CommittedEntry& entry)>;
   void set_ack_sink(AckSink sink) { ack_sink_ = std::move(sink); }
 
-  /// Called after a wholesale history adoption (import_history or
-  /// reconcile_history) with the node's complete new history for the GUID.
-  using ImportSink = std::function<void(
-      std::uint64_t guid, const std::vector<CommittedEntry>& entries)>;
-  void set_import_sink(ImportSink sink) { import_sink_ = std::move(sink); }
+  /// Committed update order for a GUID, in local commit order.
   [[nodiscard]] const std::vector<CommittedEntry>& history(
       std::uint64_t guid) const;
 
-  /// Adopt a committed history for `guid` (peer-set membership change:
-  /// a replacement member bootstraps from its peers, paper section 2.2's
-  /// "background processes ... replace faulty nodes"). Only an empty local
-  /// history is replaced; returns false otherwise.
-  bool import_history(std::uint64_t guid,
-                      std::vector<CommittedEntry> entries);
-
-  /// Merge a donor (agreed) history into a possibly NON-empty local one —
-  /// the recovery reconciliation step: a journal-replayed node only needs
-  /// the delta it missed while down. The merged history is the donor's
-  /// entries in donor order followed by local-only entries (so a replay
-  /// that skipped or disordered records converges back to the agreed
-  /// order). Returns the number of donor entries newly adopted; 0 when
-  /// the local history already matches the merge (nothing to do).
+  /// Adopt a donor (agreed) history for `guid`, the one adoption path:
+  /// an empty history takes the donor verbatim (a replacement member's
+  /// bootstrap, paper section 2.2); a NON-empty one — a journal-replayed
+  /// node that only needs the delta it missed while down — becomes the
+  /// donor's entries in donor order followed by local-only entries (so a
+  /// replay that skipped or disordered records converges back to the
+  /// agreed order). Returns the number of donor entries newly adopted; 0
+  /// when the local history already matches the merge (nothing to do).
   std::size_t reconcile_history(std::uint64_t guid,
                                 const std::vector<CommittedEntry>& donor);
 
@@ -206,7 +187,7 @@ class CommitPeer {
   [[nodiscard]] std::size_t live_instances(std::uint64_t guid) const;
 
   /// Machine instances currently held in memory for a GUID: the live ones
-  /// plus finished ones whose journal append the commit sink vetoed. An
+  /// plus finished ones whose journal append was refused. An
   /// instance is released the moment it is recorded and acknowledged.
   [[nodiscard]] std::size_t resident_instances(std::uint64_t guid) const;
 
@@ -282,7 +263,7 @@ class CommitPeer {
   void free_siblings(GuidContext& ctx, std::uint64_t guid,
                      std::uint64_t source);
   void broadcast(const WireMessage& msg);
-  /// Record a finished instance (unless the commit sink vetoes it),
+  /// Record a finished instance (unless its journal append is refused),
   /// acknowledge its client and release it into `settled`.
   void check_finished(GuidContext& ctx, std::uint64_t guid,
                       std::uint64_t update_id);
@@ -319,9 +300,8 @@ class CommitPeer {
   obs::Counter* instances_opened_ = nullptr;    // commit.instances_opened.
   obs::Histogram* instance_latency_ = nullptr;  // commit.instance_latency_us.
   obs::SpanRecorder* spans_ = nullptr;
-  CommitSink commit_sink_;
+  durable::DurableLog* journal_ = nullptr;
   AckSink ack_sink_;
-  ImportSink import_sink_;
   PeerStats stats_;
   std::map<std::uint64_t, GuidContext> guids_;
   // Internal free/not_free deliveries, drained FIFO from `queue_head_`.

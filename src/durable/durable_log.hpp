@@ -1,6 +1,9 @@
 // A node's durable commit state: write-ahead journal + periodic snapshot.
 //
-// Write-ahead discipline (the contract with commit::CommitPeer):
+// Write-ahead discipline (the contract with commit::CommitPeer, which
+// holds the node's log directly — CommitPeer::set_journal — and calls
+// record_commit for every finished commit and record_import for every
+// history adoption):
 //
 //   journal append succeeds  →  in-memory history append  →  ack sent
 //
@@ -8,7 +11,8 @@
 // acknowledged — the client's retry (same request id) drives a fresh
 // attempt. So every *acknowledged* commit is on the medium before any
 // client learns of it, which is exactly what makes crash recovery by
-// replay sound.
+// replay sound. This library is a leaf: the peer's entry type is this
+// file's Entry.
 //
 // Record payloads (framed by journal.hpp; integers little-endian):
 //
@@ -61,7 +65,7 @@
 
 namespace asa_repro::durable {
 
-/// One committed history entry (mirrors commit::CommitPeer's view).
+/// One committed history entry (commit::CommitPeer::CommittedEntry).
 struct Entry {
   std::uint64_t update_id;
   std::uint64_t request_id;

@@ -475,6 +475,35 @@ std::string render_critical_path(const JsonValue& spans_doc) {
   static const char* kPhases[6] = {"submit",       "retry", "route",
                                    "vote-collect", "quorum", "ack"};
 
+  // One pass indexes what each root needs, in document (= id) order: a
+  // root's first attempt and its last closed ok attempt (the decisive
+  // one), and per (update id, node) the last closed vote-collect and
+  // quorum span plus the number of closed journal-append points.
+  struct Attempts {
+    const SpanRecord* first = nullptr;
+    const SpanRecord* decisive = nullptr;
+  };
+  struct PeerSpans {
+    const SpanRecord* vote = nullptr;
+    const SpanRecord* quorum = nullptr;
+    std::size_t journal_appends = 0;
+  };
+  std::map<std::uint64_t, Attempts> attempts;  // By root id.
+  std::map<std::pair<std::uint64_t, std::uint64_t>, PeerSpans> peer_spans;
+  for (const SpanRecord& s : spans) {
+    if (s.name == "attempt") {
+      Attempts& a = attempts[s.parent];
+      if (a.first == nullptr) a.first = &s;
+      if (s.closed && s.ok) a.decisive = &s;
+    } else if (s.closed && (s.name == "vote-collect" || s.name == "quorum" ||
+                            s.name == "journal-append")) {
+      PeerSpans& p = peer_spans[{s.update_id, s.node}];
+      if (s.name == "vote-collect") p.vote = &s;
+      if (s.name == "quorum") p.quorum = &s;
+      if (s.name == "journal-append") ++p.journal_appends;
+    }
+  }
+
   std::vector<Decomposed> commits;
   std::size_t open_roots = 0;
   std::size_t journal_appends = 0;
@@ -484,15 +513,10 @@ std::string render_critical_path(const JsonValue& spans_doc) {
       ++open_roots;
       continue;
     }
-    // Attempts, in open order (= id order).
-    const SpanRecord* first_attempt = nullptr;
-    const SpanRecord* decisive = nullptr;
-    for (const SpanRecord& a : spans) {
-      if (a.parent != root.id || a.name != "attempt") continue;
-      if (first_attempt == nullptr) first_attempt = &a;
-      if (a.closed && a.ok) decisive = &a;
-    }
-    if (first_attempt == nullptr || decisive == nullptr) continue;
+    const auto found = attempts.find(root.id);
+    if (found == attempts.end() || found->second.decisive == nullptr) continue;
+    const SpanRecord* first_attempt = found->second.first;
+    const SpanRecord* decisive = found->second.decisive;
 
     Decomposed d;
     d.guid = root.guid;
@@ -508,14 +532,12 @@ std::string render_critical_path(const JsonValue& spans_doc) {
     const SpanRecord* vote = nullptr;
     const SpanRecord* quorum = nullptr;
     if (decisive_node.has_value()) {
-      for (const SpanRecord& s : spans) {
-        if (s.update_id != decisive->update_id || s.node != *decisive_node ||
-            !s.closed) {
-          continue;
-        }
-        if (s.name == "vote-collect") vote = &s;
-        if (s.name == "quorum") quorum = &s;
-        if (s.name == "journal-append") ++journal_appends;
+      const auto peer =
+          peer_spans.find({decisive->update_id, *decisive_node});
+      if (peer != peer_spans.end()) {
+        vote = peer->second.vote;
+        quorum = peer->second.quorum;
+        journal_appends += peer->second.journal_appends;
       }
     }
     if (vote != nullptr && quorum != nullptr) {

@@ -62,14 +62,9 @@ void apply_fault(AsaCluster& cluster, const FaultEvent& event) {
       const auto behaviour = behaviour_from(event.behaviour);
       if (!behaviour.has_value() || cluster.crashed(node)) break;
       cluster.make_byzantine(node, *behaviour);
-      if (*behaviour == commit::Behaviour::kHonest) {
-        // "Replace the faulty member": the rebuilt honest node recovers
-        // exactly like a restarted one.
-        for (const Guid& guid : cluster.known_guids()) {
-          cluster.migrate_version_history(guid);
-        }
-        cluster.maintainer().scan();
-      }
+      // "Replace the faulty member": the rebuilt honest node bootstraps
+      // through the cluster's one repair pass.
+      if (*behaviour == commit::Behaviour::kHonest) cluster.repair();
       break;
     }
     case FaultEvent::Kind::kCorrupt: {
@@ -125,12 +120,7 @@ void apply_fault(AsaCluster& cluster, const FaultEvent& event) {
       // the same replica repair a Byzantine replacement gets — campaigns
       // model an operator whose maintenance re-replicates after node loss
       // (run_churn_smoke's counterfactual deliberately does not).
-      if (cluster.remove_node(node, /*graceful=*/false)) {
-        for (const Guid& guid : cluster.known_guids()) {
-          cluster.migrate_version_history(guid);
-        }
-        cluster.maintainer().scan();
-      }
+      if (cluster.remove_node(node, /*graceful=*/false)) cluster.repair();
       break;
     case FaultEvent::Kind::kLinkProfile: {
       const auto from = static_cast<sim::NodeAddr>(node);
@@ -876,7 +866,69 @@ sim::FaultPlan shrink_plan(const ChaosConfig& config, sim::FaultPlan plan,
   return plan;
 }
 
-// ---------------------------------------------------- durability smoke
+// ------------------------------------------------------ scripted smokes
+
+namespace {
+
+/// The scripted smokes' cluster: 16 nodes, r = 4 (f = 1, quorum = 2),
+/// patient retries, stalled-instance aborts, and durability with a
+/// snapshot every 4 commits (so the baseline load takes one).
+ClusterConfig smoke_config(std::uint64_t seed) {
+  ClusterConfig config;
+  config.nodes = 16;
+  config.replication_factor = 4;
+  config.seed = seed;
+  config.retry.base_timeout = 80'000;
+  config.retry.max_attempts = 30;
+  config.abort_scan_interval = 60'000;
+  config.abort_max_age = 80'000;
+  config.durability = true;
+  config.snapshot_every = 4;
+  return config;
+}
+
+/// The first GUID named "<prefix>:<n>" whose peer set has four distinct
+/// members, with that set. A small ring can map several replica keys onto
+/// one node; a full set makes "every member" mean exactly four nodes.
+/// The set is smaller when none of 64 probes has one.
+std::pair<Guid, std::vector<sim::NodeAddr>> full_peer_set_guid(
+    AsaCluster& cluster, const std::string& prefix) {
+  Guid guid = Guid::named(prefix + ":0");
+  std::vector<sim::NodeAddr> members = cluster.peer_set(guid);
+  for (int probe = 1; members.size() < 4 && probe < 64; ++probe) {
+    guid = Guid::named(prefix + ":" + std::to_string(probe));
+    members = cluster.peer_set(guid);
+  }
+  return {guid, members};
+}
+
+/// Append version "<prefix> update <n> seed <seed>" to `guid` (noted as
+/// submitted when a checker is given), run to quiescence, and report
+/// whether it committed.
+bool commit_and_run(AsaCluster& cluster, InvariantChecker* checker,
+                    const Guid& guid, const std::string& prefix, int n,
+                    std::uint64_t seed) {
+  const Pid pid = Pid::of(block_from(prefix + " update " + std::to_string(n) +
+                                     " seed " + std::to_string(seed)));
+  if (checker != nullptr) checker->note_submitted(guid, pid.to_uint64());
+  bool committed = false;
+  cluster.version_history().append(
+      guid, pid,
+      [&committed](const commit::CommitResult& r) { committed = r.committed; });
+  cluster.run();
+  return committed;
+}
+
+/// Read `guid`'s (f+1)-agreed history and run to quiescence.
+HistoryReadResult read_and_run(AsaCluster& cluster, const Guid& guid) {
+  HistoryReadResult read;
+  cluster.version_history().read(
+      guid, [&read](const HistoryReadResult& r) { read = r; });
+  cluster.run();
+  return read;
+}
+
+}  // namespace
 
 DurabilitySmokeReport run_durability_smoke(std::uint64_t seed) {
   DurabilitySmokeReport report;
@@ -887,29 +939,13 @@ DurabilitySmokeReport run_durability_smoke(std::uint64_t seed) {
     if (!ok) report.failures.push_back(std::move(what));
   };
 
-  ClusterConfig config;
-  config.nodes = 16;
-  config.replication_factor = 4;  // f = 1, quorum = 2.
-  config.seed = seed;
+  ClusterConfig config = smoke_config(seed);
   config.metrics = true;
-  config.retry.base_timeout = 80'000;
-  config.retry.max_attempts = 30;
-  config.abort_scan_interval = 60'000;
-  config.abort_max_age = 80'000;
-  config.durability = true;
-  config.snapshot_every = 4;  // Force a snapshot under the baseline load.
   AsaCluster cluster(config);
   InvariantChecker checker(cluster);
 
-  // A small ring can map several replica keys onto one node; pick the
-  // first GUID whose peer set has replication_factor distinct members so
-  // "crash every member" means exactly four journals.
-  Guid guid = Guid::named("durability-smoke:0");
-  std::vector<sim::NodeAddr> members = cluster.peer_set(guid);
-  for (int probe = 1; members.size() < 4 && probe < 64; ++probe) {
-    guid = Guid::named("durability-smoke:" + std::to_string(probe));
-    members = cluster.peer_set(guid);
-  }
+  const auto [guid, members] =
+      full_peer_set_guid(cluster, "durability-smoke");
   const std::uint64_t key = guid.to_uint64();
   if (members.size() < 4) {
     report.failures.push_back("no GUID with a full-size peer set found");
@@ -917,17 +953,9 @@ DurabilitySmokeReport run_durability_smoke(std::uint64_t seed) {
   }
 
   int next_update = 0;
-  const auto commit_one = [&]() {
-    const Pid pid = Pid::of(block_from(
-        "durability smoke update " + std::to_string(next_update++) +
-        " seed " + std::to_string(seed)));
-    checker.note_submitted(guid, pid.to_uint64());
-    bool committed = false;
-    cluster.version_history().append(
-        guid, pid,
-        [&committed](const commit::CommitResult& r) { committed = r.committed; });
-    cluster.run();
-    return committed;
+  const auto commit_one = [&, guid = guid]() {
+    return commit_and_run(cluster, &checker, guid, "durability smoke",
+                          next_update++, seed);
   };
   const auto history_size = [&](std::size_t node) {
     return cluster.host(node).peer().history(key).size();
@@ -1040,10 +1068,7 @@ DurabilitySmokeReport run_durability_smoke(std::uint64_t seed) {
            "member " + std::to_string(addr) +
                " must replay all 6 commits although every peer crashed");
   }
-  HistoryReadResult read;
-  cluster.version_history().read(
-      guid, [&read](const HistoryReadResult& r) { read = r; });
-  cluster.run();
+  const HistoryReadResult read = read_and_run(cluster, guid);
   expect(read.ok && read.versions.size() == 6,
          "an (f+1)-agreed read must see all 6 versions after full-set crash");
   for (const Violation& v : checker.check(/*check_order=*/true)) {
@@ -1073,16 +1098,10 @@ DurabilitySmokeReport run_durability_smoke(std::uint64_t seed) {
         volatile_cluster.peer_set(guid);
     int vcommitted = 0;
     for (int i = 0; i < 6; ++i) {
-      const Pid pid = Pid::of(block_from(
-          "durability smoke update " + std::to_string(i) + " seed " +
-          std::to_string(seed)));
-      bool committed = false;
-      volatile_cluster.version_history().append(
-          guid, pid, [&committed](const commit::CommitResult& r) {
-            committed = r.committed;
-          });
-      volatile_cluster.run();
-      if (committed) ++vcommitted;
+      if (commit_and_run(volatile_cluster, nullptr, guid, "durability smoke",
+                         i, seed)) {
+        ++vcommitted;
+      }
     }
     expect(vcommitted == 6, "counterfactual baseline commits failed");
     for (sim::NodeAddr addr : vmembers) {
@@ -1120,36 +1139,13 @@ DurabilitySmokeReport run_churn_smoke(std::uint64_t seed, bool handoff) {
     if (!ok) report.failures.push_back(std::move(what));
   };
 
-  ClusterConfig config;
-  config.nodes = 16;
-  config.replication_factor = 4;  // f = 1, quorum = 2.
-  config.seed = seed;
-  config.retry.base_timeout = 80'000;
-  config.retry.max_attempts = 30;
-  config.abort_scan_interval = 60'000;
-  config.abort_max_age = 80'000;
-  config.durability = true;  // The handoff-ack invariant needs the ledger.
-  config.snapshot_every = 4;
-
-  // A small ring can map several replica keys onto one node; pick the
-  // first GUID whose peer set has replication_factor distinct members so
-  // "every member leaves" means exactly four handoffs.
-  const auto pick_guid = [](AsaCluster& cluster) {
-    Guid guid = Guid::named("churn-smoke:0");
-    std::vector<sim::NodeAddr> members = cluster.peer_set(guid);
-    for (int probe = 1; members.size() < 4 && probe < 64; ++probe) {
-      guid = Guid::named("churn-smoke:" + std::to_string(probe));
-      members = cluster.peer_set(guid);
-    }
-    return std::make_pair(guid, members);
-  };
+  // Durability stays on: the handoff-ack invariant needs the ack ledger.
+  const ClusterConfig config = smoke_config(seed);
 
   if (handoff) {
     AsaCluster cluster(config);
     InvariantChecker checker(cluster);
-    const auto [guid, members] = pick_guid(cluster);
-    const std::uint64_t key = guid.to_uint64();
-    (void)key;
+    const auto [guid, members] = full_peer_set_guid(cluster, "churn-smoke");
     if (members.size() < 4) {
       report.failures.push_back("no GUID with a full-size peer set found");
       return report;
@@ -1157,24 +1153,8 @@ DurabilitySmokeReport run_churn_smoke(std::uint64_t seed, bool handoff) {
 
     int next_update = 0;
     const auto commit_one = [&, guid = guid]() {
-      const Pid pid = Pid::of(block_from(
-          "churn smoke update " + std::to_string(next_update++) + " seed " +
-          std::to_string(seed)));
-      checker.note_submitted(guid, pid.to_uint64());
-      bool committed = false;
-      cluster.version_history().append(
-          guid, pid, [&committed](const commit::CommitResult& r) {
-            committed = r.committed;
-          });
-      cluster.run();
-      return committed;
-    };
-    const auto agreed_read = [&, guid = guid]() {
-      HistoryReadResult read;
-      cluster.version_history().read(
-          guid, [&read](const HistoryReadResult& r) { read = r; });
-      cluster.run();
-      return read;
+      return commit_and_run(cluster, &checker, guid, "churn smoke",
+                            next_update++, seed);
     };
     const auto check_invariants = [&](const std::string& where) {
       for (const Violation& v : checker.check(/*check_order=*/true)) {
@@ -1206,7 +1186,7 @@ DurabilitySmokeReport run_churn_smoke(std::uint64_t seed, bool handoff) {
       }
     }
     expect(overlap == 0, "leave wave must fully rotate the peer set");
-    const HistoryReadResult read5 = agreed_read();
+    const HistoryReadResult read5 = read_and_run(cluster, guid);
     expect(read5.ok && read5.versions.size() == 5,
            "an (f+1)-agreed read must survive the graceful leave wave");
     check_invariants("after leave wave");
@@ -1229,7 +1209,7 @@ DurabilitySmokeReport run_churn_smoke(std::uint64_t seed, bool handoff) {
         });
     expect(commit_one(),
            "a commit must survive a graceful leave mid-flight");
-    const HistoryReadResult read6 = agreed_read();
+    const HistoryReadResult read6 = read_and_run(cluster, guid);
     expect(read6.ok && read6.versions.size() == 6,
            "an (f+1)-agreed read must see all 6 versions after churn");
     check_invariants("after mid-flight churn");
@@ -1243,7 +1223,7 @@ DurabilitySmokeReport run_churn_smoke(std::uint64_t seed, bool handoff) {
   {
     AsaCluster cluster(config);
     InvariantChecker checker(cluster);
-    const auto [guid, members] = pick_guid(cluster);
+    const auto [guid, members] = full_peer_set_guid(cluster, "churn-smoke");
     const std::uint64_t key = guid.to_uint64();
     if (members.size() < 4) {
       report.failures.push_back(
@@ -1252,16 +1232,9 @@ DurabilitySmokeReport run_churn_smoke(std::uint64_t seed, bool handoff) {
     }
     int committed = 0;
     for (int i = 0; i < 5; ++i) {
-      const Pid pid = Pid::of(block_from(
-          "churn smoke update " + std::to_string(i) + " seed " +
-          std::to_string(seed)));
-      checker.note_submitted(guid, pid.to_uint64());
-      bool ok = false;
-      cluster.version_history().append(
-          guid, pid,
-          [&ok](const commit::CommitResult& r) { ok = r.committed; });
-      cluster.run();
-      if (ok) ++committed;
+      if (commit_and_run(cluster, &checker, guid, "churn smoke", i, seed)) {
+        ++committed;
+      }
     }
     expect(committed == 5, "counterfactual baseline commits failed");
     for (sim::NodeAddr addr : members) {

@@ -1,7 +1,6 @@
 #include "storage/cluster.hpp"
 
 #include <algorithm>
-#include <set>
 
 namespace asa_repro::storage {
 
@@ -20,28 +19,17 @@ AsaCluster::AsaCluster(ClusterConfig config)
     ring_.set_metrics(&metrics_);
   }
 
-  // Build the Chord ring and one host per node; host index == NodeAddr.
+  // Build the Chord ring and one member per node; index == NodeAddr.
   ring_.build(config_.nodes);
-  node_ids_ = ring_.node_ids();
   spawn_counter_ = config_.nodes;
-  hosts_.resize(node_ids_.size());
-  media_.resize(node_ids_.size());
-  logs_.resize(node_ids_.size());
-  acked_.resize(node_ids_.size());
-  last_recovery_.resize(node_ids_.size());
-  departed_.resize(node_ids_.size(), false);
-  graceful_leave_.resize(node_ids_.size(), false);
-  joined_epoch_.resize(node_ids_.size(), 0);
-  for (std::size_t i = 0; i < node_ids_.size(); ++i) {
-    media_[i] = std::make_unique<durable::MemMedium>();
-  }
-  for (std::size_t i = 0; i < node_ids_.size(); ++i) {
-    host_by_id_.emplace(node_ids_[i], i);
+  for (const p2p::NodeId& id : ring_.node_ids()) {
+    host_by_id_.emplace(id, members_.size());
+    members_.emplace_back(id, 0);
     // Peer sets are located per GUID via the ring; commit peers resolve
     // them through the cluster's registry of full GUIDs (populated on first
     // client contact — an in-process stand-in for carrying the GUID in
     // every frame). rebuild_host wires that resolver.
-    rebuild_host(i, commit::Behaviour::kHonest);
+    rebuild_host(members_.size() - 1, commit::Behaviour::kHonest);
   }
 }
 
@@ -49,12 +37,14 @@ void AsaCluster::rebuild_host(std::size_t index,
                               commit::Behaviour behaviour) {
   const fsm::StateMachine& machine =
       machines_.machine_for(config_.replication_factor);
-  hosts_[index] = std::make_unique<NodeHost>(
+  Member& member = members_[index];
+  member.host = std::make_unique<NodeHost>(
       network_, static_cast<sim::NodeAddr>(index), machine, behaviour,
       events_.enabled() ? &events_ : nullptr);
-  if (config_.metrics) hosts_[index]->peer().set_metrics(&metrics_);
-  if (config_.spans) hosts_[index]->peer().set_spans(&span_recorder_);
-  hosts_[index]->peer().set_peer_resolver(
+  commit::CommitPeer& peer = member.host->peer();
+  if (config_.metrics) peer.set_metrics(&metrics_);
+  if (config_.spans) peer.set_spans(&span_recorder_);
+  peer.set_peer_resolver(
       [this](std::uint64_t guid_key) -> const std::vector<sim::NodeAddr>& {
         static const std::vector<sim::NodeAddr> kUnknownGuid;
         const auto it = guid_registry_.find(guid_key);
@@ -62,24 +52,23 @@ void AsaCluster::rebuild_host(std::size_t index,
         return resolve(it->second);
       });
   if (config_.abort_scan_interval > 0) {
-    hosts_[index]->peer().enable_abort(config_.abort_scan_interval,
-                                       config_.abort_max_age);
+    peer.enable_abort(config_.abort_scan_interval, config_.abort_max_age);
   }
   if (config_.durability) {
-    logs_[index] = std::make_unique<durable::DurableLog>(
-        *media_[index], "node-" + std::to_string(index),
+    member.log = std::make_unique<durable::DurableLog>(
+        *member.medium, "node-" + std::to_string(index),
         config_.snapshot_every);
-    hosts_[index]->enable_durability(
-        *logs_[index],
+    peer.set_journal(member.log.get());
+    peer.set_ack_sink(
         [this, index](std::uint64_t guid,
                       const commit::CommitPeer::CommittedEntry& e) {
-          acked_[index].push_back({guid, e.request_id, e.payload});
+          members_[index].acked.push_back({guid, e.request_id, e.payload});
         });
   }
 }
 
 NodeHost& AsaCluster::host_for_key(const p2p::NodeId& key) {
-  return *hosts_[host_by_id_.at(ring_.lookup(key))];
+  return host(host_by_id_.at(ring_.lookup(key)));
 }
 
 sim::NodeAddr AsaCluster::addr_for_key(const p2p::NodeId& key) {
@@ -146,8 +135,8 @@ ReplicaMaintainer& AsaCluster::maintainer() {
           const p2p::NodeId owner = ring_.lookup(key);
           const auto it = host_by_id_.find(owner);
           if (it == host_by_id_.end()) return nullptr;
-          NodeHost& host = *hosts_[it->second];
-          return network_.attached(host.address()) ? &host.store() : nullptr;
+          NodeHost& node = host(it->second);
+          return network_.attached(node.address()) ? &node.store() : nullptr;
         },
         config_.replication_factor);
   }
@@ -159,32 +148,20 @@ const std::vector<commit::CommitPeer::CommittedEntry>* AsaCluster::find_donor(
   const std::uint64_t key = guid.to_uint64();
   const std::vector<sim::NodeAddr> peers = peer_set(guid);
 
-  // Gather the members' histories and compute the (f+1)-agreed sequence.
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-      histories;
+  // Deduplicate each member's history once, vote the (f+1)-agreed
+  // sequence, and pick a donor whose deduplicated sequence covers it; its
+  // concrete entry list (with update ids) is what newcomers adopt.
+  std::vector<std::vector<std::uint64_t>> deduped;
+  deduped.reserve(peers.size());
   for (sim::NodeAddr addr : peers) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> h;
-    for (const auto& e : hosts_[addr]->peer().history(key)) {
-      h.emplace_back(e.request_id, e.payload);
-    }
-    histories.push_back(std::move(h));
+    deduped.push_back(dedup_payloads(host(addr).peer().history(key)));
   }
-  const std::vector<std::uint64_t> agreed = agree_history(histories, f());
+  const std::vector<std::uint64_t> agreed = agree_prefix(deduped, f());
   if (agreed.empty()) return nullptr;
-
-  // Pick a donor whose deduplicated payload sequence covers the agreed
-  // prefix; its concrete entry list (with update ids) is what newcomers
-  // adopt.
-  for (sim::NodeAddr addr : peers) {
-    const auto& entries = hosts_[addr]->peer().history(key);
-    std::vector<std::uint64_t> payloads;
-    std::set<std::uint64_t> seen;
-    for (const auto& e : entries) {
-      if (seen.insert(e.request_id).second) payloads.push_back(e.payload);
-    }
-    if (payloads.size() >= agreed.size() &&
-        std::equal(agreed.begin(), agreed.end(), payloads.begin())) {
-      return &entries;
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    if (deduped[i].size() >= agreed.size() &&
+        std::equal(agreed.begin(), agreed.end(), deduped[i].begin())) {
+      return &host(peers[i]).peer().history(key);
     }
   }
   return nullptr;
@@ -198,11 +175,17 @@ std::size_t AsaCluster::migrate_version_history(const Guid& guid) {
 
   std::size_t adopted = 0;
   for (sim::NodeAddr addr : peer_set(guid)) {
-    if (hosts_[addr]->peer().history(key).empty()) {
-      if (hosts_[addr]->peer().import_history(key, *donor)) ++adopted;
+    commit::CommitPeer& peer = host(addr).peer();
+    if (peer.history(key).empty() && peer.reconcile_history(key, *donor) > 0) {
+      ++adopted;
     }
   }
   return adopted;
+}
+
+void AsaCluster::repair() {
+  for (const Guid& guid : known_guids()) (void)migrate_version_history(guid);
+  if (maintainer_) maintainer_->scan();
 }
 
 void AsaCluster::schedule_flight_sampling(sim::Time until, sim::Time every) {
@@ -249,8 +232,8 @@ void AsaCluster::snapshot_metrics() {
   // campaign's aggregate holds the last seed's view per node while the
   // counters accumulate across seeds.
   std::uint64_t committed = 0, aborted = 0, dup_dropped = 0;
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    const commit::PeerStats& s = hosts_[i]->peer().stats();
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    const commit::PeerStats& s = host(i).peer().stats();
     const obs::Labels node{{"node", std::to_string(i)}};
     metrics_.gauge("peer.committed", node)
         .set(static_cast<std::int64_t>(s.committed));
@@ -294,91 +277,82 @@ void AsaCluster::make_byzantine(std::size_t index,
   // disk is wiped and the ack ledger cleared (acks the old identity sent
   // are not owed by the new one).
   if (config_.durability) {
-    media_[index]->wipe();
-    acked_[index].clear();
-    last_recovery_[index] = {};
+    Member& member = members_[index];
+    member.medium->wipe();
+    member.acked.clear();
+    member.last_recovery = {};
   }
   rebuild_host(index, behaviour);
 }
 
-void AsaCluster::crash_node(std::size_t index) {
-  if (crashed(index)) return;  // Idempotent under chaos schedules.
-  hosts_[index]->crash();
-  // Remove the node from the ring; maintenance heals routing around it.
-  const p2p::NodeId& id = node_ids_[index];
-  if (ring_.alive(id)) ring_.fail(id);
-  host_by_id_.erase(id);
+void AsaCluster::change_membership(std::size_t index, bool joined,
+                                   bool self_records) {
   forget_peer_sets();
   ring_.run_maintenance(8);
-  if (config_.durability) {
-    // Survivors journal the observed membership change. These records are
-    // not client-acknowledged, so they sit in the journal's unsynced tail
-    // until the node's next commit (partial-flush fodder; recovery
-    // re-learns membership from the ring regardless).
-    for (std::size_t i = 0; i < hosts_.size(); ++i) {
-      if (i == index || crashed(i)) continue;
-      logs_[i]->record_membership(false, index);
-    }
+  if (!config_.durability) return;
+  // Live members journal the observed membership change. These records
+  // are not client-acknowledged, so they sit in the journal's unsynced
+  // tail until the node's next commit (partial-flush fodder; recovery
+  // re-learns membership from the ring regardless).
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if ((i == index && !self_records) || crashed(i)) continue;
+    members_[i].log->record_membership(joined, index);
   }
+}
+
+void AsaCluster::crash_node(std::size_t index) {
+  if (crashed(index)) return;  // Idempotent under chaos schedules.
+  members_[index].host->crash();
+  // Remove the node from the ring; maintenance heals routing around it.
+  const p2p::NodeId& id = members_[index].id;
+  if (ring_.alive(id)) ring_.fail(id);
+  host_by_id_.erase(id);
+  change_membership(index, /*joined=*/false, /*self_records=*/false);
 }
 
 std::size_t AsaCluster::restart_node(std::size_t index) {
   if (!crashed(index)) return 0;
-  if (departed_[index]) return 0;  // Departed members never come back.
+  Member& member = members_[index];
+  if (member.departed) return 0;  // Departed members never come back.
   // Fresh host at the old address: volatile state is lost in the crash.
   rebuild_host(index, commit::Behaviour::kHonest);
+  commit::CommitPeer& peer = member.host->peer();
 
   // Phases 1+2 (durability): snapshot load, then journal replay with
   // torn-tail truncation and CRC-skip of corrupt records. The rebuilt
   // peer is seeded with the replayed histories before it talks to anyone.
   std::size_t recovered = 0;
   if (config_.durability) {
-    const durable::RecoveryStats stats = logs_[index]->recover();
-    for (const auto& [key, entries] : logs_[index]->histories()) {
-      if (entries.empty()) continue;
-      std::vector<commit::CommitPeer::CommittedEntry> imported;
-      imported.reserve(entries.size());
-      for (const durable::Entry& e : entries) {
-        imported.push_back({e.update_id, e.request_id, e.payload});
-      }
-      hosts_[index]->peer().import_history(key, std::move(imported));
+    member.last_recovery = member.log->recover();
+    for (const auto& [key, entries] : member.log->histories()) {
+      if (!entries.empty()) (void)peer.reconcile_history(key, entries);
     }
-    recovered = stats.entries_recovered;
-    last_recovery_[index] = stats;
+    recovered = member.last_recovery.entries_recovered;
   }
 
   // Rejoin the Chord ring under the original id; maintenance re-routes the
   // node's keyspace back to it.
-  const p2p::NodeId& id = node_ids_[index];
-  if (!ring_.alive(id)) ring_.add_node(id);
-  host_by_id_[id] = index;
-  forget_peer_sets();
-  ring_.run_maintenance(8);
-  if (config_.durability) {
-    for (std::size_t i = 0; i < hosts_.size(); ++i) {
-      if (crashed(i)) continue;
-      logs_[i]->record_membership(true, index);
-    }
-  }
+  if (!ring_.alive(member.id)) ring_.add_node(member.id);
+  host_by_id_[member.id] = index;
+  change_membership(index, /*joined=*/true, /*self_records=*/true);
 
   // Phase 3: empty members (a node whose journal was wholly lost, or a
   // replacement member) adopt the (f+1)-agreed history outright, and the
-  // recovered node reconciles the delta it missed while down.
+  // recovered node reconciles the delta it missed while down. Per GUID,
+  // in that order: a later GUID's donor sees the earlier adoptions.
   std::size_t adopted = 0;
   std::size_t reconciled = 0;
   for (const auto& [key, entry] : guid_registry_) {
     adopted += migrate_version_history(entry.guid);
     if (config_.durability) {
       const auto* donor = find_donor(entry.guid);
-      if (donor != nullptr) {
-        reconciled += hosts_[index]->peer().reconcile_history(key, *donor);
-      }
+      if (donor != nullptr) reconciled += peer.reconcile_history(key, *donor);
     }
   }
 
   if (config_.durability) {
-    const durable::RecoveryStats& stats = last_recovery_[index];
-    last_recovery_[index].reconciled = reconciled;
+    const durable::RecoveryStats& stats = member.last_recovery;
+    member.last_recovery.reconciled = reconciled;
     if (config_.metrics) {
       metrics_.counter("recovery.replayed").inc(stats.replayed_records);
       metrics_.counter("recovery.truncated").inc(stats.truncated_bytes);
@@ -419,7 +393,7 @@ void AsaCluster::note_churn(obs::Word kind, std::size_t index) {
 }
 
 std::size_t AsaCluster::add_node() {
-  const std::size_t index = hosts_.size();
+  const std::size_t index = members_.size();
   // Mint a fresh ring identity; the spawn counter continues past the
   // initial build's "node:<i>" sequence, so ids never collide (the loop
   // guards the astronomically unlikely hash collision too).
@@ -429,42 +403,24 @@ std::size_t AsaCluster::add_node() {
     id = p2p::NodeId::hash_of("node:" + std::to_string(spawn_counter_++));
   }
   ++membership_epoch_;
-  node_ids_.push_back(id);
-  hosts_.emplace_back();
-  media_.push_back(std::make_unique<durable::MemMedium>());
-  logs_.emplace_back();
-  acked_.emplace_back();
-  last_recovery_.emplace_back();
-  departed_.push_back(false);
-  graceful_leave_.push_back(false);
-  joined_epoch_.push_back(membership_epoch_);
+  members_.emplace_back(id, membership_epoch_);
   host_by_id_.emplace(id, index);
-  forget_peer_sets();
   rebuild_host(index, commit::Behaviour::kHonest);
   ring_.add_node(id);
-  ring_.run_maintenance(8);
-  if (config_.durability) {
-    for (std::size_t i = 0; i < hosts_.size(); ++i) {
-      if (i == index || crashed(i)) continue;
-      logs_[i]->record_membership(true, index);
-    }
-  }
+  change_membership(index, /*joined=*/true, /*self_records=*/false);
   // Key-range handoff to the newcomer: it adopts the (f+1)-agreed history
   // of every GUID whose peer set it just entered, and replica repair
   // re-homes tracked blocks onto it.
-  for (const Guid& guid : known_guids()) {
-    (void)migrate_version_history(guid);
-  }
-  if (maintainer_) maintainer_->scan();
+  repair();
   note_churn(obs::Word::kJoin, index);
   return index;
 }
 
 bool AsaCluster::remove_node(std::size_t index, bool graceful,
                              bool handoff) {
-  if (index >= hosts_.size() || departed_[index]) return false;
+  if (index >= members_.size() || members_[index].departed) return false;
   if (crashed(index)) graceful = false;  // A dead node cannot hand off.
-  const p2p::NodeId id = node_ids_[index];
+  Member& member = members_[index];
 
   // Snapshot the leaver's histories before it goes: the handoff payload.
   std::vector<std::pair<std::uint64_t,
@@ -472,31 +428,24 @@ bool AsaCluster::remove_node(std::size_t index, bool graceful,
       leaving;
   if (graceful && handoff) {
     for (const auto& [key, entry] : guid_registry_) {
-      const auto& history = hosts_[index]->peer().history(key);
+      const auto& history = member.host->peer().history(key);
       if (!history.empty()) leaving.emplace_back(key, history);
     }
   }
 
   ++membership_epoch_;
-  departed_[index] = true;
-  graceful_leave_[index] = graceful;
-  hosts_[index]->crash();  // Detach: in-flight traffic hits the dead sink.
-  if (ring_.alive(id)) {
+  member.departed = true;
+  member.graceful_leave = graceful;
+  member.host->crash();  // Detach: in-flight traffic hits the dead sink.
+  if (ring_.alive(member.id)) {
     if (graceful) {
-      ring_.leave(id);  // Keyspace handed to the successor.
+      ring_.leave(member.id);  // Keyspace handed to the successor.
     } else {
-      ring_.fail(id);  // Vanishes; the ring heals via maintenance.
+      ring_.fail(member.id);  // Vanishes; the ring heals via maintenance.
     }
   }
-  host_by_id_.erase(id);
-  forget_peer_sets();
-  ring_.run_maintenance(8);
-  if (config_.durability) {
-    for (std::size_t i = 0; i < hosts_.size(); ++i) {
-      if (i == index || crashed(i)) continue;
-      logs_[i]->record_membership(false, index);
-    }
-  }
+  host_by_id_.erase(member.id);
+  change_membership(index, /*joined=*/false, /*self_records=*/false);
 
   if (graceful && handoff) {
     // Data handoff: push every history the leaver held to the GUID's new
@@ -505,16 +454,13 @@ bool AsaCluster::remove_node(std::size_t index, bool graceful,
     // let the standard migration/repair paths settle the rest.
     for (auto& [key, entries] : leaving) {
       for (sim::NodeAddr addr : peer_set(guid_registry_.at(key).guid)) {
-        commit::CommitPeer& peer = hosts_[addr]->peer();
+        commit::CommitPeer& peer = host(addr).peer();
         if (peer.history(key).empty()) {
-          (void)peer.import_history(key, entries);
+          (void)peer.reconcile_history(key, entries);
         }
       }
     }
-    for (const Guid& guid : known_guids()) {
-      (void)migrate_version_history(guid);
-    }
-    if (maintainer_) maintainer_->scan();
+    repair();
   }
   note_churn(graceful ? obs::Word::kLeave : obs::Word::kDepart, index);
   return true;

@@ -1,10 +1,14 @@
 // The integrated ASA cluster simulation (paper Fig 1's stack, in one box).
 //
 // Wires together every substrate: a discrete-event scheduler and lossy
-// network, a Chord ring locating replica nodes, a NodeHost per participant
-// (block store + commit peer), and client-side services (data store,
-// version history with the BFT commit protocol, replica maintenance).
-// Examples, integration tests and protocol benches build on this.
+// network, a Chord ring locating replica nodes, one member record per
+// participant (ring id, NodeHost = block store + commit peer, the
+// journal attached to that peer, its disk and ack ledger), and
+// client-side services (data store, version history with the BFT commit
+// protocol, replica maintenance). Every membership change (crash,
+// restart, join, leave) goes through one routine, and repair after it
+// through repair(). Examples, integration tests and protocol benches
+// build on this.
 //
 // Address plan: hosts occupy [0, n); client services are allocated from
 // kClientAddrBase upward, with a sub-range per service for the commit
@@ -95,8 +99,10 @@ class AsaCluster {
     return (config_.replication_factor - 1) / 3;
   }
 
-  [[nodiscard]] std::size_t node_count() const { return hosts_.size(); }
-  [[nodiscard]] NodeHost& host(std::size_t index) { return *hosts_[index]; }
+  [[nodiscard]] std::size_t node_count() const { return members_.size(); }
+  [[nodiscard]] NodeHost& host(std::size_t index) {
+    return *members_[index].host;
+  }
 
   /// The host responsible for a ring key (via Chord lookup).
   [[nodiscard]] NodeHost& host_for_key(const p2p::NodeId& key);
@@ -132,6 +138,11 @@ class AsaCluster {
   /// Every GUID a client has touched (registered via peer_set()).
   [[nodiscard]] std::vector<Guid> known_guids() const;
 
+  /// The repair pass after a membership change: migrate_version_history
+  /// for every known GUID, then a replica scan if a maintainer exists.
+  /// Joins, graceful handoffs and chaos replacements/departures enter here.
+  void repair();
+
   // ---- Membership churn (true ring changes, not crash/restart). ----
 
   /// A brand-new member joins the Chord ring mid-run: a fresh host (new
@@ -162,12 +173,12 @@ class AsaCluster {
 
   /// True when the node has permanently left the ring via remove_node.
   [[nodiscard]] bool departed(std::size_t index) const {
-    return departed_[index];
+    return members_[index].departed;
   }
   /// True when the node departed via a graceful leave (with or without
   /// data handoff).
   [[nodiscard]] bool departed_gracefully(std::size_t index) const {
-    return graceful_leave_[index];
+    return members_[index].graceful_leave;
   }
   /// Monotonic membership-change counter: bumped by every add_node and
   /// remove_node. Epoch 0 is the initial membership.
@@ -176,13 +187,13 @@ class AsaCluster {
   }
   /// The epoch at which the node joined (0 for initial members).
   [[nodiscard]] std::uint64_t joined_epoch(std::size_t index) const {
-    return joined_epoch_[index];
+    return members_[index].joined_epoch;
   }
 
   // ---- Fault injection. ----
   void make_byzantine(std::size_t index, commit::Behaviour behaviour);
   void corrupt_node(std::size_t index) {
-    hosts_[index]->store().set_corrupt(true);
+    host(index).store().set_corrupt(true);
   }
   void crash_node(std::size_t index);
 
@@ -220,29 +231,29 @@ class AsaCluster {
   /// The node's simulated disk. Persists across crash/restart; the chaos
   /// engine injects torn writes, stalls, capacity limits and bit-rot here.
   [[nodiscard]] durable::MemMedium& medium(std::size_t index) {
-    return *media_[index];
+    return *members_[index].medium;
   }
   /// The node's journal, or nullptr when durability is disabled.
   [[nodiscard]] durable::DurableLog* durable_log(std::size_t index) {
-    return logs_[index].get();
+    return members_[index].log.get();
   }
   [[nodiscard]] const AckLedger& acked_commits(std::size_t index) const {
-    return acked_[index];
+    return members_[index].acked;
   }
   /// What the node's most recent restart recovered (zero-initialised
   /// until the first restart).
   [[nodiscard]] const durable::RecoveryStats& last_recovery(
       std::size_t index) const {
-    return last_recovery_[index];
+    return members_[index].last_recovery;
   }
 
   /// True when the node is detached from the network (crashed).
   [[nodiscard]] bool crashed(std::size_t index) const {
-    return !network_.attached(hosts_[index]->address());
+    return !network_.attached(members_[index].host->address());
   }
   /// The node's current commit-protocol behaviour.
   [[nodiscard]] commit::Behaviour behaviour(std::size_t index) const {
-    return hosts_[index]->peer().behaviour();
+    return members_[index].host->peer().behaviour();
   }
 
   /// Run the simulation until quiescent or for a bounded number of events.
@@ -275,6 +286,23 @@ class AsaCluster {
   obs::EventRecorder events_;
   obs::MetricsRegistry metrics_;
   obs::SpanRecorder span_recorder_;
+  /// One node for life (indices are never reused: a departed member keeps
+  /// its detached record and its ack ledger).
+  struct Member {
+    Member(const p2p::NodeId& ring_id, std::uint64_t epoch)
+        : id(ring_id), joined_epoch(epoch) {}
+    p2p::NodeId id;  // Ring id.
+    std::unique_ptr<durable::MemMedium> medium =  // Survives crashes.
+        std::make_unique<durable::MemMedium>();
+    std::unique_ptr<durable::DurableLog> log;  // Outlives `host`'s peer.
+    std::unique_ptr<NodeHost> host;
+    AckLedger acked;  // Outside the host: survives crashes.
+    durable::RecoveryStats last_recovery{};
+    bool departed = false;        // Permanently left via remove_node.
+    bool graceful_leave = false;  // Departed via graceful leave.
+    std::uint64_t joined_epoch = 0;  // 0 for initial members.
+  };
+
   /// Build a fresh host at `index`'s address with the given behaviour and
   /// wire its peer resolver (shared by construction, fault flips, restart).
   /// With durability on, a fresh DurableLog over the node's (persistent)
@@ -282,6 +310,12 @@ class AsaCluster {
   /// bytes until recover() is called, so restart_node MUST recover before
   /// the scheduler runs.
   void rebuild_host(std::size_t index, commit::Behaviour behaviour);
+
+  /// After every ring edit: drop the peer-set memo, run ring maintenance
+  /// and journal the change on every live member — `index` itself only
+  /// when `self_records` (a restarted node notes its rejoin, a newcomer
+  /// not its join; crashed and departed nodes never record).
+  void change_membership(std::size_t index, bool joined, bool self_records);
 
   /// Donor entry list covering the f+1-agreed history for `guid`, or
   /// nullptr when nothing is agreed / no member covers it.
@@ -310,19 +344,11 @@ class AsaCluster {
 
   p2p::ChordRing ring_;
   commit::MachineCache machines_;
-  std::vector<std::unique_ptr<NodeHost>> hosts_;
-  std::vector<p2p::NodeId> node_ids_;  // Index -> ring id (fixed for life).
-  std::vector<bool> departed_;         // Permanently left via remove_node.
-  std::vector<bool> graceful_leave_;   // Departed via graceful leave.
-  std::vector<std::uint64_t> joined_epoch_;  // 0 for initial members.
+  std::vector<Member> members_;  // By index == network address.
   std::uint64_t membership_epoch_ = 0;
   std::size_t spawn_counter_ = 0;  // Next "node:<i>" identity to mint.
   std::map<p2p::NodeId, std::size_t> host_by_id_;
   std::map<std::uint64_t, GuidEntry> guid_registry_;  // Keyed by low 64 bits.
-  std::vector<std::unique_ptr<durable::MemMedium>> media_;
-  std::vector<std::unique_ptr<durable::DurableLog>> logs_;
-  std::vector<AckLedger> acked_;
-  std::vector<durable::RecoveryStats> last_recovery_;
   std::unique_ptr<DataStoreClient> data_store_;
   std::unique_ptr<VersionHistoryService> version_history_;
   std::unique_ptr<ReplicaMaintainer> maintainer_;

@@ -9,19 +9,6 @@ namespace asa_repro::storage {
 
 namespace {
 
-/// A replica's committed payload sequence collapsed by request id (first
-/// occurrence wins — the same rule readers and agree_history apply to
-/// retried attempts of one logical update).
-std::vector<std::uint64_t> dedup_payloads(
-    const std::vector<commit::CommitPeer::CommittedEntry>& entries) {
-  std::vector<std::uint64_t> payloads;
-  std::set<std::uint64_t> seen;
-  for (const auto& e : entries) {
-    if (seen.insert(e.request_id).second) payloads.push_back(e.payload);
-  }
-  return payloads;
-}
-
 std::string guid_tag(const Guid& guid) {
   return guid.to_hex().substr(0, 10);
 }

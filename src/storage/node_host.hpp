@@ -5,15 +5,13 @@
 // storage layer over the P2P layer; the version-history commit protocol
 // executes among the nodes holding a GUID's replicas. Frames are
 // demultiplexed by their leading byte: storage frames carry the 'S' magic,
-// everything else goes to the commit peer.
+// everything else goes to the commit peer. The host owns no durable state:
+// the cluster attaches the node's journal to the peer directly.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "commit/peer.hpp"
-#include "durable/durable_log.hpp"
 #include "obs/event.hpp"
 #include "storage/storage_node.hpp"
 
@@ -27,7 +25,6 @@ class NodeHost {
            obs::EventRecorder* events = nullptr)
       : network_(network),
         addr_(addr),
-        events_(events),
         peer_(network, addr, {}, machine, behaviour, events,
               /*attach_to_network=*/false) {
     network_.attach(addr_,
@@ -44,44 +41,6 @@ class NodeHost {
 
   /// Take the host offline (crash): detaches from the network.
   void crash() { network_.detach(addr_); }
-
-  /// Wire the peer's durability sinks to `log` (write-ahead discipline:
-  /// a commit is journaled before it is recorded or acknowledged) and
-  /// report every acknowledgement to `on_acked` (the cluster's durable-ack
-  /// ledger). `log` must outlive this host. With an event recorder every
-  /// journal append is recorded with its outcome and causal ids — the
-  /// durable layer itself stays obs-free.
-  void enable_durability(
-      durable::DurableLog& log,
-      std::function<void(std::uint64_t guid,
-                         const commit::CommitPeer::CommittedEntry&)>
-          on_acked) {
-    peer_.set_commit_sink(
-        [this, &log](std::uint64_t guid,
-                     const commit::CommitPeer::CommittedEntry& e) {
-          const bool ok =
-              log.record_commit(guid, e.update_id, e.request_id, e.payload);
-          if (events_ != nullptr) {
-            events_->record(obs::EventKind::kJournalAppend,
-                            network_.scheduler().now(), addr_,
-                            {guid, e.update_id, e.request_id},
-                            ok ? obs::Word::kOk : obs::Word::kFailed);
-          }
-          return ok;
-        });
-    peer_.set_ack_sink(std::move(on_acked));
-    peer_.set_import_sink(
-        [&log](std::uint64_t guid,
-               const std::vector<commit::CommitPeer::CommittedEntry>&
-                   entries) {
-          std::vector<durable::Entry> copy;
-          copy.reserve(entries.size());
-          for (const auto& e : entries) {
-            copy.push_back({e.update_id, e.request_id, e.payload});
-          }
-          log.record_import(guid, copy);
-        });
-  }
 
  private:
   void dispatch(sim::NodeAddr from, const std::string& data) {
@@ -151,7 +110,6 @@ class NodeHost {
 
   sim::Network& network_;
   sim::NodeAddr addr_;
-  obs::EventRecorder* events_;
   StorageNode store_;
   commit::CommitPeer peer_;
 };

@@ -21,7 +21,11 @@ std::vector<std::uint64_t> agree_history(
     }
     deduped.push_back(std::move(d));
   }
+  return agree_prefix(deduped, f);
+}
 
+std::vector<std::uint64_t> agree_prefix(
+    const std::vector<std::vector<std::uint64_t>>& deduped, std::uint32_t f) {
   // Element-wise prefix voting: position i's value is "the (only possible)
   // one that is returned consistently by at least f+1 nodes" (paper 2.2).
   // No unique such value ends the agreed prefix.
@@ -43,6 +47,16 @@ std::vector<std::uint64_t> agree_history(
     agreed.push_back(winner);
   }
   return agreed;
+}
+
+std::vector<std::uint64_t> dedup_payloads(
+    const std::vector<commit::CommitPeer::CommittedEntry>& entries) {
+  std::vector<std::uint64_t> payloads;
+  std::set<std::uint64_t> seen;
+  for (const auto& e : entries) {
+    if (seen.insert(e.request_id).second) payloads.push_back(e.payload);
+  }
+  return payloads;
 }
 
 VersionHistoryService::VersionHistoryService(sim::Network& network,

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "commit/endpoint.hpp"
+#include "commit/peer.hpp"
 #include "sim/network.hpp"
 #include "storage/pid.hpp"
 #include "storage/storage_messages.hpp"
@@ -138,5 +139,13 @@ class VersionHistoryService {
     const std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>&
         histories,
     std::uint32_t f);
+
+/// agree_history's vote, over already-deduplicated payload sequences.
+[[nodiscard]] std::vector<std::uint64_t> agree_prefix(
+    const std::vector<std::vector<std::uint64_t>>& deduped, std::uint32_t f);
+
+/// A replica's payload sequence collapsed by request id (first wins).
+[[nodiscard]] std::vector<std::uint64_t> dedup_payloads(
+    const std::vector<commit::CommitPeer::CommittedEntry>& entries);
 
 }  // namespace asa_repro::storage

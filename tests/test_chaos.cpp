@@ -215,10 +215,12 @@ TEST(InvariantChecker, DetectsFabricatedDivergence) {
   ASSERT_GE(members.size(), 2u);
   const std::uint64_t key = guid.to_uint64();
   using Entry = commit::CommitPeer::CommittedEntry;
-  ASSERT_TRUE(cluster.host(members[0]).peer().import_history(
-      key, {Entry{10, 100, 1}, Entry{11, 101, 2}}));
-  ASSERT_TRUE(cluster.host(members[1]).peer().import_history(
-      key, {Entry{11, 101, 2}, Entry{10, 100, 1}}));
+  ASSERT_EQ(cluster.host(members[0]).peer().reconcile_history(
+                key, {Entry{10, 100, 1}, Entry{11, 101, 2}}),
+            2u);
+  ASSERT_EQ(cluster.host(members[1]).peer().reconcile_history(
+                key, {Entry{11, 101, 2}, Entry{10, 100, 1}}),
+            2u);
 
   const auto violations = checker.check();
   ASSERT_FALSE(violations.empty());
@@ -245,8 +247,9 @@ TEST(InvariantChecker, DetectsNeverSubmittedPayload) {
 
   const auto members = cluster.peer_set(guid);
   using Entry = commit::CommitPeer::CommittedEntry;
-  ASSERT_TRUE(cluster.host(members[0]).peer().import_history(
-      guid.to_uint64(), {Entry{10, 100, 999}}));
+  ASSERT_EQ(cluster.host(members[0]).peer().reconcile_history(
+                guid.to_uint64(), {Entry{10, 100, 999}}),
+            1u);
 
   const auto violations = checker.check();
   ASSERT_FALSE(violations.empty());

@@ -766,6 +766,58 @@ TEST(ClusterDurability, DiskBytesPerCommitStayFlatAsHistoryGrows) {
       << short_run << " B/commit at 2k updates, " << long_run << " at 16k";
 }
 
+TEST(ClusterDurability, MembershipChangesAreJournaledByTheRightMembers) {
+  // Every live member journals a membership change except the node it is
+  // about; a restarted node is the exception and notes its own rejoin.
+  // Crashed (and departed) members never record.
+  AsaCluster cluster(durable_cluster(97));
+  ASSERT_EQ(commit_n(cluster, full_peer_set_guid(cluster, 4, "members"), 2),
+            2);
+  const auto recorded = [&cluster] {
+    std::vector<std::uint64_t> counts;
+    for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+      counts.push_back(
+          cluster.durable_log(i)->writer_stats().membership_recorded);
+    }
+    return counts;
+  };
+  // Nodes [0, count) except `silent` must have recorded exactly one more
+  // membership record than in `before` (a node past its end starts at 0).
+  const auto expect_one_each = [&](const std::vector<std::uint64_t>& before,
+                                   std::size_t count,
+                                   const std::set<std::size_t>& silent,
+                                   const std::string& step) {
+    const std::vector<std::uint64_t> after = recorded();
+    ASSERT_EQ(after.size(), count) << step;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t was = i < before.size() ? before[i] : 0;
+      EXPECT_EQ(after[i] - was, silent.contains(i) ? 0u : 1u)
+          << step << ": node " << i;
+    }
+  };
+
+  std::vector<std::uint64_t> before = recorded();
+  cluster.crash_node(3);
+  expect_one_each(before, 16, {3}, "crash 3");
+
+  before = recorded();
+  cluster.crash_node(7);
+  expect_one_each(before, 16, {3, 7}, "crash 7");
+
+  before = recorded();
+  cluster.restart_node(3);  // Records its own rejoin; 7 is still down.
+  expect_one_each(before, 16, {7}, "restart 3");
+
+  before = recorded();
+  const std::size_t joined = cluster.add_node();
+  ASSERT_EQ(joined, 16u);
+  expect_one_each(before, 17, {7, joined}, "join 16");
+
+  before = recorded();
+  ASSERT_TRUE(cluster.remove_node(5, /*graceful=*/true));
+  expect_one_each(before, 17, {5, 7}, "graceful leave of 5");
+}
+
 TEST(ClusterDurability, SmokeIsCleanAndDeterministic) {
   const storage::DurabilitySmokeReport report =
       storage::run_durability_smoke(1);

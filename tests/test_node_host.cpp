@@ -94,8 +94,8 @@ TEST(NodeHost, GetReturnsBlockOrMiss) {
 TEST(NodeHost, HistoryGetServesCommittedEntries) {
   HostHarness h;
   const Guid guid = Guid::named("hosted");
-  h.host.peer().import_history(guid.to_uint64(),
-                               {{1, 11, 111}, {2, 22, 222}});
+  h.host.peer().reconcile_history(guid.to_uint64(),
+                                  {{1, 11, 111}, {2, 22, 222}});
   StorageFrame hist;
   hist.op = StorageFrame::Op::kHistoryGet;
   hist.ticket = 11;

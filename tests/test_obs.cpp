@@ -1032,7 +1032,66 @@ std::string run_cluster_spans(std::uint64_t seed) {
   return obs::write_spans_json(cluster.spans(), {{"tool", "test"}});
 }
 
+/// A lossy run: 15% message loss against two attempts per commit, so the
+/// document holds retried commits and roots that failed (8 and 4 of 12).
+std::string run_lossy_cluster_spans() {
+  storage::ClusterConfig config;
+  config.nodes = 10;
+  config.seed = 5;
+  config.spans = true;
+  config.drop_probability = 0.15;
+  config.retry.base_timeout = 80'000;
+  config.retry.max_attempts = 2;
+  config.abort_scan_interval = 60'000;
+  config.abort_max_age = 80'000;
+  storage::AsaCluster cluster(config);
+  for (int u = 0; u < 12; ++u) {
+    const storage::Guid guid =
+        storage::Guid::named("g" + std::to_string(u % 3));
+    const storage::Pid pid =
+        storage::Pid::of(storage::block_from("u" + std::to_string(u)));
+    cluster.version_history().append(guid, pid,
+                                     [](const commit::CommitResult&) {});
+  }
+  cluster.run();
+  return obs::write_spans_json(cluster.spans(), {{"tool", "test"}});
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+std::string critical_path_of(const std::string& spans_json) {
+  const auto doc = obs::parse_json(spans_json);
+  EXPECT_TRUE(doc.has_value());
+  return doc.has_value() ? obs::render_critical_path(*doc) : "";
+}
+
 }  // namespace e2e
+
+// The rendered critical path of two cluster runs, pinned to the size and
+// FNV-1a of the text the per-root span scans produced, so indexing the
+// spans cannot move a byte.
+TEST(CriticalPath, RendersTheClusterSpansDocumentUnchanged) {
+  const std::string report =
+      e2e::critical_path_of(e2e::run_cluster_spans(11));
+  EXPECT_EQ(report.size(), 742u);
+  EXPECT_EQ(e2e::fnv1a(report), 5533427863917510428ull);
+}
+
+TEST(CriticalPath, RendersALossyRunWithRetriesAndFailedRootsUnchanged) {
+  const std::string report =
+      e2e::critical_path_of(e2e::run_lossy_cluster_spans());
+  EXPECT_NE(report.find("committed roots: 8 "), std::string::npos);
+  EXPECT_NE(report.find("unfinished/failed roots: 4)"), std::string::npos);
+  EXPECT_EQ(report.size(), 763u);
+  EXPECT_EQ(e2e::fnv1a(report), 12090431322630852298ull);
+}
 
 TEST(ClusterSpans, CommitsProduceJoinedSpansDeterministically) {
   const std::string first = e2e::run_cluster_spans(11);

@@ -13,6 +13,8 @@
 #include "commit/endpoint.hpp"
 #include "commit/machine_cache.hpp"
 #include "commit/peer.hpp"
+#include "durable/durable_log.hpp"
+#include "durable/storage_medium.hpp"
 #include "obs/span.hpp"
 
 namespace asa_repro::commit {
@@ -146,15 +148,12 @@ TEST(Peer, AbortFreesTheLockForPendingUpdates) {
   EXPECT_EQ(h.votes_sent_for(3), 3u);
 }
 
-TEST(Peer, ImportHistoryOnlyIntoEmpty) {
+TEST(Peer, AdoptionIntoAnEmptyHistoryIsVerbatim) {
   PeerHarness h;
-  std::vector<CommitPeer::CommittedEntry> entries = {{10, 10, 100},
-                                                     {11, 11, 110}};
-  EXPECT_TRUE(h.peer->import_history(kGuid, entries));
-  EXPECT_EQ(h.peer->history(kGuid).size(), 2u);
-  // Non-empty: refuse.
-  EXPECT_FALSE(h.peer->import_history(kGuid, {{12, 12, 120}}));
-  EXPECT_EQ(h.peer->history(kGuid).size(), 2u);
+  const std::vector<CommitPeer::CommittedEntry> entries = {{10, 10, 100},
+                                                           {11, 11, 110}};
+  EXPECT_EQ(h.peer->reconcile_history(kGuid, entries), 2u);
+  EXPECT_EQ(h.peer->history(kGuid), entries);
 }
 
 TEST(Peer, CrashBehaviourIsSilent) {
@@ -224,12 +223,11 @@ TEST(Peer, LiveInstanceStaysResident) {
 }
 
 TEST(Peer, VetoedInstanceStaysResidentUntilTheRetryRecordsIt) {
+  durable::MemMedium disk;  // Declared first: the journal outlives the peer.
+  durable::DurableLog journal(disk, "peer", /*snapshot_every=*/0);
   PeerHarness h;
-  bool disk_ok = false;
-  h.peer->set_commit_sink(
-      [&](std::uint64_t, const CommitPeer::CommittedEntry&) {
-        return disk_ok;
-      });
+  h.peer->set_journal(&journal);
+  disk.set_stalled(true);
   h.commit_update(1);
   // Finished but unrecorded: kept for the retry, not acknowledged.
   EXPECT_TRUE(h.peer->history(kGuid).empty());
@@ -237,7 +235,7 @@ TEST(Peer, VetoedInstanceStaysResidentUntilTheRetryRecordsIt) {
   EXPECT_EQ(h.peer->resident_instances(kGuid), 1u);
   EXPECT_TRUE(h.client_inbox.empty());
 
-  disk_ok = true;
+  disk.set_stalled(false);
   h.send(100, WireMessage::Kind::kUpdate, 1);  // The client's retry.
   EXPECT_EQ(h.peer->history(kGuid).size(), 1u);
   EXPECT_EQ(h.peer->resident_instances(kGuid), 0u);
@@ -247,7 +245,7 @@ TEST(Peer, VetoedInstanceStaysResidentUntilTheRetryRecordsIt) {
 
 TEST(Peer, ImportedHistoryAbsorbsLateTraffic) {
   PeerHarness h;
-  ASSERT_TRUE(h.peer->import_history(kGuid, {{1, 1, 10}}));
+  ASSERT_EQ(h.peer->reconcile_history(kGuid, {{1, 1, 10}}), 1u);
   for (const sim::NodeAddr from : {1u, 2u, 3u}) {
     h.send(from, WireMessage::Kind::kVote, 1);
   }

@@ -321,13 +321,14 @@ int asasim_main(int argc, char** argv) {
 
   config.retry.base_timeout = 80'000;
   config.retry.max_attempts = 25;
+  // Every peer aborts stalled instances, including ones rebuilt by a
+  // Byzantine flip and nodes added later by --join.
+  config.abort_scan_interval = 60'000;
+  config.abort_max_age = 80'000;
   AsaCluster cluster(config);
   cluster.network().set_duplicate_probability(duplicate_probability);
   for (std::size_t i = 0; i < byz_count && i < cluster.node_count(); ++i) {
     cluster.make_byzantine(i, byz_kind);
-  }
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    cluster.host(i).peer().enable_abort(60'000, 80'000);
   }
   for (const PartitionSpec& p : partitions) {
     if (p.a >= cluster.node_count() || p.b >= cluster.node_count()) {
