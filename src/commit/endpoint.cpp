@@ -19,7 +19,7 @@ CommitEndpoint::CommitEndpoint(sim::Network& network, sim::NodeAddr self,
       // Partition the request-id space by endpoint address so concurrent
       // endpoints never collide.
       next_request_id_((std::uint64_t{self} << 32) | 1) {
-  network_.attach(self_, [this](sim::NodeAddr from, const std::string& data) {
+  network_.attach(self_, [this](sim::NodeAddr from, std::string_view data) {
     handle(from, data);
   });
 }
@@ -145,7 +145,7 @@ void CommitEndpoint::on_timeout(std::uint64_t request_id) {
   start_attempt(request_id);
 }
 
-void CommitEndpoint::handle(sim::NodeAddr from, const std::string& data) {
+void CommitEndpoint::handle(sim::NodeAddr from, std::string_view data) {
   const std::optional<WireMessage> msg = WireMessage::parse(data);
   if (!msg.has_value() || msg->kind != WireMessage::Kind::kCommitted) return;
   const auto it = pending_.find(msg->request_id);

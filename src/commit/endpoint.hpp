@@ -132,7 +132,7 @@ class CommitEndpoint {
     Callback callback;
   };
 
-  void handle(sim::NodeAddr from, const std::string& data);
+  void handle(sim::NodeAddr from, std::string_view data);
   void start_attempt(std::uint64_t request_id);
   void on_timeout(std::uint64_t request_id);
   [[nodiscard]] sim::Time backoff_delay(std::uint32_t attempt);

@@ -1,16 +1,20 @@
 // Wire messages for the commit protocol runtime.
 //
 // The simulated network carries opaque byte strings; these helpers define
-// the commit protocol's small fixed-size frame. The free/not_free messages
-// of the abstract model never appear here: they are node-internal,
-// exchanged between sibling machine instances on the same peer (paper
-// section 2.2's per-node serialisation of updates).
+// the commit protocol's small fixed-size frame, which serialize() writes
+// into a sim::Payload's in-place buffer (no allocation) and parse() reads
+// from any byte view. The free/not_free messages of the abstract model
+// never appear here: they are node-internal, exchanged between sibling
+// machine instances on the same peer (paper section 2.2's per-node
+// serialisation of updates).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <optional>
-#include <string>
+#include <string_view>
+
+#include "sim/payload.hpp"
 
 namespace asa_repro::commit {
 
@@ -39,10 +43,15 @@ struct WireMessage {
   std::uint64_t request_id = 0;  // Stable across retry attempts.
   std::uint64_t payload = 0;     // The PID (or value) being committed.
 
+  /// Frame size: the kind byte and four little-endian words.
+  static constexpr std::size_t kFrameBytes = 1 + 4 * sizeof(std::uint64_t);
+  static_assert(kFrameBytes <= sim::Payload::kInline);
+
   [[nodiscard]] UpdateKey key() const { return {guid, update_id}; }
 
-  [[nodiscard]] std::string serialize() const {
-    std::string out(1 + 4 * sizeof(std::uint64_t), '\0');
+  [[nodiscard]] sim::Payload serialize() const {
+    sim::Payload frame = sim::Payload::uninitialized(kFrameBytes);
+    char* out = frame.data();
     out[0] = static_cast<char>(kind);
     std::size_t off = 1;
     for (std::uint64_t v : {guid, update_id, request_id, payload}) {
@@ -50,12 +59,12 @@ struct WireMessage {
         out[off++] = static_cast<char>((v >> (8 * i)) & 0xFF);
       }
     }
-    return out;
+    return frame;
   }
 
   [[nodiscard]] static std::optional<WireMessage> parse(
-      const std::string& data) {
-    if (data.size() != 1 + 4 * sizeof(std::uint64_t)) return std::nullopt;
+      std::string_view data) {
+    if (data.size() != kFrameBytes) return std::nullopt;
     if (static_cast<std::uint8_t>(data[0]) > 3) return std::nullopt;
     WireMessage m;
     m.kind = static_cast<Kind>(data[0]);

@@ -1,5 +1,6 @@
 #include "commit/peer.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "commit/commit_model.hpp"
@@ -9,6 +10,14 @@ namespace asa_repro::commit {
 namespace {
 
 const std::vector<CommitPeer::CommittedEntry> kEmptyHistory;
+
+/// The first entry of `refs` whose update id is not below `update_id`.
+template <class Refs>
+auto lower_bound_update(Refs& refs, std::uint64_t update_id) {
+  return std::lower_bound(
+      refs.begin(), refs.end(), update_id,
+      [](const auto& ref, std::uint64_t id) { return ref.update_id < id; });
+}
 
 }  // namespace
 
@@ -54,21 +63,49 @@ CommitPeer::CommitPeer(sim::Network& network, sim::NodeAddr self,
       events_(events) {
   if (attach_to_network) {
     network_.attach(self_,
-                    [this](sim::NodeAddr from, const std::string& data) {
+                    [this](sim::NodeAddr from, std::string_view data) {
                       handle(from, data);
                     });
   }
 }
 
+CommitPeer::GuidContext& CommitPeer::context(std::uint64_t guid) {
+  const auto [slot, created] = guids_.try_emplace(guid);
+  if (created) {
+    *slot = std::make_unique<GuidContext>();
+    (*slot)->guid = guid;
+  }
+  return **slot;
+}
+
+const CommitPeer::GuidContext* CommitPeer::find_context(
+    std::uint64_t guid) const {
+  const auto* slot = guids_.find(guid);
+  return slot == nullptr ? nullptr : slot->get();
+}
+
+CommitPeer::Instance* CommitPeer::find_instance(GuidContext& ctx,
+                                                std::uint64_t update_id) {
+  const auto it = lower_bound_update(ctx.instances, update_id);
+  if (it == ctx.instances.end() || it->update_id != update_id) return nullptr;
+  return &instances_[it->slot];
+}
+
+void CommitPeer::release(GuidContext& ctx, const Instance& inst) {
+  const auto it = lower_bound_update(ctx.instances, inst.update_id);
+  free_instances_.push_back(it->slot);
+  ctx.instances.erase(it);
+}
+
 const std::vector<CommitPeer::CommittedEntry>& CommitPeer::history(
     std::uint64_t guid) const {
-  const auto it = guids_.find(guid);
-  return it == guids_.end() ? kEmptyHistory : it->second.committed;
+  const GuidContext* ctx = find_context(guid);
+  return ctx == nullptr ? kEmptyHistory : ctx->committed;
 }
 
 std::size_t CommitPeer::reconcile_history(
     std::uint64_t guid, const std::vector<CommittedEntry>& donor) {
-  GuidContext& ctx = guids_[guid];
+  GuidContext& ctx = context(guid);
   std::set<std::uint64_t> donor_ids;
   for (const CommittedEntry& e : donor) donor_ids.insert(e.update_id);
   std::set<std::uint64_t> local_ids;
@@ -89,8 +126,10 @@ std::size_t CommitPeer::reconcile_history(
   }
   ctx.committed = std::move(merged);
   for (const CommittedEntry& e : ctx.committed) {
-    ctx.instances.erase(e.update_id);
-    ctx.settled.emplace(e.update_id, 0);
+    if (const Instance* inst = find_instance(ctx, e.update_id)) {
+      release(ctx, *inst);
+    }
+    (void)ctx.settled.try_emplace(e.update_id);
   }
   // Journal last: `donor` may be the journal's own image of this GUID
   // (restart replays it into the peer), which record_import replaces.
@@ -100,21 +139,21 @@ std::size_t CommitPeer::reconcile_history(
 }
 
 std::size_t CommitPeer::live_instances(std::uint64_t guid) const {
-  const auto it = guids_.find(guid);
-  if (it == guids_.end()) return 0;
+  const GuidContext* ctx = find_context(guid);
+  if (ctx == nullptr) return 0;
   std::size_t n = 0;
-  for (const auto& [uid, inst] : it->second.instances) {
-    if (!inst.fsm.finished()) ++n;
+  for (const InstanceRef& ref : ctx->instances) {
+    if (!instances_[ref.slot].fsm.finished()) ++n;
   }
   return n;
 }
 
 std::size_t CommitPeer::resident_instances(std::uint64_t guid) const {
-  const auto it = guids_.find(guid);
-  return it == guids_.end() ? 0 : it->second.instances.size();
+  const GuidContext* ctx = find_context(guid);
+  return ctx == nullptr ? 0 : ctx->instances.size();
 }
 
-void CommitPeer::handle(sim::NodeAddr from, const std::string& data) {
+void CommitPeer::handle(sim::NodeAddr from, std::string_view data) {
   const std::optional<WireMessage> msg = WireMessage::parse(data);
   if (!msg.has_value()) return;  // Garbage frame: drop.
 
@@ -144,29 +183,30 @@ void CommitPeer::handle_equivocator(const WireMessage& msg) {
   broadcast(out);
 }
 
-CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
-                                           std::uint64_t guid,
-                                           std::uint64_t update_id,
-                                           const WireMessage& msg) {
-  const auto it = ctx.instances.find(update_id);
-  if (it != ctx.instances.end()) {
-    Instance& inst = it->second;
-    if (inst.request_id == 0) inst.request_id = msg.request_id;
-    if (inst.payload == 0) inst.payload = msg.payload;
-    return inst;
+CommitPeer::Instance& CommitPeer::open_instance(GuidContext& ctx,
+                                                const WireMessage& msg) {
+  Instance fresh{fsm::CompiledInstance(compiled_), msg.update_id,
+                 msg.request_id, msg.payload, {}, {}, std::nullopt,
+                 network_.scheduler().now()};
+  std::uint32_t slot = 0;
+  if (free_instances_.empty()) {
+    slot = static_cast<std::uint32_t>(instances_.size());
+    instances_.push_back(std::move(fresh));
+  } else {
+    slot = free_instances_.back();
+    free_instances_.pop_back();
+    instances_[slot] = std::move(fresh);
   }
-  auto [pos, inserted] = ctx.instances.emplace(
-      update_id,
-      Instance{fsm::CompiledInstance(compiled_), msg.request_id, msg.payload,
-               {}, {}, std::nullopt, network_.scheduler().now()});
-  Instance& inst = pos->second;
+  ctx.instances.insert(lower_bound_update(ctx.instances, msg.update_id),
+                       {msg.update_id, slot});
+  Instance& inst = instances_[slot];
   // The abstract model's start state assumes the node is free; if another
   // update already holds the node lock for this GUID, lock the new machine
   // immediately (this is how could_choose is initialised in deployment).
-  if (ctx.chosen_update.has_value() && *ctx.chosen_update != update_id) {
+  if (ctx.chosen_update.has_value() && *ctx.chosen_update != msg.update_id) {
     (void)inst.fsm.deliver(kNotFree);
   }
-  note(obs::EventKind::kInstance, {guid, update_id, inst.request_id});
+  note(obs::EventKind::kInstance, {ctx.guid, msg.update_id, inst.request_id});
   if (metrics_ != nullptr) {
     if (instances_opened_ == nullptr) {
       instances_opened_ = &metrics_->counter(
@@ -176,8 +216,8 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
   }
   if (spans_ != nullptr) {
     inst.vote_span =
-        spans_->open("vote-collect", 0, self_, std::to_string(guid),
-                     inst.request_id, update_id, inst.created);
+        spans_->open("vote-collect", 0, self_, std::to_string(ctx.guid),
+                     inst.request_id, msg.update_id, inst.created);
   }
   arm_abort_scan();  // Watch the new instance for stalls, if enabled.
   return inst;
@@ -202,68 +242,85 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
       return;  // Peers ignore client notifications.
   }
   note(obs::EventKind::kRecv, {from, msg.update_id}, kind);
-  GuidContext& ctx = guids_[msg.guid];
-  if (const auto settled = ctx.settled.find(msg.update_id);
-      settled != ctx.settled.end()) {
-    // Late traffic for a settled update: absorb it; re-acknowledge a resent
-    // update request (the original notification may have been lost).
-    if (msg.kind == WireMessage::Kind::kUpdate) {
-      acknowledge(msg.guid, {msg.update_id, msg.request_id, msg.payload},
-                  settled->second, from);
+  // One context lookup and one instance lookup per delivery; the instance
+  // is passed down the cascade from here. Resident and settled updates
+  // are disjoint, so the settled table is consulted only on a miss.
+  GuidContext& ctx = context(msg.guid);
+  Instance* inst = find_instance(ctx, msg.update_id);
+  if (inst == nullptr) {
+    if (ctx.settled.find(msg.update_id) != nullptr) {
+      // Late traffic for a settled update: absorb it; re-acknowledge a
+      // resent update request (the original notification may have been
+      // lost).
+      if (msg.kind == WireMessage::Kind::kUpdate) {
+        const std::uint64_t* span = ctx.settled_spans.find(msg.update_id);
+        acknowledge(msg.guid, {msg.update_id, msg.request_id, msg.payload},
+                    span == nullptr ? 0 : *span, from);
+      }
+      return;
     }
-    return;
+    inst = &open_instance(ctx, msg);
+  } else {
+    if (inst->request_id == 0) inst->request_id = msg.request_id;
+    if (inst->payload == 0) inst->payload = msg.payload;
   }
   switch (msg.kind) {
-    case WireMessage::Kind::kUpdate: {
-      Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
-      inst.client = from;
-      deliver(ctx, msg.guid, msg.update_id, kUpdate);
+    case WireMessage::Kind::kUpdate:
+      inst->client = from;
+      deliver(ctx, *inst, kUpdate);
       // A vetoed attempt (finished, still resident) is offered to the
       // journal once more.
-      check_finished(ctx, msg.guid, msg.update_id);
+      if (Instance* resident = find_instance(ctx, msg.update_id)) {
+        check_finished(ctx, *resident);
+      }
       break;
-    }
-    case WireMessage::Kind::kVote: {
-      Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
+    case WireMessage::Kind::kVote:
       if ((hardening_.drop_self && from == self_) ||
-          (!inst.voters.insert(from) && hardening_.dedup_protocol)) {
+          (!inst->voters.insert(from) && hardening_.dedup_protocol)) {
         ++stats_.duplicates_dropped;  // One vote per member per update.
         break;
       }
-      deliver(ctx, msg.guid, msg.update_id, kVote);
+      deliver(ctx, *inst, kVote);
       break;
-    }
-    case WireMessage::Kind::kCommit: {
-      Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
+    case WireMessage::Kind::kCommit:
       if ((hardening_.drop_self && from == self_) ||
-          (!inst.committers.insert(from) && hardening_.dedup_protocol)) {
+          (!inst->committers.insert(from) && hardening_.dedup_protocol)) {
         ++stats_.duplicates_dropped;
         break;
       }
-      deliver(ctx, msg.guid, msg.update_id, kCommit);
+      deliver(ctx, *inst, kCommit);
       break;
-    }
     case WireMessage::Kind::kCommitted:
       break;
   }
 }
 
-void CommitPeer::deliver(GuidContext& ctx, std::uint64_t guid,
-                         std::uint64_t update_id, fsm::MessageId message) {
-  local_queue_.emplace_back(update_id, message);
-  if (!draining_) run_queue(ctx, guid);
+void CommitPeer::deliver(GuidContext& ctx, Instance& inst,
+                         fsm::MessageId message) {
+  if (draining_) {
+    local_queue_.emplace_back(inst.update_id, message);
+    return;
+  }
+  draining_ = true;
+  step(ctx, inst, message);
+  run_queue(ctx);
 }
 
-void CommitPeer::run_queue(GuidContext& ctx, std::uint64_t guid) {
+void CommitPeer::step(GuidContext& ctx, Instance& inst,
+                      fsm::MessageId message) {
+  execute_actions(ctx, inst, inst.fsm.deliver(message));
+  check_finished(ctx, inst);
+}
+
+void CommitPeer::run_queue(GuidContext& ctx) {
   // All entries queued while draining refer to sibling instances of the
   // same GUID: internal free/not_free fan-out never crosses GUIDs.
   draining_ = true;
   while (queue_head_ < local_queue_.size()) {
     const auto [update_id, message] = local_queue_[queue_head_++];
-    const auto it = ctx.instances.find(update_id);
-    if (it == ctx.instances.end()) continue;
-    execute_actions(ctx, guid, update_id, it->second.fsm.deliver(message));
-    check_finished(ctx, guid, update_id);
+    if (Instance* inst = find_instance(ctx, update_id)) {
+      step(ctx, *inst, message);
+    }
   }
   local_queue_.clear();
   queue_head_ = 0;
@@ -278,7 +335,7 @@ void CommitPeer::broadcast(const WireMessage& msg) {
                          msg.kind == WireMessage::Kind::kCommit);
   // One frame for the whole fan-out: every recipient but the last gets a
   // copy, the last takes the frame itself.
-  std::string frame = msg.serialize();
+  sim::Payload frame = msg.serialize();
   std::optional<sim::NodeAddr> previous;
   for (sim::NodeAddr peer : resolved) {
     if (peer == self_) continue;
@@ -297,17 +354,16 @@ void CommitPeer::broadcast(const WireMessage& msg) {
   if (previous.has_value()) network_.send(self_, *previous, std::move(frame));
 }
 
-void CommitPeer::execute_actions(GuidContext& ctx, std::uint64_t guid,
-                                 std::uint64_t update_id,
+void CommitPeer::execute_actions(GuidContext& ctx, Instance& inst,
                                  fsm::CompiledInstance::Delivery delivery) {
-  Instance& inst = ctx.instances.at(update_id);
+  const std::uint64_t update_id = inst.update_id;
   // The ids point into compiled_'s arena, which no action below touches.
   for (std::uint32_t i = 0; i < delivery.count; ++i) {
     const Action action = actions_[delivery.ids[i]];
     if (action == Action::kVote) {
       ++stats_.votes_sent;
-      broadcast({WireMessage::Kind::kVote, guid, update_id, inst.request_id,
-                 inst.payload});
+      broadcast({WireMessage::Kind::kVote, ctx.guid, update_id,
+                 inst.request_id, inst.payload});
     } else if (action == Action::kCommit) {
       ++stats_.commits_sent;
       // Phase boundary: the vote collected enough siblings to choose this
@@ -320,56 +376,62 @@ void CommitPeer::execute_actions(GuidContext& ctx, std::uint64_t guid,
         }
         if (inst.quorum_span == 0) {
           inst.quorum_span =
-              spans_->open("quorum", 0, self_, std::to_string(guid),
+              spans_->open("quorum", 0, self_, std::to_string(ctx.guid),
                            inst.request_id, update_id, now);
         }
       }
-      broadcast({WireMessage::Kind::kCommit, guid, update_id,
+      broadcast({WireMessage::Kind::kCommit, ctx.guid, update_id,
                  inst.request_id, inst.payload});
     } else if (action == Action::kNotFree) {
       ctx.chosen_update = update_id;
       // not_free never triggers further actions, so queued delivery is safe.
-      for (auto& [uid, sibling] : ctx.instances) {
-        if (uid == update_id || sibling.fsm.finished()) continue;
-        local_queue_.emplace_back(uid, kNotFree);
+      for (const InstanceRef& sibling : ctx.instances) {
+        if (sibling.update_id == update_id ||
+            instances_[sibling.slot].fsm.finished()) {
+          continue;
+        }
+        local_queue_.emplace_back(sibling.update_id, kNotFree);
       }
     } else if (action == Action::kFree) {
       // free is the last action of the finishing transition. A sibling
       // that finishes in free_siblings is released, but this instance is
       // already finished, so it is never one of them: `inst` stays valid.
       if (ctx.chosen_update == update_id) ctx.chosen_update.reset();
-      free_siblings(ctx, guid, update_id);
+      free_siblings(ctx, update_id);
     }
   }
 }
 
-void CommitPeer::free_siblings(GuidContext& ctx, std::uint64_t guid,
-                               std::uint64_t source) {
-  // Offer the freed node to pending siblings one at a time: the first that
-  // chooses retakes the lock (its not_free is queued for the others), and
-  // the remaining siblings must NOT see a stale free — otherwise several
-  // pending updates could all vote at once, breaking the one-ongoing-update
-  // serialisation the free/not_free protocol exists to provide.
-  std::vector<std::uint64_t> uids;
-  uids.reserve(ctx.instances.size());
-  for (const auto& [uid, sibling] : ctx.instances) {
-    if (uid != source && !sibling.fsm.finished()) uids.push_back(uid);
-  }
-  for (const std::uint64_t uid : uids) {
-    if (ctx.chosen_update.has_value()) break;  // Lock retaken.
-    const auto it = ctx.instances.find(uid);
-    if (it == ctx.instances.end() || it->second.fsm.finished()) continue;
-    execute_actions(ctx, guid, uid, it->second.fsm.deliver(kFree));
-    check_finished(ctx, guid, uid);
+void CommitPeer::free_siblings(GuidContext& ctx, std::uint64_t source) {
+  // Offer the freed node to pending siblings one at a time, in update-id
+  // order: the first that chooses retakes the lock (its not_free is queued
+  // for the others), and the remaining siblings must NOT see a stale free —
+  // otherwise several pending updates could all vote at once, breaking the
+  // one-ongoing-update serialisation the free/not_free protocol exists to
+  // provide. A step may release siblings, so the walk resumes after the
+  // last update id it offered the lock to.
+  std::size_t i = 0;
+  while (!ctx.chosen_update.has_value() && i < ctx.instances.size()) {
+    const auto [uid, slot] = ctx.instances[i];
+    Instance& sibling = instances_[slot];
+    if (uid == source || sibling.fsm.finished()) {
+      ++i;
+      continue;
+    }
+    step(ctx, sibling, kFree);
+    i = static_cast<std::size_t>(
+        std::upper_bound(ctx.instances.begin(), ctx.instances.end(), uid,
+                         [](std::uint64_t id, const InstanceRef& ref) {
+                           return id < ref.update_id;
+                         }) -
+        ctx.instances.begin());
   }
 }
 
-void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
-                                std::uint64_t update_id) {
-  const auto it = ctx.instances.find(update_id);
-  if (it == ctx.instances.end()) return;
-  Instance& inst = it->second;
+void CommitPeer::check_finished(GuidContext& ctx, Instance& inst) {
   if (!inst.fsm.finished()) return;
+  const std::uint64_t guid = ctx.guid;
+  const std::uint64_t update_id = inst.update_id;
   // Write-ahead: the commit reaches the journal before the history. A
   // refused append (stalled or full disk) neither records nor
   // acknowledges. The FSM's free action already ran, but the lock is
@@ -391,7 +453,7 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
       note(obs::EventKind::kVeto, {guid, update_id, inst.request_id});
       if (ctx.chosen_update == update_id) {
         ctx.chosen_update.reset();
-        free_siblings(ctx, guid, update_id);
+        free_siblings(ctx, update_id);
       }
       return;
     }
@@ -434,8 +496,11 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
   }
   // Recorded and acknowledged: the instance is settled. Release it; its
   // settled entry absorbs late traffic and re-acknowledges resent updates.
-  ctx.settled.emplace(update_id, inst.quorum_span);
-  ctx.instances.erase(it);
+  (void)ctx.settled.try_emplace(update_id);
+  if (inst.quorum_span != 0) {
+    *ctx.settled_spans.try_emplace(update_id).first = inst.quorum_span;
+  }
+  release(ctx, inst);
 }
 
 void CommitPeer::acknowledge(std::uint64_t guid, const CommittedEntry& entry,
@@ -476,52 +541,60 @@ void CommitPeer::cancel_abort_scan() {
 
 void CommitPeer::abort_scan(sim::Time max_age) {
   const sim::Time now = network_.scheduler().now();
+  // GUID order reaches events (aborts, span closes, lock hand-overs), so
+  // the hashed contexts are visited sorted by GUID.
+  std::vector<GuidContext*> contexts;
+  contexts.reserve(guids_.size());
+  guids_.for_each([&contexts](std::uint64_t,
+                              const std::unique_ptr<GuidContext>& ctx) {
+    contexts.push_back(ctx.get());
+  });
+  std::sort(contexts.begin(), contexts.end(),
+            [](const GuidContext* a, const GuidContext* b) {
+              return a->guid < b->guid;
+            });
   std::vector<std::uint64_t> stalled;
-  for (auto& [guid, ctx] : guids_) {
+  for (GuidContext* ctx : contexts) {
     // Collect first, abort by id: aborting a lock holder frees siblings,
-    // and a sibling that finishes is released from ctx.instances at once.
+    // and a sibling that finishes is released from ctx->instances at once.
     stalled.clear();
-    for (const auto& [uid, inst] : ctx.instances) {
+    for (const InstanceRef& ref : ctx->instances) {
+      const Instance& inst = instances_[ref.slot];
       if (!inst.fsm.finished() && now - inst.created > max_age) {
-        stalled.push_back(uid);
+        stalled.push_back(ref.update_id);
       }
     }
     for (const std::uint64_t uid : stalled) {
-      const auto it = ctx.instances.find(uid);
-      if (it == ctx.instances.end() || it->second.fsm.finished()) continue;
-      const Instance& inst = it->second;
+      const Instance* inst = find_instance(*ctx, uid);
+      if (inst == nullptr || inst->fsm.finished()) continue;
       ++stats_.aborted;
       note(obs::EventKind::kAbort,
-           {guid, uid, inst.request_id, now - inst.created});
+           {ctx->guid, uid, inst->request_id, now - inst->created});
       if (metrics_ != nullptr) {
         metrics_
-            ->counter("commit.aborts", {{"guid", std::to_string(guid)}})
+            ->counter("commit.aborts", {{"guid", std::to_string(ctx->guid)}})
             .inc();
       }
       if (spans_ != nullptr) {
-        spans_->close(inst.vote_span, now, false, "abort");
-        spans_->close(inst.quorum_span, now, false, "abort");
+        spans_->close(inst->vote_span, now, false, "abort");
+        spans_->close(inst->quorum_span, now, false, "abort");
       }
-      const bool held_lock = ctx.chosen_update == uid;
-      ctx.instances.erase(it);
+      const bool held_lock = ctx->chosen_update == uid;
+      release(*ctx, *inst);
       if (held_lock) {
-        ctx.chosen_update.reset();
-        free_siblings(ctx, guid, uid);
-        if (!draining_) run_queue(ctx, guid);
+        ctx->chosen_update.reset();
+        free_siblings(*ctx, uid);
+        if (!draining_) run_queue(*ctx);
       }
     }
   }
   // Keep scanning only while something is live; instance creation re-arms
   // the scan, so an idle peer leaves the scheduler quiescent.
   bool any_live = false;
-  for (const auto& [guid, ctx] : guids_) {
-    for (const auto& [uid, inst] : ctx.instances) {
-      if (!inst.fsm.finished()) {
-        any_live = true;
-        break;
-      }
+  for (const GuidContext* ctx : contexts) {
+    for (const InstanceRef& ref : ctx->instances) {
+      any_live = any_live || !instances_[ref.slot].fsm.finished();
     }
-    if (any_live) break;
   }
   if (any_live) arm_abort_scan();
 }

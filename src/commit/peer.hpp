@@ -22,11 +22,12 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <type_traits>
-#include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "commit/messages.hpp"
@@ -36,6 +37,7 @@
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/network.hpp"
 
 namespace asa_repro::commit {
@@ -96,7 +98,7 @@ class CommitPeer {
              bool attach_to_network = true);
 
   /// Process one raw network frame (for hosts that multiplex the address).
-  void handle_frame(sim::NodeAddr from, const std::string& data) {
+  void handle_frame(sim::NodeAddr from, std::string_view data) {
     handle(from, data);
   }
 
@@ -225,6 +227,7 @@ class CommitPeer {
 
   struct Instance {
     fsm::CompiledInstance fsm;
+    std::uint64_t update_id = 0;
     std::uint64_t request_id = 0;
     std::uint64_t payload = 0;
     SenderSet voters;      // Distinct vote senders.
@@ -234,46 +237,63 @@ class CommitPeer {
     std::uint64_t vote_span = 0;    // "vote-collect" span id (0 = none).
     std::uint64_t quorum_span = 0;  // "quorum" span id (0 = none).
   };
+  /// A resident instance of a GUID: its update id and its slot in
+  /// `instances_`.
+  struct InstanceRef {
+    std::uint64_t update_id = 0;
+    std::uint32_t slot = 0;
+  };
   struct GuidContext {
-    std::map<std::uint64_t, Instance> instances;  // By update_id.
+    std::uint64_t guid = 0;
+    // Resident instances in update-id order, the order the not_free and
+    // free fan-outs (and abort_scan) visit siblings in.
+    std::vector<InstanceRef> instances;
     std::optional<std::uint64_t> chosen_update;   // Node lock holder.
     std::vector<CommittedEntry> committed;        // Local commit order.
-    // Recorded (or imported) update ids, released from `instances`, each
-    // with its "quorum" span id (0 = none). Late traffic is absorbed, never
-    // re-instantiated; a resent update is re-acknowledged. Only ever found
-    // and inserted, never iterated, so hash order cannot leak into events.
-    std::unordered_map<std::uint64_t, std::uint64_t> settled;
+    // Recorded (or imported) update ids, released from `instances`. Late
+    // traffic is absorbed, never re-instantiated; a resent update is
+    // re-acknowledged. One entry per commit, so it holds ids only; the
+    // "quorum" span id of each that has one (spans on) is in
+    // `settled_spans`. Both are only ever found and inserted, never
+    // iterated, so hash order cannot leak into events.
+    sim::FlatMap<std::monostate> settled;
+    sim::FlatMap<std::uint64_t> settled_spans;
   };
 
-  void handle(sim::NodeAddr from, const std::string& payload);
+  void handle(sim::NodeAddr from, std::string_view payload);
   void handle_honest(sim::NodeAddr from, const WireMessage& msg);
   void handle_equivocator(const WireMessage& msg);
+
+  /// The GUID's context, created on first use.
+  GuidContext& context(std::uint64_t guid);
+  [[nodiscard]] const GuidContext* find_context(std::uint64_t guid) const;
+  /// The GUID's resident instance for `update_id`, or nullptr.
+  Instance* find_instance(GuidContext& ctx, std::uint64_t update_id);
+  /// Open an instance for `msg`'s update (a fresh or reused slot).
+  Instance& open_instance(GuidContext& ctx, const WireMessage& msg);
+  /// Drop a resident instance and free its slot.
+  void release(GuidContext& ctx, const Instance& inst);
 
   /// Deliver one abstract-model message to an instance and execute the
   /// resulting actions; internal free/not_free deliveries are queued and
   /// drained iteratively to avoid unbounded recursion.
-  void deliver(GuidContext& ctx, std::uint64_t guid, std::uint64_t update_id,
-               fsm::MessageId message);
-  void run_queue(GuidContext& ctx, std::uint64_t guid);
-  void execute_actions(GuidContext& ctx, std::uint64_t guid,
-                       std::uint64_t update_id,
+  void deliver(GuidContext& ctx, Instance& inst, fsm::MessageId message);
+  /// Step one instance: deliver, act, and record it if it finished.
+  void step(GuidContext& ctx, Instance& inst, fsm::MessageId message);
+  void run_queue(GuidContext& ctx);
+  void execute_actions(GuidContext& ctx, Instance& inst,
                        fsm::CompiledInstance::Delivery delivery);
   /// Offer a freed node lock to pending siblings, one at a time, stopping
   /// as soon as one of them chooses (retakes the lock).
-  void free_siblings(GuidContext& ctx, std::uint64_t guid,
-                     std::uint64_t source);
+  void free_siblings(GuidContext& ctx, std::uint64_t source);
   void broadcast(const WireMessage& msg);
   /// Record a finished instance (unless its journal append is refused),
   /// acknowledge its client and release it into `settled`.
-  void check_finished(GuidContext& ctx, std::uint64_t guid,
-                      std::uint64_t update_id);
+  void check_finished(GuidContext& ctx, Instance& inst);
   /// Send one kCommitted to `client`: the ack sink first, then an
   /// "ack-sent" span point under `quorum_span`, then the frame.
   void acknowledge(std::uint64_t guid, const CommittedEntry& entry,
                    std::uint64_t quorum_span, sim::NodeAddr client);
-
-  Instance& instance(GuidContext& ctx, std::uint64_t guid,
-                     std::uint64_t update_id, const WireMessage& msg);
 
   void abort_scan(sim::Time max_age);
   void arm_abort_scan();
@@ -303,7 +323,13 @@ class CommitPeer {
   durable::DurableLog* journal_ = nullptr;
   AckSink ack_sink_;
   PeerStats stats_;
-  std::map<std::uint64_t, GuidContext> guids_;
+  // By GUID; each context stays put while the table grows.
+  sim::FlatMap<std::unique_ptr<GuidContext>> guids_;
+  // Instance slots; a released slot is reused by the next instance. Only
+  // opening an instance grows the pool, which no fan-out does, so an
+  // Instance& stays valid through one delivery's cascade.
+  std::vector<Instance> instances_;
+  std::vector<std::uint32_t> free_instances_;
   // Internal free/not_free deliveries, drained FIFO from `queue_head_`.
   std::vector<std::pair<std::uint64_t, fsm::MessageId>> local_queue_;
   std::size_t queue_head_ = 0;

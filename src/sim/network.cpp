@@ -1,5 +1,7 @@
 #include "sim/network.hpp"
 
+#include <algorithm>
+
 namespace asa_repro::sim {
 
 namespace {
@@ -64,23 +66,30 @@ double Network::checked_probability(double p) {
 
 Network::LinkState& Network::link(NodeAddr from, NodeAddr to) {
   const std::uint64_t key = link_key(from, to);
-  const auto it = links_.find(key);
-  if (it != links_.end()) return it->second;
+  const auto [state, created] = links_.try_emplace(key);
   // The table key doubles as the RNG stream key.
-  LinkState state;
-  state.rng = Rng::substream(link_seed_base_, key);
-  return links_.emplace(key, std::move(state)).first->second;
+  if (created) state->rng = Rng::substream(link_seed_base_, key);
+  return *state;
 }
 
 const Network::LinkState* Network::find_link(NodeAddr from,
                                              NodeAddr to) const {
-  const auto it = links_.find(link_key(from, to));
-  return it == links_.end() ? nullptr : &it->second;
+  return links_.find(link_key(from, to));
+}
+
+void Network::install(NodeAddr addr, Handler handler) {
+  std::unique_ptr<Handler>& slot = *handlers_.try_emplace(addr).first;
+  if (slot == nullptr) {
+    slot = std::make_unique<Handler>(std::move(handler));
+  } else {
+    *slot = std::move(handler);
+  }
 }
 
 void Network::heal(NodeAddr a, NodeAddr b) {
-  const auto it = links_.find(link_key(a, b));
-  if (it != links_.end()) it->second.partitioned = false;
+  if (LinkState* state = links_.find(link_key(a, b))) {
+    state->partitioned = false;
+  }
 }
 
 void Network::set_link_profile(NodeAddr from, NodeAddr to,
@@ -92,32 +101,37 @@ void Network::set_link_profile(NodeAddr from, NodeAddr to,
       !valid_probability(profile.p_bad_to_good)) {
     throw std::invalid_argument("LinkProfile: probability outside [0,1]");
   }
+  // Links share one copy of each distinct profile; a few named classes
+  // serve every link, so the search stays short.
+  const auto known = std::find(profiles_.begin(), profiles_.end(), profile);
+  const auto index = static_cast<std::uint32_t>(known - profiles_.begin());
+  if (known == profiles_.end()) profiles_.push_back(std::move(profile));
   LinkState& state = link(from, to);
-  state.profile = std::move(profile);
+  state.profile = index;
   state.bad = false;
   state.class_latency = nullptr;
 }
 
 void Network::clear_link_profile(NodeAddr from, NodeAddr to) {
-  const auto it = links_.find(link_key(from, to));
-  if (it == links_.end()) return;
-  it->second.profile.reset();
-  it->second.bad = false;
-  it->second.class_latency = nullptr;
+  LinkState* state = links_.find(link_key(from, to));
+  if (state == nullptr) return;
+  state->profile = kNoProfile;
+  state->bad = false;
+  state->class_latency = nullptr;
 }
 
 void Network::set_metrics(obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
-  for (auto& [key, state] : links_) {
+  links_.for_each([](std::uint64_t, LinkState& state) {
     state.latency = nullptr;
     state.class_latency = nullptr;
-  }
+  });
 }
 
 const std::string& Network::link_class(NodeAddr from, NodeAddr to) const {
   const LinkState* state = find_link(from, to);
-  if (state == nullptr || !state->profile.has_value()) return kDefaultClass;
-  return state->profile->name;
+  const LinkProfile* profile = state == nullptr ? nullptr : profile_of(*state);
+  return profile == nullptr ? kDefaultClass : profile->name;
 }
 
 bool Network::link_in_bad_state(NodeAddr from, NodeAddr to) const {
@@ -130,8 +144,8 @@ void Network::deliver_copy(const Delivery& copy) {
   const NodeAddr from = copy.from;
   const NodeAddr to = copy.to;
   const std::uint64_t id = copy.message_id;
-  const auto it = handlers_.find(to);
-  if (it == handlers_.end()) {
+  const auto* slot = handlers_.find(to);
+  if (slot == nullptr || !**slot) {
     ++stats_.to_dead_node;
     note(obs::EventKind::kNetDead, to, {id, from, to});
     return;
@@ -140,7 +154,9 @@ void Network::deliver_copy(const Delivery& copy) {
   const Time latency = sched_.now() - copy.sent_at;
   note(obs::EventKind::kNetDeliver, to, {id, from, to, latency});
   if (metrics_ != nullptr) observe_latency(from, to, latency);
-  it->second(from, copy.payload);
+  // The handler stays put if the call attaches another node.
+  const Handler& handler = **slot;
+  handler(from, copy.payload);
 }
 
 void Network::observe_latency(NodeAddr from, NodeAddr to, Time latency) {
@@ -152,16 +168,17 @@ void Network::observe_latency(NodeAddr from, NodeAddr to, Time latency) {
         obs::latency_buckets_us());
   }
   if (ls.class_latency == nullptr) {
+    const LinkProfile* profile = profile_of(ls);
     ls.class_latency = &metrics_->histogram(
         "net.class_latency_us",
-        {{"class", ls.profile.has_value() ? ls.profile->name : kDefaultClass}},
+        {{"class", profile == nullptr ? kDefaultClass : profile->name}},
         obs::latency_buckets_us());
   }
   ls.latency->observe(latency);
   ls.class_latency->observe(latency);
 }
 
-std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
+std::uint64_t Network::send(NodeAddr from, NodeAddr to, Payload payload) {
   const std::uint64_t id = next_msg_id_++;
   ++stats_.sent;
   note(obs::EventKind::kNetSend, from, {id, from, to, payload.size()});
@@ -176,8 +193,9 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
   // triggered the good->bad flip.
   double loss = drop_probability_;
   bool burst = false;
-  if (ls.profile.has_value()) {
-    const LinkProfile& p = *ls.profile;
+  const LinkProfile* profile = profile_of(ls);
+  if (profile != nullptr) {
+    const LinkProfile& p = *profile;
     if (p.p_good_to_bad > 0.0 || ls.bad) {
       ls.bad = ls.bad ? !ls.rng.chance(p.p_bad_to_good)
                       : ls.rng.chance(p.p_good_to_bad);
@@ -201,8 +219,8 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
   }
   const Time sent_at = sched_.now();
   const LatencyModel& latency =
-      ls.profile.has_value() ? ls.profile->latency : latency_;
-  const Time jitter = ls.profile.has_value() ? ls.profile->jitter : 0;
+      profile != nullptr ? profile->latency : latency_;
+  const Time jitter = profile != nullptr ? profile->jitter : 0;
   for (int copy = 0; copy < copies; ++copy) {
     // The last copy takes the payload; only a duplicate's first copy
     // copies it.

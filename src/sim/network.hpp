@@ -37,24 +37,34 @@
 // off; ids are always assigned (one increment) so replay tooling can
 // correlate runs.
 //
-// Message path: a send allocates nothing of its own. Each copy becomes a
-// typed Delivery record scheduled on the scheduler (no closure); the
-// payload string is moved into the last copy's record, and only a
-// --duplicate second copy is a copy. Links live in one hash table keyed by
-// the packed (from << 32) | to word, which also seeds the link's RNG
-// substream and holds its partition flag, so a send does one lookup.
+// Message path: a send allocates nothing. The payload is a sim::Payload,
+// which holds a commit frame in place and spills only larger storage
+// frames; each copy becomes a typed Delivery record scheduled on the
+// scheduler (no closure), the last copy takes the payload by move, and
+// only a --duplicate second copy is a copy. Links live in one
+// open-addressing FlatMap keyed by the packed (from << 32) | to word,
+// which also seeds the link's RNG substream; an entry holds the RNG, the
+// loss and partition flags, the link's latency series and an index into
+// the out-of-line profile list, so a send does one probe. Handlers sit in
+// a second FlatMap keyed by address, so a delivery does one probe too.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
+#include "sim/flat_map.hpp"
+#include "sim/payload.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 
@@ -112,23 +122,36 @@ struct NetworkStats {
 
 class Network {
  public:
-  using Handler =
-      std::function<void(NodeAddr from, const std::string& payload)>;
+  using Handler = std::function<void(NodeAddr from, std::string_view payload)>;
 
   /// Throws std::invalid_argument for a degenerate latency model.
   Network(Scheduler& sched, Rng rng, LatencyModel latency = {});
 
   /// Register (or replace) the handler for `addr`. A node without a handler
-  /// silently drops inbound traffic (models a crashed node).
-  void attach(NodeAddr addr, Handler handler) {
-    handlers_[addr] = std::move(handler);
+  /// silently drops inbound traffic (models a crashed node). A handler that
+  /// takes `const std::string&` is adapted: it reads a string the adapter
+  /// keeps and refills per message, so it allocates only to grow it.
+  template <class F>
+  void attach(NodeAddr addr, F handler) {
+    if constexpr (std::is_invocable_v<F&, NodeAddr, std::string_view>) {
+      install(addr, Handler(std::move(handler)));
+    } else {
+      install(addr, [on_frame = std::move(handler), bytes = std::string()](
+                        NodeAddr from, std::string_view payload) mutable {
+        bytes.assign(payload);
+        on_frame(from, std::as_const(bytes));
+      });
+    }
   }
 
   /// Detach a node: inbound messages are dropped until re-attached.
-  void detach(NodeAddr addr) { handlers_.erase(addr); }
+  void detach(NodeAddr addr) {
+    if (auto* slot = handlers_.find(addr)) **slot = nullptr;
+  }
 
   [[nodiscard]] bool attached(NodeAddr addr) const {
-    return handlers_.contains(addr);
+    const auto* slot = handlers_.find(addr);
+    return slot != nullptr && static_cast<bool>(**slot);
   }
 
   /// Message loss probability in [0,1], applied per message (independent
@@ -196,7 +219,7 @@ class Network {
   /// messages between the same pair of nodes may be reordered — the
   /// protocol layer must tolerate this (and the commit FSM does).
   /// Returns the message's causal id.
-  std::uint64_t send(NodeAddr from, NodeAddr to, std::string payload);
+  std::uint64_t send(NodeAddr from, NodeAddr to, Payload payload);
 
   // ---- Manual delivery mode (systematic schedule exploration). ----
   //
@@ -220,9 +243,10 @@ class Network {
   }
 
   /// Peek at a pending message's payload (for harnesses that select
-  /// messages by parsed content, e.g. counterexample-schedule replay).
-  /// Throws std::out_of_range for an invalid index.
-  [[nodiscard]] const std::string& pending_payload(std::size_t index) const {
+  /// messages by parsed content, e.g. counterexample-schedule replay). The
+  /// view lasts until the pending buffer changes. Throws std::out_of_range
+  /// for an invalid index.
+  [[nodiscard]] std::string_view pending_payload(std::size_t index) const {
     check_pending_index(index);
     return pending_[index].payload;
   }
@@ -249,19 +273,21 @@ class Network {
   friend class Scheduler;  // Hands fired Delivery records to deliver_copy.
 
   /// Per-directed-link state: an independent RNG substream plus the
-  /// Gilbert–Elliott loss state, the partition flag, the (optional)
-  /// installed profile and the link's resolved latency series: its
-  /// net.latency_us{link} and its class's net.class_latency_us{class},
-  /// nullptr until the first delivery with a registry attached. A profile
-  /// change drops the class handle, since it may change the class.
+  /// Gilbert–Elliott loss state, the partition flag, the installed profile
+  /// (an index into profiles_, kNoProfile for the network default) and the
+  /// link's resolved latency series: its net.latency_us{link} and its
+  /// class's net.class_latency_us{class}, nullptr until the first delivery
+  /// with a registry attached. A profile change drops the class handle,
+  /// since it may change the class.
   struct LinkState {
     Rng rng;
-    bool bad = false;
-    bool partitioned = false;
-    std::optional<LinkProfile> profile;
     obs::Histogram* latency = nullptr;
     obs::Histogram* class_latency = nullptr;
+    std::uint32_t profile = kNoProfile;
+    bool bad = false;
+    bool partitioned = false;
   };
+  static constexpr std::uint32_t kNoProfile = ~std::uint32_t{0};
 
   /// The flat link table's key: the directed pair packed into one word.
   /// NodeAddr is 32-bit, so the packing is collision-free and
@@ -280,9 +306,17 @@ class Network {
 
   /// The link's state, created on first use with a seed split from the
   /// network seed and the (from, to) pair — creation order is irrelevant.
+  /// Creating a link moves the others: hold no LinkState& across it.
   LinkState& link(NodeAddr from, NodeAddr to);
   /// The link's state if it exists (lookups that must not create it).
   [[nodiscard]] const LinkState* find_link(NodeAddr from, NodeAddr to) const;
+
+  /// The link's installed profile, or nullptr for the network default.
+  [[nodiscard]] const LinkProfile* profile_of(const LinkState& state) const {
+    return state.profile == kNoProfile ? nullptr : &profiles_[state.profile];
+  }
+
+  void install(NodeAddr addr, Handler handler);
 
   /// `p`, or std::invalid_argument when it lies outside [0,1].
   static double checked_probability(double p);
@@ -306,8 +340,13 @@ class Network {
   double duplicate_probability_ = 0.0;
   bool manual_mode_ = false;
   std::vector<Delivery> pending_;
-  std::unordered_map<NodeAddr, Handler> handlers_;
-  std::unordered_map<std::uint64_t, LinkState> links_;  // By link_key().
+  // By address. A handler may attach another node while it runs, so each
+  // sits behind a pointer that table growth does not move.
+  FlatMap<std::unique_ptr<Handler>> handlers_;
+  FlatMap<LinkState> links_;  // By link_key().
+  // Every distinct profile ever installed; links refer to them by index.
+  // A deque, so link_class()'s reference survives later installations.
+  std::deque<LinkProfile> profiles_;
   NetworkStats stats_;
   obs::EventRecorder* events_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

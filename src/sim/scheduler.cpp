@@ -33,27 +33,26 @@ std::uint64_t Scheduler::enqueue(Time when, std::uint32_t slot) {
 
 std::uint64_t Scheduler::schedule_at(Time when, Action action) {
   const std::uint32_t slot = acquire_slot();
-  slots_[slot].is_delivery = false;
-  slots_[slot].action = std::move(action);
+  slots_[slot].body.emplace<Action>(std::move(action));
   return enqueue(when, slot);
 }
 
 std::uint64_t Scheduler::schedule_delivery(Time when, Delivery delivery) {
   const std::uint32_t slot = acquire_slot();
-  slots_[slot].is_delivery = true;
-  slots_[slot].delivery = std::move(delivery);
+  slots_[slot].body.emplace<Delivery>(std::move(delivery));
   return enqueue(when, slot);
 }
 
 void Scheduler::cancel(std::uint64_t id) {
   const std::uint64_t slot = id & kSlotMask;
   // Only a pending event's slot carries its id: a fired, unknown or reused
-  // id leaves no trace and counts nothing.
+  // id leaves no trace and counts nothing. The key stays in the heap and
+  // is discarded when it comes up.
   if (id == 0 || slot >= slots_.size() || slots_[slot].id != id ||
-      slots_[slot].cancelled) {
+      std::holds_alternative<std::monostate>(slots_[slot].body)) {
     return;
   }
-  slots_[slot].cancelled = true;
+  slots_[slot].body = std::monostate{};
   ++stats_.cancelled;
 }
 
@@ -63,30 +62,24 @@ bool Scheduler::fire_next() {
   heap_.pop_back();
   const auto index = static_cast<std::uint32_t>(key.id & kSlotMask);
   Slot& slot = slots_[index];
-  const bool cancelled = slot.cancelled;
-  const bool is_delivery = slot.is_delivery;
-  // Move the body out and free the slot before running it: the body may
-  // schedule events, which can reuse this slot or grow the pool.
-  Delivery delivery;
-  Action action;
-  if (is_delivery) {
-    delivery = std::move(slot.delivery);
-  } else {
-    action = std::exchange(slot.action, nullptr);
-  }
   slot.id = 0;
-  slot.cancelled = false;
   free_slots_.push_back(index);
   // Cancelled events are discarded without advancing the clock: nothing
   // happened at their time, and time measurements must not see them.
-  if (cancelled) {
+  if (std::holds_alternative<std::monostate>(slot.body)) {
     ++stats_.discarded;
     return false;
   }
   now_ = key.when;
-  if (is_delivery) {
+  // Move the body out and free the slot before running it: the body may
+  // schedule events, which can reuse this slot or grow the pool.
+  if (Delivery* copy = std::get_if<Delivery>(&slot.body)) {
+    const Delivery delivery = std::move(*copy);
+    slot.body = std::monostate{};
     delivery.network->deliver_copy(delivery);
   } else {
+    const Action action = std::move(std::get<Action>(slot.body));
+    slot.body = std::monostate{};
     action();
   }
   return true;

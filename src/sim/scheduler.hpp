@@ -9,15 +9,19 @@
 // Event layout: the binary heap holds 16-byte keys (time, id) and nothing
 // else; an event's body lives in a slot of a reusable pool. A body is
 // either a closure (timers, workload steps) or a typed Delivery record
-// (one message copy in flight), so the network's per-message path builds
-// no type-erased closure. Bodies are moved out of their slot when they
-// fire, never copied, and a freed slot is reused by the next event.
+// (one message copy in flight, its frame held inline), so the network's
+// per-message path builds no type-erased closure and allocates nothing. A
+// slot holds one body or the other, never both. Bodies are moved out of
+// their slot when they fire, never copied; cancelling an event destroys
+// its body at once, and a freed slot is reused by the next event.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <variant>
 #include <vector>
+
+#include "sim/payload.hpp"
 
 namespace asa_repro::sim {
 
@@ -37,7 +41,7 @@ struct Delivery {
   NodeAddr to = 0;
   std::uint64_t message_id = 0;  // Network causal id (shared by duplicates).
   Time sent_at = 0;
-  std::string payload;
+  Payload payload;
 };
 
 /// Scheduler-level statistics (always on: a handful of integer updates per
@@ -115,10 +119,8 @@ class Scheduler {
   };
   struct Slot {
     std::uint64_t id = 0;  // The pending event's id; 0 while free or firing.
-    bool cancelled = false;
-    bool is_delivery = false;
-    Action action;
-    Delivery delivery;
+    // Empty while free, firing or cancelled.
+    std::variant<std::monostate, Action, Delivery> body;
   };
 
   /// A free slot index (reused first, else a new slot).

@@ -13,7 +13,7 @@ DataStoreClient::DataStoreClient(sim::Network& network, sim::NodeAddr self,
       r_(r),
       quorum_(r - f),
       rng_(rng) {
-  network_.attach(self_, [this](sim::NodeAddr from, const std::string& data) {
+  network_.attach(self_, [this](sim::NodeAddr from, std::string_view data) {
     handle(from, data);
   });
 }
@@ -117,7 +117,7 @@ void DataStoreClient::try_next_replica(std::uint64_t ticket) {
       p.per_replica_timeout, [this, ticket] { try_next_replica(ticket); });
 }
 
-void DataStoreClient::handle(sim::NodeAddr from, const std::string& data) {
+void DataStoreClient::handle(sim::NodeAddr from, std::string_view data) {
   (void)from;
   const std::optional<StorageFrame> frame = StorageFrame::parse(data);
   if (!frame.has_value()) return;

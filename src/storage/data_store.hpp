@@ -107,7 +107,7 @@ class DataStoreClient {
     RetrieveCallback callback;
   };
 
-  void handle(sim::NodeAddr from, const std::string& data);
+  void handle(sim::NodeAddr from, std::string_view data);
   void finish_store(std::uint64_t ticket, bool ok);
   void try_next_replica(std::uint64_t ticket);
 

@@ -28,7 +28,7 @@ class NodeHost {
         peer_(network, addr, {}, machine, behaviour, events,
               /*attach_to_network=*/false) {
     network_.attach(addr_,
-                    [this](sim::NodeAddr from, const std::string& data) {
+                    [this](sim::NodeAddr from, std::string_view data) {
                       dispatch(from, data);
                     });
   }
@@ -43,7 +43,7 @@ class NodeHost {
   void crash() { network_.detach(addr_); }
 
  private:
-  void dispatch(sim::NodeAddr from, const std::string& data) {
+  void dispatch(sim::NodeAddr from, std::string_view data) {
     if (!data.empty() && data[0] == kStorageMagic) {
       handle_storage(from, data);
     } else {
@@ -51,7 +51,7 @@ class NodeHost {
     }
   }
 
-  void handle_storage(sim::NodeAddr from, const std::string& data) {
+  void handle_storage(sim::NodeAddr from, std::string_view data) {
     const std::optional<StorageFrame> frame = StorageFrame::parse(data);
     if (!frame.has_value()) return;
     switch (frame->op) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/sha1.hpp"
@@ -48,7 +49,7 @@ struct StorageFrame {
   }
 
   [[nodiscard]] static std::optional<StorageFrame> parse(
-      const std::string& data) {
+      std::string_view data) {
     constexpr std::size_t kHeader = 2 + 8 + 20 + 1;
     if (data.size() < kHeader || data[0] != kStorageMagic) {
       return std::nullopt;

@@ -73,7 +73,7 @@ VersionHistoryService::VersionHistoryService(sim::Network& network,
       policy_(policy),
       rng_(rng),
       next_endpoint_addr_(self + 1) {
-  network_.attach(self_, [this](sim::NodeAddr from, const std::string& data) {
+  network_.attach(self_, [this](sim::NodeAddr from, std::string_view data) {
     handle(from, data);
   });
 }
@@ -156,7 +156,7 @@ void VersionHistoryService::read(const Guid& guid, ReadCallback callback,
 }
 
 void VersionHistoryService::handle(sim::NodeAddr from,
-                                   const std::string& data) {
+                                   std::string_view data) {
   (void)from;
   const std::optional<StorageFrame> frame = StorageFrame::parse(data);
   if (!frame.has_value() ||

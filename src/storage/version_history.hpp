@@ -109,7 +109,7 @@ class VersionHistoryService {
   commit::CommitEndpoint& endpoint_for(const Guid& guid);
   void submit_serialized(const Guid& guid, const Pid& pid,
                          AppendCallback callback);
-  void handle(sim::NodeAddr from, const std::string& data);
+  void handle(sim::NodeAddr from, std::string_view data);
   void finish_read(std::uint64_t ticket);
 
   sim::Network& network_;

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include <sstream>
 
@@ -46,7 +47,7 @@ void mix(std::uint64_t& hash, std::uint64_t value) {
   }
 }
 
-void mix(std::uint64_t& hash, const std::string& bytes) {
+void mix(std::uint64_t& hash, std::string_view bytes) {
   mix(hash, bytes.size());
   for (const char c : bytes) {
     hash ^= static_cast<std::uint8_t>(c);

@@ -1207,15 +1207,16 @@ std::uint64_t counter_total(const obs::MetricsRegistry& registry,
   return total;
 }
 
-TEST(AllocationBudget, WarmNetworkAllocatesOnlyTheFramePerMessage) {
-  // From serialize to the handler a message costs one allocation: the
-  // 33-byte frame itself (past the small-string buffer). The send, the
-  // link lookup, the scheduled delivery record, the queue and the handler
-  // call all reuse storage that warm-up sized. The second input attaches
-  // a 256-slot flight recorder, whose typed events fill rings that
-  // warm-up already wrapped, and the third a metrics registry, whose
-  // per-link latency series warm-up resolved into the link table; both
-  // must stay within the same budget.
+TEST(AllocationBudget, WarmNetworkAllocatesNothingPerMessage) {
+  // From serialize to the handler a message allocates nothing: the 33-byte
+  // frame sits in the payload's in-place buffer, and the send, the link
+  // lookup, the scheduled delivery record, the queue and the handler call
+  // all reuse storage that warm-up sized. The handlers read a
+  // const std::string&, so this also covers the adapter that refills one
+  // string per handler. The second input attaches a 256-slot flight
+  // recorder, whose typed events fill rings that warm-up already wrapped,
+  // and the third a metrics registry, whose per-link latency series
+  // warm-up resolved into the link table; both must stay at zero too.
   struct Input {
     std::size_t flight_capacity;
     bool metrics;
@@ -1261,7 +1262,7 @@ TEST(AllocationBudget, WarmNetworkAllocatesOnlyTheFramePerMessage) {
     const std::uint64_t allocations = g_allocations.load() - before;
     const std::uint64_t messages = sent - warm_sent;
     EXPECT_EQ(messages, 200u * kNodes * (kNodes - 1));
-    EXPECT_LE(allocations, messages);
+    EXPECT_EQ(allocations, 0u);
     EXPECT_EQ(net.stats().delivered, sent);
     EXPECT_EQ(bytes, sent * 33);
     EXPECT_EQ(flight.total_recorded(),
@@ -1270,6 +1271,87 @@ TEST(AllocationBudget, WarmNetworkAllocatesOnlyTheFramePerMessage) {
               input.metrics ? sent : 0);
     EXPECT_EQ(histogram_total(metrics, "net.class_latency_us"),
               input.metrics ? sent : 0);
+  }
+}
+
+// The commit peer's half of the per-message path. In a warm peer set,
+// every vote or commit delivery that opens no instance allocates nothing:
+// the GUID context and the instance are found in place, the SenderSets
+// hold every sender inline up to r = 13, and each broadcast frame is held
+// inline by the network. The one delivery per peer and update that
+// finishes the instance appends to the GUID's history and settled table;
+// both double, so across the window they allocate at most a few times per
+// (peer, GUID), never per message.
+TEST(AllocationBudget, WarmPeerDeliveriesAllocateNothing) {
+  commit::MachineCache cache;
+  for (const std::uint32_t r : {4u, 13u}) {
+    SCOPED_TRACE("r=" + std::to_string(r));
+    sim::Scheduler sched;
+    sim::Network net(sched, sim::Rng(r));
+    std::vector<sim::NodeAddr> addrs;
+    for (sim::NodeAddr a = 0; a < r; ++a) addrs.push_back(a);
+    const fsm::StateMachine& machine = cache.machine_for(r);
+    std::vector<std::unique_ptr<commit::CommitPeer>> peers;
+    for (const sim::NodeAddr a : addrs) {
+      peers.push_back(std::make_unique<commit::CommitPeer>(
+          net, a, addrs, machine, commit::Behaviour::kHonest, nullptr,
+          /*attach_to_network=*/false));
+    }
+    constexpr sim::NodeAddr kClient = 100;
+    std::uint64_t acks = 0;
+    net.attach(kClient, [&acks](sim::NodeAddr, std::string_view) { ++acks; });
+    bool measuring = false;
+    std::uint64_t quiet = 0;           // Deliveries that open or finish none.
+    std::uint64_t quiet_allocations = 0;
+    std::uint64_t finishing = 0;
+    std::uint64_t finishing_allocations = 0;
+    for (const sim::NodeAddr a : addrs) {
+      net.attach(a, [&, a](sim::NodeAddr from, std::string_view frame) {
+        commit::CommitPeer& peer = *peers[a];
+        const auto msg = commit::WireMessage::parse(frame);
+        const std::size_t resident = peer.resident_instances(msg->guid);
+        const std::uint64_t committed = peer.stats().committed;
+        const std::uint64_t before = g_allocations.load();
+        peer.handle_frame(from, frame);
+        const std::uint64_t allocations = g_allocations.load() - before;
+        if (!measuring || msg->kind == commit::WireMessage::Kind::kUpdate ||
+            peer.resident_instances(msg->guid) > resident) {
+          return;  // Requests and instance openings are outside the budget.
+        }
+        if (peer.stats().committed > committed) {
+          ++finishing;
+          finishing_allocations += allocations;
+        } else {
+          ++quiet;
+          quiet_allocations += allocations;
+        }
+      });
+    }
+    constexpr std::uint64_t kGuids = 8;
+    std::uint64_t update_id = 0;
+    const auto round = [&] {
+      for (std::uint64_t guid = 1; guid <= kGuids; ++guid) {
+        ++update_id;
+        const commit::WireMessage update{commit::WireMessage::Kind::kUpdate,
+                                         guid, update_id, update_id,
+                                         update_id * 7};
+        for (const sim::NodeAddr a : addrs) {
+          net.send(kClient, a, update.serialize());
+        }
+      }
+      sched.run();
+    };
+    for (int i = 0; i < 20; ++i) round();
+    measuring = true;
+    constexpr int kRounds = 40;
+    for (int i = 0; i < kRounds; ++i) round();
+    EXPECT_EQ(acks, update_id * r);  // Every update committed everywhere.
+    EXPECT_EQ(finishing, kRounds * kGuids * r);
+    EXPECT_GT(quiet, 2 * (r - 2) * finishing);  // Votes and commits alike.
+    EXPECT_EQ(quiet_allocations, 0u);
+    // Histories grow from 20 to 60 entries in the window: at most two
+    // doublings each for the history and the settled table.
+    EXPECT_LE(finishing_allocations, 4 * kGuids * r);
   }
 }
 

@@ -8,6 +8,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/event.hpp"
@@ -15,6 +17,7 @@
 #include "sim/sequence.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
+#include "storage/storage_messages.hpp"
 
 namespace asa_repro::sim {
 namespace {
@@ -288,6 +291,166 @@ TEST_F(NetworkTest, ReorderingIsPossible) {
   sched_.run();
   EXPECT_EQ(arrivals.size(), 100u);
   EXPECT_FALSE(std::is_sorted(arrivals.begin(), arrivals.end()));
+}
+
+// A link's state lives in an open-addressing table that moves every entry
+// when it grows. Profiled, partitioned and healed links must come through
+// thousands of new links exactly as they would without them: per-link RNG
+// substreams make the drop pattern and every delay comparable bit for bit.
+TEST_F(NetworkTest, LinkStateSurvivesTableGrowth) {
+  struct Observed {
+    std::vector<std::pair<int, Time>> arrivals;  // (sequence, delay).
+    std::vector<bool> bad_state;                 // Link 1->2 per phase.
+    std::vector<std::string> classes;
+    NetworkStats stats;
+  };
+  const auto observe = [](bool crowd) {
+    Scheduler sched;
+    Network net(sched, Rng(77), LatencyModel{100, 5'000});
+    LinkProfile bursty = *link_profile("wan");
+    bursty.name = "bursty";
+    bursty.loss_bad = 0.9;
+    bursty.p_good_to_bad = 0.05;
+    net.set_link_profile(1, 2, *link_profile("wan"));
+    net.set_link_profile(2, 1, bursty);
+    net.set_link_profile(3, 4, *link_profile("sat"));
+    net.partition(5, 6);
+    net.partition(6, 5);
+    Observed seen;
+    Time phase_start = 0;
+    for (const NodeAddr addr : {1u, 2u, 4u, 5u, 6u}) {
+      net.attach(addr, [&seen, &sched, &phase_start, addr](
+                           NodeAddr from, std::string_view payload) {
+        seen.arrivals.emplace_back(
+            static_cast<int>(from * 100'000 + addr * 10'000) +
+                std::stoi(std::string(payload)),
+            sched.now() - phase_start);
+      });
+    }
+    const auto phase = [&](int base) {
+      phase_start = sched.now();
+      for (int i = 0; i < 400; ++i) {
+        const std::string seq = std::to_string(base + i);
+        net.send(1, 2, seq);
+        net.send(2, 1, seq);
+        net.send(3, 4, seq);
+        net.send(5, 6, seq);
+      }
+      sched.run();
+      seen.bad_state.push_back(net.link_in_bad_state(1, 2));
+      seen.bad_state.push_back(net.link_in_bad_state(2, 1));
+      for (const auto& [from, to] : {std::pair{1u, 2u}, {2u, 1u}, {3u, 4u},
+                                     {5u, 6u}, {4u, 3u}}) {
+        seen.classes.push_back(net.link_class(from, to));
+      }
+    };
+    phase(0);
+    if (crowd) {
+      // Thousands of fresh links, to dead nodes, force several doublings.
+      for (NodeAddr from = 1'000; from < 4'000; ++from) {
+        net.send(from, from + 10'000, "noise");
+      }
+      sched.run();
+    }
+    net.heal(5, 6);
+    phase(1'000);
+    net.clear_link_profile(3, 4);
+    phase(2'000);
+    seen.stats = net.stats();
+    if (crowd) {
+      seen.stats.sent -= 3'000;
+      seen.stats.to_dead_node -= 3'000;
+    }
+    return seen;
+  };
+  const Observed plain = observe(false);
+  const Observed crowded = observe(true);
+  EXPECT_EQ(plain.arrivals, crowded.arrivals);
+  EXPECT_EQ(plain.bad_state, crowded.bad_state);
+  EXPECT_EQ(plain.classes, crowded.classes);
+  EXPECT_EQ(plain.stats, crowded.stats);
+  // The scenario exercised what it claims: burst losses, a partition that
+  // held through growth and healed after it, and the installed classes.
+  EXPECT_GT(plain.stats.burst_dropped, 0u);
+  EXPECT_EQ(plain.stats.partitioned, 400u);
+  EXPECT_EQ(plain.classes[0], "wan");
+  EXPECT_EQ(plain.classes[1], "bursty");
+  EXPECT_EQ(plain.classes[2], "sat");
+  EXPECT_EQ(plain.classes[12], "default");  // 3->4 after clear.
+}
+
+// A payload is held in place up to Payload::kInline bytes and spills past
+// that. Frames on both sides of the boundary, and a multi-KB history
+// reply, must arrive byte-exact through scheduled delivery, duplicate
+// copies and manual mode, to handlers that read a std::string_view and to
+// handlers that read a const std::string&.
+TEST_F(NetworkTest, PayloadsRoundTripAcrossTheInlineBoundary) {
+  const auto bytes = [](std::size_t n, int salt) {
+    std::string out(n, '\0');
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<char>((i * 37 + static_cast<std::size_t>(salt)) &
+                                 0xFF);
+    }
+    return out;
+  };
+  storage::StorageFrame reply;
+  reply.op = storage::StorageFrame::Op::kHistoryReply;
+  reply.ticket = 9;
+  reply.status = 1;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
+  for (std::uint64_t i = 0; i < 300; ++i) entries.emplace_back(i, i * i);
+  reply.payload = storage::encode_history(entries);
+  std::vector<std::string> frames;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{33}, Payload::kInline,
+        Payload::kInline + 1}) {
+    frames.push_back(bytes(n, static_cast<int>(n)));
+  }
+  frames.push_back(reply.serialize());
+  ASSERT_GT(frames.back().size(), 4'000u);
+
+  for (const bool manual : {false, true}) {
+    for (const bool duplicate : {false, true}) {
+      SCOPED_TRACE(std::string(manual ? "manual" : "scheduled") +
+                   (duplicate ? ", duplicated" : ""));
+      Scheduler sched;
+      Network net(sched, Rng(8));
+      net.set_manual_mode(manual);
+      net.set_duplicate_probability(duplicate ? 1.0 : 0.0);
+      std::vector<std::string> by_view;
+      std::vector<std::string> by_string;
+      net.attach(2, [&](NodeAddr, std::string_view payload) {
+        by_view.emplace_back(payload);
+      });
+      net.attach(3, [&](NodeAddr, const std::string& payload) {
+        by_string.push_back(payload);
+      });
+      for (const std::string& frame : frames) {
+        net.send(1, 2, frame);                 // A std::string lvalue.
+        net.send(1, 3, std::string(frame));    // Moved in.
+      }
+      const std::size_t copies = duplicate ? 2 : 1;
+      if (manual) {
+        ASSERT_EQ(net.pending_count(), 2 * copies * frames.size());
+        for (std::size_t i = 0; i < net.pending_count(); ++i) {
+          EXPECT_EQ(net.pending_payload(i),
+                    frames[i / (2 * copies)]) << "pending " << i;
+        }
+        while (net.pending_count() > 0) net.deliver_pending(0);
+      } else {
+        sched.run();
+      }
+      std::multiset<std::string> expected;
+      for (const std::string& frame : frames) {
+        for (std::size_t c = 0; c < copies; ++c) expected.insert(frame);
+      }
+      EXPECT_EQ(std::multiset<std::string>(by_view.begin(), by_view.end()),
+                expected);
+      EXPECT_EQ(
+          std::multiset<std::string>(by_string.begin(), by_string.end()),
+          expected);
+    }
+  }
 }
 
 // ---- Trace view and sequence diagrams. ----
