@@ -35,8 +35,7 @@ std::uint64_t CommitEndpoint::submit(std::uint64_t guid,
   p.callback = std::move(callback);
   if (spans_ != nullptr) {
     p.root_span =
-        spans_->open("commit", 0, self_, std::to_string(guid), request_id,
-                     0, p.submitted_at);
+        spans_->open("commit", 0, self_, guid, request_id, 0, p.submitted_at);
   }
   pending_.emplace(request_id, std::move(p));
   ++stats_.submitted;
@@ -55,11 +54,11 @@ void CommitEndpoint::start_attempt(std::uint64_t request_id) {
   if (spans_ != nullptr) {
     const sim::Time now = network_.scheduler().now();
     if (spans_->is_open(p.attempt_span)) {
-      spans_->close(p.attempt_span, now, false, "retry");
+      spans_->close(p.attempt_span, now, false, obs::SpanDetail::kRetry);
     }
     p.attempt_span =
-        spans_->open("attempt", p.root_span, self_, std::to_string(p.guid),
-                     request_id, p.current_update_id, now);
+        spans_->open("attempt", p.root_span, self_, p.guid, request_id,
+                     p.current_update_id, now);
   }
 
   if (peer_resolver_) peers_ = peer_resolver_();
@@ -123,9 +122,9 @@ void CommitEndpoint::on_timeout(std::uint64_t request_id) {
     ++stats_.failures;
     if (spans_ != nullptr) {
       const sim::Time now = network_.scheduler().now();
-      spans_->close(p.attempt_span, now, false, "timeout");
-      spans_->close(p.root_span, now, false,
-                    "failed attempts=" + std::to_string(p.attempt));
+      spans_->close(p.attempt_span, now, false, obs::SpanDetail::kTimeout);
+      spans_->close(p.root_span, now, false, obs::SpanDetail::kFailed,
+                    p.attempt);
     }
     CommitResult result;
     result.committed = false;
@@ -165,9 +164,8 @@ void CommitEndpoint::handle(sim::NodeAddr from, std::string_view data) {
     // `decisive` names the replica whose confirmation completed the
     // quorum — the peer whose vote-collect/quorum spans bound the commit's
     // critical path.
-    spans_->close(p.root_span, now, true,
-                  "decisive=" + std::to_string(from) +
-                      " attempts=" + std::to_string(p.attempt));
+    spans_->close(p.root_span, now, true, obs::SpanDetail::kDecisive, from,
+                  p.attempt);
   }
   CommitResult result;
   result.committed = true;

@@ -216,8 +216,8 @@ CommitPeer::Instance& CommitPeer::open_instance(GuidContext& ctx,
   }
   if (spans_ != nullptr) {
     inst.vote_span =
-        spans_->open("vote-collect", 0, self_, std::to_string(ctx.guid),
-                     inst.request_id, msg.update_id, inst.created);
+        spans_->open("vote-collect", 0, self_, ctx.guid, inst.request_id,
+                     msg.update_id, inst.created);
   }
   arm_abort_scan();  // Watch the new instance for stalls, if enabled.
   return inst;
@@ -376,8 +376,8 @@ void CommitPeer::execute_actions(GuidContext& ctx, Instance& inst,
         }
         if (inst.quorum_span == 0) {
           inst.quorum_span =
-              spans_->open("quorum", 0, self_, std::to_string(ctx.guid),
-                           inst.request_id, update_id, now);
+              spans_->open("quorum", 0, self_, ctx.guid, inst.request_id,
+                           update_id, now);
         }
       }
       broadcast({WireMessage::Kind::kCommit, ctx.guid, update_id,
@@ -446,9 +446,9 @@ void CommitPeer::check_finished(GuidContext& ctx, Instance& inst) {
          ok ? obs::Word::kOk : obs::Word::kFailed);
     if (!ok) {
       if (spans_ != nullptr) {
-        spans_->point("journal-append", inst.quorum_span, self_,
-                      std::to_string(guid), inst.request_id, update_id,
-                      network_.scheduler().now(), false, "vetoed");
+        spans_->point("journal-append", inst.quorum_span, self_, guid,
+                      inst.request_id, update_id, network_.scheduler().now(),
+                      false, obs::SpanDetail::kVetoed);
       }
       note(obs::EventKind::kVeto, {guid, update_id, inst.request_id});
       if (ctx.chosen_update == update_id) {
@@ -478,9 +478,8 @@ void CommitPeer::check_finished(GuidContext& ctx, Instance& inst) {
       spans_->close(inst.vote_span, now, true);
     }
     if (journal_ != nullptr) {
-      spans_->point("journal-append", inst.quorum_span, self_,
-                    std::to_string(guid), inst.request_id, update_id, now,
-                    true);
+      spans_->point("journal-append", inst.quorum_span, self_, guid,
+                    inst.request_id, update_id, now, true);
     }
     if (spans_->is_open(inst.quorum_span)) {
       spans_->close(inst.quorum_span, now, true);
@@ -508,9 +507,8 @@ void CommitPeer::acknowledge(std::uint64_t guid, const CommittedEntry& entry,
                              sim::NodeAddr client) {
   if (ack_sink_) ack_sink_(guid, entry);
   if (spans_ != nullptr) {
-    spans_->point("ack-sent", quorum_span, self_, std::to_string(guid),
-                  entry.request_id, entry.update_id,
-                  network_.scheduler().now(), true);
+    spans_->point("ack-sent", quorum_span, self_, guid, entry.request_id,
+                  entry.update_id, network_.scheduler().now(), true);
   }
   network_.send(self_, client,
                 WireMessage{WireMessage::Kind::kCommitted, guid,
@@ -576,8 +574,9 @@ void CommitPeer::abort_scan(sim::Time max_age) {
             .inc();
       }
       if (spans_ != nullptr) {
-        spans_->close(inst->vote_span, now, false, "abort");
-        spans_->close(inst->quorum_span, now, false, "abort");
+        spans_->close(inst->vote_span, now, false, obs::SpanDetail::kAbort);
+        spans_->close(inst->quorum_span, now, false,
+                      obs::SpanDetail::kAbort);
       }
       const bool held_lock = ctx->chosen_update == uid;
       release(*ctx, *inst);

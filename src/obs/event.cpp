@@ -1,8 +1,11 @@
 #include "obs/event.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iterator>
 #include <ostream>
+#include <tuple>
+#include <utility>
 
 namespace asa_repro::obs {
 
@@ -63,6 +66,22 @@ static_assert(std::size(kKinds) ==
 static_assert(std::size(kWords) ==
               static_cast<std::size_t>(Word::kFailed) + 1);
 
+/// The longest detail template, in characters.
+constexpr std::size_t longest_format() {
+  std::size_t longest = 0;
+  for (const KindRow& r : kKinds) {
+    for (const KindView& v : {r.trace, r.flight}) {
+      std::size_t n = 0;
+      while (v.format[n] != '\0') ++n;
+      longest = std::max(longest, n);
+    }
+  }
+  return longest;
+}
+
+// Each of up to six fields and the word expands to at most 20 characters.
+static_assert(longest_format() + 7 * 20 <= std::tuple_size_v<EventDetailText>);
+
 const KindRow& row(EventKind kind) {
   return kKinds[static_cast<std::size_t>(kind)];
 }
@@ -81,32 +100,56 @@ const char* word_name(Word word) {
   return kWords[static_cast<std::size_t>(word)];
 }
 
-std::string detail(View view, const Event& event) {
-  std::string out;
+std::string_view detail(View view, const Event& event,
+                        EventDetailText& buf) {
+  char* out = buf.data();
+  char* const end = buf.data() + buf.size();
   for (const char* p = view_of(view, event.kind).format; *p != '\0'; ++p) {
     if (*p != '{') {
-      out += *p;
+      *out++ = *p;
       continue;
     }
     const char slot = p[1];
     p += 2;  // The loop's increment steps over the closing brace.
-    out += slot == 'w'
-               ? word_name(event.word)
-               : std::to_string(event.fields[static_cast<std::size_t>(
-                     slot - '0')]);
+    if (slot == 'w') {
+      for (const char* w = word_name(event.word); *w != '\0'; ++w) {
+        *out++ = *w;
+      }
+    } else {
+      out = std::to_chars(
+                out, end,
+                event.fields[static_cast<std::size_t>(slot - '0')])
+                .ptr;
+    }
   }
-  return out;
+  return {buf.data(), static_cast<std::size_t>(out - buf.data())};
 }
+
+std::string detail(View view, const Event& event) {
+  EventDetailText buf;
+  return std::string(detail(view, event, buf));
+}
+
+namespace {
+
+/// One asa-trace/1 event line's object, without the line break.
+void write_trace_object(JsonWriter& out, std::uint64_t t, std::uint32_t node,
+                        std::string_view category, std::string_view text) {
+  out.begin_object()
+      .member("t", t)
+      .member("node", std::uint64_t{node})
+      .member("cat", category)
+      .member("detail", text)
+      .end_object();
+}
+
+}  // namespace
 
 void write_trace_line(std::ostream& os, const TraceEvent& event) {
   std::string line;
-  JsonWriter(line)
-      .begin_object()
-      .member("t", event.time)
-      .member("node", std::uint64_t{event.node})
-      .member("cat", event.category)
-      .member("detail", event.detail)
-      .end_object();
+  JsonWriter out(line);
+  write_trace_object(out, event.time, event.node, event.category,
+                     event.detail);
   line += '\n';
   os << line;
 }
@@ -138,17 +181,47 @@ void EventRecorder::keep_in_flight(const Event& event) {
 }
 
 void EventRecorder::write_trace_jsonl(std::ostream& os) const {
+  // Lines accumulate in one buffer, written to the stream in blocks.
+  constexpr std::size_t kBlock = std::size_t{1} << 16;
+  std::string block;
+  block.reserve(kBlock + 1024);
+  JsonWriter out(block);  // Each line is one root value.
+  EventDetailText text;
   for (const Event& e : stream_) {
-    write_trace_line(os, {e.t, e.node, category(View::kTrace, e.kind),
-                          detail(View::kTrace, e)});
+    write_trace_object(out, e.t, e.node, category(View::kTrace, e.kind),
+                       detail(View::kTrace, e, text));
+    block += '\n';
+    if (block.size() >= kBlock) {
+      os.write(block.data(), static_cast<std::streamsize>(block.size()));
+      block.clear();
+    }
   }
+  os.write(block.data(), static_cast<std::streamsize>(block.size()));
+}
+
+std::vector<std::pair<std::uint32_t, const EventRecorder::Ring*>>
+EventRecorder::sorted_lanes() const {
+  std::vector<std::pair<std::uint32_t, const Ring*>> out;
+  out.reserve(lanes_.size());
+  for (const auto& [id, ring] : lanes_) out.emplace_back(id, &ring);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+template <typename F>
+void EventRecorder::oldest_first(const Ring& ring, F&& f) {
+  // Before the first wrap `next` is 0 and the slots are already oldest
+  // first; afterwards `next` points at the oldest surviving event.
+  for (std::size_t i = ring.next; i < ring.slots.size(); ++i) {
+    f(ring.slots[i]);
+  }
+  for (std::size_t i = 0; i < ring.next; ++i) f(ring.slots[i]);
 }
 
 std::vector<std::uint32_t> EventRecorder::lanes() const {
   std::vector<std::uint32_t> out;
   out.reserve(lanes_.size());
-  for (const auto& [id, ring] : lanes_) out.push_back(id);
-  std::sort(out.begin(), out.end());
+  for (const auto& [id, ring] : sorted_lanes()) out.push_back(id);
   return out;
 }
 
@@ -156,30 +229,31 @@ std::vector<EventRecorder::FlightEntry> EventRecorder::lane(
     std::uint32_t id) const {
   const auto it = lanes_.find(id);
   if (it == lanes_.end()) return {};
-  const Ring& ring = it->second;
-  // Before the first wrap `next` is 0 and the slots are already oldest
-  // first; afterwards `next` points at the oldest surviving event.
   std::vector<FlightEntry> out;
-  out.reserve(ring.slots.size());
-  const std::size_t n = ring.slots.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring.slots[(ring.next + i) % n]);
-  }
+  out.reserve(it->second.slots.size());
+  oldest_first(it->second,
+               [&out](const FlightEntry& entry) { out.push_back(entry); });
   return out;
 }
 
 JsonValue EventRecorder::to_json() const {
+  const auto lanes = sorted_lanes();
   JsonValue root = JsonValue::object();
-  for (const std::uint32_t id : lanes()) {
+  root.reserve(lanes.size());
+  EventDetailText text;
+  for (const auto& [id, ring] : lanes) {
     JsonValue events = JsonValue::array();
-    for (const FlightEntry& entry : lane(id)) {
+    events.reserve(ring->slots.size());
+    oldest_first(*ring, [&events, &text](const FlightEntry& entry) {
       JsonValue item = JsonValue::object();
-      item.set("t", JsonValue(entry.event.t));
-      item.set("seq", JsonValue(entry.seq));
-      item.set("cat", JsonValue(category(View::kFlight, entry.event.kind)));
-      item.set("detail", JsonValue(detail(View::kFlight, entry.event)));
+      item.reserve(4);
+      item.set("t", entry.event.t);
+      item.set("seq", entry.seq);
+      item.set("cat", category(View::kFlight, entry.event.kind));
+      item.set("detail",
+               std::string(detail(View::kFlight, entry.event, text)));
       events.push_back(std::move(item));
-    }
+    });
     root.set(id == kClusterLane ? "cluster" : std::to_string(id),
              std::move(events));
   }
@@ -191,10 +265,10 @@ void EventRecorder::merge(const EventRecorder& other) {
     stream_.insert(stream_.end(), other.stream_.begin(), other.stream_.end());
   }
   if (capacity_ == 0) return;
-  for (const std::uint32_t id : other.lanes()) {
-    for (const FlightEntry& entry : other.lane(id)) {
+  for (const auto& [id, ring] : other.sorted_lanes()) {
+    oldest_first(*ring, [this](const FlightEntry& entry) {
       keep_in_flight(entry.event);
-    }
+    });
   }
 }
 

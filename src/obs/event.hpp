@@ -15,6 +15,11 @@
 // Events carry sim time only, so identical runs export identical bytes.
 // Components hold an `EventRecorder*` that is nullptr when both views are
 // off: a disabled recorder costs one pointer test per event.
+//
+// Text is made only at export, once per event: a detail is formatted into
+// a stack buffer (EventDetailText) with to_chars, the trace's lines go
+// through one JsonWriter into a block written to the stream block by
+// block, and the flight view's tree is built from the rings in place.
 #pragma once
 
 #include <array>
@@ -22,7 +27,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -65,7 +72,14 @@ enum class View : std::uint8_t { kTrace, kFlight };
 
 /// `kind`'s category in `view`; nullptr when the view omits the kind.
 [[nodiscard]] const char* category(View view, EventKind kind);
-/// The "key=value ..." detail text of `event` in `view`.
+/// Room for the longest detail text: a template of under 100 characters
+/// with at most six 20-digit fields.
+using EventDetailText = std::array<char, 256>;
+/// The "key=value ..." detail text of `event` in `view`, formatted into
+/// `buf` (exports format each detail once, in place); the string form is
+/// for one-off callers.
+[[nodiscard]] std::string_view detail(View view, const Event& event,
+                                      EventDetailText& buf);
 [[nodiscard]] std::string detail(View view, const Event& event);
 [[nodiscard]] const char* word_name(Word word);
 
@@ -100,11 +114,12 @@ class EventRecorder {
 
   /// The trace view, and its asa-trace/1 JSONL lines.
   [[nodiscard]] const std::vector<Event>& stream() const { return stream_; }
+  /// Written to `os` in 64 KB blocks.
   void write_trace_jsonl(std::ostream& os) const;
 
   /// Flight lanes with events, ascending (kClusterLane last).
   [[nodiscard]] std::vector<std::uint32_t> lanes() const;
-  /// A flight lane, oldest first. Empty for unknown lanes.
+  /// A copy of a flight lane, oldest first. Empty for unknown lanes.
   [[nodiscard]] std::vector<FlightEntry> lane(std::uint32_t id) const;
   /// Flight events ever recorded, including evicted ones.
   [[nodiscard]] std::uint64_t total_recorded() const { return recorded_; }
@@ -123,6 +138,12 @@ class EventRecorder {
   };
 
   void keep_in_flight(const Event& event);
+  /// Every lane's ring, by ascending lane id (kClusterLane last).
+  [[nodiscard]] std::vector<std::pair<std::uint32_t, const Ring*>>
+  sorted_lanes() const;
+  /// Call `f` on each of `ring`'s entries, oldest first, in place.
+  template <typename F>
+  static void oldest_first(const Ring& ring, F&& f);
 
   bool tracing_;
   std::size_t capacity_;
@@ -130,8 +151,8 @@ class EventRecorder {
   std::uint64_t seq_ = 0;
   std::uint64_t recorded_ = 0;
   // Hashed: a record does one lookup however many lanes there are (one per
-  // node, and client endpoints sit at wide address strides). lanes()
-  // sorts the keys for every ordered read.
+  // node, and client endpoints sit at wide address strides).
+  // sorted_lanes() sorts the keys for every ordered read.
   std::unordered_map<std::uint32_t, Ring> lanes_;
 };
 

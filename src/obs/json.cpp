@@ -1,61 +1,149 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
+#include <cstring>
 
 namespace asa_repro::obs {
 
 namespace {
 
-/// Append `raw` to `out` in JSON-escaped form. The one escaping rule.
-void append_escaped(std::string& out, std::string_view raw) {
+/// Whether `c` is copied as is into a JSON string (the one escaping rule:
+/// quotes, backslash and control characters are escaped). A table, so the
+/// copy loop tests each byte with one load.
+constexpr auto kPlain = [] {
+  std::array<bool, 256> plain{};
+  for (int c = 0x20; c < 256; ++c) plain[c] = c != '"' && c != '\\';
+  return plain;
+}();
+
+bool plain(unsigned char c) { return kPlain[c]; }
+
+/// The escape sequence of a character that is not plain(), into `code`;
+/// returns its length.
+std::size_t escape(unsigned char c, char (&code)[6]) {
   static constexpr char kHex[] = "0123456789abcdef";
-  std::size_t run = 0;  // Start of the pending unescaped run.
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const auto c = static_cast<unsigned char>(raw[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out.append(raw, run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default: {
-        const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
-        out.append(code, sizeof code);
-      }
-    }
+  code[0] = '\\';
+  switch (c) {
+    case '"': code[1] = '"'; return 2;
+    case '\\': code[1] = '\\'; return 2;
+    case '\n': code[1] = 'n'; return 2;
+    case '\r': code[1] = 'r'; return 2;
+    case '\t': code[1] = 't'; return 2;
+    case '\b': code[1] = 'b'; return 2;
+    case '\f': code[1] = 'f'; return 2;
+    default:
+      code[1] = 'u';
+      code[2] = '0';
+      code[3] = '0';
+      code[4] = kHex[c >> 4];
+      code[5] = kHex[c & 0xF];
+      return 6;
   }
-  out.append(raw, run);
 }
 
 }  // namespace
 
-void JsonWriter::newline(int depth) {
-  out_ += '\n';
-  out_.append(
-      static_cast<std::size_t>(indent_) * static_cast<std::size_t>(depth),
-      ' ');
+void JsonWriter::put(const char* p, std::size_t n) {
+  if (static_cast<std::size_t>(chunk_ + kChunk - cur_) < n) {
+    flush();
+    if (n > kChunk) {  // Larger than any chunk: straight through.
+      out_.append(p, n);
+      return;
+    }
+  }
+  std::memcpy(cur_, p, n);
+  cur_ += n;
 }
 
-void JsonWriter::next_item() {
-  if (after_key_) {
-    after_key_ = false;
+void JsonWriter::fill(char c, std::size_t n) {
+  while (n > 0) {
+    const std::size_t step = std::min(n, kChunk);
+    std::memset(room(step), c, step);
+    cur_ += step;
+    n -= step;
+  }
+}
+
+void JsonWriter::put_quoted(std::string_view s, std::string_view tail) {
+  const std::size_t n = s.size();
+  if (n + 1 + tail.size() <= kChunk) {
+    // Copy while checking, into room for the whole token: a plain string
+    // (every key, almost every value) takes one pass and one room check.
+    char* p = room(n + 1 + tail.size());
+    *p++ = '"';
+    std::size_t i = 0;
+    while (i < n && plain(static_cast<unsigned char>(s[i]))) {
+      p[i] = s[i];
+      ++i;
+    }
+    if (i == n) {
+      p += n;
+      for (const char c : tail) *p++ = c;
+      cur_ = p;
+      return;
+    }
+  }
+  put('"');
+  std::size_t run = 0;  // Start of the pending plain run.
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (plain(c)) continue;
+    put(s.data() + run, i - run);
+    run = i + 1;
+    char code[6];
+    put(code, escape(c, code));
+  }
+  put(s.data() + run, n - run);
+  put(tail.data(), tail.size());
+}
+
+void JsonWriter::separate(bool comma) {
+  // Shallow indents are written as one fixed 16-byte store of spaces (the
+  // room check covers the whole store); deeper ones use memset.
+  static constexpr char kSpaces[] = "                ";
+  constexpr std::size_t kShallow = sizeof kSpaces - 1;
+  const std::size_t pad =
+      indent_ < 0 ? 0
+                  : static_cast<std::size_t>(indent_) *
+                        static_cast<std::size_t>(depth_);
+  if (pad + 2 + kShallow > kChunk) {  // Deeper than a chunk holds.
+    if (comma) put(',');
+    put('\n');
+    fill(' ', pad);
     return;
   }
+  char* p = room(pad + 2 + kShallow);
+  if (comma) *p++ = ',';
+  if (indent_ >= 0) {
+    *p++ = '\n';
+    if (pad <= kShallow) {
+      std::memcpy(p, kSpaces, kShallow);
+    } else {
+      std::memset(p, ' ', pad);
+    }
+    p += pad;
+  }
+  cur_ = p;
+}
+
+void JsonWriter::next_item_slow() {
   if (depth_ == 0) return;  // The document's root value.
-  if (!empty_) out_ += ',';
+  const bool comma = !empty_;
   empty_ = false;
-  if (indent_ >= 0) newline(depth_);
+  separate(comma);
+}
+
+JsonWriter& JsonWriter::ended() {
+  if (depth_ == 0) flush();
+  return *this;
 }
 
 JsonWriter& JsonWriter::open(char bracket) {
   next_item();
-  out_ += bracket;
+  put(bracket);
   ++depth_;
   empty_ = true;
   return *this;
@@ -63,66 +151,65 @@ JsonWriter& JsonWriter::open(char bracket) {
 
 JsonWriter& JsonWriter::close(char bracket) {
   --depth_;
-  if (!empty_ && indent_ >= 0) newline(depth_);
-  out_ += bracket;
+  if (!empty_ && indent_ >= 0) separate(false);
+  put(bracket);
   // The enclosing container now holds this one.
   empty_ = false;
-  return *this;
+  return ended();
 }
 
 JsonWriter& JsonWriter::key(std::string_view k) {
   next_item();
-  out_ += '"';
-  append_escaped(out_, k);
-  out_ += indent_ >= 0 ? "\": " : "\":";
+  put_quoted(k, indent_ >= 0 ? std::string_view("\": ")
+                             : std::string_view("\":"));
   after_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::null() {
   next_item();
-  out_ += "null";
-  return *this;
+  put("null", 4);
+  return ended();
 }
 
 JsonWriter& JsonWriter::value(bool b) {
   next_item();
-  out_ += b ? "true" : "false";
-  return *this;
+  if (b) {
+    put("true", 4);
+  } else {
+    put("false", 5);
+  }
+  return ended();
 }
 
 JsonWriter& JsonWriter::value(std::int64_t i) {
   next_item();
-  char buf[24];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, i);
-  out_.append(buf, end);
-  return *this;
+  constexpr std::size_t kMax = 20;  // "-9223372036854775808".
+  char* p = room(kMax);
+  cur_ = std::to_chars(p, p + kMax, i).ptr;
+  return ended();
 }
 
-JsonWriter& JsonWriter::value(std::uint64_t u) {
-  // Same as JsonValue(std::uint64_t): the schemas' integers are signed.
-  return value(static_cast<std::int64_t>(u));
-}
 
 JsonWriter& JsonWriter::value(double d) {
   next_item();
   // Shortest round-trippable form, locale-independent.
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, d);
+  constexpr std::size_t kMax = 32;
+  char* p = room(kMax);
+  const auto [end, ec] = std::to_chars(p, p + kMax, d);
   if (ec == std::errc()) {
-    out_.append(buf, end);
+    cur_ = end;
   } else {
-    out_ += '0';
+    *p = '0';
+    cur_ = p + 1;
   }
-  return *this;
+  return ended();
 }
 
 JsonWriter& JsonWriter::value(std::string_view s) {
   next_item();
-  out_ += '"';
-  append_escaped(out_, s);
-  out_ += '"';
-  return *this;
+  put_quoted(s, "\"");
+  return ended();
 }
 
 JsonWriter& JsonWriter::value(const JsonValue& v) {
@@ -147,8 +234,31 @@ JsonWriter& JsonWriter::value(const JsonValue& v) {
   return *this;
 }
 
+const std::string& JsonValue::as_string() const {
+  static const std::string kNone;
+  const std::string* s = std::get_if<std::string>(&value_);
+  return s == nullptr ? kNone : *s;
+}
+
+const JsonValue::Items& JsonValue::items() const {
+  static const Items kNone;
+  const Items* items = std::get_if<Items>(&value_);
+  return items == nullptr ? kNone : *items;
+}
+
+const JsonValue::Members& JsonValue::members() const {
+  static const Members kNone;
+  const Members* members = std::get_if<Members>(&value_);
+  return members == nullptr ? kNone : *members;
+}
+
+void JsonValue::reserve(std::size_t n) {
+  if (Items* items = std::get_if<Items>(&value_)) items->reserve(n);
+  if (Members* members = std::get_if<Members>(&value_)) members->reserve(n);
+}
+
 const JsonValue* JsonValue::find(const std::string& key) const {
-  for (const auto& [k, v] : members_) {
+  for (const auto& [k, v] : members()) {
     if (k == key) return &v;
   }
   return nullptr;

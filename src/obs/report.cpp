@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "obs/event.hpp"
-#include "obs/span.hpp"
 
 namespace asa_repro::obs {
 
@@ -427,8 +426,25 @@ std::optional<std::uint64_t> detail_field(const std::string& detail,
 
 namespace {
 
-std::vector<SpanRecord> read_spans(const JsonValue& spans_doc) {
-  std::vector<SpanRecord> out;
+/// One span as read back from an asa-span/1 document: the text fields
+/// stay text (SpanRecord keeps them typed for the recorder).
+struct ParsedSpan {
+  std::uint64_t id = 0;
+  std::uint64_t parent = 0;
+  std::string name;
+  std::uint32_t node = 0;
+  std::string guid;
+  std::uint64_t request_id = 0;
+  std::uint64_t update_id = 0;
+  std::uint64_t start = 0;
+  std::uint64_t end = 0;
+  bool ok = false;
+  bool closed = false;
+  std::string detail;
+};
+
+std::vector<ParsedSpan> read_spans(const JsonValue& spans_doc) {
+  std::vector<ParsedSpan> out;
   for (const JsonValue& s : spans_doc.find("spans")->items()) {
     const auto count = [&s](const char* key) {
       return static_cast<std::uint64_t>(s.find(key)->as_int());
@@ -460,7 +476,7 @@ std::uint64_t sample_quantile(std::vector<std::uint64_t>& v, double q) {
 }  // namespace
 
 std::string render_critical_path(const JsonValue& spans_doc) {
-  const std::vector<SpanRecord> spans = read_spans(spans_doc);
+  const std::vector<ParsedSpan> spans = read_spans(spans_doc);
 
   // One decomposed commit: every duration in microseconds, phases clamped
   // individually; `attributed` capped at `total`.
@@ -480,17 +496,17 @@ std::string render_critical_path(const JsonValue& spans_doc) {
   // one), and per (update id, node) the last closed vote-collect and
   // quorum span plus the number of closed journal-append points.
   struct Attempts {
-    const SpanRecord* first = nullptr;
-    const SpanRecord* decisive = nullptr;
+    const ParsedSpan* first = nullptr;
+    const ParsedSpan* decisive = nullptr;
   };
   struct PeerSpans {
-    const SpanRecord* vote = nullptr;
-    const SpanRecord* quorum = nullptr;
+    const ParsedSpan* vote = nullptr;
+    const ParsedSpan* quorum = nullptr;
     std::size_t journal_appends = 0;
   };
   std::map<std::uint64_t, Attempts> attempts;  // By root id.
   std::map<std::pair<std::uint64_t, std::uint64_t>, PeerSpans> peer_spans;
-  for (const SpanRecord& s : spans) {
+  for (const ParsedSpan& s : spans) {
     if (s.name == "attempt") {
       Attempts& a = attempts[s.parent];
       if (a.first == nullptr) a.first = &s;
@@ -507,7 +523,7 @@ std::string render_critical_path(const JsonValue& spans_doc) {
   std::vector<Decomposed> commits;
   std::size_t open_roots = 0;
   std::size_t journal_appends = 0;
-  for (const SpanRecord& root : spans) {
+  for (const ParsedSpan& root : spans) {
     if (root.name != "commit") continue;
     if (!root.closed || !root.ok) {
       ++open_roots;
@@ -515,8 +531,8 @@ std::string render_critical_path(const JsonValue& spans_doc) {
     }
     const auto found = attempts.find(root.id);
     if (found == attempts.end() || found->second.decisive == nullptr) continue;
-    const SpanRecord* first_attempt = found->second.first;
-    const SpanRecord* decisive = found->second.decisive;
+    const ParsedSpan* first_attempt = found->second.first;
+    const ParsedSpan* decisive = found->second.decisive;
 
     Decomposed d;
     d.guid = root.guid;
@@ -529,8 +545,8 @@ std::string render_critical_path(const JsonValue& spans_doc) {
     // recorded by the endpoint in the root span's detail.
     const std::optional<std::uint64_t> decisive_node =
         detail_field(root.detail, "decisive");
-    const SpanRecord* vote = nullptr;
-    const SpanRecord* quorum = nullptr;
+    const ParsedSpan* vote = nullptr;
+    const ParsedSpan* quorum = nullptr;
     if (decisive_node.has_value()) {
       const auto peer =
           peer_spans.find({decisive->update_id, *decisive_node});

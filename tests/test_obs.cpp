@@ -357,6 +357,204 @@ TEST(JsonSerialiser, WriterCallsRenderLikeTheTree) {
   }
 }
 
+// ---- JsonWriter edge cases, pinned to the bytes of the string-append
+// writer the buffered one replaced (sizes and FNV-1a of the same calls). ----
+
+/// FNV-1a 64 of `bytes`: pins a long document without spelling it out.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+/// Keys and values longer than any internal chunk: 16 KiB with a control
+/// character or quote every 1000 bytes, and 20 000 plain bytes.
+std::string long_token_doc(int indent) {
+  std::string big(16384, 'x');
+  for (std::size_t i = 0; i < big.size(); i += 1000) {
+    big[i] = (i / 1000) % 2 == 0 ? '\x07' : '"';
+  }
+  const std::string plain(20000, 'p');
+  std::string text;
+  obs::JsonWriter out(text, indent);
+  out.begin_object().member(big, big).member("after", std::int64_t{1});
+  out.member(plain, plain).end_object();
+  return text;
+}
+
+/// Arrays and objects nested `depth` deep, each holding a value before
+/// the next level.
+std::string deep_doc(int indent, int depth) {
+  std::string text;
+  obs::JsonWriter out(text, indent);
+  for (int d = 0; d < depth; ++d) {
+    if (d % 2 == 0) {
+      out.begin_array().value(std::int64_t{d});
+    } else {
+      out.begin_object().member("d", std::int64_t{d}).key("next");
+    }
+  }
+  out.null();
+  for (int d = depth - 1; d >= 0; --d) {
+    if (d % 2 == 0) {
+      out.end_array();
+    } else {
+      out.end_object();
+    }
+  }
+  return text;
+}
+
+/// Every byte below 0x80 (each escape class: named escapes, \u00XX
+/// controls, quote, backslash, plain ASCII) and two high bytes, as a key
+/// and as values.
+std::string escape_doc(int indent) {
+  std::string all;
+  for (int c = 0; c < 0x80; ++c) all += static_cast<char>(c);
+  all += "\x80\xff";
+  std::string text;
+  obs::JsonWriter out(text, indent);
+  out.begin_object().member(all, all).key("items").begin_array();
+  out.value(all).value("\"").value("\\").value("").end_array();
+  out.end_object();
+  return text;
+}
+
+std::string empty_doc(int indent) {
+  std::string text;
+  obs::JsonWriter out(text, indent);
+  out.begin_object();
+  out.key("o").begin_object().end_object();
+  out.key("a").begin_array().end_array();
+  out.key("mixed").begin_array();
+  out.begin_object().end_object().begin_array().end_array();
+  out.begin_array().begin_object().end_object().end_array();
+  out.begin_object().key("e").begin_array().end_array().end_object();
+  out.end_array();
+  out.end_object();
+  return text;
+}
+
+/// 3000 rows of every scalar kind, appended after text already in `out`:
+/// about 100 chunks' worth of flushes.
+std::string many_flush_doc(int indent) {
+  std::string text = "prefix:";
+  obs::JsonWriter out(text, indent);
+  out.begin_object().key("rows").begin_array();
+  for (std::int64_t i = 0; i < 3000; ++i) {
+    out.begin_object()
+        .member("i", i)
+        .member("u", static_cast<std::uint64_t>(i) * 2654435761u)
+        .member("d", static_cast<double>(i) / 7.0)
+        .member("s", std::string(static_cast<std::size_t>(i % 61),
+                                 static_cast<char>('a' + i % 26)))
+        .member("b", i % 3 == 0)
+        .key("n")
+        .null()
+        .end_object();
+  }
+  out.end_array().end_object();
+  return text;
+}
+
+TEST(JsonWriterEdges, TokenLongerThanAnyChunk) {
+  struct Pin {
+    int indent;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  for (const Pin pin : {Pin{-1, 72897, 6058957132437307344ull},
+                        Pin{0, 72904, 7855591556817003814ull},
+                        Pin{1, 72907, 188433508869072288ull},
+                        Pin{2, 72910, 11833660312706978462ull}}) {
+    SCOPED_TRACE("indent " + std::to_string(pin.indent));
+    const std::string text = long_token_doc(pin.indent);
+    EXPECT_EQ(text.size(), pin.size);
+    EXPECT_EQ(fnv1a(text), pin.hash);
+  }
+}
+
+TEST(JsonWriterEdges, NestingDeeperThanAnyIndentRun) {
+  // At indent 100 the deepest lines carry 4400 spaces of indent, more
+  // than a chunk holds.
+  struct Pin {
+    int indent;
+    int depth;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  for (const Pin pin : {Pin{-1, 300, 3344, 12532002425113727150ull},
+                        Pin{2, 50, 8269, 3665185420169429204ull},
+                        Pin{100, 45, 306640, 964311022613501424ull}}) {
+    SCOPED_TRACE("indent " + std::to_string(pin.indent));
+    const std::string text = deep_doc(pin.indent, pin.depth);
+    EXPECT_EQ(text.size(), pin.size);
+    EXPECT_EQ(fnv1a(text), pin.hash);
+  }
+}
+
+TEST(JsonWriterEdges, EveryEscapeClassInKeysAndValues) {
+  const std::string compact = escape_doc(-1);
+  EXPECT_EQ(compact.size(), 849u);
+  EXPECT_EQ(fnv1a(compact), 2860451802134647014ull);
+  const std::string indented = escape_doc(1);
+  EXPECT_EQ(indented.size(), 870u);
+  EXPECT_EQ(fnv1a(indented), 5802384419422352280ull);
+  // The named escapes and the \u00XX form, spelled out once.
+  EXPECT_NE(compact.find(R"(\u0000\u0001)"), std::string::npos);
+  EXPECT_NE(compact.find(R"(\u0007\b\t\n\u000b\f\r\u000e)"),
+            std::string::npos);
+  EXPECT_NE(compact.find(R"(\u001f !\"#)"), std::string::npos);
+  EXPECT_NE(compact.find(R"([\\]^_)"), std::string::npos);
+  EXPECT_NE(compact.find("~\x7f\x80\xff\":\""), std::string::npos);
+  EXPECT_NE(compact.find(R"(,"\"","\\",""]})"), std::string::npos);
+}
+
+TEST(JsonWriterEdges, EmptyContainersAtEveryIndent) {
+  EXPECT_EQ(empty_doc(-1), R"({"o":{},"a":[],"mixed":[{},[],[{}],{"e":[]}]})");
+  EXPECT_EQ(empty_doc(0),
+            "{\n\"o\": {},\n\"a\": [],\n\"mixed\": [\n{},\n[],\n[\n{}\n],\n"
+            "{\n\"e\": []\n}\n]\n}");
+  EXPECT_EQ(empty_doc(1),
+            "{\n \"o\": {},\n \"a\": [],\n \"mixed\": [\n  {},\n  [],\n"
+            "  [\n   {}\n  ],\n  {\n   \"e\": []\n  }\n ]\n}");
+  EXPECT_EQ(empty_doc(2),
+            "{\n  \"o\": {},\n  \"a\": [],\n  \"mixed\": [\n    {},\n"
+            "    [],\n    [\n      {}\n    ],\n    {\n      \"e\": []\n"
+            "    }\n  ]\n}");
+}
+
+TEST(JsonWriterEdges, DocumentAcrossManyFlushes) {
+  const std::string compact = many_flush_doc(-1);
+  EXPECT_EQ(compact.size(), 313996u);
+  EXPECT_EQ(fnv1a(compact), 1235180862881181953ull);
+  const std::string indented = many_flush_doc(1);
+  EXPECT_EQ(indented.size(), 422002u);
+  EXPECT_EQ(fnv1a(indented), 7740853447186248737ull);
+}
+
+TEST(JsonWriterEdges, OutIsCompleteOnceTheRootValueCloses) {
+  // One writer, several root values, the caller's line breaks between
+  // them: the JSONL pattern. Each line equals a document written alone.
+  std::string lines;
+  obs::JsonWriter out(lines);
+  std::string expected;
+  for (std::int64_t i = 0; i < 3; ++i) {
+    out.begin_object().member("i", i).member("s", "x\ny").end_object();
+    lines += '\n';
+    std::string alone;
+    obs::JsonWriter(alone).begin_object().member("i", i).member("s", "x\ny")
+        .end_object();
+    expected += alone + '\n';
+  }
+  out.value(std::int64_t{7});
+  expected += "7";
+  EXPECT_EQ(lines, expected);
+}
+
 TEST(MetricsJson, ExportParsesAndValidates) {
   obs::MetricsRegistry reg;
   reg.counter("events", {{"node", "3"}}).inc(12);
@@ -812,27 +1010,29 @@ TEST(FlightRecorder, MergeRerecordsPreservingTimeAndJsonNamesClusterLane) {
 
 TEST(SpanRecorder, RetryLifecycleAndNesting) {
   obs::SpanRecorder rec;
-  const std::uint64_t root = rec.open("commit", 0, 9, "g", 7, 0, 100);
-  const std::uint64_t a1 = rec.open("attempt", root, 9, "g", 7, 71, 100);
+  const std::uint64_t root = rec.open("commit", 0, 9, 5, 7, 0, 100);
+  const std::uint64_t a1 = rec.open("attempt", root, 9, 5, 7, 71, 100);
   EXPECT_TRUE(rec.is_open(root));
   EXPECT_TRUE(rec.is_open(a1));
-  rec.close(a1, 180, false, "retry");
+  rec.close(a1, 180, false, obs::SpanDetail::kRetry);
   EXPECT_FALSE(rec.is_open(a1));
-  const std::uint64_t a2 = rec.open("attempt", root, 9, "g", 7, 72, 180);
+  const std::uint64_t a2 = rec.open("attempt", root, 9, 5, 7, 72, 180);
   rec.close(a2, 260, true);
-  rec.close(root, 265, true, "decisive=3 attempts=2");
-  rec.close(root, 999, false, "late");  // Double close is ignored.
-  rec.close(0, 999, false);             // Id 0 (no span) is ignored.
+  rec.close(root, 265, true, obs::SpanDetail::kDecisive, 3, 2);
+  // Double close is ignored.
+  rec.close(root, 999, false, obs::SpanDetail::kAbort);
+  rec.close(0, 999, false);  // Id 0 (no span) is ignored.
 
-  const auto& spans = rec.spans();
+  const obs::SpanRecorder& spans = rec;
+  obs::SpanDetailText text;
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].name, "commit");
   EXPECT_EQ(spans[0].end, 265u);
   EXPECT_TRUE(spans[0].ok);
-  EXPECT_EQ(spans[0].detail, "decisive=3 attempts=2");
+  EXPECT_EQ(obs::span_detail_text(spans[0], text), "decisive=3 attempts=2");
   EXPECT_EQ(spans[1].parent, root);
   EXPECT_FALSE(spans[1].ok);
-  EXPECT_EQ(spans[1].detail, "retry");
+  EXPECT_EQ(obs::span_detail_text(spans[1], text), "retry");
   EXPECT_TRUE(spans[2].ok);
   EXPECT_EQ(spans[2].update_id, 72u);
 }
@@ -840,25 +1040,82 @@ TEST(SpanRecorder, RetryLifecycleAndNesting) {
 TEST(SpanRecorder, MergeOffsetsIdsAndParentLinks) {
   obs::SpanRecorder a;
   obs::SpanRecorder b;
-  a.open("x", 0, 1, "g", 1, 1, 0);
-  const std::uint64_t broot = b.open("y", 0, 2, "g", 2, 2, 5);
-  b.point("p", broot, 2, "g", 2, 2, 9, true, "d");
+  a.open("x", 0, 1, 5, 1, 1, 0);
+  const std::uint64_t broot = b.open("y", 0, 2, 5, 2, 2, 5);
+  b.point("p", broot, 2, 5, 2, 2, 9, true, obs::SpanDetail::kVetoed);
   a.merge(b);
-  ASSERT_EQ(a.spans().size(), 3u);
-  EXPECT_EQ(a.spans()[1].id, 2u);
-  EXPECT_EQ(a.spans()[1].parent, 0u);  // b's root stays a root.
-  EXPECT_EQ(a.spans()[2].parent, 2u);  // b's child re-based onto new id.
-  EXPECT_TRUE(a.spans()[2].closed);
-  EXPECT_EQ(a.spans()[2].start, a.spans()[2].end);
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a[1].id, 2u);
+  EXPECT_EQ(a[1].parent, 0u);  // b's root stays a root.
+  EXPECT_EQ(a[2].parent, 2u);  // b's child re-based onto new id.
+  EXPECT_TRUE(a[2].closed);
+  EXPECT_EQ(a[2].start, a[2].end);
+  EXPECT_EQ(a[2].detail, obs::SpanDetail::kVetoed);
+}
+
+// A span stores its detail as a word and its GUID as an integer; the
+// export renders both to the text the recorder used to store:
+// std::to_string of the GUID (unsigned, so GUIDs >= 2^63 stay positive)
+// and the endpoint's and peer's detail strings.
+TEST(SpansJson, DetailKindsAndWideGuidsRenderTheOldText) {
+  using obs::SpanDetail;
+  struct Case {
+    SpanDetail detail;
+    std::uint32_t arg0;
+    std::uint32_t arg1;
+    std::string old_text;
+  };
+  constexpr std::uint32_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  const Case cases[] = {
+      {SpanDetail::kNone, 0, 0, ""},
+      {SpanDetail::kDecisive, 3, 2,
+       "decisive=" + std::to_string(3) + " attempts=" + std::to_string(2)},
+      {SpanDetail::kDecisive, kMax32, 12,
+       "decisive=" + std::to_string(kMax32) +
+           " attempts=" + std::to_string(12)},
+      {SpanDetail::kFailed, 12, 0, "failed attempts=" + std::to_string(12)},
+      {SpanDetail::kFailed, kMax32, 0,
+       "failed attempts=" + std::to_string(kMax32)},
+      {SpanDetail::kRetry, 0, 0, "retry"},
+      {SpanDetail::kTimeout, 0, 0, "timeout"},
+      {SpanDetail::kVetoed, 0, 0, "vetoed"},
+      {SpanDetail::kAbort, 0, 0, "abort"},
+  };
+  const std::uint64_t guids[] = {0, 42, std::uint64_t{1} << 63,
+                                 (std::uint64_t{1} << 63) + 12345,
+                                 std::numeric_limits<std::uint64_t>::max()};
+  obs::SpanRecorder rec;
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    const std::uint64_t id =
+        rec.open("commit", 0, 1, guids[i % std::size(guids)], 1, 2, 10);
+    rec.close(id, 20, c.detail == SpanDetail::kDecisive, c.detail, c.arg0,
+              c.arg1);
+  }
+  const auto doc =
+      obs::parse_json(obs::write_spans_json(rec, {{"tool", "test"}}));
+  ASSERT_TRUE(doc.has_value());
+  const auto& spans = doc->find("spans")->items();
+  ASSERT_EQ(spans.size(), std::size(cases));
+  obs::SpanDetailText text;
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    EXPECT_EQ(obs::span_detail_text(rec[i], text), cases[i].old_text);
+    EXPECT_EQ(spans[i].find("detail")->as_string(), cases[i].old_text);
+    EXPECT_EQ(spans[i].find("guid")->as_string(),
+              std::to_string(guids[i % std::size(guids)]));
+  }
+  EXPECT_EQ(spans[2].find("guid")->as_string(), "9223372036854775808");
+  EXPECT_EQ(spans[4].find("guid")->as_string(), "18446744073709551615");
 }
 
 // Every span field the schema table lists, plus id, parent and interval
 // order.
 TEST(SpansJson, ValidatorRejectsBrokenShape) {
   obs::SpanRecorder rec;
-  const std::uint64_t root = rec.open("commit", 0, 1, "g", 1, 0, 10);
-  rec.point("attempt", root, 1, "g", 1, 11, 12, true);
-  rec.close(root, 20, true, "decisive=1 attempts=1");
+  const std::uint64_t root = rec.open("commit", 0, 1, 5, 1, 0, 10);
+  rec.point("attempt", root, 1, 5, 1, 11, 12, true);
+  rec.close(root, 20, true, obs::SpanDetail::kDecisive, 1, 1);
   const std::string doc = obs::write_spans_json(rec, {{"tool", "test"}});
   EXPECT_EQ(schema_sweep::sweep_document(
                 doc, [](const obs::JsonValue& d) {
@@ -944,18 +1201,18 @@ TEST(CriticalPath, AttributesPhasesFromJoinedSpans) {
   // One commit: a failed attempt (retry), then the decisive attempt whose
   // peer-side spans live on node 3.
   obs::SpanRecorder rec;
-  const std::uint64_t root = rec.open("commit", 0, 100, "g1", 7, 0, 1000);
-  const std::uint64_t a1 = rec.open("attempt", root, 100, "g1", 7, 71, 1100);
-  rec.close(a1, 1500, false, "retry");
-  const std::uint64_t a2 = rec.open("attempt", root, 100, "g1", 7, 72, 1500);
-  const std::uint64_t vote = rec.open("vote-collect", 0, 3, "g1", 7, 72, 1600);
+  const std::uint64_t root = rec.open("commit", 0, 100, 41, 7, 0, 1000);
+  const std::uint64_t a1 = rec.open("attempt", root, 100, 41, 7, 71, 1100);
+  rec.close(a1, 1500, false, obs::SpanDetail::kRetry);
+  const std::uint64_t a2 = rec.open("attempt", root, 100, 41, 7, 72, 1500);
+  const std::uint64_t vote = rec.open("vote-collect", 0, 3, 41, 7, 72, 1600);
   rec.close(vote, 1900, true);
-  const std::uint64_t quorum = rec.open("quorum", 0, 3, "g1", 7, 72, 1900);
-  rec.point("journal-append", quorum, 3, "g1", 7, 72, 1950, true);
-  rec.point("ack-sent", quorum, 3, "g1", 7, 72, 2000, true);
+  const std::uint64_t quorum = rec.open("quorum", 0, 3, 41, 7, 72, 1900);
+  rec.point("journal-append", quorum, 3, 41, 7, 72, 1950, true);
+  rec.point("ack-sent", quorum, 3, 41, 7, 72, 2000, true);
   rec.close(quorum, 2000, true);
   rec.close(a2, 2100, true);
-  rec.close(root, 2100, true, "decisive=3 attempts=2");
+  rec.close(root, 2100, true, obs::SpanDetail::kDecisive, 3, 2);
 
   const auto doc =
       obs::parse_json(obs::write_spans_json(rec, {{"tool", "t"}}));
@@ -970,7 +1227,7 @@ TEST(CriticalPath, AttributesPhasesFromJoinedSpans) {
   EXPECT_NE(report.find("vote-collect"), std::string::npos);
   EXPECT_NE(report.find("attributed to named phases: 100.0%"),
             std::string::npos);
-  EXPECT_NE(report.find("guid=g1"), std::string::npos);
+  EXPECT_NE(report.find("guid=41"), std::string::npos);
 }
 
 // ---- Bench trend gate. ----
@@ -1057,15 +1314,6 @@ std::string run_lossy_cluster_spans() {
   return obs::write_spans_json(cluster.spans(), {{"tool", "test"}});
 }
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
 std::string critical_path_of(const std::string& spans_json) {
   const auto doc = obs::parse_json(spans_json);
   EXPECT_TRUE(doc.has_value());
@@ -1081,7 +1329,7 @@ TEST(CriticalPath, RendersTheClusterSpansDocumentUnchanged) {
   const std::string report =
       e2e::critical_path_of(e2e::run_cluster_spans(11));
   EXPECT_EQ(report.size(), 742u);
-  EXPECT_EQ(e2e::fnv1a(report), 5533427863917510428ull);
+  EXPECT_EQ(fnv1a(report), 5533427863917510428ull);
 }
 
 TEST(CriticalPath, RendersALossyRunWithRetriesAndFailedRootsUnchanged) {
@@ -1090,7 +1338,7 @@ TEST(CriticalPath, RendersALossyRunWithRetriesAndFailedRootsUnchanged) {
   EXPECT_NE(report.find("committed roots: 8 "), std::string::npos);
   EXPECT_NE(report.find("unfinished/failed roots: 4)"), std::string::npos);
   EXPECT_EQ(report.size(), 763u);
-  EXPECT_EQ(e2e::fnv1a(report), 12090431322630852298ull);
+  EXPECT_EQ(fnv1a(report), 12090431322630852298ull);
 }
 
 TEST(ClusterSpans, CommitsProduceJoinedSpansDeterministically) {
@@ -1161,7 +1409,7 @@ TEST(Postmortem, ValidatorRejectsBrokenEmbeddedDocuments) {
   metrics.gauge("depth", {{"node", "1"}}).set(2);
   metrics.histogram("lat", {{"node", "1"}}, {10}).observe(3);
   obs::SpanRecorder spans;
-  spans.point("commit", 0, 1, "g", 1, 1, 5, true);
+  spans.point("commit", 0, 1, 5, 1, 1, 5, true);
   const std::string doc = obs::write_postmortem_json(
       {{"tool", "test"}, {"seed", "1"}}, {{"agreement", "two values"}},
       {"crash 1 at 5"}, {"crash 1 at 5"}, flight, metrics, spans);
@@ -1353,6 +1601,68 @@ TEST(AllocationBudget, WarmPeerDeliveriesAllocateNothing) {
     // doublings each for the history and the settled table.
     EXPECT_LE(finishing_allocations, 4 * kGuids * r);
   }
+}
+
+// Spans cost no allocation of their own. A warm r=4 cluster commits the
+// same updates with spans off and on; spans never touch the schedule, so
+// both are the same run, and the allocations they make may differ only by
+// the amortised growth of the span recorder (a block per 512 spans) and
+// of each peer's per-GUID settled_spans table, never by one per span.
+TEST(AllocationBudget, SpansAllocateNothingPerSpan) {
+  constexpr int kGuids = 8;
+  constexpr std::uint32_t kR = 4;
+  struct Window {
+    std::uint64_t commits = 0;
+    std::uint64_t allocations = 0;
+    std::size_t spans = 0;
+  };
+  const auto run = [](bool spans) {
+    storage::ClusterConfig config;
+    config.nodes = 16;
+    config.replication_factor = kR;
+    config.seed = 7;
+    config.spans = spans;
+    storage::AsaCluster cluster(config);
+    std::uint64_t commits = 0;
+    int next = 0;
+    const auto round = [&] {
+      for (int g = 0; g < kGuids; ++g) {
+        cluster.version_history().append(
+            storage::Guid::named("g" + std::to_string(g)),
+            storage::Pid::of(
+                storage::block_from("u" + std::to_string(next++))),
+            [&commits](const commit::CommitResult& result) {
+              if (result.committed) ++commits;
+            });
+      }
+      cluster.run();
+    };
+    for (int i = 0; i < 20; ++i) round();
+    Window window;
+    const std::uint64_t commits_before = commits;
+    const std::size_t spans_before = cluster.spans().size();
+    const std::uint64_t before = g_allocations.load();
+    for (int i = 0; i < 40; ++i) round();
+    window.allocations = g_allocations.load() - before;
+    window.commits = commits - commits_before;
+    window.spans = cluster.spans().size() - spans_before;
+    return window;
+  };
+  const Window off = run(false);
+  const Window on = run(true);
+  EXPECT_EQ(off.commits, 40u * kGuids);
+  EXPECT_EQ(on.commits, off.commits);
+  EXPECT_EQ(off.spans, 0u);
+  // Each commit records a root, an attempt and per replica a vote-collect,
+  // a quorum and the journal-append and ack-sent points.
+  EXPECT_GE(on.spans, on.commits * (2 + 4 * kR));
+  ASSERT_GE(on.allocations, off.allocations);
+  // The recorder may allocate once per 256 spans (it takes a block per
+  // 512, plus at most two doublings of its block list); each (replica,
+  // GUID) settled_spans table grows from 20 to 60 rounds' worth, at most
+  // two doublings.
+  EXPECT_LE(on.allocations - off.allocations,
+            on.spans / 256 + 3 + 2 * kGuids * kR);
 }
 
 // Hot sites keep resolved metric handles; these pin the moments a handle

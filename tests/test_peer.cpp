@@ -292,7 +292,7 @@ TEST(PeerAck, ResentUpdateAfterSettleEmitsAckSentUnderTheQuorumSpan) {
 
   std::uint64_t quorum = 0;
   std::vector<std::uint64_t> ack_parents;
-  for (const obs::SpanRecord& span : spans.spans()) {
+  for (const obs::SpanRecord& span : spans) {
     if (span.update_id != 1) continue;
     if (span.name == "quorum") quorum = span.id;
     if (span.name == "ack-sent") ack_parents.push_back(span.parent);
@@ -318,9 +318,9 @@ TEST(PeerAck, ReconcileSettledUpdateIsAcknowledgedThroughTheLedger) {
   EXPECT_EQ(acked, (std::vector<CommitPeer::CommittedEntry>{{1, 1, 10}}));
   ASSERT_EQ(h.client_inbox.size(), 1u);
   EXPECT_EQ(h.client_inbox[0].kind, WireMessage::Kind::kCommitted);
-  ASSERT_EQ(spans.spans().size(), 1u);
-  EXPECT_EQ(spans.spans()[0].name, "ack-sent");
-  EXPECT_EQ(spans.spans()[0].parent, 0u);  // No local quorum span.
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "ack-sent");
+  EXPECT_EQ(spans[0].parent, 0u);  // No local quorum span.
   EXPECT_TRUE(h.outgoing.empty());
   EXPECT_EQ(h.peer->resident_instances(kGuid), 0u);
 }

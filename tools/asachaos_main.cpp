@@ -499,7 +499,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::cout << "spans written to " << spans_out << " ("
-              << campaign_spans.spans().size() << " spans)\n";
+              << campaign_spans.size() << " spans)\n";
   }
 
   // An artefact the caller asked for and did not get is an error, whatever

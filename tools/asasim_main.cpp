@@ -554,7 +554,7 @@ int asasim_main(int argc, char** argv) {
       return 2;
     }
     std::cout << "spans written to " << spans_out << " ("
-              << cluster.spans().spans().size() << " spans)\n";
+              << cluster.spans().size() << " spans)\n";
   }
   const obs::EventRecorder& flight = cluster.events();
   if (flight.capacity() > 0) {
