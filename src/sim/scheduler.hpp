@@ -6,14 +6,30 @@
 // reproducible. Events fire in (time, sequence) order, so ties are broken
 // by scheduling order and runs are deterministic for a fixed seed.
 //
-// Event layout: the binary heap holds 16-byte keys (time, id) and nothing
-// else; an event's body lives in a slot of a reusable pool. A body is
-// either a closure (timers, workload steps) or a typed Delivery record
+// Event layout: an event's body lives in a slot of a reusable pool. A body
+// is either a closure (timers, workload steps) or a typed Delivery record
 // (one message copy in flight, its frame held inline), so the network's
 // per-message path builds no type-erased closure and allocates nothing. A
 // slot holds one body or the other, never both. Bodies are moved out of
 // their slot when they fire, never copied; cancelling an event destroys
 // its body at once, and a freed slot is reused by the next event.
+//
+// Queue: a bucket wheel of kWheelSpan one-microsecond buckets covers the
+// window [now(), now() + kWheelSpan). Each bucket is a FIFO list threaded
+// through the slots, and a two-level occupancy bitmap finds the next
+// non-empty bucket in a few word operations. Events at or beyond the
+// window's end (retry and abort timers, arrivals scheduled up front) wait
+// in a small (time, id) binary heap and move into the wheel, in heap
+// order, when an advance of the clock brings them into the window.
+//
+// FIFO per bucket is exactly (time, id) order. Ids grow with scheduling
+// order. An event for time t reaches the heap only while t is still
+// outside the window, so before any event for t could go straight into
+// its bucket; it migrates at the advance that brings t into the window,
+// before anything runs at the new time. A bucket therefore holds its
+// migrated events first, in id order, then direct inserts in id order.
+// The window starts at now(), which only a fired event moves: a
+// discarded (cancelled) event moves neither the clock nor the window.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +81,9 @@ class Scheduler {
   /// Current simulated time.
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedule `action` to run at absolute time `when` (must be >= now()).
-  /// Returns an id usable with cancel().
+  /// Schedule `action` to run at absolute time `when`. Returns an id
+  /// usable with cancel(). Throws std::invalid_argument when `when` is
+  /// before now(): the clock never runs backwards.
   std::uint64_t schedule_at(Time when, Action action);
 
   /// Schedule `action` to run `delay` after the current time.
@@ -76,7 +93,8 @@ class Scheduler {
 
   /// Schedule one message copy for absolute time `when`; when it fires the
   /// record is handed to `delivery.network` (which must be set and outlive
-  /// the event). Returns an id usable with cancel().
+  /// the event). Returns an id usable with cancel(). Throws
+  /// std::invalid_argument when `when` is before now().
   std::uint64_t schedule_delivery(Time when, Delivery delivery);
 
   /// Cancel a pending event: it is discarded when it comes up, without
@@ -95,7 +113,9 @@ class Scheduler {
   std::size_t run(std::size_t max_events = 50'000'000);
 
   /// Pending (not yet fired, possibly cancelled) event count.
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] std::size_t pending() const {
+    return in_wheel_ + overflow_.size();
+  }
 
   [[nodiscard]] const SchedulerStats& stats() const { return stats_; }
 
@@ -106,6 +126,16 @@ class Scheduler {
   // sequence bits allow 10^12 events per scheduler.
   static constexpr int kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
+
+  // The wheel: 8192 buckets of 1 us, so every message copy (0.5-5 ms by
+  // default) goes straight into its bucket. It costs 33 KB per scheduler:
+  // a 4-byte tail per bucket plus the bitmap.
+  static constexpr Time kWheelSpan = 8192;
+  static constexpr Time kBucketMask = kWheelSpan - 1;
+  static constexpr std::size_t kWords = kWheelSpan / 64;  // Leaf bitmap.
+  static_assert(kWords == 128, "one summary bit per two leaf words");
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  static constexpr Time kNever = ~Time{0};
 
   struct Key {
     Time when;
@@ -119,21 +149,42 @@ class Scheduler {
   };
   struct Slot {
     std::uint64_t id = 0;  // The pending event's id; 0 while free or firing.
+    // The next slot of the bucket list (circular: the tail links the head).
+    std::uint32_t next = kNoSlot;
     // Empty while free, firing or cancelled.
     std::variant<std::monostate, Action, Delivery> body;
   };
+  enum class Step { kIdle, kDiscarded, kFired };
 
+  /// Throw std::invalid_argument unless `when` >= now().
+  void check_not_past(Time when) const;
   /// A free slot index (reused first, else a new slot).
   std::uint32_t acquire_slot();
-  /// Stamp `slot` with a fresh id and push its key.
+  /// Stamp `slot` with a fresh id and queue it for `when`.
   std::uint64_t enqueue(Time when, std::uint32_t slot);
-  /// Pop the earliest event and run it; false when it was cancelled
-  /// (discarded, clock untouched).
-  bool fire_next();
+  /// Append `slot` to the bucket of `when` (inside the window).
+  void push_bucket(Time when, std::uint32_t slot);
+  /// Remove and return the head of the non-empty bucket `bucket`.
+  std::uint32_t pop_bucket(std::uint32_t bucket);
+  /// The first non-empty bucket at or after now() round the wheel (the
+  /// wheel must hold an event).
+  [[nodiscard]] std::uint32_t next_bucket() const;
+  /// Move every heap entry that the window now covers into its bucket.
+  void migrate();
+  /// Take the earliest queued event if it is due by `deadline` and run it;
+  /// a cancelled one is discarded (clock untouched).
+  Step step(Time deadline);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
-  std::vector<Key> heap_;  // Min-heap on (when, id) via Later.
+  std::size_t in_wheel_ = 0;  // Events queued in the buckets.
+  std::uint64_t summary_ = 0;  // Bit i: leaf word 2i or 2i+1 is non-zero.
+  std::uint64_t occupied_[kWords] = {};  // Bit b: bucket b is non-empty.
+  // Each bucket's tail slot, kNoSlot while empty.
+  std::vector<std::uint32_t> tails_ =
+      std::vector<std::uint32_t>(kWheelSpan, kNoSlot);
+  // Events at or beyond the window's end: a min-heap on (when, id).
+  std::vector<Key> overflow_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   SchedulerStats stats_;

@@ -1,15 +1,17 @@
 // Golden event order for the simulated stack.
 //
-// Three fixed-seed AsaCluster runs are pinned to what the simulator did
-// with them: r=4, r=13, and r=4 under 5% message loss plus 5% duplication
+// Four fixed-seed AsaCluster runs are pinned to what the simulator did
+// with them: r=4, r=13, r=4 under 5% message loss plus 5% duplication
 // with agreed reads and block stores riding along (their timeouts, retries
-// and timer cancels included). Each run is reduced to a hash of every
+// and timer cancels included), and an open-loop run whose timers reach far
+// past any message delay. Each run is reduced to a hash of every
 // message copy the network delivered — time, from, to, message id, send
 // time and payload bytes, in delivery order — plus the final NetworkStats
-// and SchedulerStats. The constants were captured from the simulator
-// before its scheduler held typed delivery events, so a change to the
-// scheduler, the network or the commit runtime that moves one event, one
-// RNG draw or one byte fails here.
+// and SchedulerStats. The first three were captured from the simulator
+// before its scheduler held typed delivery events, the open-loop one from
+// the binary-heap scheduler before the bucket wheel replaced it, so a
+// change to the scheduler, the network or the commit runtime that moves
+// one event, one RNG draw or one byte fails here.
 //
 // GoldenExports pins what the observability exports make of one chaos
 // run that reaches every event kind: the trace and flight views, the
@@ -26,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/span.hpp"
+#include "sim/workload.hpp"
 #include "storage/chaos.hpp"
 #include "storage/cluster.hpp"
 
@@ -36,6 +39,7 @@ struct Fingerprint {
   std::uint64_t deliveries = 0;
   std::uint64_t hash = 0xCBF29CE484222325ull;  // FNV-1a 64 offset basis.
   int committed = 0;
+  std::uint64_t attempts = 0;  // Commit attempts, retries included.
   sim::NetworkStats net;
   sim::SchedulerStats sched;
 };
@@ -53,6 +57,20 @@ void mix(std::uint64_t& hash, std::string_view bytes) {
     hash ^= static_cast<std::uint8_t>(c);
     hash *= 0x100000001B3ull;
   }
+}
+
+// Hash every message copy the network delivers into `fp`.
+void observe(AsaCluster& cluster, Fingerprint& fp) {
+  cluster.network().set_delivery_observer([&cluster,
+                                           &fp](const sim::Delivery& d) {
+    ++fp.deliveries;
+    mix(fp.hash, cluster.scheduler().now());
+    mix(fp.hash, d.from);
+    mix(fp.hash, d.to);
+    mix(fp.hash, d.message_id);
+    mix(fp.hash, d.sent_at);
+    mix(fp.hash, d.payload);
+  });
 }
 
 struct RunSpec {
@@ -77,15 +95,7 @@ Fingerprint run(const RunSpec& spec) {
   cluster.network().set_duplicate_probability(spec.loss);
 
   Fingerprint fp;
-  cluster.network().set_delivery_observer([&](const sim::Delivery& d) {
-    ++fp.deliveries;
-    mix(fp.hash, cluster.scheduler().now());
-    mix(fp.hash, d.from);
-    mix(fp.hash, d.to);
-    mix(fp.hash, d.message_id);
-    mix(fp.hash, d.sent_at);
-    mix(fp.hash, d.payload);
-  });
+  observe(cluster, fp);
 
   constexpr int kGuids = 12;
   sim::Time deadline = 0;
@@ -147,6 +157,79 @@ TEST(GoldenEventOrder, LossAndDuplicationWithReadsAndStores) {
   // no-op and counts nothing.
   expect_stats(fp, {1332, 1324, 73, 65, 0, 0, 0},
                {1417, 1364, 53, 53, 223});
+}
+
+// The long-timer path: open-loop arrivals for every operation scheduled
+// at t=0, up to ~400 ms ahead; 10% message loss, so 80 ms commit retries
+// and 60 ms abort scans fire; agreed reads with their own timeouts; and a
+// replica crash and durable restart in the middle of the arrivals. Most of
+// these events are scheduled far beyond the delay of any message, so the
+// constants pin the queue's handling of distant timers against the
+// binary-heap scheduler they were captured on.
+Fingerprint run_open_loop() {
+  ClusterConfig config;
+  config.nodes = 24;
+  config.replication_factor = 4;
+  config.seed = 104;
+  config.drop_probability = 0.1;
+  config.abort_scan_interval = 60'000;
+  config.abort_max_age = 80'000;
+  config.retry.base_timeout = 80'000;
+  config.retry.max_attempts = 25;
+  AsaCluster cluster(config);
+  cluster.version_history().set_serialize_appends(true);
+
+  Fingerprint fp;
+  observe(cluster, fp);
+
+  sim::WorkloadConfig workload;
+  workload.writers = 4;
+  workload.keys = 8;
+  workload.operations = 64;
+  workload.read_fraction = 0.2;
+  workload.open_loop = true;
+  const auto ops = sim::generate_workload(workload, config.seed);
+  sim::Scheduler& sched = cluster.scheduler();
+  for (const auto& writer : ops) {
+    for (const sim::WorkloadOp& op : writer) {
+      sched.schedule_at(op.at, [&cluster, &fp, op] {
+        const Guid guid = Guid::named("golden:" + std::to_string(op.key));
+        if (op.read) {
+          cluster.version_history().read(guid,
+                                         [](const HistoryReadResult&) {});
+          return;
+        }
+        cluster.version_history().append(
+            guid,
+            Pid::of(block_from("w" + std::to_string(op.writer) + " op" +
+                               std::to_string(op.sequence))),
+            [&fp](const commit::CommitResult& r) {
+              fp.committed += r.committed;
+              fp.attempts += r.attempts;
+            });
+      });
+    }
+  }
+  // A replica of the hottest GUID crashes and later recovers from its
+  // journal.
+  const std::size_t victim = cluster.peer_set(Guid::named("golden:0")).back();
+  sched.schedule_at(200'000,
+                    [&cluster, victim] { cluster.crash_node(victim); });
+  sched.schedule_at(450'000,
+                    [&cluster, victim] { cluster.restart_node(victim); });
+  cluster.run();
+  fp.net = cluster.network().stats();
+  fp.sched = cluster.scheduler().stats();
+  return fp;
+}
+
+TEST(GoldenEventOrder, OpenLoopArrivalsLossCrashAndRestart) {
+  const Fingerprint fp = run_open_loop();
+  EXPECT_EQ(fp.committed, 54);
+  EXPECT_EQ(fp.attempts, 58u);  // Four retries, after 80 and 160 ms.
+  EXPECT_EQ(fp.deliveries, 1690u);
+  EXPECT_EQ(fp.hash, 3705164355787039604ull);
+  expect_stats(fp, {1862, 1690, 172, 0, 0, 0, 0}, {1942, 1883, 59, 59, 108});
 }
 
 // Every observability event kind, exported through both views: one chaos

@@ -1522,6 +1522,58 @@ TEST(AllocationBudget, WarmNetworkAllocatesNothingPerMessage) {
   }
 }
 
+// The same warm network with the commit runtime's long timers riding
+// along: every cycle arms an 80 ms retry timer and a 60 ms abort timer,
+// both beyond the scheduler's wheel span, and cancels the abort timer, as
+// a commit that finishes in time does. About eight cycles' timers are in
+// flight at once, so each cycle's messages are delivered while earlier
+// timers wait beyond the span, migrate into the wheel as the clock
+// advances, and fire or are discarded there. The heap beyond the span and
+// the bucket lists reuse capacity that warm-up sized: zero allocations
+// per event.
+TEST(AllocationBudget, WarmSchedulerWithLongTimersAllocatesNothingPerEvent) {
+  sim::Scheduler sched;
+  sim::Network net(sched, sim::Rng(5));
+  constexpr sim::NodeAddr kNodes = 8;
+  std::uint64_t received = 0;
+  for (sim::NodeAddr a = 0; a < kNodes; ++a) {
+    net.attach(a, [&received](sim::NodeAddr, std::string_view) {
+      ++received;
+    });
+  }
+  std::uint64_t retries = 0;
+  std::uint64_t sent = 0;
+  const auto cycle = [&](std::uint64_t round) {
+    sched.schedule_after(80'000, [&retries] { ++retries; });
+    const std::uint64_t abort =
+        sched.schedule_after(60'000, [&retries] { ++retries; });
+    for (sim::NodeAddr from = 0; from < kNodes; ++from) {
+      for (sim::NodeAddr to = 0; to < kNodes; ++to) {
+        if (from == to) continue;
+        const commit::WireMessage msg{commit::WireMessage::Kind::kVote,
+                                      from, round, to, sent};
+        net.send(from, to, msg.serialize());
+        ++sent;
+      }
+    }
+    sched.cancel(abort);
+    sched.run_until(sched.now() + 10'000);
+  };
+  for (std::uint64_t round = 0; round < 40; ++round) cycle(round);
+  const sim::SchedulerStats warm = sched.stats();
+  const std::uint64_t before = g_allocations.load();
+  for (std::uint64_t round = 40; round < 440; ++round) cycle(round);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  const sim::SchedulerStats& stats = sched.stats();
+  EXPECT_EQ(stats.scheduled - warm.scheduled,
+            400u * (2 + kNodes * (kNodes - 1)));
+  EXPECT_EQ(stats.discarded - warm.discarded, 400u);
+  EXPECT_GE(sched.pending(), 14u);  // Timers still in flight at the end.
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(retries, stats.executed - received);
+}
+
 // The commit peer's half of the per-message path. In a warm peer set,
 // every vote or commit delivery that opens no instance allocates nothing:
 // the GUID context and the instance are found in place, the SenderSets

@@ -935,5 +935,260 @@ TEST_F(NetworkTest, DuplicateCopiesBothCarryTheFullPayload) {
   EXPECT_EQ(network_.pending_payload(1), frame + "!");
 }
 
+TEST(Scheduler, SchedulingInThePastThrowsAndChangesNothing) {
+  Scheduler sched;
+  Network net(sched, Rng(1));
+  int ran = 0;
+  sched.schedule_at(100, [&] { ++ran; });
+  sched.schedule_at(200, [&] { ++ran; });
+  sched.run_until(100);
+  ASSERT_EQ(sched.now(), 100u);
+  const SchedulerStats before = sched.stats();
+  EXPECT_THROW(sched.schedule_at(99, [&] { ++ran; }), std::invalid_argument);
+  EXPECT_THROW(sched.schedule_at(0, [&] { ++ran; }), std::invalid_argument);
+  EXPECT_THROW(
+      sched.schedule_delivery(99, Delivery{&net, 1, 2, 7, 0, "frame"}),
+      std::invalid_argument);
+  EXPECT_EQ(sched.stats(), before);
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.schedule_at(100, [&] { ++ran; });  // now() itself is allowed.
+  sched.run();
+  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(sched.now(), 200u);
+}
+
+// ---- The queue against the binary heap it replaced. ----
+
+// The (time, id) binary-heap scheduler, kept as the reference: ties fire
+// in scheduling order, a cancelled event stays queued and is discarded
+// without a tick when it comes up, and the clock follows run_until's
+// deadline only when nothing is left.
+class ReferenceScheduler {
+ public:
+  [[nodiscard]] Time now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] const SchedulerStats& stats() const { return stats_; }
+
+  std::uint64_t schedule_at(Time when, std::function<void()> action) {
+    const std::uint64_t id = next_id_++;
+    heap_.push_back({when, id});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    actions_[id] = std::move(action);
+    ++stats_.scheduled;
+    stats_.max_queue_depth = std::max(stats_.max_queue_depth, heap_.size());
+    return id;
+  }
+
+  void cancel(std::uint64_t id) {
+    const auto it = actions_.find(id);
+    if (it == actions_.end() || !it->second) return;
+    it->second = nullptr;
+    ++stats_.cancelled;
+  }
+
+  std::size_t run_until(Time deadline) {
+    std::size_t executed = 0;
+    while (!heap_.empty() && heap_.front().when <= deadline) {
+      if (fire_next()) ++executed;
+    }
+    stats_.executed += executed;
+    if (now_ < deadline && heap_.empty()) now_ = deadline;
+    return executed;
+  }
+
+  std::size_t run(std::size_t max_events = 50'000'000) {
+    std::size_t executed = 0;
+    while (!heap_.empty() && executed < max_events) {
+      if (fire_next()) ++executed;
+    }
+    stats_.executed += executed;
+    return executed;
+  }
+
+ private:
+  struct Key {
+    Time when;
+    std::uint64_t id;
+  };
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const {
+      return a.when != b.when ? a.when > b.when : a.id > b.id;
+    }
+  };
+
+  bool fire_next() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Key key = heap_.back();
+    heap_.pop_back();
+    const auto it = actions_.find(key.id);
+    const std::function<void()> action = std::move(it->second);
+    actions_.erase(it);
+    if (!action) {
+      ++stats_.discarded;
+      return false;
+    }
+    now_ = key.when;
+    action();
+    return true;
+  }
+
+  Time now_ = 0;
+  std::uint64_t next_id_ = 1;
+  std::vector<Key> heap_;
+  std::map<std::uint64_t, std::function<void()>> actions_;
+  SchedulerStats stats_;
+};
+
+// One queue under test, driven through the same script as its twin. An
+// event logs (tag, now(), pending()) when it fires and may schedule and
+// cancel more events; its choices come from the side's own RNG, so the
+// two sides draw alike exactly as long as they fire alike.
+template <class Queue>
+struct QueueHarness {
+  static constexpr Time kSpan = 8192;  // The wheel's span.
+
+  Queue queue;
+  Rng rng{77};
+  std::vector<std::uint64_t> ids;  // By tag.
+  std::vector<Time> whens;         // By tag.
+  std::vector<std::uint64_t> log;
+
+  // A delay from every region of the queue: zero and same-us ties, the
+  // message range, just below, at and above the span, the long timers,
+  // and past 2^32 us.
+  Time delay() {
+    switch (rng.below(8)) {
+      case 0: return 0;
+      case 1: return rng.below(4);
+      case 2: return rng.range(500, 5'000);
+      case 3: return kSpan - 2 + rng.below(5);
+      case 4: {
+        const Time spans = rng.range(1, 40);
+        return kSpan * spans - 1 + rng.below(3);
+      }
+      case 5: return rng.range(60'000, 80'000);
+      case 6: return rng.below(400'000);
+      default: return (Time{1} << 32) + rng.below(3 * kSpan);
+    }
+  }
+
+  void schedule(Time when) {
+    const auto tag = static_cast<std::uint64_t>(ids.size());
+    ids.push_back(0);
+    whens.push_back(when);
+    ids[tag] = queue.schedule_at(when, [this, tag] { fire(tag); });
+  }
+
+  // Cancel one of the latest events: most are still queued, some fired.
+  void cancel_some() {
+    if (ids.empty()) return;
+    const std::size_t back = std::min<std::size_t>(ids.size(), 64);
+    queue.cancel(ids[ids.size() - 1 - rng.below(back)]);
+  }
+
+  void fire(std::uint64_t tag) {
+    log.push_back(tag);
+    log.push_back(queue.now());
+    log.push_back(queue.pending());
+    // Bounded fan-out: a third of the events schedule up to two more.
+    if (ids.size() < 100'000 && rng.below(3) == 0) {
+      for (std::uint64_t n = rng.below(3); n > 0; --n) {
+        schedule(queue.now() + delay());
+      }
+    }
+    if (rng.below(8) == 0) cancel_some();
+  }
+};
+
+// Compare the two sides; `checked` is how much of the firing logs earlier
+// calls already compared.
+void expect_same(const QueueHarness<Scheduler>& wheel,
+                 const QueueHarness<ReferenceScheduler>& heap,
+                 std::size_t& checked) {
+  ASSERT_EQ(wheel.log.size(), heap.log.size());
+  ASSERT_TRUE(std::equal(wheel.log.begin() + checked, wheel.log.end(),
+                         heap.log.begin() + checked));
+  checked = wheel.log.size();
+  ASSERT_EQ(wheel.queue.now(), heap.queue.now());
+  ASSERT_EQ(wheel.queue.pending(), heap.queue.pending());
+  ASSERT_EQ(wheel.queue.stats(), heap.queue.stats());
+}
+
+TEST(Scheduler, MatchesTheReferenceHeapOnRandomOperations) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    QueueHarness<Scheduler> wheel;
+    QueueHarness<ReferenceScheduler> heap;
+    Rng script(seed);
+    std::size_t checked = 0;
+    // Apply one step of the script to both sides, then compare them.
+    const auto both = [&](const auto& op) {
+      op(wheel);
+      op(heap);
+      expect_same(wheel, heap, checked);
+    };
+    // Directed openings: a cancelled event later than now() that comes
+    // up first, once from the wheel and once from beyond the span.
+    for (const Time gap : {Time{100}, Time{20'000}}) {
+      both([&](auto& d) {
+        d.schedule(d.queue.now() + gap);
+        d.queue.cancel(d.ids.back());
+        d.schedule(d.queue.now() + 2 * gap);
+        d.queue.run_until(d.queue.now() + gap);  // Discards, stays put.
+      });
+      both([&](auto& d) { d.queue.run(); });
+    }
+    for (int i = 0; i < 20'000; ++i) {
+      const std::uint64_t op = script.below(16);
+      const Time draw = script();
+      if (op < 9) {
+        // Now and then a burst, so the wheel and the heap fill up.
+        const int count = draw % 64 == 0 ? 400 : 1;
+        both([&](auto& d) {
+          for (int n = 0; n < count; ++n) {
+            d.schedule(d.queue.now() + d.delay());
+          }
+        });
+      } else if (op < 11) {
+        both([&](auto& d) { d.cancel_some(); });
+      } else if (op == 11) {
+        // A deadline between events.
+        both([&](auto& d) {
+          d.queue.run_until(d.queue.now() + draw % 9'000);
+        });
+      } else if (op == 12) {
+        // A deadline on some event's time (fired, pending or cancelled).
+        both([&](auto& d) {
+          if (d.whens.empty()) return;
+          d.queue.run_until(d.whens[draw % d.whens.size()]);
+        });
+      } else if (op == 13) {
+        both([&](auto& d) { d.queue.run(draw % 50); });
+      } else if (op == 14 || draw % 32 != 0) {
+        both([&](auto& d) {
+          d.queue.run_until(d.queue.now() + draw % 40'000);
+        });
+      } else {
+        // Drain, then a deadline with the queue empty moves the clock.
+        both([&](auto& d) {
+          d.queue.run();
+          d.queue.run_until(d.queue.now() + draw % 100'000);
+        });
+      }
+      if (HasFatalFailure()) return;
+    }
+    both([&](auto& d) { d.queue.run(); });
+    EXPECT_EQ(wheel.queue.pending(), 0u);
+    EXPECT_GT(wheel.queue.stats().executed, 50'000u);
+    EXPECT_GT(wheel.queue.stats().discarded, 1'000u);
+    EXPECT_GT(wheel.queue.stats().max_queue_depth, 500u);
+    EXPECT_GT(wheel.queue.now(), Time{1} << 32);
+    // Ids still rise with scheduling order above their slot bits.
+    for (std::size_t i = 1; i < wheel.ids.size(); ++i) {
+      ASSERT_LT(wheel.ids[i - 1] >> 24, wheel.ids[i] >> 24);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace asa_repro::sim
