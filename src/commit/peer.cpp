@@ -9,8 +9,6 @@ namespace asa_repro::commit {
 
 namespace {
 
-const std::vector<CommitPeer::CommittedEntry> kEmptyHistory;
-
 /// The first entry of `refs` whose update id is not below `update_id`.
 template <class Refs>
 auto lower_bound_update(Refs& refs, std::uint64_t update_id) {
@@ -97,43 +95,33 @@ void CommitPeer::release(GuidContext& ctx, const Instance& inst) {
   ctx.instances.erase(it);
 }
 
-const std::vector<CommitPeer::CommittedEntry>& CommitPeer::history(
-    std::uint64_t guid) const {
-  const GuidContext* ctx = find_context(guid);
-  return ctx == nullptr ? kEmptyHistory : ctx->committed;
-}
-
 std::size_t CommitPeer::reconcile_history(
     std::uint64_t guid, const std::vector<CommittedEntry>& donor) {
-  GuidContext& ctx = context(guid);
+  const std::vector<CommittedEntry>& local = committed_->entries(guid);
   std::set<std::uint64_t> donor_ids;
   for (const CommittedEntry& e : donor) donor_ids.insert(e.update_id);
-  std::set<std::uint64_t> local_ids;
-  for (const CommittedEntry& e : ctx.committed) {
-    local_ids.insert(e.update_id);
-  }
   // Donor order is authoritative (it is the f+1-agreed order); entries
   // only this node has — e.g. commits beyond the agreed prefix that
   // survived in its journal — keep their local order at the tail.
   std::vector<CommittedEntry> merged = donor;
-  for (const CommittedEntry& e : ctx.committed) {
+  for (const CommittedEntry& e : local) {
     if (!donor_ids.contains(e.update_id)) merged.push_back(e);
   }
-  if (merged == ctx.committed) return 0;  // Already converged.
+  if (merged == local) return 0;  // Already converged.
   std::size_t adopted = 0;
   for (const CommittedEntry& e : donor) {
-    if (!local_ids.contains(e.update_id)) ++adopted;
+    if (!committed_->contains(guid, e.update_id)) ++adopted;
   }
-  ctx.committed = std::move(merged);
-  for (const CommittedEntry& e : ctx.committed) {
-    if (const Instance* inst = find_instance(ctx, e.update_id)) {
-      release(ctx, *inst);
+  committed_->replace(guid, std::move(merged));
+  if (auto* slot = guids_.find(guid)) {
+    GuidContext& ctx = **slot;
+    for (const CommittedEntry& e : committed_->entries(guid)) {
+      if (const Instance* inst = find_instance(ctx, e.update_id)) {
+        release(ctx, *inst);
+      }
     }
-    (void)ctx.settled.try_emplace(e.update_id);
   }
-  // Journal last: `donor` may be the journal's own image of this GUID
-  // (restart replays it into the peer), which record_import replaces.
-  if (journal_ != nullptr) (void)journal_->record_import(guid, ctx.committed);
+  if (journal_ != nullptr) (void)journal_->journal_history(guid);
   // A pure reorder adopts no new entries but still rewrote the history.
   return adopted > 0 ? adopted : 1;
 }
@@ -244,11 +232,11 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
   note(obs::EventKind::kRecv, {from, msg.update_id}, kind);
   // One context lookup and one instance lookup per delivery; the instance
   // is passed down the cascade from here. Resident and settled updates
-  // are disjoint, so the settled table is consulted only on a miss.
+  // are disjoint, so the committed state is consulted only on a miss.
   GuidContext& ctx = context(msg.guid);
   Instance* inst = find_instance(ctx, msg.update_id);
   if (inst == nullptr) {
-    if (ctx.settled.find(msg.update_id) != nullptr) {
+    if (committed_->contains(msg.guid, msg.update_id)) {
       // Late traffic for a settled update: absorb it; re-acknowledge a
       // resent update request (the original notification may have been
       // lost).
@@ -432,10 +420,11 @@ void CommitPeer::check_finished(GuidContext& ctx, Instance& inst) {
   if (!inst.fsm.finished()) return;
   const std::uint64_t guid = ctx.guid;
   const std::uint64_t update_id = inst.update_id;
-  // Write-ahead: the commit reaches the journal before the history. A
-  // refused append (stalled or full disk) neither records nor
-  // acknowledges. The FSM's free action already ran, but the lock is
-  // released defensively too — a bad disk must not deadlock the GUID lane.
+  // Write-ahead: the commit reaches the journal, which then appends it to
+  // the shared history. A refused append (stalled or full disk) neither
+  // records nor acknowledges. The FSM's free action already ran, but the
+  // lock is released defensively too — a bad disk must not deadlock the
+  // GUID lane.
   // The instance stays resident, finished but unrecorded; the client's
   // resent update retries the append once the disk heals. The quorum span
   // stays open — the commit is not over until the retry lands.
@@ -457,9 +446,10 @@ void CommitPeer::check_finished(GuidContext& ctx, Instance& inst) {
       }
       return;
     }
+  } else {
+    (void)committed_->append(guid, {update_id, inst.request_id, inst.payload});
   }
   ++stats_.committed;
-  ctx.committed.push_back({update_id, inst.request_id, inst.payload});
   const sim::Time latency = network_.scheduler().now() - inst.created;
   note(obs::EventKind::kCommit, {guid, update_id, inst.request_id, latency});
   if (metrics_ != nullptr) {
@@ -493,9 +483,8 @@ void CommitPeer::check_finished(GuidContext& ctx, Instance& inst) {
     acknowledge(guid, {update_id, inst.request_id, inst.payload},
                 inst.quorum_span, *inst.client);
   }
-  // Recorded and acknowledged: the instance is settled. Release it; its
-  // settled entry absorbs late traffic and re-acknowledges resent updates.
-  (void)ctx.settled.try_emplace(update_id);
+  // Recorded and acknowledged: the instance is settled. Release it; the
+  // history absorbs late traffic and re-acknowledges resent updates.
   if (inst.quorum_span != 0) {
     *ctx.settled_spans.try_emplace(update_id).first = inst.quorum_span;
   }

@@ -27,7 +27,6 @@
 #include <set>
 #include <string_view>
 #include <type_traits>
-#include <variant>
 #include <vector>
 
 #include "commit/messages.hpp"
@@ -156,12 +155,16 @@ class CommitPeer {
   /// (update_id, request_id, payload): the journal's entry type.
   using CommittedEntry = durable::Entry;
 
-  /// Attach the node's write-ahead journal (must outlive the peer). A
+  /// Attach the node's write-ahead journal (must outlive the peer) before
+  /// any traffic; its History becomes the peer's committed state. A
   /// finished commit is appended (and a journal-append event recorded)
   /// BEFORE it joins the history; a refused append vetoes it — nothing
   /// recorded, no kCommitted sent, the client's retry drives a fresh
   /// attempt. Each reconcile_history journals the adopted history.
-  void set_journal(durable::DurableLog* journal) { journal_ = journal; }
+  void set_journal(durable::DurableLog* journal) {
+    journal_ = journal;
+    committed_ = journal != nullptr ? &journal->history() : &own_committed_;
+  }
 
   /// Called immediately before each kCommitted acknowledgement leaves for
   /// a client (the durable-ack ledger hook). Only ever fires for commits
@@ -172,7 +175,14 @@ class CommitPeer {
 
   /// Committed update order for a GUID, in local commit order.
   [[nodiscard]] const std::vector<CommittedEntry>& history(
-      std::uint64_t guid) const;
+      std::uint64_t guid) const {
+    return committed_->entries(guid);
+  }
+
+  /// The journal's History, or the peer's own without a journal.
+  [[nodiscard]] const durable::History& committed_state() const {
+    return *committed_;
+  }
 
   /// Adopt a donor (agreed) history for `guid`, the one adoption path:
   /// an empty history takes the donor verbatim (a replacement member's
@@ -243,20 +253,15 @@ class CommitPeer {
     std::uint64_t update_id = 0;
     std::uint32_t slot = 0;
   };
+  /// Settled (recorded or imported) updates are in `committed_`; late
+  /// traffic for them is absorbed, a resent update re-acknowledged.
   struct GuidContext {
     std::uint64_t guid = 0;
     // Resident instances in update-id order, the order the not_free and
     // free fan-outs (and abort_scan) visit siblings in.
     std::vector<InstanceRef> instances;
     std::optional<std::uint64_t> chosen_update;   // Node lock holder.
-    std::vector<CommittedEntry> committed;        // Local commit order.
-    // Recorded (or imported) update ids, released from `instances`. Late
-    // traffic is absorbed, never re-instantiated; a resent update is
-    // re-acknowledged. One entry per commit, so it holds ids only; the
-    // "quorum" span id of each that has one (spans on) is in
-    // `settled_spans`. Both are only ever found and inserted, never
-    // iterated, so hash order cannot leak into events.
-    sim::FlatMap<std::monostate> settled;
+    // "quorum" span ids of settled updates (spans on); never iterated.
     sim::FlatMap<std::uint64_t> settled_spans;
   };
 
@@ -288,7 +293,7 @@ class CommitPeer {
   void free_siblings(GuidContext& ctx, std::uint64_t source);
   void broadcast(const WireMessage& msg);
   /// Record a finished instance (unless its journal append is refused),
-  /// acknowledge its client and release it into `settled`.
+  /// acknowledge its client and release it: it is settled.
   void check_finished(GuidContext& ctx, Instance& inst);
   /// Send one kCommitted to `client`: the ack sink first, then an
   /// "ack-sent" span point under `quorum_span`, then the frame.
@@ -321,6 +326,8 @@ class CommitPeer {
   obs::Histogram* instance_latency_ = nullptr;  // commit.instance_latency_us.
   obs::SpanRecorder* spans_ = nullptr;
   durable::DurableLog* journal_ = nullptr;
+  durable::History own_committed_;  // Used while no journal is attached.
+  durable::History* committed_ = &own_committed_;
   AckSink ack_sink_;
   PeerStats stats_;
   // By GUID; each context stays put while the table grows.

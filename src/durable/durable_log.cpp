@@ -22,88 +22,70 @@ void put_import_payload(std::string& out, std::uint64_t guid,
   }
 }
 
-/// SplitMix64 finalisation of the combined key: spreads consecutive
-/// update ids and GUIDs over the whole table.
-std::uint64_t slot_hash(std::uint64_t guid, std::uint64_t update_id) {
-  std::uint64_t z = guid ^ (update_id * 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
+const std::vector<Entry> kNoEntries;
 
 }  // namespace
 
-// ---- SeenTable. ----
-
-std::size_t DurableLog::SeenTable::find(std::uint64_t guid,
-                                        std::uint64_t update_id) const {
-  if (slots_.empty()) return 0;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = slot_hash(guid, update_id) & mask;
-  while (slots_[slot].used && (slots_[slot].guid != guid ||
-                               slots_[slot].update_id != update_id)) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
+const History::Record* History::find(std::uint64_t guid) const {
+  const auto* slot = records_.find(guid);
+  return slot == nullptr ? nullptr : slot->get();
 }
 
-void DurableLog::SeenTable::fill(std::size_t slot, std::uint64_t guid,
-                                 std::uint64_t update_id) {
-  if (slots_.empty()) {
-    grow();
-    slot = find(guid, update_id);
-  }
-  slots_[slot] = Slot{guid, update_id, true};
-  // Keep the load factor at or below 3/4: probe runs stay within a few
-  // slots, and the table is no larger than the tree it replaced.
-  if (++size_ * 4 > slots_.size() * 3) grow();
+History::Record& History::record(std::uint64_t guid) {
+  const auto [slot, created] = records_.try_emplace(guid);
+  if (created) *slot = std::make_unique<Record>();
+  return **slot;
 }
 
-void DurableLog::SeenTable::insert(std::uint64_t guid,
-                                   std::uint64_t update_id) {
-  const std::size_t slot = find(guid, update_id);
-  if (!occupied(slot)) fill(slot, guid, update_id);
+const std::vector<Entry>& History::entries(std::uint64_t guid) const {
+  const Record* rec = find(guid);
+  return rec == nullptr ? kNoEntries : rec->entries;
 }
 
-void DurableLog::SeenTable::erase(std::uint64_t guid,
-                                  std::uint64_t update_id) {
-  std::size_t hole = find(guid, update_id);
-  if (!occupied(hole)) return;
-  // Backward-shift deletion: pull later members of the probe run into the
-  // hole whenever the hole lies on their path from their home slot, so
-  // no tombstones are needed and every lookup stays one contiguous run.
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t next = (hole + 1) & mask; slots_[next].used;
-       next = (next + 1) & mask) {
-    const std::size_t home =
-        slot_hash(slots_[next].guid, slots_[next].update_id) & mask;
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      slots_[hole] = slots_[next];
-      hole = next;
-    }
-  }
-  slots_[hole].used = false;
-  --size_;
+bool History::contains(std::uint64_t guid, std::uint64_t update_id) const {
+  const Record* rec = find(guid);
+  return rec != nullptr && rec->ids.find(update_id) != nullptr;
 }
 
-void DurableLog::SeenTable::clear() {
-  slots_.clear();
-  size_ = 0;
+bool History::append(std::uint64_t guid, const Entry& entry) {
+  Record& rec = record(guid);
+  if (!rec.ids.try_emplace(entry.update_id).second) return false;
+  rec.entries.push_back(entry);
+  ++size_;
+  return true;
 }
 
-void DurableLog::SeenTable::grow() {
-  std::vector<Slot> old(std::max<std::size_t>(slots_.size() * 2, 64));
-  old.swap(slots_);
-  const std::size_t mask = slots_.size() - 1;
-  for (const Slot& s : old) {
-    if (!s.used) continue;
-    std::size_t slot = slot_hash(s.guid, s.update_id) & mask;
-    while (slots_[slot].used) slot = (slot + 1) & mask;
-    slots_[slot] = s;
-  }
+void History::replace(std::uint64_t guid, std::vector<Entry> entries) {
+  Record& rec = record(guid);
+  size_ += entries.size() - rec.entries.size();
+  rec.entries = std::move(entries);
+  rec.ids = {};  // A FlatMap never erases: ids absent from `entries` go.
+  for (const Entry& e : rec.entries) (void)rec.ids.try_emplace(e.update_id);
 }
 
-// ---- DurableLog. ----
+std::vector<std::uint64_t> History::guids() const {
+  std::vector<std::uint64_t> guids;
+  records_.for_each(
+      [&guids](std::uint64_t guid, const auto&) { guids.push_back(guid); });
+  std::sort(guids.begin(), guids.end());
+  return guids;
+}
+
+std::size_t History::indexed() const {
+  std::size_t n = 0;
+  records_.for_each(
+      [&n](std::uint64_t, const auto& rec) { n += rec->ids.size(); });
+  return n;
+}
+
+std::size_t History::resident_bytes() const {
+  std::size_t bytes = records_.bytes();
+  records_.for_each([&bytes](std::uint64_t, const auto& rec) {
+    bytes += sizeof(Record) + rec->entries.capacity() * sizeof(Entry) +
+             rec->ids.bytes();
+  });
+  return bytes;
+}
 
 DurableLog::DurableLog(StorageMedium& medium, std::string name,
                        std::size_t snapshot_every)
@@ -111,6 +93,14 @@ DurableLog::DurableLog(StorageMedium& medium, std::string name,
       journal_file_(name + ".journal"),
       snapshot_file_(name + ".snapshot"),
       snapshot_every_(snapshot_every) {}
+
+GuidHistories DurableLog::histories() const {
+  GuidHistories out;
+  for (const std::uint64_t guid : history_.guids()) {
+    out.emplace(guid, history_.entries(guid));
+  }
+  return out;
+}
 
 bool DurableLog::append_frame(const std::string& frame) {
   // Self-repair: a previous torn append may have left garbage past the
@@ -134,8 +124,7 @@ bool DurableLog::append_frame(const std::string& frame) {
 bool DurableLog::record_commit(std::uint64_t guid, std::uint64_t update_id,
                                std::uint64_t request_id,
                                std::uint64_t payload) {
-  const std::size_t slot = seen_.find(guid, update_id);
-  if (seen_.occupied(slot)) return true;  // Already durable.
+  if (history_.contains(guid, update_id)) return true;  // Already durable.
   frame_.clear();
   const std::size_t start = begin_frame(frame_);
   put_u64(frame_, guid);
@@ -144,8 +133,7 @@ bool DurableLog::record_commit(std::uint64_t guid, std::uint64_t update_id,
   put_u64(frame_, payload);
   end_frame(frame_, start, RecordType::kCommit);
   if (!append_frame(frame_)) return false;
-  image_[guid].push_back(Entry{update_id, request_id, payload});
-  seen_.fill(slot, guid, update_id);
+  (void)history_.append(guid, Entry{update_id, request_id, payload});
   ++writer_.commits_recorded;
   // An acknowledged commit is synced: the partial-flush fault may never
   // drop it, and any earlier unsynced tail records are now covered too.
@@ -157,15 +145,19 @@ bool DurableLog::record_commit(std::uint64_t guid, std::uint64_t update_id,
 }
 
 bool DurableLog::record_import(std::uint64_t guid,
-                               const std::vector<Entry>& entries) {
+                               std::vector<Entry> entries) {
+  history_.replace(guid, std::move(entries));
+  return journal_history(guid);
+}
+
+bool DurableLog::journal_history(std::uint64_t guid) {
   frame_.clear();
   const std::size_t start = begin_frame(frame_);
-  put_import_payload(frame_, guid, entries);
+  put_import_payload(frame_, guid, history_.entries(guid));
   end_frame(frame_, start, RecordType::kImport);
   const std::size_t offset = valid_size_;
   if (!append_frame(frame_)) return false;
   tail_records_.emplace_back(offset, frame_.size());
-  replace_history(guid, entries);
   ++writer_.imports_recorded;
   return true;
 }
@@ -183,25 +175,12 @@ bool DurableLog::record_membership(bool joined, std::uint64_t node_id) {
   return true;
 }
 
-void DurableLog::replace_history(std::uint64_t guid,
-                                 std::vector<Entry> entries) {
-  // An import is the node's complete adopted history: replace, so a
-  // reconciliation that reordered history stays authoritative.
-  std::vector<Entry>& history = image_[guid];
-  for (const Entry& e : history) seen_.erase(guid, e.update_id);
-  history = std::move(entries);
-  for (const Entry& e : history) seen_.insert(guid, e.update_id);
-}
-
 void DurableLog::apply_commit(std::string_view payload) {
   if (payload.size() < kCommitPayloadSize) return;
   const std::uint64_t guid = get_u64(payload, 0);
-  const std::uint64_t update_id = get_u64(payload, 8);
-  const std::size_t slot = seen_.find(guid, update_id);
-  if (seen_.occupied(slot)) return;  // Snapshot overlap.
-  image_[guid].push_back(
-      Entry{update_id, get_u64(payload, 16), get_u64(payload, 24)});
-  seen_.fill(slot, guid, update_id);
+  // An update already applied (snapshot overlap) is skipped.
+  (void)history_.append(guid, Entry{get_u64(payload, 8), get_u64(payload, 16),
+                                    get_u64(payload, 24)});
 }
 
 void DurableLog::apply_import(std::string_view payload) {
@@ -220,13 +199,12 @@ void DurableLog::apply_import(std::string_view payload) {
     entries.push_back(Entry{get_u64(payload, base), get_u64(payload, base + 8),
                             get_u64(payload, base + 16)});
   }
-  replace_history(guid, std::move(entries));
+  history_.replace(guid, std::move(entries));
 }
 
 RecoveryStats DurableLog::recover() {
   RecoveryStats stats;
-  image_.clear();
-  seen_.clear();
+  history_ = {};
   tail_records_.clear();
   last_snapshot_size_ = 0;
 
@@ -260,9 +238,7 @@ RecoveryStats DurableLog::recover() {
     }
   }
   stats.replayed_records = scan.records.size();
-  for (const auto& [guid, entries] : image_) {
-    stats.entries_recovered += entries.size();
-  }
+  stats.entries_recovered = history_.size();
 
   // Physically cut the torn tail so future appends extend a well-framed
   // prefix (best-effort: a stalled disk leaves the repair to append time).
@@ -300,16 +276,13 @@ void DurableLog::maybe_snapshot() {
     return;
   }
   commits_since_snapshot_ = 0;
-  std::size_t bytes_needed = 0;
-  for (const auto& [guid, entries] : image_) {
-    bytes_needed += kFrameHeaderSize + kImportHeaderSize +
-                    entries.size() * kImportEntrySize;
-  }
+  const std::vector<std::uint64_t> guids = history_.guids();
   std::string bytes;
-  bytes.reserve(bytes_needed);
-  for (const auto& [guid, entries] : image_) {
+  bytes.reserve(guids.size() * (kFrameHeaderSize + kImportHeaderSize) +
+                history_.size() * kImportEntrySize);
+  for (const std::uint64_t guid : guids) {
     const std::size_t start = begin_frame(bytes);
-    put_import_payload(bytes, guid, entries);
+    put_import_payload(bytes, guid, history_.entries(guid));
     end_frame(bytes, start, RecordType::kImport);
   }
   if (!medium_.replace(snapshot_file_, bytes)) {

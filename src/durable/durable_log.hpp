@@ -2,17 +2,22 @@
 //
 // Write-ahead discipline (the contract with commit::CommitPeer, which
 // holds the node's log directly — CommitPeer::set_journal — and calls
-// record_commit for every finished commit and record_import for every
+// record_commit for every finished commit and journal_history after every
 // history adoption):
 //
-//   journal append succeeds  →  in-memory history append  →  ack sent
+//   commit:    journal append succeeds  →  in-memory history append  →  ack
+//   adoption:  in-memory history replace  →  journal append (best-effort)
 //
 // A commit whose journal append fails is neither recorded nor
 // acknowledged — the client's retry (same request id) drives a fresh
 // attempt. So every *acknowledged* commit is on the medium before any
 // client learns of it, which is exactly what makes crash recovery by
-// replay sound. This library is a leaf: the peer's entry type is this
-// file's Entry.
+// replay sound. An adoption (reconciliation, import) acknowledges nothing,
+// so it is memory-first: when its import append is refused (stalled or
+// full disk) the adopted entries stay in history(), count as "already
+// durable" for record_commit, and reach the medium with the next snapshot
+// or import of that GUID — or are re-reconciled after a crash. This
+// library is a leaf: the peer's entry type is this file's Entry.
 //
 // Record payloads (framed by journal.hpp; integers little-endian):
 //
@@ -28,24 +33,26 @@
 // update id per GUID — a journal that survived a failed post-snapshot
 // truncate replays over the snapshot without double-applying.
 //
-// Snapshots: the full per-GUID image is atomically written to the
-// snapshot file (as kImport frames) and the journal truncated to zero
-// once both (a) `snapshot_every` commit records have been journaled since
-// the last snapshot and (b) the journal has grown to at least the size of
-// the last snapshot written (or loaded by recover()). Rule (b) makes the
-// schedule geometric: each rewrite is paid for by at least as many
-// journal bytes, so total snapshot bytes stay within twice the journal
-// bytes and a commit costs O(1) amortised however long the history, while
-// a recovery replays at most about one image's worth of journal. The
-// journal since the last snapshot is the increment — there is no
-// checkpoint chain. A failed snapshot write keeps the journal; a corrupt
-// snapshot at recovery is flagged and its intact frames still applied.
+// Snapshots: the full per-GUID image is atomically written to the snapshot
+// file (kImport frames, GUID order) and the journal truncated to zero once
+// both (a) `snapshot_every` commit records have been journaled since the
+// last snapshot and (b) the journal has grown to at least the size of the
+// last snapshot written (or loaded by recover()). Rule (b) makes the
+// schedule geometric: each rewrite is paid for by at least as many journal
+// bytes, so total snapshot bytes stay within twice the journal bytes and a
+// commit costs O(1) amortised however long the history, while a recovery
+// replays at most about one image's worth of journal. The journal since the
+// last snapshot is the increment — there is no checkpoint chain. A failed
+// snapshot write keeps the journal; a corrupt snapshot at recovery is
+// flagged and its intact frames still applied.
 //
-// Persistent vs transient state: the image is what snapshots and the
-// journal carry. The (guid, update id) dedup table beside it is
-// transient — never written, rebuilt by recover() and record_import —
-// so the record path is one flat probe plus one append into buffers the
-// log reuses.
+// Persistent vs transient state: the History is what the snapshot and
+// journal replay to, plus any adoption whose import append was refused,
+// and the node's only copy of its committed state — an attached peer reads and extends the log's History. Per GUID
+// it holds the entries (24 bytes each) and a FlatMap set of their update
+// ids (8-byte slots), the transient dedup table rebuilt by recover(). It
+// lists GUIDs in ascending order wherever their order reaches bytes. The
+// record path is one flat probe plus one append into reused buffers.
 //
 // Sync watermark: commit records are acknowledged, so they are "synced" —
 // the watermark advances past them and a partial flush (kFlushDrop chaos
@@ -57,11 +64,14 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "durable/journal.hpp"
 #include "durable/storage_medium.hpp"
+#include "sim/flat_map.hpp"
 
 namespace asa_repro::durable {
 
@@ -75,6 +85,38 @@ struct Entry {
 };
 
 using GuidHistories = std::map<std::uint64_t, std::vector<Entry>>;
+
+/// A node's committed state: per GUID, its entries and their update ids.
+class History {
+ public:
+  /// The GUID's entries in commit order (empty when none); the reference
+  /// survives new GUIDs.
+  [[nodiscard]] const std::vector<Entry>& entries(std::uint64_t guid) const;
+  [[nodiscard]] bool contains(std::uint64_t guid,
+                              std::uint64_t update_id) const;
+  /// Append unless the update id is recorded; true when appended.
+  bool append(std::uint64_t guid, const Entry& entry);
+  /// Make `entries` the GUID's whole history (an import or adoption).
+  void replace(std::uint64_t guid, std::vector<Entry> entries);
+
+  /// GUIDs holding a record, ascending.
+  [[nodiscard]] std::vector<std::uint64_t> guids() const;
+  [[nodiscard]] std::size_t size() const { return size_; }  // Entries.
+  [[nodiscard]] std::size_t indexed() const;  // Ids across the sets.
+  /// Bytes allocated for all of it, by capacity.
+  [[nodiscard]] std::size_t resident_bytes() const;
+
+ private:
+  struct Record {
+    std::vector<Entry> entries;
+    sim::FlatMap<std::monostate> ids;
+  };
+  [[nodiscard]] const Record* find(std::uint64_t guid) const;
+  Record& record(std::uint64_t guid);
+
+  sim::FlatMap<std::unique_ptr<Record>> records_;  // Records stay put.
+  std::size_t size_ = 0;
+};
 
 /// What recovery found, for metrics / traces / test assertions.
 struct RecoveryStats {
@@ -111,25 +153,28 @@ class DurableLog {
   DurableLog(const DurableLog&) = delete;
   DurableLog& operator=(const DurableLog&) = delete;
 
-  /// Write-ahead one acknowledged commit. True only when the record is
-  /// durably framed on the medium; on false the caller MUST NOT record
-  /// or acknowledge the commit.
+  /// Write-ahead one acknowledged commit, then append it to history().
+  /// True only when the record is durably framed on the medium; on false
+  /// the caller MUST NOT record or acknowledge the commit.
   bool record_commit(std::uint64_t guid, std::uint64_t update_id,
                      std::uint64_t request_id, std::uint64_t payload);
 
-  /// Journal the node's complete history for `guid` after a wholesale
-  /// adoption (bootstrap import or peer reconciliation). Best-effort:
-  /// a false return (stalled disk) only delays durability until the
-  /// next recovery re-reconciles.
-  bool record_import(std::uint64_t guid, const std::vector<Entry>& entries);
+  /// Make `entries` history()'s complete history for `guid`, then
+  /// journal_history(guid).
+  bool record_import(std::uint64_t guid, std::vector<Entry> entries);
+  /// Journal history()'s entries for `guid` (already rewritten in place by
+  /// an adoption, or recovered) as one import record. Best-effort: a false
+  /// return (stalled disk) leaves history() as it is and only delays
+  /// durability (see the adoption rule above).
+  bool journal_history(std::uint64_t guid);
 
   /// Journal a ring membership change observed by this node.
   bool record_membership(bool joined, std::uint64_t node_id);
 
-  /// Three-phase-local recovery: load + apply the snapshot, scan the
-  /// journal (torn-tail truncation, CRC-skip), apply surviving records,
-  /// then physically truncate the journal's torn tail so subsequent
-  /// appends extend a well-framed prefix.
+  /// Three-phase-local recovery into a cleared history(): load + apply the
+  /// snapshot, scan the journal (torn-tail truncation, CRC-skip), apply
+  /// surviving records, then physically truncate the journal's torn tail
+  /// so subsequent appends extend a well-framed prefix.
   RecoveryStats recover();
 
   /// Drop up to `max_records` whole records from the unsynced tail
@@ -138,9 +183,14 @@ class DurableLog {
   /// truncate (stalled), and those records stay droppable later.
   std::size_t drop_unsynced_tail(std::size_t max_records);
 
-  /// The journaled per-GUID history image (what replay reconstructed
-  /// plus everything recorded since).
-  [[nodiscard]] const GuidHistories& histories() const { return image_; }
+  /// The node's committed state: what replay reconstructed plus
+  /// everything recorded since. An attached peer shares it.
+  [[nodiscard]] History& history() { return history_; }
+  [[nodiscard]] const History& history() const { return history_; }
+  /// A deep copy of history(), by GUID, for tests and audits: it copies
+  /// every entry, and two calls return distinct maps (compare no iterators
+  /// across calls). Count GUIDs with history().guids() instead.
+  [[nodiscard]] GuidHistories histories() const;
 
   [[nodiscard]] const WriterStats& writer_stats() const { return writer_; }
   [[nodiscard]] std::size_t journal_size() const {
@@ -154,41 +204,8 @@ class DurableLog {
   }
 
  private:
-  /// The set of (guid, update id) pairs in the image: an open-addressing
-  /// table with linear probing and backward-shift deletion, so a lookup
-  /// is one probe sequence over one flat array and a warm insert
-  /// allocates nothing.
-  class SeenTable {
-   public:
-    /// The slot holding (guid, update_id), or the empty slot where it
-    /// would go. Valid until the next insert or erase.
-    [[nodiscard]] std::size_t find(std::uint64_t guid,
-                                   std::uint64_t update_id) const;
-    [[nodiscard]] bool occupied(std::size_t slot) const {
-      return slot < slots_.size() && slots_[slot].used;
-    }
-    /// Fill `slot` (an empty slot returned by find for this key).
-    void fill(std::size_t slot, std::uint64_t guid, std::uint64_t update_id);
-    void insert(std::uint64_t guid, std::uint64_t update_id);
-    void erase(std::uint64_t guid, std::uint64_t update_id);
-    void clear();
-
-   private:
-    struct Slot {
-      std::uint64_t guid = 0;
-      std::uint64_t update_id = 0;
-      bool used = false;
-    };
-    void grow();
-
-    std::vector<Slot> slots_;  // Size is zero or a power of two.
-    std::size_t size_ = 0;
-  };
-
   /// Repair any torn tail, then append one frame. Updates valid_size_.
   bool append_frame(const std::string& frame);
-  /// Replace `guid`'s image (and its dedup entries) with `entries`.
-  void replace_history(std::uint64_t guid, std::vector<Entry> entries);
   void apply_commit(std::string_view payload);
   void apply_import(std::string_view payload);
   void maybe_snapshot();
@@ -198,8 +215,7 @@ class DurableLog {
   std::string snapshot_file_;
   std::size_t snapshot_every_;
 
-  GuidHistories image_;  // Ordered: restart imports histories in key order.
-  SeenTable seen_;
+  History history_;
   std::string frame_;  // Reused encode buffer for one journal record.
 
   std::size_t valid_size_ = 0;        // Well-framed journal prefix length.

@@ -1,7 +1,8 @@
 // Open-addressing hash map from a 64-bit key to a value: the per-message
-// lookups of the simulated network (links, handlers) and of the commit
-// peer (GUID contexts, settled updates). With an empty value type
-// (std::monostate) it is a set of 8-byte entries.
+// lookups of the simulated network (links, handlers), of the commit peer
+// (GUID contexts) and of a node's committed history (GUID records and
+// their update-id sets). With an empty value type (std::monostate) it is
+// a set of 8-byte entries.
 //
 // Entries sit in one power-of-two array probed linearly from a Fibonacci
 // hash of the key, and the array doubles past 3/4 load, so a lookup is
@@ -60,10 +61,22 @@ class FlatMap {
     return used_ + (spare_.has_value() ? 1 : 0);
   }
 
+  /// Bytes of the entry array (its capacity, not its load).
+  [[nodiscard]] std::size_t bytes() const {
+    return entries_.capacity() * sizeof(Entry);
+  }
+
   /// Visit every (key, value) in hash order.
   template <class F>
   void for_each(F&& visit) {
     for (Entry& entry : entries_) {
+      if (entry.key != kEmpty) visit(entry.key, entry.value);
+    }
+    if (spare_.has_value()) visit(kEmpty, *spare_);
+  }
+  template <class F>
+  void for_each(F&& visit) const {
+    for (const Entry& entry : entries_) {
       if (entry.key != kEmpty) visit(entry.key, entry.value);
     }
     if (spare_.has_value()) visit(kEmpty, *spare_);

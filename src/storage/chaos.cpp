@@ -503,7 +503,8 @@ sim::FaultPlan generate_fault_plan(const ChaosConfig& config,
 
 ChaosReport run_plan(const ChaosConfig& config, const sim::FaultPlan& plan,
                      obs::MetricsRegistry* metrics,
-                     obs::EventRecorder* events, obs::SpanRecorder* spans) {
+                     obs::EventRecorder* events, obs::SpanRecorder* spans,
+                     const std::function<void(AsaCluster&)>& inspect) {
   ClusterConfig cluster_config;
   cluster_config.nodes = config.nodes;
   cluster_config.replication_factor = config.replication;
@@ -823,6 +824,7 @@ ChaosReport run_plan(const ChaosConfig& config, const sim::FaultPlan& plan,
     events->merge(cluster.events());
   }
   if (spans != nullptr) spans->merge(cluster.spans());
+  if (inspect) inspect(cluster);
   return report;
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -140,12 +141,14 @@ struct ChaosReport {
 /// flight view (plus horizon-bounded queue-depth samples on the cluster
 /// lane). With `spans` the span timeline is recorded and merged likewise.
 /// None of these affect the event timeline: identical seeds produce
-/// identical runs observed or not.
-[[nodiscard]] ChaosReport run_plan(const ChaosConfig& config,
-                                   const sim::FaultPlan& plan,
-                                   obs::MetricsRegistry* metrics = nullptr,
-                                   obs::EventRecorder* events = nullptr,
-                                   obs::SpanRecorder* spans = nullptr);
+/// identical runs observed or not. `inspect` (optional) is handed the
+/// finished cluster after the invariants are checked, for tests that
+/// audit per-node state the invariants do not cover.
+[[nodiscard]] ChaosReport run_plan(
+    const ChaosConfig& config, const sim::FaultPlan& plan,
+    obs::MetricsRegistry* metrics = nullptr,
+    obs::EventRecorder* events = nullptr, obs::SpanRecorder* spans = nullptr,
+    const std::function<void(AsaCluster&)>& inspect = nullptr);
 
 /// Delta-debug a violating plan to a locally minimal reproducer: greedily
 /// remove chunks (halving granularity down to single events) while the

@@ -319,13 +319,15 @@ std::size_t AsaCluster::restart_node(std::size_t index) {
   commit::CommitPeer& peer = member.host->peer();
 
   // Phases 1+2 (durability): snapshot load, then journal replay with
-  // torn-tail truncation and CRC-skip of corrupt records. The rebuilt
-  // peer is seeded with the replayed histories before it talks to anyone.
+  // torn-tail truncation and CRC-skip of corrupt records, into the
+  // History the rebuilt peer shares, each GUID's then journaled again as
+  // an import (in GUID order) before the peer talks to anyone.
   std::size_t recovered = 0;
   if (config_.durability) {
-    member.last_recovery = member.log->recover();
-    for (const auto& [key, entries] : member.log->histories()) {
-      if (!entries.empty()) (void)peer.reconcile_history(key, entries);
+    durable::DurableLog& log = *member.log;
+    member.last_recovery = log.recover();
+    for (const std::uint64_t key : log.history().guids()) {
+      if (!log.history().entries(key).empty()) (void)log.journal_history(key);
     }
     recovered = member.last_recovery.entries_recovered;
   }

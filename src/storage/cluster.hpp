@@ -195,6 +195,7 @@ class AsaCluster {
   void corrupt_node(std::size_t index) {
     host(index).store().set_corrupt(true);
   }
+  /// The node's History stays readable until restart_node rebuilds it.
   void crash_node(std::size_t index);
 
   /// Recovery path for a crashed node (paper section 2.2: "background

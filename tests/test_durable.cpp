@@ -1,20 +1,30 @@
 // Durable node state: CRC-framed journal encoding/scanning, the fault-
 // injectable storage medium, the write-ahead DurableLog (snapshots, sync
 // watermark, recovery), and cluster-level crash-consistency — including
-// the full-peer-set crash the volatile seed codebase provably loses.
+// the full-peer-set crash the volatile seed codebase provably loses, the
+// recovery round trip of every node after a campaign, and the one
+// resident copy of each committed entry per node.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "commit/machine_cache.hpp"
+#include "commit/messages.hpp"
+#include "commit/peer.hpp"
 #include "durable/crc32.hpp"
 #include "durable/durable_log.hpp"
 #include "durable/journal.hpp"
 #include "durable/storage_medium.hpp"
+#include "sim/fault_plan.hpp"
+#include "sim/network.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/workload.hpp"
 #include "storage/chaos.hpp"
 #include "storage/cluster.hpp"
 #include "storage/invariant_checker.hpp"
@@ -389,9 +399,10 @@ TEST(DurableLog, DedupMatchesAReferenceSetAcrossImports) {
     ASSERT_EQ(log.writer_stats().commits_recorded, before + (fresh ? 1 : 0))
         << "step " << step;
   }
+  const durable::GuidHistories histories = log.histories();
   for (const auto& [guid, ids] : reference) {
-    const auto it = log.histories().find(guid);
-    ASSERT_NE(it, log.histories().end());
+    const auto it = histories.find(guid);
+    ASSERT_NE(it, histories.end());
     std::set<std::uint64_t> recorded;
     for (const Entry& e : it->second) recorded.insert(e.update_id);
     EXPECT_EQ(recorded, ids) << "guid " << guid;
@@ -407,6 +418,49 @@ TEST(DurableLog, DedupMatchesAReferenceSetAcrossImports) {
     }
   }
   EXPECT_EQ(reopened.writer_stats().commits_recorded, 0u);
+}
+
+TEST(DurableLog, StalledAdoptionIsMemoryFirstAndReachesTheNextSnapshot) {
+  MemMedium medium;
+  DurableLog log(medium, "node", /*snapshot_every=*/1);
+  sim::Scheduler scheduler;
+  sim::Network network(scheduler, sim::Rng(1));
+  commit::MachineCache machines;
+  commit::CommitPeer peer(network, 0, {0, 1}, machines.machine_for(4));
+  peer.set_journal(&log);
+  const std::vector<Entry> donor = {
+      {100, 1000, 11}, {101, 1001, 12}, {102, 1002, 13}};
+
+  // The import append is refused, but the adoption stands in memory.
+  medium.set_stalled(true);
+  EXPECT_EQ(peer.reconcile_history(7, donor), 3u);
+  medium.set_stalled(false);
+  EXPECT_EQ(log.writer_stats().imports_recorded, 0u);
+  EXPECT_EQ(log.writer_stats().append_failures, 1u);
+  EXPECT_EQ(peer.history(7), donor);
+  EXPECT_EQ(log.history().entries(7), donor);
+  {
+    MemMedium copy = medium;  // Nothing of it is on the medium yet.
+    DurableLog probe(copy, "node", 1);
+    EXPECT_EQ(probe.recover().entries_recovered, 0u);
+  }
+
+  // An adopted update counts as already durable: nothing is journaled.
+  EXPECT_TRUE(log.record_commit(7, 101, 1001, 12));
+  EXPECT_EQ(log.writer_stats().commits_recorded, 0u);
+  EXPECT_EQ(medium.size(log.journal_file()), 0u);
+
+  // The next commit's snapshot writes the whole history, adoption included.
+  ASSERT_TRUE(log.record_commit(7, 103, 1003, 14));
+  EXPECT_EQ(log.writer_stats().snapshots_written, 1u);
+  std::vector<Entry> expected = donor;
+  expected.push_back({103, 1003, 14});
+  EXPECT_EQ(peer.history(7), expected);
+  MemMedium copy = medium;
+  DurableLog recovered(copy, "node", 1);
+  const RecoveryStats stats = recovered.recover();
+  EXPECT_TRUE(stats.snapshot_loaded);
+  EXPECT_EQ(recovered.history().entries(7), expected);
 }
 
 TEST(DurableLog, GeometricSnapshotScheduleBoundsJournalAndSnapshotBytes) {
@@ -828,6 +882,278 @@ TEST(ClusterDurability, SmokeIsCleanAndDeterministic) {
 }
 
 }  // namespace cluster_tests
+
+// ---- Recovery round trip. ----
+
+namespace round_trip {
+
+using storage::AsaCluster;
+using storage::ChaosConfig;
+using sim::FaultEvent;
+using sim::FaultPlan;
+
+struct RoundTrip {
+  std::size_t nodes = 0;      // Nodes with a journal.
+  std::size_t entries = 0;    // Recovered history entries.
+  std::size_t truncated = 0;  // Restarts that cut a torn tail.
+  std::size_t skipped = 0;    // Restarts that skipped a CRC-bad record.
+};
+
+/// For every journaled node: recover a copy of its medium and compare the
+/// recovered histories with the node's live ones, entry for entry. Then
+/// put a fresh peer on the recovered log and replay kUpdate, kVote and
+/// kCommit for every recovered update: each must be absorbed (the update
+/// re-acknowledged), with no instance opened and nothing recorded again.
+RoundTrip audit_recovery(AsaCluster& cluster) {
+  RoundTrip out;
+  commit::MachineCache machines;
+  const fsm::StateMachine& machine =
+      machines.machine_for(cluster.config().replication_factor);
+  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+    if (cluster.durable_log(i) == nullptr) continue;
+    SCOPED_TRACE("node " + std::to_string(i));
+    ++out.nodes;
+    out.truncated += cluster.last_recovery(i).truncated_bytes > 0 ? 1 : 0;
+    out.skipped += cluster.last_recovery(i).skipped_crc > 0 ? 1 : 0;
+    MemMedium copy = cluster.medium(i);
+    DurableLog log(copy, "node-" + std::to_string(i),
+                   cluster.config().snapshot_every);
+    (void)log.recover();
+    const durable::GuidHistories recovered = log.histories();
+    const commit::CommitPeer& live = cluster.host(i).peer();
+    for (const storage::Guid& guid : cluster.known_guids()) {
+      const std::uint64_t key = guid.to_uint64();
+      const auto it = recovered.find(key);
+      const std::vector<Entry> expected =
+          it == recovered.end() ? std::vector<Entry>{} : it->second;
+      EXPECT_EQ(live.history(key), expected) << "guid " << key;
+    }
+    for (const auto& [key, entries] : recovered) {
+      EXPECT_TRUE(entries.empty() || !live.history(key).empty())
+          << "recovered guid " << key << " is unknown to the live node";
+    }
+
+    sim::Scheduler scheduler;
+    sim::Network network(scheduler, sim::Rng(i));
+    constexpr sim::NodeAddr kSelf = 0;
+    constexpr sim::NodeAddr kSender = 1;
+    commit::CommitPeer peer(network, kSelf, {kSelf, kSender}, machine);
+    peer.set_journal(&log);
+    // The restart path seeds a rebuilt peer from its recovered journal.
+    for (const auto& [key, entries] : recovered) {
+      if (!entries.empty()) (void)peer.reconcile_history(key, entries);
+    }
+    const durable::WriterStats before = log.writer_stats();
+    std::size_t acks = 0;
+    network.attach(kSender,
+                   [&acks](sim::NodeAddr, std::string_view) { ++acks; });
+    std::size_t updates = 0;
+    for (const auto& [key, entries] : recovered) {
+      for (const Entry& e : entries) {
+        ++updates;
+        for (const auto kind : {commit::WireMessage::Kind::kUpdate,
+                                commit::WireMessage::Kind::kVote,
+                                commit::WireMessage::Kind::kCommit}) {
+          network.send(kSender, kSelf,
+                       commit::WireMessage{kind, key, e.update_id,
+                                           e.request_id, e.payload}
+                           .serialize());
+        }
+      }
+    }
+    scheduler.run();
+    out.entries += updates;
+    EXPECT_EQ(acks, updates);
+    EXPECT_EQ(peer.stats().updates_received, updates);
+    EXPECT_EQ(peer.stats().committed, 0u);
+    EXPECT_EQ(peer.stats().votes_sent, 0u);
+    EXPECT_EQ(log.writer_stats().commits_recorded, before.commits_recorded);
+    EXPECT_EQ(log.writer_stats().imports_recorded, before.imports_recorded);
+    for (const auto& [key, entries] : recovered) {
+      EXPECT_EQ(peer.resident_instances(key), 0u) << "guid " << key;
+      EXPECT_EQ(peer.history(key), entries) << "guid " << key;
+    }
+    EXPECT_EQ(log.histories(), recovered);
+  }
+  return out;
+}
+
+bool has(const FaultPlan& plan, FaultEvent::Kind kind) {
+  return std::any_of(plan.events().begin(), plan.events().end(),
+                     [kind](const FaultEvent& e) { return e.kind == kind; });
+}
+
+RoundTrip run_campaign_seed(const ChaosConfig& config) {
+  sim::Rng rng(config.seed ^ 0x63686170'73656564ull);  // asachaos' plan.
+  const FaultPlan plan = generate_fault_plan(config, rng);
+  // The campaign's own invariants are ChaosRun's subject; this audits
+  // recovery whatever the run's verdict.
+  RoundTrip audit;
+  const storage::ChaosReport report = storage::run_plan(
+      config, plan, nullptr, nullptr, nullptr,
+      [&audit](AsaCluster& cluster) { audit = audit_recovery(cluster); });
+  EXPECT_TRUE(report.quiesced);
+  return audit;
+}
+
+TEST(RecoveryRoundTrip, DurabilityCampaignNodesRecoverTheirLiveHistory) {
+  // A seed whose plan crashes nodes, tears a journal tail at a crash,
+  // rots a journal byte while a node is down and stalls a disk.
+  ChaosConfig config;
+  config.seed = 1270;
+  config.updates = 40;
+  sim::Rng rng(config.seed ^ 0x63686170'73656564ull);
+  const FaultPlan plan = generate_fault_plan(config, rng);
+  ASSERT_TRUE(has(plan, FaultEvent::Kind::kCrash));
+  ASSERT_TRUE(has(plan, FaultEvent::Kind::kTornWrite));
+  ASSERT_TRUE(has(plan, FaultEvent::Kind::kBitRot));
+  ASSERT_TRUE(has(plan, FaultEvent::Kind::kDiskStall) ||
+              has(plan, FaultEvent::Kind::kDiskFull));
+  const RoundTrip audit = run_campaign_seed(config);
+  EXPECT_EQ(audit.nodes, config.nodes);
+  EXPECT_GT(audit.entries, 0u);
+  EXPECT_GT(audit.truncated, 0u);
+  EXPECT_GT(audit.skipped, 0u);
+}
+
+TEST(RecoveryRoundTrip, ChurnCampaignNodesRecoverTheirLiveHistory) {
+  ChaosConfig config;
+  config.seed = 2000;
+  config.updates = 40;
+  config.churn = true;
+  config.wan = true;
+  config.writers = 4;
+  config.zipf = 1.2;
+  config.read_fraction = 0.2;
+  sim::Rng rng(config.seed ^ 0x63686170'73656564ull);
+  const FaultPlan plan = generate_fault_plan(config, rng);
+  ASSERT_TRUE(has(plan, FaultEvent::Kind::kJoin) ||
+              has(plan, FaultEvent::Kind::kLeave) ||
+              has(plan, FaultEvent::Kind::kDepart));
+  const RoundTrip audit = run_campaign_seed(config);
+  EXPECT_GT(audit.nodes, 0u);
+  EXPECT_GT(audit.entries, 0u);
+}
+
+}  // namespace round_trip
+
+// ---- Resident committed state. ----
+
+namespace resident {
+
+using storage::AsaCluster;
+using storage::ClusterConfig;
+using storage::Guid;
+using storage::Pid;
+using storage::block_from;
+
+struct Resident {
+  std::size_t entries = 0;
+  std::size_t bytes = 0;
+};
+
+/// `operations` closed-loop appends from 16 writers over `guids` uniform
+/// GUIDs on 64 durable nodes at replication `r`: the shape of the
+/// benchmark's steady (r=4) and wide (r=13) workloads. Every node must
+/// hold its committed state in the one History its peer and journal
+/// share, one entry and one index entry per committed update.
+Resident warm_run(std::uint32_t r, std::uint32_t guids, int operations) {
+  ClusterConfig config;
+  config.nodes = 64;
+  config.replication_factor = r;
+  config.seed = 3;
+  config.durability = true;
+  config.retry.base_timeout = 80'000;
+  config.retry.max_attempts = 30;
+  config.abort_scan_interval = 60'000;
+  config.abort_max_age = 80'000;
+  AsaCluster cluster(config);
+  cluster.version_history().set_serialize_appends(true);
+  sim::WorkloadConfig workload;
+  workload.writers = 16;
+  workload.keys = guids;
+  workload.operations = operations;
+  workload.zipf = 0;
+  const auto per_writer = sim::generate_workload(workload, config.seed);
+  std::map<std::uint32_t, std::size_t> committed;  // By key.
+  std::function<void(std::size_t, std::size_t)> submit =
+      [&](std::size_t w, std::size_t i) {
+        if (i >= per_writer[w].size()) return;
+        const std::uint32_t key = per_writer[w][i].key;
+        cluster.version_history().append(
+            Guid::named("resident:" + std::to_string(key)),
+            Pid::of(block_from("w" + std::to_string(w) + " op" +
+                               std::to_string(i))),
+            [&, w, i, key](const commit::CommitResult& result) {
+              committed[key] += result.committed ? 1 : 0;
+              submit(w, i + 1);
+            });
+      };
+  for (std::size_t w = 0; w < per_writer.size(); ++w) {
+    if (per_writer[w].empty()) continue;
+    cluster.scheduler().schedule_at(per_writer[w][0].at,
+                                    [&submit, w] { submit(w, 0); });
+  }
+  cluster.run();
+  // Each committed update is held once by every member of its peer set.
+  std::size_t held = 0;
+  std::size_t total = 0;
+  for (const auto& [key, count] : committed) {
+    held += count *
+            cluster.peer_set(Guid::named("resident:" + std::to_string(key)))
+                .size();
+    total += count;
+  }
+  EXPECT_EQ(total, static_cast<std::size_t>(operations));
+
+  Resident out;
+  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    const commit::CommitPeer& peer = cluster.host(i).peer();
+    const durable::DurableLog& log = *cluster.durable_log(i);
+    const durable::History& history = log.history();
+    EXPECT_EQ(&peer.committed_state(), &history);
+    // Fault-free: every entry is one journaled commit of this node.
+    EXPECT_EQ(history.size(), peer.stats().committed);
+    EXPECT_EQ(history.size(), log.writer_stats().commits_recorded);
+    EXPECT_EQ(history.indexed(), history.size());
+    std::size_t distinct = 0;
+    for (const std::uint64_t guid : history.guids()) {
+      std::set<std::uint64_t> ids;
+      for (const Entry& e : history.entries(guid)) ids.insert(e.update_id);
+      distinct += ids.size();
+    }
+    EXPECT_EQ(distinct, history.size());
+    out.entries += history.size();
+    out.bytes += history.resident_bytes();
+  }
+  EXPECT_EQ(out.entries, held);
+  return out;
+}
+
+// Capacity-based bytes of committed state per replica-entry: 24-byte
+// entries, 8-byte update-id slots and per-GUID records, with vector and
+// table growth slack. Holding the entries twice (a peer mirror beside the
+// journal's image, or a second index) would not fit.
+constexpr double kMaxBytesPerEntry = 60;
+
+TEST(ResidentState, OneEntryAndOneIndexEntryPerCommitAtR4) {
+  const Resident warm = warm_run(4, 256, 10'000);
+  ASSERT_GT(warm.entries, 0u);
+  EXPECT_LE(static_cast<double>(warm.bytes),
+            kMaxBytesPerEntry * static_cast<double>(warm.entries))
+      << warm.bytes << " bytes for " << warm.entries << " entries";
+}
+
+TEST(ResidentState, OneEntryAndOneIndexEntryPerCommitAtR13) {
+  const Resident warm = warm_run(13, 256, 2'560);
+  ASSERT_GT(warm.entries, 0u);
+  EXPECT_LE(static_cast<double>(warm.bytes),
+            kMaxBytesPerEntry * static_cast<double>(warm.entries))
+      << warm.bytes << " bytes for " << warm.entries << " entries";
+}
+
+}  // namespace resident
 
 }  // namespace
 }  // namespace asa_repro

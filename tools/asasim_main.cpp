@@ -161,6 +161,7 @@ int asasim_main(int argc, char** argv) {
   double zipf = 0.9;
   double read_fraction = 0.0;
   bool open_loop = false;
+  bool workload_shape = false;  // --zipf, --reads or --open-loop given.
   double duplicate_probability = 0.0;
   bool dump_trace = false;
   std::string metrics_out;
@@ -253,10 +254,13 @@ int asasim_main(int argc, char** argv) {
       writers = cli::unsigned_arg<int>(arg, next());
     } else if (arg == "--zipf") {
       zipf = cli::unsigned_arg<int>(arg, next()) / 100.0;
+      workload_shape = true;
     } else if (arg == "--reads") {
       read_fraction = cli::unsigned_arg<int>(arg, next()) / 100.0;
+      workload_shape = true;
     } else if (arg == "--open-loop") {
       open_loop = true;
+      workload_shape = true;
     } else if (arg == "--replay") {
       replay_path = next();
     } else {
@@ -282,6 +286,12 @@ int asasim_main(int argc, char** argv) {
   }
   if (read_fraction > 1.0) {
     std::cerr << "asasim: --reads must be a percentage in [0,100]\n";
+    return 2;
+  }
+  if (workload_shape && writers == 0) {
+    // The default client loop has no zipf keys, reads or arrival schedule.
+    std::cerr << "asasim: --zipf, --reads and --open-loop shape the "
+                 "--writers workload; give --writers W too\n";
     return 2;
   }
 
