@@ -1,8 +1,8 @@
 #include "check/composition.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "commit/cascade.hpp"
 #include "commit/commit_model.hpp"
 
 namespace asa_repro::check {
@@ -29,13 +30,29 @@ enum class Mut : std::uint8_t {
   kWeakAck,          // Endpoint acknowledges after f confirmations.
 };
 
-Mut mutation_from(const std::string& name) {
-  if (name.empty()) return Mut::kNone;
-  if (name == "comp.weak_quorum") return Mut::kWeakQuorum;
-  if (name == "comp.ack_before_record") return Mut::kAckBeforeRecord;
-  if (name == "comp.dup_vote") return Mut::kDupVote;
-  if (name == "comp.drop_retry") return Mut::kDropRetry;
-  if (name == "comp.weak_ack") return Mut::kWeakAck;
+/// The composition-level mutation catalogue, in report order.
+struct MutationEntry {
+  const char* name;
+  Mut mut;
+  const char* description;
+};
+constexpr MutationEntry kMutations[] = {
+    {"comp.weak_quorum", Mut::kWeakQuorum,
+     "peer machines generated with vote threshold 1 instead of 2f+1"},
+    {"comp.ack_before_record", Mut::kAckBeforeRecord,
+     "peers confirm to the client before recording the commit"},
+    {"comp.dup_vote", Mut::kDupVote,
+     "peers count duplicate votes/commits from one member (dedup removed)"},
+    {"comp.drop_retry", Mut::kDropRetry,
+     "endpoint timeout/retry scheme removed (no retry, no failure report)"},
+    {"comp.weak_ack", Mut::kWeakAck,
+     "endpoint acknowledges after f confirmations instead of f+1"},
+};
+
+const MutationEntry& mutation_entry(const std::string& name) {
+  for (const MutationEntry& m : kMutations) {
+    if (name == m.name) return m;
+  }
   throw std::invalid_argument("check_composition: unknown mutation " + name);
 }
 
@@ -81,6 +98,26 @@ struct Cell {
 
   friend auto operator<=>(const Cell&, const Cell&) = default;
 };
+
+// Every cell field with its packed width (36 bits a cell). The first
+// kMachineFields are the machine's state vector in CommitModel component
+// order; the checker's table is generated unpruned and unmerged, so every
+// such vector is a state of its own (StateSpace::encode/decode map between
+// the two), and the packing and canonical order of cells stay field-wise.
+struct CellField {
+  std::uint8_t Cell::*field;
+  std::uint8_t bits;
+};
+constexpr std::array<CellField, 15> kCellFields = {{
+    {&Cell::update_received, 1}, {&Cell::votes_received, 4},
+    {&Cell::vote_sent, 1}, {&Cell::commits_received, 4},
+    {&Cell::commit_sent, 1}, {&Cell::could_choose, 1},
+    {&Cell::has_chosen, 1}, {&Cell::votes_unique, 4},
+    {&Cell::commits_unique, 4}, {&Cell::votes_missed, 4},
+    {&Cell::commits_missed, 4}, {&Cell::updates_gone, 3},
+    {&Cell::recorded, 1}, {&Cell::confirms_pending, 2},
+    {&Cell::confirm_counted, 1}}};
+constexpr std::size_t kMachineFields = 7;
 
 struct Peer {
   std::vector<Cell> cells;       // One machine instance per request.
@@ -139,32 +176,52 @@ struct Violation {
 
 // ---- The transition engine, shared by the BFS and the trace exporter. ----
 
+/// The peer table the checker steps: the deployed machine's model, left
+/// unpruned and unmerged so that a state id is a field vector.
+fsm::CompiledMachine compile_unmerged(const CommitModel& model) {
+  fsm::GenerationOptions options;
+  options.prune_unreachable = false;
+  options.merge_equivalent = false;
+  options.annotate = false;
+  return fsm::CompiledMachine::compile(model.generate_state_machine(options));
+}
+
+const CompositionOptions& validated(const CompositionOptions& opt) {
+  if (opt.r < 2 || opt.r > 12) {
+    throw std::invalid_argument("check_composition: r must be in [2, 12]");
+  }
+  if (opt.requests < 1 || opt.requests > 6 || opt.attempts < 1 ||
+      opt.attempts > 7 || opt.drops > 7 || opt.dups > 7) {
+    throw std::invalid_argument(
+        "check_composition: requests in [1,6], attempts in [1,7], "
+        "drops/dups <= 7");
+  }
+  return opt;
+}
+
 class Engine {
  public:
   explicit Engine(const CompositionOptions& opt)
-      : opt_(opt),
-        mut_(mutation_from(opt.mutation)),
+      : opt_(validated(opt)),
+        mut_(opt.mutation.empty() ? Mut::kNone
+                                  : mutation_entry(opt.mutation).mut),
         model_(mut_ == Mut::kWeakQuorum
                    ? CommitModel(opt.r,
                                  commit::Thresholds{1, (opt.r - 1) / 3 + 1})
                    : CommitModel(opt.r)),
+        machine_(compile_unmerged(model_)),
         f_((opt.r - 1) / 3),
         endpoint_quorum_(mut_ == Mut::kWeakAck ? f_ : f_ + 1),
-        crash_budget_(std::min(opt.crashes, f_)) {
-    if (opt.r < 2 || opt.r > 12) {
-      throw std::invalid_argument(
-          "check_composition: r must be in [2, 12]");
-    }
-    if (opt.requests < 1 || opt.requests > 6 || opt.attempts < 1 ||
-        opt.attempts > 7 || opt.drops > 7 || opt.dups > 7) {
-      throw std::invalid_argument(
-          "check_composition: requests in [1,6], attempts in [1,7], "
-          "drops/dups <= 7");
+        crash_budget_(std::min(opt.crashes, f_)),
+        cascade_(machine_) {
+    vectors_.resize(machine_.state_count());
+    for (fsm::StateId id = 0; id < machine_.state_count(); ++id) {
+      const fsm::StateVector v = model_.space().decode(id);
+      std::copy(v.begin(), v.end(), vectors_[id].begin());
     }
   }
 
   [[nodiscard]] const CompositionOptions& options() const { return opt_; }
-  [[nodiscard]] Mut mutation() const { return mut_; }
   [[nodiscard]] std::uint32_t f() const { return f_; }
   [[nodiscard]] std::size_t absorbed() const { return absorbed_; }
 
@@ -178,32 +235,29 @@ class Engine {
 
   // -- In-flight derivation (count-based network). --
 
-  [[nodiscard]] std::uint32_t vote_senders(const State& s, std::uint32_t j,
-                                           std::uint32_t u) const {
+  /// Peers other than j whose `sent` bit (vote_sent or commit_sent) for
+  /// update u is set: the copies ever sent to j.
+  [[nodiscard]] std::uint32_t senders(const State& s, std::uint32_t j,
+                                      std::uint32_t u,
+                                      std::uint8_t Cell::*sent) const {
     std::uint32_t n = 0;
     for (std::uint32_t q = 0; q < opt_.r; ++q) {
-      if (q != j && s.peers[q].cells[u].vote_sent != 0) ++n;
-    }
-    return n;
-  }
-  [[nodiscard]] std::uint32_t commit_senders(const State& s, std::uint32_t j,
-                                             std::uint32_t u) const {
-    std::uint32_t n = 0;
-    for (std::uint32_t q = 0; q < opt_.r; ++q) {
-      if (q != j && s.peers[q].cells[u].commit_sent != 0) ++n;
+      if (q != j && s.peers[q].cells[u].*sent != 0) ++n;
     }
     return n;
   }
   [[nodiscard]] std::uint32_t inflight_votes(const State& s, std::uint32_t j,
                                              std::uint32_t u) const {
     const Cell& c = s.peers[j].cells[u];
-    return vote_senders(s, j, u) - c.votes_unique - c.votes_missed;
+    return senders(s, j, u, &Cell::vote_sent) - c.votes_unique -
+           c.votes_missed;
   }
   [[nodiscard]] std::uint32_t inflight_commits(const State& s,
                                                std::uint32_t j,
                                                std::uint32_t u) const {
     const Cell& c = s.peers[j].cells[u];
-    return commit_senders(s, j, u) - c.commits_unique - c.commits_missed;
+    return senders(s, j, u, &Cell::commit_sent) - c.commits_unique -
+           c.commits_missed;
   }
   [[nodiscard]] std::uint32_t inflight_updates(const State& s,
                                                std::uint32_t j,
@@ -271,10 +325,11 @@ class Engine {
           c.could_choose = 0;
           c.has_chosen = 0;
           c.votes_unique = 0;
-          c.votes_missed = static_cast<std::uint8_t>(vote_senders(s, j, u));
+          c.votes_missed =
+              static_cast<std::uint8_t>(senders(s, j, u, &Cell::vote_sent));
           c.commits_unique = 0;
           c.commits_missed =
-              static_cast<std::uint8_t>(commit_senders(s, j, u));
+              static_cast<std::uint8_t>(senders(s, j, u, &Cell::commit_sent));
           c.updates_gone =
               static_cast<std::uint8_t>(s.requests[u].attempts);
           p.lock = kNoLock;
@@ -422,11 +477,16 @@ class Engine {
     }
   }
 
-  // -- Transition application (mirrors commit/peer.cpp's cascade). --
+  // -- Transition application (peer steps run commit/cascade.hpp). --
 
   void apply(State& s, std::uint64_t a, std::vector<Violation>& viols) {
     const std::uint32_t j = act_peer(a);
     const std::uint32_t u = act_update(a);
+    // One abstract message to cell (j, u), through the deployed cascade.
+    const auto deliver = [&](fsm::MessageId message) {
+      Host host{*this, s.peers[j], viols};
+      cascade_.deliver(host, s.peers[j].cells[u], message);
+    };
     switch (act_type(a)) {
       case Act::kDeliverUpdate: {
         Cell& c = s.peers[j].cells[u];
@@ -436,27 +496,27 @@ class Engine {
           // original kCommitted may have been lost).
           ++c.confirms_pending;
         } else {
-          deliver(s, j, u, commit::kUpdate, viols);
+          deliver(commit::kUpdate);
         }
         break;
       }
       case Act::kDeliverVote: {
         ++s.peers[j].cells[u].votes_unique;
-        deliver(s, j, u, commit::kVote, viols);
+        deliver(commit::kVote);
         break;
       }
       case Act::kDeliverCommit: {
         ++s.peers[j].cells[u].commits_unique;
-        deliver(s, j, u, commit::kCommit, viols);
+        deliver(commit::kCommit);
         break;
       }
       case Act::kDupVote:
         ++s.dups_used;
-        deliver(s, j, u, commit::kVote, viols);
+        deliver(commit::kVote);
         break;
       case Act::kDupCommit:
         ++s.dups_used;
-        deliver(s, j, u, commit::kCommit, viols);
+        deliver(commit::kCommit);
         break;
       case Act::kDropUpdate:
         ++s.peers[j].cells[u].updates_gone;
@@ -526,7 +586,7 @@ class Engine {
         s.requests[u].status = kFailed;
         break;
       case Act::kRecord:
-        do_record(s, j, u, viols);
+        do_record(s.peers[j], u, viols);
         break;
       case Act::kNoneSentinel:
         break;
@@ -575,21 +635,7 @@ class Engine {
     };
     for (const Peer& p : s.peers) {
       for (const Cell& c : p.cells) {
-        put(c.update_received, 1);
-        put(c.votes_received, 4);
-        put(c.vote_sent, 1);
-        put(c.commits_received, 4);
-        put(c.commit_sent, 1);
-        put(c.could_choose, 1);
-        put(c.has_chosen, 1);
-        put(c.votes_unique, 4);
-        put(c.commits_unique, 4);
-        put(c.votes_missed, 4);
-        put(c.commits_missed, 4);
-        put(c.updates_gone, 3);
-        put(c.recorded, 1);
-        put(c.confirms_pending, 2);
-        put(c.confirm_counted, 1);
+        for (const CellField& f : kCellFields) put(c.*f.field, f.bits);
       }
       put(p.lock == kNoLock ? 7u : p.lock, 3);
       put(p.crashed, 1);
@@ -616,21 +662,7 @@ class Engine {
     };
     for (Peer& p : s.peers) {
       for (Cell& c : p.cells) {
-        c.update_received = get(1);
-        c.votes_received = get(4);
-        c.vote_sent = get(1);
-        c.commits_received = get(4);
-        c.commit_sent = get(1);
-        c.could_choose = get(1);
-        c.has_chosen = get(1);
-        c.votes_unique = get(4);
-        c.commits_unique = get(4);
-        c.votes_missed = get(4);
-        c.commits_missed = get(4);
-        c.updates_gone = get(3);
-        c.recorded = get(1);
-        c.confirms_pending = get(2);
-        c.confirm_counted = get(1);
+        for (const CellField& f : kCellFields) c.*f.field = get(f.bits);
       }
       const std::uint8_t lock = get(3);
       p.lock = lock == 7 ? kNoLock : lock;
@@ -647,133 +679,83 @@ class Engine {
   }
 
  private:
-  [[nodiscard]] fsm::StateVector vec_of(const Cell& c) const {
-    fsm::StateVector v(7);
-    v[CommitModel::kUpdateReceived] = c.update_received;
-    v[CommitModel::kVotesReceived] = c.votes_received;
-    v[CommitModel::kVoteSent] = c.vote_sent;
-    v[CommitModel::kCommitsReceived] = c.commits_received;
-    v[CommitModel::kCommitSent] = c.commit_sent;
-    v[CommitModel::kCouldChoose] = c.could_choose;
-    v[CommitModel::kHasChosen] = c.has_chosen;
-    return v;
-  }
-  void cell_from(Cell& c, const fsm::StateVector& v) const {
-    c.update_received =
-        static_cast<std::uint8_t>(v[CommitModel::kUpdateReceived]);
-    c.votes_received =
-        static_cast<std::uint8_t>(v[CommitModel::kVotesReceived]);
-    c.vote_sent = static_cast<std::uint8_t>(v[CommitModel::kVoteSent]);
-    c.commits_received =
-        static_cast<std::uint8_t>(v[CommitModel::kCommitsReceived]);
-    c.commit_sent = static_cast<std::uint8_t>(v[CommitModel::kCommitSent]);
-    c.could_choose = static_cast<std::uint8_t>(v[CommitModel::kCouldChoose]);
-    c.has_chosen = static_cast<std::uint8_t>(v[CommitModel::kHasChosen]);
-  }
+  /// The cascade's view of one peer's cells: a cell is keyed by its
+  /// request index, the lock is the peer's lock slot, and the effects are
+  /// the ground-truth checks (a vote needs none: the broadcast is the
+  /// vote_sent bit the step set).
+  struct Host {
+    using Key = std::uint32_t;
+    Engine& eng;
+    Peer& peer;
+    std::vector<Violation>& viols;
 
-  /// Deliver one abstract message to (j, u) and run the peer-local
-  /// cascade, mirroring CommitPeer::deliver/run_queue: internal
-  /// free/not_free deliveries are queued and drained iteratively.
-  void deliver(State& s, std::uint32_t j, std::uint32_t first_u,
-               fsm::MessageId first_msg, std::vector<Violation>& viols) {
-    std::deque<std::pair<std::uint32_t, fsm::MessageId>> queue;
-    queue.emplace_back(first_u, first_msg);
-    while (!queue.empty()) {
-      const auto [u, msg] = queue.front();
-      queue.pop_front();
-      Cell& c = s.peers[j].cells[u];
-      if (is_final(c)) continue;  // Finished instances absorb late traffic.
-      const auto reaction = model_.react(vec_of(c), msg);
-      if (!reaction.has_value()) continue;  // Machine rejects (duplicate).
-      cell_from(c, reaction->target);
-      execute_actions(s, j, u, reaction->actions, queue, viols);
-      check_finished(s, j, u, viols);
+    Key key(const Cell& c) const {
+      return static_cast<Key>(&c - peer.cells.data());
     }
-  }
-
-  void execute_actions(State& s, std::uint32_t j, std::uint32_t u,
-                       const fsm::ActionList& actions,
-                       std::deque<std::pair<std::uint32_t, fsm::MessageId>>&
-                           queue,
-                       std::vector<Violation>& viols) {
-    Peer& p = s.peers[j];
-    for (const std::string& action : actions) {
-      if (action == commit::kActionCommit) {
-        // The commit just broadcast (the commit_sent bit) must be
-        // justified by ground truth, not by the machine's own counters:
-        // 2f+1 distinct votes (others' plus our own) or f+1 distinct
-        // commits — measured against the TRUE thresholds even when the
-        // machine was generated from weakened ones.
-        const Cell& c = p.cells[u];
-        const std::uint32_t votes = c.votes_unique + c.vote_sent;
-        if (votes < 2 * f_ + 1 && c.commits_unique < f_ + 1) {
-          viols.push_back(
-              {"quorum_justified",
-               "commit broadcast justified by only " +
-                   std::to_string(votes) + " distinct vote(s) and " +
-                   std::to_string(c.commits_unique) +
-                   " distinct commit(s); 2f+1=" + std::to_string(2 * f_ + 1) +
-                   " votes or f+1=" + std::to_string(f_ + 1) +
-                   " commits required"});
-        }
-      } else if (action == commit::kActionNotFree) {
-        p.lock = static_cast<std::uint8_t>(u);
-        for (std::uint32_t uu = 0; uu < opt_.requests; ++uu) {
-          if (uu == u || is_final(p.cells[uu])) continue;
-          queue.emplace_back(uu, commit::kNotFree);
-        }
-      } else if (action == commit::kActionFree) {
-        if (p.lock == u) p.lock = kNoLock;
-        free_siblings(s, j, u, queue, viols);
+    fsm::CompiledInstance::Delivery step(Cell& c, fsm::MessageId m) {
+      fsm::CompiledInstance machine(eng.machine_, eng.state_of(c));
+      const fsm::CompiledInstance::Delivery delivery = machine.deliver(m);
+      for (std::size_t k = 0; k < kMachineFields; ++k) {
+        c.*kCellFields[k].field = eng.vectors_[machine.state()][k];
       }
-      // kActionVote needs no bookkeeping: the broadcast is derived from
-      // the vote_sent bit the reaction already set.
+      return delivery;
+    }
+    bool finished(const Cell& c) const { return eng.is_final(c); }
+    Cell* find(Key u) { return &peer.cells[u]; }
+    std::size_t siblings() const { return peer.cells.size(); }
+    Cell& sibling(std::size_t i) { return peer.cells[i]; }
+    std::size_t after(Key u) const { return u + 1; }
+    bool locked() const { return peer.lock != kNoLock; }
+    bool holds_lock(Key u) const { return peer.lock == u; }
+    void take_lock(Key u) { peer.lock = static_cast<std::uint8_t>(u); }
+    void clear_lock() { peer.lock = kNoLock; }
+    void vote(Cell& /*c*/) {}
+    void commit(Cell& c) { eng.check_quorum(c, viols); }
+    void finish(Cell& c) { eng.record_and_confirm(peer, key(c), viols); }
+  };
+
+  /// The table state of the cell's machine fields.
+  fsm::StateId state_of(const Cell& c) {
+    for (std::size_t k = 0; k < kMachineFields; ++k) {
+      vector_[k] = c.*kCellFields[k].field;
+    }
+    return static_cast<fsm::StateId>(model_.space().encode(vector_));
+  }
+
+  /// The commit just broadcast (the commit_sent bit) must be justified by
+  /// ground truth, not by the machine's own counters: 2f+1 distinct votes
+  /// (others' plus our own) or f+1 distinct commits — measured against
+  /// the TRUE thresholds even when the machine was generated from
+  /// weakened ones.
+  void check_quorum(const Cell& c, std::vector<Violation>& viols) const {
+    const std::uint32_t votes = c.votes_unique + c.vote_sent;
+    if (votes < 2 * f_ + 1 && c.commits_unique < f_ + 1) {
+      viols.push_back(
+          {"quorum_justified",
+           "commit broadcast justified by only " + std::to_string(votes) +
+               " distinct vote(s) and " + std::to_string(c.commits_unique) +
+               " distinct commit(s); 2f+1=" + std::to_string(2 * f_ + 1) +
+               " votes or f+1=" + std::to_string(f_ + 1) +
+               " commits required"});
     }
   }
 
-  /// Offer the freed node lock to unfinished siblings one at a time,
-  /// stopping as soon as one chooses (mirrors CommitPeer::free_siblings).
-  void free_siblings(State& s, std::uint32_t j, std::uint32_t source,
-                     std::deque<std::pair<std::uint32_t, fsm::MessageId>>&
-                         queue,
-                     std::vector<Violation>& viols) {
-    for (std::uint32_t u = 0; u < opt_.requests; ++u) {
-      if (u == source) continue;
-      if (s.peers[j].lock != kNoLock) break;  // Lock retaken.
-      Cell& c = s.peers[j].cells[u];
-      if (is_final(c)) continue;
-      const auto reaction = model_.react(vec_of(c), commit::kFree);
-      if (!reaction.has_value()) continue;
-      cell_from(c, reaction->target);
-      execute_actions(s, j, u, reaction->actions, queue, viols);
-      check_finished(s, j, u, viols);
-    }
-  }
-
-  /// Mirror of CommitPeer::check_finished: at finality, record the commit
-  /// (checking the agreement certificate), defensively release the lock,
-  /// and confirm to the client if this peer ever received the update.
-  /// Under comp.ack_before_record the confirmation leaves here but the
-  /// record becomes a separate, crash-preemptable transition.
-  void check_finished(State& s, std::uint32_t j, std::uint32_t u,
-                      std::vector<Violation>& viols) {
-    Cell& c = s.peers[j].cells[u];
-    if (!is_final(c) || c.recorded != 0) return;
-    if (mut_ == Mut::kAckBeforeRecord) {
-      if (c.update_received != 0 && c.confirms_pending < kConfirmCap) {
-        ++c.confirms_pending;
-      }
-      return;  // Recording deferred to an explicit kRecord transition.
-    }
-    do_record(s, j, u, viols);
+  /// The finish hook: record the commit (checking the agreement
+  /// certificate) and confirm to the client if this peer ever received
+  /// the update. Under comp.ack_before_record the confirmation leaves here
+  /// but the record becomes a separate, crash-preemptable transition.
+  void record_and_confirm(Peer& p, std::uint32_t u,
+                          std::vector<Violation>& viols) {
+    Cell& c = p.cells[u];
+    if (c.recorded != 0) return;
+    if (mut_ != Mut::kAckBeforeRecord) do_record(p, u, viols);
     if (c.update_received != 0 && c.confirms_pending < kConfirmCap) {
       ++c.confirms_pending;
     }
   }
 
-  void do_record(State& s, std::uint32_t j, std::uint32_t u,
-                 std::vector<Violation>& viols) {
-    Cell& c = s.peers[j].cells[u];
+  void do_record(Peer& p, std::uint32_t u, std::vector<Violation>& viols) {
+    Cell& c = p.cells[u];
     // Distributed agreement, inductive form: every record must carry a
     // certificate of f+1 DISTINCT commit senders, making it impossible
     // for two honest peers to durably disagree while f members lie.
@@ -786,15 +768,21 @@ class Engine {
                " required"});
     }
     c.recorded = 1;
-    if (s.peers[j].lock == u) s.peers[j].lock = kNoLock;
+    // Defensive, as the runtime: a recorded update releases the lock.
+    if (p.lock == u) p.lock = kNoLock;
   }
 
   CompositionOptions opt_;
   Mut mut_;
   CommitModel model_;
+  fsm::CompiledMachine machine_;  // Unmerged: one state per field vector.
   std::uint32_t f_;
   std::uint32_t endpoint_quorum_;
   std::uint32_t crash_budget_;
+  fsm::StateVector vector_ = fsm::StateVector(kMachineFields);  // state_of's.
+  // StateSpace::decode per state id.
+  std::vector<std::array<std::uint8_t, kMachineFields>> vectors_;
+  commit::Cascade<Cell, Host> cascade_;
   std::size_t absorbed_ = 0;
 };
 
@@ -854,40 +842,35 @@ class Exporter {
 
  private:
   void append_step(Act t, std::uint32_t cj, std::uint32_t u) {
+    using Msg = commit::WireMessage::Kind;
     ReplayStep step;
     step.request = u;
+    const bool drop = t == Act::kDropUpdate || t == Act::kDropVote ||
+                      t == Act::kDropCommit || t == Act::kDropConfirm;
+    step.kind = drop ? ReplayStep::Kind::kDrop : ReplayStep::Kind::kDeliver;
     switch (t) {
       case Act::kDeliverUpdate:
       case Act::kDropUpdate:
-        step.kind = t == Act::kDeliverUpdate ? ReplayStep::Kind::kDeliver
-                                             : ReplayStep::Kind::kDrop;
-        step.msg = commit::WireMessage::Kind::kUpdate;
+        step.msg = Msg::kUpdate;
         step.from = ReplayStep::kEndpoint;
         step.to = cj;
         break;
       case Act::kDeliverVote:
       case Act::kDropVote:
-        step.kind = t == Act::kDeliverVote ? ReplayStep::Kind::kDeliver
-                                           : ReplayStep::Kind::kDrop;
-        step.msg = commit::WireMessage::Kind::kVote;
-        step.from = pick_sender(cj, u, /*votes=*/true,
-                                t == Act::kDropVote);
+        step.msg = Msg::kVote;
+        step.from = pick_sender(cj, u, /*votes=*/true, drop);
         step.to = cj;
         break;
       case Act::kDeliverCommit:
       case Act::kDropCommit:
-        step.kind = t == Act::kDeliverCommit ? ReplayStep::Kind::kDeliver
-                                             : ReplayStep::Kind::kDrop;
-        step.msg = commit::WireMessage::Kind::kCommit;
-        step.from = pick_sender(cj, u, /*votes=*/false,
-                                t == Act::kDropCommit);
+        step.msg = Msg::kCommit;
+        step.from = pick_sender(cj, u, /*votes=*/false, drop);
         step.to = cj;
         break;
       case Act::kDupVote:
       case Act::kDupCommit: {
         step.kind = ReplayStep::Kind::kDup;
-        step.msg = t == Act::kDupVote ? commit::WireMessage::Kind::kVote
-                                      : commit::WireMessage::Kind::kCommit;
+        step.msg = t == Act::kDupVote ? Msg::kVote : Msg::kCommit;
         const auto& used = used_[key(cj, u, t == Act::kDupVote)];
         step.from = used.empty() ? 0 : *used.begin();
         step.to = cj;
@@ -895,9 +878,7 @@ class Exporter {
       }
       case Act::kDeliverConfirm:
       case Act::kDropConfirm:
-        step.kind = t == Act::kDeliverConfirm ? ReplayStep::Kind::kDeliver
-                                              : ReplayStep::Kind::kDrop;
-        step.msg = commit::WireMessage::Kind::kCommitted;
+        step.msg = Msg::kCommitted;
         step.from = cj;
         step.to = ReplayStep::kEndpoint;
         break;
@@ -970,10 +951,12 @@ struct PendingFinding {
 }  // namespace
 
 const std::vector<std::string>& composition_mutations() {
-  static const std::vector<std::string> kMutations = {
-      "comp.weak_quorum", "comp.ack_before_record", "comp.dup_vote",
-      "comp.drop_retry", "comp.weak_ack"};
-  return kMutations;
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const MutationEntry& m : kMutations) names.emplace_back(m.name);
+    return names;
+  }();
+  return kNames;
 }
 
 CompositionResult check_composition(const CompositionOptions& options) {
@@ -1165,20 +1148,6 @@ std::size_t preferred_replay(const CompositionResult& result) {
 
 MutationReport run_composition_mutation_self_test(
     const CompositionOptions& base) {
-  static const std::map<std::string, std::string> kDescriptions = {
-      {"comp.weak_quorum",
-       "peer machines generated with vote threshold 1 instead of 2f+1"},
-      {"comp.ack_before_record",
-       "peers confirm to the client before recording the commit"},
-      {"comp.dup_vote",
-       "peers count duplicate votes/commits from one member (dedup "
-       "removed)"},
-      {"comp.drop_retry",
-       "endpoint timeout/retry scheme removed (no retry, no failure "
-       "report)"},
-      {"comp.weak_ack",
-       "endpoint acknowledges after f confirmations instead of f+1"},
-  };
   MutationReport report;
   for (const std::string& name : composition_mutations()) {
     CompositionOptions options = base;
@@ -1186,7 +1155,7 @@ MutationReport run_composition_mutation_self_test(
     const CompositionResult result = check_composition(options);
     MutationOutcome outcome;
     outcome.name = name;
-    outcome.description = kDescriptions.at(name);
+    outcome.description = mutation_entry(name).description;
     for (const Finding& f : result.findings) {
       if (f.check != "composition.state_bound") {
         outcome.detected = true;

@@ -11,6 +11,10 @@
 // mutation, where it is observable), a bounded drop budget, and up to
 // min(crashes, f) fail-stop peer crashes.
 //
+// The peers run the deployed step, not a model of it: commit/cascade.hpp's
+// Cascade (as in CommitPeer) over the commit machine compiled unpruned and
+// unmerged; the checker supplies only ground-truth checks as its effects.
+//
 // Tractability comes from three reductions, argued sound in
 // ARCHITECTURE.md ("Composition checking"):
 //   - count-based network encoding: message content is determined by

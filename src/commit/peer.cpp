@@ -34,20 +34,6 @@ bool CommitPeer::SenderSet::insert(sim::NodeAddr sender) {
   return true;
 }
 
-std::vector<CommitPeer::Action> CommitPeer::translate_actions(
-    const fsm::CompiledMachine& machine) {
-  std::vector<Action> kinds;
-  kinds.reserve(machine.action_names().size());
-  for (const std::string& name : machine.action_names()) {
-    kinds.push_back(name == kActionVote      ? Action::kVote
-                    : name == kActionCommit  ? Action::kCommit
-                    : name == kActionFree    ? Action::kFree
-                    : name == kActionNotFree ? Action::kNotFree
-                                             : Action::kNone);
-  }
-  return kinds;
-}
-
 CommitPeer::CommitPeer(sim::Network& network, sim::NodeAddr self,
                        std::vector<sim::NodeAddr> peers,
                        const fsm::StateMachine& machine, Behaviour behaviour,
@@ -56,7 +42,7 @@ CommitPeer::CommitPeer(sim::Network& network, sim::NodeAddr self,
       self_(self),
       peers_(std::move(peers)),
       compiled_(fsm::CompiledMachine::compile(machine)),
-      actions_(translate_actions(compiled_)),
+      cascade_(compiled_),
       behaviour_(behaviour),
       events_(events) {
   if (attach_to_network) {
@@ -234,6 +220,7 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
   // is passed down the cascade from here. Resident and settled updates
   // are disjoint, so the committed state is consulted only on a miss.
   GuidContext& ctx = context(msg.guid);
+  Host host{*this, ctx};
   Instance* inst = find_instance(ctx, msg.update_id);
   if (inst == nullptr) {
     if (committed_->contains(msg.guid, msg.update_id)) {
@@ -252,67 +239,24 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
     if (inst->request_id == 0) inst->request_id = msg.request_id;
     if (inst->payload == 0) inst->payload = msg.payload;
   }
-  switch (msg.kind) {
-    case WireMessage::Kind::kUpdate:
-      inst->client = from;
-      deliver(ctx, *inst, kUpdate);
-      // A vetoed attempt (finished, still resident) is offered to the
-      // journal once more.
-      if (Instance* resident = find_instance(ctx, msg.update_id)) {
-        check_finished(ctx, *resident);
-      }
-      break;
-    case WireMessage::Kind::kVote:
-      if ((hardening_.drop_self && from == self_) ||
-          (!inst->voters.insert(from) && hardening_.dedup_protocol)) {
-        ++stats_.duplicates_dropped;  // One vote per member per update.
-        break;
-      }
-      deliver(ctx, *inst, kVote);
-      break;
-    case WireMessage::Kind::kCommit:
-      if ((hardening_.drop_self && from == self_) ||
-          (!inst->committers.insert(from) && hardening_.dedup_protocol)) {
-        ++stats_.duplicates_dropped;
-        break;
-      }
-      deliver(ctx, *inst, kCommit);
-      break;
-    case WireMessage::Kind::kCommitted:
-      break;
-  }
-}
-
-void CommitPeer::deliver(GuidContext& ctx, Instance& inst,
-                         fsm::MessageId message) {
-  if (draining_) {
-    local_queue_.emplace_back(inst.update_id, message);
+  if (msg.kind == WireMessage::Kind::kUpdate) {
+    inst->client = from;
+    cascade_.deliver(host, *inst, kUpdate);
+    // A vetoed attempt (finished, still resident) is offered to the
+    // journal once more.
+    if (Instance* resident = find_instance(ctx, msg.update_id)) {
+      check_finished(ctx, *resident);
+    }
     return;
   }
-  draining_ = true;
-  step(ctx, inst, message);
-  run_queue(ctx);
-}
-
-void CommitPeer::step(GuidContext& ctx, Instance& inst,
-                      fsm::MessageId message) {
-  execute_actions(ctx, inst, inst.fsm.deliver(message));
-  check_finished(ctx, inst);
-}
-
-void CommitPeer::run_queue(GuidContext& ctx) {
-  // All entries queued while draining refer to sibling instances of the
-  // same GUID: internal free/not_free fan-out never crosses GUIDs.
-  draining_ = true;
-  while (queue_head_ < local_queue_.size()) {
-    const auto [update_id, message] = local_queue_[queue_head_++];
-    if (Instance* inst = find_instance(ctx, update_id)) {
-      step(ctx, *inst, message);
-    }
+  // One vote and one commit per member per update; our own echoes drop.
+  const bool vote = msg.kind == WireMessage::Kind::kVote;
+  SenderSet& senders = vote ? inst->voters : inst->committers;
+  if (from == self_ || (!senders.insert(from) && dedup_protocol_)) {
+    ++stats_.duplicates_dropped;
+    return;
   }
-  local_queue_.clear();
-  queue_head_ = 0;
-  draining_ = false;
+  cascade_.deliver(host, *inst, vote ? kVote : kCommit);
 }
 
 void CommitPeer::broadcast(const WireMessage& msg) {
@@ -342,78 +286,33 @@ void CommitPeer::broadcast(const WireMessage& msg) {
   if (previous.has_value()) network_.send(self_, *previous, std::move(frame));
 }
 
-void CommitPeer::execute_actions(GuidContext& ctx, Instance& inst,
-                                 fsm::CompiledInstance::Delivery delivery) {
-  const std::uint64_t update_id = inst.update_id;
-  // The ids point into compiled_'s arena, which no action below touches.
-  for (std::uint32_t i = 0; i < delivery.count; ++i) {
-    const Action action = actions_[delivery.ids[i]];
-    if (action == Action::kVote) {
-      ++stats_.votes_sent;
-      broadcast({WireMessage::Kind::kVote, ctx.guid, update_id,
-                 inst.request_id, inst.payload});
-    } else if (action == Action::kCommit) {
-      ++stats_.commits_sent;
-      // Phase boundary: the vote collected enough siblings to choose this
-      // update; everything from here to the recorded commit is the quorum
-      // phase.
-      if (spans_ != nullptr) {
-        const sim::Time now = network_.scheduler().now();
-        if (spans_->is_open(inst.vote_span)) {
-          spans_->close(inst.vote_span, now, true);
-        }
-        if (inst.quorum_span == 0) {
-          inst.quorum_span =
-              spans_->open("quorum", 0, self_, ctx.guid, inst.request_id,
-                           update_id, now);
-        }
-      }
-      broadcast({WireMessage::Kind::kCommit, ctx.guid, update_id,
-                 inst.request_id, inst.payload});
-    } else if (action == Action::kNotFree) {
-      ctx.chosen_update = update_id;
-      // not_free never triggers further actions, so queued delivery is safe.
-      for (const InstanceRef& sibling : ctx.instances) {
-        if (sibling.update_id == update_id ||
-            instances_[sibling.slot].fsm.finished()) {
-          continue;
-        }
-        local_queue_.emplace_back(sibling.update_id, kNotFree);
-      }
-    } else if (action == Action::kFree) {
-      // free is the last action of the finishing transition. A sibling
-      // that finishes in free_siblings is released, but this instance is
-      // already finished, so it is never one of them: `inst` stays valid.
-      if (ctx.chosen_update == update_id) ctx.chosen_update.reset();
-      free_siblings(ctx, update_id);
-    }
-  }
+std::size_t CommitPeer::Host::after(std::uint64_t update_id) const {
+  auto it = lower_bound_update(ctx.instances, update_id);
+  if (it != ctx.instances.end() && it->update_id == update_id) ++it;
+  return static_cast<std::size_t>(it - ctx.instances.begin());
 }
 
-void CommitPeer::free_siblings(GuidContext& ctx, std::uint64_t source) {
-  // Offer the freed node to pending siblings one at a time, in update-id
-  // order: the first that chooses retakes the lock (its not_free is queued
-  // for the others), and the remaining siblings must NOT see a stale free —
-  // otherwise several pending updates could all vote at once, breaking the
-  // one-ongoing-update serialisation the free/not_free protocol exists to
-  // provide. A step may release siblings, so the walk resumes after the
-  // last update id it offered the lock to.
-  std::size_t i = 0;
-  while (!ctx.chosen_update.has_value() && i < ctx.instances.size()) {
-    const auto [uid, slot] = ctx.instances[i];
-    Instance& sibling = instances_[slot];
-    if (uid == source || sibling.fsm.finished()) {
-      ++i;
-      continue;
+void CommitPeer::Host::vote(Instance& inst) {
+  ++peer.stats_.votes_sent;
+  peer.broadcast({WireMessage::Kind::kVote, ctx.guid, inst.update_id,
+                  inst.request_id, inst.payload});
+}
+
+void CommitPeer::Host::commit(Instance& inst) {
+  ++peer.stats_.commits_sent;
+  // Phase boundary: the vote collected enough siblings to choose this
+  // update; everything from here to the recorded commit is the quorum
+  // phase.
+  if (obs::SpanRecorder* spans = peer.spans_; spans != nullptr) {
+    const sim::Time now = peer.network_.scheduler().now();
+    if (spans->is_open(inst.vote_span)) spans->close(inst.vote_span, now, true);
+    if (inst.quorum_span == 0) {
+      inst.quorum_span = spans->open("quorum", 0, peer.self_, ctx.guid,
+                                     inst.request_id, inst.update_id, now);
     }
-    step(ctx, sibling, kFree);
-    i = static_cast<std::size_t>(
-        std::upper_bound(ctx.instances.begin(), ctx.instances.end(), uid,
-                         [](std::uint64_t id, const InstanceRef& ref) {
-                           return id < ref.update_id;
-                         }) -
-        ctx.instances.begin());
   }
+  peer.broadcast({WireMessage::Kind::kCommit, ctx.guid, inst.update_id,
+                  inst.request_id, inst.payload});
 }
 
 void CommitPeer::check_finished(GuidContext& ctx, Instance& inst) {
@@ -441,8 +340,8 @@ void CommitPeer::check_finished(GuidContext& ctx, Instance& inst) {
       }
       note(obs::EventKind::kVeto, {guid, update_id, inst.request_id});
       if (ctx.chosen_update == update_id) {
-        ctx.chosen_update.reset();
-        free_siblings(ctx, update_id);
+        Host host{*this, ctx};
+        cascade_.free(host, update_id);
       }
       return;
     }
@@ -570,9 +469,8 @@ void CommitPeer::abort_scan(sim::Time max_age) {
       const bool held_lock = ctx->chosen_update == uid;
       release(*ctx, *inst);
       if (held_lock) {
-        ctx->chosen_update.reset();
-        free_siblings(*ctx, uid);
-        if (!draining_) run_queue(*ctx);
+        Host host{*this, *ctx};
+        cascade_.free(host, uid);
       }
     }
   }

@@ -11,7 +11,9 @@
 // machine, not alternatives the runtime switches between. The
 // free/not_free messages of the abstract model are node-internal: when one
 // instance chooses its update it locks the node (not_free delivered to its
-// siblings); when the chosen update finishes it frees the node again.
+// siblings); when the chosen update finishes it frees the node again. That
+// step is commit/cascade.hpp's Cascade, which `fsmcheck --protocol` checks;
+// this class supplies its effects (broadcast, spans, journal, ack).
 //
 // Byzantine behaviours (crash, equivocation, selective withholding) are
 // injected here so that the protocol's claimed tolerance of f = (r-1)/3
@@ -29,6 +31,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "commit/cascade.hpp"
 #include "commit/messages.hpp"
 #include "core/compiled_machine.hpp"
 #include "core/state_machine.hpp"
@@ -49,16 +52,6 @@ enum class Behaviour {
                  // immediately and repeatedly (protocol-free).
   kWithholder,   // Follows the FSM but sends votes/commits only to peers in
                  // the lower half of the address order (splits the view).
-};
-
-/// Defensive input filtering an honest peer applies to protocol traffic.
-/// Both guards are on in deployment; the composition mutation self-test
-/// switches them off (`comp.dup_vote`) to prove the composed checker —
-/// and only the composed checker — notices a peer that counts the same
-/// member's vote or commit twice.
-struct PeerHardening {
-  bool dedup_protocol = true;  // One vote/commit per member per update.
-  bool drop_self = true;       // Ignore our own broadcast echoes.
 };
 
 /// Per-peer statistics, for benches and assertions.
@@ -136,10 +129,12 @@ class CommitPeer {
   /// commit critical path. nullptr (default) disables.
   void set_spans(obs::SpanRecorder* spans) { spans_ = spans; }
 
-  /// Weaken or restore the honest peer's input filtering (default: fully
-  /// hardened). Only the composition replay harness uses non-default
-  /// values, to mirror mutations the model checker injects.
-  void set_hardening(PeerHardening hardening) { hardening_ = hardening; }
+  /// Count one vote and one commit per member per update (the default),
+  /// or every copy. Only the replay of the composition mutation
+  /// `comp.dup_vote` turns dedup off, to show the composed checker — and
+  /// only it — notices a peer that double-counts. A peer always ignores
+  /// its own broadcast echoes.
+  void set_dedup_protocol(bool on) { dedup_protocol_ = on; }
 
   CommitPeer(const CommitPeer&) = delete;
   CommitPeer& operator=(const CommitPeer&) = delete;
@@ -212,13 +207,6 @@ class CommitPeer {
   void enable_abort(sim::Time scan_interval, sim::Time max_age);
 
  private:
-  /// What one compiled action id does at this peer.
-  enum class Action : std::uint8_t { kNone, kVote, kCommit, kFree, kNotFree };
-  /// Action kind per compiled action id, by name; a name outside the four
-  /// the peer knows is a no-op.
-  static std::vector<Action> translate_actions(
-      const fsm::CompiledMachine& machine);
-
   /// Distinct senders of one protocol message kind for one update. A peer
   /// set has at most r - 1 other members, so up to r = 13 every sender is
   /// held inline; more (a wider set, members changing mid-update) spill
@@ -265,6 +253,34 @@ class CommitPeer {
     sim::FlatMap<std::uint64_t> settled_spans;
   };
 
+  /// The cascade's view of one GUID's instances on this peer: instances
+  /// are keyed and ordered by update id, the lock is the context's chosen
+  /// update, and the effects are this peer's broadcasts and finish path.
+  struct Host {
+    using Key = std::uint64_t;
+    CommitPeer& peer;
+    GuidContext& ctx;
+
+    Key key(const Instance& inst) const { return inst.update_id; }
+    fsm::CompiledInstance::Delivery step(Instance& inst, fsm::MessageId m) {
+      return inst.fsm.deliver(m);
+    }
+    bool finished(const Instance& inst) const { return inst.fsm.finished(); }
+    Instance* find(Key id) { return peer.find_instance(ctx, id); }
+    std::size_t siblings() const { return ctx.instances.size(); }
+    Instance& sibling(std::size_t i) {
+      return peer.instances_[ctx.instances[i].slot];
+    }
+    std::size_t after(Key id) const;
+    bool locked() const { return ctx.chosen_update.has_value(); }
+    bool holds_lock(Key id) const { return ctx.chosen_update == id; }
+    void take_lock(Key id) { ctx.chosen_update = id; }
+    void clear_lock() { ctx.chosen_update.reset(); }
+    void vote(Instance& inst);
+    void commit(Instance& inst);
+    void finish(Instance& inst) { peer.check_finished(ctx, inst); }
+  };
+
   void handle(sim::NodeAddr from, std::string_view payload);
   void handle_honest(sim::NodeAddr from, const WireMessage& msg);
   void handle_equivocator(const WireMessage& msg);
@@ -279,21 +295,10 @@ class CommitPeer {
   /// Drop a resident instance and free its slot.
   void release(GuidContext& ctx, const Instance& inst);
 
-  /// Deliver one abstract-model message to an instance and execute the
-  /// resulting actions; internal free/not_free deliveries are queued and
-  /// drained iteratively to avoid unbounded recursion.
-  void deliver(GuidContext& ctx, Instance& inst, fsm::MessageId message);
-  /// Step one instance: deliver, act, and record it if it finished.
-  void step(GuidContext& ctx, Instance& inst, fsm::MessageId message);
-  void run_queue(GuidContext& ctx);
-  void execute_actions(GuidContext& ctx, Instance& inst,
-                       fsm::CompiledInstance::Delivery delivery);
-  /// Offer a freed node lock to pending siblings, one at a time, stopping
-  /// as soon as one of them chooses (retakes the lock).
-  void free_siblings(GuidContext& ctx, std::uint64_t source);
   void broadcast(const WireMessage& msg);
-  /// Record a finished instance (unless its journal append is refused),
-  /// acknowledge its client and release it: it is settled.
+  /// The cascade's finish hook: record a finished instance (unless its
+  /// journal append is refused), acknowledge its client and release it:
+  /// it is settled.
   void check_finished(GuidContext& ctx, Instance& inst);
   /// Send one kCommitted to `client`: the ack sink first, then an
   /// "ack-sent" span point under `quorum_span`, then the frame.
@@ -317,9 +322,9 @@ class CommitPeer {
   std::vector<sim::NodeAddr> peers_;  // Including self_.
   PeerResolver resolver_;
   fsm::CompiledMachine compiled_;  // The commit FSM, compiled once.
-  std::vector<Action> actions_;    // Per compiled action id.
+  Cascade<Instance, Host> cascade_;  // One GUID's delivery at a time.
   Behaviour behaviour_;
-  PeerHardening hardening_;
+  bool dedup_protocol_ = true;
   obs::EventRecorder* events_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* instances_opened_ = nullptr;    // commit.instances_opened.
@@ -337,10 +342,6 @@ class CommitPeer {
   // Instance& stays valid through one delivery's cascade.
   std::vector<Instance> instances_;
   std::vector<std::uint32_t> free_instances_;
-  // Internal free/not_free deliveries, drained FIFO from `queue_head_`.
-  std::vector<std::pair<std::uint64_t, fsm::MessageId>> local_queue_;
-  std::size_t queue_head_ = 0;
-  bool draining_ = false;
   std::set<UpdateKey> equivocated_;  // Equivocator: one blast per update.
   sim::Time abort_interval_ = 0;
   sim::Time abort_max_age_ = 0;

@@ -1,5 +1,7 @@
 #include "commit/replay.hpp"
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -22,23 +24,9 @@ namespace {
 
 constexpr sim::NodeAddr kEndpointAddr = 1000;
 
-const char* wire_kind_name(WireMessage::Kind kind) {
-  switch (kind) {
-    case WireMessage::Kind::kUpdate: return "update";
-    case WireMessage::Kind::kVote: return "vote";
-    case WireMessage::Kind::kCommit: return "commit";
-    case WireMessage::Kind::kCommitted: return "committed";
-  }
-  return "?";
-}
-
-std::optional<WireMessage::Kind> wire_kind_from(const std::string& name) {
-  if (name == "update") return WireMessage::Kind::kUpdate;
-  if (name == "vote") return WireMessage::Kind::kVote;
-  if (name == "commit") return WireMessage::Kind::kCommit;
-  if (name == "committed") return WireMessage::Kind::kCommitted;
-  return std::nullopt;
-}
+/// Message words, indexed by WireMessage::Kind.
+constexpr std::array<const char*, 4> kWireWords = {"update", "vote",
+                                                   "commit", "committed"};
 
 std::string participant(std::uint32_t idx) {
   return idx == ReplayStep::kEndpoint ? std::string("e")
@@ -58,6 +46,10 @@ std::optional<std::uint32_t> parse_participant(const std::string& text) {
   return value;
 }
 
+/// Step words, indexed by ReplayStep::Kind.
+constexpr std::array<const char*, 8> kStepWords = {
+    "submit", "retry", "fail", "deliver", "dup", "drop", "crash", "record"};
+
 /// The model's payload for request index j; fixed so a replayed run is
 /// deterministic and violations can name concrete conflicting values.
 std::uint64_t payload_of(std::uint32_t request) { return 1000 + request; }
@@ -65,23 +57,21 @@ std::uint64_t payload_of(std::uint32_t request) { return 1000 + request; }
 }  // namespace
 
 std::string ReplayStep::serialize() const {
+  const std::string word = kStepWords[static_cast<std::size_t>(kind)];
   switch (kind) {
-    case Kind::kSubmit: return "submit req=" + std::to_string(request);
-    case Kind::kRetry: return "retry req=" + std::to_string(request);
-    case Kind::kFail: return "fail req=" + std::to_string(request);
+    case Kind::kSubmit:
+    case Kind::kRetry:
+    case Kind::kFail:
+      return word + " req=" + std::to_string(request);
     case Kind::kDeliver:
     case Kind::kDup:
-    case Kind::kDrop: {
-      const char* word = kind == Kind::kDeliver ? "deliver"
-                         : kind == Kind::kDup   ? "dup"
-                                                : "drop";
-      return std::string(word) + " " + wire_kind_name(msg) +
+    case Kind::kDrop:
+      return word + " " + kWireWords[static_cast<std::size_t>(msg)] +
              " from=" + participant(from) + " to=" + participant(to) +
              " req=" + std::to_string(request);
-    }
-    case Kind::kCrash: return "crash peer=" + std::to_string(peer);
+    case Kind::kCrash: return word + " peer=" + std::to_string(peer);
     case Kind::kRecord:
-      return "record peer=" + std::to_string(peer) +
+      return word + " peer=" + std::to_string(peer) +
              " req=" + std::to_string(request);
   }
   return "?";
@@ -92,34 +82,18 @@ std::optional<ReplayStep> ReplayStep::parse(const std::string& line) {
   std::string word;
   if (!(in >> word)) return std::nullopt;
 
+  const auto known = std::find(kStepWords.begin(), kStepWords.end(), word);
+  if (known == kStepWords.end()) return std::nullopt;
   ReplayStep step;
-  if (word == "submit") {
-    step.kind = Kind::kSubmit;
-  } else if (word == "retry") {
-    step.kind = Kind::kRetry;
-  } else if (word == "fail") {
-    step.kind = Kind::kFail;
-  } else if (word == "deliver") {
-    step.kind = Kind::kDeliver;
-  } else if (word == "dup") {
-    step.kind = Kind::kDup;
-  } else if (word == "drop") {
-    step.kind = Kind::kDrop;
-  } else if (word == "crash") {
-    step.kind = Kind::kCrash;
-  } else if (word == "record") {
-    step.kind = Kind::kRecord;
-  } else {
-    return std::nullopt;
-  }
+  step.kind = static_cast<Kind>(known - kStepWords.begin());
 
   if (step.kind == Kind::kDeliver || step.kind == Kind::kDup ||
       step.kind == Kind::kDrop) {
     std::string kind_name;
     if (!(in >> kind_name)) return std::nullopt;
-    const auto msg = wire_kind_from(kind_name);
-    if (!msg.has_value()) return std::nullopt;
-    step.msg = *msg;
+    const auto msg = std::find(kWireWords.begin(), kWireWords.end(), kind_name);
+    if (msg == kWireWords.end()) return std::nullopt;
+    step.msg = static_cast<WireMessage::Kind>(msg - kWireWords.begin());
   }
 
   std::string token;
@@ -326,10 +300,7 @@ ReplayOutcome run_replay(const ReplayPlan& plan, std::ostream* log) {
   for (std::uint32_t j = 0; j < plan.r; ++j) {
     peers.push_back(
         std::make_unique<CommitPeer>(net, addr_of(j), addrs, machine));
-    if (dup_vote) {
-      peers.back()->set_hardening({/*dedup_protocol=*/false,
-                                   /*drop_self=*/true});
-    }
+    if (dup_vote) peers.back()->set_dedup_protocol(false);
   }
 
   RetryPolicy policy;

@@ -182,6 +182,9 @@ class CompiledInstance {
  public:
   explicit CompiledInstance(const CompiledMachine& machine)
       : machine_(&machine), state_(machine.start()) {}
+  /// An instance resumed at `state`, a state id of `machine`.
+  CompiledInstance(const CompiledMachine& machine, StateId state)
+      : machine_(&machine), state_(state) {}
 
   /// The actions of one delivery: `count` ids starting at `ids`, resolvable
   /// through CompiledMachine::action_names(). `applicable` is false when

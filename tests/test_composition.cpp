@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,6 +34,11 @@ check::CompositionResult run_mutated(const std::string& mutation) {
 }
 
 // ---- Pristine exploration ----
+//
+// The state, transition and absorbed counts are pinned: they are a
+// fingerprint of the peer-local cascade the checker steps (the one the
+// runtime deploys), so a change to its order or effects moves them. The
+// r=6..8 counts are pinned by the cli_fsmcheck_protocol ctest.
 
 TEST(Composition, PristineR4ClosesWithZeroFindings) {
   check::CompositionOptions options;
@@ -40,11 +46,11 @@ TEST(Composition, PristineR4ClosesWithZeroFindings) {
   const check::CompositionResult result = check::check_composition(options);
   EXPECT_TRUE(result.findings.empty());
   EXPECT_TRUE(result.stats.complete);
-  EXPECT_GT(result.stats.states, 100u);
-  EXPECT_GT(result.stats.transitions, result.stats.states);
+  EXPECT_EQ(result.stats.states, 3'614u);
+  EXPECT_EQ(result.stats.transitions, 17'887u);
   // The absorb closure must be pulling weight; without it r=4 does not
   // close in test time.
-  EXPECT_GT(result.stats.absorbed, 0u);
+  EXPECT_EQ(result.stats.absorbed, 24'579u);
   EXPECT_GT(result.checks_run, 0u);
   EXPECT_EQ(result.plans.size(), result.findings.size());
   // Nothing to export on a clean run.
@@ -57,7 +63,56 @@ TEST(Composition, PristineR5ClosesWithZeroFindings) {
   const check::CompositionResult result = check::check_composition(options);
   EXPECT_TRUE(result.findings.empty());
   EXPECT_TRUE(result.stats.complete);
+  EXPECT_EQ(result.stats.states, 21'523u);
+  EXPECT_EQ(result.stats.transitions, 154'685u);
+  EXPECT_EQ(result.stats.absorbed, 368'843u);
 }
+
+/// A multi-request product small enough for every test run, with its
+/// pinned counts. Drops and crashes are off to keep each to seconds; the
+/// full two-request product runs in CI's nightly step.
+struct PinnedProduct {
+  const char* name;
+  std::uint32_t r;
+  std::uint32_t requests;
+  std::size_t states;
+  std::size_t transitions;
+  std::size_t absorbed;
+};
+
+void PrintTo(const PinnedProduct& product, std::ostream* os) {
+  *os << product.name;
+}
+
+class SiblingCascade : public ::testing::TestWithParam<PinnedProduct> {};
+
+TEST_P(SiblingCascade, ClosesCleanWithPinnedCounts) {
+  const PinnedProduct& product = GetParam();
+  check::CompositionOptions options;
+  options.r = product.r;
+  options.requests = product.requests;
+  options.drops = 0;
+  options.crashes = 0;
+  const check::CompositionResult result = check::check_composition(options);
+  EXPECT_TRUE(result.findings.empty());
+  EXPECT_TRUE(result.stats.complete);
+  EXPECT_EQ(result.stats.states, product.states);
+  EXPECT_EQ(result.stats.transitions, product.transitions);
+  EXPECT_EQ(result.stats.absorbed, product.absorbed);
+}
+
+// Two requests hand the node lock between the updates (free/not_free).
+// Only a third sibling shows that the free offer stops at the first
+// update that retakes the lock: offering it to every sibling reads
+// 186 455 states at r=2.
+INSTANTIATE_TEST_SUITE_P(
+    Composition, SiblingCascade,
+    ::testing::Values(
+        PinnedProduct{"r4_two_requests", 4, 2, 244'629, 1'469'552, 2'733'284},
+        PinnedProduct{"r2_three_requests", 2, 3, 130'388, 749'355, 312'636}),
+    [](const ::testing::TestParamInfo<PinnedProduct>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Composition, TruncationIsReportedAsSentinelFinding) {
   check::CompositionOptions options;
@@ -146,15 +201,34 @@ TEST(Composition, ExportedPlanRoundTripsThroughSerialization) {
   EXPECT_EQ(parsed->faults.size(), plan.faults.size());
 }
 
-TEST(Composition, DupVoteCounterexampleReproducesInRuntime) {
-  const check::CompositionResult result = run_mutated("comp.dup_vote");
+/// The exported counterexample of a mutation with a runtime twin must
+/// reproduce against the real peers and endpoint.
+void expect_reproduces_in_runtime(const std::string& mutation) {
+  const check::CompositionResult result = run_mutated(mutation);
   const std::size_t idx = check::preferred_replay(result);
   ASSERT_LT(idx, result.findings.size());
   const commit::ReplayOutcome outcome =
       commit::run_replay(result.plans[idx]);
-  EXPECT_TRUE(outcome.supported);
+  EXPECT_TRUE(outcome.supported) << outcome.description;
   EXPECT_TRUE(outcome.reproduced) << outcome.description;
 }
+
+TEST(Composition, DupVoteCounterexampleReproducesInRuntime) {
+  expect_reproduces_in_runtime("comp.dup_vote");
+}
+
+class RuntimeTwin : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RuntimeTwin, CounterexampleReproducesInRuntime) {
+  expect_reproduces_in_runtime(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Composition, RuntimeTwin,
+    ::testing::Values("comp.weak_quorum", "comp.weak_ack"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param.substr(info.param.find('.') + 1);
+    });
 
 TEST(Composition, ModelOnlyMutationReplayIsSkippedNotFailed) {
   const check::CompositionResult result =

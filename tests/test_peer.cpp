@@ -113,6 +113,36 @@ TEST(Peer, SecondUpdateLockedOutUntilFirstFinishes) {
   EXPECT_EQ(h.votes_sent_for(2), 3u);
 }
 
+TEST(Peer, FreedLockPassesToTheFirstPendingUpdateOnly) {
+  PeerHarness h;
+  for (const std::uint64_t id : {1u, 2u, 3u}) {
+    h.send(100, WireMessage::Kind::kUpdate, id);
+  }
+  // Update 1 holds the node lock; updates 2 and 3 wait behind it.
+  EXPECT_EQ(h.votes_sent_for(2), 0u);
+  EXPECT_EQ(h.votes_sent_for(3), 0u);
+
+  h.send(1, WireMessage::Kind::kVote, 1);
+  h.send(2, WireMessage::Kind::kVote, 1);
+  h.send(1, WireMessage::Kind::kCommit, 1);
+  h.send(2, WireMessage::Kind::kCommit, 1);
+  ASSERT_EQ(h.peer->history(kGuid).size(), 1u);
+  // The freed lock is offered in update-id order and the offer stops at
+  // the first update that retakes it: update 2 votes, update 3 does not.
+  EXPECT_EQ(h.votes_sent_for(2), 3u);
+  EXPECT_EQ(h.votes_sent_for(3), 0u);
+  EXPECT_EQ(h.peer->live_instances(kGuid), 2u);
+
+  h.send(1, WireMessage::Kind::kVote, 2);
+  h.send(2, WireMessage::Kind::kVote, 2);
+  EXPECT_EQ(h.votes_sent_for(3), 0u);  // Still locked until 2 finishes.
+  h.send(1, WireMessage::Kind::kCommit, 2);
+  h.send(2, WireMessage::Kind::kCommit, 2);
+  ASSERT_EQ(h.peer->history(kGuid).size(), 2u);
+  EXPECT_EQ(h.votes_sent_for(3), 3u);
+  EXPECT_EQ(h.peer->stats().votes_sent, 3u);
+}
+
 TEST(Peer, CompletionNotifiesTheClientOnce) {
   PeerHarness h;
   h.send(100, WireMessage::Kind::kUpdate, 1);
