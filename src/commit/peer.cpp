@@ -241,12 +241,9 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
   }
   if (msg.kind == WireMessage::Kind::kUpdate) {
     inst->client = from;
-    cascade_.deliver(host, *inst, kUpdate);
     // A vetoed attempt (finished, still resident) is offered to the
-    // journal once more.
-    if (Instance* resident = find_instance(ctx, msg.update_id)) {
-      check_finished(ctx, *resident);
-    }
+    // journal once more by the cascade's finish hook.
+    cascade_.deliver(host, *inst, kUpdate);
     return;
   }
   // One vote and one commit per member per update; our own echoes drop.

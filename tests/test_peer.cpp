@@ -273,6 +273,22 @@ TEST(Peer, VetoedInstanceStaysResidentUntilTheRetryRecordsIt) {
   EXPECT_EQ(h.client_inbox[0].kind, WireMessage::Kind::kCommitted);
 }
 
+TEST(Peer, ResentUpdateToAVetoedInstanceMakesOneAppendAttempt) {
+  durable::MemMedium disk;  // Declared first: the journal outlives the peer.
+  durable::DurableLog journal(disk, "peer", /*snapshot_every=*/0);
+  PeerHarness h;
+  h.peer->set_journal(&journal);
+  disk.set_stalled(true);
+  h.commit_update(1);
+  ASSERT_EQ(journal.writer_stats().append_failures, 1u);
+  // The cascade's finish hook offers the vetoed instance to the journal
+  // once per delivery; the resend must not add a second attempt.
+  h.send(100, WireMessage::Kind::kUpdate, 1);
+  EXPECT_EQ(journal.writer_stats().append_failures, 2u);
+  EXPECT_EQ(h.peer->resident_instances(kGuid), 1u);
+  EXPECT_TRUE(h.client_inbox.empty());
+}
+
 TEST(Peer, ImportedHistoryAbsorbsLateTraffic) {
   PeerHarness h;
   ASSERT_EQ(h.peer->reconcile_history(kGuid, {{1, 1, 10}}), 1u);
