@@ -24,10 +24,13 @@
 //   fsmcheck --protocol                       (composition, r=4..8)
 //   fsmcheck --protocol -r 4 --mutation comp.dup_vote --replay-out plan.txt
 //   fsmcheck --protocol --mutate
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -68,7 +71,8 @@ void usage() {
       "                   defects and require 100% detection (with\n"
       "                   --protocol: the composition-level catalogue)\n"
       "  --jobs N         generation/equivalence lanes (0 = hardware)\n"
-      "protocol composition (analysis group 6):\n"
+      "protocol composition (analysis group 6; every flag below but\n"
+      "--protocol itself requires --protocol, or exits 2):\n"
       "  --protocol       model-check the COMPOSED protocol: peers +\n"
       "                   endpoint + lossy reordering network\n"
       "  --net-bound N    prune states with more than N in-flight messages\n"
@@ -87,6 +91,19 @@ void usage() {
 
 using cli::parse_u32;
 using cli::write_file;
+
+/// The composition checker's numeric flags, one CompositionOptions field
+/// each. Like --mutation and --replay-out, they require --protocol.
+using CompositionFlag =
+    std::pair<std::string_view, std::uint32_t check::CompositionOptions::*>;
+constexpr CompositionFlag kCompositionFlags[] = {
+    {"--net-bound", &check::CompositionOptions::net_bound},
+    {"--requests", &check::CompositionOptions::requests},
+    {"--attempts", &check::CompositionOptions::attempts},
+    {"--drops", &check::CompositionOptions::drops},
+    {"--dups", &check::CompositionOptions::dups},
+    {"--crashes", &check::CompositionOptions::crashes},
+};
 
 /// Render the machine named by the first finding that carries diagram
 /// hooks, with its flagged states/transitions emphasised.
@@ -251,6 +268,7 @@ int main(int argc, char** argv) {
   std::string dot_path;
   std::string mermaid_path;
   std::string replay_path;
+  std::string protocol_flag;  // The last composition flag given.
   bool mutate = false;
   bool single_r = false;
   bool family_given = false;
@@ -323,34 +341,20 @@ int main(int argc, char** argv) {
       options.jobs = *jobs;
     } else if (arg == "--protocol") {
       protocol = true;
-    } else if (arg == "--net-bound") {
-      const auto bound = next_u32();
-      if (!bound.has_value()) return 2;
-      comp.net_bound = *bound;
-    } else if (arg == "--requests") {
-      const auto requests = next_u32();
-      if (!requests.has_value()) return 2;
-      comp.requests = *requests;
-    } else if (arg == "--attempts") {
-      const auto attempts = next_u32();
-      if (!attempts.has_value()) return 2;
-      comp.attempts = *attempts;
-    } else if (arg == "--drops") {
-      const auto drops = next_u32();
-      if (!drops.has_value()) return 2;
-      comp.drops = *drops;
-    } else if (arg == "--dups") {
-      const auto dups = next_u32();
-      if (!dups.has_value()) return 2;
-      comp.dups = *dups;
-    } else if (arg == "--crashes") {
-      const auto crashes = next_u32();
-      if (!crashes.has_value()) return 2;
-      comp.crashes = *crashes;
+    } else if (const auto* flag = std::find_if(
+                   std::begin(kCompositionFlags), std::end(kCompositionFlags),
+                   [&](const CompositionFlag& f) { return f.first == arg; });
+               flag != std::end(kCompositionFlags)) {
+      const auto value = next_u32();
+      if (!value.has_value()) return 2;
+      comp.*flag->second = *value;
+      protocol_flag = arg;
     } else if (arg == "--mutation") {
       comp.mutation = next();
+      protocol_flag = arg;
     } else if (arg == "--replay-out") {
       replay_path = next();
+      protocol_flag = arg;
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       usage();
@@ -368,11 +372,8 @@ int main(int argc, char** argv) {
               << options.r_hi << "\n";
     return 2;
   }
-  if (!protocol &&
-      (comp.net_bound != 0 || !comp.mutation.empty() ||
-       !replay_path.empty())) {
-    std::cerr << "fsmcheck: --net-bound/--mutation/--replay-out require "
-                 "--protocol\n";
+  if (!protocol && !protocol_flag.empty()) {
+    std::cerr << "fsmcheck: " << protocol_flag << " requires --protocol\n";
     return 2;
   }
 
