@@ -67,7 +67,8 @@ RunResult run_scenario(std::uint32_t r, int clients, std::uint64_t seed,
   double total_latency = 0;
   for (int c = 0; c < clients; ++c) {
     endpoints.push_back(std::make_unique<CommitEndpoint>(
-        network, static_cast<sim::NodeAddr>(100 + c), addrs, f, policy,
+        network, static_cast<sim::NodeAddr>(100 + c), addrs,
+        commit::EndpointAbstraction::deployed(f, policy), policy,
         sim::Rng(seed * 977 + c)));
     endpoints.back()->submit(
         kGuid, 1000 + c, [&result, &total_latency](const CommitResult& cr) {

@@ -5,14 +5,13 @@
 #include <cstring>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
-#include "commit/cascade.hpp"
 #include "commit/commit_model.hpp"
+#include "commit/variants.hpp"
 
 namespace asa_repro::check {
 namespace {
@@ -20,39 +19,10 @@ namespace {
 using commit::CommitModel;
 using commit::ReplayPlan;
 using commit::ReplayStep;
+using commit::Variant;
 
-enum class Mut : std::uint8_t {
-  kNone,
-  kWeakQuorum,       // Machines generated with vote threshold 1.
-  kAckBeforeRecord,  // Confirmation leaves before the record is durable.
-  kDupVote,          // Peers count duplicate votes/commits (dedup removed).
-  kDropRetry,        // Endpoint timeout/retry scheme removed entirely.
-  kWeakAck,          // Endpoint acknowledges after f confirmations.
-};
-
-/// The composition-level mutation catalogue, in report order.
-struct MutationEntry {
-  const char* name;
-  Mut mut;
-  const char* description;
-};
-constexpr MutationEntry kMutations[] = {
-    {"comp.weak_quorum", Mut::kWeakQuorum,
-     "peer machines generated with vote threshold 1 instead of 2f+1"},
-    {"comp.ack_before_record", Mut::kAckBeforeRecord,
-     "peers confirm to the client before recording the commit"},
-    {"comp.dup_vote", Mut::kDupVote,
-     "peers count duplicate votes/commits from one member (dedup removed)"},
-    {"comp.drop_retry", Mut::kDropRetry,
-     "endpoint timeout/retry scheme removed (no retry, no failure report)"},
-    {"comp.weak_ack", Mut::kWeakAck,
-     "endpoint acknowledges after f confirmations instead of f+1"},
-};
-
-const MutationEntry& mutation_entry(const std::string& name) {
-  for (const MutationEntry& m : kMutations) {
-    if (name == m.name) return m;
-  }
+const commit::VariantEntry& variant_named(const std::string& name) {
+  if (const auto* entry = commit::find_variant(name)) return *entry;
   throw std::invalid_argument("check_composition: unknown mutation " + name);
 }
 
@@ -65,8 +35,8 @@ const MutationEntry& mutation_entry(const std::string& name) {
 // is derived from the other peers' vote_sent/commit_sent bits (updates:
 // from the endpoint's attempt counter), and in-flight = sent - consumed -
 // missed. Ground-truth distinctness (the agreement certificate and quorum
-// justification) lives in the *_unique counters, which duplicates under
-// comp.dup_vote deliberately do not advance.
+// justification) lives in the *_unique counters, which repeats the dedup
+// rule admits (comp.dup_vote) deliberately do not advance.
 
 constexpr std::uint8_t kNoLock = 0xFF;
 constexpr std::uint8_t kConfirmCap = 2;  // Record + one re-confirmation.
@@ -76,7 +46,7 @@ enum ReqStatus : std::uint8_t { kActive = 0, kAcked = 1, kFailed = 2 };
 struct Cell {
   // Machine state vector (CommitModel component order).
   std::uint8_t update_received = 0;
-  std::uint8_t votes_received = 0;  // Counts duplicates under comp.dup_vote.
+  std::uint8_t votes_received = 0;  // Counts admitted repeats too.
   std::uint8_t vote_sent = 0;
   std::uint8_t commits_received = 0;
   std::uint8_t commit_sent = 0;
@@ -176,8 +146,8 @@ struct Violation {
 
 // ---- The transition engine, shared by the BFS and the trace exporter. ----
 
-/// The peer table the checker steps: the deployed machine's model, left
-/// unpruned and unmerged so that a state id is a field vector.
+/// The peer table the checker steps: the machine's model, left unpruned
+/// and unmerged so that a state id is a field vector.
 fsm::CompiledMachine compile_unmerged(const CommitModel& model) {
   fsm::GenerationOptions options;
   options.prune_unreachable = false;
@@ -203,17 +173,16 @@ class Engine {
  public:
   explicit Engine(const CompositionOptions& opt)
       : opt_(validated(opt)),
-        mut_(opt.mutation.empty() ? Mut::kNone
-                                  : mutation_entry(opt.mutation).mut),
-        model_(mut_ == Mut::kWeakQuorum
-                   ? CommitModel(opt.r,
-                                 commit::Thresholds{1, (opt.r - 1) / 3 + 1})
-                   : CommitModel(opt.r)),
+        variant_(variant_named(opt.mutation)),
+        // Only the attempt budget of the endpoint's policy reaches its rule.
+        rules_(commit::rules_for(
+            opt.r, commit::RetryPolicy{.max_attempts = opt.attempts},
+            variant_)),
+        model_(opt.r, rules_.thresholds),
         machine_(compile_unmerged(model_)),
-        f_((opt.r - 1) / 3),
-        endpoint_quorum_(mut_ == Mut::kWeakAck ? f_ : f_ + 1),
+        f_(model_.max_faulty()),
         crash_budget_(std::min(opt.crashes, f_)),
-        cascade_(machine_) {
+        cascade_(machine_, rules_.dedup) {
     vectors_.resize(machine_.state_count());
     for (fsm::StateId id = 0; id < machine_.state_count(); ++id) {
       const fsm::StateVector v = model_.space().decode(id);
@@ -287,8 +256,8 @@ class Engine {
   /// only recorded cells; under comp.ack_before_record finality alone is
   /// enough — that is the bug.
   [[nodiscard]] bool confirm_capable(const Cell& c) const {
-    return c.recorded != 0 ||
-           (mut_ == Mut::kAckBeforeRecord && is_final(c));
+    return c.recorded != 0 || (model_only(Variant::kAckBeforeRecord) &&
+                               is_final(c));
   }
 
   /// A redelivered update to (j, u) would trigger a re-confirmation the
@@ -405,60 +374,59 @@ class Engine {
     // delivery (plus its drop twin while the budget lasts) is therefore a
     // persistent set; the search space is a DAG (every transition spends
     // a monotone resource), so no ignoring problem arises.
+    const bool can_drop = s.drops_used < opt_.drops;
+    // A delivery to cell (j, u), and its drop twin while the budget lasts.
+    const auto offer = [&](Act deliver, Act drop, std::uint32_t j,
+                           std::uint32_t u) {
+      out.push_back(pack_act(deliver, j, u));
+      if (can_drop) out.push_back(pack_act(drop, j, u));
+    };
     for (std::uint32_t j = 0; j < opt_.r; ++j) {
       if (s.peers[j].crashed != 0) continue;
       for (std::uint32_t u = 0; u < opt_.requests; ++u) {
         const Cell& c = s.peers[j].cells[u];
         if (is_final(c)) continue;
-        const bool can_drop_one = s.drops_used < opt_.drops;
         if (inflight_votes(s, j, u) > 0 &&
             c.votes_received + 2u < model_.vote_threshold()) {
-          out.push_back(pack_act(Act::kDeliverVote, j, u));
-          if (can_drop_one) out.push_back(pack_act(Act::kDropVote, j, u));
-          return;
+          return offer(Act::kDeliverVote, Act::kDropVote, j, u);
         }
         if (inflight_commits(s, j, u) > 0 &&
             c.commits_received + 1u < model_.commit_threshold()) {
-          out.push_back(pack_act(Act::kDeliverCommit, j, u));
-          if (can_drop_one) out.push_back(pack_act(Act::kDropCommit, j, u));
-          return;
+          return offer(Act::kDeliverCommit, Act::kDropCommit, j, u);
         }
       }
     }
     for (std::uint32_t u = 0; u < opt_.requests; ++u) {
-      if (s.requests[u].status != kActive || mut_ == Mut::kDropRetry) {
+      if (s.requests[u].status != kActive ||
+          model_only(Variant::kDropRetry)) {
         continue;
       }
-      if (s.requests[u].attempts < opt_.attempts) {
-        out.push_back(pack_act(Act::kRetry, 0, u));
-      } else {
-        out.push_back(pack_act(Act::kFail, 0, u));
-      }
+      out.push_back(pack_act(rules_.endpoint.may_retry(s.requests[u].attempts)
+                                 ? Act::kRetry
+                                 : Act::kFail,
+                             0, u));
     }
-    const bool can_drop = s.drops_used < opt_.drops;
     for (std::uint32_t j = 0; j < opt_.r; ++j) {
       const Peer& p = s.peers[j];
       for (std::uint32_t u = 0; u < opt_.requests; ++u) {
         const Cell& c = p.cells[u];
         // Confirmations survive their sender's crash (sent before it).
         if (c.confirms_pending > 0) {
-          out.push_back(pack_act(Act::kDeliverConfirm, j, u));
-          if (can_drop) out.push_back(pack_act(Act::kDropConfirm, j, u));
+          offer(Act::kDeliverConfirm, Act::kDropConfirm, j, u);
         }
         if (p.crashed != 0) continue;
         if (inflight_updates(s, j, u) > 0) {
-          out.push_back(pack_act(Act::kDeliverUpdate, j, u));
-          if (can_drop) out.push_back(pack_act(Act::kDropUpdate, j, u));
+          offer(Act::kDeliverUpdate, Act::kDropUpdate, j, u);
         }
         if (inflight_votes(s, j, u) > 0) {
-          out.push_back(pack_act(Act::kDeliverVote, j, u));
-          if (can_drop) out.push_back(pack_act(Act::kDropVote, j, u));
+          offer(Act::kDeliverVote, Act::kDropVote, j, u);
         }
         if (inflight_commits(s, j, u) > 0) {
-          out.push_back(pack_act(Act::kDeliverCommit, j, u));
-          if (can_drop) out.push_back(pack_act(Act::kDropCommit, j, u));
+          offer(Act::kDeliverCommit, Act::kDropCommit, j, u);
         }
-        if (mut_ == Mut::kDupVote && s.dups_used < opt_.dups && !is_final(c)) {
+        // A repeat copy is a transition only where the dedup rule admits it.
+        if (rules_.dedup.admit_repeats && s.dups_used < opt_.dups &&
+            !is_final(c)) {
           if (c.votes_unique > 0 && c.votes_received < opt_.r - 1) {
             out.push_back(pack_act(Act::kDupVote, j, u));
           }
@@ -466,7 +434,7 @@ class Engine {
             out.push_back(pack_act(Act::kDupCommit, j, u));
           }
         }
-        if (mut_ == Mut::kAckBeforeRecord && is_final(c) &&
+        if (model_only(Variant::kAckBeforeRecord) && is_final(c) &&
             c.recorded == 0) {
           out.push_back(pack_act(Act::kRecord, j, u));
         }
@@ -482,67 +450,62 @@ class Engine {
   void apply(State& s, std::uint64_t a, std::vector<Violation>& viols) {
     const std::uint32_t j = act_peer(a);
     const std::uint32_t u = act_update(a);
-    // One abstract message to cell (j, u), through the deployed cascade.
-    const auto deliver = [&](fsm::MessageId message) {
-      Host host{*this, s.peers[j], viols};
-      cascade_.deliver(host, s.peers[j].cells[u], message);
-    };
+    // One abstract message to cell (j, u), through the deployed cascade;
+    // a vote or commit is a distinct sender's copy or a repeat, and the
+    // cascade's dedup rule judges both.
+    Cell& c = s.peers[j].cells[u];
+    Host host{*this, s.peers[j], viols};
     switch (act_type(a)) {
-      case Act::kDeliverUpdate: {
-        Cell& c = s.peers[j].cells[u];
+      case Act::kDeliverUpdate:
         ++c.updates_gone;
         if (c.update_received != 0) {
           // Re-sent request to a finished instance: re-confirm (the
           // original kCommitted may have been lost).
           ++c.confirms_pending;
         } else {
-          deliver(commit::kUpdate);
+          cascade_.deliver(host, c, commit::kUpdate);
         }
         break;
-      }
-      case Act::kDeliverVote: {
-        ++s.peers[j].cells[u].votes_unique;
-        deliver(commit::kVote);
+      case Act::kDeliverVote:
+        ++c.votes_unique;
+        cascade_.deliver_copy(host, c, commit::kVote, /*first_copy=*/true);
         break;
-      }
-      case Act::kDeliverCommit: {
-        ++s.peers[j].cells[u].commits_unique;
-        deliver(commit::kCommit);
+      case Act::kDeliverCommit:
+        ++c.commits_unique;
+        cascade_.deliver_copy(host, c, commit::kCommit, /*first_copy=*/true);
         break;
-      }
       case Act::kDupVote:
         ++s.dups_used;
-        deliver(commit::kVote);
+        cascade_.deliver_copy(host, c, commit::kVote, /*first_copy=*/false);
         break;
       case Act::kDupCommit:
         ++s.dups_used;
-        deliver(commit::kCommit);
+        cascade_.deliver_copy(host, c, commit::kCommit, /*first_copy=*/false);
         break;
       case Act::kDropUpdate:
-        ++s.peers[j].cells[u].updates_gone;
+        ++c.updates_gone;
         ++s.drops_used;
         break;
       case Act::kDropVote:
-        ++s.peers[j].cells[u].votes_missed;
+        ++c.votes_missed;
         ++s.drops_used;
         break;
       case Act::kDropCommit:
-        ++s.peers[j].cells[u].commits_missed;
+        ++c.commits_missed;
         ++s.drops_used;
         break;
       case Act::kDropConfirm:
-        --s.peers[j].cells[u].confirms_pending;
+        --c.confirms_pending;
         ++s.drops_used;
         break;
       case Act::kDeliverConfirm: {
-        Cell& c = s.peers[j].cells[u];
         --c.confirms_pending;
         c.confirm_counted = 1;
         std::uint32_t distinct = 0;
         for (std::uint32_t q = 0; q < opt_.r; ++q) {
           distinct += s.peers[q].cells[u].confirm_counted;
         }
-        if (distinct >= endpoint_quorum_) {
+        if (rules_.endpoint.acknowledged(distinct)) {
           s.requests[u].status = kAcked;
           if (distinct < f_ + 1) {
             viols.push_back(
@@ -567,10 +530,9 @@ class Engine {
         Peer& p = s.peers[j];
         p.crashed = 1;
         ++s.crashes_used;
-        for (std::uint32_t uu = 0; uu < opt_.requests; ++uu) {
-          const Cell& c = p.cells[uu];
-          if (is_final(c) && c.recorded == 0 &&
-              (c.confirms_pending > 0 || c.confirm_counted != 0)) {
+        for (const Cell& cell : p.cells) {
+          if (is_final(cell) && cell.recorded == 0 &&
+              (cell.confirms_pending > 0 || cell.confirm_counted != 0)) {
             viols.push_back(
                 {"ack_durable",
                  "peer crashed after confirming an update it never "
@@ -748,7 +710,7 @@ class Engine {
                           std::vector<Violation>& viols) {
     Cell& c = p.cells[u];
     if (c.recorded != 0) return;
-    if (mut_ != Mut::kAckBeforeRecord) do_record(p, u, viols);
+    if (!model_only(Variant::kAckBeforeRecord)) do_record(p, u, viols);
     if (c.update_received != 0 && c.confirms_pending < kConfirmCap) {
       ++c.confirms_pending;
     }
@@ -772,12 +734,17 @@ class Engine {
     if (p.lock == u) p.lock = kNoLock;
   }
 
+  /// The variant is the model-only bug `v`, which has no runtime twin.
+  [[nodiscard]] bool model_only(Variant v) const {
+    return variant_.variant == v;
+  }
+
   CompositionOptions opt_;
-  Mut mut_;
+  const commit::VariantEntry& variant_;
+  commit::Rules rules_;  // The deployed rules, or the variant's twin.
   CommitModel model_;
   fsm::CompiledMachine machine_;  // Unmerged: one state per field vector.
   std::uint32_t f_;
-  std::uint32_t endpoint_quorum_;
   std::uint32_t crash_budget_;
   fsm::StateVector vector_ = fsm::StateVector(kMachineFields);  // state_of's.
   // StateSpace::decode per state id.
@@ -801,10 +768,7 @@ class Exporter {
     std::iota(pi_.begin(), pi_.end(), std::uint8_t{0});
     eng_.canonicalize(canon_);  // Initial state is symmetric: pi stays id.
     for (std::uint32_t u = 0; u < eng_.options().requests; ++u) {
-      ReplayStep step;
-      step.kind = ReplayStep::Kind::kSubmit;
-      step.request = u;
-      steps_.push_back(step);
+      steps_.push_back({.kind = ReplayStep::Kind::kSubmit, .request = u});
     }
   }
 
@@ -823,9 +787,7 @@ class Exporter {
     eng_.absorb(canon_);
     const std::vector<std::uint8_t> sigma = eng_.canonicalize(canon_);
     // ...and the concrete twin, with the action relabelled through pi.
-    const std::uint64_t concrete_a =
-        pack_act(t, t == Act::kRetry || t == Act::kFail ? 0 : cj, u);
-    eng_.apply(concrete_, concrete_a, sink);
+    eng_.apply(concrete_, pack_act(t, cj, u), sink);
     eng_.absorb(concrete_);
     // canonical'[k] = old_canonical[sigma[k]], so pi composes with sigma.
     std::vector<std::uint8_t> next(pi_.size());
@@ -857,16 +819,14 @@ class Exporter {
         break;
       case Act::kDeliverVote:
       case Act::kDropVote:
-        step.msg = Msg::kVote;
-        step.from = pick_sender(cj, u, /*votes=*/true, drop);
-        step.to = cj;
-        break;
       case Act::kDeliverCommit:
-      case Act::kDropCommit:
-        step.msg = Msg::kCommit;
-        step.from = pick_sender(cj, u, /*votes=*/false, drop);
+      case Act::kDropCommit: {
+        const bool votes = t == Act::kDeliverVote || t == Act::kDropVote;
+        step.msg = votes ? Msg::kVote : Msg::kCommit;
+        step.from = pick_sender(cj, u, votes, drop);
         step.to = cj;
         break;
+      }
       case Act::kDupVote:
       case Act::kDupCommit: {
         step.kind = ReplayStep::Kind::kDup;
@@ -882,21 +842,17 @@ class Exporter {
         step.from = cj;
         step.to = ReplayStep::kEndpoint;
         break;
-      case Act::kCrash: {
+      case Act::kCrash:
         step.kind = ReplayStep::Kind::kCrash;
         step.peer = cj;
-        sim::FaultEvent event;
-        event.at = static_cast<sim::Time>(steps_.size());
-        event.kind = sim::FaultEvent::Kind::kCrash;
-        event.node = cj;
-        faults_.add(event);
+        faults_.add({.at = static_cast<sim::Time>(steps_.size()),
+                     .kind = sim::FaultEvent::Kind::kCrash,
+                     .node = cj});
         break;
-      }
       case Act::kRetry:
-        step.kind = ReplayStep::Kind::kRetry;
-        break;
       case Act::kFail:
-        step.kind = ReplayStep::Kind::kFail;
+        step.kind = t == Act::kRetry ? ReplayStep::Kind::kRetry
+                                     : ReplayStep::Kind::kFail;
         break;
       case Act::kRecord:
         step.kind = ReplayStep::Kind::kRecord;
@@ -950,15 +906,6 @@ struct PendingFinding {
 
 }  // namespace
 
-const std::vector<std::string>& composition_mutations() {
-  static const std::vector<std::string> kNames = [] {
-    std::vector<std::string> names;
-    for (const MutationEntry& m : kMutations) names.emplace_back(m.name);
-    return names;
-  }();
-  return kNames;
-}
-
 CompositionResult check_composition(const CompositionOptions& options) {
   Engine eng(options);
   CompositionResult result;
@@ -986,7 +933,7 @@ CompositionResult check_composition(const CompositionOptions& options) {
   std::unordered_set<std::uint32_t, decltype(hash_at), decltype(eq_at)>
       seen(1 << 16, hash_at, eq_at);
 
-  // Intern the (already canonical, absorbed) state; returns (index, fresh).
+  // Intern the (already canonical, absorbed) state unless it was seen.
   const auto intern = [&](const State& s, std::uint32_t from,
                           std::uint64_t action) {
     const std::uint32_t idx = static_cast<std::uint32_t>(parent.size());
@@ -994,14 +941,11 @@ CompositionResult check_composition(const CompositionOptions& options) {
     eng.pack(s, &arena[static_cast<std::size_t>(idx) * stride]);
     parent.push_back(from);
     via.push_back(action);
-    const auto [it, fresh] = seen.insert(idx);
-    if (!fresh) {
+    if (!seen.insert(idx).second) {
       arena.resize(arena.size() - stride);
       parent.pop_back();
       via.pop_back();
-      return std::pair<std::uint32_t, bool>{*it, false};
     }
-    return std::pair<std::uint32_t, bool>{idx, true};
   };
 
   State root = eng.initial();
@@ -1085,30 +1029,24 @@ CompositionResult check_composition(const CompositionOptions& options) {
       path.push_back(via[v]);
     }
     std::reverse(path.begin(), path.end());
-    if (act_type(pf.action) != Act::kNoneSentinel) {
-      path.push_back(pf.action);
-    }
+    path.push_back(pf.action);  // The exporter skips a kNoneSentinel.
 
     Exporter exporter(eng);
     for (const std::uint64_t a : path) exporter.emit(a);
 
-    ReplayPlan plan;
-    plan.r = options.r;
-    plan.f = eng.f();
-    plan.requests = options.requests;
-    plan.attempts = options.attempts;
-    plan.mutation = options.mutation;
-    plan.check = std::string("composition.") + check;
-    plan.detail = pf.message;
-    plan.faults = exporter.faults();
-    plan.schedule = exporter.steps();
-
-    Finding finding;
-    finding.check = plan.check;
-    finding.machine = machine_label;
-    finding.location = "after " + exporter.last_step_text() + " (step " +
-                       std::to_string(plan.schedule.size()) + ")";
-    finding.message = pf.message;
+    ReplayPlan plan{.r = options.r,
+                    .f = eng.f(),
+                    .requests = options.requests,
+                    .attempts = options.attempts,
+                    .mutation = options.mutation,
+                    .check = std::string("composition.") + check,
+                    .detail = pf.message,
+                    .faults = exporter.faults(),
+                    .schedule = exporter.steps()};
+    Finding finding(plan.check, machine_label,
+                    "after " + exporter.last_step_text() + " (step " +
+                        std::to_string(plan.schedule.size()) + ")",
+                    pf.message);
     for (const ReplayStep& step : plan.schedule) {
       finding.schedule.push_back(step.serialize());
     }
@@ -1117,14 +1055,11 @@ CompositionResult check_composition(const CompositionOptions& options) {
   }
 
   if (truncated) {
-    Finding finding;
-    finding.check = "composition.state_bound";
-    finding.machine = machine_label;
-    finding.location = "exploration";
-    finding.message = "state space exceeded max_states=" +
-                      std::to_string(options.max_states) +
-                      "; composition NOT verified";
-    result.findings.push_back(std::move(finding));
+    result.findings.emplace_back("composition.state_bound", machine_label,
+                                 "exploration",
+                                 "state space exceeded max_states=" +
+                                     std::to_string(options.max_states) +
+                                     "; composition NOT verified");
     result.plans.emplace_back();
   }
   return result;
@@ -1149,13 +1084,13 @@ std::size_t preferred_replay(const CompositionResult& result) {
 MutationReport run_composition_mutation_self_test(
     const CompositionOptions& base) {
   MutationReport report;
-  for (const std::string& name : composition_mutations()) {
+  for (const commit::VariantEntry& variant : commit::kVariants) {
     CompositionOptions options = base;
-    options.mutation = name;
+    options.mutation = variant.name;
     const CompositionResult result = check_composition(options);
     MutationOutcome outcome;
-    outcome.name = name;
-    outcome.description = mutation_entry(name).description;
+    outcome.name = variant.name;
+    outcome.description = variant.description;
     for (const Finding& f : result.findings) {
       if (f.check != "composition.state_bound") {
         outcome.detected = true;

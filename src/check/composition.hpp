@@ -4,16 +4,20 @@
 // Groups 1-5 verify each generated machine in isolation; every property the
 // deployment actually relies on — agreement, validity, quorum justification,
 // termination — is a property of the composition: r peer machines, the
-// endpoint abstraction (commit/endpoint_model.hpp), and a lossy reordering
-// network. This group exhaustively explores that product: the network is a
-// bounded multiset of in-flight messages with nondeterministic delivery
-// order, optional duplication (spent only under the dedup-removal
-// mutation, where it is observable), a bounded drop budget, and up to
-// min(crashes, f) fail-stop peer crashes.
+// endpoint, and a lossy reordering network. This group exhaustively
+// explores that product: the network is a bounded multiset of in-flight
+// messages with nondeterministic delivery order, duplication (a repeat is
+// a transition only where the dedup rule admits it, i.e. under
+// comp.dup_vote), a bounded drop budget, and up to min(crashes, f)
+// fail-stop peer crashes.
 //
-// The peers run the deployed step, not a model of it: commit/cascade.hpp's
-// Cascade (as in CommitPeer) over the commit machine compiled unpruned and
-// unmerged; the checker supplies only ground-truth checks as its effects.
+// Peers and endpoint run the deployed rules, not models of them: the
+// Cascade and its dedup rule (commit/cascade.hpp, as in CommitPeer) over
+// the commit machine compiled unpruned and unmerged, and the endpoint rule
+// (commit/endpoint_model.hpp, as in CommitEndpoint). A planted bug with a
+// runtime twin is a variant of those rules (commit/variants.hpp) that
+// run_replay builds the same way; the checker supplies only ground-truth
+// checks, with literal f+1 / 2f+1, as effects.
 //
 // Tractability comes from three reductions, argued sound in
 // ARCHITECTURE.md ("Composition checking"):
@@ -61,13 +65,13 @@ struct CompositionOptions {
   std::uint32_t crashes = 1;     // Crash budget; capped at f.
   std::uint32_t drops = 1;       // Message-drop budget.
   std::uint32_t dups = 1;        // Duplicate-delivery budget (only spent
-                                 //   under comp.dup_vote, where duplicates
-                                 //   are observable).
+                                 //   where the dedup rule admits repeats:
+                                 //   comp.dup_vote).
   std::uint32_t net_bound = 0;   // Max total in-flight messages; successors
                                  //   exceeding it are pruned. 0 = unbounded
                                  //   (the sound default for the CI gate).
-  std::string mutation;          // A composition_mutations() name; empty =
-                                 //   pristine protocol.
+  std::string mutation;          // A commit::kVariants name; empty = the
+                                 //   deployed rules.
   std::size_t max_states = 20'000'000;  // Exploration safety cap.
 };
 
@@ -89,7 +93,7 @@ struct CompositionResult {
 };
 
 /// Exhaustively model-check the composed protocol. A pristine model must
-/// yield zero findings for every r; each composition_mutations() entry must
+/// yield zero findings for every r; each commit::kVariants entry must
 /// yield at least one.
 [[nodiscard]] CompositionResult check_composition(
     const CompositionOptions& options);
@@ -99,12 +103,9 @@ struct CompositionResult {
 /// `findings.size()` when there is nothing to export.
 [[nodiscard]] std::size_t preferred_replay(const CompositionResult& result);
 
-/// The composition-level mutation catalogue: protocol bugs invisible to
-/// every per-machine check, each detectable only on the composition.
-[[nodiscard]] const std::vector<std::string>& composition_mutations();
-
-/// Run check_composition once per catalogue entry (detection must be 100%).
-/// `base.mutation` is ignored.
+/// Run check_composition once per entry of the composition mutation
+/// catalogue, commit::kVariants (detection must be 100%). `base.mutation`
+/// is ignored.
 [[nodiscard]] MutationReport run_composition_mutation_self_test(
     const CompositionOptions& base);
 

@@ -8,7 +8,8 @@
 // queued to every unfinished sibling; free releases the lock and offers it
 // to the unfinished siblings one at a time, in sibling order, until one
 // retakes it. Queued deliveries drain FIFO; after each step of a finished
-// machine the host's finish hook runs. CommitPeer and fsmcheck's
+// machine the host's finish hook runs. A member's vote or commit reaches
+// its machine only as the dedup rule admits it. CommitPeer and fsmcheck's
 // composition checker both instantiate this template, so the checker
 // explores the cascade that ships.
 #pragma once
@@ -43,6 +44,13 @@ inline std::vector<Action> translate_actions(
   return kinds;
 }
 
+/// One vote and one commit per member per update: the deployed rule
+/// admits a member's first copy only; comp.dup_vote's variant
+/// (variants.hpp) admits every copy.
+struct Dedup {
+  bool admit_repeats = false;
+};
+
 /// `Host`, the effects policy, is a cheap view of one GUID's siblings:
 ///   using Key = ...;           sibling identity; siblings sort by key
 ///   Key key(const Cell&);      Cell* find(Key) (nullptr once dropped)
@@ -59,8 +67,17 @@ class Cascade {
  public:
   using Key = typename Host::Key;
 
-  explicit Cascade(const fsm::CompiledMachine& machine)
-      : actions_(translate_actions(machine)) {}
+  Cascade(const fsm::CompiledMachine& machine, Dedup dedup)
+      : actions_(translate_actions(machine)), dedup_(dedup) {}
+
+  /// Deliver one copy of a member's vote or commit (`first_copy`: its
+  /// first for this update) if the dedup rule admits it; false if not.
+  bool deliver_copy(Host& host, Cell& cell, fsm::MessageId message,
+                    bool first_copy) {
+    if (!first_copy && !dedup_.admit_repeats) return false;
+    deliver(host, cell, message);
+    return true;
+  }
 
   /// Deliver `message` to `cell` and run the whole cascade. A delivery
   /// made while a cascade runs joins its queue instead.
@@ -147,6 +164,7 @@ class Cascade {
   std::vector<std::pair<Key, fsm::MessageId>> queue_;  // FIFO from head_.
   std::size_t head_ = 0;
   bool draining_ = false;
+  Dedup dedup_;
 };
 
 }  // namespace asa_repro::commit

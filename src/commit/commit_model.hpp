@@ -51,9 +51,10 @@ inline constexpr const char* kActionFree = "free";
 inline constexpr const char* kActionNotFree = "not_free";
 
 /// Explicit phase-transition thresholds, overriding the derived 2f+1 /
-/// f+1 defaults. Only the composition checker's mutation self-test uses
-/// this: generating a machine from deliberately weakened thresholds is how
-/// `comp.weak_quorum` plants a bug that per-machine checks cannot see.
+/// f+1 defaults. The composition variants (variants.hpp) build their
+/// machines from these: generating one from a deliberately weakened vote
+/// threshold is how `comp.weak_quorum` plants a bug that per-machine
+/// checks cannot see.
 struct Thresholds {
   std::uint32_t vote = 0;    // Total votes (sent + received) to commit.
   std::uint32_t commit = 0;  // Received commits to finish.

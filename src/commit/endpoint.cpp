@@ -2,18 +2,21 @@
 
 #include <algorithm>
 
-#include "commit/endpoint_model.hpp"
-
 namespace asa_repro::commit {
+
+EndpointAbstraction EndpointAbstraction::deployed(std::uint32_t f,
+                                                  const RetryPolicy& policy) {
+  return {f + 1, policy.max_attempts};
+}
 
 CommitEndpoint::CommitEndpoint(sim::Network& network, sim::NodeAddr self,
                                std::vector<sim::NodeAddr> peers,
-                               std::uint32_t f, RetryPolicy policy,
+                               EndpointAbstraction rule, RetryPolicy policy,
                                sim::Rng rng)
     : network_(network),
       self_(self),
       peers_(std::move(peers)),
-      quorum_(EndpointAbstraction::deployed(f, policy).quorum),
+      rule_(rule),
       policy_(policy),
       rng_(rng),
       // Partition the request-id space by endpoint address so concurrent
@@ -118,7 +121,7 @@ void CommitEndpoint::on_timeout(std::uint64_t request_id) {
   const auto it = pending_.find(request_id);
   if (it == pending_.end()) return;
   Pending& p = it->second;
-  if (p.attempt >= policy_.max_attempts) {
+  if (!rule_.may_retry(p.attempt)) {
     ++stats_.failures;
     if (spans_ != nullptr) {
       const sim::Time now = network_.scheduler().now();
@@ -154,7 +157,7 @@ void CommitEndpoint::handle(sim::NodeAddr from, std::string_view data) {
   // Byzantine members cannot forge f+1 of them.
   if (msg->update_id != p.current_update_id) return;
   p.confirmations.insert(from);
-  if (p.confirmations.size() < quorum_) return;
+  if (!rule_.acknowledged(p.confirmations.size())) return;
 
   network_.scheduler().cancel(p.timer);
   ++stats_.committed;

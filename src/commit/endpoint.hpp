@@ -16,6 +16,7 @@
 #include <set>
 #include <vector>
 
+#include "commit/endpoint_model.hpp"
 #include "commit/messages.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -40,7 +41,7 @@ struct RetryPolicy {
   ServerOrder order = ServerOrder::kFixed;
   sim::Time base_timeout = 60'000;  // 60 ms of simulated time.
   sim::Time stagger = 0;            // Delay between sends to successive peers.
-  std::uint32_t max_attempts = 12;
+  std::uint32_t max_attempts = 12;  // Via EndpointAbstraction::deployed.
   /// Ceiling for the exponential back-off delay. sim::Time is unsigned
   /// 64-bit, so an unclamped base_timeout << attempt overflows (wrapping
   /// to a near-zero delay — a silent retry storm) once a long-lived retry
@@ -70,28 +71,27 @@ class CommitEndpoint {
  public:
   using Callback = std::function<void(const CommitResult&)>;
 
-  /// `peers` is the peer set for the GUIDs this endpoint updates; `f` is
-  /// the number of tolerated faulty members (confirmation quorum is f+1).
+  /// `peers` is the peer set for the GUIDs this endpoint updates. `rule`
+  /// decides acknowledge, retry and give-up (for a peer set tolerating f
+  /// faulty members, EndpointAbstraction::deployed(f, policy): f+1
+  /// confirmations, policy.max_attempts attempts); `policy` paces and
+  /// orders the attempts.
   CommitEndpoint(sim::Network& network, sim::NodeAddr self,
-                 std::vector<sim::NodeAddr> peers, std::uint32_t f,
+                 std::vector<sim::NodeAddr> peers, EndpointAbstraction rule,
                  RetryPolicy policy, sim::Rng rng);
 
   CommitEndpoint(const CommitEndpoint&) = delete;
   CommitEndpoint& operator=(const CommitEndpoint&) = delete;
 
   /// Submit an update of `guid` to `payload`. The callback fires exactly
-  /// once: on success (f+1 confirmations of one attempt) or on final
-  /// failure (max_attempts exhausted).
+  /// once: on success (the rule's quorum of confirmations of one attempt)
+  /// or on final failure (the rule's attempts exhausted).
   /// Returns the request id identifying the logical update.
   std::uint64_t submit(std::uint64_t guid, std::uint64_t payload,
                        Callback callback);
 
   [[nodiscard]] const EndpointStats& stats() const { return stats_; }
   [[nodiscard]] sim::NodeAddr address() const { return self_; }
-
-  /// Distinct confirmations required to acknowledge a commit (f+1 via
-  /// EndpointAbstraction::deployed).
-  [[nodiscard]] std::uint32_t quorum() const { return quorum_; }
 
   /// Attach a metrics registry: end-to-end commit latency and per-request
   /// attempt histograms, per-GUID retry counters. nullptr disables. The
@@ -141,7 +141,7 @@ class CommitEndpoint {
   sim::NodeAddr self_;
   std::vector<sim::NodeAddr> peers_;
   std::function<std::vector<sim::NodeAddr>()> peer_resolver_;
-  std::uint32_t quorum_;  // f + 1.
+  EndpointAbstraction rule_;
   RetryPolicy policy_;
   sim::Rng rng_;
   obs::MetricsRegistry* metrics_ = nullptr;

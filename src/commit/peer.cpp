@@ -37,12 +37,13 @@ bool CommitPeer::SenderSet::insert(sim::NodeAddr sender) {
 CommitPeer::CommitPeer(sim::Network& network, sim::NodeAddr self,
                        std::vector<sim::NodeAddr> peers,
                        const fsm::StateMachine& machine, Behaviour behaviour,
-                       obs::EventRecorder* events, bool attach_to_network)
+                       obs::EventRecorder* events, bool attach_to_network,
+                       Dedup dedup)
     : network_(network),
       self_(self),
       peers_(std::move(peers)),
       compiled_(fsm::CompiledMachine::compile(machine)),
-      cascade_(compiled_),
+      cascade_(compiled_, dedup),
       behaviour_(behaviour),
       events_(events) {
   if (attach_to_network) {
@@ -246,14 +247,14 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
     cascade_.deliver(host, *inst, kUpdate);
     return;
   }
-  // One vote and one commit per member per update; our own echoes drop.
+  // The cascade's dedup rule judges each copy; our own echoes drop.
   const bool vote = msg.kind == WireMessage::Kind::kVote;
   SenderSet& senders = vote ? inst->voters : inst->committers;
-  if (from == self_ || (!senders.insert(from) && dedup_protocol_)) {
+  if (from == self_ || !cascade_.deliver_copy(host, *inst,
+                                              vote ? kVote : kCommit,
+                                              senders.insert(from))) {
     ++stats_.duplicates_dropped;
-    return;
   }
-  cascade_.deliver(host, *inst, vote ? kVote : kCommit);
 }
 
 void CommitPeer::broadcast(const WireMessage& msg) {

@@ -81,13 +81,14 @@ class CommitPeer {
   /// the peer. `peers` lists every member of the peer set including this
   /// one. With `attach_to_network` false the peer does not claim the
   /// network address; a host must feed it frames through handle_frame()
-  /// (used when commit and storage traffic share one node).
+  /// (used when commit and storage traffic share one node). `dedup` is the
+  /// cascade's dedup rule (variants.hpp); own broadcast echoes always drop.
   CommitPeer(sim::Network& network, sim::NodeAddr self,
              std::vector<sim::NodeAddr> peers,
              const fsm::StateMachine& machine,
              Behaviour behaviour = Behaviour::kHonest,
              obs::EventRecorder* events = nullptr,
-             bool attach_to_network = true);
+             bool attach_to_network = true, Dedup dedup = {});
 
   /// Process one raw network frame (for hosts that multiplex the address).
   void handle_frame(sim::NodeAddr from, std::string_view data) {
@@ -128,13 +129,6 @@ class CommitPeer {
   /// with journal-append/ack-sent point children — the peer half of the
   /// commit critical path. nullptr (default) disables.
   void set_spans(obs::SpanRecorder* spans) { spans_ = spans; }
-
-  /// Count one vote and one commit per member per update (the default),
-  /// or every copy. Only the replay of the composition mutation
-  /// `comp.dup_vote` turns dedup off, to show the composed checker — and
-  /// only it — notices a peer that double-counts. A peer always ignores
-  /// its own broadcast echoes.
-  void set_dedup_protocol(bool on) { dedup_protocol_ = on; }
 
   CommitPeer(const CommitPeer&) = delete;
   CommitPeer& operator=(const CommitPeer&) = delete;
@@ -324,7 +318,6 @@ class CommitPeer {
   fsm::CompiledMachine compiled_;  // The commit FSM, compiled once.
   Cascade<Instance, Host> cascade_;  // One GUID's delivery at a time.
   Behaviour behaviour_;
-  bool dedup_protocol_ = true;
   obs::EventRecorder* events_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* instances_opened_ = nullptr;    // commit.instances_opened.

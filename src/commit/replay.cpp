@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "commit/commit_model.hpp"
 #include "commit/endpoint.hpp"
 #include "commit/peer.hpp"
+#include "commit/variants.hpp"
 #include "core/state_machine.hpp"
 #include "sim/network.hpp"
 #include "sim/rng.hpp"
@@ -35,20 +39,23 @@ std::string participant(std::uint32_t idx) {
 
 std::optional<std::uint32_t> parse_participant(const std::string& text) {
   if (text == "e") return ReplayStep::kEndpoint;
-  if (text.empty()) return std::nullopt;
   std::uint32_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint32_t digit = static_cast<std::uint32_t>(c - '0');
-    if (value > (0xFFFF'FFFFu - digit) / 10) return std::nullopt;
-    value = value * 10 + digit;
-  }
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
   return value;
 }
 
 /// Step words, indexed by ReplayStep::Kind.
 constexpr std::array<const char*, 8> kStepWords = {
     "submit", "retry", "fail", "deliver", "dup", "drop", "crash", "record"};
+
+/// A step's `key=value` fields, by key.
+constexpr std::pair<std::string_view, std::uint32_t ReplayStep::*>
+    kStepFields[] = {{"from", &ReplayStep::from},
+                     {"to", &ReplayStep::to},
+                     {"req", &ReplayStep::request},
+                     {"peer", &ReplayStep::peer}};
 
 /// The model's payload for request index j; fixed so a replayed run is
 /// deterministic and violations can name concrete conflicting values.
@@ -100,20 +107,14 @@ std::optional<ReplayStep> ReplayStep::parse(const std::string& line) {
   while (in >> token) {
     const std::size_t eq = token.find('=');
     if (eq == std::string::npos) return std::nullopt;
-    const std::string key = token.substr(0, eq);
     const auto value = parse_participant(token.substr(eq + 1));
-    if (!value.has_value()) return std::nullopt;
-    if (key == "from") {
-      step.from = *value;
-    } else if (key == "to") {
-      step.to = *value;
-    } else if (key == "req") {
-      step.request = *value;
-    } else if (key == "peer") {
-      step.peer = *value;
-    } else {
+    const auto field = std::find_if(
+        std::begin(kStepFields), std::end(kStepFields),
+        [&](const auto& f) { return f.first == token.substr(0, eq); });
+    if (!value.has_value() || field == std::end(kStepFields)) {
       return std::nullopt;
     }
+    step.*field->second = *value;
   }
   return step;
 }
@@ -128,14 +129,8 @@ std::string ReplayPlan::serialize() const {
          "\n";
   out += "check " + check + "\n";
   if (!detail.empty()) out += "detail " + detail + "\n";
-  out += "plan\n";
-  out += faults.serialize();
-  out += "endplan\n";
-  out += "schedule\n";
-  for (const ReplayStep& step : schedule) {
-    out += step.serialize();
-    out += '\n';
-  }
+  out += "plan\n" + faults.serialize() + "endplan\nschedule\n";
+  for (const ReplayStep& step : schedule) out += step.serialize() + '\n';
   out += "endschedule\n";
   return out;
 }
@@ -221,7 +216,6 @@ struct Delivered {
   std::uint32_t from = 0;  // Model index; ReplayStep::kEndpoint for client.
   std::uint32_t to = 0;
   WireMessage msg;
-  std::string frame;
 };
 
 sim::NodeAddr addr_of(std::uint32_t idx) {
@@ -230,42 +224,37 @@ sim::NodeAddr addr_of(std::uint32_t idx) {
 }
 
 ReplayOutcome unsupported(std::string why) {
-  ReplayOutcome out;
-  out.supported = false;
-  out.reproduced = false;
-  out.description = std::move(why);
-  return out;
+  return {/*supported=*/false, /*reproduced=*/false, std::move(why)};
+}
+
+ReplayOutcome reproduced(std::string what) {
+  return {/*supported=*/true, /*reproduced=*/true, std::move(what)};
+}
+
+ReplayOutcome not_reproduced(std::string why) {
+  return {/*supported=*/true, /*reproduced=*/false, std::move(why)};
 }
 
 ReplayOutcome diverged(std::size_t index, const ReplayStep& step,
                        const std::string& why) {
-  ReplayOutcome out;
-  out.reproduced = false;
-  out.description = "schedule diverged at step " + std::to_string(index) +
-                    " (" + step.serialize() + "): " + why;
-  return out;
+  return not_reproduced("schedule diverged at step " + std::to_string(index) +
+                        " (" + step.serialize() + "): " + why);
 }
 
 }  // namespace
 
 ReplayOutcome run_replay(const ReplayPlan& plan, std::ostream* log) {
-  // Mutations without a deployable twin: the model decouples recording
-  // from the commit decision, or suppresses endpoint transitions — neither
-  // corresponds to a configuration of the real runtime.
-  if (plan.mutation == "comp.ack_before_record" ||
-      plan.mutation == "comp.drop_retry") {
+  const VariantEntry* variant = find_variant(plan.mutation);
+  if (variant == nullptr) {
+    return unsupported("unknown mutation " + plan.mutation);
+  }
+  // A mutation without a twin lives only in the checker's model (it
+  // decouples recording from the commit decision, or suppresses endpoint
+  // transitions): no configuration of the real runtime exhibits it.
+  if (variant->twin == nullptr) {
     return unsupported("mutation " + plan.mutation +
                        " has no concrete-runtime twin; replay is "
                        "model-only");
-  }
-  const bool weak_quorum = plan.mutation == "comp.weak_quorum";
-  const bool dup_vote = plan.mutation == "comp.dup_vote";
-  const bool weak_ack = plan.mutation == "comp.weak_ack";
-  if (!plan.mutation.empty() && !weak_quorum && !dup_vote && !weak_ack) {
-    return unsupported("unknown mutation " + plan.mutation);
-  }
-  if (weak_ack && plan.f == 0) {
-    return unsupported("comp.weak_ack requires f >= 1");
   }
   const bool check_agreement = plan.check == "composition.agreement";
   const bool check_quorum = plan.check == "composition.quorum_justified";
@@ -281,15 +270,21 @@ ReplayOutcome run_replay(const ReplayPlan& plan, std::ostream* log) {
     }
   }
 
-  // ---- Build the concrete system the plan describes. ----
+  // ---- Build the concrete system the plan describes: the deployed
+  // peers and endpoint, with the variant's twin in place. ----
   sim::Scheduler sched;
   sim::Network net(sched, sim::Rng(1));
   net.set_manual_mode(true);
 
-  const CommitModel model =
-      weak_quorum ? CommitModel(plan.r, Thresholds{1, plan.f + 1})
-                  : CommitModel(plan.r);
-  const fsm::StateMachine machine = model.generate_state_machine();
+  RetryPolicy policy;
+  policy.backoff = RetryPolicy::Backoff::kFixed;
+  policy.order = RetryPolicy::ServerOrder::kFixed;
+  policy.base_timeout = 1000;
+  policy.stagger = 0;
+  policy.max_attempts = plan.attempts;
+  const Rules rules = rules_for(plan.r, policy, *variant);
+  const fsm::StateMachine machine =
+      CommitModel(plan.r, rules.thresholds).generate_state_machine();
 
   std::vector<sim::NodeAddr> addrs;
   addrs.reserve(plan.r);
@@ -298,20 +293,12 @@ ReplayOutcome run_replay(const ReplayPlan& plan, std::ostream* log) {
   std::vector<std::unique_ptr<CommitPeer>> peers;
   peers.reserve(plan.r);
   for (std::uint32_t j = 0; j < plan.r; ++j) {
-    peers.push_back(
-        std::make_unique<CommitPeer>(net, addr_of(j), addrs, machine));
-    if (dup_vote) peers.back()->set_dedup_protocol(false);
+    peers.push_back(std::make_unique<CommitPeer>(
+        net, addr_of(j), addrs, machine, Behaviour::kHonest, nullptr,
+        /*attach_to_network=*/true, rules.dedup));
   }
 
-  RetryPolicy policy;
-  policy.backoff = RetryPolicy::Backoff::kFixed;
-  policy.order = RetryPolicy::ServerOrder::kFixed;
-  policy.base_timeout = 1000;
-  policy.stagger = 0;
-  policy.max_attempts = plan.attempts;
-  // comp.weak_ack plants the endpoint bug: quorum f instead of f+1.
-  const std::uint32_t endpoint_f = weak_ack ? plan.f - 1 : plan.f;
-  CommitEndpoint endpoint(net, kEndpointAddr, addrs, endpoint_f, policy,
+  CommitEndpoint endpoint(net, kEndpointAddr, addrs, rules.endpoint, policy,
                           sim::Rng(2));
 
   std::vector<std::uint64_t> req_ids(plan.requests, 0);
@@ -324,19 +311,23 @@ ReplayOutcome run_replay(const ReplayPlan& plan, std::ostream* log) {
                                  : static_cast<std::uint32_t>(addr - 1);
   };
 
+  // `msg` from participant `from` to `to` is the message `step` names.
+  const auto names = [&](const ReplayStep& step, std::uint32_t from,
+                         std::uint32_t to, const WireMessage& msg) {
+    return from == step.from && to == step.to && msg.kind == step.msg &&
+           step.request < req_ids.size() &&
+           msg.request_id == req_ids[step.request];
+  };
   // Find the first in-flight message matching a schedule step.
   const auto find_pending = [&](const ReplayStep& step)
       -> std::optional<std::size_t> {
     for (std::size_t i = 0; i < net.pending_count(); ++i) {
       const auto [from, to] = net.pending_route(i);
-      if (from != addr_of(step.from) || to != addr_of(step.to)) continue;
       const auto msg = WireMessage::parse(net.pending_payload(i));
-      if (!msg.has_value() || msg->kind != step.msg) continue;
-      if (step.request >= req_ids.size() ||
-          msg->request_id != req_ids[step.request]) {
-        continue;
+      if (msg.has_value() &&
+          names(step, model_index(from), model_index(to), *msg)) {
+        return i;
       }
-      return i;
     }
     return std::nullopt;
   };
@@ -375,31 +366,23 @@ ReplayOutcome run_replay(const ReplayPlan& plan, std::ostream* log) {
         if (!idx.has_value()) {
           return diverged(i, step, "no matching in-flight message");
         }
-        Delivered d;
-        d.from = step.from;
-        d.to = step.to;
-        d.frame = net.pending_payload(*idx);
-        d.msg = *WireMessage::parse(d.frame);
-        delivered.push_back(d);
+        delivered.push_back({step.from, step.to,
+                             *WireMessage::parse(net.pending_payload(*idx))});
         net.deliver_pending(*idx);
         break;
       }
       case ReplayStep::Kind::kDup: {
-        // Re-inject a copy of a frame that was already delivered once:
-        // send it again (manual mode buffers it last) and deliver it.
-        const Delivered* original = nullptr;
-        for (const Delivered& d : delivered) {
-          if (d.from == step.from && d.to == step.to &&
-              d.msg.kind == step.msg && step.request < req_ids.size() &&
-              d.msg.request_id == req_ids[step.request]) {
-            original = &d;
-          }
-        }
-        if (original == nullptr) {
+        // Re-inject a copy of the last delivery of the frame: send it
+        // again (manual mode buffers it last) and deliver it.
+        const auto original = std::find_if(
+            delivered.rbegin(), delivered.rend(), [&](const Delivered& d) {
+              return names(step, d.from, d.to, d.msg);
+            });
+        if (original == delivered.rend()) {
           return diverged(i, step, "no prior delivery to duplicate");
         }
         const Delivered copy = *original;
-        net.send(addr_of(copy.from), addr_of(copy.to), copy.frame);
+        net.send(addr_of(copy.from), addr_of(copy.to), copy.msg.serialize());
         net.deliver_pending(net.pending_count() - 1);
         delivered.push_back(copy);
         break;
@@ -428,7 +411,17 @@ ReplayOutcome run_replay(const ReplayPlan& plan, std::ostream* log) {
   // ---- Re-check the violated property on the concrete outcome. ----
   const std::uint32_t record_quorum = plan.f + 1;
   const std::uint32_t vote_threshold = 2 * plan.f + 1;
-  ReplayOutcome out;
+  // Distinct senders of `kind` frames for `request_id` delivered to `to`.
+  const auto senders_to = [&](std::uint32_t to, WireMessage::Kind kind,
+                              std::uint64_t request_id) {
+    std::set<std::uint32_t> senders;
+    for (const Delivered& d : delivered) {
+      if (d.to == to && d.msg.kind == kind && d.msg.request_id == request_id) {
+        senders.insert(d.from);
+      }
+    }
+    return static_cast<std::uint32_t>(senders.size());
+  };
 
   if (check_agreement) {
     // Every recorded entry must be backed by f+1 distinct commit senders,
@@ -440,121 +433,83 @@ ReplayOutcome run_replay(const ReplayPlan& plan, std::ostream* log) {
       std::set<std::uint64_t> seen;
       for (const auto& entry : peers[j]->history(plan.guid)) {
         if (!seen.insert(entry.request_id).second) {
-          out.reproduced = true;
-          out.description = "peer " + std::to_string(j) +
-                            " recorded one request twice";
-          return out;
+          return reproduced("peer " + std::to_string(j) +
+                            " recorded one request twice");
         }
         const auto [it, fresh] =
             request_payload.emplace(entry.request_id, entry.payload);
         if (!fresh && it->second != entry.payload) {
-          out.reproduced = true;
-          out.description = "conflicting payloads recorded for one request";
-          return out;
+          return reproduced("conflicting payloads recorded for one request");
         }
-        std::set<std::uint32_t> senders;
-        for (const Delivered& d : delivered) {
-          if (d.to == j && d.msg.kind == WireMessage::Kind::kCommit &&
-              d.msg.request_id == entry.request_id) {
-            senders.insert(d.from);
-          }
-        }
-        if (senders.size() < record_quorum) {
-          out.reproduced = true;
-          out.description =
-              "peer " + std::to_string(j) + " recorded a commit backed by " +
-              std::to_string(senders.size()) +
-              " distinct commit sender(s); f+1=" +
-              std::to_string(record_quorum) + " required";
-          return out;
+        const std::uint32_t senders =
+            senders_to(j, WireMessage::Kind::kCommit, entry.request_id);
+        if (senders < record_quorum) {
+          return reproduced("peer " + std::to_string(j) +
+                            " recorded a commit backed by " +
+                            std::to_string(senders) +
+                            " distinct commit sender(s); f+1=" +
+                            std::to_string(record_quorum) + " required");
         }
       }
     }
-    out.description = "no under-certified record observed";
-    return out;
+    return not_reproduced("no under-certified record observed");
   }
 
   if (check_quorum) {
     // Every commit an honest peer emitted must be justified: 2f+1 total
     // votes (distinct senders plus its own), or f+1 commits received.
+    // A peer's own frames count whether delivered or still in flight.
+    std::vector<std::pair<std::uint32_t, WireMessage>> sent;
+    for (const Delivered& d : delivered) sent.emplace_back(d.from, d.msg);
+    for (std::size_t i = 0; i < net.pending_count(); ++i) {
+      const auto msg = WireMessage::parse(net.pending_payload(i));
+      if (msg.has_value()) {
+        sent.emplace_back(model_index(net.pending_route(i).first), *msg);
+      }
+    }
     std::set<std::pair<std::uint32_t, std::uint64_t>> emitted;
-    const auto note_frame = [&](std::uint32_t from, const WireMessage& msg) {
+    for (const auto& [from, msg] : sent) {
       if (from != ReplayStep::kEndpoint &&
           msg.kind == WireMessage::Kind::kCommit) {
         emitted.insert({from, msg.request_id});
       }
-    };
-    for (const Delivered& d : delivered) note_frame(d.from, d.msg);
-    for (std::size_t i = 0; i < net.pending_count(); ++i) {
-      const auto msg = WireMessage::parse(net.pending_payload(i));
-      if (msg.has_value()) {
-        note_frame(model_index(net.pending_route(i).first), *msg);
-      }
     }
     for (const auto& [peer, request_id] : emitted) {
-      std::set<std::uint32_t> vote_senders;
-      std::set<std::uint32_t> commit_senders;
-      bool own_vote = false;
-      for (const Delivered& d : delivered) {
-        if (d.msg.request_id != request_id) continue;
-        if (d.to == peer && d.msg.kind == WireMessage::Kind::kVote) {
-          vote_senders.insert(d.from);
-        }
-        if (d.to == peer && d.msg.kind == WireMessage::Kind::kCommit) {
-          commit_senders.insert(d.from);
-        }
-        if (d.from == peer && d.msg.kind == WireMessage::Kind::kVote) {
-          own_vote = true;
-        }
-      }
-      for (std::size_t i = 0; i < net.pending_count(); ++i) {
-        const auto msg = WireMessage::parse(net.pending_payload(i));
-        if (msg.has_value() && msg->kind == WireMessage::Kind::kVote &&
-            msg->request_id == request_id &&
-            model_index(net.pending_route(i).first) == peer) {
-          own_vote = true;
-        }
-      }
+      const bool own_vote = std::any_of(
+          sent.begin(), sent.end(), [&](const auto& frame) {
+            return frame.first == peer &&
+                   frame.second.kind == WireMessage::Kind::kVote &&
+                   frame.second.request_id == request_id;
+          });
       const std::uint32_t votes =
-          static_cast<std::uint32_t>(vote_senders.size()) +
+          senders_to(peer, WireMessage::Kind::kVote, request_id) +
           (own_vote ? 1 : 0);
-      if (votes < vote_threshold && commit_senders.size() < record_quorum) {
-        out.reproduced = true;
-        out.description = "peer " + std::to_string(peer) +
+      if (votes < vote_threshold &&
+          senders_to(peer, WireMessage::Kind::kCommit, request_id) <
+              record_quorum) {
+        return reproduced("peer " + std::to_string(peer) +
                           " sent a commit justified by only " +
                           std::to_string(votes) + " vote(s); 2f+1=" +
-                          std::to_string(vote_threshold) + " required";
-        return out;
+                          std::to_string(vote_threshold) + " required");
       }
     }
-    out.description = "no unjustified commit observed";
-    return out;
+    return not_reproduced("no unjustified commit observed");
   }
 
   // composition.ack_quorum: an acknowledged request must hold f+1 distinct
   // peer confirmations.
   for (const auto& [request, result] : results) {
     if (!result.committed) continue;
-    std::set<std::uint32_t> confirmers;
-    for (const Delivered& d : delivered) {
-      if (d.to == ReplayStep::kEndpoint &&
-          d.msg.kind == WireMessage::Kind::kCommitted &&
-          d.msg.request_id == req_ids[request]) {
-        confirmers.insert(d.from);
-      }
-    }
-    if (confirmers.size() < record_quorum) {
-      out.reproduced = true;
-      out.description = "request " + std::to_string(request) +
-                        " acknowledged after " +
-                        std::to_string(confirmers.size()) +
+    const std::uint32_t confirmers = senders_to(
+        ReplayStep::kEndpoint, WireMessage::Kind::kCommitted, req_ids[request]);
+    if (confirmers < record_quorum) {
+      return reproduced("request " + std::to_string(request) +
+                        " acknowledged after " + std::to_string(confirmers) +
                         " confirmation(s); f+1=" +
-                        std::to_string(record_quorum) + " required";
-      return out;
+                        std::to_string(record_quorum) + " required");
     }
   }
-  out.description = "no under-confirmed acknowledgement observed";
-  return out;
+  return not_reproduced("no under-confirmed acknowledgement observed");
 }
 
 }  // namespace asa_repro::commit

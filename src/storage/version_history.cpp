@@ -83,7 +83,8 @@ commit::CommitEndpoint& VersionHistoryService::endpoint_for(const Guid& guid) {
   const auto it = endpoints_.find(key);
   if (it != endpoints_.end()) return *it->second;
   auto endpoint = std::make_unique<commit::CommitEndpoint>(
-      network_, next_endpoint_addr_++, resolver_(guid), f_, policy_,
+      network_, next_endpoint_addr_++, resolver_(guid),
+      commit::EndpointAbstraction::deployed(f_, policy_), policy_,
       rng_.fork());
   endpoint->set_metrics(metrics_);
   endpoint->set_spans(spans_);

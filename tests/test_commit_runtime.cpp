@@ -40,7 +40,7 @@ struct Harness {
     while (endpoints.size() <= index) {
       endpoints.push_back(std::make_unique<CommitEndpoint>(
           network, static_cast<sim::NodeAddr>(100 + endpoints.size()),
-          peer_addrs, f, policy_,
+          peer_addrs, EndpointAbstraction::deployed(f, policy_), policy_,
           sim::Rng(9000 + endpoints.size())));
     }
     return *endpoints[index];

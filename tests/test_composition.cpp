@@ -4,6 +4,7 @@
 // through asa-replay/1 and reproduce against the concrete runtime.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include "check/composition.hpp"
 #include "check/findings.hpp"
 #include "commit/replay.hpp"
+#include "commit/variants.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 
@@ -68,13 +70,16 @@ TEST(Composition, PristineR5ClosesWithZeroFindings) {
   EXPECT_EQ(result.stats.absorbed, 368'843u);
 }
 
-/// A multi-request product small enough for every test run, with its
-/// pinned counts. Drops and crashes are off to keep each to seconds; the
-/// full two-request product runs in CI's nightly step.
+/// A product small enough for every test run, with its pinned counts.
+/// The multi-request rows turn drops and crashes off to keep each to
+/// seconds; the full two-request product runs in CI's nightly step.
 struct PinnedProduct {
   const char* name;
   std::uint32_t r;
   std::uint32_t requests;
+  std::uint32_t attempts;  // Endpoint attempts per request.
+  std::uint32_t drops;
+  std::uint32_t crashes;
   std::size_t states;
   std::size_t transitions;
   std::size_t absorbed;
@@ -91,8 +96,9 @@ TEST_P(SiblingCascade, ClosesCleanWithPinnedCounts) {
   check::CompositionOptions options;
   options.r = product.r;
   options.requests = product.requests;
-  options.drops = 0;
-  options.crashes = 0;
+  options.attempts = product.attempts;
+  options.drops = product.drops;
+  options.crashes = product.crashes;
   const check::CompositionResult result = check::check_composition(options);
   EXPECT_TRUE(result.findings.empty());
   EXPECT_TRUE(result.stats.complete);
@@ -104,12 +110,18 @@ TEST_P(SiblingCascade, ClosesCleanWithPinnedCounts) {
 // Two requests hand the node lock between the updates (free/not_free).
 // Only a third sibling shows that the free offer stops at the first
 // update that retakes the lock: offering it to every sibling reads
-// 186 455 states at r=2.
+// 186 455 states at r=2. A second attempt is the only row where the
+// endpoint rule's retry branch fires (at one attempt a request can only
+// fail), with the default drop and crash budgets.
 INSTANTIATE_TEST_SUITE_P(
     Composition, SiblingCascade,
     ::testing::Values(
-        PinnedProduct{"r4_two_requests", 4, 2, 244'629, 1'469'552, 2'733'284},
-        PinnedProduct{"r2_three_requests", 2, 3, 130'388, 749'355, 312'636}),
+        PinnedProduct{"r4_two_requests", 4, 2, 1, 0, 0, 244'629, 1'469'552,
+                      2'733'284},
+        PinnedProduct{"r2_three_requests", 2, 3, 1, 0, 0, 130'388, 749'355,
+                      312'636},
+        PinnedProduct{"r4_two_attempts", 4, 1, 2, 1, 1, 9'829, 62'006,
+                      94'671}),
     [](const ::testing::TestParamInfo<PinnedProduct>& info) {
       return std::string(info.param.name);
     });
@@ -139,9 +151,8 @@ TEST(Composition, RejectsInvalidOptions) {
 // ---- Mutation self-test ----
 
 TEST(Composition, CatalogueListsFiveMutations) {
-  const std::vector<std::string>& names = check::composition_mutations();
-  ASSERT_EQ(names.size(), 5u);
-  EXPECT_EQ(names[0], "comp.weak_quorum");
+  ASSERT_EQ(std::size(commit::kVariants), 5u);
+  EXPECT_STREQ(commit::kVariants[0].name, "comp.weak_quorum");
 }
 
 TEST(Composition, SelfTestDetectsEveryMutation) {
@@ -149,8 +160,7 @@ TEST(Composition, SelfTestDetectsEveryMutation) {
   base.r = 4;
   const check::MutationReport report =
       check::run_composition_mutation_self_test(base);
-  ASSERT_EQ(report.outcomes.size(),
-            check::composition_mutations().size());
+  ASSERT_EQ(report.outcomes.size(), std::size(commit::kVariants));
   for (const check::MutationOutcome& o : report.outcomes) {
     EXPECT_TRUE(o.detected) << o.name << " escaped the checker";
     EXPECT_FALSE(o.finding.empty()) << o.name;
@@ -201,10 +211,13 @@ TEST(Composition, ExportedPlanRoundTripsThroughSerialization) {
   EXPECT_EQ(parsed->faults.size(), plan.faults.size());
 }
 
+class RuntimeTwin : public ::testing::TestWithParam<std::string> {};
+
 /// The exported counterexample of a mutation with a runtime twin must
-/// reproduce against the real peers and endpoint.
-void expect_reproduces_in_runtime(const std::string& mutation) {
-  const check::CompositionResult result = run_mutated(mutation);
+/// reproduce against the real peers and endpoint, built from the same
+/// variant of the deployed rules.
+TEST_P(RuntimeTwin, CounterexampleReproducesInRuntime) {
+  const check::CompositionResult result = run_mutated(GetParam());
   const std::size_t idx = check::preferred_replay(result);
   ASSERT_LT(idx, result.findings.size());
   const commit::ReplayOutcome outcome =
@@ -213,19 +226,9 @@ void expect_reproduces_in_runtime(const std::string& mutation) {
   EXPECT_TRUE(outcome.reproduced) << outcome.description;
 }
 
-TEST(Composition, DupVoteCounterexampleReproducesInRuntime) {
-  expect_reproduces_in_runtime("comp.dup_vote");
-}
-
-class RuntimeTwin : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(RuntimeTwin, CounterexampleReproducesInRuntime) {
-  expect_reproduces_in_runtime(GetParam());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Composition, RuntimeTwin,
-    ::testing::Values("comp.weak_quorum", "comp.weak_ack"),
+    ::testing::Values("comp.weak_quorum", "comp.weak_ack", "comp.dup_vote"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param.substr(info.param.find('.') + 1);
     });

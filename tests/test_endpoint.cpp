@@ -14,7 +14,9 @@ namespace {
 struct EndpointHarness {
   explicit EndpointHarness(RetryPolicy policy = {}, std::uint32_t f = 1)
       : network(sched, sim::Rng(3), sim::LatencyModel{100, 100}),
-        endpoint(network, 100, {0, 1, 2, 3}, f, policy, sim::Rng(5)) {
+        endpoint(network, 100, {0, 1, 2, 3},
+                 EndpointAbstraction::deployed(f, policy), policy,
+                 sim::Rng(5)) {
     // Capture everything peers would receive.
     for (sim::NodeAddr addr : {0u, 1u, 2u, 3u}) {
       network.attach(addr, [this, addr](sim::NodeAddr,
@@ -187,7 +189,8 @@ TEST(Endpoint, ExponentialBackoffIsClampedAtHighAttemptCounts) {
   policy.max_attempts = 200;
   sim::Scheduler sched;
   sim::Network network(sched, sim::Rng(3), sim::LatencyModel{100, 100});
-  CommitEndpoint endpoint(network, 100, {0, 1, 2, 3}, 1, policy,
+  CommitEndpoint endpoint(network, 100, {0, 1, 2, 3},
+                          EndpointAbstraction::deployed(1, policy), policy,
                           sim::Rng(5));
   std::vector<sim::Time> arrivals;
   network.attach(0, [&](sim::NodeAddr, const std::string&) {

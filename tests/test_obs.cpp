@@ -1772,7 +1772,9 @@ TEST(MetricHandles, SetMetricsMovesEveryHotSiteToTheNewRegistry) {
     peers.push_back(
         std::make_unique<commit::CommitPeer>(net, a, addrs, machine));
   }
-  commit::CommitEndpoint endpoint(net, 100, addrs, 1, {}, sim::Rng(11));
+  commit::CommitEndpoint endpoint(
+      net, 100, addrs, commit::EndpointAbstraction::deployed(1, {}), {},
+      sim::Rng(11));
   const auto attach = [&](obs::MetricsRegistry* metrics) {
     net.set_metrics(metrics);
     for (const auto& peer : peers) peer->set_metrics(metrics);

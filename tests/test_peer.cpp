@@ -501,7 +501,8 @@ int run_contention(std::uint64_t seed, int clients) {
   std::vector<std::unique_ptr<CommitEndpoint>> endpoints;
   for (int c = 0; c < clients; ++c) {
     endpoints.push_back(std::make_unique<CommitEndpoint>(
-        network, static_cast<sim::NodeAddr>(100 + c), addrs, 1, policy,
+        network, static_cast<sim::NodeAddr>(100 + c), addrs,
+        EndpointAbstraction::deployed(1, policy), policy,
         sim::Rng(seed * 31 + c)));
     endpoints.back()->submit(kGuid, 7'000 + c, [&](const CommitResult& r) {
       committed += r.committed ? 1 : 0;
