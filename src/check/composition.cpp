@@ -19,7 +19,7 @@ namespace {
 using commit::CommitModel;
 using commit::ReplayPlan;
 using commit::ReplayStep;
-using commit::Variant;
+using commit::ModelOnly;
 
 const commit::VariantEntry& variant_named(const std::string& name) {
   if (const auto* entry = commit::find_variant(name)) return *entry;
@@ -256,7 +256,7 @@ class Engine {
   /// only recorded cells; under comp.ack_before_record finality alone is
   /// enough — that is the bug.
   [[nodiscard]] bool confirm_capable(const Cell& c) const {
-    return c.recorded != 0 || (model_only(Variant::kAckBeforeRecord) &&
+    return c.recorded != 0 || (model_only(ModelOnly::kAckBeforeRecord) &&
                                is_final(c));
   }
 
@@ -398,7 +398,7 @@ class Engine {
     }
     for (std::uint32_t u = 0; u < opt_.requests; ++u) {
       if (s.requests[u].status != kActive ||
-          model_only(Variant::kDropRetry)) {
+          model_only(ModelOnly::kDropRetry)) {
         continue;
       }
       out.push_back(pack_act(rules_.endpoint.may_retry(s.requests[u].attempts)
@@ -434,7 +434,7 @@ class Engine {
             out.push_back(pack_act(Act::kDupCommit, j, u));
           }
         }
-        if (model_only(Variant::kAckBeforeRecord) && is_final(c) &&
+        if (model_only(ModelOnly::kAckBeforeRecord) && is_final(c) &&
             c.recorded == 0) {
           out.push_back(pack_act(Act::kRecord, j, u));
         }
@@ -710,7 +710,7 @@ class Engine {
                           std::vector<Violation>& viols) {
     Cell& c = p.cells[u];
     if (c.recorded != 0) return;
-    if (!model_only(Variant::kAckBeforeRecord)) do_record(p, u, viols);
+    if (!model_only(ModelOnly::kAckBeforeRecord)) do_record(p, u, viols);
     if (c.update_received != 0 && c.confirms_pending < kConfirmCap) {
       ++c.confirms_pending;
     }
@@ -734,9 +734,9 @@ class Engine {
     if (p.lock == u) p.lock = kNoLock;
   }
 
-  /// The variant is the model-only bug `v`, which has no runtime twin.
-  [[nodiscard]] bool model_only(Variant v) const {
-    return variant_.variant == v;
+  /// The variant plants the checker-model behaviour `v` (it has no twin).
+  [[nodiscard]] bool model_only(ModelOnly v) const {
+    return variant_.model_only == v;
   }
 
   CompositionOptions opt_;

@@ -22,35 +22,35 @@ struct Rules {
   EndpointAbstraction endpoint;  // Acknowledge, retry or give up.
 };
 
-enum class Variant : std::uint8_t {
-  kDeployed, kWeakQuorum, kAckBeforeRecord, kDupVote, kDropRetry, kWeakAck,
-};
+/// The checker-model behaviour a bug without a twin plants.
+enum class ModelOnly : std::uint8_t { kNone, kAckBeforeRecord, kDropRetry };
 
 struct VariantEntry {
-  Variant variant;
   const char* name;
   const char* description;
   void (*twin)(Rules& rules);  // nullptr: no runtime twin.
+  ModelOnly model_only = ModelOnly::kNone;
 };
 
 /// The deployed rules, the entry of an empty mutation name.
-inline constexpr VariantEntry kDeployedRules = {
-    Variant::kDeployed, "", "the deployed rules", [](Rules&) {}};
+inline constexpr VariantEntry kDeployedRules = {"", "the deployed rules",
+                                                [](Rules&) {}};
 
 /// The composition mutation catalogue, in report order.
 inline constexpr VariantEntry kVariants[] = {
-    {Variant::kWeakQuorum, "comp.weak_quorum",
+    {"comp.weak_quorum",
      "peer machines generated with vote threshold 1 instead of 2f+1",
      [](Rules& rules) { rules.thresholds.vote = 1; }},
-    {Variant::kAckBeforeRecord, "comp.ack_before_record",
-     "peers confirm to the client before recording the commit", nullptr},
-    {Variant::kDupVote, "comp.dup_vote",
+    {"comp.ack_before_record",
+     "peers confirm to the client before recording the commit", nullptr,
+     ModelOnly::kAckBeforeRecord},
+    {"comp.dup_vote",
      "peers count duplicate votes/commits from one member (dedup removed)",
      [](Rules& rules) { rules.dedup.admit_repeats = true; }},
-    {Variant::kDropRetry, "comp.drop_retry",
+    {"comp.drop_retry",
      "endpoint timeout/retry scheme removed (no retry, no failure report)",
-     nullptr},
-    {Variant::kWeakAck, "comp.weak_ack",
+     nullptr, ModelOnly::kDropRetry},
+    {"comp.weak_ack",
      "endpoint acknowledges after f confirmations instead of f+1",
      [](Rules& rules) { --rules.endpoint.quorum; }},
 };
