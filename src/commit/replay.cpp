@@ -256,6 +256,11 @@ ReplayOutcome run_replay(const ReplayPlan& plan, std::ostream* log) {
                        " has no concrete-runtime twin; replay is "
                        "model-only");
   }
+  // The rules derive f from r and the re-checks read plan.f: they agree.
+  if (plan.f != (plan.r - 1) / 3) {
+    return unsupported("plan f=" + std::to_string(plan.f) +
+                       " does not match r=" + std::to_string(plan.r));
+  }
   const bool check_agreement = plan.check == "composition.agreement";
   const bool check_quorum = plan.check == "composition.quorum_justified";
   const bool check_ack = plan.check == "composition.ack_quorum";

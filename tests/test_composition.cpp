@@ -233,6 +233,18 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.substr(info.param.find('.') + 1);
     });
 
+TEST(Composition, ReplayRejectsAPlanWhoseFDisagreesWithR) {
+  const check::CompositionResult result = run_mutated("comp.weak_quorum");
+  const std::size_t idx = check::preferred_replay(result);
+  ASSERT_LT(idx, result.findings.size());
+  commit::ReplayPlan plan = result.plans[idx];
+  ASSERT_EQ(plan.f, 1u);
+  plan.f = 0;  // r=4 tolerates f=1: the runtime and the re-checks disagree.
+  const commit::ReplayOutcome outcome = commit::run_replay(plan);
+  EXPECT_FALSE(outcome.supported) << outcome.description;
+  EXPECT_FALSE(outcome.reproduced);
+}
+
 TEST(Composition, ModelOnlyMutationReplayIsSkippedNotFailed) {
   const check::CompositionResult result =
       run_mutated("comp.ack_before_record");
