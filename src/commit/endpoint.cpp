@@ -12,13 +12,14 @@ EndpointAbstraction EndpointAbstraction::deployed(std::uint32_t f,
 CommitEndpoint::CommitEndpoint(sim::Network& network, sim::NodeAddr self,
                                std::vector<sim::NodeAddr> peers,
                                EndpointAbstraction rule, RetryPolicy policy,
-                               sim::Rng rng)
+                               sim::Rng rng, obs::EventRecorder* events)
     : network_(network),
       self_(self),
       peers_(std::move(peers)),
       rule_(rule),
       policy_(policy),
       rng_(rng),
+      events_(events),
       // Partition the request-id space by endpoint address so concurrent
       // endpoints never collide.
       next_request_id_((std::uint64_t{self} << 32) | 1) {
@@ -36,10 +37,7 @@ std::uint64_t CommitEndpoint::submit(std::uint64_t guid,
   p.payload = payload;
   p.submitted_at = network_.scheduler().now();
   p.callback = std::move(callback);
-  if (spans_ != nullptr) {
-    p.root_span =
-        spans_->open("commit", 0, self_, guid, request_id, 0, p.submitted_at);
-  }
+  note_span(obs::EventKind::kSpanOpen, obs::Word::kCommit, request_id, p);
   pending_.emplace(request_id, std::move(p));
   ++stats_.submitted;
   start_attempt(request_id);
@@ -53,16 +51,12 @@ void CommitEndpoint::start_attempt(std::uint64_t request_id) {
   // Each attempt is a distinct update in the protocol's eyes; the shared
   // request id lets the storage layer collapse duplicate commits of
   // retried updates.
-  p.current_update_id = (std::uint64_t{self_} << 32) | next_update_id_++;
-  if (spans_ != nullptr) {
-    const sim::Time now = network_.scheduler().now();
-    if (spans_->is_open(p.attempt_span)) {
-      spans_->close(p.attempt_span, now, false, obs::SpanDetail::kRetry);
-    }
-    p.attempt_span =
-        spans_->open("attempt", p.root_span, self_, p.guid, request_id,
-                     p.current_update_id, now);
+  if (p.attempt > 1) {
+    note_span(obs::EventKind::kSpanClose, obs::Word::kAttempt, request_id, p,
+              obs::SpanDetail::kRetry);
   }
+  p.current_update_id = (std::uint64_t{self_} << 32) | next_update_id_++;
+  note_span(obs::EventKind::kSpanOpen, obs::Word::kAttempt, request_id, p);
 
   if (peer_resolver_) peers_ = peer_resolver_();
   std::vector<sim::NodeAddr> order = peers_;
@@ -91,6 +85,17 @@ void CommitEndpoint::start_attempt(std::uint64_t request_id) {
   p.timer = network_.scheduler().schedule_after(
       backoff_delay(p.attempt) + delay,
       [this, request_id] { on_timeout(request_id); });
+}
+
+void CommitEndpoint::note_span(obs::EventKind kind, obs::Word name,
+                               std::uint64_t request_id, const Pending& p,
+                               obs::SpanDetail detail, std::uint64_t arg0,
+                               std::uint64_t arg1) {
+  if (events_ == nullptr) return;
+  events_->record(kind, network_.scheduler().now(), self_,
+                  obs::span_fields(p.guid, p.current_update_id, request_id,
+                                   detail, arg0, arg1),
+                  name);
 }
 
 sim::Time CommitEndpoint::backoff_delay(std::uint32_t attempt) {
@@ -123,12 +128,10 @@ void CommitEndpoint::on_timeout(std::uint64_t request_id) {
   Pending& p = it->second;
   if (!rule_.may_retry(p.attempt)) {
     ++stats_.failures;
-    if (spans_ != nullptr) {
-      const sim::Time now = network_.scheduler().now();
-      spans_->close(p.attempt_span, now, false, obs::SpanDetail::kTimeout);
-      spans_->close(p.root_span, now, false, obs::SpanDetail::kFailed,
-                    p.attempt);
-    }
+    note_span(obs::EventKind::kSpanClose, obs::Word::kAttempt, request_id, p,
+              obs::SpanDetail::kTimeout);
+    note_span(obs::EventKind::kSpanClose, obs::Word::kCommit, request_id, p,
+              obs::SpanDetail::kFailed, p.attempt);
     CommitResult result;
     result.committed = false;
     result.request_id = request_id;
@@ -161,15 +164,13 @@ void CommitEndpoint::handle(sim::NodeAddr from, std::string_view data) {
 
   network_.scheduler().cancel(p.timer);
   ++stats_.committed;
-  if (spans_ != nullptr) {
-    const sim::Time now = network_.scheduler().now();
-    spans_->close(p.attempt_span, now, true);
-    // `decisive` names the replica whose confirmation completed the
-    // quorum — the peer whose vote-collect/quorum spans bound the commit's
-    // critical path.
-    spans_->close(p.root_span, now, true, obs::SpanDetail::kDecisive, from,
-                  p.attempt);
-  }
+  note_span(obs::EventKind::kSpanClose, obs::Word::kAttempt, msg->request_id,
+            p);
+  // `decisive` names the replica whose confirmation completed the quorum —
+  // the peer whose vote-collect/quorum spans bound the commit's critical
+  // path.
+  note_span(obs::EventKind::kSpanClose, obs::Word::kCommit, msg->request_id,
+            p, obs::SpanDetail::kDecisive, from, p.attempt);
   CommitResult result;
   result.committed = true;
   result.request_id = msg->request_id;

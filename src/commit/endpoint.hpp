@@ -18,8 +18,8 @@
 
 #include "commit/endpoint_model.hpp"
 #include "commit/messages.hpp"
+#include "obs/event.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "sim/network.hpp"
 #include "sim/rng.hpp"
 
@@ -75,10 +75,15 @@ class CommitEndpoint {
   /// decides acknowledge, retry and give-up (for a peer set tolerating f
   /// faulty members, EndpointAbstraction::deployed(f, policy): f+1
   /// confirmations, policy.max_attempts attempts); `policy` paces and
-  /// orders the attempts.
+  /// orders the attempts. `events` (nullptr disables) gets the endpoint's
+  /// spans: a root "commit" per submitted update with one "attempt" per
+  /// protocol attempt; the decisive replica's address lands in the root's
+  /// detail (`decisive=N`) so asareport can join endpoint spans to peer
+  /// spans.
   CommitEndpoint(sim::Network& network, sim::NodeAddr self,
                  std::vector<sim::NodeAddr> peers, EndpointAbstraction rule,
-                 RetryPolicy policy, sim::Rng rng);
+                 RetryPolicy policy, sim::Rng rng,
+                 obs::EventRecorder* events = nullptr);
 
   CommitEndpoint(const CommitEndpoint&) = delete;
   CommitEndpoint& operator=(const CommitEndpoint&) = delete;
@@ -103,12 +108,6 @@ class CommitEndpoint {
     attempts_ = nullptr;
   }
 
-  /// Attach a span recorder: every submitted update opens a root "commit"
-  /// span with one "attempt" child per protocol attempt; the decisive
-  /// replica's address lands in the root's detail (`decisive=N`) so
-  /// asareport can join endpoint spans to peer spans. nullptr disables.
-  void set_spans(obs::SpanRecorder* spans) { spans_ = spans; }
-
   /// Install a live peer-set resolver. When set, every attempt re-resolves
   /// the peer set before sending, so a retry that straddles a membership
   /// change targets the keys' current owners instead of the set captured
@@ -127,12 +126,15 @@ class CommitEndpoint {
     sim::Time submitted_at = 0;
     std::set<sim::NodeAddr> confirmations;  // For the current attempt.
     std::uint64_t timer = 0;
-    std::uint64_t root_span = 0;     // "commit" span id (0 when disabled).
-    std::uint64_t attempt_span = 0;  // Current "attempt" child span id.
     Callback callback;
   };
 
   void handle(sim::NodeAddr from, std::string_view data);
+  /// Record a span event of `request_id` at the current time, if recording.
+  void note_span(obs::EventKind kind, obs::Word name,
+                 std::uint64_t request_id, const Pending& p,
+                 obs::SpanDetail detail = obs::SpanDetail::kNone,
+                 std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
   void start_attempt(std::uint64_t request_id);
   void on_timeout(std::uint64_t request_id);
   [[nodiscard]] sim::Time backoff_delay(std::uint32_t attempt);
@@ -147,7 +149,7 @@ class CommitEndpoint {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Histogram* commit_latency_ = nullptr;  // endpoint.commit_latency_us.
   obs::Histogram* attempts_ = nullptr;        // endpoint.attempts.
-  obs::SpanRecorder* spans_ = nullptr;
+  obs::EventRecorder* events_;
   EndpointStats stats_;
   std::map<std::uint64_t, Pending> pending_;  // By request id.
   std::uint64_t next_request_id_;

@@ -189,11 +189,9 @@ CommitPeer::Instance& CommitPeer::open_instance(GuidContext& ctx,
     }
     instances_opened_->inc();
   }
-  if (spans_ != nullptr) {
-    inst.vote_span =
-        spans_->open("vote-collect", 0, self_, ctx.guid, inst.request_id,
-                     msg.update_id, inst.created);
-  }
+  note(obs::EventKind::kSpanOpen,
+       obs::span_fields(ctx.guid, msg.update_id, inst.request_id),
+       obs::Word::kVoteCollect);
   arm_abort_scan();  // Watch the new instance for stalls, if enabled.
   return inst;
 }
@@ -229,9 +227,8 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
       // resent update request (the original notification may have been
       // lost).
       if (msg.kind == WireMessage::Kind::kUpdate) {
-        const std::uint64_t* span = ctx.settled_spans.find(msg.update_id);
         acknowledge(msg.guid, {msg.update_id, msg.request_id, msg.payload},
-                    span == nullptr ? 0 : *span, from);
+                    from);
       }
       return;
     }
@@ -301,13 +298,12 @@ void CommitPeer::Host::commit(Instance& inst) {
   // Phase boundary: the vote collected enough siblings to choose this
   // update; everything from here to the recorded commit is the quorum
   // phase.
-  if (obs::SpanRecorder* spans = peer.spans_; spans != nullptr) {
-    const sim::Time now = peer.network_.scheduler().now();
-    if (spans->is_open(inst.vote_span)) spans->close(inst.vote_span, now, true);
-    if (inst.quorum_span == 0) {
-      inst.quorum_span = spans->open("quorum", 0, peer.self_, ctx.guid,
-                                     inst.request_id, inst.update_id, now);
-    }
+  if (!inst.committing) {
+    inst.committing = true;
+    const obs::EventFields ids =
+        obs::span_fields(ctx.guid, inst.update_id, inst.request_id);
+    peer.note(obs::EventKind::kSpanClose, ids, obs::Word::kVoteCollect);
+    peer.note(obs::EventKind::kSpanOpen, ids, obs::Word::kQuorum);
   }
   peer.broadcast({WireMessage::Kind::kCommit, ctx.guid, inst.update_id,
                   inst.request_id, inst.payload});
@@ -323,19 +319,18 @@ void CommitPeer::check_finished(GuidContext& ctx, Instance& inst) {
   // lock is released defensively too — a bad disk must not deadlock the
   // GUID lane.
   // The instance stays resident, finished but unrecorded; the client's
-  // resent update retries the append once the disk heals. The quorum span
-  // stays open — the commit is not over until the retry lands.
+  // resent update retries the append once the disk heals. Its spans stay
+  // open — the commit is not over until the retry lands.
   if (journal_ != nullptr) {
     const bool ok = journal_->record_commit(guid, update_id, inst.request_id,
                                             inst.payload);
     note(obs::EventKind::kJournalAppend, {guid, update_id, inst.request_id},
          ok ? obs::Word::kOk : obs::Word::kFailed);
     if (!ok) {
-      if (spans_ != nullptr) {
-        spans_->point("journal-append", inst.quorum_span, self_, guid,
-                      inst.request_id, update_id, network_.scheduler().now(),
-                      false, obs::SpanDetail::kVetoed);
-      }
+      note(obs::EventKind::kSpanPoint,
+           obs::span_fields(guid, update_id, inst.request_id,
+                            obs::SpanDetail::kVetoed),
+           obs::Word::kJournalAppend);
       note(obs::EventKind::kVeto, {guid, update_id, inst.request_id});
       if (ctx.chosen_update == update_id) {
         Host host{*this, ctx};
@@ -357,45 +352,35 @@ void CommitPeer::check_finished(GuidContext& ctx, Instance& inst) {
     }
     instance_latency_->observe(latency);
   }
-  if (spans_ != nullptr) {
-    const sim::Time now = network_.scheduler().now();
-    // An instance can finish without ever broadcasting its own commit (it
-    // adopted the siblings' quorum); close whatever is still open.
-    if (spans_->is_open(inst.vote_span)) {
-      spans_->close(inst.vote_span, now, true);
-    }
-    if (journal_ != nullptr) {
-      spans_->point("journal-append", inst.quorum_span, self_, guid,
-                    inst.request_id, update_id, now, true);
-    }
-    if (spans_->is_open(inst.quorum_span)) {
-      spans_->close(inst.quorum_span, now, true);
-    }
+  const obs::EventFields ids =
+      obs::span_fields(guid, update_id, inst.request_id);
+  if (journal_ != nullptr) {
+    note(obs::EventKind::kSpanPoint, ids, obs::Word::kJournalAppend);
   }
+  // An instance can finish without ever broadcasting its own commit (it
+  // adopted the siblings' quorum): then its vote-collect span is the one
+  // still open.
+  note(obs::EventKind::kSpanClose, ids,
+       inst.committing ? obs::Word::kQuorum : obs::Word::kVoteCollect);
   // Defensive: a finished update must release the node lock even if the
   // free action was not part of the final transition (it is whenever the
   // update was locally chosen).
   if (ctx.chosen_update == update_id) ctx.chosen_update.reset();
   if (inst.client.has_value()) {
     acknowledge(guid, {update_id, inst.request_id, inst.payload},
-                inst.quorum_span, *inst.client);
+                *inst.client);
   }
   // Recorded and acknowledged: the instance is settled. Release it; the
   // history absorbs late traffic and re-acknowledges resent updates.
-  if (inst.quorum_span != 0) {
-    *ctx.settled_spans.try_emplace(update_id).first = inst.quorum_span;
-  }
   release(ctx, inst);
 }
 
 void CommitPeer::acknowledge(std::uint64_t guid, const CommittedEntry& entry,
-                             std::uint64_t quorum_span,
                              sim::NodeAddr client) {
   if (ack_sink_) ack_sink_(guid, entry);
-  if (spans_ != nullptr) {
-    spans_->point("ack-sent", quorum_span, self_, guid, entry.request_id,
-                  entry.update_id, network_.scheduler().now(), true);
-  }
+  note(obs::EventKind::kSpanPoint,
+       obs::span_fields(guid, entry.update_id, entry.request_id),
+       obs::Word::kAckSent);
   network_.send(self_, client,
                 WireMessage{WireMessage::Kind::kCommitted, guid,
                             entry.update_id, entry.request_id, entry.payload}
@@ -459,11 +444,10 @@ void CommitPeer::abort_scan(sim::Time max_age) {
             ->counter("commit.aborts", {{"guid", std::to_string(ctx->guid)}})
             .inc();
       }
-      if (spans_ != nullptr) {
-        spans_->close(inst->vote_span, now, false, obs::SpanDetail::kAbort);
-        spans_->close(inst->quorum_span, now, false,
-                      obs::SpanDetail::kAbort);
-      }
+      note(obs::EventKind::kSpanClose,
+           obs::span_fields(ctx->guid, uid, inst->request_id,
+                            obs::SpanDetail::kAbort),
+           inst->committing ? obs::Word::kQuorum : obs::Word::kVoteCollect);
       const bool held_lock = ctx->chosen_update == uid;
       release(*ctx, *inst);
       if (held_lock) {

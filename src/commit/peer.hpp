@@ -38,7 +38,6 @@
 #include "durable/durable_log.hpp"
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/network.hpp"
 
@@ -83,6 +82,10 @@ class CommitPeer {
   /// network address; a host must feed it frames through handle_frame()
   /// (used when commit and storage traffic share one node). `dedup` is the
   /// cascade's dedup rule (variants.hpp); own broadcast echoes always drop.
+  /// `events` (nullptr disables) gets the instance lifecycle and its spans:
+  /// "vote-collect" from creation to the commit broadcast, "quorum" from
+  /// there to the recorded commit, with journal-append and ack-sent points
+  /// — the peer half of the commit critical path.
   CommitPeer(sim::Network& network, sim::NodeAddr self,
              std::vector<sim::NodeAddr> peers,
              const fsm::StateMachine& machine,
@@ -123,12 +126,6 @@ class CommitPeer {
     instances_opened_ = nullptr;
     instance_latency_ = nullptr;
   }
-
-  /// Attach a span recorder: each machine instance opens a "vote-collect"
-  /// span on creation and a "quorum" span once it broadcasts its commit,
-  /// with journal-append/ack-sent point children — the peer half of the
-  /// commit critical path. nullptr (default) disables.
-  void set_spans(obs::SpanRecorder* spans) { spans_ = spans; }
 
   CommitPeer(const CommitPeer&) = delete;
   CommitPeer& operator=(const CommitPeer&) = delete;
@@ -226,8 +223,9 @@ class CommitPeer {
     SenderSet committers;  // Distinct commit senders.
     std::optional<sim::NodeAddr> client; // Who to notify on completion.
     sim::Time created = 0;
-    std::uint64_t vote_span = 0;    // "vote-collect" span id (0 = none).
-    std::uint64_t quorum_span = 0;  // "quorum" span id (0 = none).
+    // Its commit went out: its "vote-collect" span closed and its "quorum"
+    // span opened.
+    bool committing = false;
   };
   /// A resident instance of a GUID: its update id and its slot in
   /// `instances_`.
@@ -243,8 +241,6 @@ class CommitPeer {
     // free fan-outs (and abort_scan) visit siblings in.
     std::vector<InstanceRef> instances;
     std::optional<std::uint64_t> chosen_update;   // Node lock holder.
-    // "quorum" span ids of settled updates (spans on); never iterated.
-    sim::FlatMap<std::uint64_t> settled_spans;
   };
 
   /// The cascade's view of one GUID's instances on this peer: instances
@@ -295,9 +291,9 @@ class CommitPeer {
   /// it is settled.
   void check_finished(GuidContext& ctx, Instance& inst);
   /// Send one kCommitted to `client`: the ack sink first, then an
-  /// "ack-sent" span point under `quorum_span`, then the frame.
+  /// "ack-sent" span point, then the frame.
   void acknowledge(std::uint64_t guid, const CommittedEntry& entry,
-                   std::uint64_t quorum_span, sim::NodeAddr client);
+                   sim::NodeAddr client);
 
   void abort_scan(sim::Time max_age);
   void arm_abort_scan();
@@ -322,7 +318,6 @@ class CommitPeer {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* instances_opened_ = nullptr;    // commit.instances_opened.
   obs::Histogram* instance_latency_ = nullptr;  // commit.instance_latency_us.
-  obs::SpanRecorder* spans_ = nullptr;
   durable::DurableLog* journal_ = nullptr;
   durable::History own_committed_;  // Used while no journal is attached.
   durable::History* committed_ = &own_committed_;

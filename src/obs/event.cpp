@@ -23,6 +23,7 @@ struct KindRow {
   KindView trace;
   KindView flight;
   bool flight_on_cluster_lane = false;  // Else the event's node's lane.
+  bool span = false;  // Kept by the span view (and by no other).
 };
 
 constexpr KindView kOmitted{nullptr, ""};
@@ -55,16 +56,29 @@ constexpr KindRow kKinds[] = {
     {{"churn", kChurn}, {"churn", kChurn}, /*flight_on_cluster_lane=*/true},
     {kOmitted, {"sched.queue_depth", "depth={0}"}, true},
     {{"campaign", "seed={0}"}, kOmitted},
+    {kOmitted, kOmitted, false, /*span=*/true},
+    {kOmitted, kOmitted, false, /*span=*/true},
+    {kOmitted, kOmitted, false, /*span=*/true},
 };
 
-constexpr const char* kWords[] = {"",     "update", "vote",   "commit",
-                                  "join", "leave",  "depart", "yes",
-                                  "no",   "ok",     "failed"};
+constexpr const char* kWords[] = {
+    "",       "update",  "vote",         "join",   "leave",
+    "depart", "yes",     "no",           "ok",     "failed",
+    "commit", "attempt", "vote-collect", "quorum", "journal-append",
+    "ack-sent"};
+
+/// Indexed by SpanDetail: its detail template; fields 4 and 5 are its
+/// arguments.
+constexpr const char* kSpanDetails[] = {
+    "",      "decisive={4} attempts={5}", "failed attempts={4}", "retry",
+    "timeout", "vetoed",                  "abort"};
 
 static_assert(std::size(kKinds) ==
-              static_cast<std::size_t>(EventKind::kCampaign) + 1);
+              static_cast<std::size_t>(EventKind::kSpanPoint) + 1);
 static_assert(std::size(kWords) ==
-              static_cast<std::size_t>(Word::kFailed) + 1);
+              static_cast<std::size_t>(Word::kAckSent) + 1);
+static_assert(std::size(kSpanDetails) ==
+              static_cast<std::size_t>(SpanDetail::kAbort) + 1);
 
 /// The longest detail template, in characters.
 constexpr std::size_t longest_format() {
@@ -90,21 +104,12 @@ const KindView& view_of(View view, EventKind kind) {
   return view == View::kTrace ? row(kind).trace : row(kind).flight;
 }
 
-}  // namespace
-
-const char* category(View view, EventKind kind) {
-  return view_of(view, kind).category;
-}
-
-const char* word_name(Word word) {
-  return kWords[static_cast<std::size_t>(word)];
-}
-
-std::string_view detail(View view, const Event& event,
-                        EventDetailText& buf) {
+/// `format` with `event`'s fields and word filled in, into `buf`.
+std::string_view fill(const char* format, const Event& event,
+                      EventDetailText& buf) {
   char* out = buf.data();
   char* const end = buf.data() + buf.size();
-  for (const char* p = view_of(view, event.kind).format; *p != '\0'; ++p) {
+  for (const char* p = format; *p != '\0'; ++p) {
     if (*p != '{') {
       *out++ = *p;
       continue;
@@ -123,6 +128,29 @@ std::string_view detail(View view, const Event& event,
     }
   }
   return {buf.data(), static_cast<std::size_t>(out - buf.data())};
+}
+
+}  // namespace
+
+const char* category(View view, EventKind kind) {
+  return view_of(view, kind).category;
+}
+
+const char* word_name(Word word) {
+  return kWords[static_cast<std::size_t>(word)];
+}
+
+std::string_view detail(View view, const Event& event,
+                        EventDetailText& buf) {
+  return fill(view_of(view, event.kind).format, event, buf);
+}
+
+std::string_view span_detail(const Event& event, EventDetailText& buf) {
+  return fill(kSpanDetails[event.fields[3]], event, buf);
+}
+
+bool span_ok(const Event& event) {
+  return event.fields[3] <= static_cast<std::uint64_t>(SpanDetail::kDecisive);
 }
 
 std::string detail(View view, const Event& event) {
@@ -164,6 +192,15 @@ void EventRecorder::record(EventKind kind, std::uint64_t t,
   if (capacity_ > 0 && row(kind).flight.category != nullptr) {
     keep_in_flight(event);
   }
+  if (spans_ && row(kind).span) spans_view_.push_back(event);
+}
+
+void EventBlocks::push_back(const Event& event) {
+  if (size_ % kBlock == 0) {
+    blocks_.push_back(std::make_unique<Event[]>(kBlock));
+  }
+  blocks_[size_ / kBlock][size_ % kBlock] = event;
+  ++size_;
 }
 
 void EventRecorder::keep_in_flight(const Event& event) {
@@ -263,6 +300,12 @@ JsonValue EventRecorder::to_json() const {
 void EventRecorder::merge(const EventRecorder& other) {
   if (tracing_) {
     stream_.insert(stream_.end(), other.stream_.begin(), other.stream_.end());
+  }
+  if (spans_) {
+    end_spans(0, kClusterLane);
+    for (std::size_t i = 0; i < other.spans_view_.size(); ++i) {
+      spans_view_.push_back(other.spans_view_[i]);
+    }
   }
   if (capacity_ == 0) return;
   for (const auto& [id, ring] : other.sorted_lanes()) {

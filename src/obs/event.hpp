@@ -1,5 +1,5 @@
 // Observability events: one typed record per event, one kind table, one
-// recorder with two retention views.
+// recorder with three retention views.
 //
 // Components describe what happened as an obs::Event — sim time, node, a
 // kind id, up to six integer fields and one word-valued field — and never
@@ -9,12 +9,16 @@
 // fields, lane) so that both exports stay what they always were.
 //
 // EventRecorder keeps the trace (every event, in record order, exported as
-// asa-trace/1 JSONL) when `tracing` is on, and the flight recorder (the
-// last `capacity` events per lane: one lane per node plus a cluster lane,
-// with a global sequence number across lanes) when `capacity` is non-zero.
-// Events carry sim time only, so identical runs export identical bytes.
-// Components hold an `EventRecorder*` that is nullptr when both views are
-// off: a disabled recorder costs one pointer test per event.
+// asa-trace/1 JSONL) when `tracing` is on, the flight recorder (the last
+// `capacity` events per lane: one lane per node plus a cluster lane, with
+// a global sequence number across lanes) when `capacity` is non-zero, and
+// the span view (every span open, close and point, in record order, in
+// fixed blocks) when `spans` is on. Span kinds reach only the span view,
+// and other kinds never reach it, so no view's export depends on another
+// being on. Events carry sim time only, so identical runs export identical
+// bytes. Components hold an `EventRecorder*` that is nullptr when every
+// view is off: a disabled recorder costs one pointer test per event.
+// Span ids and parentage are derived at export (span.hpp).
 //
 // Text is made only at export, once per event: a detail is formatted into
 // a stack buffer (EventDetailText) with to_chars, the trace's lines go
@@ -26,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -49,12 +54,39 @@ enum class EventKind : std::uint8_t {
   kChurn,          // Ring membership change (word: join | leave | depart).
   kQueueDepth,     // Scheduler queue-depth sample.
   kCampaign,       // Chaos campaign seed marker.
+  // Span view only. Fields: guid, update, request, then a close's or a
+  // point's SpanDetail and its two arguments; the word is the span name.
+  kSpanOpen,
+  kSpanClose,  // Without a name: see EventRecorder::end_spans.
+  kSpanPoint,  // An instantaneous span, opened and closed at once.
 };
 
-/// Values of the word-valued detail field.
+/// Values of the word-valued detail field. kCommit to kAckSent name the
+/// commit-path spans, the four that open and close before the two points:
+///
+///   commit (endpoint root, one per submitted update)
+///   └─ attempt (one child per retry; the decisive one closes ok)
+///      ├─ vote-collect (peer: instance opened → commit broadcast)
+///      └─ quorum       (peer: commit broadcast → recorded)
+///         ├─ journal-append (point: write-ahead sink accepted/vetoed)
+///         └─ ack-sent       (point: kCommitted handed to the network)
 enum class Word : std::uint8_t {
-  kNone, kUpdate, kVote, kCommit, kJoin, kLeave, kDepart, kYes, kNo, kOk,
-  kFailed,
+  kNone, kUpdate, kVote, kJoin, kLeave, kDepart, kYes, kNo, kOk, kFailed,
+  kCommit, kAttempt, kVoteCollect, kQuorum, kJournalAppend, kAckSent,
+};
+
+/// How a span ended beyond `ok`, rendered as its "detail" text (field 3
+/// of a close or point; fields 4 and 5 are its arguments). A span ends ok
+/// when its detail is kNone or kDecisive, the two listed first.
+enum class SpanDetail : std::uint8_t {
+  kNone,      // "" (nothing to add).
+  kDecisive,  // "decisive=<arg0> attempts=<arg1>": the replica whose
+              // confirmation completed the quorum, and the attempt count.
+  kFailed,    // "failed attempts=<arg0>": the endpoint gave up.
+  kRetry,     // "retry": the attempt timed out and another started.
+  kTimeout,   // "timeout": the last attempt timed out.
+  kVetoed,    // "vetoed": the journal refused the append.
+  kAbort,     // "abort": the stalled instance was aborted.
 };
 
 using EventFields = std::array<std::uint64_t, 6>;
@@ -83,6 +115,40 @@ using EventDetailText = std::array<char, 256>;
 [[nodiscard]] std::string detail(View view, const Event& event);
 [[nodiscard]] const char* word_name(Word word);
 
+/// The fields of a span event: `detail` and its arguments on a close or
+/// point.
+[[nodiscard]] constexpr EventFields span_fields(
+    std::uint64_t guid, std::uint64_t update, std::uint64_t request,
+    SpanDetail detail = SpanDetail::kNone, std::uint64_t arg0 = 0,
+    std::uint64_t arg1 = 0) {
+  return {guid, update, request, static_cast<std::uint64_t>(detail), arg0,
+          arg1};
+}
+/// The detail of a span close or point, formatted into `buf`, and whether
+/// it ended the span ok.
+[[nodiscard]] std::string_view span_detail(const Event& event,
+                                           EventDetailText& buf);
+[[nodiscard]] bool span_ok(const Event& event);
+
+/// Events in fixed blocks: appending never moves an event, so growth costs
+/// one allocation per block and no copy, never a doubling vector's
+/// transient second copy.
+class EventBlocks {
+ public:
+  void push_back(const Event& event);
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const Event& operator[](std::size_t i) const {
+    return blocks_[i / kBlock][i % kBlock];
+  }
+
+ private:
+  /// Events per block: 512 x 64 bytes, small enough that malloc serves
+  /// (and reuses) blocks from its heap rather than fresh mappings.
+  static constexpr std::size_t kBlock = 512;
+
+  std::vector<std::unique_ptr<Event[]>> blocks_;
+  std::size_t size_ = 0;
+};
 /// Write one asa-trace/1 event line {"t","node","cat","detail"}, strings
 /// escaped. Writers prepend the asa-trace/1 header themselves.
 void write_trace_line(std::ostream& os, const TraceEvent& event);
@@ -98,19 +164,33 @@ class EventRecorder {
     std::uint64_t seq = 0;
   };
 
-  EventRecorder(bool tracing, std::size_t capacity)
-      : tracing_(tracing), capacity_(capacity) {}
+  EventRecorder(bool tracing, std::size_t capacity, bool spans = false)
+      : tracing_(tracing), capacity_(capacity), spans_(spans) {}
   EventRecorder(const EventRecorder&) = delete;
   EventRecorder& operator=(const EventRecorder&) = delete;
 
   [[nodiscard]] bool tracing() const { return tracing_; }
   /// Flight slots per lane; 0 disables the flight view.
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] bool enabled() const { return tracing_ || capacity_ > 0; }
+  /// Whether the span view is on.
+  [[nodiscard]] bool spans() const { return spans_; }
+  [[nodiscard]] bool enabled() const {
+    return tracing_ || capacity_ > 0 || spans_;
+  }
 
   /// Record one event into every view that keeps its kind.
   void record(EventKind kind, std::uint64_t t, std::uint32_t node,
               const EventFields& fields, Word word = Word::kNone);
+
+  /// A nameless span close: `node`'s open spans stay open but nothing
+  /// recorded afterwards joins them, closes them or parents under them (its
+  /// peer was rebuilt); on kClusterLane, every node's (a run boundary).
+  void end_spans(std::uint64_t t, std::uint32_t node) {
+    record(EventKind::kSpanClose, t, node, {});
+  }
+
+  /// The span view, in record order.
+  [[nodiscard]] const EventBlocks& span_events() const { return spans_view_; }
 
   /// The trace view, and its asa-trace/1 JSONL lines.
   [[nodiscard]] const std::vector<Event>& stream() const { return stream_; }
@@ -127,8 +207,9 @@ class EventRecorder {
   /// lane order; the cluster lane renders as "cluster".
   [[nodiscard]] JsonValue to_json() const;
 
-  /// Append `other`'s trace, and its flight lanes lane by lane, oldest
-  /// first, re-sequenced into this recorder's order.
+  /// Append `other`'s trace, its flight lanes lane by lane, oldest first,
+  /// re-sequenced into this recorder's order, and its span view behind a
+  /// run boundary, so no span of one run joins a span of another.
   void merge(const EventRecorder& other);
 
  private:
@@ -147,7 +228,9 @@ class EventRecorder {
 
   bool tracing_;
   std::size_t capacity_;
+  bool spans_;
   std::vector<Event> stream_;
+  EventBlocks spans_view_;
   std::uint64_t seq_ = 0;
   std::uint64_t recorded_ = 0;
   // Hashed: a record does one lookup however many lanes there are (one per

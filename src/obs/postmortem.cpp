@@ -1,6 +1,7 @@
 #include "obs/postmortem.hpp"
 
 #include "obs/json.hpp"
+#include "obs/span.hpp"
 
 namespace asa_repro::obs {
 
@@ -8,9 +9,8 @@ std::string write_postmortem_json(const Meta& meta,
                                   const PostmortemViolations& violations,
                                   const std::vector<std::string>& plan,
                                   const std::vector<std::string>& shrunk_plan,
-                                  const EventRecorder& flight,
-                                  const MetricsRegistry& metrics,
-                                  const SpanRecorder& spans) {
+                                  const EventRecorder& events,
+                                  const MetricsRegistry& metrics) {
   std::string doc;
   JsonWriter out(doc, 1);
   out.begin_object().member("schema", "asa-postmortem/1");
@@ -32,14 +32,14 @@ std::string write_postmortem_json(const Meta& meta,
   for (const std::string& line : shrunk_plan) out.value(line);
   out.end_array();
 
-  out.member("flight", flight.to_json());
+  out.member("flight", events.to_json());
   // The embedded documents keep their own schema members so a consumer
   // can slice them out and feed them to any asa-metrics/1 or asa-span/1
   // reader unchanged.
   out.key("metrics");
   write_metrics_json(out, metrics, meta);
   out.key("spans");
-  write_spans_json(out, spans, meta);
+  write_spans_json(out, events, meta);
 
   out.end_object();
   doc += '\n';

@@ -427,7 +427,7 @@ std::optional<std::uint64_t> detail_field(const std::string& detail,
 namespace {
 
 /// One span as read back from an asa-span/1 document: the text fields
-/// stay text (SpanRecord keeps them typed for the recorder).
+/// stay text (the recorder keeps them typed, as span events).
 struct ParsedSpan {
   std::uint64_t id = 0;
   std::uint64_t parent = 0;

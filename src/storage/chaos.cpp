@@ -503,7 +503,7 @@ sim::FaultPlan generate_fault_plan(const ChaosConfig& config,
 
 ChaosReport run_plan(const ChaosConfig& config, const sim::FaultPlan& plan,
                      obs::MetricsRegistry* metrics,
-                     obs::EventRecorder* events, obs::SpanRecorder* spans,
+                     obs::EventRecorder* events,
                      const std::function<void(AsaCluster&)>& inspect) {
   ClusterConfig cluster_config;
   cluster_config.nodes = config.nodes;
@@ -516,7 +516,7 @@ ChaosReport run_plan(const ChaosConfig& config, const sim::FaultPlan& plan,
   // every existing reproducer file.
   cluster_config.flight_capacity =
       events != nullptr && events->capacity() > 0 ? 256 : 0;
-  cluster_config.spans = spans != nullptr;
+  cluster_config.spans = events != nullptr && events->spans();
   // Retries must outlast fault windows (exponential backoff spans the
   // horizon), and peers must abort stalled instances or vote splits under
   // churn would deadlock forever.
@@ -823,7 +823,6 @@ ChaosReport run_plan(const ChaosConfig& config, const sim::FaultPlan& plan,
     events->record(obs::EventKind::kCampaign, 0, 0, {config.seed});
     events->merge(cluster.events());
   }
-  if (spans != nullptr) spans->merge(cluster.spans());
   if (inspect) inspect(cluster);
   return report;
 }

@@ -25,7 +25,6 @@
 
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/rng.hpp"
 #include "storage/invariant_checker.hpp"
@@ -137,9 +136,9 @@ struct ChaosReport {
 /// run's cluster enables its registry and merges it into `metrics` at the
 /// end (counters/histograms accumulate across seeds). With `events` the
 /// run records the views `events` keeps and merges them into it: the trace
-/// behind a `campaign` marker carrying the seed, and a 256-slot-per-lane
+/// behind a `campaign` marker carrying the seed, a 256-slot-per-lane
 /// flight view (plus horizon-bounded queue-depth samples on the cluster
-/// lane). With `spans` the span timeline is recorded and merged likewise.
+/// lane), and the span view behind a run boundary.
 /// None of these affect the event timeline: identical seeds produce
 /// identical runs observed or not. `inspect` (optional) is handed the
 /// finished cluster after the invariants are checked, for tests that
@@ -147,7 +146,7 @@ struct ChaosReport {
 [[nodiscard]] ChaosReport run_plan(
     const ChaosConfig& config, const sim::FaultPlan& plan,
     obs::MetricsRegistry* metrics = nullptr,
-    obs::EventRecorder* events = nullptr, obs::SpanRecorder* spans = nullptr,
+    obs::EventRecorder* events = nullptr,
     const std::function<void(AsaCluster&)>& inspect = nullptr);
 
 /// Delta-debug a violating plan to a locally minimal reproducer: greedily

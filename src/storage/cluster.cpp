@@ -9,11 +9,14 @@ AsaCluster::AsaCluster(ClusterConfig config)
       rng_(config.seed),
       network_(scheduler_, sim::Rng(config.seed ^ 0x6E6574ull),
                config.latency),
-      events_(config.tracing, config.flight_capacity),
+      events_(config.tracing, config.flight_capacity, config.spans),
       metrics_(config.metrics),
       ring_(sim::Rng(config.seed ^ 0x72696E67ull)) {
   network_.set_drop_probability(config_.drop_probability);
-  if (events_.enabled()) network_.set_recorder(&events_);
+  // The network records no span kind.
+  if (config.tracing || config.flight_capacity > 0) {
+    network_.set_recorder(&events_);
+  }
   if (config_.metrics) {
     network_.set_metrics(&metrics_);
     ring_.set_metrics(&metrics_);
@@ -38,12 +41,16 @@ void AsaCluster::rebuild_host(std::size_t index,
   const fsm::StateMachine& machine =
       machines_.machine_for(config_.replication_factor);
   Member& member = members_[index];
+  // A rebuilt peer starts afresh: nothing it records joins its
+  // predecessor's spans.
+  if (member.host) {
+    events_.end_spans(scheduler_.now(), static_cast<std::uint32_t>(index));
+  }
   member.host = std::make_unique<NodeHost>(
       network_, static_cast<sim::NodeAddr>(index), machine, behaviour,
       events_.enabled() ? &events_ : nullptr);
   commit::CommitPeer& peer = member.host->peer();
   if (config_.metrics) peer.set_metrics(&metrics_);
-  if (config_.spans) peer.set_spans(&span_recorder_);
   peer.set_peer_resolver(
       [this](std::uint64_t guid_key) -> const std::vector<sim::NodeAddr>& {
         static const std::vector<sim::NodeAddr> kUnknownGuid;
@@ -121,9 +128,9 @@ VersionHistoryService& AsaCluster::version_history() {
     next_client_addr_ += 1'000;  // Room for per-GUID commit endpoints.
     version_history_ = std::make_unique<VersionHistoryService>(
         network_, addr, [this](const Guid& guid) { return peer_set(guid); },
-        config_.replication_factor, f(), config_.retry, rng_.fork());
+        config_.replication_factor, f(), config_.retry, rng_.fork(),
+        events_.spans() ? &events_ : nullptr);
     if (config_.metrics) version_history_->set_metrics(&metrics_);
-    if (config_.spans) version_history_->set_spans(&span_recorder_);
   }
   return *version_history_;
 }

@@ -25,7 +25,6 @@
 #include "durable/storage_medium.hpp"
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "p2p/chord.hpp"
 #include "sim/network.hpp"
 #include "storage/data_store.hpp"
@@ -71,7 +70,7 @@ struct ClusterConfig {
   std::size_t flight_capacity = 0;
   /// Record commit-path spans (root commit / attempt on the endpoint side,
   /// vote-collect / quorum with journal-append & ack-sent points on the
-  /// peer side). Off by default.
+  /// peer side) in the event recorder's span view. Off by default.
   bool spans = false;
 };
 
@@ -92,7 +91,8 @@ class AsaCluster {
   [[nodiscard]] obs::EventRecorder& events() { return events_; }
   /// The same recorder, named for its flight view (to_json()).
   [[nodiscard]] obs::EventRecorder& flight() { return events_; }
-  [[nodiscard]] obs::SpanRecorder& spans() { return span_recorder_; }
+  /// The same recorder, named for its span view (obs::write_spans_json).
+  [[nodiscard]] obs::EventRecorder& spans() { return events_; }
   [[nodiscard]] p2p::ChordRing& ring() { return ring_; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   [[nodiscard]] std::uint32_t f() const {
@@ -286,7 +286,6 @@ class AsaCluster {
   sim::Network network_;
   obs::EventRecorder events_;
   obs::MetricsRegistry metrics_;
-  obs::SpanRecorder span_recorder_;
   /// One node for life (indices are never reused: a departed member keeps
   /// its detached record and its ack ledger).
   struct Member {

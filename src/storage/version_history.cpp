@@ -64,7 +64,8 @@ VersionHistoryService::VersionHistoryService(sim::Network& network,
                                              PeerSetResolver resolver,
                                              std::uint32_t r, std::uint32_t f,
                                              commit::RetryPolicy policy,
-                                             sim::Rng rng)
+                                             sim::Rng rng,
+                                             obs::EventRecorder* events)
     : network_(network),
       self_(self),
       resolver_(std::move(resolver)),
@@ -72,6 +73,7 @@ VersionHistoryService::VersionHistoryService(sim::Network& network,
       f_(f),
       policy_(policy),
       rng_(rng),
+      events_(events),
       next_endpoint_addr_(self + 1) {
   network_.attach(self_, [this](sim::NodeAddr from, std::string_view data) {
     handle(from, data);
@@ -85,9 +87,8 @@ commit::CommitEndpoint& VersionHistoryService::endpoint_for(const Guid& guid) {
   auto endpoint = std::make_unique<commit::CommitEndpoint>(
       network_, next_endpoint_addr_++, resolver_(guid),
       commit::EndpointAbstraction::deployed(f_, policy_), policy_,
-      rng_.fork());
+      rng_.fork(), events_);
   endpoint->set_metrics(metrics_);
-  endpoint->set_spans(spans_);
   // Endpoints outlive membership changes; re-resolve the owners on every
   // attempt so appends submitted (or retried) after churn reach the
   // current ring, the way read() already does.

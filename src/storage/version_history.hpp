@@ -42,10 +42,12 @@ class VersionHistoryService {
   using PeerSetResolver =
       std::function<std::vector<sim::NodeAddr>(const Guid&)>;
 
+  /// Every commit endpoint the service creates records its spans into
+  /// `events` (nullptr disables).
   VersionHistoryService(sim::Network& network, sim::NodeAddr self,
                         PeerSetResolver resolver, std::uint32_t r,
                         std::uint32_t f, commit::RetryPolicy policy,
-                        sim::Rng rng);
+                        sim::Rng rng, obs::EventRecorder* events = nullptr);
 
   VersionHistoryService(const VersionHistoryService&) = delete;
   VersionHistoryService& operator=(const VersionHistoryService&) = delete;
@@ -90,13 +92,6 @@ class VersionHistoryService {
     for (auto& [key, endpoint] : endpoints_) endpoint->set_metrics(metrics);
   }
 
-  /// Attach a span recorder, propagated like set_metrics: every commit
-  /// this service submits opens a root "commit" span. nullptr disables.
-  void set_spans(obs::SpanRecorder* spans) {
-    spans_ = spans;
-    for (auto& [key, endpoint] : endpoints_) endpoint->set_spans(spans);
-  }
-
  private:
   struct PendingRead {
     std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
@@ -120,7 +115,7 @@ class VersionHistoryService {
   commit::RetryPolicy policy_;
   sim::Rng rng_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::SpanRecorder* spans_ = nullptr;
+  obs::EventRecorder* events_;
   // One commit endpoint per GUID (peer sets differ); endpoints own distinct
   // network addresses carved from a reserved range above self_.
   std::map<std::uint64_t, std::unique_ptr<commit::CommitEndpoint>> endpoints_;

@@ -990,7 +990,7 @@ RoundTrip run_campaign_seed(const ChaosConfig& config) {
   // recovery whatever the run's verdict.
   RoundTrip audit;
   const storage::ChaosReport report = storage::run_plan(
-      config, plan, nullptr, nullptr, nullptr,
+      config, plan, nullptr, nullptr,
       [&audit](AsaCluster& cluster) { audit = audit_recovery(cluster); });
   EXPECT_TRUE(report.quiesced);
   return audit;

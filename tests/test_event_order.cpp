@@ -276,21 +276,21 @@ Exports run_exports() {
   plan.add({.at = 450'000, .kind = Kind::kLeave, .node = 5});
   plan.add({.at = 500'000, .kind = Kind::kDepart, .node = 7});
 
-  obs::EventRecorder events(/*tracing=*/true, /*flight_capacity=*/64);
+  obs::EventRecorder events(/*tracing=*/true, /*flight_capacity=*/64,
+                            /*spans=*/true);
   obs::MetricsRegistry metrics;
-  obs::SpanRecorder spans;
-  (void)run_plan(config, plan, &metrics, &events, &spans);
+  (void)run_plan(config, plan, &metrics, &events);
   std::ostringstream jsonl;
   events.write_trace_jsonl(jsonl);
   const obs::Meta meta{{"tool", "golden"}, {"seed", "21"}};
   return {jsonl.str(),
           events.to_json().dump(),
           obs::write_metrics_json(metrics, meta),
-          obs::write_spans_json(spans, meta),
+          obs::write_spans_json(events, meta),
           obs::write_postmortem_json(
               meta, {{"agreement", "guid 1: \"split\"\tdecision"}},
               {"at=90000 crash node=3", "at=300000 restart node=3"},
-              {"at=90000 crash node=3"}, events, metrics, spans)};
+              {"at=90000 crash node=3"}, events, metrics)};
 }
 
 std::uint64_t fnv1a(const std::string& bytes) {

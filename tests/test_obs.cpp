@@ -1006,51 +1006,182 @@ TEST(FlightRecorder, MergeRerecordsPreservingTimeAndJsonNamesClusterLane) {
             R"("detail":"depth=2"}]})");
 }
 
-// ---- Span recorder: retry lifecycle, nesting, merge, JSON. ----
+// ---- Span view: retry lifecycle, nesting, merge, JSON. ----
 
-TEST(SpanRecorder, RetryLifecycleAndNesting) {
-  obs::SpanRecorder rec;
-  const std::uint64_t root = rec.open("commit", 0, 9, 5, 7, 0, 100);
-  const std::uint64_t a1 = rec.open("attempt", root, 9, 5, 7, 71, 100);
-  EXPECT_TRUE(rec.is_open(root));
-  EXPECT_TRUE(rec.is_open(a1));
-  rec.close(a1, 180, false, obs::SpanDetail::kRetry);
-  EXPECT_FALSE(rec.is_open(a1));
-  const std::uint64_t a2 = rec.open("attempt", root, 9, 5, 7, 72, 180);
-  rec.close(a2, 260, true);
-  rec.close(root, 265, true, obs::SpanDetail::kDecisive, 3, 2);
-  // Double close is ignored.
-  rec.close(root, 999, false, obs::SpanDetail::kAbort);
-  rec.close(0, 999, false);  // Id 0 (no span) is ignored.
+/// Span events at explicit times, recorded the way the endpoint and the
+/// peer record them.
+struct SpanScript {
+  void open(obs::Word name, std::uint32_t node, std::uint64_t guid,
+            std::uint64_t request, std::uint64_t update, std::uint64_t t) {
+    events.record(obs::EventKind::kSpanOpen, t, node,
+                  obs::span_fields(guid, update, request), name);
+  }
+  void close(obs::Word name, std::uint32_t node, std::uint64_t guid,
+             std::uint64_t request, std::uint64_t update, std::uint64_t t,
+             obs::SpanDetail detail = obs::SpanDetail::kNone,
+             std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) {
+    events.record(obs::EventKind::kSpanClose, t, node,
+                  obs::span_fields(guid, update, request, detail, arg0, arg1),
+                  name);
+  }
+  void point(obs::Word name, std::uint32_t node, std::uint64_t guid,
+             std::uint64_t request, std::uint64_t update, std::uint64_t t,
+             obs::SpanDetail detail = obs::SpanDetail::kNone) {
+    events.record(obs::EventKind::kSpanPoint, t, node,
+                  obs::span_fields(guid, update, request, detail), name);
+  }
 
-  const obs::SpanRecorder& spans = rec;
-  obs::SpanDetailText text;
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[0].name, "commit");
-  EXPECT_EQ(spans[0].end, 265u);
-  EXPECT_TRUE(spans[0].ok);
-  EXPECT_EQ(obs::span_detail_text(spans[0], text), "decisive=3 attempts=2");
-  EXPECT_EQ(spans[1].parent, root);
-  EXPECT_FALSE(spans[1].ok);
-  EXPECT_EQ(obs::span_detail_text(spans[1], text), "retry");
-  EXPECT_TRUE(spans[2].ok);
-  EXPECT_EQ(spans[2].update_id, 72u);
+  obs::EventRecorder events{/*tracing=*/false, /*flight_capacity=*/0,
+                            /*spans=*/true};
+};
+
+/// `events`' spans as exported: the asa-span/1 objects in id order.
+std::vector<obs::JsonValue> exported_spans(const obs::EventRecorder& events) {
+  const auto doc =
+      obs::parse_json(obs::write_spans_json(events, {{"tool", "test"}}));
+  EXPECT_TRUE(doc.has_value());
+  if (!doc.has_value()) return {};
+  EXPECT_EQ(obs::validate_document_json(*doc), std::nullopt);
+  return doc->find("spans")->items();
 }
 
-TEST(SpanRecorder, MergeOffsetsIdsAndParentLinks) {
-  obs::SpanRecorder a;
-  obs::SpanRecorder b;
-  a.open("x", 0, 1, 5, 1, 1, 0);
-  const std::uint64_t broot = b.open("y", 0, 2, 5, 2, 2, 5);
-  b.point("p", broot, 2, 5, 2, 2, 9, true, obs::SpanDetail::kVetoed);
-  a.merge(b);
-  ASSERT_EQ(a.size(), 3u);
-  EXPECT_EQ(a[1].id, 2u);
-  EXPECT_EQ(a[1].parent, 0u);  // b's root stays a root.
-  EXPECT_EQ(a[2].parent, 2u);  // b's child re-based onto new id.
-  EXPECT_TRUE(a[2].closed);
-  EXPECT_EQ(a[2].start, a[2].end);
-  EXPECT_EQ(a[2].detail, obs::SpanDetail::kVetoed);
+std::uint64_t field(const obs::JsonValue& span, const char* key) {
+  return static_cast<std::uint64_t>(span.find(key)->as_int());
+}
+
+TEST(SpanView, RetryLifecycleAndNesting) {
+  using W = obs::Word;
+  SpanScript s;
+  s.open(W::kCommit, 9, 5, 7, 0, 100);
+  s.open(W::kAttempt, 9, 5, 7, 71, 100);
+  s.close(W::kAttempt, 9, 5, 7, 71, 180, obs::SpanDetail::kRetry);
+  s.open(W::kAttempt, 9, 5, 7, 72, 180);
+  s.close(W::kAttempt, 9, 5, 7, 72, 260);
+  s.close(W::kCommit, 9, 5, 7, 0, 265, obs::SpanDetail::kDecisive, 3, 2);
+  // A double close is ignored, and so is a close naming no open span.
+  s.close(W::kCommit, 9, 5, 7, 0, 999, obs::SpanDetail::kAbort);
+  s.close(W::kAttempt, 9, 5, 8, 0, 999, obs::SpanDetail::kAbort);
+  EXPECT_EQ(s.events.span_events().size(), 8u);
+
+  const std::vector<obs::JsonValue> spans = exported_spans(s.events);
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].find("name")->as_string(), "commit");
+  EXPECT_EQ(field(spans[0], "end"), 265u);
+  EXPECT_TRUE(spans[0].find("ok")->as_bool());
+  EXPECT_EQ(spans[0].find("detail")->as_string(), "decisive=3 attempts=2");
+  EXPECT_EQ(field(spans[1], "parent"), 1u);
+  EXPECT_FALSE(spans[1].find("ok")->as_bool());
+  EXPECT_EQ(spans[1].find("detail")->as_string(), "retry");
+  EXPECT_EQ(field(spans[2], "parent"), 1u);
+  EXPECT_TRUE(spans[2].find("ok")->as_bool());
+  EXPECT_EQ(field(spans[2], "update"), 72u);
+  EXPECT_EQ(field(spans[2], "end"), 260u);
+}
+
+// The peer half: points hang under their (node, GUID, update)'s quorum
+// until it closes failed; a rebuilt node's spans stay open and parent
+// nothing recorded after.
+TEST(SpanView, PointsHangUnderTheQuorumUntilItAbortsOrTheNodeIsRebuilt) {
+  using W = obs::Word;
+  SpanScript s;
+  s.open(W::kVoteCollect, 3, 5, 7, 70, 10);        // 1
+  s.close(W::kVoteCollect, 3, 5, 7, 70, 20);
+  s.open(W::kQuorum, 3, 5, 7, 70, 20);             // 2
+  s.point(W::kJournalAppend, 3, 5, 7, 70, 30);     // 3, under 2
+  s.close(W::kQuorum, 3, 5, 7, 70, 30);
+  s.point(W::kAckSent, 3, 5, 7, 70, 31);           // 4, under 2
+  s.point(W::kAckSent, 4, 5, 7, 70, 31);           // 5: another node's
+  s.open(W::kQuorum, 3, 5, 7, 80, 40);             // 6
+  s.close(W::kQuorum, 3, 5, 7, 80, 50, obs::SpanDetail::kAbort);
+  s.point(W::kAckSent, 3, 5, 7, 80, 60);           // 7: aborted, none
+  s.open(W::kQuorum, 3, 5, 7, 90, 60);             // 8, left open
+  s.events.end_spans(70, 3);
+  s.close(W::kQuorum, 3, 5, 7, 90, 80);            // Joins nothing.
+  s.point(W::kAckSent, 3, 5, 7, 70, 80);           // 9: rebuilt, none
+  const std::vector<obs::JsonValue> spans = exported_spans(s.events);
+  ASSERT_EQ(spans.size(), 9u);
+  std::vector<std::uint64_t> parents;
+  for (const obs::JsonValue& span : spans) {
+    parents.push_back(field(span, "parent"));
+  }
+  EXPECT_EQ(parents, (std::vector<std::uint64_t>{0, 0, 2, 2, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(spans[5].find("detail")->as_string(), "abort");
+  EXPECT_FALSE(spans[7].find("closed")->as_bool());
+  EXPECT_EQ(field(spans[7], "end"), 60u);
+}
+
+/// Two chaos runs merged into one recorder: the second run's spans are
+/// its own, renumbered past the first's. Runs reuse node addresses and
+/// causal ids, so a join across the run boundary would hang a span of
+/// the second run under one of the first.
+TEST(SpanView, MergedRunsContinueIdsAndNeverShareAParent) {
+  storage::ChaosConfig config;
+  config.updates = 10;
+  const auto run = [&config](std::uint64_t seed, obs::EventRecorder& into) {
+    config.seed = seed;
+    sim::Rng rng(seed ^ 0x63686170'73656564ull);  // asachaos' plan.
+    (void)storage::run_plan(config, storage::generate_fault_plan(config, rng),
+                            nullptr, &into);
+  };
+  const auto recorder = [] {
+    return obs::EventRecorder(/*tracing=*/false, /*flight_capacity=*/0,
+                              /*spans=*/true);
+  };
+  obs::EventRecorder first = recorder();
+  obs::EventRecorder second = recorder();
+  obs::EventRecorder merged = recorder();
+  run(3, first);
+  run(4, second);
+  run(3, merged);
+  run(4, merged);
+
+  const std::vector<obs::JsonValue> a = exported_spans(first);
+  const std::vector<obs::JsonValue> b = exported_spans(second);
+  const std::vector<obs::JsonValue> m = exported_spans(merged);
+  const std::size_t n = a.size();
+  ASSERT_GT(n, 0u);
+  ASSERT_EQ(m.size(), n + b.size());
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(m[i].dump(), a[i].dump());
+  std::size_t children = 0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    SCOPED_TRACE("second run's span " + std::to_string(i + 1));
+    const obs::JsonValue& span = m[n + i];
+    const std::uint64_t parent = field(b[i], "parent");
+    children += parent != 0;
+    EXPECT_EQ(field(span, "id"), n + i + 1);
+    EXPECT_EQ(field(span, "parent"), parent == 0 ? 0 : parent + n);
+    for (const char* key : {"name", "node", "guid", "request", "update",
+                            "start", "end", "ok", "closed", "detail"}) {
+      EXPECT_EQ(span.find(key)->dump(), b[i].find(key)->dump()) << key;
+    }
+  }
+  EXPECT_GT(children, 0u);
+}
+
+// The boundary itself: what one run leaves open or parenting stays as it
+// was, and the next run's spans of the same keys join none of it.
+TEST(SpanView, MergeAppendsBehindARunBoundary) {
+  using W = obs::Word;
+  SpanScript first;
+  first.open(W::kCommit, 100, 5, 7, 0, 10);          // 1, left open
+  first.open(W::kQuorum, 3, 5, 7, 70, 10);           // 2, left open
+  SpanScript second;
+  second.open(W::kAttempt, 100, 5, 7, 71, 20);       // 3: no root here
+  second.point(W::kAckSent, 3, 5, 7, 70, 20);        // 4: no quorum here
+  second.close(W::kQuorum, 3, 5, 7, 70, 30);         // Joins nothing.
+  second.close(W::kCommit, 100, 5, 7, 0, 30);        // Joins nothing.
+  obs::EventRecorder merged(/*tracing=*/false, /*flight_capacity=*/0,
+                            /*spans=*/true);
+  merged.merge(first.events);
+  merged.merge(second.events);
+  const std::vector<obs::JsonValue> spans = exported_spans(merged);
+  ASSERT_EQ(spans.size(), 4u);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(field(spans[i], "id"), i + 1);
+    EXPECT_EQ(field(spans[i], "parent"), 0u);
+  }
+  EXPECT_FALSE(spans[0].find("closed")->as_bool());
+  EXPECT_FALSE(spans[1].find("closed")->as_bool());
 }
 
 // A span stores its detail as a word and its GUID as an integer; the
@@ -1084,24 +1215,21 @@ TEST(SpansJson, DetailKindsAndWideGuidsRenderTheOldText) {
   const std::uint64_t guids[] = {0, 42, std::uint64_t{1} << 63,
                                  (std::uint64_t{1} << 63) + 12345,
                                  std::numeric_limits<std::uint64_t>::max()};
-  obs::SpanRecorder rec;
+  SpanScript s;
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const Case& c = cases[i];
-    const std::uint64_t id =
-        rec.open("commit", 0, 1, guids[i % std::size(guids)], 1, 2, 10);
-    rec.close(id, 20, c.detail == SpanDetail::kDecisive, c.detail, c.arg0,
-              c.arg1);
+    const std::uint64_t guid = guids[i % std::size(guids)];
+    s.open(obs::Word::kCommit, 1, guid, 1, 2, 10);
+    s.close(obs::Word::kCommit, 1, guid, 1, 2, 20, c.detail, c.arg0, c.arg1);
   }
-  const auto doc =
-      obs::parse_json(obs::write_spans_json(rec, {{"tool", "test"}}));
-  ASSERT_TRUE(doc.has_value());
-  const auto& spans = doc->find("spans")->items();
+  const std::vector<obs::JsonValue> spans = exported_spans(s.events);
   ASSERT_EQ(spans.size(), std::size(cases));
-  obs::SpanDetailText text;
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     SCOPED_TRACE("case " + std::to_string(i));
-    EXPECT_EQ(obs::span_detail_text(rec[i], text), cases[i].old_text);
     EXPECT_EQ(spans[i].find("detail")->as_string(), cases[i].old_text);
+    EXPECT_EQ(spans[i].find("ok")->as_bool(),
+              cases[i].detail == SpanDetail::kNone ||
+                  cases[i].detail == SpanDetail::kDecisive);
     EXPECT_EQ(spans[i].find("guid")->as_string(),
               std::to_string(guids[i % std::size(guids)]));
   }
@@ -1112,11 +1240,12 @@ TEST(SpansJson, DetailKindsAndWideGuidsRenderTheOldText) {
 // Every span field the schema table lists, plus id, parent and interval
 // order.
 TEST(SpansJson, ValidatorRejectsBrokenShape) {
-  obs::SpanRecorder rec;
-  const std::uint64_t root = rec.open("commit", 0, 1, 5, 1, 0, 10);
-  rec.point("attempt", root, 1, 5, 1, 11, 12, true);
-  rec.close(root, 20, true, obs::SpanDetail::kDecisive, 1, 1);
-  const std::string doc = obs::write_spans_json(rec, {{"tool", "test"}});
+  SpanScript s;
+  s.open(obs::Word::kCommit, 1, 5, 1, 0, 10);
+  s.point(obs::Word::kAttempt, 1, 5, 1, 11, 12);
+  s.close(obs::Word::kCommit, 1, 5, 1, 0, 20, obs::SpanDetail::kDecisive, 1,
+          1);
+  const std::string doc = obs::write_spans_json(s.events, {{"tool", "test"}});
   EXPECT_EQ(schema_sweep::sweep_document(
                 doc, [](const obs::JsonValue& d) {
                   (void)obs::render_critical_path(d);
@@ -1200,22 +1329,23 @@ TEST(MetricsMerge, MismatchedHistogramBoundsAreCountedAndReported) {
 TEST(CriticalPath, AttributesPhasesFromJoinedSpans) {
   // One commit: a failed attempt (retry), then the decisive attempt whose
   // peer-side spans live on node 3.
-  obs::SpanRecorder rec;
-  const std::uint64_t root = rec.open("commit", 0, 100, 41, 7, 0, 1000);
-  const std::uint64_t a1 = rec.open("attempt", root, 100, 41, 7, 71, 1100);
-  rec.close(a1, 1500, false, obs::SpanDetail::kRetry);
-  const std::uint64_t a2 = rec.open("attempt", root, 100, 41, 7, 72, 1500);
-  const std::uint64_t vote = rec.open("vote-collect", 0, 3, 41, 7, 72, 1600);
-  rec.close(vote, 1900, true);
-  const std::uint64_t quorum = rec.open("quorum", 0, 3, 41, 7, 72, 1900);
-  rec.point("journal-append", quorum, 3, 41, 7, 72, 1950, true);
-  rec.point("ack-sent", quorum, 3, 41, 7, 72, 2000, true);
-  rec.close(quorum, 2000, true);
-  rec.close(a2, 2100, true);
-  rec.close(root, 2100, true, obs::SpanDetail::kDecisive, 3, 2);
+  using W = obs::Word;
+  SpanScript s;
+  s.open(W::kCommit, 100, 41, 7, 0, 1000);
+  s.open(W::kAttempt, 100, 41, 7, 71, 1100);
+  s.close(W::kAttempt, 100, 41, 7, 71, 1500, obs::SpanDetail::kRetry);
+  s.open(W::kAttempt, 100, 41, 7, 72, 1500);
+  s.open(W::kVoteCollect, 3, 41, 7, 72, 1600);
+  s.close(W::kVoteCollect, 3, 41, 7, 72, 1900);
+  s.open(W::kQuorum, 3, 41, 7, 72, 1900);
+  s.point(W::kJournalAppend, 3, 41, 7, 72, 1950);
+  s.point(W::kAckSent, 3, 41, 7, 72, 2000);
+  s.close(W::kQuorum, 3, 41, 7, 72, 2000);
+  s.close(W::kAttempt, 100, 41, 7, 72, 2100);
+  s.close(W::kCommit, 100, 41, 7, 0, 2100, obs::SpanDetail::kDecisive, 3, 2);
 
   const auto doc =
-      obs::parse_json(obs::write_spans_json(rec, {{"tool", "t"}}));
+      obs::parse_json(obs::write_spans_json(s.events, {{"tool", "t"}}));
   ASSERT_TRUE(doc.has_value());
   const std::string report = obs::render_critical_path(*doc);
   EXPECT_NE(report.find("committed roots: 1"), std::string::npos);
@@ -1289,13 +1419,23 @@ std::string run_cluster_spans(std::uint64_t seed) {
   return obs::write_spans_json(cluster.spans(), {{"tool", "test"}});
 }
 
+/// A lossy run's three exports: its trace, flight and span documents.
+struct Exports {
+  std::string trace;
+  std::string flight;
+  std::string spans;
+};
+
 /// A lossy run: 15% message loss against two attempts per commit, so the
-/// document holds retried commits and roots that failed (8 and 4 of 12).
-std::string run_lossy_cluster_spans() {
+/// span document holds retried commits and roots that failed (8 and 4 of
+/// 12), with the views given on.
+Exports run_lossy_cluster(bool tracing, std::size_t flight, bool spans) {
   storage::ClusterConfig config;
   config.nodes = 10;
   config.seed = 5;
-  config.spans = true;
+  config.tracing = tracing;
+  config.flight_capacity = flight;
+  config.spans = spans;
   config.drop_probability = 0.15;
   config.retry.base_timeout = 80'000;
   config.retry.max_attempts = 2;
@@ -1311,7 +1451,14 @@ std::string run_lossy_cluster_spans() {
                                      [](const commit::CommitResult&) {});
   }
   cluster.run();
-  return obs::write_spans_json(cluster.spans(), {{"tool", "test"}});
+  std::ostringstream trace;
+  cluster.events().write_trace_jsonl(trace);
+  return {trace.str(), cluster.flight().to_json().dump(),
+          obs::write_spans_json(cluster.spans(), {{"tool", "test"}})};
+}
+
+std::string run_lossy_cluster_spans() {
+  return run_lossy_cluster(false, 0, true).spans;
 }
 
 std::string critical_path_of(const std::string& spans_json) {
@@ -1361,6 +1508,80 @@ TEST(ClusterSpans, CommitsProduceJoinedSpansDeterministically) {
             std::string::npos);
 }
 
+// Each view keeps only its own kinds: turning the others on moves no
+// byte of its export.
+TEST(ClusterSpans, ViewsDoNotLeakIntoEachOther) {
+  const e2e::Exports spans_only = e2e::run_lossy_cluster(false, 0, true);
+  const e2e::Exports all = e2e::run_lossy_cluster(true, 64, true);
+  const e2e::Exports no_spans = e2e::run_lossy_cluster(true, 64, false);
+  EXPECT_NE(spans_only.spans.find("\"ack-sent\""), std::string::npos);
+  EXPECT_EQ(all.spans, spans_only.spans);
+  EXPECT_FALSE(all.trace.empty());
+  EXPECT_EQ(all.trace, no_spans.trace);
+  EXPECT_NE(all.flight, "{}");
+  EXPECT_EQ(all.flight, no_spans.flight);
+}
+
+// A peer rebuilt by restart_node recovers the updates it settled before
+// the crash, and re-acknowledges a resent one; the quorum span its
+// predecessor recorded parents nothing the rebuilt peer records.
+TEST(ClusterSpans, RebuiltPeerAcknowledgesUnderNoQuorum) {
+  storage::ClusterConfig config;
+  config.nodes = 10;
+  config.seed = 5;
+  config.spans = true;
+  storage::AsaCluster cluster(config);
+  const storage::Guid guid = storage::Guid::named("g0");
+  cluster.version_history().append(
+      guid, storage::Pid::of(storage::block_from("u0")),
+      [](const commit::CommitResult&) {});
+  cluster.run();
+
+  // A replica whose ack-sent hangs under its quorum span.
+  const auto ack_parents = [&cluster](std::uint64_t node) {
+    std::vector<std::uint64_t> parents;
+    for (const obs::JsonValue& span : exported_spans(cluster.spans())) {
+      if (span.find("name")->as_string() == "ack-sent" &&
+          field(span, "node") == node) {
+        parents.push_back(field(span, "parent"));
+      }
+    }
+    return parents;
+  };
+  std::optional<sim::NodeAddr> replica;
+  for (const sim::NodeAddr node : cluster.peer_set(guid)) {
+    const std::vector<std::uint64_t> parents = ack_parents(node);
+    if (parents.size() == 1 && parents[0] != 0) replica = node;
+  }
+  ASSERT_TRUE(replica.has_value());
+  const std::vector<std::uint64_t> before = ack_parents(*replica);
+  const commit::CommitPeer::CommittedEntry entry =
+      cluster.host(*replica).peer().history(guid.to_uint64()).at(0);
+
+  cluster.crash_node(*replica);
+  cluster.restart_node(*replica);
+  ASSERT_EQ(cluster.host(*replica).peer().history(guid.to_uint64()).at(0),
+            entry);
+  constexpr sim::NodeAddr kClient = 4'000'000;
+  std::size_t acks = 0;
+  cluster.network().attach(kClient, [&acks](sim::NodeAddr,
+                                            std::string_view data) {
+    const auto msg = commit::WireMessage::parse(data);
+    acks += msg.has_value() &&
+            msg->kind == commit::WireMessage::Kind::kCommitted;
+  });
+  cluster.network().send(
+      kClient, *replica,
+      commit::WireMessage{commit::WireMessage::Kind::kUpdate,
+                          guid.to_uint64(), entry.update_id, entry.request_id,
+                          entry.payload}
+          .serialize());
+  cluster.run();
+  EXPECT_EQ(acks, 1u);
+  EXPECT_EQ(ack_parents(*replica),
+            (std::vector<std::uint64_t>{before[0], 0}));
+}
+
 // ---- Post-mortem bundles. ----
 
 TEST(Postmortem, SameSeedProducesByteIdenticalValidBundle) {
@@ -1373,17 +1594,17 @@ TEST(Postmortem, SameSeedProducesByteIdenticalValidBundle) {
   config.blocks = 1;
   const auto build = [&config]() {
     obs::MetricsRegistry metrics(true);
-    obs::EventRecorder flight(/*tracing=*/false, /*flight_capacity=*/64);
-    obs::SpanRecorder spans;
-    const storage::ChaosReport report = storage::run_plan(
-        config, sim::FaultPlan(), &metrics, &flight, &spans);
+    obs::EventRecorder events(/*tracing=*/false, /*flight_capacity=*/64,
+                              /*spans=*/true);
+    const storage::ChaosReport report =
+        storage::run_plan(config, sim::FaultPlan(), &metrics, &events);
     obs::PostmortemViolations violations;
     for (const storage::Violation& v : report.violations) {
       violations.emplace_back(v.invariant, v.detail);
     }
     return obs::write_postmortem_json(
         {{"tool", "test"}, {"seed", std::to_string(config.seed)}},
-        violations, {"plan line"}, {}, flight, metrics, spans);
+        violations, {"plan line"}, {}, events, metrics);
   };
   const std::string first = build();
   EXPECT_EQ(first, build());
@@ -1402,17 +1623,18 @@ TEST(Postmortem, SameSeedProducesByteIdenticalValidBundle) {
 // Every post-mortem field the schema table lists, the embedded metrics and
 // span documents' fields included.
 TEST(Postmortem, ValidatorRejectsBrokenEmbeddedDocuments) {
-  obs::EventRecorder flight(/*tracing=*/false, /*flight_capacity=*/4);
-  flight.record(obs::EventKind::kNetSend, 10, 1, {1, 1, 2});
+  obs::EventRecorder events(/*tracing=*/false, /*flight_capacity=*/4,
+                            /*spans=*/true);
+  events.record(obs::EventKind::kNetSend, 10, 1, {1, 1, 2});
   obs::MetricsRegistry metrics;
   metrics.counter("events", {{"node", "1"}}).inc();
   metrics.gauge("depth", {{"node", "1"}}).set(2);
   metrics.histogram("lat", {{"node", "1"}}, {10}).observe(3);
-  obs::SpanRecorder spans;
-  spans.point("commit", 0, 1, 5, 1, 1, 5, true);
+  events.record(obs::EventKind::kSpanPoint, 5, 1, obs::span_fields(5, 1, 1),
+                obs::Word::kCommit);
   const std::string doc = obs::write_postmortem_json(
       {{"tool", "test"}, {"seed", "1"}}, {{"agreement", "two values"}},
-      {"crash 1 at 5"}, {"crash 1 at 5"}, flight, metrics, spans);
+      {"crash 1 at 5"}, {"crash 1 at 5"}, events, metrics);
   EXPECT_EQ(schema_sweep::sweep_document(
                 doc, [](const obs::JsonValue& d) {
                   (void)obs::render_postmortem(d);
@@ -1658,8 +1880,8 @@ TEST(AllocationBudget, WarmPeerDeliveriesAllocateNothing) {
 // Spans cost no allocation of their own. A warm r=4 cluster commits the
 // same updates with spans off and on; spans never touch the schedule, so
 // both are the same run, and the allocations they make may differ only by
-// the amortised growth of the span recorder (a block per 512 spans) and
-// of each peer's per-GUID settled_spans table, never by one per span.
+// the amortised growth of the span view (a block per 512 span events),
+// never by one per span.
 TEST(AllocationBudget, SpansAllocateNothingPerSpan) {
   constexpr int kGuids = 8;
   constexpr std::uint32_t kR = 4;
@@ -1692,12 +1914,12 @@ TEST(AllocationBudget, SpansAllocateNothingPerSpan) {
     for (int i = 0; i < 20; ++i) round();
     Window window;
     const std::uint64_t commits_before = commits;
-    const std::size_t spans_before = cluster.spans().size();
+    const std::size_t spans_before = obs::span_count(cluster.spans());
     const std::uint64_t before = g_allocations.load();
     for (int i = 0; i < 40; ++i) round();
     window.allocations = g_allocations.load() - before;
     window.commits = commits - commits_before;
-    window.spans = cluster.spans().size() - spans_before;
+    window.spans = obs::span_count(cluster.spans()) - spans_before;
     return window;
   };
   const Window off = run(false);
@@ -1705,16 +1927,14 @@ TEST(AllocationBudget, SpansAllocateNothingPerSpan) {
   EXPECT_EQ(off.commits, 40u * kGuids);
   EXPECT_EQ(on.commits, off.commits);
   EXPECT_EQ(off.spans, 0u);
-  // Each commit records a root, an attempt and per replica a vote-collect,
+  // Each commit opens a root, an attempt and per replica a vote-collect,
   // a quorum and the journal-append and ack-sent points.
   EXPECT_GE(on.spans, on.commits * (2 + 4 * kR));
   ASSERT_GE(on.allocations, off.allocations);
-  // The recorder may allocate once per 256 spans (it takes a block per
-  // 512, plus at most two doublings of its block list); each (replica,
-  // GUID) settled_spans table grows from 20 to 60 rounds' worth, at most
-  // two doublings.
-  EXPECT_LE(on.allocations - off.allocations,
-            on.spans / 256 + 3 + 2 * kGuids * kR);
+  // The span view may allocate once per 256 spans (it takes a block per
+  // 512 span events, 28 per 18 spans here, plus at most two doublings of
+  // its block list); nothing else allocates per span.
+  EXPECT_LE(on.allocations - off.allocations, on.spans / 256 + 3);
 }
 
 // Hot sites keep resolved metric handles; these pin the moments a handle

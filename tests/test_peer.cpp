@@ -7,6 +7,8 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "commit/commit_model.hpp"
@@ -15,6 +17,7 @@
 #include "commit/peer.hpp"
 #include "durable/durable_log.hpp"
 #include "durable/storage_medium.hpp"
+#include "obs/json.hpp"
 #include "obs/span.hpp"
 
 namespace asa_repro::commit {
@@ -80,7 +83,8 @@ struct PeerHarness {
   const fsm::StateMachine& machine;
   sim::Scheduler sched;
   sim::Network network;
-  obs::EventRecorder trace{/*tracing=*/true, /*flight_capacity=*/0};
+  obs::EventRecorder trace{/*tracing=*/true, /*flight_capacity=*/0,
+                           /*spans=*/true};
   std::unique_ptr<CommitPeer> peer;
   std::map<sim::NodeAddr, std::vector<WireMessage>> outgoing;
   std::vector<WireMessage> client_inbox;
@@ -329,22 +333,63 @@ TEST(PeerAck, ResentUpdateAfterSettleFiresTheAckSinkAgain) {
   EXPECT_EQ(h.client_inbox[1].payload, 10u);
 }
 
+/// The peer's spans as exported: the asa-span/1 objects in id order.
+std::vector<obs::JsonValue> exported_spans(const PeerHarness& h) {
+  const auto doc = obs::parse_json(obs::write_spans_json(h.trace, {}));
+  EXPECT_TRUE(doc.has_value());
+  return doc.has_value() ? doc->find("spans")->items()
+                         : std::vector<obs::JsonValue>{};
+}
+
+std::uint64_t field(const obs::JsonValue& span, const char* key) {
+  return static_cast<std::uint64_t>(span.find(key)->as_int());
+}
+
+/// The id of the update's quorum span (0 if none) and its ack-sent
+/// points' parents.
+std::pair<std::uint64_t, std::vector<std::uint64_t>> quorum_and_acks(
+    const PeerHarness& h, std::uint64_t update_id) {
+  std::uint64_t quorum = 0;
+  std::vector<std::uint64_t> ack_parents;
+  for (const obs::JsonValue& span : exported_spans(h)) {
+    if (field(span, "update") != update_id) continue;
+    const std::string& name = span.find("name")->as_string();
+    if (name == "quorum") quorum = field(span, "id");
+    if (name == "ack-sent") ack_parents.push_back(field(span, "parent"));
+  }
+  return {quorum, ack_parents};
+}
+
 TEST(PeerAck, ResentUpdateAfterSettleEmitsAckSentUnderTheQuorumSpan) {
   PeerHarness h;
-  obs::SpanRecorder spans;
-  h.peer->set_spans(&spans);
   h.commit_update(1);
   h.send(100, WireMessage::Kind::kUpdate, 1);
 
-  std::uint64_t quorum = 0;
-  std::vector<std::uint64_t> ack_parents;
-  for (const obs::SpanRecord& span : spans) {
-    if (span.update_id != 1) continue;
-    if (span.name == "quorum") quorum = span.id;
-    if (span.name == "ack-sent") ack_parents.push_back(span.parent);
-  }
+  const auto [quorum, ack_parents] = quorum_and_acks(h, 1);
   ASSERT_NE(quorum, 0u);
   EXPECT_EQ(ack_parents, (std::vector<std::uint64_t>{quorum, quorum}));
+}
+
+// An aborted instance's quorum span parents nothing: once the update is
+// adopted from a donor, its re-acknowledgement hangs under no quorum.
+TEST(PeerAck, AckAfterAnAbortedQuorumAndAdoptionHasNoParent) {
+  PeerHarness h;
+  h.peer->enable_abort(5'000, 8'000);
+  h.send(100, WireMessage::Kind::kUpdate, 1);
+  h.send(1, WireMessage::Kind::kVote, 1);
+  h.send(2, WireMessage::Kind::kVote, 1);  // Commit broadcast: quorum open.
+  ASSERT_EQ(h.peer->stats().commits_sent, 1u);
+  h.sched.run_until(h.sched.now() + 40'000);  // No commits arrive.
+  ASSERT_EQ(h.peer->stats().aborted, 1u);
+  ASSERT_EQ(h.peer->reconcile_history(kGuid, {{1, 1, 10}}), 1u);
+  h.send(100, WireMessage::Kind::kUpdate, 1);
+  ASSERT_EQ(h.client_inbox.size(), 1u);
+
+  const auto [quorum, ack_parents] = quorum_and_acks(h, 1);
+  ASSERT_NE(quorum, 0u);
+  EXPECT_EQ(exported_spans(h)[quorum - 1].find("detail")->as_string(),
+            "abort");
+  EXPECT_EQ(ack_parents, (std::vector<std::uint64_t>{0}));
 }
 
 TEST(PeerAck, ReconcileSettledUpdateIsAcknowledgedThroughTheLedger) {
@@ -356,17 +401,16 @@ TEST(PeerAck, ReconcileSettledUpdateIsAcknowledgedThroughTheLedger) {
       [&](std::uint64_t, const CommitPeer::CommittedEntry& e) {
         acked.push_back(e);
       });
-  obs::SpanRecorder spans;
-  h.peer->set_spans(&spans);
   ASSERT_EQ(h.peer->reconcile_history(kGuid, {{1, 1, 10}}), 1u);
 
   h.send(100, WireMessage::Kind::kUpdate, 1);
   EXPECT_EQ(acked, (std::vector<CommitPeer::CommittedEntry>{{1, 1, 10}}));
   ASSERT_EQ(h.client_inbox.size(), 1u);
   EXPECT_EQ(h.client_inbox[0].kind, WireMessage::Kind::kCommitted);
+  const std::vector<obs::JsonValue> spans = exported_spans(h);
   ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "ack-sent");
-  EXPECT_EQ(spans[0].parent, 0u);  // No local quorum span.
+  EXPECT_EQ(spans[0].find("name")->as_string(), "ack-sent");
+  EXPECT_EQ(field(spans[0], "parent"), 0u);  // No local quorum span.
   EXPECT_TRUE(h.outgoing.empty());
   EXPECT_EQ(h.peer->resident_instances(kGuid), 0u);
 }

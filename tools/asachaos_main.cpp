@@ -22,6 +22,7 @@
 
 #include "cli_args.hpp"
 #include "obs/postmortem.hpp"
+#include "obs/span.hpp"
 #include "storage/chaos.hpp"
 #include "write_file.hpp"
 
@@ -107,17 +108,18 @@ void print_violations(const ChaosReport& report) {
 }
 
 /// Build a post-mortem bundle for a violating seed by RE-RUNNING its
-/// schedule with dedicated recorders. The sim is deterministic, so the
-/// re-run reproduces the exact failing timeline — and two invocations on
-/// the same seed produce byte-identical bundles (no wall-clock anywhere).
+/// schedule with a dedicated metrics registry and event recorder. The sim
+/// is deterministic, so the re-run reproduces the exact failing timeline —
+/// and two invocations on the same seed produce byte-identical bundles (no
+/// wall-clock anywhere).
 /// `shrunk` carries the delta-debugged minimal plan (empty for crashes
 /// caught before shrinking).
 std::string build_postmortem(const ChaosConfig& config,
                              const sim::FaultPlan& plan,
                              const sim::FaultPlan& shrunk) {
   obs::MetricsRegistry pm_metrics(true);
-  obs::EventRecorder pm_flight(/*tracing=*/false, /*flight_capacity=*/256);
-  obs::SpanRecorder pm_spans;
+  obs::EventRecorder pm_events(/*tracing=*/false, /*flight_capacity=*/256,
+                               /*spans=*/true);
   obs::PostmortemViolations violations;
   std::vector<std::string> plan_lines;
   std::vector<std::string> shrunk_lines;
@@ -129,7 +131,7 @@ std::string build_postmortem(const ChaosConfig& config,
   }
   try {
     const ChaosReport report =
-        run_plan(config, plan, &pm_metrics, &pm_flight, &pm_spans);
+        run_plan(config, plan, &pm_metrics, &pm_events);
     for (const Violation& v : report.violations) {
       violations.emplace_back(v.invariant, v.detail);
     }
@@ -143,8 +145,7 @@ std::string build_postmortem(const ChaosConfig& config,
       {"replication", std::to_string(config.replication)},
   };
   return obs::write_postmortem_json(meta, violations, plan_lines,
-                                    shrunk_lines, pm_flight, pm_metrics,
-                                    pm_spans);
+                                    shrunk_lines, pm_events, pm_metrics);
 }
 
 /// Write the bundle for `config.seed` into `dir` and report where it went.
@@ -208,9 +209,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      return i + 1 < argc ? std::string(argv[++i]) : std::string();
-    };
+    const auto next = [&] { return cli::next_value(argc, argv, i); };
     try {
       if (arg == "-h" || arg == "--help") {
         usage();
@@ -374,15 +373,16 @@ int main(int argc, char** argv) {
 
   // Campaign-wide observability sinks: per-seed registries merge (counters
   // and histogram buckets add), per-seed traces concatenate behind a
-  // campaign seed marker. Both stay disabled (and free) unless requested.
+  // campaign seed marker and per-seed spans behind a run boundary. Both
+  // stay disabled (and free) unless requested.
   obs::MetricsRegistry campaign_metrics(!metrics_out.empty());
-  obs::EventRecorder campaign_trace(/*tracing=*/true, /*flight_capacity=*/0);
-  obs::SpanRecorder campaign_spans;
+  obs::EventRecorder campaign_events(/*tracing=*/!trace_out.empty(),
+                                     /*flight_capacity=*/0,
+                                     /*spans=*/!spans_out.empty());
   obs::MetricsRegistry* metrics_sink =
       metrics_out.empty() ? nullptr : &campaign_metrics;
-  obs::EventRecorder* trace_sink =
-      trace_out.empty() ? nullptr : &campaign_trace;
-  obs::SpanRecorder* spans_sink = spans_out.empty() ? nullptr : &campaign_spans;
+  obs::EventRecorder* events_sink =
+      campaign_events.enabled() ? &campaign_events : nullptr;
 
   std::uint64_t violating_seeds = 0;
   std::uint64_t total_events = 0;
@@ -397,8 +397,7 @@ int main(int argc, char** argv) {
     const sim::FaultPlan plan = generate_fault_plan(seed_config, rng);
     ChaosReport report;
     try {
-      report = run_plan(seed_config, plan, metrics_sink, trace_sink,
-                        spans_sink);
+      report = run_plan(seed_config, plan, metrics_sink, events_sink);
     } catch (const std::exception& e) {
       std::cerr << "seed " << seed_config.seed << " crashed: " << e.what()
                 << "\n";
@@ -479,12 +478,12 @@ int main(int argc, char** argv) {
           out << "{\"schema\":\"asa-trace/1\",\"tool\":\"asachaos\","
                  "\"seed0\":"
               << seed0 << ",\"seeds\":" << seeds << "}\n";
-          campaign_trace.write_trace_jsonl(out);
+          campaign_events.write_trace_jsonl(out);
         })) {
       return 2;
     }
     std::cout << "trace written to " << trace_out << " ("
-              << campaign_trace.stream().size() << " events)\n";
+              << campaign_events.stream().size() << " events)\n";
   }
   if (!spans_out.empty()) {
     const obs::Meta meta{
@@ -495,11 +494,11 @@ int main(int argc, char** argv) {
         {"replication", std::to_string(config.replication)},
     };
     if (!cli::write_file(spans_out,
-                         obs::write_spans_json(campaign_spans, meta))) {
+                         obs::write_spans_json(campaign_events, meta))) {
       return 2;
     }
     std::cout << "spans written to " << spans_out << " ("
-              << campaign_spans.size() << " spans)\n";
+              << obs::span_count(campaign_events) << " spans)\n";
   }
 
   // An artefact the caller asked for and did not get is an error, whatever

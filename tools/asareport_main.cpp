@@ -17,7 +17,8 @@
 // structure and exits non-zero on malformed or unknown-schema input (CI
 // gates on this).
 // With --bench-compare it gates a fresh bench_execution --json run against
-// a committed baseline (ns/msg per impl, +/- tolerance).
+// a committed baseline (ns/msg per impl, +/- tolerance). A flag the run
+// would ignore, or given without its value, exits 2.
 //
 //   asareport --metrics run.json --trace run.trace
 //   asareport --spans run.spans.json --critical-path
@@ -46,14 +47,16 @@ void usage() {
       "  --spans FILE     asa-span/1 JSON document (from --spans-out)\n"
       "  --trace FILE     asa-trace/1 JSONL event stream (optional;\n"
       "                   rendered with a metrics document)\n"
-      "  --top K          slowest commit instances to list (default 10)\n"
+      "  --top K          slowest commit instances to list (default 10;\n"
+      "                   needs an asa-metrics/1 document)\n"
       "  --critical-path  attribute commit latency to protocol phases\n"
       "                   (needs a span document)\n"
       "  --bench-compare BASELINE\n"
       "                   gate --metrics (a fresh bench --json run) against\n"
       "                   the BASELINE metrics document: ns/msg per impl\n"
       "                   must stay within the tolerance\n"
-      "  --tolerance T    allowed relative ns/msg drift (default 0.20)\n"
+      "  --tolerance T    allowed relative ns/msg drift (default 0.20;\n"
+      "                   needs --bench-compare)\n"
       "  --validate       validate the document(s) and the trace and exit;\n"
       "                   non-zero on malformed or unknown-schema input\n";
 }
@@ -104,12 +107,12 @@ int main(int argc, char** argv) {
   obs::ReportOptions options;
   bool validate_only = false;
   bool critical_path = false;
+  bool tolerance_given = false;
+  bool top_given = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      return i + 1 < argc ? std::string(argv[++i]) : std::string();
-    };
+    const auto next = [&] { return cli::next_value(argc, argv, i); };
     try {
       if (arg == "-h" || arg == "--help") {
         usage();
@@ -124,8 +127,10 @@ int main(int argc, char** argv) {
         bench_baseline_path = next();
       } else if (arg == "--tolerance") {
         tolerance = cli::double_arg(arg, next());
+        tolerance_given = true;
       } else if (arg == "--top") {
         options.top_k = cli::unsigned_arg<std::size_t>(arg, next());
+        top_given = true;
       } else if (arg == "--critical-path") {
         critical_path = true;
       } else if (arg == "--validate") {
@@ -142,6 +147,10 @@ int main(int argc, char** argv) {
   }
   if (metrics_path.empty() && spans_path.empty()) {
     usage();
+    return 2;
+  }
+  if (tolerance_given && bench_baseline_path.empty()) {
+    std::cerr << "asareport: --tolerance needs --bench-compare\n";
     return 2;
   }
 
@@ -176,6 +185,18 @@ int main(int argc, char** argv) {
                 << schema_of(*spans) << "\n";
       return 1;
     }
+  }
+
+  const auto metrics_is = [&metrics](const char* schema) {
+    return metrics.has_value() && schema_of(*metrics) == schema;
+  };
+  if (top_given && !metrics_is("asa-metrics/1")) {
+    std::cerr << "asareport: --top needs an asa-metrics/1 document\n";
+    return 2;
+  }
+  if (critical_path && !spans.has_value() && !metrics_is("asa-span/1")) {
+    std::cerr << "asareport: --critical-path needs a span document\n";
+    return 2;
   }
 
   std::vector<obs::TraceEvent> trace;
@@ -225,7 +246,6 @@ int main(int argc, char** argv) {
   }
   if (spans.has_value()) {
     // --critical-path is the only span renderer; a bare --spans gets it too.
-    (void)critical_path;
     std::cout << obs::render_critical_path(*spans);
   }
   return 0;

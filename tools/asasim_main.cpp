@@ -22,6 +22,7 @@
 #include "commit/replay.hpp"
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "sim/workload.hpp"
 #include "storage/cluster.hpp"
 #include "write_file.hpp"
@@ -171,9 +172,7 @@ int asasim_main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      return i + 1 < argc ? std::string(argv[++i]) : std::string();
-    };
+    const auto next = [&] { return cli::next_value(argc, argv, i); };
     if (arg == "-h" || arg == "--help") {
       usage();
       return 0;
@@ -564,7 +563,7 @@ int asasim_main(int argc, char** argv) {
       return 2;
     }
     std::cout << "spans written to " << spans_out << " ("
-              << cluster.spans().size() << " spans)\n";
+              << obs::span_count(cluster.spans()) << " spans)\n";
   }
   const obs::EventRecorder& flight = cluster.events();
   if (flight.capacity() > 0) {

@@ -1,9 +1,10 @@
-// Strict numeric option parsing shared by every command-line tool.
+// Strict option parsing shared by every command-line tool.
 //
 // std::stoul and friends accept "4x" (parsing the 4), skip leading
 // whitespace and silently wrap "-1", so a mistyped option runs a different
 // experiment than the one asked for. These helpers accept only a whole
-// string holding one plain number; anything else is a usage error, which
+// string holding one plain number, and an option given last without its
+// value is missing it, not empty; anything else is a usage error, which
 // every tool reports with exit code 2.
 #pragma once
 
@@ -68,6 +69,16 @@ class BadArgument : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// The value after the option `argv[i]`, stepping `i` onto it; BadArgument
+/// when the option is the last argument, so `--spans-out` given last
+/// cannot run as if it were absent.
+inline std::string next_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    throw BadArgument(std::string(argv[i]) + " expects a value");
+  }
+  return argv[++i];
+}
 
 /// The value of `option` as an unsigned number of type T, or BadArgument.
 template <typename T>

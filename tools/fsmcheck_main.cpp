@@ -256,9 +256,7 @@ int run_protocol(check::CompositionOptions base, std::uint32_t r_lo,
   return findings.empty() ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int fsmcheck_main(int argc, char** argv) {
   check::CheckOptions options;
 #ifdef ASA_DEFAULT_ARTIFACT
   options.artifact_path = ASA_DEFAULT_ARTIFACT;
@@ -276,26 +274,16 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      return i + 1 < argc ? std::string(argv[++i]) : std::string();
-    };
+    const auto next = [&] { return cli::next_value(argc, argv, i); };
     // Strict numeric option parse: fail loudly on "4x", "-1", "" etc.
-    const auto next_u32 = [&]() -> std::optional<std::uint32_t> {
-      const std::string value = next();
-      const auto parsed = parse_u32(value);
-      if (!parsed.has_value()) {
-        std::cerr << "fsmcheck: " << arg
-                  << " expects an unsigned integer, got '" << value << "'\n";
-      }
-      return parsed;
+    const auto next_u32 = [&] {
+      return cli::unsigned_arg<std::uint32_t>(arg, next());
     };
     if (arg == "-h" || arg == "--help") {
       usage();
       return 0;
     } else if (arg == "-r") {
-      const auto r = next_u32();
-      if (!r.has_value()) return 2;
-      options.r_lo = options.r_hi = *r;
+      options.r_lo = options.r_hi = next_u32();
       single_r = true;
     } else if (arg == "--family") {
       const std::string range = next();
@@ -336,18 +324,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--mutate") {
       mutate = true;
     } else if (arg == "--jobs") {
-      const auto jobs = next_u32();
-      if (!jobs.has_value()) return 2;
-      options.jobs = *jobs;
+      options.jobs = next_u32();
     } else if (arg == "--protocol") {
       protocol = true;
     } else if (const auto* flag = std::find_if(
                    std::begin(kCompositionFlags), std::end(kCompositionFlags),
                    [&](const CompositionFlag& f) { return f.first == arg; });
                flag != std::end(kCompositionFlags)) {
-      const auto value = next_u32();
-      if (!value.has_value()) return 2;
-      comp.*flag->second = *value;
+      comp.*flag->second = next_u32();
       protocol_flag = arg;
     } else if (arg == "--mutation") {
       comp.mutation = next();
@@ -420,4 +404,15 @@ int main(int argc, char** argv) {
     render_flagged(run.findings, options, dot_path, mermaid_path);
   }
   return run.findings.empty() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return fsmcheck_main(argc, argv);
+  } catch (const cli::BadArgument& e) {
+    std::cerr << "fsmcheck: " << e.what() << "\n";
+    return 2;
+  }
 }

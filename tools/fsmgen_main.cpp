@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include <memory>
@@ -95,41 +94,24 @@ int fsmgen_main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
+    const auto next = [&] { return cli::next_value(argc, argv, i); };
     if (arg == "-h" || arg == "--help") {
       usage();
       return 0;
     } else if (arg == "-r" || arg == "--replication-factor") {
-      const auto v = next();
-      if (!v) { usage(); return 2; }
-      r = cli::unsigned_arg<std::uint32_t>(arg, *v);
+      r = cli::unsigned_arg<std::uint32_t>(arg, next());
     } else if (arg == "-n" || arg == "--max-tasks") {
-      const auto v = next();
-      if (!v) { usage(); return 2; }
-      max_tasks = cli::unsigned_arg<std::uint32_t>(arg, *v);
+      max_tasks = cli::unsigned_arg<std::uint32_t>(arg, next());
     } else if (arg == "--model") {
-      const auto v = next();
-      if (!v) { usage(); return 2; }
-      model_name = *v;
+      model_name = next();
     } else if (arg == "--render") {
-      const auto v = next();
-      if (!v) { usage(); return 2; }
-      render = *v;
+      render = next();
     } else if (arg == "-o" || arg == "--out") {
-      const auto v = next();
-      if (!v) { usage(); return 2; }
-      out_path = *v;
+      out_path = next();
     } else if (arg == "--class-name") {
-      const auto v = next();
-      if (!v) { usage(); return 2; }
-      class_name = *v;
+      class_name = next();
     } else if (arg == "--backend") {
-      const auto v = next();
-      if (!v) { usage(); return 2; }
-      backend = *v;
+      backend = next();
       if (backend != "switch" && backend != "table") {
         std::cerr << "unknown backend: " << backend << "\n";
         return 2;
@@ -139,19 +121,13 @@ int fsmgen_main(int argc, char** argv) {
     } else if (arg == "--no-merge") {
       options.merge_equivalent = false;
     } else if (arg == "-j" || arg == "--jobs") {
-      const auto v = next();
-      if (!v) { usage(); return 2; }
-      options.jobs = cli::unsigned_arg<unsigned>(arg, *v);
+      options.jobs = cli::unsigned_arg<unsigned>(arg, next());
     } else if (arg == "--cache") {
-      const auto v = next();
-      if (!v) { usage(); return 2; }
-      cache_dir = *v;
+      cache_dir = next();
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--profile") {
-      const auto v = next();
-      if (!v) { usage(); return 2; }
-      profile_path = *v;
+      profile_path = next();
     } else if (arg == "--analyze") {
       analyze_machine = true;
     } else {
