@@ -17,35 +17,36 @@
 //     server shape) — the compiled_table_x16 aggregate is the throughput
 //     number the trajectory tracks
 //
-// plus the generation cost per family member (Table 1's time column as a
-// proper benchmark).
-//
-// Two front ends share the contestants:
-//   * default: google-benchmark (all --benchmark_* flags apply)
-//   * --json FILE [--iters N]: the fixed-methodology throughput harness
-//     behind BENCH_execution.json — per-contestant warmup + best-of-3
-//     timed runs over the shared message stream, written as one
-//     asa-metrics/1 document (see EXPERIMENTS.md "Execution throughput
-//     trajectory" for the exact protocol)
-#include <benchmark/benchmark.h>
-
+// The harness is the fixed-methodology one behind BENCH_execution.json:
+// per-contestant warmup + best-of-3 timed runs over the shared message
+// stream, printed as a table and, with --json FILE, written as one
+// asa-metrics/1 document (see EXPERIMENTS.md "Execution throughput
+// trajectory" for the exact protocol). Generation cost per family member
+// is timed by bench_table1 and bench_generation_scaling.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "commit/commit_model.hpp"
 #include "commit/generated/commit_fsm_r4.hpp"
 #include "core/compiled_machine.hpp"
 #include "core/interpreter.hpp"
 #include "obs/metrics.hpp"
 #include "sim/rng.hpp"
+#include "write_file.hpp"
 
 namespace {
 
 using namespace asa_repro;
+
+/// Keep `value` observable, so the loop that computes it is not elided.
+template <typename T>
+void keep(const T& value) {
+  __asm__ __volatile__("" : : "r"(&value) : "memory");
+}
 
 /// Deterministic message stream shared by all contestants.
 std::vector<fsm::MessageId> message_stream(std::size_t n) {
@@ -263,7 +264,7 @@ std::uint64_t run_compiled_table(std::uint64_t iters) {
     row = rec.next;
     i = (i + 1) & 4095;
   }
-  benchmark::DoNotOptimize(row);
+  keep(row);
   return actions;
 }
 
@@ -324,103 +325,12 @@ std::uint64_t run_compiled_table_x16(std::uint64_t iters) {
     actions += rec.span;
     rows[b] = rec.next;
   }
-  benchmark::DoNotOptimize(rows);
+  keep(rows);
   return actions;
 }
 
 // ---------------------------------------------------------------------------
-// google-benchmark front end.
-
-void BM_Interpreter(benchmark::State& state) {
-  fsm::FsmInstance inst(commit_machine());
-  std::size_t i = 0;
-  std::uint64_t actions = 0;
-  for (auto _ : state) {
-    const fsm::Transition* t = inst.deliver(stream()[i]);
-    if (t != nullptr) actions += t->actions.size();
-    if (inst.finished()) inst.reset();
-    i = (i + 1) & 4095;
-  }
-  benchmark::DoNotOptimize(actions);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Interpreter);
-
-void BM_GeneratedSwitch(benchmark::State& state) {
-  NullActionsFsm fsm;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    fsm.receive(stream()[i]);
-    if (fsm.finished()) fsm.reset();
-    i = (i + 1) & 4095;
-  }
-  benchmark::DoNotOptimize(fsm.sent);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GeneratedSwitch);
-
-void BM_HandWritten(benchmark::State& state) {
-  HandWrittenCommit fsm(4);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    fsm.receive(stream()[i]);
-    if (fsm.finished()) fsm.reset();
-    i = (i + 1) & 4095;
-  }
-  benchmark::DoNotOptimize(fsm.sent);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HandWritten);
-
-void BM_CompiledDeliver(benchmark::State& state) {
-  fsm::CompiledInstance inst(compiled_machine());
-  std::size_t i = 0;
-  std::uint64_t actions = 0;
-  for (auto _ : state) {
-    actions += inst.deliver(stream()[i]).count;
-    if (inst.finished()) inst.reset();
-    i = (i + 1) & 4095;
-  }
-  benchmark::DoNotOptimize(actions);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CompiledDeliver);
-
-void BM_CompiledTable(benchmark::State& state) {
-  static const std::vector<fsm::CompiledRecord> fused =
-      fsm::reset_fused_table(compiled_machine());
-  const fsm::CompiledRecord* table = fused.data();
-  std::uint32_t row =
-      compiled_machine().start() * compiled_machine().event_count();
-  std::size_t i = 0;
-  std::uint64_t actions = 0;
-  for (auto _ : state) {
-    const fsm::CompiledRecord rec = table[row + stream()[i]];
-    actions += rec.span;
-    row = rec.next;
-    i = (i + 1) & 4095;
-  }
-  benchmark::DoNotOptimize(row);
-  benchmark::DoNotOptimize(actions);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CompiledTable);
-
-void BM_GenerateStateMachine(benchmark::State& state) {
-  const auto r = static_cast<std::uint32_t>(state.range(0));
-  commit::CommitModel model(r);
-  std::size_t states = 0;
-  for (auto _ : state) {
-    const fsm::StateMachine machine = model.generate_state_machine();
-    states = machine.state_count();
-    benchmark::DoNotOptimize(states);
-  }
-  state.counters["final_states"] = static_cast<double>(states);
-}
-BENCHMARK(BM_GenerateStateMachine)->Arg(4)->Arg(7)->Arg(13)->Arg(25)->Arg(46);
-
-// ---------------------------------------------------------------------------
-// --json front end: the BENCH_execution.json methodology.
+// The harness: the BENCH_execution.json methodology.
 
 struct Contestant {
   const char* name;
@@ -437,7 +347,7 @@ constexpr Contestant kContestants[] = {
     {"compiled_table_x16", run_compiled_table_x16},
 };
 
-int run_json_harness(const std::string& json_path, std::uint64_t iters) {
+int run_harness(const std::string& json_path, std::uint64_t iters) {
   obs::MetricsRegistry registry;
   std::printf("Execution throughput harness: r=4 commit machine, %llu "
               "messages per run,\nwarmup + best of 3 (see EXPERIMENTS.md)\n\n",
@@ -474,6 +384,7 @@ int run_json_harness(const std::string& json_path, std::uint64_t iters) {
         .set(static_cast<std::int64_t>(msgs_per_sec));
   }
 
+  if (json_path.empty()) return 0;
   const obs::Meta meta{
       {"tool", "bench_execution"},
       {"model", "commit"},
@@ -482,61 +393,36 @@ int run_json_harness(const std::string& json_path, std::uint64_t iters) {
       {"reps", "3"},
       {"clock", "wall"},
   };
-  std::ofstream out(json_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  if (!cli::write_file(json_path, obs::write_metrics_json(registry, meta))) {
+    return 2;
   }
-  out << obs::write_metrics_json(registry, meta);
   std::printf("\nmetrics written to %s\n", json_path.c_str());
   return 0;
 }
 
-void usage() {
-  std::printf(
-      "usage: bench_execution [--json FILE [--iters N]] [--benchmark_*]\n"
-      "  --json FILE   run the fixed throughput harness (warmup + best of\n"
-      "                3 per contestant) and write asa-metrics/1 JSON;\n"
-      "                this is how BENCH_execution.json is produced\n"
-      "  --iters N     messages per timed run in --json mode\n"
-      "                (default 50000000; CI smoke uses a tiny count)\n"
-      "  without --json, runs google-benchmark over the same contestants\n"
-      "  (all --benchmark_* flags pass through, e.g. --benchmark_filter)\n");
+int bench_execution_main(int argc, char** argv) {
+  std::string json_path;
+  std::uint64_t iters = 50'000'000;
+  cli::Options args(
+      "usage: bench_execution [options]\n"
+      "Runs the fixed throughput harness (warmup + best of 3 per\n"
+      "contestant) and prints its table.",
+      {},
+      {
+          {{"--json"}, "FILE", "also write the results as asa-metrics/1 "
+           "JSON; this is how BENCH_execution.json is produced",
+           cli::to(json_path)},
+          {{"--iters"}, "N", "messages per timed run (default 50000000; CI "
+           "smoke uses a tiny count)", cli::to(iters)},
+      });
+  if (!args.parse(argc, argv)) return 0;
+  if (iters == 0) throw cli::BadArgument("--iters must be positive");
+  return run_harness(json_path, iters);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::uint64_t iters = 50'000'000;
-  std::vector<char*> passthrough{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-h" || arg == "--help") {
-      usage();
-      return 0;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--iters" && i + 1 < argc) {
-      iters = std::stoull(argv[++i]);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (!json_path.empty()) {
-    if (iters == 0) {
-      std::fprintf(stderr, "--iters must be positive\n");
-      return 2;
-    }
-    return run_json_harness(json_path, iters);
-  }
-  int bench_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&bench_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                             passthrough.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return cli::run("bench_execution",
+                  [&] { return bench_execution_main(argc, argv); });
 }

@@ -9,7 +9,6 @@
 // Counts are asserted inline (exit code 1 on mismatch) so the bench doubles
 // as a regression gate.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -18,6 +17,7 @@
 #include "core/render/dot_renderer.hpp"
 #include "core/render/text_renderer.hpp"
 #include "core/render/xml_renderer.hpp"
+#include "write_file.hpp"
 
 using namespace asa_repro;
 
@@ -66,7 +66,7 @@ int main() {
     const std::string dot =
         fsm::DotRenderer(options).render_excerpt(machine, excerpt);
     std::fputs(dot.c_str(), stdout);
-    std::ofstream("fig3_excerpt.dot") << dot;
+    if (!cli::write_file("fig3_excerpt.dot", dot)) return 2;
     std::printf("(written to fig3_excerpt.dot)\n\n");
   }
 
@@ -92,8 +92,10 @@ int main() {
     options.graph_name = "commit_r4";
     const std::string dot = fsm::DotRenderer(options).render(machine);
     const std::string xml = fsm::XmlRenderer().render(machine);
-    std::ofstream("fig15_r4.dot") << dot;
-    std::ofstream("fig15_r4.xml") << xml;
+    if (!cli::write_file("fig15_r4.dot", dot) ||
+        !cli::write_file("fig15_r4.xml", xml)) {
+      return 2;
+    }
     std::printf("DOT: %zu bytes -> fig15_r4.dot\n", dot.size());
     std::printf("XML: %zu bytes -> fig15_r4.xml (diagram interchange, "
                 "paper used Borland Together)\n\n",

@@ -11,13 +11,14 @@
 // concurrency) best-of-N wall time, per-state throughput, and speedup.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 
+#include "cli_args.hpp"
 #include "commit/commit_model.hpp"
 #include "core/equivalence.hpp"
 #include "core/parallel.hpp"
 #include "obs/metrics.hpp"
+#include "write_file.hpp"
 
 using namespace asa_repro;
 
@@ -45,24 +46,14 @@ double best_ms(const commit::CommitModel& model,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_generation_scaling_main(int argc, char** argv) {
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-h" || arg == "--help") {
-      std::printf("usage: %s [--json FILE]\n"
-                  "  --json FILE   also write the sweep results as one\n"
-                  "                asa-metrics/1 JSON document\n",
-                  "bench_generation_scaling");
-      return 0;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_generation_scaling [--json FILE]\n");
-      return 2;
-    }
-  }
+  cli::Options args("usage: bench_generation_scaling [options]", {},
+                    {{{"--json"}, "FILE",
+                      "also write the sweep results as one asa-metrics/1 "
+                      "JSON document",
+                      cli::to(json_path)}});
+  if (!args.parse(argc, argv)) return 0;
   // Per-r sweep results in the shared asa-metrics/1 schema. State counts
   // are deterministic; the *_us gauges are wall-clock (this bench measures
   // real time, like fsmgen --profile) and vary run to run.
@@ -138,13 +129,16 @@ int main(int argc, char** argv) {
         {"jobs", std::to_string(jobs)},
         {"clock", "wall"},
     };
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
+    if (!cli::write_file(json_path,
+                         obs::write_metrics_json(registry, meta))) {
+      return 2;
     }
-    out << obs::write_metrics_json(registry, meta);
     std::printf("metrics written to %s\n", json_path.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli::run("bench_generation_scaling",
+                  [&] { return bench_generation_scaling_main(argc, argv); });
 }

@@ -10,17 +10,18 @@
 //
 // All runs are deterministic per seed; aggregates are over seed sweeps.
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "commit/endpoint.hpp"
 #include "commit/machine_cache.hpp"
 #include "commit/peer.hpp"
 #include "obs/metrics.hpp"
+#include "write_file.hpp"
 
 using namespace asa_repro;
 using commit::Behaviour;
@@ -109,23 +110,14 @@ RunResult run_scenario(std::uint32_t r, int clients, std::uint64_t seed,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_protocol_main(int argc, char** argv) {
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-h" || arg == "--help") {
-      std::printf("usage: %s [--json FILE]\n"
-                  "  --json FILE   also write the sweep results as one\n"
-                  "                asa-metrics/1 JSON document\n",
-                  "bench_protocol");
-      return 0;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_protocol [--json FILE]\n");
-      return 2;
-    }
-  }
+  cli::Options args("usage: bench_protocol [options]", {},
+                    {{{"--json"}, "FILE",
+                      "also write the sweep results as one asa-metrics/1 "
+                      "JSON document",
+                      cli::to(json_path)}});
+  if (!args.parse(argc, argv)) return 0;
   // Exact integer totals per sweep cell, exported as asa-metrics/1 (the
   // schema asasim/asachaos share); consumers divide by the `seeds` counter.
   // Totals, not means: integers keep the file byte-stable across runs.
@@ -296,13 +288,16 @@ int main(int argc, char** argv) {
         {"tool", "bench_protocol"},
         {"experiments", "A,B,C"},
     };
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
+    if (!cli::write_file(json_path,
+                         obs::write_metrics_json(registry, meta))) {
+      return 2;
     }
-    out << obs::write_metrics_json(registry, meta);
     std::printf("\nmetrics written to %s\n", json_path.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli::run("bench_protocol",
+                  [&] { return bench_protocol_main(argc, argv); });
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -19,6 +18,7 @@
 #include "commit/variants.hpp"
 #include "core/state_machine.hpp"
 #include "sim/network.hpp"
+#include "sim/parse_number.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 
@@ -39,11 +39,7 @@ std::string participant(std::uint32_t idx) {
 
 std::optional<std::uint32_t> parse_participant(const std::string& text) {
   if (text == "e") return ReplayStep::kEndpoint;
-  std::uint32_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end) return std::nullopt;
-  return value;
+  return sim::parse_unsigned<std::uint32_t>(text);
 }
 
 /// Step words, indexed by ReplayStep::Kind.

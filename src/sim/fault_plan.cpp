@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+
+#include "sim/parse_number.hpp"
 
 namespace asa_repro::sim {
 
@@ -110,9 +113,25 @@ std::string FaultEvent::serialize() const {
 
 std::optional<FaultEvent> FaultEvent::parse(const std::string& line) {
   std::istringstream in(line);
+  // The next token as a number spanning the whole token (`in >> field`
+  // would wrap "-5" into an unsigned field and stop early on "12x").
+  const auto number = [&in](auto& field) {
+    using Field = std::remove_reference_t<decltype(field)>;
+    std::string token;
+    std::optional<Field> parsed;
+    if (in >> token) {
+      if constexpr (std::is_floating_point_v<Field>) {
+        parsed = parse_double(token);
+      } else {
+        parsed = parse_unsigned<Field>(token);
+      }
+    }
+    if (parsed.has_value()) field = *parsed;
+    return parsed.has_value();
+  };
   FaultEvent event;
   std::string kind;
-  if (!(in >> event.at >> kind)) return std::nullopt;
+  if (!number(event.at) || !(in >> kind)) return std::nullopt;
   const std::optional<Kind> parsed = kind_from(kind);
   if (!parsed.has_value()) return std::nullopt;
   event.kind = *parsed;
@@ -127,31 +146,32 @@ std::optional<FaultEvent> FaultEvent::parse(const std::string& line) {
     case Kind::kJoin:
     case Kind::kLeave:
     case Kind::kDepart:
-      if (!(in >> event.node)) return std::nullopt;
+      if (!number(event.node)) return std::nullopt;
       break;
     case Kind::kPartition:
     case Kind::kHeal:
-      if (!(in >> event.node >> event.peer)) return std::nullopt;
+      if (!number(event.node) || !number(event.peer)) return std::nullopt;
       break;
     case Kind::kFlushDrop:
     case Kind::kBitRot:
     case Kind::kDiskFull:
-      if (!(in >> event.node >> event.arg)) return std::nullopt;
+      if (!number(event.node) || !number(event.arg)) return std::nullopt;
       break;
     case Kind::kDropRate:
     case Kind::kDupRate:
-      if (!(in >> event.rate) || event.rate < 0.0 || event.rate > 1.0) {
+      if (!number(event.rate) || event.rate < 0.0 || event.rate > 1.0) {
         return std::nullopt;
       }
       break;
     case Kind::kByzantine:
-      if (!(in >> event.node >> event.behaviour) ||
+      if (!number(event.node) || !(in >> event.behaviour) ||
           !valid_behaviour(event.behaviour)) {
         return std::nullopt;
       }
       break;
     case Kind::kLinkProfile:
-      if (!(in >> event.node >> event.peer >> event.behaviour) ||
+      if (!number(event.node) || !number(event.peer) ||
+          !(in >> event.behaviour) ||
           !valid_link_class(event.behaviour)) {
         return std::nullopt;
       }

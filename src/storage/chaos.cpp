@@ -4,8 +4,10 @@
 #include <functional>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "durable/journal.hpp"
+#include "sim/parse_number.hpp"
 #include "sim/workload.hpp"
 #include "storage/maintenance.hpp"
 
@@ -131,8 +133,8 @@ void apply_fault(AsaCluster& cluster, const FaultEvent& event) {
         cluster.network().clear_link_profile(to, from);
       } else if (const std::optional<sim::LinkProfile> profile =
                      sim::link_profile(event.behaviour)) {
-        // Installed symmetrically for simplicity; asymmetric paths are
-        // expressible as two plan events with different classes.
+        // Installed in both directions, so a later event on the same
+        // pair overrides both: plans cannot express an asymmetric path.
         cluster.network().set_link_profile(from, to, *profile);
         cluster.network().set_link_profile(to, from, *profile);
       }
@@ -199,56 +201,65 @@ std::optional<ChaosConfig> ChaosConfig::parse(const std::string& text) {
     std::string key;
     if (!(fields >> key)) continue;
     std::string value;
-    if (!(fields >> value)) return std::nullopt;
-    try {
-      if (key == "nodes") {
-        config.nodes = std::stoul(value);
-      } else if (key == "replication") {
-        config.replication = static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "seed") {
-        config.seed = std::stoull(value);
-      } else if (key == "updates") {
-        config.updates = std::stoi(value);
-      } else if (key == "guids") {
-        config.guids = std::stoi(value);
-      } else if (key == "blocks") {
-        config.blocks = std::stoi(value);
-      } else if (key == "burst") {
-        config.burst = std::stoi(value);
-      } else if (key == "max-events") {
-        config.max_events = std::stoul(value);
-      } else if (key == "equivocators") {
-        config.equivocators = static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "fault-budget") {
-        config.fault_budget =
-            value == "auto" ? kAutoBudget
-                            : static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "horizon") {
-        config.horizon = std::stoull(value);
-      } else if (key == "durability") {
-        if (value != "on" && value != "off") return std::nullopt;
-        config.durability = value == "on";
-      } else if (key == "churn") {
-        if (value != "on" && value != "off") return std::nullopt;
-        config.churn = value == "on";
-      } else if (key == "wan") {
-        if (value != "on" && value != "off") return std::nullopt;
-        config.wan = value == "on";
-      } else if (key == "writers") {
-        config.writers = std::stoi(value);
-      } else if (key == "zipf") {
-        config.zipf = std::stoi(value) / 100.0;
-      } else if (key == "reads") {
-        config.read_fraction = std::stoi(value) / 100.0;
-      } else if (key == "open-loop") {
-        if (value != "on" && value != "off") return std::nullopt;
-        config.open_loop = value == "on";
-      } else {
-        return std::nullopt;  // Unknown key: refuse to mis-replay.
-      }
-    } catch (const std::exception&) {
-      return std::nullopt;
+    std::string trailing;
+    if (!(fields >> value) || fields >> trailing) return std::nullopt;
+    // Every number is a plain unsigned integer spanning the whole token.
+    const auto number = [&value](auto& field) {
+      using Field = std::remove_reference_t<decltype(field)>;
+      const std::optional<Field> parsed = sim::parse_unsigned<Field>(value);
+      if (parsed.has_value()) field = *parsed;
+      return parsed.has_value();
+    };
+    const auto percent = [&](double& field) {
+      int whole = 0;
+      if (!number(whole)) return false;
+      field = whole / 100.0;
+      return true;
+    };
+    const auto on_off = [&value](bool& field) {
+      field = value == "on";
+      return value == "on" || value == "off";
+    };
+    bool ok = false;
+    if (key == "nodes") {
+      ok = number(config.nodes);
+    } else if (key == "replication") {
+      ok = number(config.replication);
+    } else if (key == "seed") {
+      ok = number(config.seed);
+    } else if (key == "updates") {
+      ok = number(config.updates);
+    } else if (key == "guids") {
+      ok = number(config.guids);
+    } else if (key == "blocks") {
+      ok = number(config.blocks);
+    } else if (key == "burst") {
+      ok = number(config.burst);
+    } else if (key == "max-events") {
+      ok = number(config.max_events);
+    } else if (key == "equivocators") {
+      ok = number(config.equivocators);
+    } else if (key == "fault-budget") {
+      config.fault_budget = kAutoBudget;
+      ok = value == "auto" || number(config.fault_budget);
+    } else if (key == "horizon") {
+      ok = number(config.horizon);
+    } else if (key == "durability") {
+      ok = on_off(config.durability);
+    } else if (key == "churn") {
+      ok = on_off(config.churn);
+    } else if (key == "wan") {
+      ok = on_off(config.wan);
+    } else if (key == "writers") {
+      ok = number(config.writers);
+    } else if (key == "zipf") {
+      ok = percent(config.zipf);
+    } else if (key == "reads") {
+      ok = percent(config.read_fraction);
+    } else if (key == "open-loop") {
+      ok = on_off(config.open_loop);
     }
+    if (!ok) return std::nullopt;  // Unknown key or bad value: refuse.
   }
   if (config.range_error().has_value()) return std::nullopt;
   return config;

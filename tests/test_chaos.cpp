@@ -45,7 +45,10 @@ TEST(FaultPlan, RejectsMalformedEvents) {
   for (const char* line :
        {"", "crash", "12 nonsense 1", "12 crash", "12 byzantine 1 sneaky",
         "12 drop-rate 1.5", "12 drop-rate -0.1", "x crash 1",
-        "12 partition 1", "12 crash 1 junk"}) {
+        "12 partition 1", "12 crash 1 junk",
+        // Numbers span their whole token and are never wrapped negatives.
+        "-5 crash 3", "12 crash -1", "12x crash 1", "12 crash 1x",
+        "12 partition 1 -2", "12 drop-rate 0.5x"}) {
     EXPECT_FALSE(FaultEvent::parse(line).has_value()) << line;
   }
 }
@@ -124,6 +127,12 @@ TEST(ChaosReplay, RejectsMalformedInput) {
   EXPECT_FALSE(decode_replay("no marker at all").has_value());
   EXPECT_FALSE(decode_replay("unknown-key 3\nplan\n").has_value());
   EXPECT_FALSE(decode_replay("nodes 12\nplan\n99 bogus 1\n").has_value());
+  EXPECT_FALSE(decode_replay("plan\n-5 crash 3\n").has_value());
+  for (const char* header : {"nodes 12x", "updates -5", "seed -1", "zipf 9.5",
+                             "fault-budget -1", "nodes 12 13", "churn maybe"}) {
+    EXPECT_FALSE(decode_replay(std::string(header) + "\nplan\n").has_value())
+        << header;
+  }
 }
 
 // ---- Plan generation respects the budget. ----

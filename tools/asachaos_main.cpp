@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -30,75 +31,6 @@ using namespace asa_repro;
 using namespace asa_repro::storage;
 
 namespace {
-
-void usage() {
-  std::cout <<
-      "usage: asachaos [options]\n"
-      "  --seeds N          number of randomized campaigns (default 50)\n"
-      "  --seed0 S          first seed (default 1)\n"
-      "  --nodes N          cluster size (default 12)\n"
-      "  --replication R    replication factor (default 4)\n"
-      "  --updates U        version appends per run (default 8)\n"
-      "  --guids G          GUIDs written per run (default 2)\n"
-      "  --blocks B         data blocks stored per run (default 3)\n"
-      "  --burst B          appends in flight per GUID (default 1; 2 when\n"
-      "                     --equivocators is set: concurrent same-GUID\n"
-      "                     updates are what equivocators can split)\n"
-      "  --max-events M     scheduler event bound per run (default 2000000)\n"
-      "  --faults N         concurrent node-fault budget (default f)\n"
-      "  --equivocators K   force K permanent equivocators (faults > f)\n"
-      "  --expect-violation exit 0 only if a violation is found, shrunk\n"
-      "                     and its replay file reproduces it\n"
-      "  --no-durability    volatile nodes (the pre-journal behaviour):\n"
-      "                     restart recovers from peers only, and generated\n"
-      "                     plans carry no disk-fault episodes\n"
-      "  --durability-smoke run the deterministic journal-corruption and\n"
-      "                     crash-consistency smoke instead of a campaign\n"
-      "                     (torn write, bit-rot, full peer-set crash, and\n"
-      "                     the volatile counterfactual); exit 0 when every\n"
-      "                     expectation holds\n"
-      "  --churn            membership-churn episodes in generated plans\n"
-      "                     (ring joins, graceful leaves, abrupt departs)\n"
-      "  --wan              per-link WAN adversity episodes in generated\n"
-      "                     plans (lan/wan/sat latency classes with\n"
-      "                     Gilbert-Elliott burst loss, reset before the\n"
-      "                     horizon)\n"
-      "  --writers W        contention workload: W concurrent writers\n"
-      "                     spread --updates operations over the GUIDs by\n"
-      "                     zipf popularity (0 = legacy per-GUID chains)\n"
-      "  --zipf Z           zipf skew x100 for --writers (default 90)\n"
-      "  --reads P          percent of workload operations that are agreed\n"
-      "                     reads (default 0)\n"
-      "  --open-loop        open-loop arrivals (operations fire on their\n"
-      "                     generated schedule regardless of completions)\n"
-      "  --churn-smoke      run the deterministic churn + handoff smoke\n"
-      "                     instead of a campaign: a graceful leave wave\n"
-      "                     over the whole peer set must keep the history\n"
-      "                     readable, churn mid-commit must not break the\n"
-      "                     commit, and the no-handoff counterfactual must\n"
-      "                     provably lose acknowledged data\n"
-      "  --no-handoff       with --churn-smoke: run only the counterfactual\n"
-      "                     (graceful leaves with the key-range handoff\n"
-      "                     suppressed — demonstrates the data loss)\n"
-      "  --soak S           long-soak mode: rerun the campaign's seed 0 in\n"
-      "                     consecutive horizon windows until S simulated\n"
-      "                     seconds have elapsed, checking invariants per\n"
-      "                     window and commit-rate drift across windows\n"
-      "  --replay FILE      re-run a recorded schedule and report\n"
-      "  --out DIR          directory for replay files (default .)\n"
-      "  --metrics-out FILE campaign-aggregated metrics (asa-metrics/1)\n"
-      "  --trace-out FILE   concatenated per-seed causal traces, each\n"
-      "                     prefixed by a campaign seed marker (asa-trace/1)\n"
-      "  --spans-out FILE   campaign-aggregated commit-path spans\n"
-      "                     (asa-span/1), fed to asareport --critical-path\n"
-      "  --postmortem-dir D on invariant violation or crash, write an\n"
-      "                     asa-postmortem/1 bundle (flight-recorder tails,\n"
-      "                     metrics, spans, seed, shrunk fault plan) to\n"
-      "                     D/postmortem-seed<N>.json; same seed -> byte-\n"
-      "                     identical bundle. D must exist: a bundle that\n"
-      "                     cannot be written exits 2\n"
-      "  --verbose          per-seed progress lines\n";
-}
 
 void print_violations(const ChaosReport& report) {
   for (const Violation& violation : report.violations) {
@@ -187,9 +119,16 @@ int run_replay(const std::string& path) {
   return report.ok() ? 0 : 1;
 }
 
-}  // namespace
+// asachaos's modes: each option row names the modes whose code reads it.
+constexpr cli::Modes kCampaign = 1;
+constexpr cli::Modes kReplay = 2;
+constexpr cli::Modes kDurabilitySmoke = 4;
+constexpr cli::Modes kChurnSmoke = 8;
+constexpr cli::Modes kSoak = 16;
+constexpr cli::Modes kRuns = kCampaign | kSoak;  // Read the ChaosConfig.
+constexpr cli::Modes kSeeded = kRuns | kDurabilitySmoke | kChurnSmoke;
 
-int main(int argc, char** argv) {
+int asachaos_main(int argc, char** argv) {
   ChaosConfig config;
   std::uint64_t seeds = 50;
   std::uint64_t seed0 = 1;
@@ -205,86 +144,110 @@ int main(int argc, char** argv) {
   bool no_handoff = false;
   std::uint64_t soak_seconds = 0;
   bool verbose = false;
-  bool burst_set = false;
+  std::optional<int> burst;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&] { return cli::next_value(argc, argv, i); };
-    try {
-      if (arg == "-h" || arg == "--help") {
-        usage();
-        return 0;
-      } else if (arg == "--seeds") {
-        seeds = cli::unsigned_arg<std::uint64_t>(arg, next());
-      } else if (arg == "--seed0") {
-        seed0 = cli::unsigned_arg<std::uint64_t>(arg, next());
-      } else if (arg == "--nodes") {
-        config.nodes = cli::unsigned_arg<std::size_t>(arg, next());
-      } else if (arg == "--replication") {
-        config.replication = cli::unsigned_arg<std::uint32_t>(arg, next());
-      } else if (arg == "--updates") {
-        config.updates = cli::unsigned_arg<int>(arg, next());
-      } else if (arg == "--guids") {
-        config.guids = cli::unsigned_arg<int>(arg, next());
-      } else if (arg == "--blocks") {
-        config.blocks = cli::unsigned_arg<int>(arg, next());
-      } else if (arg == "--burst") {
-        config.burst = cli::unsigned_arg<int>(arg, next());
-        burst_set = true;
-      } else if (arg == "--max-events") {
-        config.max_events = cli::unsigned_arg<std::size_t>(arg, next());
-      } else if (arg == "--faults") {
-        config.fault_budget = cli::unsigned_arg<std::uint32_t>(arg, next());
-      } else if (arg == "--equivocators") {
-        config.equivocators = cli::unsigned_arg<std::uint32_t>(arg, next());
-      } else if (arg == "--expect-violation") {
-        expect_violation = true;
-      } else if (arg == "--no-durability") {
-        config.durability = false;
-      } else if (arg == "--durability-smoke") {
-        durability_smoke = true;
-      } else if (arg == "--churn") {
-        config.churn = true;
-      } else if (arg == "--wan") {
-        config.wan = true;
-      } else if (arg == "--writers") {
-        config.writers = cli::unsigned_arg<int>(arg, next());
-      } else if (arg == "--zipf") {
-        config.zipf = cli::unsigned_arg<int>(arg, next()) / 100.0;
-      } else if (arg == "--reads") {
-        config.read_fraction = cli::unsigned_arg<int>(arg, next()) / 100.0;
-      } else if (arg == "--open-loop") {
-        config.open_loop = true;
-      } else if (arg == "--churn-smoke") {
-        churn_smoke = true;
-      } else if (arg == "--no-handoff") {
-        no_handoff = true;
-      } else if (arg == "--soak") {
-        soak_seconds = cli::unsigned_arg<std::uint64_t>(arg, next());
-      } else if (arg == "--replay") {
-        replay_path = next();
-      } else if (arg == "--out") {
-        out_dir = next();
-      } else if (arg == "--metrics-out") {
-        metrics_out = next();
-      } else if (arg == "--trace-out") {
-        trace_out = next();
-      } else if (arg == "--spans-out") {
-        spans_out = next();
-      } else if (arg == "--postmortem-dir") {
-        postmortem_dir = next();
-      } else if (arg == "--verbose") {
-        verbose = true;
-      } else {
-        std::cerr << "unknown argument: " << arg << "\n";
-        usage();
-        return 2;
-      }
-    } catch (const cli::BadArgument& e) {
-      std::cerr << "asachaos: " << e.what() << "\n";
-      return 2;
-    }
-  }
+  cli::Options args(
+      "usage: asachaos [options]\n"
+      "Runs a randomized campaign (the default), re-runs a recorded\n"
+      "schedule (--replay FILE), one of the deterministic smokes\n"
+      "(--durability-smoke, --churn-smoke) or a long soak (--soak S > 0).",
+      {{kCampaign, "the campaign"},
+       {kReplay, "a --replay run"},
+       {kDurabilitySmoke, "the --durability-smoke run"},
+       {kChurnSmoke, "the --churn-smoke run"},
+       {kSoak, "a --soak run"}},
+      {
+          {{"--seeds"}, "N", "number of randomized campaigns (default 50)",
+           cli::to(seeds), kCampaign},
+          {{"--seed0"}, "S", "first seed (default 1)", cli::to(seed0),
+           kSeeded},
+          {{"--nodes"}, "N", "cluster size (default 12)",
+           cli::to(config.nodes), kRuns},
+          {{"--replication"}, "R", "replication factor (default 4)",
+           cli::to(config.replication), kRuns},
+          {{"--updates"}, "U", "version appends per run (default 8)",
+           cli::to(config.updates), kRuns},
+          {{"--guids"}, "G", "GUIDs written per run (default 2)",
+           cli::to(config.guids), kRuns},
+          {{"--blocks"}, "B", "data blocks stored per run (default 3)",
+           cli::to(config.blocks), kRuns},
+          {{"--burst"}, "B", "appends in flight per GUID (default 1; 2 in a "
+           "campaign with --equivocators: concurrent same-GUID updates are "
+           "what equivocators can split)", cli::to(burst), kRuns},
+          {{"--max-events"}, "M", "scheduler event bound per run (default "
+           "2000000)", cli::to(config.max_events), kRuns},
+          {{"--faults"}, "N", "concurrent node-fault budget (default f)",
+           cli::to(config.fault_budget), kRuns},
+          {{"--equivocators"}, "K", "force K permanent equivocators "
+           "(faults > f)", cli::to(config.equivocators), kRuns},
+          {{"--expect-violation"}, "", "exit 0 only if a violation is found, "
+           "shrunk and its replay file reproduces it",
+           cli::set(expect_violation), kCampaign},
+          {{"--no-durability"}, "", "volatile nodes (the pre-journal "
+           "behaviour): restart recovers from peers only, and generated plans "
+           "carry no disk-fault episodes", cli::set(config.durability, false),
+           kRuns},
+          {{"--durability-smoke"}, "", "run the deterministic "
+           "journal-corruption and crash-consistency smoke instead of a "
+           "campaign (torn write, bit-rot, full peer-set crash, and the "
+           "volatile counterfactual); exit 0 when every expectation holds",
+           cli::set(durability_smoke), kDurabilitySmoke},
+          {{"--churn"}, "", "membership-churn episodes in generated plans "
+           "(ring joins, graceful leaves, abrupt departs)",
+           cli::set(config.churn), kRuns},
+          {{"--wan"}, "", "per-link WAN adversity episodes in generated plans "
+           "(lan/wan/sat latency classes with Gilbert-Elliott burst loss, "
+           "reset before the horizon)", cli::set(config.wan), kRuns},
+          {{"--writers"}, "W", "contention workload: W concurrent writers "
+           "spread --updates operations over the GUIDs by zipf popularity "
+           "(0 = legacy per-GUID chains)", cli::to(config.writers), kRuns},
+          {{"--zipf"}, "Z", "zipf skew x100 for --writers (default 90)",
+           cli::percent(config.zipf), kRuns},
+          {{"--reads"}, "P", "percent of workload operations that are agreed "
+           "reads (default 0)", cli::percent(config.read_fraction), kRuns},
+          {{"--open-loop"}, "", "open-loop arrivals (operations fire on their "
+           "generated schedule regardless of completions)",
+           cli::set(config.open_loop), kRuns},
+          {{"--churn-smoke"}, "", "run the deterministic churn + handoff smoke "
+           "instead of a campaign: a graceful leave wave over the whole peer "
+           "set must keep the history readable, churn mid-commit must not "
+           "break the commit, and the no-handoff counterfactual must provably "
+           "lose acknowledged data", cli::set(churn_smoke), kChurnSmoke},
+          {{"--no-handoff"}, "", "run only the counterfactual (graceful leaves "
+           "with the key-range handoff suppressed, which demonstrates the "
+           "data loss)", cli::set(no_handoff), kChurnSmoke},
+          {{"--soak"}, "S", "long-soak mode: rerun the campaign's seed 0 in "
+           "consecutive horizon windows until S simulated seconds have "
+           "elapsed, checking invariants per window and commit-rate drift "
+           "across windows (0, the default, runs the campaign)",
+           cli::to(soak_seconds), kRuns},
+          {{"--replay"}, "FILE", "re-run a recorded schedule and report",
+           cli::to(replay_path), kReplay},
+          {{"--out"}, "DIR", "directory for replay files (default .)",
+           cli::to(out_dir), kCampaign},
+          {{"--metrics-out"}, "FILE", "aggregated metrics (asa-metrics/1)",
+           cli::to(metrics_out), kRuns},
+          {{"--trace-out"}, "FILE", "concatenated per-seed causal traces, "
+           "each prefixed by a campaign seed marker (asa-trace/1)",
+           cli::to(trace_out), kCampaign},
+          {{"--spans-out"}, "FILE", "campaign-aggregated commit-path spans "
+           "(asa-span/1), fed to asareport --critical-path",
+           cli::to(spans_out), kCampaign},
+          {{"--postmortem-dir"}, "D", "on invariant violation or crash, write "
+           "an asa-postmortem/1 bundle (flight-recorder tails, metrics, "
+           "spans, seed, shrunk fault plan) to D/postmortem-seed<N>.json; "
+           "same seed -> byte-identical bundle. D must exist: a bundle that "
+           "cannot be written exits 2", cli::to(postmortem_dir), kCampaign},
+          {{"--verbose"}, "", "per-seed (per-window under --soak) progress "
+           "lines", cli::set(verbose), kRuns},
+      });
+  if (!args.parse(argc, argv)) return 0;
+  args.require_mode(!replay_path.empty() ? kReplay
+                       : durability_smoke   ? kDurabilitySmoke
+                       : churn_smoke        ? kChurnSmoke
+                       : soak_seconds > 0   ? kSoak
+                                            : kCampaign);
+  if (burst.has_value()) config.burst = *burst;
 
   if (const auto why = config.range_error(); why.has_value()) {
     std::cerr << "asachaos: " << *why << "\n";
@@ -364,7 +327,7 @@ int main(int argc, char** argv) {
   }
 
   // Equivocators split concurrent same-GUID proposals; give them some.
-  if (config.equivocators > 0 && !burst_set) config.burst = 2;
+  if (config.equivocators > 0 && !burst.has_value()) config.burst = 2;
 
   std::cout << "chaos campaign: " << seeds << " seeds, " << config.nodes
             << " nodes, r=" << config.replication << " (f=" << config.f()
@@ -514,4 +477,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return violating_seeds == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli::run("asachaos", [&] { return asachaos_main(argc, argv); });
 }

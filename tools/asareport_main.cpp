@@ -27,6 +27,7 @@
 //   asareport --bench-compare BENCH_execution.json --metrics new.json
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,28 +39,6 @@
 using namespace asa_repro;
 
 namespace {
-
-void usage() {
-  std::cout <<
-      "usage: asareport [--metrics FILE] [--spans FILE] [options]\n"
-      "  --metrics FILE   asa-metrics/1, asa-findings/1, asa-span/1 or\n"
-      "                   asa-postmortem/1 JSON document\n"
-      "  --spans FILE     asa-span/1 JSON document (from --spans-out)\n"
-      "  --trace FILE     asa-trace/1 JSONL event stream (optional;\n"
-      "                   rendered with a metrics document)\n"
-      "  --top K          slowest commit instances to list (default 10;\n"
-      "                   needs an asa-metrics/1 document)\n"
-      "  --critical-path  attribute commit latency to protocol phases\n"
-      "                   (needs a span document)\n"
-      "  --bench-compare BASELINE\n"
-      "                   gate --metrics (a fresh bench --json run) against\n"
-      "                   the BASELINE metrics document: ns/msg per impl\n"
-      "                   must stay within the tolerance\n"
-      "  --tolerance T    allowed relative ns/msg drift (default 0.20;\n"
-      "                   needs --bench-compare)\n"
-      "  --validate       validate the document(s) and the trace and exit;\n"
-      "                   non-zero on malformed or unknown-schema input\n";
-}
 
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path);
@@ -96,71 +75,61 @@ const std::string& schema_of(const obs::JsonValue& doc) {
   return doc.find("schema")->as_string();
 }
 
-}  // namespace
+// asareport's modes: each option row names the modes whose code reads it.
+constexpr cli::Modes kRender = 1;
+constexpr cli::Modes kValidate = 2;
+constexpr cli::Modes kBenchCompare = 4;
 
-int main(int argc, char** argv) {
+int asareport_main(int argc, char** argv) {
   std::string metrics_path;
   std::string trace_path;
   std::string spans_path;
   std::string bench_baseline_path;
   double tolerance = 0.20;
-  obs::ReportOptions options;
+  std::optional<std::size_t> top;
   bool validate_only = false;
   bool critical_path = false;
-  bool tolerance_given = false;
-  bool top_given = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&] { return cli::next_value(argc, argv, i); };
-    try {
-      if (arg == "-h" || arg == "--help") {
-        usage();
-        return 0;
-      } else if (arg == "--metrics") {
-        metrics_path = next();
-      } else if (arg == "--trace") {
-        trace_path = next();
-      } else if (arg == "--spans") {
-        spans_path = next();
-      } else if (arg == "--bench-compare") {
-        bench_baseline_path = next();
-      } else if (arg == "--tolerance") {
-        tolerance = cli::double_arg(arg, next());
-        tolerance_given = true;
-      } else if (arg == "--top") {
-        options.top_k = cli::unsigned_arg<std::size_t>(arg, next());
-        top_given = true;
-      } else if (arg == "--critical-path") {
-        critical_path = true;
-      } else if (arg == "--validate") {
-        validate_only = true;
-      } else {
-        std::cerr << "unknown argument: " << arg << "\n";
-        usage();
-        return 2;
-      }
-    } catch (const cli::BadArgument& e) {
-      std::cerr << "asareport: " << e.what() << "\n";
-      return 2;
-    }
-  }
+  cli::Options args(
+      "usage: asareport [--metrics FILE] [--spans FILE] [options]\n"
+      "Renders the documents (the default), validates them (--validate), or\n"
+      "gates a bench run against a baseline (--bench-compare BASELINE).",
+      {{kRender, "rendering"},
+       {kValidate, "a --validate run"},
+       {kBenchCompare, "a --bench-compare run"}},
+      {
+          {{"--metrics"}, "FILE", "asa-metrics/1, asa-findings/1, asa-span/1 "
+           "or asa-postmortem/1 JSON document", cli::to(metrics_path)},
+          {{"--spans"}, "FILE", "asa-span/1 JSON document (from --spans-out)",
+           cli::to(spans_path), kRender | kValidate},
+          {{"--trace"}, "FILE", "asa-trace/1 JSONL event stream (optional; "
+           "rendered with a metrics document)", cli::to(trace_path),
+           kRender | kValidate},
+          {{"--top"}, "K", "slowest commit instances to list (default 10; "
+           "needs an asa-metrics/1 document)", cli::to(top), kRender},
+          {{"--critical-path"}, "", "attribute commit latency to protocol "
+           "phases (needs a span document)", cli::set(critical_path),
+           kRender},
+          {{"--bench-compare"}, "BASELINE", "gate --metrics (a fresh bench "
+           "--json run) against the BASELINE metrics document: ns/msg per "
+           "impl must stay within the tolerance",
+           cli::to(bench_baseline_path), kBenchCompare},
+          {{"--tolerance"}, "T", "allowed relative ns/msg drift (default "
+           "0.20)", cli::to(tolerance), kBenchCompare},
+          {{"--validate"}, "", "validate the document(s) and the trace and "
+           "exit; non-zero on malformed or unknown-schema input",
+           cli::set(validate_only), kValidate},
+      });
+  if (!args.parse(argc, argv)) return 0;
+  args.require_mode(!bench_baseline_path.empty() ? kBenchCompare
+                       : validate_only              ? kValidate
+                                                    : kRender);
   if (metrics_path.empty() && spans_path.empty()) {
-    usage();
-    return 2;
-  }
-  if (tolerance_given && bench_baseline_path.empty()) {
-    std::cerr << "asareport: --tolerance needs --bench-compare\n";
-    return 2;
+    throw cli::BadArgument("give a --metrics or --spans document");
   }
 
   // Bench gate: baseline vs the fresh run in --metrics.
   if (!bench_baseline_path.empty()) {
-    if (metrics_path.empty()) {
-      std::cerr << "asareport: --bench-compare needs --metrics (the fresh "
-                   "bench --json run)\n";
-      return 2;
-    }
     const std::optional<obs::JsonValue> baseline =
         load_document(bench_baseline_path);
     const std::optional<obs::JsonValue> current = load_document(metrics_path);
@@ -190,7 +159,7 @@ int main(int argc, char** argv) {
   const auto metrics_is = [&metrics](const char* schema) {
     return metrics.has_value() && schema_of(*metrics) == schema;
   };
-  if (top_given && !metrics_is("asa-metrics/1")) {
+  if (top.has_value() && !metrics_is("asa-metrics/1")) {
     std::cerr << "asareport: --top needs an asa-metrics/1 document\n";
     return 2;
   }
@@ -241,7 +210,9 @@ int main(int argc, char** argv) {
     } else if (schema == "asa-span/1") {
       std::cout << obs::render_critical_path(*metrics);
     } else {
-      std::cout << obs::render_report(*metrics, trace, options);
+      obs::ReportOptions report;
+      if (top.has_value()) report.top_k = *top;
+      std::cout << obs::render_report(*metrics, trace, report);
     }
   }
   if (spans.has_value()) {
@@ -249,4 +220,10 @@ int main(int argc, char** argv) {
     std::cout << obs::render_critical_path(*spans);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli::run("asareport", [&] { return asareport_main(argc, argv); });
 }

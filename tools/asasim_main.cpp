@@ -32,51 +32,6 @@ using namespace asa_repro::storage;
 
 namespace {
 
-void usage() {
-  std::cout <<
-      "usage: asasim [options]\n"
-      "  --nodes N            cluster size (default 16)\n"
-      "  --replication R      replication factor (default 4)\n"
-      "  --clients C          concurrent clients (default 2)\n"
-      "  --updates U          total updates across clients (default 6)\n"
-      "  --guids G            number of GUIDs written (default 2)\n"
-      "  --byzantine KIND:N   crash | equivocator | withholder, N nodes\n"
-      "  --partition A:B[:T]  cut links between nodes A and B both ways at\n"
-      "                       time 0; heal at time T us (default: never);\n"
-      "                       repeatable\n"
-      "  --drop P             message drop probability (default 0)\n"
-      "  --duplicate P        message duplication probability (default 0)\n"
-      "  --link A:B:CLASS     install a latency class (lan | wan | sat) on\n"
-      "                       the directed link A->B; repeatable (set both\n"
-      "                       directions for a symmetric path)\n"
-      "  --join T             a fresh node joins the ring at time T us;\n"
-      "                       repeatable\n"
-      "  --leave N:T          node N gracefully leaves (key-range handoff)\n"
-      "                       at time T us; repeatable\n"
-      "  --depart N:T         node N departs abruptly (no handoff) at time\n"
-      "                       T us; repeatable\n"
-      "  --writers W          contention workload: W concurrent writers\n"
-      "                       spread --updates operations over the GUIDs by\n"
-      "                       zipf popularity (replaces the client loop)\n"
-      "  --zipf Z             zipf skew x100 for --writers (default 90)\n"
-      "  --reads P            percent of workload operations that are\n"
-      "                       agreed reads (default 0)\n"
-      "  --open-loop          open-loop arrivals for --writers\n"
-      "  --seed S             simulation seed (default 42)\n"
-      "  --trace              dump commit/abort trace events\n"
-      "  --metrics-out FILE   write run metrics (asa-metrics/1 JSON)\n"
-      "  --trace-out FILE     write causal event trace (asa-trace/1 JSONL)\n"
-      "  --spans-out FILE     write commit-path spans (asa-span/1 JSON),\n"
-      "                       fed to asareport --critical-path\n"
-      "  --flight N           per-node flight recorder, N recent events\n"
-      "                       (dumped as part of run output)\n"
-      "  --replay FILE        replay an asa-replay/1 counterexample plan\n"
-      "                       (from `fsmcheck --protocol --replay-out`)\n"
-      "                       against the real runtime and re-check the\n"
-      "                       violated property; all other options are\n"
-      "                       ignored\n";
-}
-
 std::optional<commit::Behaviour> parse_behaviour(const std::string& name) {
   if (name == "crash") return commit::Behaviour::kCrash;
   if (name == "equivocator") return commit::Behaviour::kEquivocator;
@@ -97,17 +52,20 @@ struct LinkSpec {
 };
 
 // "A:B:class" with class in {lan, wan, sat}.
-std::optional<LinkSpec> parse_link(const std::string& spec) {
+LinkSpec link_arg(const std::string& spec) {
   const std::size_t first = spec.find(':');
-  if (first == std::string::npos) return std::nullopt;
-  const std::size_t second = spec.find(':', first + 1);
-  if (second == std::string::npos) return std::nullopt;
-  const auto a = cli::parse_unsigned<std::size_t>(spec.substr(0, first));
-  const auto b = cli::parse_unsigned<std::size_t>(
-      spec.substr(first + 1, second - first - 1));
-  std::string klass = spec.substr(second + 1);
-  if (!a || !b || !sim::link_profile(klass).has_value()) return std::nullopt;
-  return LinkSpec{*a, *b, std::move(klass)};
+  const std::size_t second =
+      first == std::string::npos ? first : spec.find(':', first + 1);
+  if (second != std::string::npos) {
+    const auto a = cli::parse_unsigned<std::size_t>(spec.substr(0, first));
+    const auto b = cli::parse_unsigned<std::size_t>(
+        spec.substr(first + 1, second - first - 1));
+    std::string klass = spec.substr(second + 1);
+    if (a && b && sim::link_profile(klass).has_value()) {
+      return LinkSpec{*a, *b, std::move(klass)};
+    }
+  }
+  throw cli::BadArgument("bad link spec (want A:B:lan|wan|sat): " + spec);
 }
 
 struct ChurnSpec {
@@ -117,32 +75,40 @@ struct ChurnSpec {
 };
 
 // "N:T" (node, time) for --leave / --depart.
-std::optional<ChurnSpec> parse_churn(ChurnSpec::Kind kind,
-                                     const std::string& spec) {
+ChurnSpec churn_arg(ChurnSpec::Kind kind, const std::string& spec) {
   const std::size_t colon = spec.find(':');
-  if (colon == std::string::npos) return std::nullopt;
-  const auto node = cli::parse_unsigned<std::size_t>(spec.substr(0, colon));
-  const auto at = cli::parse_unsigned<sim::Time>(spec.substr(colon + 1));
-  if (!node || !at) return std::nullopt;
-  return ChurnSpec{kind, *node, *at};
+  if (colon != std::string::npos) {
+    const auto node = cli::parse_unsigned<std::size_t>(spec.substr(0, colon));
+    const auto at = cli::parse_unsigned<sim::Time>(spec.substr(colon + 1));
+    if (node && at) return ChurnSpec{kind, *node, *at};
+  }
+  throw cli::BadArgument("bad churn spec (want N:T): " + spec);
 }
 
 // "A:B" or "A:B:heal_at" (times in simulated microseconds).
-std::optional<PartitionSpec> parse_partition(const std::string& spec) {
+PartitionSpec partition_arg(const std::string& spec) {
   const std::size_t first = spec.find(':');
-  if (first == std::string::npos) return std::nullopt;
-  const std::size_t second = spec.find(':', first + 1);
-  const auto a = cli::parse_unsigned<std::size_t>(spec.substr(0, first));
-  const auto b = cli::parse_unsigned<std::size_t>(spec.substr(
-      first + 1,
-      second == std::string::npos ? std::string::npos : second - first - 1));
-  const auto heal_at = second == std::string::npos
-                           ? std::optional<sim::Time>(0)
-                           : cli::parse_unsigned<sim::Time>(
-                                 spec.substr(second + 1));
-  if (!a || !b || !heal_at) return std::nullopt;
-  return PartitionSpec{*a, *b, *heal_at};
+  if (first != std::string::npos) {
+    const std::size_t second = spec.find(':', first + 1);
+    const auto a = cli::parse_unsigned<std::size_t>(spec.substr(0, first));
+    const auto b = cli::parse_unsigned<std::size_t>(spec.substr(
+        first + 1,
+        second == std::string::npos ? std::string::npos : second - first - 1));
+    const auto heal_at = second == std::string::npos
+                             ? std::optional<sim::Time>(0)
+                             : cli::parse_unsigned<sim::Time>(
+                                   spec.substr(second + 1));
+    if (a && b && heal_at) return PartitionSpec{*a, *b, *heal_at};
+  }
+  throw cli::BadArgument("bad partition spec (want A:B or A:B:heal_at): " +
+                         spec);
 }
+
+// asasim's modes: each option row names the modes whose code reads it.
+constexpr cli::Modes kClients = 1;  // The default client loop.
+constexpr cli::Modes kWriters = 2;  // --writers W > 0: contention workload.
+constexpr cli::Modes kReplay = 4;   // --replay: a counterexample plan.
+constexpr cli::Modes kRun = kClients | kWriters;
 
 int asasim_main(int argc, char** argv) {
   ClusterConfig config;
@@ -162,112 +128,113 @@ int asasim_main(int argc, char** argv) {
   double zipf = 0.9;
   double read_fraction = 0.0;
   bool open_loop = false;
-  bool workload_shape = false;  // --zipf, --reads or --open-loop given.
   double duplicate_probability = 0.0;
   bool dump_trace = false;
   std::string metrics_out;
   std::string trace_out;
   std::string spans_out;
   std::string replay_path;
+  const auto churn_into = [&churn](ChurnSpec::Kind kind) {
+    return [&churn, kind](auto&, auto& spec) {
+      churn.push_back(churn_arg(kind, spec));
+    };
+  };
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&] { return cli::next_value(argc, argv, i); };
-    if (arg == "-h" || arg == "--help") {
-      usage();
-      return 0;
-    } else if (arg == "--nodes") {
-      config.nodes = cli::unsigned_arg<std::size_t>(arg, next());
-    } else if (arg == "--replication") {
-      config.replication_factor = cli::unsigned_arg<std::uint32_t>(arg, next());
-    } else if (arg == "--clients") {
-      clients = cli::unsigned_arg<int>(arg, next());
-    } else if (arg == "--updates") {
-      updates = cli::unsigned_arg<int>(arg, next());
-    } else if (arg == "--guids") {
-      guids = cli::unsigned_arg<int>(arg, next());
-    } else if (arg == "--drop") {
-      config.drop_probability = cli::double_arg(arg, next());
-    } else if (arg == "--duplicate") {
-      duplicate_probability = cli::double_arg(arg, next());
-    } else if (arg == "--seed") {
-      config.seed = cli::unsigned_arg<std::uint64_t>(arg, next());
-    } else if (arg == "--trace") {
-      dump_trace = true;
-      config.tracing = true;
-    } else if (arg == "--metrics-out") {
-      metrics_out = next();
-      config.metrics = true;
-    } else if (arg == "--trace-out") {
-      trace_out = next();
-      config.tracing = true;
-    } else if (arg == "--spans-out") {
-      spans_out = next();
-      config.spans = true;
-    } else if (arg == "--flight") {
-      config.flight_capacity = cli::unsigned_arg<std::size_t>(arg, next());
-    } else if (arg == "--byzantine") {
-      const std::string spec = next();
-      const std::size_t colon = spec.find(':');
-      const auto kind = parse_behaviour(spec.substr(0, colon));
-      if (!kind.has_value()) {
-        std::cerr << "unknown behaviour: " << spec << "\n";
-        return 2;
-      }
-      byz_kind = *kind;
-      byz_count = colon == std::string::npos
-                      ? 1
-                      : cli::unsigned_arg<std::size_t>(
-                            arg, spec.substr(colon + 1));
-    } else if (arg == "--partition") {
-      const std::string spec = next();
-      const auto parsed = parse_partition(spec);
-      if (!parsed.has_value()) {
-        std::cerr << "bad partition spec (want A:B or A:B:heal_at): " << spec
-                  << "\n";
-        return 2;
-      }
-      partitions.push_back(*parsed);
-    } else if (arg == "--link") {
-      const std::string spec = next();
-      const auto parsed = parse_link(spec);
-      if (!parsed.has_value()) {
-        std::cerr << "bad link spec (want A:B:lan|wan|sat): " << spec << "\n";
-        return 2;
-      }
-      links.push_back(*parsed);
-    } else if (arg == "--join") {
-      joins.push_back(cli::unsigned_arg<sim::Time>(arg, next()));
-    } else if (arg == "--leave" || arg == "--depart") {
-      const bool leave = arg == "--leave";
-      const std::string spec = next();
-      const auto parsed = parse_churn(leave ? ChurnSpec::Kind::kLeave
-                                            : ChurnSpec::Kind::kDepart,
-                                      spec);
-      if (!parsed.has_value()) {
-        std::cerr << "bad churn spec (want N:T): " << spec << "\n";
-        return 2;
-      }
-      churn.push_back(*parsed);
-    } else if (arg == "--writers") {
-      writers = cli::unsigned_arg<int>(arg, next());
-    } else if (arg == "--zipf") {
-      zipf = cli::unsigned_arg<int>(arg, next()) / 100.0;
-      workload_shape = true;
-    } else if (arg == "--reads") {
-      read_fraction = cli::unsigned_arg<int>(arg, next()) / 100.0;
-      workload_shape = true;
-    } else if (arg == "--open-loop") {
-      open_loop = true;
-      workload_shape = true;
-    } else if (arg == "--replay") {
-      replay_path = next();
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      usage();
-      return 2;
-    }
-  }
+  cli::Options args(
+      "usage: asasim [options]\n"
+      "Runs the client loop (the default), the contention workload\n"
+      "(--writers W > 0), or re-runs a counterexample plan (--replay FILE).",
+      {{kClients, "the client loop"},
+       {kWriters, "the --writers workload"},
+       {kReplay, "a --replay run"}},
+      {
+          {{"--nodes"}, "N", "cluster size (default 16)",
+           cli::to(config.nodes), kRun},
+          {{"--replication"}, "R", "replication factor (default 4)",
+           cli::to(config.replication_factor), kRun},
+          {{"--clients"}, "C", "concurrent clients (default 2)",
+           cli::to(clients), kClients},
+          {{"--updates"}, "U", "total updates across clients (default 6)",
+           cli::to(updates), kRun},
+          {{"--guids"}, "G", "number of GUIDs written (default 2)",
+           cli::to(guids), kRun},
+          {{"--byzantine"}, "KIND:N",
+           "crash | equivocator | withholder, N nodes",
+           [&](auto& option, auto& spec) {
+             const std::size_t colon = spec.find(':');
+             const auto kind = parse_behaviour(spec.substr(0, colon));
+             if (!kind.has_value()) {
+               throw cli::BadArgument("unknown behaviour: " + spec);
+             }
+             byz_kind = *kind;
+             byz_count = colon == std::string::npos
+                             ? 1
+                             : cli::unsigned_arg<std::size_t>(
+                                   option, spec.substr(colon + 1));
+           },
+           kRun},
+          {{"--partition"}, "A:B[:T]",
+           "cut links between nodes A and B both ways at time 0; heal at "
+           "time T us (default: never); repeatable",
+           [&](auto&, auto& spec) {
+             partitions.push_back(partition_arg(spec));
+           },
+           kRun},
+          {{"--drop"}, "P", "message drop probability (default 0)",
+           cli::to(config.drop_probability), kRun},
+          {{"--duplicate"}, "P", "message duplication probability (default 0)",
+           cli::to(duplicate_probability), kRun},
+          {{"--link"}, "A:B:CLASS",
+           "install a latency class (lan | wan | sat) on the directed link "
+           "A->B; repeatable (set both directions for a symmetric path)",
+           [&](auto&, auto& spec) { links.push_back(link_arg(spec)); }, kRun},
+          {{"--join"}, "T", "a fresh node joins the ring at time T us; "
+           "repeatable",
+           [&](auto& option, auto& at) {
+             joins.push_back(cli::unsigned_arg<sim::Time>(option, at));
+           },
+           kRun},
+          {{"--leave"}, "N:T", "node N gracefully leaves (key-range handoff) "
+           "at time T us; repeatable",
+           churn_into(ChurnSpec::Kind::kLeave), kRun},
+          {{"--depart"}, "N:T", "node N departs abruptly (no handoff) at time "
+           "T us; repeatable", churn_into(ChurnSpec::Kind::kDepart), kRun},
+          {{"--writers"}, "W",
+           "contention workload: W concurrent writers spread --updates "
+           "operations over the GUIDs by zipf popularity (0, the default, "
+           "runs the client loop)", cli::to(writers), kRun},
+          {{"--zipf"}, "Z", "zipf skew x100 (default 90)", cli::percent(zipf),
+           kWriters},
+          {{"--reads"}, "P", "percent of workload operations that are agreed "
+           "reads (default 0)", cli::percent(read_fraction), kWriters},
+          {{"--open-loop"}, "", "open-loop arrivals", cli::set(open_loop),
+           kWriters},
+          {{"--seed"}, "S", "simulation seed (default 42)",
+           cli::to(config.seed), kRun},
+          {{"--trace"}, "", "dump commit/abort trace events (under --replay: "
+           "the replayed schedule)", cli::set(dump_trace)},
+          {{"--metrics-out"}, "FILE", "write run metrics (asa-metrics/1 JSON)",
+           cli::to(metrics_out), kRun},
+          {{"--trace-out"}, "FILE", "write causal event trace (asa-trace/1 "
+           "JSONL)", cli::to(trace_out), kRun},
+          {{"--spans-out"}, "FILE", "write commit-path spans (asa-span/1 "
+           "JSON), fed to asareport --critical-path", cli::to(spans_out),
+           kRun},
+          {{"--flight"}, "N", "per-node flight recorder, N recent events "
+           "(dumped as part of run output)", cli::to(config.flight_capacity),
+           kRun},
+          {{"--replay"}, "FILE", "replay an asa-replay/1 counterexample plan "
+           "(from `fsmcheck --protocol --replay-out`) against the real "
+           "runtime and re-check the violated property",
+           cli::to(replay_path), kReplay},
+      });
+  if (!args.parse(argc, argv)) return 0;
+  args.require_mode(!replay_path.empty() ? kReplay
+                       : writers > 0        ? kWriters
+                                            : kClients);
+  config.tracing = dump_trace || !trace_out.empty();
+  config.metrics = !metrics_out.empty();
+  config.spans = !spans_out.empty();
   if (clients == 0 || guids == 0) {
     std::cerr << "asasim: --clients and --guids must be positive\n";
     return 2;
@@ -285,12 +252,6 @@ int asasim_main(int argc, char** argv) {
   }
   if (read_fraction > 1.0) {
     std::cerr << "asasim: --reads must be a percentage in [0,100]\n";
-    return 2;
-  }
-  if (workload_shape && writers == 0) {
-    // The default client loop has no zipf keys, reads or arrival schedule.
-    std::cerr << "asasim: --zipf, --reads and --open-loop shape the "
-                 "--writers workload; give --writers W too\n";
     return 2;
   }
 
@@ -589,10 +550,5 @@ int asasim_main(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return asasim_main(argc, argv);
-  } catch (const cli::BadArgument& e) {
-    std::cerr << "asasim: " << e.what() << "\n";
-    return 2;
-  }
+  return cli::run("asasim", [&] { return asasim_main(argc, argv); });
 }

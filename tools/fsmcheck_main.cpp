@@ -24,12 +24,10 @@
 //   fsmcheck --protocol                       (composition, r=4..8)
 //   fsmcheck --protocol -r 4 --mutation comp.dup_vote --replay-out plan.txt
 //   fsmcheck --protocol --mutate
-#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -48,62 +46,7 @@ using namespace asa_repro;
 
 namespace {
 
-void usage() {
-  std::cout <<
-      "usage: fsmcheck [options]\n"
-      "  -r N             check a single replication factor (default 4..16;\n"
-      "                   4..8 under --protocol)\n"
-      "  --family A..B    check every replication factor in [A, B]\n"
-      "  --efsm           include EFSM guard analysis and family\n"
-      "                   conformance (default on; --no-efsm disables)\n"
-      "  --no-efsm        structural and property checks only\n"
-      "  --no-table       skip compiled-backend conformance (table layout,\n"
-      "                   event decoder, compiled-vs-interpreted trace\n"
-      "                   equivalence; default on)\n"
-      "  --no-artefact    skip the checked-in generated-source comparison\n"
-      "  --generated FILE checked-in artefact to compare (default:\n"
-      "                   src/commit/generated/commit_fsm_r4.hpp)\n"
-      "  --json FILE      write findings as an asa-findings/1 document\n"
-      "  --dot FILE       render the first flagged machine as DOT with the\n"
-      "                   offending states/transitions highlighted\n"
-      "  --mermaid FILE   same, as a Mermaid state diagram\n"
-      "  --mutate         run the mutation self-test instead: seed known\n"
-      "                   defects and require 100% detection (with\n"
-      "                   --protocol: the composition-level catalogue)\n"
-      "  --jobs N         generation/equivalence lanes (0 = hardware)\n"
-      "protocol composition (analysis group 6; every flag below but\n"
-      "--protocol itself requires --protocol, or exits 2):\n"
-      "  --protocol       model-check the COMPOSED protocol: peers +\n"
-      "                   endpoint + lossy reordering network\n"
-      "  --net-bound N    prune states with more than N in-flight messages\n"
-      "                   (0 = unbounded, the sound default)\n"
-      "  --requests N     concurrent client updates (default 1)\n"
-      "  --attempts N     endpoint attempts per request (default 1)\n"
-      "  --drops N        message-drop budget (default 1)\n"
-      "  --dups N         duplicate-delivery budget (default 1; only spent\n"
-      "                   under comp.dup_vote, where duplicates matter)\n"
-      "  --crashes N      fail-stop crash budget (capped at f; default 1)\n"
-      "  --mutation NAME  plant one composition mutation (see --protocol\n"
-      "                   --mutate for the catalogue)\n"
-      "  --replay-out FILE  export the preferred counterexample as an\n"
-      "                   asa-replay/1 plan for `asasim --replay`\n";
-}
-
-using cli::parse_u32;
 using cli::write_file;
-
-/// The composition checker's numeric flags, one CompositionOptions field
-/// each. Like --mutation and --replay-out, they require --protocol.
-using CompositionFlag =
-    std::pair<std::string_view, std::uint32_t check::CompositionOptions::*>;
-constexpr CompositionFlag kCompositionFlags[] = {
-    {"--net-bound", &check::CompositionOptions::net_bound},
-    {"--requests", &check::CompositionOptions::requests},
-    {"--attempts", &check::CompositionOptions::attempts},
-    {"--drops", &check::CompositionOptions::drops},
-    {"--dups", &check::CompositionOptions::dups},
-    {"--crashes", &check::CompositionOptions::crashes},
-};
 
 /// Render the machine named by the first finding that carries diagram
 /// hooks, with its flagged states/transitions emphasised.
@@ -128,7 +71,9 @@ void render_flagged(const check::Findings& findings,
   const std::size_t pos = label.rfind('r');
   std::uint32_t r = options.r_lo;
   if (pos != std::string::npos) {
-    if (const auto parsed = parse_u32(label.substr(pos + 1))) r = *parsed;
+    const auto parsed =
+        cli::parse_unsigned<std::uint32_t>(label.substr(pos + 1));
+    if (parsed.has_value()) r = *parsed;
   }
   commit::CommitModel model(r);
   fsm::GenerationOptions gen_options;
@@ -256,6 +201,13 @@ int run_protocol(check::CompositionOptions base, std::uint32_t r_lo,
   return findings.empty() ? 0 : 1;
 }
 
+// fsmcheck's modes: each option row names the modes whose code reads it.
+constexpr cli::Modes kChecks = 1;          // The per-machine checks.
+constexpr cli::Modes kMutate = 2;          // Their mutation self-test.
+constexpr cli::Modes kProtocol = 4;        // Composition model checking.
+constexpr cli::Modes kProtocolMutate = 8;  // Its mutation self-test.
+constexpr cli::Modes kComposition = kProtocol | kProtocolMutate;
+
 int fsmcheck_main(int argc, char** argv) {
   check::CheckOptions options;
 #ifdef ASA_DEFAULT_ARTIFACT
@@ -266,85 +218,102 @@ int fsmcheck_main(int argc, char** argv) {
   std::string dot_path;
   std::string mermaid_path;
   std::string replay_path;
-  std::string protocol_flag;  // The last composition flag given.
   bool mutate = false;
   bool single_r = false;
   bool family_given = false;
   bool protocol = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&] { return cli::next_value(argc, argv, i); };
-    // Strict numeric option parse: fail loudly on "4x", "-1", "" etc.
-    const auto next_u32 = [&] {
-      return cli::unsigned_arg<std::uint32_t>(arg, next());
-    };
-    if (arg == "-h" || arg == "--help") {
-      usage();
-      return 0;
-    } else if (arg == "-r") {
-      options.r_lo = options.r_hi = next_u32();
-      single_r = true;
-    } else if (arg == "--family") {
-      const std::string range = next();
-      const std::size_t dots = range.find("..");
-      const auto lo =
-          dots == std::string::npos
-              ? std::nullopt
-              : parse_u32(range.substr(0, dots));
-      const auto hi =
-          dots == std::string::npos
-              ? std::nullopt
-              : parse_u32(range.substr(dots + 2));
-      if (!lo.has_value() || !hi.has_value()) {
-        std::cerr << "fsmcheck: --family expects A..B with unsigned "
-                     "integers A <= B, got '"
-                  << range << "'\n";
-        return 2;
-      }
-      options.r_lo = *lo;
-      options.r_hi = *hi;
-      family_given = true;
-    } else if (arg == "--efsm") {
-      options.efsm = true;
-    } else if (arg == "--no-efsm") {
-      options.efsm = false;
-    } else if (arg == "--no-table") {
-      options.table_backend = false;
-    } else if (arg == "--no-artefact") {
-      options.artifact_path.clear();
-    } else if (arg == "--generated") {
-      options.artifact_path = next();
-    } else if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--dot") {
-      dot_path = next();
-    } else if (arg == "--mermaid") {
-      mermaid_path = next();
-    } else if (arg == "--mutate") {
-      mutate = true;
-    } else if (arg == "--jobs") {
-      options.jobs = next_u32();
-    } else if (arg == "--protocol") {
-      protocol = true;
-    } else if (const auto* flag = std::find_if(
-                   std::begin(kCompositionFlags), std::end(kCompositionFlags),
-                   [&](const CompositionFlag& f) { return f.first == arg; });
-               flag != std::end(kCompositionFlags)) {
-      comp.*flag->second = next_u32();
-      protocol_flag = arg;
-    } else if (arg == "--mutation") {
-      comp.mutation = next();
-      protocol_flag = arg;
-    } else if (arg == "--replay-out") {
-      replay_path = next();
-      protocol_flag = arg;
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      usage();
-      return 2;
-    }
-  }
+  cli::Options args(
+      "usage: fsmcheck [options]\n"
+      "Runs the per-machine checks (the default) or model-checks the\n"
+      "composed protocol (--protocol); --mutate runs either one's mutation\n"
+      "self-test instead.",
+      {{kChecks, "the per-machine checks"},
+       {kMutate, "the per-machine --mutate self-test"},
+       {kProtocol, "the --protocol checks"},
+       {kProtocolMutate, "the --protocol --mutate self-test"}},
+      {
+          {{"-r"}, "N", "check a single replication factor (default 4..16; "
+           "4..8 under --protocol)",
+           [&](auto& option, auto& value) {
+             options.r_lo = options.r_hi =
+                 cli::unsigned_arg<std::uint32_t>(option, value);
+             single_r = true;
+           }},
+          {{"--family"}, "A..B", "check every replication factor in [A, B] "
+           "(--protocol --mutate: A only)",
+           [&](auto& option, auto& range) {
+             const std::size_t dots = range.find("..");
+             const auto lo = dots == std::string::npos
+                                 ? std::nullopt
+                                 : cli::parse_unsigned<std::uint32_t>(
+                                       range.substr(0, dots));
+             const auto hi = dots == std::string::npos
+                                 ? std::nullopt
+                                 : cli::parse_unsigned<std::uint32_t>(
+                                       range.substr(dots + 2));
+             if (!lo.has_value() || !hi.has_value()) {
+               throw cli::BadArgument(option + " expects A..B with unsigned "
+                                      "integers A <= B, got '" + range + "'");
+             }
+             options.r_lo = *lo;
+             options.r_hi = *hi;
+             family_given = true;
+           },
+           kChecks | kComposition},
+          {{"--efsm"}, "", "include EFSM guard analysis and family "
+           "conformance (default on)", cli::set(options.efsm), kChecks},
+          {{"--no-efsm"}, "", "structural and property checks only",
+           cli::set(options.efsm, false), kChecks},
+          {{"--no-table"}, "", "skip compiled-backend conformance (table "
+           "layout, event decoder, compiled-vs-interpreted trace equivalence; "
+           "default on)", cli::set(options.table_backend, false), kChecks},
+          {{"--no-artefact"}, "", "skip the checked-in generated-source "
+           "comparison", [&](auto&, auto&) { options.artifact_path.clear(); },
+           kChecks},
+          {{"--generated"}, "FILE", "checked-in artefact to compare (default: "
+           "src/commit/generated/commit_fsm_r4.hpp)",
+           cli::to(options.artifact_path), kChecks},
+          {{"--json"}, "FILE", "write findings as an asa-findings/1 document",
+           cli::to(json_path), kChecks | kProtocol},
+          {{"--dot"}, "FILE", "render the first flagged machine as DOT with "
+           "the offending states/transitions highlighted", cli::to(dot_path),
+           kChecks},
+          {{"--mermaid"}, "FILE", "same, as a Mermaid state diagram",
+           cli::to(mermaid_path), kChecks},
+          {{"--mutate"}, "", "run the mutation self-test instead: seed known "
+           "defects and require 100% detection (with --protocol: the "
+           "composition-level catalogue)", cli::set(mutate),
+           kMutate | kProtocolMutate},
+          {{"--jobs"}, "N", "generation/equivalence lanes (0 = hardware)",
+           cli::to(options.jobs), kChecks | kMutate},
+          {{"--protocol"}, "", "model-check the COMPOSED protocol: peers + "
+           "endpoint + lossy reordering network (analysis group 6)",
+           cli::set(protocol), kComposition},
+          {{"--net-bound"}, "N", "prune states with more than N in-flight "
+           "messages (0 = unbounded, the sound default)",
+           cli::to(comp.net_bound), kComposition},
+          {{"--requests"}, "N", "concurrent client updates (default 1)",
+           cli::to(comp.requests), kComposition},
+          {{"--attempts"}, "N", "endpoint attempts per request (default 1)",
+           cli::to(comp.attempts), kComposition},
+          {{"--drops"}, "N", "message-drop budget (default 1)",
+           cli::to(comp.drops), kComposition},
+          {{"--dups"}, "N", "duplicate-delivery budget (default 1; only spent "
+           "under comp.dup_vote, where duplicates matter)",
+           cli::to(comp.dups), kComposition},
+          {{"--crashes"}, "N", "fail-stop crash budget (capped at f; default "
+           "1)", cli::to(comp.crashes), kComposition},
+          {{"--mutation"}, "NAME", "plant one composition mutation (see "
+           "--protocol --mutate for the catalogue)", cli::to(comp.mutation),
+           kProtocol},
+          {{"--replay-out"}, "FILE", "export the preferred counterexample as "
+           "an asa-replay/1 plan for `asasim --replay`",
+           cli::to(replay_path), kProtocol},
+      });
+  if (!args.parse(argc, argv)) return 0;
+  args.require_mode(protocol ? (mutate ? kProtocolMutate : kProtocol)
+                             : (mutate ? kMutate : kChecks));
   if (protocol && !single_r && !family_given) {
     // The composition state space grows much faster than the per-machine
     // checks'; default to the CI gate's r range.
@@ -354,10 +323,6 @@ int fsmcheck_main(int argc, char** argv) {
   if (options.r_lo < 2 || options.r_lo > options.r_hi) {
     std::cerr << "fsmcheck: bad replication range " << options.r_lo << ".."
               << options.r_hi << "\n";
-    return 2;
-  }
-  if (!protocol && !protocol_flag.empty()) {
-    std::cerr << "fsmcheck: " << protocol_flag << " requires --protocol\n";
     return 2;
   }
 
@@ -409,10 +374,5 @@ int fsmcheck_main(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return fsmcheck_main(argc, argv);
-  } catch (const cli::BadArgument& e) {
-    std::cerr << "fsmcheck: " << e.what() << "\n";
-    return 2;
-  }
+  return cli::run("fsmcheck", [&] { return fsmcheck_main(argc, argv); });
 }

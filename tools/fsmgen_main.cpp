@@ -47,34 +47,28 @@ namespace {
 
 using namespace asa_repro;
 
-void usage() {
-  std::cout <<
-      "usage: fsmgen [options]\n"
-      "  --model NAME                 commit | termination (default commit)\n"
-      "  -r, --replication-factor N   replication factor (default 4)\n"
-      "  -n, --max-tasks N            task bound for --model termination\n"
-      "  --render KIND                text | summary | dot | xml | mermaid |\n"
-      "                               code | doc | efsm | efsm-code |\n"
-      "                               efsm-dot | efsm-doc (default summary)\n"
-      "  -o, --out FILE               write output to FILE (default stdout)\n"
-      "  --class-name NAME            class name for code rendering\n"
-      "  --backend KIND               code-render backend: switch (Fig 16\n"
-      "                               per-message switch handlers, default) |\n"
-      "                               table (dense [state][event] dispatch\n"
-      "                               table with action arena)\n"
-      "  --no-prune                   skip step 3 (prune unreachable)\n"
-      "  --no-merge                   skip step 4 (merge equivalent)\n"
-      "  -j, --jobs N                 generation threads; 0 = one per\n"
-      "                               hardware thread (default), 1 = serial\n"
-      "  --cache DIR                  persist/reuse generated machines in\n"
-      "                               DIR (keyed by model, parameter and\n"
-      "                               generator code version)\n"
-      "  --stats                      print generation statistics to stderr\n"
-      "  --profile FILE               write per-phase generation timings\n"
-      "                               (enumerate/transitions/prune/merge/\n"
-      "                               render) as asa-metrics/1 JSON. The one\n"
-      "                               sanctioned wall-clock producer: numbers\n"
-      "                               vary run to run, unlike sim metrics\n";
+// fsmgen's mode is a model and a render kind; each option row names the
+// facets of both whose code reads it.
+constexpr cli::Modes kCommit = 1;
+constexpr cli::Modes kTermination = 2;
+constexpr cli::Modes kMachine = 4;  // text|summary|dot|xml|mermaid|doc
+constexpr cli::Modes kCode = 8;
+constexpr cli::Modes kEfsm = 16;  // efsm|efsm-dot|efsm-doc
+constexpr cli::Modes kEfsmCode = 32;
+constexpr cli::Modes kModels = kCommit | kTermination;
+constexpr cli::Modes kGenerated = kModels | kMachine | kCode;
+
+/// The render facet of a render kind; BadArgument for an unknown kind.
+cli::Modes render_facet(const std::string& render) {
+  for (const char* kind : {"text", "summary", "dot", "xml", "mermaid", "doc"}) {
+    if (render == kind) return kMachine;
+  }
+  for (const char* kind : {"efsm", "efsm-dot", "efsm-doc"}) {
+    if (render == kind) return kEfsm;
+  }
+  if (render == "code") return kCode;
+  if (render == "efsm-code") return kEfsmCode;
+  throw cli::BadArgument("unknown render kind: " + render);
 }
 
 int fsmgen_main(int argc, char** argv) {
@@ -92,50 +86,69 @@ int fsmgen_main(int argc, char** argv) {
   bool stats = false;
   bool analyze_machine = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&] { return cli::next_value(argc, argv, i); };
-    if (arg == "-h" || arg == "--help") {
-      usage();
-      return 0;
-    } else if (arg == "-r" || arg == "--replication-factor") {
-      r = cli::unsigned_arg<std::uint32_t>(arg, next());
-    } else if (arg == "-n" || arg == "--max-tasks") {
-      max_tasks = cli::unsigned_arg<std::uint32_t>(arg, next());
-    } else if (arg == "--model") {
-      model_name = next();
-    } else if (arg == "--render") {
-      render = next();
-    } else if (arg == "-o" || arg == "--out") {
-      out_path = next();
-    } else if (arg == "--class-name") {
-      class_name = next();
-    } else if (arg == "--backend") {
-      backend = next();
-      if (backend != "switch" && backend != "table") {
-        std::cerr << "unknown backend: " << backend << "\n";
-        return 2;
-      }
-    } else if (arg == "--no-prune") {
-      options.prune_unreachable = false;
-    } else if (arg == "--no-merge") {
-      options.merge_equivalent = false;
-    } else if (arg == "-j" || arg == "--jobs") {
-      options.jobs = cli::unsigned_arg<unsigned>(arg, next());
-    } else if (arg == "--cache") {
-      cache_dir = next();
-    } else if (arg == "--stats") {
-      stats = true;
-    } else if (arg == "--profile") {
-      profile_path = next();
-    } else if (arg == "--analyze") {
-      analyze_machine = true;
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      usage();
-      return 2;
-    }
+  cli::Options args(
+      "usage: fsmgen [options]\n"
+      "Renders the --model's machine for one parameter value (text,\n"
+      "summary, dot, xml, mermaid, code, doc) or its parameter-independent\n"
+      "EFSM (efsm, efsm-code, efsm-dot, efsm-doc).",
+      {{kCommit, "--model commit"},
+       {kTermination, "--model termination"},
+       {kMachine, "a machine --render", 1},
+       {kCode, "--render code", 1},
+       {kEfsm, "an EFSM --render", 1},
+       {kEfsmCode, "--render efsm-code", 1}},
+      {
+          {{"--model"}, "NAME", "commit | termination (default commit)",
+           cli::to(model_name)},
+          {{"-r", "--replication-factor"}, "N",
+           "replication factor (default 4)", cli::to(r),
+           kCommit | kMachine | kCode},
+          {{"-n", "--max-tasks"}, "N", "task bound (default 4)",
+           cli::to(max_tasks), kTermination | kMachine | kCode},
+          {{"--render"}, "KIND", "text | summary | dot | xml | mermaid | code "
+           "| doc | efsm | efsm-code | efsm-dot | efsm-doc (default summary)",
+           cli::to(render)},
+          {{"-o", "--out"}, "FILE", "write output to FILE (default stdout)",
+           cli::to(out_path)},
+          {{"--class-name"}, "NAME", "class name for code rendering",
+           cli::to(class_name), kModels | kCode | kEfsmCode},
+          {{"--backend"}, "KIND", "code-render backend: switch (Fig 16 "
+           "per-message switch handlers, default) | table (dense "
+           "[state][event] dispatch table with action arena)",
+           [&backend](auto&, auto& value) {
+             if (value != "switch" && value != "table") {
+               throw cli::BadArgument("unknown backend: " + value);
+             }
+             backend = value;
+           },
+           kModels | kCode},
+          {{"--no-prune"}, "", "skip step 3 (prune unreachable)",
+           cli::set(options.prune_unreachable, false), kGenerated},
+          {{"--no-merge"}, "", "skip step 4 (merge equivalent)",
+           cli::set(options.merge_equivalent, false), kGenerated},
+          {{"-j", "--jobs"}, "N", "generation threads; 0 = one per hardware "
+           "thread (default), 1 = serial", cli::to(options.jobs), kGenerated},
+          {{"--cache"}, "DIR", "persist/reuse generated machines in DIR "
+           "(keyed by model, parameter and generator code version)",
+           cli::to(cache_dir), kGenerated},
+          {{"--stats"}, "", "print generation statistics to stderr",
+           cli::set(stats), kGenerated},
+          {{"--analyze"}, "", "print the structural analysis (dead ends, "
+           "completion distances, SCCs) to stderr",
+           cli::set(analyze_machine), kGenerated},
+          {{"--profile"}, "FILE", "write per-phase generation timings "
+           "(enumerate/transitions/prune/merge/render) as asa-metrics/1 JSON. "
+           "The one sanctioned wall-clock producer: numbers vary run to run, "
+           "unlike sim metrics", cli::to(profile_path)},
+      });
+  if (!args.parse(argc, argv)) return 0;
+  if (model_name != "commit" && model_name != "termination") {
+    throw cli::BadArgument("unknown model: " + model_name);
   }
+  const bool is_commit = model_name == "commit";
+  const cli::Modes render_kind = render_facet(render);
+  args.require_mode((is_commit ? kCommit : kTermination) | render_kind,
+                    "--model " + model_name + " --render " + render);
 
   std::string output;
   fsm::GenerationReport report;
@@ -146,21 +159,7 @@ int fsmgen_main(int argc, char** argv) {
   auto gen_end = wall_start;
   bool profile_cache_hit = false;
 
-  if (model_name != "commit" && model_name != "termination") {
-    std::cerr << "unknown model: " << model_name << "\n";
-    return 2;
-  }
-  const bool is_commit = model_name == "commit";
-
-  if (backend == "table" && render != "code") {
-    // The table backend only changes how concrete machines render as code;
-    // EFSM code is parameter-generic and has no dense table to flatten to.
-    std::cerr << "--backend table requires --render code\n";
-    return 2;
-  }
-
-  if (render == "efsm" || render == "efsm-code" || render == "efsm-dot" ||
-      render == "efsm-doc") {
+  if ((render_kind & (kEfsm | kEfsmCode)) != 0) {
     const fsm::Efsm efsm = is_commit ? commit::make_commit_efsm()
                                      : models::make_termination_efsm();
     if (render == "efsm") {
@@ -233,7 +232,7 @@ int fsmgen_main(int argc, char** argv) {
       }
       output = backend == "table" ? fsm::TableCodeRenderer(cg).render(machine)
                                   : fsm::CodeRenderer(cg).render(machine);
-    } else if (render == "doc") {
+    } else {  // doc
       fsm::DocOptions doc;
       if (is_commit) {
         const auto& m = static_cast<const commit::CommitModel&>(*model);
@@ -253,9 +252,6 @@ int fsmgen_main(int argc, char** argv) {
             "(section 5.2's message-counting applicability claim).";
       }
       output = fsm::DocRenderer(doc).render(machine);
-    } else {
-      std::cerr << "unknown render kind: " << render << "\n";
-      return 2;
     }
     if (analyze_machine) {
       std::cerr << fsm::analyze(machine, options.jobs).to_string();
@@ -327,10 +323,5 @@ int fsmgen_main(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return fsmgen_main(argc, argv);
-  } catch (const cli::BadArgument& e) {
-    std::cerr << "fsmgen: " << e.what() << "\n";
-    return 2;
-  }
+  return cli::run("fsmgen", [&] { return fsmgen_main(argc, argv); });
 }
