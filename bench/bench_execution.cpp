@@ -22,7 +22,7 @@
 // stream, printed as a table and, with --json FILE, written as one
 // asa-metrics/1 document (see EXPERIMENTS.md "Execution throughput
 // trajectory" for the exact protocol). Generation cost per family member
-// is timed by bench_table1 and bench_generation_scaling.
+// is timed by bench_generation_scaling.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

@@ -1336,15 +1336,22 @@ std::string encode_replay(const ChaosConfig& config,
 
 std::optional<std::pair<ChaosConfig, sim::FaultPlan>> decode_replay(
     const std::string& text) {
-  const std::size_t marker = text.find("plan\n");
-  if (marker == std::string::npos) return std::nullopt;
-  const std::optional<ChaosConfig> config =
-      ChaosConfig::parse(text.substr(0, marker));
-  if (!config.has_value()) return std::nullopt;
-  const std::optional<sim::FaultPlan> plan =
-      sim::FaultPlan::parse(text.substr(marker + 5));
-  if (!plan.has_value()) return std::nullopt;
-  return std::make_pair(*config, *plan);
+  // The header ends at the first line that is exactly "plan" (a comment
+  // line may end in the word too).
+  for (std::size_t line = 0; line < text.size();) {
+    const std::size_t end = std::min(text.find('\n', line), text.size());
+    if (text.compare(line, end - line, "plan") == 0) {
+      const std::optional<ChaosConfig> config =
+          ChaosConfig::parse(text.substr(0, line));
+      if (!config.has_value()) return std::nullopt;
+      const std::optional<sim::FaultPlan> plan =
+          sim::FaultPlan::parse(text.substr(std::min(end + 1, text.size())));
+      if (!plan.has_value()) return std::nullopt;
+      return std::make_pair(*config, *plan);
+    }
+    line = end + 1;
+  }
+  return std::nullopt;
 }
 
 }  // namespace asa_repro::storage

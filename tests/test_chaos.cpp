@@ -123,6 +123,18 @@ TEST(ChaosReplay, AutoBudgetRoundTrips) {
   EXPECT_EQ(decoded->first.fault_budget, ChaosConfig::kAutoBudget);
 }
 
+TEST(ChaosReplay, SplitsAtThePlanLineNotAtTheWord) {
+  const auto decoded = decode_replay(
+      "# asachaos replay v1, a shrunk plan\nseed 3\nplan\n100 crash 2\n");
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->first.seed, 3u);
+  ASSERT_EQ(decoded->second.events().size(), 1u);
+  EXPECT_EQ(decoded->second.events()[0].kind, FaultEvent::Kind::kCrash);
+  EXPECT_EQ(decoded->second.events()[0].node, 2u);
+  EXPECT_FALSE(decode_replay("# a shrunk plan\nseed 3\n100 crash 2\n")
+                   .has_value());
+}
+
 TEST(ChaosReplay, RejectsMalformedInput) {
   EXPECT_FALSE(decode_replay("no marker at all").has_value());
   EXPECT_FALSE(decode_replay("unknown-key 3\nplan\n").has_value());

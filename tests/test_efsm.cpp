@@ -177,7 +177,7 @@ TEST_P(EfsmEquivalence, ExpansionTraceEquivalentToGeneratedFsm) {
 
 INSTANTIATE_TEST_SUITE_P(ReplicationFactors, EfsmEquivalence,
                          ::testing::Values(2u, 3u, 4u, 5u, 6u, 7u, 10u, 13u,
-                                           25u));
+                                           19u, 25u, 34u, 46u));
 
 TEST(EfsmExpansion, ExpansionMatchesPrunedSizeBeforeMerging) {
   // Expanding the EFSM enumerates reachable concrete configurations — the

@@ -158,8 +158,9 @@ int fsmgen_main(int argc, char** argv) {
   const auto wall_start = std::chrono::steady_clock::now();
   auto gen_end = wall_start;
   bool profile_cache_hit = false;
+  const bool efsm_render = (render_kind & (kEfsm | kEfsmCode)) != 0;
 
-  if ((render_kind & (kEfsm | kEfsmCode)) != 0) {
+  if (efsm_render) {
     const fsm::Efsm efsm = is_commit ? commit::make_commit_efsm()
                                      : models::make_termination_efsm();
     if (render == "efsm") {
@@ -296,16 +297,16 @@ int fsmgen_main(int argc, char** argv) {
     profile.gauge("gen.merge_us").set(us(report.merge_time));
     profile.gauge("gen.render_us").set(us(render_end - gen_end));
     profile.gauge("gen.total_us").set(us(render_end - wall_start));
-    const obs::Meta meta{
-        {"tool", "fsmgen"},
-        {"model", model_name},
-        {"parameter", std::to_string(model_name == "commit" ? r : max_tasks)},
-        {"render", render},
-        {"cache", cache_dir.empty() ? "off"
-                  : profile_cache_hit ? "hit"
-                                      : "miss"},
-        {"clock", "wall"},
-    };
+    obs::Meta meta{{"tool", "fsmgen"}, {"model", model_name}};
+    // An EFSM render has no parameter value.
+    if (!efsm_render) {
+      meta.emplace_back("parameter", std::to_string(is_commit ? r : max_tasks));
+    }
+    meta.insert(meta.end(), {{"render", render},
+                             {"cache", cache_dir.empty() ? "off"
+                                       : profile_cache_hit ? "hit"
+                                                           : "miss"},
+                             {"clock", "wall"}});
     if (!cli::write_file(profile_path,
                          obs::write_metrics_json(profile, meta))) {
       return 2;
