@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "commit/commit_model.hpp"
+#include "sim/fault_plan.hpp"
 
 namespace asa_repro::commit {
 
@@ -17,7 +18,17 @@ auto lower_bound_update(Refs& refs, std::uint64_t update_id) {
       [](const auto& ref, std::uint64_t id) { return ref.update_id < id; });
 }
 
+static_assert(sim::kBehaviours.size() ==
+              static_cast<std::size_t>(Behaviour::kWithholder) + 1);
+
 }  // namespace
+
+std::optional<Behaviour> behaviour_named(std::string_view name) {
+  const auto* word =
+      std::find(sim::kBehaviours.begin(), sim::kBehaviours.end(), name);
+  if (word == sim::kBehaviours.end()) return std::nullopt;
+  return static_cast<Behaviour>(word - sim::kBehaviours.begin());
+}
 
 bool CommitPeer::SenderSet::insert(sim::NodeAddr sender) {
   for (std::uint32_t i = 0; i < size_; ++i) {

@@ -53,6 +53,10 @@ enum class Behaviour {
                  // the lower half of the address order (splits the view).
 };
 
+/// The behaviour a sim::kBehaviours word names (a fault plan's byzantine
+/// event, asasim --byzantine), or nullopt.
+[[nodiscard]] std::optional<Behaviour> behaviour_named(std::string_view name);
+
 /// Per-peer statistics, for benches and assertions.
 struct PeerStats {
   std::uint64_t updates_received = 0;

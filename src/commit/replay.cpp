@@ -9,7 +9,9 @@
 #include <set>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "commit/commit_model.hpp"
@@ -42,16 +44,35 @@ std::optional<std::uint32_t> parse_participant(const std::string& text) {
   return sim::parse_unsigned<std::uint32_t>(text);
 }
 
-/// Step words, indexed by ReplayStep::Kind.
-constexpr std::array<const char*, 8> kStepWords = {
-    "submit", "retry", "fail", "deliver", "dup", "drop", "crash", "record"};
-
-/// A step's `key=value` fields, by key.
+/// A step's `key=value` fields, in the order a step writes them.
 constexpr std::pair<std::string_view, std::uint32_t ReplayStep::*>
     kStepFields[] = {{"from", &ReplayStep::from},
                      {"to", &ReplayStep::to},
-                     {"req", &ReplayStep::request},
-                     {"peer", &ReplayStep::peer}};
+                     {"peer", &ReplayStep::peer},
+                     {"req", &ReplayStep::request}};
+/// kStepFields bits by position, and kMessage: a message word follows the
+/// step's word.
+enum : unsigned { kFrom = 1, kTo = 2, kPeer = 4, kReq = 8, kMessage = 16 };
+
+/// Indexed by ReplayStep::Kind: each step's word and what it writes after
+/// it, read by serialize and parse.
+constexpr std::pair<std::string_view, unsigned> kSteps[] = {
+    {"submit", kReq}, {"retry", kReq}, {"fail", kReq},
+    {"deliver", kMessage | kFrom | kTo | kReq},
+    {"dup", kMessage | kFrom | kTo | kReq},
+    {"drop", kMessage | kFrom | kTo | kReq},
+    {"crash", kPeer}, {"record", kPeer | kReq}};
+static_assert(std::size(kSteps) ==
+              static_cast<std::size_t>(ReplayStep::Kind::kRecord) + 1);
+
+/// The `protocol` line's `key=value` fields, in file order.
+constexpr std::pair<std::string_view,
+                    std::variant<std::uint32_t ReplayPlan::*,
+                                 std::uint64_t ReplayPlan::*>>
+    kProtocolFields[] = {{"r", &ReplayPlan::r}, {"f", &ReplayPlan::f},
+                         {"requests", &ReplayPlan::requests},
+                         {"attempts", &ReplayPlan::attempts},
+                         {"guid", &ReplayPlan::guid}};
 
 /// The model's payload for request index j; fixed so a replayed run is
 /// deterministic and violations can name concrete conflicting values.
@@ -60,24 +81,18 @@ std::uint64_t payload_of(std::uint32_t request) { return 1000 + request; }
 }  // namespace
 
 std::string ReplayStep::serialize() const {
-  const std::string word = kStepWords[static_cast<std::size_t>(kind)];
-  switch (kind) {
-    case Kind::kSubmit:
-    case Kind::kRetry:
-    case Kind::kFail:
-      return word + " req=" + std::to_string(request);
-    case Kind::kDeliver:
-    case Kind::kDup:
-    case Kind::kDrop:
-      return word + " " + kWireWords[static_cast<std::size_t>(msg)] +
-             " from=" + participant(from) + " to=" + participant(to) +
-             " req=" + std::to_string(request);
-    case Kind::kCrash: return word + " peer=" + std::to_string(peer);
-    case Kind::kRecord:
-      return word + " peer=" + std::to_string(peer) +
-             " req=" + std::to_string(request);
+  const auto& [word, writes] = kSteps[static_cast<std::size_t>(kind)];
+  std::string out(word);
+  if ((writes & kMessage) != 0) {
+    out += std::string(" ") + kWireWords[static_cast<std::size_t>(msg)];
   }
-  return "?";
+  for (std::size_t i = 0; i < std::size(kStepFields); ++i) {
+    const auto& [key, member] = kStepFields[i];
+    if (((writes >> i) & 1u) != 0) {
+      out += ' ' + std::string(key) + '=' + participant(this->*member);
+    }
+  }
+  return out;
 }
 
 std::optional<ReplayStep> ReplayStep::parse(const std::string& line) {
@@ -85,13 +100,14 @@ std::optional<ReplayStep> ReplayStep::parse(const std::string& line) {
   std::string word;
   if (!(in >> word)) return std::nullopt;
 
-  const auto known = std::find(kStepWords.begin(), kStepWords.end(), word);
-  if (known == kStepWords.end()) return std::nullopt;
+  const auto* row =
+      std::find_if(std::begin(kSteps), std::end(kSteps),
+                   [&word](const auto& r) { return r.first == word; });
+  if (row == std::end(kSteps)) return std::nullopt;
   ReplayStep step;
-  step.kind = static_cast<Kind>(known - kStepWords.begin());
+  step.kind = static_cast<Kind>(row - std::begin(kSteps));
 
-  if (step.kind == Kind::kDeliver || step.kind == Kind::kDup ||
-      step.kind == Kind::kDrop) {
+  if ((row->second & kMessage) != 0) {
     std::string kind_name;
     if (!(in >> kind_name)) return std::nullopt;
     const auto msg = std::find(kWireWords.begin(), kWireWords.end(), kind_name);
@@ -117,10 +133,13 @@ std::optional<ReplayStep> ReplayStep::parse(const std::string& line) {
 
 std::string ReplayPlan::serialize() const {
   std::string out = "asa-replay/1\n";
-  out += "protocol r=" + std::to_string(r) + " f=" + std::to_string(f) +
-         " requests=" + std::to_string(requests) +
-         " attempts=" + std::to_string(attempts) +
-         " guid=" + std::to_string(guid) + "\n";
+  out += "protocol";
+  for (const auto& [key, member] : kProtocolFields) {
+    out += ' ' + std::string(key) + '=' +
+           std::visit([this](auto f) { return std::to_string(this->*f); },
+                      member);
+  }
+  out += '\n';
   out += "mutation " + (mutation.empty() ? std::string("none") : mutation) +
          "\n";
   out += "check " + check + "\n";
@@ -148,22 +167,18 @@ std::optional<ReplayPlan> ReplayPlan::parse(const std::string& text) {
       while (fields >> token) {
         const std::size_t eq = token.find('=');
         if (eq == std::string::npos) return std::nullopt;
-        const std::string key = token.substr(0, eq);
-        const auto value = parse_participant(token.substr(eq + 1));
-        if (!value.has_value() || *value == ReplayStep::kEndpoint) {
-          return std::nullopt;
-        }
-        if (key == "r") {
-          plan.r = *value;
-        } else if (key == "f") {
-          plan.f = *value;
-        } else if (key == "requests") {
-          plan.requests = *value;
-        } else if (key == "attempts") {
-          plan.attempts = *value;
-        } else if (key == "guid") {
-          plan.guid = *value;
-        } else {
+        const auto field = std::find_if(
+            std::begin(kProtocolFields), std::end(kProtocolFields),
+            [&](const auto& f) { return f.first == token.substr(0, eq); });
+        // Each field is a number of its own width (a 64-bit guid too).
+        const auto read = [&](auto member) {
+          using Field = std::remove_reference_t<decltype(plan.*member)>;
+          const auto value = sim::parse_unsigned<Field>(token.substr(eq + 1));
+          if (value.has_value()) plan.*member = *value;
+          return value.has_value();
+        };
+        if (field == std::end(kProtocolFields) ||
+            !std::visit(read, field->second)) {
           return std::nullopt;
         }
       }

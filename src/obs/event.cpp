@@ -182,17 +182,26 @@ void write_trace_line(std::ostream& os, const TraceEvent& event) {
   os << line;
 }
 
-void EventRecorder::record(EventKind kind, std::uint64_t t,
-                           std::uint32_t node, const EventFields& fields,
-                           Word word) {
+EventRecorder::EventRecorder(bool tracing, std::size_t capacity, bool spans)
+    : tracing_(tracing), capacity_(capacity), spans_(spans) {
+  static_assert(std::size(kKinds) <= 32);
+  for (std::size_t k = 0; k < std::size(kKinds); ++k) {
+    const KindRow& r = kKinds[k];
+    if ((tracing_ && r.trace.category != nullptr) ||
+        (capacity_ > 0 && r.flight.category != nullptr) ||
+        (spans_ && r.span)) {
+      kept_ |= 1u << k;
+    }
+  }
+}
+
+void EventRecorder::keep(EventKind kind, std::uint64_t t, std::uint32_t node,
+                         const EventFields& fields, Word word) {
   const Event event{t, node, kind, word, fields};
-  if (tracing_ && row(kind).trace.category != nullptr) {
-    stream_.push_back(event);
-  }
-  if (capacity_ > 0 && row(kind).flight.category != nullptr) {
-    keep_in_flight(event);
-  }
-  if (spans_ && row(kind).span) spans_view_.push_back(event);
+  const KindRow& r = row(kind);
+  if (tracing_ && r.trace.category != nullptr) stream_.push_back(event);
+  if (capacity_ > 0 && r.flight.category != nullptr) keep_in_flight(event);
+  if (spans_ && r.span) spans_view_.push_back(event);
 }
 
 void EventBlocks::push_back(const Event& event) {

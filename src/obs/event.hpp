@@ -17,7 +17,8 @@
 // and other kinds never reach it, so no view's export depends on another
 // being on. Events carry sim time only, so identical runs export identical
 // bytes. Components hold an `EventRecorder*` that is nullptr when every
-// view is off: a disabled recorder costs one pointer test per event.
+// view is off: a disabled recorder costs one pointer test per event, and
+// an event of a kind no enabled view keeps costs one bit test more.
 // Span ids and parentage are derived at export (span.hpp).
 //
 // Text is made only at export, once per event: a detail is formatted into
@@ -164,8 +165,7 @@ class EventRecorder {
     std::uint64_t seq = 0;
   };
 
-  EventRecorder(bool tracing, std::size_t capacity, bool spans = false)
-      : tracing_(tracing), capacity_(capacity), spans_(spans) {}
+  EventRecorder(bool tracing, std::size_t capacity, bool spans = false);
   EventRecorder(const EventRecorder&) = delete;
   EventRecorder& operator=(const EventRecorder&) = delete;
 
@@ -178,9 +178,15 @@ class EventRecorder {
     return tracing_ || capacity_ > 0 || spans_;
   }
 
-  /// Record one event into every view that keeps its kind.
+  /// Record one event into every view that keeps its kind. Only the mask
+  /// test is inline: a kind no view keeps costs no call, and call sites
+  /// stay small (an inline Event slowed every stackbench workload ~7%).
   void record(EventKind kind, std::uint64_t t, std::uint32_t node,
-              const EventFields& fields, Word word = Word::kNone);
+              const EventFields& fields, Word word = Word::kNone) {
+    if (((kept_ >> static_cast<unsigned>(kind)) & 1u) != 0) {
+      keep(kind, t, node, fields, word);
+    }
+  }
 
   /// A nameless span close: `node`'s open spans stay open but nothing
   /// recorded afterwards joins them, closes them or parents under them (its
@@ -218,6 +224,9 @@ class EventRecorder {
     std::size_t next = 0;            // Overwrite cursor once full.
   };
 
+  /// Add the event to each view that keeps its kind.
+  void keep(EventKind kind, std::uint64_t t, std::uint32_t node,
+            const EventFields& fields, Word word);
   void keep_in_flight(const Event& event);
   /// Every lane's ring, by ascending lane id (kClusterLane last).
   [[nodiscard]] std::vector<std::pair<std::uint32_t, const Ring*>>
@@ -229,6 +238,7 @@ class EventRecorder {
   bool tracing_;
   std::size_t capacity_;
   bool spans_;
+  std::uint32_t kept_ = 0;  // Bit k: some view keeps EventKind k.
   std::vector<Event> stream_;
   EventBlocks spans_view_;
   std::uint64_t seq_ = 0;

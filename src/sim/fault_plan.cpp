@@ -1,184 +1,131 @@
 #include "sim/fault_plan.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <type_traits>
 
+#include "sim/network.hpp"
 #include "sim/parse_number.hpp"
 
 namespace asa_repro::sim {
 
 namespace {
 
-const char* kind_name(FaultEvent::Kind kind) {
-  switch (kind) {
-    case FaultEvent::Kind::kCrash: return "crash";
-    case FaultEvent::Kind::kRestart: return "restart";
-    case FaultEvent::Kind::kPartition: return "partition";
-    case FaultEvent::Kind::kHeal: return "heal";
-    case FaultEvent::Kind::kDropRate: return "drop-rate";
-    case FaultEvent::Kind::kDupRate: return "dup-rate";
-    case FaultEvent::Kind::kByzantine: return "byzantine";
-    case FaultEvent::Kind::kCorrupt: return "corrupt";
-    case FaultEvent::Kind::kUncorrupt: return "uncorrupt";
-    case FaultEvent::Kind::kTornWrite: return "torn-write";
-    case FaultEvent::Kind::kFlushDrop: return "flush-drop";
-    case FaultEvent::Kind::kBitRot: return "bit-rot";
-    case FaultEvent::Kind::kDiskStall: return "disk-stall";
-    case FaultEvent::Kind::kDiskFull: return "disk-full";
-    case FaultEvent::Kind::kDiskOk: return "disk-ok";
-    case FaultEvent::Kind::kJoin: return "join";
-    case FaultEvent::Kind::kLeave: return "leave";
-    case FaultEvent::Kind::kDepart: return "depart";
-    case FaultEvent::Kind::kLinkProfile: return "link-profile";
+/// Operand fields, one bit each, written and read in the order
+/// for_each_operand visits them. The one word operand is a kBehaviours
+/// entry (kBehaviour) or a link_profile name (kClass).
+enum Operand : unsigned {
+  kNode = 1, kPeer = 2, kArg = 4, kRate = 8, kBehaviour = 16, kClass = 32
+};
+
+struct KindRow {
+  std::string_view name;
+  unsigned operands;
+};
+
+/// Indexed by FaultEvent::Kind: each kind's name and operands, read by
+/// both serialize and parse.
+constexpr KindRow kKinds[] = {
+    {"crash", kNode},
+    {"restart", kNode},
+    {"partition", kNode | kPeer},
+    {"heal", kNode | kPeer},
+    {"drop-rate", kRate},
+    {"dup-rate", kRate},
+    {"byzantine", kNode | kBehaviour},
+    {"corrupt", kNode},
+    {"uncorrupt", kNode},
+    {"torn-write", kNode},
+    {"flush-drop", kNode | kArg},
+    {"bit-rot", kNode | kArg},
+    {"disk-stall", kNode},
+    {"disk-full", kNode | kArg},
+    {"disk-ok", kNode},
+    {"join", kNode},
+    {"leave", kNode},
+    {"depart", kNode},
+    {"link-profile", kNode | kPeer | kClass},
+};
+
+static_assert(std::size(kKinds) ==
+              static_cast<std::size_t>(FaultEvent::Kind::kLinkProfile) + 1);
+
+/// Call `visit(bit, field)` on each operand field in wire order, while it
+/// returns true.
+template <typename Event, typename Visit>
+bool for_each_operand(Event& event, Visit&& visit) {
+  return visit(kNode, event.node) && visit(kPeer, event.peer) &&
+         visit(kArg, event.arg) && visit(kRate, event.rate) &&
+         visit(kBehaviour | kClass, event.behaviour);
+}
+
+/// An operand's text. A number is written in the shortest form that reads
+/// back as the same value: a generated rate such as 0.05 + 0.01 * 17
+/// (0.22000000000000003) is not the double its six-digit rounding names.
+template <typename Field>
+std::string text_of(const Field& field) {
+  if constexpr (std::is_same_v<Field, std::string>) {
+    return field;
+  } else {
+    std::array<char, 32> digits;
+    return {digits.data(),
+            std::to_chars(digits.begin(), digits.end(), field).ptr};
   }
-  return "?";
-}
-
-std::optional<FaultEvent::Kind> kind_from(const std::string& name) {
-  using Kind = FaultEvent::Kind;
-  if (name == "crash") return Kind::kCrash;
-  if (name == "restart") return Kind::kRestart;
-  if (name == "partition") return Kind::kPartition;
-  if (name == "heal") return Kind::kHeal;
-  if (name == "drop-rate") return Kind::kDropRate;
-  if (name == "dup-rate") return Kind::kDupRate;
-  if (name == "byzantine") return Kind::kByzantine;
-  if (name == "corrupt") return Kind::kCorrupt;
-  if (name == "uncorrupt") return Kind::kUncorrupt;
-  if (name == "torn-write") return Kind::kTornWrite;
-  if (name == "flush-drop") return Kind::kFlushDrop;
-  if (name == "bit-rot") return Kind::kBitRot;
-  if (name == "disk-stall") return Kind::kDiskStall;
-  if (name == "disk-full") return Kind::kDiskFull;
-  if (name == "disk-ok") return Kind::kDiskOk;
-  if (name == "join") return Kind::kJoin;
-  if (name == "leave") return Kind::kLeave;
-  if (name == "depart") return Kind::kDepart;
-  if (name == "link-profile") return Kind::kLinkProfile;
-  return std::nullopt;
-}
-
-bool valid_behaviour(const std::string& name) {
-  return name == "honest" || name == "crash" || name == "equivocator" ||
-         name == "withholder";
-}
-
-bool valid_link_class(const std::string& name) {
-  return name == "lan" || name == "wan" || name == "sat" ||
-         name == "default";
 }
 
 }  // namespace
 
 std::string FaultEvent::serialize() const {
-  std::ostringstream out;
-  out << at << ' ' << kind_name(kind);
-  switch (kind) {
-    case Kind::kCrash:
-    case Kind::kRestart:
-    case Kind::kCorrupt:
-    case Kind::kUncorrupt:
-    case Kind::kTornWrite:
-    case Kind::kDiskStall:
-    case Kind::kDiskOk:
-    case Kind::kJoin:
-    case Kind::kLeave:
-    case Kind::kDepart:
-      out << ' ' << node;
-      break;
-    case Kind::kPartition:
-    case Kind::kHeal:
-      out << ' ' << node << ' ' << peer;
-      break;
-    case Kind::kFlushDrop:
-    case Kind::kBitRot:
-    case Kind::kDiskFull:
-      out << ' ' << node << ' ' << arg;
-      break;
-    case Kind::kDropRate:
-    case Kind::kDupRate:
-      out << ' ' << rate;
-      break;
-    case Kind::kByzantine:
-      out << ' ' << node << ' ' << behaviour;
-      break;
-    case Kind::kLinkProfile:
-      out << ' ' << node << ' ' << peer << ' ' << behaviour;
-      break;
-  }
-  return out.str();
+  const KindRow& row = kKinds[static_cast<std::size_t>(kind)];
+  std::string out = std::to_string(at) + ' ' + std::string(row.name);
+  for_each_operand(*this, [&](unsigned bit, const auto& field) {
+    if ((row.operands & bit) != 0) out += ' ' + text_of(field);
+    return true;
+  });
+  return out;
 }
 
 std::optional<FaultEvent> FaultEvent::parse(const std::string& line) {
   std::istringstream in(line);
-  // The next token as a number spanning the whole token (`in >> field`
-  // would wrap "-5" into an unsigned field and stop early on "12x").
-  const auto number = [&in](auto& field) {
-    using Field = std::remove_reference_t<decltype(field)>;
-    std::string token;
-    std::optional<Field> parsed;
-    if (in >> token) {
-      if constexpr (std::is_floating_point_v<Field>) {
-        parsed = parse_double(token);
-      } else {
-        parsed = parse_unsigned<Field>(token);
-      }
-    }
-    if (parsed.has_value()) field = *parsed;
-    return parsed.has_value();
-  };
+  std::string token;
   FaultEvent event;
-  std::string kind;
-  if (!number(event.at) || !(in >> kind)) return std::nullopt;
-  const std::optional<Kind> parsed = kind_from(kind);
-  if (!parsed.has_value()) return std::nullopt;
-  event.kind = *parsed;
-  switch (event.kind) {
-    case Kind::kCrash:
-    case Kind::kRestart:
-    case Kind::kCorrupt:
-    case Kind::kUncorrupt:
-    case Kind::kTornWrite:
-    case Kind::kDiskStall:
-    case Kind::kDiskOk:
-    case Kind::kJoin:
-    case Kind::kLeave:
-    case Kind::kDepart:
-      if (!number(event.node)) return std::nullopt;
-      break;
-    case Kind::kPartition:
-    case Kind::kHeal:
-      if (!number(event.node) || !number(event.peer)) return std::nullopt;
-      break;
-    case Kind::kFlushDrop:
-    case Kind::kBitRot:
-    case Kind::kDiskFull:
-      if (!number(event.node) || !number(event.arg)) return std::nullopt;
-      break;
-    case Kind::kDropRate:
-    case Kind::kDupRate:
-      if (!number(event.rate) || event.rate < 0.0 || event.rate > 1.0) {
-        return std::nullopt;
-      }
-      break;
-    case Kind::kByzantine:
-      if (!number(event.node) || !(in >> event.behaviour) ||
-          !valid_behaviour(event.behaviour)) {
-        return std::nullopt;
-      }
-      break;
-    case Kind::kLinkProfile:
-      if (!number(event.node) || !number(event.peer) ||
-          !(in >> event.behaviour) ||
-          !valid_link_class(event.behaviour)) {
-        return std::nullopt;
-      }
-      break;
-  }
-  std::string trailing;
-  if (in >> trailing) return std::nullopt;
+  const KindRow* row = nullptr;
+  // The next token into `field`. Numbers span their whole token (`in >>
+  // field` would wrap "-5" into an unsigned field and stop early on "12x"),
+  // rates lie in [0,1] and a word belongs to its kind's vocabulary.
+  const auto read = [&](auto& field) {
+    using Field = std::remove_reference_t<decltype(field)>;
+    if (!(in >> token)) return false;
+    if constexpr (std::is_same_v<Field, std::string>) {
+      field = token;
+      return (row->operands & kBehaviour) != 0
+                 ? std::find(kBehaviours.begin(), kBehaviours.end(),
+                             token) != kBehaviours.end()
+                 : link_profile(token).has_value();
+    } else if constexpr (std::is_floating_point_v<Field>) {
+      const std::optional<double> rate = parse_double(token);
+      if (!rate.has_value() || *rate < 0.0 || *rate > 1.0) return false;
+      field = *rate;
+      return true;
+    } else {
+      const std::optional<Field> number = parse_unsigned<Field>(token);
+      if (number.has_value()) field = *number;
+      return number.has_value();
+    }
+  };
+  if (!read(event.at) || !(in >> token)) return std::nullopt;
+  row = std::find_if(std::begin(kKinds), std::end(kKinds),
+                     [&token](const KindRow& r) { return r.name == token; });
+  if (row == std::end(kKinds)) return std::nullopt;
+  event.kind = static_cast<Kind>(row - std::begin(kKinds));
+  const bool ok = for_each_operand(event, [&](unsigned bit, auto& field) {
+    return (row->operands & bit) == 0 || read(field);
+  });
+  if (!ok || in >> token) return std::nullopt;
   return event;
 }
 

@@ -11,19 +11,27 @@
 // The plan is pure data: it names nodes by index and carries no references
 // into any particular simulation, so the same plan can be generated,
 // mutated (delta-debugging), serialised into a replay file, parsed back and
-// re-executed deterministically. Executors (storage::ChaosRunner) map each
-// event onto concrete cluster operations.
+// re-executed deterministically. storage::run_plan executes a plan,
+// mapping each event onto concrete cluster operations (apply_fault in
+// chaos.cpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/scheduler.hpp"
 
 namespace asa_repro::sim {
+
+/// kByzantine's behaviour words, in commit::Behaviour order: the commit
+/// layer sits above sim and converts a word by its position here.
+inline constexpr std::array<std::string_view, 4> kBehaviours = {
+    "honest", "crash", "equivocator", "withholder"};
 
 /// One scheduled fault event. `node`/`peer` are cluster node indices;
 /// which fields are meaningful depends on `kind`.
@@ -59,9 +67,9 @@ struct FaultEvent {
                  //   new key-range owners, then leave the ring.
     kDepart,     // node: abrupt departure — vanish without handoff.
     // ---- Per-link WAN adversity. ----
-    kLinkProfile,  // node -> peer, behaviour: install the named latency
-                   //   class (lan | wan | sat | default) on the directed
-                   //   link; "default" restores network defaults.
+    kLinkProfile,  // node <-> peer, behaviour: install the link_profile
+                   //   class it names on both directions of the link;
+                   //   "default" restores network defaults.
   };
 
   Time at = 0;
@@ -70,13 +78,13 @@ struct FaultEvent {
   std::uint32_t peer = 0;       // kPartition/kHeal/kLinkProfile only.
   std::uint32_t arg = 0;        // kFlushDrop/kBitRot/kDiskFull only.
   double rate = 0.0;            // kDropRate/kDupRate only.
-  std::string behaviour{};      // kByzantine: honest | crash |
-                                // equivocator | withholder.
-                                // kLinkProfile: lan | wan | sat | default.
+  std::string behaviour{};      // kByzantine: a kBehaviours word.
+                                // kLinkProfile: a link_profile name.
 
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 
-  /// One-line wire form, e.g. "120000 partition 3 7".
+  /// One-line wire form, e.g. "120000 partition 3 7": the time, then the
+  /// kind's name and operands from the kind table that parse reads too.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static std::optional<FaultEvent> parse(
       const std::string& line);
@@ -95,7 +103,6 @@ class FaultPlan {
     return events_;
   }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
-  [[nodiscard]] bool empty() const { return events_.empty(); }
 
   /// Stable-sort by time (insertion order breaks ties).
   void sort_by_time();

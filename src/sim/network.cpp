@@ -8,7 +8,7 @@ namespace {
 
 bool valid_probability(double p) { return p >= 0.0 && p <= 1.0; }
 
-const std::string kDefaultClass = "default";
+const std::string kDefaultClass = LinkProfile{}.name;
 
 }  // namespace
 
@@ -20,34 +20,23 @@ void validate(const LatencyModel& model) {
   }
 }
 
+const std::array<LinkProfile, 3>& link_classes() {
+  static const std::array<LinkProfile, 3> kClasses = {{
+      {.name = "lan", .latency = {50, 500}, .jitter = 100},
+      {.name = "wan", .latency = {20'000, 60'000}, .jitter = 5'000,
+       .loss_good = 0.001, .loss_bad = 0.2, .p_good_to_bad = 0.01,
+       .p_bad_to_good = 0.25},
+      {.name = "sat", .latency = {240'000, 280'000}, .jitter = 15'000,
+       .loss_good = 0.002, .loss_bad = 0.35, .p_good_to_bad = 0.005,
+       .p_bad_to_good = 0.1},
+  }};
+  return kClasses;
+}
+
 std::optional<LinkProfile> link_profile(const std::string& name) {
-  if (name == "default") return LinkProfile{};
-  if (name == "lan") {
-    return LinkProfile{.name = "lan",
-                       .latency = {50, 500},
-                       .jitter = 100,
-                       .loss_good = 0.0,
-                       .loss_bad = 0.0,
-                       .p_good_to_bad = 0.0,
-                       .p_bad_to_good = 1.0};
-  }
-  if (name == "wan") {
-    return LinkProfile{.name = "wan",
-                       .latency = {20'000, 60'000},
-                       .jitter = 5'000,
-                       .loss_good = 0.001,
-                       .loss_bad = 0.2,
-                       .p_good_to_bad = 0.01,
-                       .p_bad_to_good = 0.25};
-  }
-  if (name == "sat") {
-    return LinkProfile{.name = "sat",
-                       .latency = {240'000, 280'000},
-                       .jitter = 15'000,
-                       .loss_good = 0.002,
-                       .loss_bad = 0.35,
-                       .p_good_to_bad = 0.005,
-                       .p_bad_to_good = 0.1};
+  if (name == kDefaultClass) return LinkProfile{};
+  for (const LinkProfile& profile : link_classes()) {
+    if (profile.name == name) return profile;
   }
   return std::nullopt;
 }

@@ -49,6 +49,7 @@
 // a second FlatMap keyed by address, so a delivery does one probe too.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -100,12 +101,16 @@ struct LinkProfile {
   friend bool operator==(const LinkProfile&, const LinkProfile&) = default;
 };
 
-/// Named latency classes modelled on deployment environments:
+/// Named latency classes modelled on deployment environments, in the order
+/// generated fault plans draw them:
 ///   lan — sub-millisecond, no jitter, lossless;
 ///   wan — tens of milliseconds, jittery, bursty ~0.1%/20% GE loss;
 ///   sat — geostationary-grade quarter-second delay, heavy loss bursts.
-/// "default" returns the network-default profile (uniform 0.5–5 ms,
-/// lossless) used to reset a link. Unknown names return nullopt.
+[[nodiscard]] const std::array<LinkProfile, 3>& link_classes();
+
+/// The class named `name`. "default" (LinkProfile{}'s name) returns the
+/// network-default profile (uniform 0.5–5 ms, lossless) used to reset a
+/// link. Unknown names return nullopt.
 std::optional<LinkProfile> link_profile(const std::string& name);
 
 /// Network-wide statistics.
@@ -229,7 +234,6 @@ class Network {
   // at send time; latency does not, since the explorer IS the scheduler).
 
   void set_manual_mode(bool manual) { manual_mode_ = manual; }
-  [[nodiscard]] bool manual_mode() const { return manual_mode_; }
 
   /// Number of buffered, undelivered messages.
   [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
@@ -259,9 +263,6 @@ class Network {
   /// Drop the index-th pending message without delivering it (counted in
   /// stats as dropped). Throws std::out_of_range for an invalid index.
   void drop_pending(std::size_t index);
-
-  /// Drop every buffered message (end-of-exploration cleanup).
-  void clear_pending() { pending_.clear(); }
 
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] Scheduler& scheduler() { return sched_; }

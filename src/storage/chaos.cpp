@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <sstream>
-#include <type_traits>
+#include <tuple>
 
 #include "durable/journal.hpp"
 #include "sim/parse_number.hpp"
@@ -18,22 +19,14 @@ namespace {
 using sim::FaultEvent;
 using sim::FaultPlan;
 
-std::optional<commit::Behaviour> behaviour_from(const std::string& name) {
-  if (name == "honest") return commit::Behaviour::kHonest;
-  if (name == "crash") return commit::Behaviour::kCrash;
-  if (name == "equivocator") return commit::Behaviour::kEquivocator;
-  if (name == "withholder") return commit::Behaviour::kWithholder;
-  return std::nullopt;
-}
-
 /// Execute one fault event against the cluster. Events are forgiving
 /// (idempotent crash, no-op restart of a live node, modulo'd node indices)
 /// so that shrunk plans with unmatched inject/heal pairs stay executable.
 void apply_fault(AsaCluster& cluster, const FaultEvent& event) {
-  const auto node = static_cast<std::size_t>(
-      event.node % std::max<std::size_t>(1, cluster.node_count()));
-  const auto peer = static_cast<std::size_t>(
-      event.peer % std::max<std::size_t>(1, cluster.node_count()));
+  const std::size_t nodes = std::max<std::size_t>(1, cluster.node_count());
+  const auto node = static_cast<std::size_t>(event.node % nodes);
+  const auto from = static_cast<sim::NodeAddr>(node);
+  const auto to = static_cast<sim::NodeAddr>(event.peer % nodes);
   switch (event.kind) {
     case FaultEvent::Kind::kCrash:
       cluster.crash_node(node);
@@ -42,17 +35,11 @@ void apply_fault(AsaCluster& cluster, const FaultEvent& event) {
       cluster.restart_node(node);
       break;
     case FaultEvent::Kind::kPartition:
-      if (node != peer) {
-        cluster.network().partition_bidirectional(
-            static_cast<sim::NodeAddr>(node),
-            static_cast<sim::NodeAddr>(peer));
-      }
+      if (from != to) cluster.network().partition_bidirectional(from, to);
       break;
     case FaultEvent::Kind::kHeal:
-      cluster.network().heal(static_cast<sim::NodeAddr>(node),
-                             static_cast<sim::NodeAddr>(peer));
-      cluster.network().heal(static_cast<sim::NodeAddr>(peer),
-                             static_cast<sim::NodeAddr>(node));
+      cluster.network().heal(from, to);
+      cluster.network().heal(to, from);
       break;
     case FaultEvent::Kind::kDropRate:
       cluster.network().set_drop_probability(event.rate);
@@ -61,7 +48,7 @@ void apply_fault(AsaCluster& cluster, const FaultEvent& event) {
       cluster.network().set_duplicate_probability(event.rate);
       break;
     case FaultEvent::Kind::kByzantine: {
-      const auto behaviour = behaviour_from(event.behaviour);
+      const auto behaviour = commit::behaviour_named(event.behaviour);
       if (!behaviour.has_value() || cluster.crashed(node)) break;
       cluster.make_byzantine(node, *behaviour);
       // "Replace the faulty member": the rebuilt honest node bootstraps
@@ -125,14 +112,13 @@ void apply_fault(AsaCluster& cluster, const FaultEvent& event) {
       if (cluster.remove_node(node, /*graceful=*/false)) cluster.repair();
       break;
     case FaultEvent::Kind::kLinkProfile: {
-      const auto from = static_cast<sim::NodeAddr>(node);
-      const auto to = static_cast<sim::NodeAddr>(peer);
-      if (from == to) break;
-      if (event.behaviour == "default") {
+      const std::optional<sim::LinkProfile> profile =
+          sim::link_profile(event.behaviour);
+      if (from == to || !profile.has_value()) break;
+      if (*profile == sim::LinkProfile{}) {  // "default"
         cluster.network().clear_link_profile(from, to);
         cluster.network().clear_link_profile(to, from);
-      } else if (const std::optional<sim::LinkProfile> profile =
-                     sim::link_profile(event.behaviour)) {
+      } else {
         // Installed in both directions, so a later event on the same
         // pair overrides both: plans cannot express an asymmetric path.
         cluster.network().set_link_profile(from, to, *profile);
@@ -143,39 +129,85 @@ void apply_fault(AsaCluster& cluster, const FaultEvent& event) {
   }
 }
 
-}  // namespace
-
 // ------------------------------------------------------------- ChaosConfig
 
+/// Each header format, written and read: integers are plain unsigned
+/// numbers spanning the whole token, fractions integer percents (zipf
+/// x100, so replay files stay locale-proof integer-only text), bools on
+/// or off, and fault-budget "auto" (kAutoBudget) or a number.
+template <typename Budget>
+struct AutoOr {
+  Budget& budget;
+};
+
+template <typename T>
+std::string text_of(T number) {
+  return std::to_string(number);
+}
+template <typename T>
+bool read_value(const std::string& text, T& number) {
+  const std::optional<T> parsed = sim::parse_unsigned<T>(text);
+  if (parsed.has_value()) number = *parsed;
+  return parsed.has_value();
+}
+
+std::string text_of(double fraction) {
+  return text_of(static_cast<int>(fraction * 100.0 + 0.5));
+}
+bool read_value(const std::string& text, double& fraction) {
+  int percent = 0;
+  if (!read_value(text, percent)) return false;
+  fraction = percent / 100.0;
+  return true;
+}
+
+std::string text_of(bool on) { return on ? "on" : "off"; }
+bool read_value(const std::string& text, bool& on) {
+  on = text == "on";
+  return on || text == "off";
+}
+
+std::string text_of(AutoOr<const std::uint32_t> value) {
+  return value.budget == ChaosConfig::kAutoBudget ? "auto"
+                                                  : text_of(value.budget);
+}
+bool read_value(const std::string& text, AutoOr<std::uint32_t> value) {
+  value.budget = ChaosConfig::kAutoBudget;
+  return text == "auto" || read_value(text, value.budget);
+}
+
+/// Call `visit(key, field)` on each replay-header key in file order: the
+/// one list that serialize and parse both walk.
+template <typename Config, typename Visit>
+void for_each_key(Config& config, Visit&& visit) {
+  visit("nodes", config.nodes);
+  visit("replication", config.replication);
+  visit("seed", config.seed);
+  visit("updates", config.updates);
+  visit("guids", config.guids);
+  visit("blocks", config.blocks);
+  visit("burst", config.burst);
+  visit("max-events", config.max_events);
+  visit("equivocators", config.equivocators);
+  visit("fault-budget", AutoOr{config.fault_budget});
+  visit("horizon", config.horizon);
+  visit("durability", config.durability);
+  visit("churn", config.churn);
+  visit("wan", config.wan);
+  visit("writers", config.writers);
+  visit("zipf", config.zipf);
+  visit("reads", config.read_fraction);
+  visit("open-loop", config.open_loop);
+}
+
+}  // namespace
+
 std::string ChaosConfig::serialize() const {
-  std::ostringstream out;
-  out << "nodes " << nodes << '\n'
-      << "replication " << replication << '\n'
-      << "seed " << seed << '\n'
-      << "updates " << updates << '\n'
-      << "guids " << guids << '\n'
-      << "blocks " << blocks << '\n'
-      << "burst " << burst << '\n'
-      << "max-events " << max_events << '\n'
-      << "equivocators " << equivocators << '\n'
-      << "fault-budget ";
-  if (fault_budget == kAutoBudget) {
-    out << "auto";
-  } else {
-    out << fault_budget;
-  }
-  out << '\n'
-      << "horizon " << horizon << '\n'
-      << "durability " << (durability ? "on" : "off") << '\n'
-      << "churn " << (churn ? "on" : "off") << '\n'
-      << "wan " << (wan ? "on" : "off") << '\n'
-      << "writers " << writers << '\n'
-      // Fractions serialize as integer percents (zipf x100) so replay
-      // files stay locale-proof integer-only text.
-      << "zipf " << static_cast<int>(zipf * 100.0 + 0.5) << '\n'
-      << "reads " << static_cast<int>(read_fraction * 100.0 + 0.5) << '\n'
-      << "open-loop " << (open_loop ? "on" : "off") << '\n';
-  return out.str();
+  std::string text;
+  for_each_key(*this, [&text](const char* key, const auto& field) {
+    text += std::string(key) + ' ' + text_of(field) + '\n';
+  });
+  return text;
 }
 
 std::optional<std::string> ChaosConfig::range_error() const {
@@ -198,68 +230,14 @@ std::optional<ChaosConfig> ChaosConfig::parse(const std::string& text) {
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
-    std::string key;
+    std::string key, value, trailing;
     if (!(fields >> key)) continue;
-    std::string value;
-    std::string trailing;
     if (!(fields >> value) || fields >> trailing) return std::nullopt;
-    // Every number is a plain unsigned integer spanning the whole token.
-    const auto number = [&value](auto& field) {
-      using Field = std::remove_reference_t<decltype(field)>;
-      const std::optional<Field> parsed = sim::parse_unsigned<Field>(value);
-      if (parsed.has_value()) field = *parsed;
-      return parsed.has_value();
-    };
-    const auto percent = [&](double& field) {
-      int whole = 0;
-      if (!number(whole)) return false;
-      field = whole / 100.0;
-      return true;
-    };
-    const auto on_off = [&value](bool& field) {
-      field = value == "on";
-      return value == "on" || value == "off";
-    };
-    bool ok = false;
-    if (key == "nodes") {
-      ok = number(config.nodes);
-    } else if (key == "replication") {
-      ok = number(config.replication);
-    } else if (key == "seed") {
-      ok = number(config.seed);
-    } else if (key == "updates") {
-      ok = number(config.updates);
-    } else if (key == "guids") {
-      ok = number(config.guids);
-    } else if (key == "blocks") {
-      ok = number(config.blocks);
-    } else if (key == "burst") {
-      ok = number(config.burst);
-    } else if (key == "max-events") {
-      ok = number(config.max_events);
-    } else if (key == "equivocators") {
-      ok = number(config.equivocators);
-    } else if (key == "fault-budget") {
-      config.fault_budget = kAutoBudget;
-      ok = value == "auto" || number(config.fault_budget);
-    } else if (key == "horizon") {
-      ok = number(config.horizon);
-    } else if (key == "durability") {
-      ok = on_off(config.durability);
-    } else if (key == "churn") {
-      ok = on_off(config.churn);
-    } else if (key == "wan") {
-      ok = on_off(config.wan);
-    } else if (key == "writers") {
-      ok = number(config.writers);
-    } else if (key == "zipf") {
-      ok = percent(config.zipf);
-    } else if (key == "reads") {
-      ok = percent(config.read_fraction);
-    } else if (key == "open-loop") {
-      ok = on_off(config.open_loop);
-    }
-    if (!ok) return std::nullopt;  // Unknown key or bad value: refuse.
+    bool ok = false;  // An unknown key is refused like a bad value.
+    for_each_key(config, [&](const char* name, auto&& field) {
+      if (key == name) ok = read_value(value, field);
+    });
+    if (!ok) return std::nullopt;
   }
   if (config.range_error().has_value()) return std::nullopt;
   return config;
@@ -269,9 +247,20 @@ std::optional<ChaosConfig> ChaosConfig::parse(const std::string& text) {
 
 sim::FaultPlan generate_fault_plan(const ChaosConfig& config,
                                    sim::Rng& rng) {
+  using Kind = FaultEvent::Kind;
   FaultPlan plan;
   const std::uint32_t budget = config.effective_budget();
   const sim::Time horizon = config.horizon;
+  const auto random_node = [&rng, &config] {
+    return static_cast<std::uint32_t>(
+        rng.below(static_cast<std::uint64_t>(config.nodes)));
+  };
+  // Two distinct indices below n (n >= 2).
+  const auto distinct_pair = [&rng](std::uint64_t n) {
+    const auto a = static_cast<std::uint32_t>(rng.below(n));
+    const auto b = static_cast<std::uint32_t>(rng.below(n - 1));
+    return std::pair{a, b >= a ? b + 1 : b};
+  };
   // Forced equivocators already exceed f on their own; the plan then adds
   // only partition noise (so shrunk reproducers stay minimal, and lossy
   // episodes don't disable the order invariant the demo is meant to trip).
@@ -292,8 +281,7 @@ sim::FaultPlan generate_fault_plan(const ChaosConfig& config,
   for (int attempt = 0; attempt < 64 && placed < target_episodes;
        ++attempt) {
     if (horizon < 900'000) break;
-    const auto node = static_cast<std::uint32_t>(
-        rng.below(static_cast<std::uint64_t>(config.nodes)));
+    const std::uint32_t node = random_node();
     const sim::Time start = rng.range(100'000, horizon - 700'000);
     const sim::Time end = start + rng.range(150'000, 450'000);
     std::uint32_t concurrent = 0;
@@ -313,79 +301,58 @@ sim::FaultPlan generate_fault_plan(const ChaosConfig& config,
     // writes). That keeps every episode's divergence healed by recovery,
     // which is exactly the property the durable-ack invariant audits.
     const std::uint64_t episode_kinds = config.durability ? 7 : 3;
+    const auto add = [&plan, node](sim::Time at, Kind kind,
+                                   std::uint32_t arg = 0) {
+      plan.add({.at = at, .kind = kind, .node = node, .arg = arg});
+    };
     switch (rng.below(episode_kinds)) {
       case 0:  // Fail-stop crash, later restarted and re-bootstrapped.
-        plan.add({.at = start, .kind = FaultEvent::Kind::kCrash,
-                  .node = node});
-        plan.add({.at = end, .kind = FaultEvent::Kind::kRestart,
-                  .node = node});
+        add(start, Kind::kCrash);
+        add(end, Kind::kRestart);
         break;
-      case 1: {  // Byzantine flip, later replaced by an honest member.
-        static const char* kFlips[] = {"crash", "equivocator",
-                                       "withholder"};
-        plan.add({.at = start,
-                  .kind = FaultEvent::Kind::kByzantine,
-                  .node = node,
-                  .behaviour = kFlips[rng.below(3)]});
-        plan.add({.at = end,
-                  .kind = FaultEvent::Kind::kByzantine,
-                  .node = node,
-                  .behaviour = "honest"});
+      case 1: {  // Byzantine flip, later replaced by an honest member
+                 // (kBehaviours[0]).
+        const std::string_view flip =
+            sim::kBehaviours[1 + rng.below(sim::kBehaviours.size() - 1)];
+        plan.add({.at = start, .kind = Kind::kByzantine, .node = node,
+                  .behaviour = std::string(flip)});
+        plan.add({.at = end, .kind = Kind::kByzantine, .node = node,
+                  .behaviour = std::string(sim::kBehaviours[0])});
         break;
       }
       case 2:  // Block corruption, healed on the wire; maintenance
                // repairs the at-rest damage.
-        plan.add({.at = start, .kind = FaultEvent::Kind::kCorrupt,
-                  .node = node});
-        plan.add({.at = end, .kind = FaultEvent::Kind::kUncorrupt,
-                  .node = node});
+        add(start, Kind::kCorrupt);
+        add(end, Kind::kUncorrupt);
         break;
       case 3:  // Torn write at crash time: the power fails mid-append.
-        plan.add({.at = start, .kind = FaultEvent::Kind::kTornWrite,
-                  .node = node});
-        plan.add({.at = start + 60'000, .kind = FaultEvent::Kind::kCrash,
-                  .node = node});
-        plan.add({.at = end, .kind = FaultEvent::Kind::kRestart,
-                  .node = node});
+        add(start, Kind::kTornWrite);
+        add(start + 60'000, Kind::kCrash);
+        add(end, Kind::kRestart);
         break;
       case 4:  // Bit-rot discovered at recovery: one journal byte flips
                // while the node is down.
-        plan.add({.at = start, .kind = FaultEvent::Kind::kCrash,
-                  .node = node});
-        plan.add({.at = (start + end) / 2,
-                  .kind = FaultEvent::Kind::kBitRot,
-                  .node = node,
-                  .arg = static_cast<std::uint32_t>(rng.below(1u << 20))});
-        plan.add({.at = end, .kind = FaultEvent::Kind::kRestart,
-                  .node = node});
+        add(start, Kind::kCrash);
+        add((start + end) / 2, Kind::kBitRot,
+            static_cast<std::uint32_t>(rng.below(1u << 20)));
+        add(end, Kind::kRestart);
         break;
       case 5: {  // Sick disk (stalled or out of space) fail-stops the
                  // node; the disk heals across the restart.
         const bool stall = rng.chance(0.5);
-        plan.add({.at = start,
-                  .kind = stall ? FaultEvent::Kind::kDiskStall
-                                : FaultEvent::Kind::kDiskFull,
-                  .node = node,
-                  .arg = stall ? 0
-                               : static_cast<std::uint32_t>(rng.below(64))});
-        plan.add({.at = end - 50'000, .kind = FaultEvent::Kind::kDiskOk,
-                  .node = node});
-        plan.add({.at = end - 50'000, .kind = FaultEvent::Kind::kCrash,
-                  .node = node});
-        plan.add({.at = end, .kind = FaultEvent::Kind::kRestart,
-                  .node = node});
+        add(start, stall ? Kind::kDiskStall : Kind::kDiskFull,
+            stall ? 0 : static_cast<std::uint32_t>(rng.below(64)));
+        add(end - 50'000, Kind::kDiskOk);
+        add(end - 50'000, Kind::kCrash);
+        add(end, Kind::kRestart);
         break;
       }
       default:  // Partial flush: un-fsynced tail records vanish while the
                 // node is down.
-        plan.add({.at = start, .kind = FaultEvent::Kind::kCrash,
-                  .node = node});
-        plan.add({.at = (start + end) / 2,
-                  .kind = FaultEvent::Kind::kFlushDrop,
-                  .node = node,
-                  .arg = static_cast<std::uint32_t>(1 + rng.below(3))});
-        plan.add({.at = end, .kind = FaultEvent::Kind::kRestart,
-                  .node = node});
+        add(start, Kind::kCrash);
+        add((start + end) / 2, Kind::kFlushDrop,
+            static_cast<std::uint32_t>(1 + rng.below(3)));
+        add(end, Kind::kRestart);
         break;
     }
   }
@@ -393,33 +360,24 @@ sim::FaultPlan generate_fault_plan(const ChaosConfig& config,
   // Network episodes (no node budget: they make no node faulty, only slow
   // or split the fabric — and every one heals before the horizon).
   if (config.nodes >= 2 && horizon >= 900'000 && rng.chance(0.7)) {
-    const auto a = static_cast<std::uint32_t>(
-        rng.below(static_cast<std::uint64_t>(config.nodes)));
-    auto b = static_cast<std::uint32_t>(
-        rng.below(static_cast<std::uint64_t>(config.nodes - 1)));
-    if (b >= a) ++b;
+    const auto [a, b] = distinct_pair(config.nodes);
     const sim::Time start = rng.range(100'000, horizon - 700'000);
     const sim::Time end = start + rng.range(100'000, 400'000);
-    plan.add({.at = start, .kind = FaultEvent::Kind::kPartition,
-              .node = a, .peer = b});
-    plan.add({.at = end, .kind = FaultEvent::Kind::kHeal,
-              .node = a, .peer = b});
+    plan.add({.at = start, .kind = Kind::kPartition, .node = a, .peer = b});
+    plan.add({.at = end, .kind = Kind::kHeal, .node = a, .peer = b});
   }
-  if (!equivocator_demo && horizon >= 900'000 && rng.chance(0.6)) {
+  // Loss and duplication bursts, at 0.05 + 0.01 * k for k below `steps`.
+  for (const auto& [kind, chance, steps] :
+       {std::tuple{Kind::kDropRate, 0.6, 21},
+        std::tuple{Kind::kDupRate, 0.4, 16}}) {
+    if (equivocator_demo || horizon < 900'000 || !rng.chance(chance)) {
+      continue;
+    }
     const sim::Time start = rng.range(100'000, horizon - 700'000);
     const sim::Time end = start + rng.range(100'000, 400'000);
-    const double rate = 0.05 + 0.01 * static_cast<double>(rng.below(21));
-    plan.add({.at = start, .kind = FaultEvent::Kind::kDropRate,
-              .rate = rate});
-    plan.add({.at = end, .kind = FaultEvent::Kind::kDropRate, .rate = 0.0});
-  }
-  if (!equivocator_demo && horizon >= 900'000 && rng.chance(0.4)) {
-    const sim::Time start = rng.range(100'000, horizon - 700'000);
-    const sim::Time end = start + rng.range(100'000, 400'000);
-    const double rate = 0.05 + 0.01 * static_cast<double>(rng.below(16));
-    plan.add({.at = start, .kind = FaultEvent::Kind::kDupRate,
-              .rate = rate});
-    plan.add({.at = end, .kind = FaultEvent::Kind::kDupRate, .rate = 0.0});
+    const double rate = 0.05 + 0.01 * static_cast<double>(rng.below(steps));
+    plan.add({.at = start, .kind = kind, .rate = rate});
+    plan.add({.at = end, .kind = kind, .rate = 0.0});
   }
 
   // Membership churn episodes. Joins are pure additions (no budget: a
@@ -431,19 +389,15 @@ sim::FaultPlan generate_fault_plan(const ChaosConfig& config,
     const std::size_t joins = 1 + rng.below(2);
     for (std::size_t j = 0; j < joins; ++j) {
       plan.add({.at = rng.range(150'000, horizon - 400'000),
-                .kind = FaultEvent::Kind::kJoin});
+                .kind = Kind::kJoin});
     }
     if (config.nodes >= 6 && rng.chance(0.8)) {
       plan.add({.at = rng.range(200'000, horizon - 400'000),
-                .kind = FaultEvent::Kind::kLeave,
-                .node = static_cast<std::uint32_t>(
-                    rng.below(static_cast<std::uint64_t>(config.nodes)))});
+                .kind = Kind::kLeave, .node = random_node()});
     }
     if (budget >= 1 && config.nodes >= 8 && rng.chance(0.5)) {
       plan.add({.at = rng.range(200'000, horizon - 400'000),
-                .kind = FaultEvent::Kind::kDepart,
-                .node = static_cast<std::uint32_t>(
-                    rng.below(static_cast<std::uint64_t>(config.nodes)))});
+                .kind = Kind::kDepart, .node = random_node()});
     }
   }
 
@@ -470,22 +424,13 @@ sim::FaultPlan generate_fault_plan(const ChaosConfig& config,
         hot.push_back(static_cast<std::uint32_t>(addr));
       }
     }
-    static const char* kClasses[] = {"lan", "wan", "sat"};
     const std::size_t episodes = 1 + rng.below(3);
     for (std::size_t e = 0; e < episodes; ++e) {
-      std::uint32_t a, b;
-      if (hot.size() >= 2 && rng.chance(0.75)) {
-        const std::size_t i = rng.below(hot.size());
-        std::size_t j = rng.below(hot.size() - 1);
-        if (j >= i) ++j;
-        a = hot[i];
-        b = hot[j];
-      } else {
-        a = static_cast<std::uint32_t>(
-            rng.below(static_cast<std::uint64_t>(config.nodes)));
-        b = static_cast<std::uint32_t>(
-            rng.below(static_cast<std::uint64_t>(config.nodes - 1)));
-        if (b >= a) ++b;
+      const bool on_hot = hot.size() >= 2 && rng.chance(0.75);
+      auto [a, b] = distinct_pair(on_hot ? hot.size() : config.nodes);
+      if (on_hot) {
+        a = hot[a];
+        b = hot[b];
       }
       // Start inside the workload's active window: the closed-loop
       // writers burn through their updates in the first few hundred
@@ -493,16 +438,12 @@ sim::FaultPlan generate_fault_plan(const ChaosConfig& config,
       // would usually profile a link after the traffic has stopped.
       const sim::Time start = rng.range(10'000, 300'000);
       const sim::Time end = start + rng.range(200'000, 500'000);
-      plan.add({.at = start,
-                .kind = FaultEvent::Kind::kLinkProfile,
-                .node = a,
-                .peer = b,
-                .behaviour = kClasses[rng.below(3)]});
-      plan.add({.at = end,
-                .kind = FaultEvent::Kind::kLinkProfile,
-                .node = a,
-                .peer = b,
-                .behaviour = "default"});
+      const sim::LinkProfile& profile =
+          sim::link_classes()[rng.below(sim::link_classes().size())];
+      plan.add({.at = start, .kind = Kind::kLinkProfile, .node = a,
+                .peer = b, .behaviour = profile.name});
+      plan.add({.at = end, .kind = Kind::kLinkProfile, .node = a,
+                .peer = b, .behaviour = sim::LinkProfile{}.name});
     }
   }
 
@@ -1338,20 +1279,16 @@ std::optional<std::pair<ChaosConfig, sim::FaultPlan>> decode_replay(
     const std::string& text) {
   // The header ends at the first line that is exactly "plan" (a comment
   // line may end in the word too).
-  for (std::size_t line = 0; line < text.size();) {
-    const std::size_t end = std::min(text.find('\n', line), text.size());
-    if (text.compare(line, end - line, "plan") == 0) {
-      const std::optional<ChaosConfig> config =
-          ChaosConfig::parse(text.substr(0, line));
-      if (!config.has_value()) return std::nullopt;
-      const std::optional<sim::FaultPlan> plan =
-          sim::FaultPlan::parse(text.substr(std::min(end + 1, text.size())));
-      if (!plan.has_value()) return std::nullopt;
-      return std::make_pair(*config, *plan);
-    }
-    line = end + 1;
-  }
-  return std::nullopt;
+  std::istringstream in(text);
+  std::string header;
+  std::string line;
+  while (std::getline(in, line) && line != "plan") header += line + '\n';
+  if (line != "plan") return std::nullopt;
+  const std::optional<ChaosConfig> config = ChaosConfig::parse(header);
+  const std::optional<sim::FaultPlan> plan = sim::FaultPlan::parse(
+      std::string(std::istreambuf_iterator<char>(in), {}));
+  if (!config.has_value() || !plan.has_value()) return std::nullopt;
+  return std::make_pair(*config, *plan);
 }
 
 }  // namespace asa_repro::storage

@@ -3,12 +3,14 @@
 // delta-debugged minimal reproducers and deterministic replay files.
 //
 // One campaign = N seeds; each seed deterministically derives a workload
-// (version appends with deliberate same-GUID concurrency, block stores,
-// periodic background maintenance) and a sim::FaultPlan whose node faults
-// never exceed a concurrency budget (default f = floor((r-1)/3), the
-// paper's claimed tolerance). The run executes the plan on the scheduler
-// mid-flight, then evaluates storage::InvariantChecker's safety invariants
-// plus bounded-liveness and durability expectations.
+// (version appends, block stores, periodic background maintenance; the
+// default burst of 1 serializes appends per GUID, and burst > 1, the
+// default of equivocator campaigns, submits concurrent same-GUID updates)
+// and a sim::FaultPlan whose node faults never exceed a concurrency budget
+// (default f = floor((r-1)/3), the paper's claimed tolerance). The run
+// executes the plan on the scheduler mid-flight, then evaluates
+// storage::InvariantChecker's safety invariants plus bounded-liveness and
+// durability expectations.
 //
 // When a run violates an invariant, shrink_plan() delta-debugs the fault
 // plan down to a locally minimal reproducer (every remaining event is
@@ -67,8 +69,9 @@ struct ChaosConfig {
   /// Off by default; absent from old replay headers (parse to off).
   bool churn = false;
   /// Per-link WAN adversity episodes in generated plans: lan/wan/sat
-  /// LinkProfiles installed on random directed pairs and reset before the
-  /// horizon (kLinkProfile). Off by default; absent from old headers.
+  /// LinkProfiles installed on random node pairs (both directions) and
+  /// reset before the horizon (kLinkProfile). Off by default; absent from
+  /// old headers.
   bool wan = false;
   /// Contention workload: > 0 replaces the per-GUID chain workload with
   /// `writers` concurrent writers spreading `updates` operations across
@@ -102,6 +105,8 @@ struct ChaosConfig {
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static std::optional<ChaosConfig> parse(
       const std::string& text);
+
+  friend bool operator==(const ChaosConfig&, const ChaosConfig&) = default;
 };
 
 struct ChaosReport {

@@ -147,6 +147,141 @@ TEST(ChaosReplay, RejectsMalformedInput) {
   }
 }
 
+// ---- Wire text, pinned. ----
+//
+// A round trip passes even when the writer and the reader drift together;
+// these goldens hold the bytes an earlier build wrote.
+
+// One event of every kind, in FaultEvent::Kind order.
+FaultPlan every_kind_plan() {
+  using Kind = FaultEvent::Kind;
+  return FaultPlan({
+      {.at = 100, .kind = Kind::kCrash, .node = 3},
+      {.at = 200, .kind = Kind::kRestart, .node = 3},
+      {.at = 300, .kind = Kind::kPartition, .node = 1, .peer = 7},
+      {.at = 400, .kind = Kind::kHeal, .node = 1, .peer = 7},
+      {.at = 500, .kind = Kind::kDropRate, .rate = 0.25},
+      {.at = 600, .kind = Kind::kDupRate, .rate = 0.1},
+      {.at = 700, .kind = Kind::kByzantine, .node = 2,
+       .behaviour = "equivocator"},
+      {.at = 800, .kind = Kind::kCorrupt, .node = 5},
+      {.at = 900, .kind = Kind::kUncorrupt, .node = 5},
+      {.at = 1000, .kind = Kind::kTornWrite, .node = 4},
+      {.at = 1100, .kind = Kind::kFlushDrop, .node = 4, .arg = 2},
+      {.at = 1200, .kind = Kind::kBitRot, .node = 4, .arg = 123'456},
+      {.at = 1300, .kind = Kind::kDiskStall, .node = 6},
+      {.at = 1400, .kind = Kind::kDiskFull, .node = 6, .arg = 64},
+      {.at = 1500, .kind = Kind::kDiskOk, .node = 6},
+      {.at = 1600, .kind = Kind::kJoin, .node = 12},
+      {.at = 1700, .kind = Kind::kLeave, .node = 8},
+      {.at = 1800, .kind = Kind::kDepart, .node = 9},
+      {.at = 1900, .kind = Kind::kLinkProfile, .node = 0, .peer = 11,
+       .behaviour = "sat"},
+  });
+}
+
+// Every header key away from its default, except fault-budget (auto).
+ChaosConfig every_key_config() {
+  ChaosConfig config;
+  config.nodes = 10;
+  config.replication = 7;
+  config.seed = 1282;
+  config.updates = 40;
+  config.guids = 3;
+  config.blocks = 5;
+  config.burst = 2;
+  config.max_events = 500'000;
+  config.equivocators = 1;
+  config.horizon = 3'000'000;
+  config.durability = false;
+  config.churn = true;
+  config.wan = true;
+  config.writers = 4;
+  config.zipf = 120 / 100.0;
+  config.read_fraction = 20 / 100.0;
+  config.open_loop = true;
+  return config;
+}
+
+TEST(FaultPlan, WireTextIsPinned) {
+  constexpr const char* kGolden =
+      "100 crash 3\n"
+      "200 restart 3\n"
+      "300 partition 1 7\n"
+      "400 heal 1 7\n"
+      "500 drop-rate 0.25\n"
+      "600 dup-rate 0.1\n"
+      "700 byzantine 2 equivocator\n"
+      "800 corrupt 5\n"
+      "900 uncorrupt 5\n"
+      "1000 torn-write 4\n"
+      "1100 flush-drop 4 2\n"
+      "1200 bit-rot 4 123456\n"
+      "1300 disk-stall 6\n"
+      "1400 disk-full 6 64\n"
+      "1500 disk-ok 6\n"
+      "1600 join 12\n"
+      "1700 leave 8\n"
+      "1800 depart 9\n"
+      "1900 link-profile 0 11 sat\n";
+  EXPECT_EQ(every_kind_plan().serialize(), kGolden);
+  EXPECT_EQ(FaultPlan::parse(kGolden), every_kind_plan());
+}
+
+TEST(ChaosReplay, WireTextIsPinned) {
+  constexpr const char* kGolden =
+      "# asachaos replay v1\n"
+      "nodes 10\n"
+      "replication 7\n"
+      "seed 1282\n"
+      "updates 40\n"
+      "guids 3\n"
+      "blocks 5\n"
+      "burst 2\n"
+      "max-events 500000\n"
+      "equivocators 1\n"
+      "fault-budget auto\n"
+      "horizon 3000000\n"
+      "durability off\n"
+      "churn on\n"
+      "wan on\n"
+      "writers 4\n"
+      "zipf 120\n"
+      "reads 20\n"
+      "open-loop on\n"
+      "plan\n"
+      "5 drop-rate 0.05\n";
+  const FaultPlan plan(
+      {{.at = 5, .kind = FaultEvent::Kind::kDropRate, .rate = 0.05}});
+  EXPECT_EQ(encode_replay(every_key_config(), plan), kGolden);
+  EXPECT_EQ(decode_replay(kGolden), std::make_pair(every_key_config(), plan));
+}
+
+// Every plan a campaign generates comes back from its replay file as the
+// plan that ran, rates included, under the default, volatile and
+// churn/WAN/contention configs.
+TEST(ChaosReplay, GeneratedPlansRoundTripExactly) {
+  ChaosConfig configs[3];
+  configs[1].durability = false;
+  configs[2].churn = true;
+  configs[2].wan = true;
+  configs[2].writers = 4;
+  configs[2].zipf = 120 / 100.0;
+  configs[2].read_fraction = 20 / 100.0;
+  for (ChaosConfig config : configs) {
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+      config.seed = seed;
+      sim::Rng rng(seed ^ 0x63686170'73656564ull);  // As asachaos seeds it.
+      const FaultPlan plan = generate_fault_plan(config, rng);
+      EXPECT_EQ(FaultPlan::parse(plan.serialize()), plan)
+          << "seed " << seed << ":\n" << plan;
+      EXPECT_EQ(decode_replay(encode_replay(config, plan)),
+                std::make_pair(config, plan))
+          << "seed " << seed;
+    }
+  }
+}
+
 // ---- Plan generation respects the budget. ----
 
 TEST(ChaosGenerate, PlansAreDeterministicPerSeed) {

@@ -279,5 +279,86 @@ TEST(Composition, FindingsJsonCarriesScheduleAndWallClockTimings) {
   EXPECT_NE(json.find("\"wall\""), std::string::npos);
 }
 
+// ---- asa-replay/1 wire text ----
+
+// Every step kind, and every message word.
+commit::ReplayPlan every_step_plan() {
+  using Step = commit::ReplayStep;
+  using Msg = commit::WireMessage::Kind;
+  commit::ReplayPlan plan;
+  plan.r = 7;
+  plan.f = 2;
+  plan.requests = 2;
+  plan.attempts = 3;
+  plan.guid = 123'456;
+  plan.mutation = "comp.weak_ack";
+  plan.check = "composition.ack_quorum";
+  plan.detail = "request acknowledged after 1 distinct confirmation(s)";
+  plan.faults.add({.at = 1, .kind = sim::FaultEvent::Kind::kCrash,
+                   .node = 3});
+  plan.schedule = {
+      {.kind = Step::Kind::kSubmit, .request = 0},
+      {.kind = Step::Kind::kDeliver, .msg = Msg::kUpdate, .to = 0},
+      {.kind = Step::Kind::kDeliver, .msg = Msg::kVote, .from = 0, .to = 1},
+      {.kind = Step::Kind::kDup, .msg = Msg::kVote, .from = 0, .to = 1},
+      {.kind = Step::Kind::kDrop, .msg = Msg::kCommit, .from = 1, .to = 2},
+      {.kind = Step::Kind::kCrash, .peer = 3},
+      {.kind = Step::Kind::kRecord, .request = 1, .peer = 2},
+      {.kind = Step::Kind::kDeliver, .msg = Msg::kCommitted, .from = 2,
+       .to = Step::kEndpoint, .request = 1},
+      {.kind = Step::Kind::kRetry, .request = 1},
+      {.kind = Step::Kind::kFail, .request = 1},
+  };
+  return plan;
+}
+
+// The asa-replay/1 text an earlier build wrote for every_step_plan(): a
+// round trip passes even when the writer and the reader drift together.
+TEST(ReplayPlan, WireTextIsPinned) {
+  constexpr const char* kGolden =
+      "asa-replay/1\n"
+      "protocol r=7 f=2 requests=2 attempts=3 guid=123456\n"
+      "mutation comp.weak_ack\n"
+      "check composition.ack_quorum\n"
+      "detail request acknowledged after 1 distinct confirmation(s)\n"
+      "plan\n"
+      "1 crash 3\n"
+      "endplan\n"
+      "schedule\n"
+      "submit req=0\n"
+      "deliver update from=e to=0 req=0\n"
+      "deliver vote from=0 to=1 req=0\n"
+      "dup vote from=0 to=1 req=0\n"
+      "drop commit from=1 to=2 req=0\n"
+      "crash peer=3\n"
+      "record peer=2 req=1\n"
+      "deliver committed from=2 to=e req=1\n"
+      "retry req=1\n"
+      "fail req=1\n"
+      "endschedule\n";
+  EXPECT_EQ(every_step_plan().serialize(), kGolden);
+  const std::optional<commit::ReplayPlan> parsed =
+      commit::ReplayPlan::parse(kGolden);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->serialize(), kGolden);
+  EXPECT_EQ(parsed->guid, 123'456u);
+  EXPECT_EQ(parsed->faults, every_step_plan().faults);
+}
+
+// Each protocol field reads at its member's width: a guid past 32 bits
+// comes back whole, and the endpoint word is no number.
+TEST(ReplayPlan, ProtocolFieldsReadAtTheirOwnWidth) {
+  const std::string head = "asa-replay/1\nprotocol r=4 f=1 requests=1 ";
+  const std::string tail = "\nmutation none\ncheck c\n";
+  const auto wide =
+      commit::ReplayPlan::parse(head + "attempts=1 guid=4294967296" + tail);
+  ASSERT_TRUE(wide.has_value());
+  EXPECT_EQ(wide->guid, 4'294'967'296u);
+  EXPECT_FALSE(
+      commit::ReplayPlan::parse(head + "attempts=1 guid=e" + tail));
+  EXPECT_FALSE(commit::ReplayPlan::parse(head + "attempts=e" + tail));
+  EXPECT_FALSE(commit::ReplayPlan::parse(head + "attempts=1 x=1" + tail));
+}
+
 }  // namespace
 }  // namespace asa_repro

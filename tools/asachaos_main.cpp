@@ -15,10 +15,8 @@
 //                                             # >f faults: detection demo
 //   asachaos --replay chaos-seed17.replay     # re-run a recorded schedule
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "cli_args.hpp"
@@ -53,14 +51,11 @@ std::string build_postmortem(const ChaosConfig& config,
   obs::EventRecorder pm_events(/*tracing=*/false, /*flight_capacity=*/256,
                                /*spans=*/true);
   obs::PostmortemViolations violations;
-  std::vector<std::string> plan_lines;
-  std::vector<std::string> shrunk_lines;
-  for (const sim::FaultEvent& e : plan.events()) {
-    plan_lines.push_back(e.serialize());
-  }
-  for (const sim::FaultEvent& e : shrunk.events()) {
-    shrunk_lines.push_back(e.serialize());
-  }
+  const auto lines = [](const sim::FaultPlan& p) {
+    std::vector<std::string> out;
+    for (const sim::FaultEvent& e : p.events()) out.push_back(e.serialize());
+    return out;
+  };
   try {
     const ChaosReport report =
         run_plan(config, plan, &pm_metrics, &pm_events);
@@ -76,8 +71,8 @@ std::string build_postmortem(const ChaosConfig& config,
       {"nodes", std::to_string(config.nodes)},
       {"replication", std::to_string(config.replication)},
   };
-  return obs::write_postmortem_json(meta, violations, plan_lines,
-                                    shrunk_lines, pm_events, pm_metrics);
+  return obs::write_postmortem_json(meta, violations, lines(plan),
+                                    lines(shrunk), pm_events, pm_metrics);
 }
 
 /// Write the bundle for `config.seed` into `dir` and report where it went.
@@ -96,14 +91,12 @@ bool write_postmortem(const std::string& dir, const ChaosConfig& config,
 }
 
 int run_replay(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = cli::read_file(path);
+  if (!text.has_value()) {
     std::cerr << "asachaos: cannot open replay file " << path << "\n";
     return 2;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const auto decoded = decode_replay(buffer.str());
+  const auto decoded = decode_replay(*text);
   if (!decoded.has_value()) {
     std::cerr << "asachaos: malformed replay file " << path << "\n";
     return 2;

@@ -25,33 +25,24 @@
 //   asareport --metrics postmortem-seed7.json
 //   asareport --metrics anything.json --validate
 //   asareport --bench-compare BENCH_execution.json --metrics new.json
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli_args.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
+#include "write_file.hpp"
 
 using namespace asa_repro;
 
 namespace {
 
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 /// Load + parse + structurally validate one document. Returns nullopt
 /// (with a message on stderr) when anything is wrong.
 std::optional<obs::JsonValue> load_document(const std::string& path) {
-  const std::optional<std::string> text = read_file(path);
+  const std::optional<std::string> text = cli::read_file(path);
   if (!text.has_value()) {
     std::cerr << "asareport: cannot open " << path << "\n";
     return std::nullopt;
@@ -170,7 +161,7 @@ int asareport_main(int argc, char** argv) {
 
   std::vector<obs::TraceEvent> trace;
   if (!trace_path.empty()) {
-    const std::optional<std::string> trace_text = read_file(trace_path);
+    const std::optional<std::string> trace_text = cli::read_file(trace_path);
     if (!trace_text.has_value()) {
       std::cerr << "asareport: cannot open " << trace_path << "\n";
       return 2;

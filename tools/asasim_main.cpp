@@ -10,10 +10,8 @@
 //          --byzantine equivocator:1 --drop 0.05 --seed 7 --trace
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
-#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,13 +29,6 @@ using namespace asa_repro;
 using namespace asa_repro::storage;
 
 namespace {
-
-std::optional<commit::Behaviour> parse_behaviour(const std::string& name) {
-  if (name == "crash") return commit::Behaviour::kCrash;
-  if (name == "equivocator") return commit::Behaviour::kEquivocator;
-  if (name == "withholder") return commit::Behaviour::kWithholder;
-  return std::nullopt;
-}
 
 struct PartitionSpec {
   std::size_t a = 0;
@@ -162,8 +153,9 @@ int asasim_main(int argc, char** argv) {
            "crash | equivocator | withholder, N nodes",
            [&](auto& option, auto& spec) {
              const std::size_t colon = spec.find(':');
-             const auto kind = parse_behaviour(spec.substr(0, colon));
-             if (!kind.has_value()) {
+             const auto kind =
+                 commit::behaviour_named(spec.substr(0, colon));
+             if (!kind.has_value() || *kind == commit::Behaviour::kHonest) {
                throw cli::BadArgument("unknown behaviour: " + spec);
              }
              byz_kind = *kind;
@@ -256,14 +248,12 @@ int asasim_main(int argc, char** argv) {
   }
 
   if (!replay_path.empty()) {
-    std::ifstream in(replay_path);
-    if (!in) {
+    const std::optional<std::string> text = cli::read_file(replay_path);
+    if (!text.has_value()) {
       std::cerr << "asasim: cannot read " << replay_path << "\n";
       return 2;
     }
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    const auto plan = commit::ReplayPlan::parse(text);
+    const auto plan = commit::ReplayPlan::parse(*text);
     if (!plan.has_value()) {
       std::cerr << "asasim: " << replay_path
                 << " is not an asa-replay/1 plan\n";

@@ -1,4 +1,4 @@
-// Artefact output shared by every command-line tool.
+// Artefact input and output shared by every command-line tool.
 //
 // Checking a std::ofstream only after opening it misses every later
 // failure: a full disk or /dev/full accepts the open, loses the bytes on
@@ -11,6 +11,8 @@
 
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -35,6 +37,13 @@ bool write_file_with(const std::string& path, Fill&& fill) {
 inline bool write_file(const std::string& path, std::string_view content) {
   return write_file_with(path,
                          [content](std::ostream& out) { out << content; });
+}
+
+/// The whole of `path`, or nullopt when it cannot be opened.
+inline std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 }  // namespace asa_repro::cli
